@@ -79,6 +79,7 @@ class PanelGrid:
         for ip in range(1, n_panels):
             nodes.append(self.panel_nodes[ip, 1:])
         self.nodes = np.concatenate(nodes)
+        self.ref_nodes = ref
         self.ref_weights = barycentric_weights(ref)
 
     @property
@@ -89,35 +90,34 @@ class PanelGrid:
         start = ip * self.p
         return slice(start, start + self.p + 1)
 
-    def panel_values(self, values, ip):
-        return values[self.panel_slice(ip)]
-
-    def locate(self, t):
-        """Panel index containing time ``t`` (clamped to the horizon)."""
-        ip = int(np.searchsorted(self.edges, t, side="right")) - 1
-        return min(max(ip, 0), self.n_panels - 1)
-
     def interpolate(self, values, t):
-        """Barycentric evaluation of panel-wise interpolants at times ``t``."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        scalar_t = np.isscalar(t) or np.ndim(t) == 0
+        """Barycentric evaluation of panel-wise interpolants at times ``t``.
+
+        ``t`` may be a scalar or an array of any shape; the result has the
+        shape of ``t`` followed by the trailing shape of ``values``.  Times
+        at a shared panel edge take the right-hand panel, the last edge
+        the last panel.
+        """
+        t_arr = np.asarray(t, dtype=float)
+        flat_t = t_arr.ravel()
+        bad = (flat_t < self.t0 - 1e-12) | (flat_t > self.t1 + 1e-12)
+        if bad.any():
+            ti = flat_t[np.argmax(bad)]
+            raise HorizonMismatch(f"time {ti} outside horizon [{self.t0}, {self.t1}]")
+        idx = np.searchsorted(self.edges, flat_t, side="right") - 1
+        idx = np.clip(idx, 0, self.n_panels - 1)
+        a = self.panel_nodes[idx, 0]
+        b = self.panel_nodes[idx, -1]
+        M = barycentric_matrix(self.ref_nodes, self.ref_weights, (flat_t - a) / (b - a))
         flat = values.ndim == 1
         vals = values[:, None] if flat else values
-        ref = _lobatto_reference(self.p)
-        out = np.empty((t_arr.size, vals.shape[1]))
-        for i, ti in enumerate(t_arr):
-            if ti < self.t0 - 1e-12 or ti > self.t1 + 1e-12:
-                raise HorizonMismatch(f"time {ti} outside horizon [{self.t0}, {self.t1}]")
-            ip = self.locate(ti)
-            nodes = self.panel_nodes[ip]
-            a, b = nodes[0], nodes[-1]
-            ref_t = np.array([(ti - a) / (b - a)])
-            M = barycentric_matrix(ref, self.ref_weights, ref_t)
-            out[i] = M @ self.panel_values(vals, ip)
+        rows = idx[:, None] * self.p + np.arange(self.p + 1)
+        out = np.matmul(M[:, None, :], vals[rows])[:, 0]
         if flat:
             out = out[:, 0]
-            return out[0] if scalar_t else out
-        return out[0] if scalar_t else out
+        if t_arr.ndim == 0:
+            return out[0]
+        return out.reshape(t_arr.shape + out.shape[1:])
 
     def differentiation_matrix(self, ip):
         """Spectral differentiation matrix for panel ``ip``."""
@@ -188,7 +188,3 @@ class Curve:
 
     def copy(self):
         return Curve(self.grid, self.values.copy(), self.rate, self.kind)
-
-
-def zero_curve(grid, dimension, rate, kind):
-    return Curve(grid, np.zeros((grid.size, dimension)), rate, kind)

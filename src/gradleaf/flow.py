@@ -12,7 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import BlowUp, HorizonMismatch, LevelNotReached, NotOnUnstableManifold
+from .errors import (
+    BlowUp,
+    HorizonMismatch,
+    LevelNotReached,
+    NotOnUnstableManifold,
+    OutsideSampledDomain,
+)
 from .lyapunov_perron import SolverCache, backward_orbit
 
 BLOWUP_RADIUS = 1e3
@@ -120,10 +126,6 @@ def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
     return Trajectory(problem, times, states, sol.sol, stopped_at=stopped_at)
 
 
-def flow_map(problem, start, duration, rtol=1e-10, atol=1e-12):
-    return integrate_forward(problem, start, duration, rtol=rtol, atol=atol).terminal
-
-
 @dataclass
 class DescendingDisk:
     """Sampled part of the unstable manifold above level ``c - epsilon``.
@@ -156,7 +158,7 @@ class DescendingDisk:
         zm = point_local[: self.model.k]
         try:
             val = self.graph.evaluate(zm)
-        except Exception:
+        except OutsideSampledDomain:
             return False
         if np.linalg.norm(point_local[self.model.k:] - val) > residual_tol:
             return False
@@ -170,13 +172,6 @@ class DescendingDisk:
                                                np.asarray(z_minus, dtype=float),
                                                tol=tol, cache=cache)
         return self._orbits[key]
-
-    def backward_point(self, z_minus, T, cache=None):
-        """phi_{-T} of the graph point over ``z_minus`` (local frame)."""
-        orbit = self._orbit_for(z_minus, cache=cache)
-        if -T < orbit.curve.grid.t0:
-            raise HorizonMismatch(f"backward horizon {T} exceeds the solved orbit")
-        return orbit.curve.evaluate(-T)
 
 
 def algebraic_backward(disk, q_local, t, cache=None,

@@ -80,10 +80,19 @@ class FixedPointResult:
     residual: float
     iterations: int
     tail: float
+    #: for a backward orbit: its reference curves on finite forward grids
+    references: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def reported_residual(self):
         return self.residual + self.tail
+
+    def reference(self, grid, rate):
+        """``reference_curve`` of this orbit on ``grid``, built once per grid."""
+        key = (grid.t0, grid.t1, grid.size, rate)
+        if key not in self.references:
+            self.references[key] = reference_curve(self.curve, grid, rate)
+        return self.references[key]
 
 
 class _OperatorBase:
@@ -318,7 +327,8 @@ def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, tol=1e-10, cache=None,
     """Fixed point of the mixed-boundary operator for one (T, z-, z+).
 
     ``orbit`` is the backward-orbit result for ``z_minus``; its horizon must
-    cover [-T, 0].  Returns ``(FixedPointResult, endpoint_gap)``.
+    cover [-T, 0], and it keeps the reference curve built for this T.
+    Returns ``(FixedPointResult, endpoint_gap)``.
     """
     cache = cache or SolverCache(model)
     if T < ladder.T0 - 1e-12 and enforce_endpoint:
@@ -326,7 +336,7 @@ def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, tol=1e-10, cache=None,
     if orbit.curve.grid.t0 > -T + 1e-12:
         raise HorizonMismatch("backward orbit horizon does not cover [-T, 0]")
     grid = cache.grid(0.0, T)
-    ref = reference_curve(orbit.curve, grid, ladder.lambda_)
+    ref = orbit.reference(grid, ladder.lambda_)
     op = PsiTOperator(model, ladder, T, z_minus, z_plus, ref, grid,
                       cache.convolver(grid))
     result = fixed_point(op, tol=tol)

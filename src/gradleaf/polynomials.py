@@ -8,10 +8,36 @@ differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
+
+
+def _compile(terms):
+    """``(coefficient, ((variable, power), ...))`` per term, in table order."""
+    return [(c, tuple((i, a) for i, a in enumerate(alpha) if a))
+            for alpha, c in terms.items()]
+
+
+def _evaluate(table, cols):
+    """Sum of a compiled table at ``cols``: one Python float per variable for
+    one point, or one array column per variable for many points.
+
+    Both forms round alike, and alike to evaluating the terms one column at
+    a time: squares are ``v * v`` and higher powers go through numpy's
+    ``power`` (whose rounding differs from Python's float ``**``), and the
+    terms are added in table order starting from 0.0.
+    """
+    total = 0.0
+    for c, factors in table:
+        mon = 1.0
+        for i, a in factors:
+            v = cols[i]
+            mon = mon * (v if a == 1 else v * v if a == 2 else np.power(v, a))
+        total = total + c * mon
+    return total
 
 
 @dataclass(frozen=True)
@@ -41,18 +67,35 @@ class Polynomial:
             terms[alpha] = terms.get(alpha, 0.0) + float(coeff)
         return cls(dimension, terms)
 
-    def __call__(self, x):
+    @cached_property
+    def _value_table(self):
+        return _compile(self.terms)
+
+    @cached_property
+    def _gradient_tables(self):
+        return [_compile(self.differentiate(i).terms) for i in range(self.dimension)]
+
+    @cached_property
+    def _hessian_tables(self):
+        """``(i, j, table)`` for the entries on and above the diagonal."""
+        n = self.dimension
+        grads = [self.differentiate(i) for i in range(n)]
+        return [(i, j, _compile(grads[i].differentiate(j).terms))
+                for i in range(n) for j in range(i, n)]
+
+    def _columns(self, x):
+        """``(single, columns, count)``: Python floats for one point given as
+        a 1-D array, else one array column per variable."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
+        if x.ndim == 1:
+            return True, x.tolist(), 1
         pts = np.atleast_2d(x)
-        out = np.zeros(pts.shape[0])
-        for alpha, c in self.terms.items():
-            mon = np.ones(pts.shape[0])
-            for i, a in enumerate(alpha):
-                if a:
-                    mon = mon * pts[:, i] ** a
-            out += c * mon
-        return out[0] if single else out
+        return False, [pts[:, i] for i in range(self.dimension)], pts.shape[0]
+
+    def __call__(self, x):
+        single, cols, m = self._columns(x)
+        val = _evaluate(self._value_table, cols)
+        return np.float64(val) if single else np.full(m, val)
 
     def differentiate(self, var):
         """Exact partial derivative with respect to variable ``var``."""
@@ -67,29 +110,22 @@ class Polynomial:
             terms[beta] = terms.get(beta, 0.0) + c * a
         return Polynomial(self.dimension, terms)
 
-    def gradient_polys(self):
-        return [self.differentiate(i) for i in range(self.dimension)]
-
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        g = np.stack([p(pts) for p in self.gradient_polys()], axis=-1)
-        return g[0] if single else g
+        single, cols, m = self._columns(x)
+        g = np.empty(self.dimension if single else (m, self.dimension))
+        for i, table in enumerate(self._gradient_tables):
+            g[..., i] = _evaluate(table, cols)
+        return g
 
     def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+        single, cols, m = self._columns(x)
         n = self.dimension
-        grads = self.gradient_polys()
-        H = np.zeros((pts.shape[0], n, n))
-        for i in range(n):
-            for j in range(i, n):
-                vals = grads[i].differentiate(j)(pts)
-                H[:, i, j] = vals
-                H[:, j, i] = vals
-        return H[0] if single else H
+        H = np.empty((n, n) if single else (m, n, n))
+        for i, j, table in self._hessian_tables:
+            vals = _evaluate(table, cols)
+            H[..., i, j] = vals
+            H[..., j, i] = vals
+        return H
 
     def to_pairs(self):
         """Deterministically ordered (multi-index, coefficient) list."""

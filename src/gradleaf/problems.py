@@ -56,9 +56,6 @@ class GradientProblem:
     def hess(self, x):
         return self.objective.hessian(x)
 
-    def critical_value(self):
-        return float(self.objective(self.critical_point))
-
     def check_derivatives(self, rng=None, samples=8, h=1e-6):
         """Max deviation between symbolic and finite-difference derivatives."""
         rng = np.random.default_rng(0) if rng is None else rng

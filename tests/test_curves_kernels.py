@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gradleaf.curves import BACKWARD, FORWARD_FINITE, Curve, PanelGrid
+from gradleaf.curves import BACKWARD, FORWARD_FINITE, Curve, PanelGrid, barycentric_matrix
+from gradleaf.errors import HorizonMismatch
 from gradleaf.kernels import ExpConvolver
 
 
@@ -31,6 +34,55 @@ def test_interpolation_spectral_accuracy(grid):
     ts = np.linspace(0.1, 5.9, 40)
     ref = np.exp(-1.3 * ts) * np.sin(2.0 * ts)
     assert np.max(np.abs(grid.interpolate(vals, ts) - ref)) < 1e-12
+
+
+def _interpolate_per_point(grid, values, times):
+    """Reference: one barycentric row per time, applied to its own panel."""
+    vals = values[:, None] if values.ndim == 1 else values
+    rows = []
+    for t in times:
+        ip = int(np.searchsorted(grid.edges, t, side="right")) - 1
+        ip = min(max(ip, 0), grid.n_panels - 1)
+        nodes = grid.panel_nodes[ip]
+        ref_t = np.array([(t - nodes[0]) / (nodes[-1] - nodes[0])])
+        M = barycentric_matrix(grid.ref_nodes, grid.ref_weights, ref_t)
+        rows.append((M @ vals[grid.panel_slice(ip)])[0])
+    out = np.array(rows)
+    return out[:, 0] if values.ndim == 1 else out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("t0, t1, rate", [(0.0, 6.0, 2.0), (-40.0, 0.0, 3.0),
+                                          (0.0, 11.3, 0.7)])
+def test_interpolation_matches_per_point_reference(t0, t1, rate):
+    grid = PanelGrid(t0, t1, max_rate=rate)
+    rng = np.random.default_rng(17)
+    times = np.concatenate([
+        rng.uniform(t0, t1, 200), grid.nodes, grid.edges,
+        [t0, t1, t0 - 1e-13, t1 + 1e-13]])
+    for values in (rng.standard_normal(grid.size),
+                   rng.standard_normal((grid.size, 3))):
+        ref = _interpolate_per_point(grid, values, times)
+        assert _same_bits(grid.interpolate(values, times), ref)
+        for i in (0, 7, times.size - 1):
+            assert _same_bits(grid.interpolate(values, times[i]), ref[i])
+            assert _same_bits(grid.interpolate(values, times[i:i + 1]), ref[i:i + 1])
+        square = times[:200].reshape(20, 10)
+        assert _same_bits(grid.interpolate(values, square),
+                          ref[:200].reshape((20, 10) + values.shape[1:]))
+
+
+def test_interpolation_names_first_time_outside_horizon(grid):
+    bad = grid.t1 + 1e-11
+    times = np.array([grid.t0, 0.5 * grid.t1, bad, grid.t0 - 1.0])
+    with pytest.raises(HorizonMismatch, match=re.escape(f"time {bad} outside")):
+        grid.interpolate(np.zeros(grid.size), times)
+    with pytest.raises(HorizonMismatch):
+        grid.interpolate(np.zeros((grid.size, 2)), grid.t0 - 1e-11)
 
 
 def test_convolutions_against_quadrature(grid):

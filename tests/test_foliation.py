@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gradleaf import foliation as fol
-from gradleaf.errors import OutsideLeafDomain
+from gradleaf import lyapunov_perron as lp
+from gradleaf.errors import DisjointnessViolation, OutsideLeafDomain, OutsideSampledDomain
 from gradleaf.flow import integrate_forward
 
 
@@ -148,6 +151,38 @@ def test_disjointness_quartic(atlas_p2):
     assert min(r.gap for r in rep.rows) > 0.0
 
 
+def _line_leaf_atlas(*graphs):
+    """An atlas of 1-D leaves over one plus axis, values ``g(axis)``."""
+    axis = np.linspace(-0.5, 0.5, 21)
+    leaves = {}
+    for ai, g in enumerate(graphs):
+        sample = lp.GraphSample("G_T", "plus", (axis,), g(axis)[:, None],
+                                np.zeros(axis.size), np.zeros(axis.size, int),
+                                rate=0.5)
+        leaves[(1.0 + ai, ai)] = SimpleNamespace(graph=sample)
+    first = next(iter(leaves.values()))
+    return SimpleNamespace(leaves=leaves, model=None, center=first)
+
+
+def test_disjointness_floor_of_parallel_sloped_leaves():
+    # each leaf's own slope times the probe spacing (1.1e-5) exceeds the
+    # 3e-9 separation; the floor is the slope of the difference, near zero
+    atlas = _line_leaf_atlas(lambda z: 1e-3 * z + 0.01,
+                             lambda z: 1e-3 * z + 0.01 + 3e-9)
+    rep = fol.check_disjoint(atlas, pair_count=4, rng=np.random.default_rng(0))
+    assert rep.all_ok
+    assert all(r.bound < 1e-12 and r.gap == pytest.approx(3e-9, rel=1e-6)
+               for r in rep.rows)
+
+
+def test_disjointness_crossing_leaves_raise():
+    # the crossing at z = 1e-3 lies between probes
+    atlas = _line_leaf_atlas(lambda z: 1e-3 * z,
+                             lambda z: -1e-3 * (z - 1e-3))
+    with pytest.raises(DisjointnessViolation):
+        fol.check_disjoint(atlas, pair_count=4, rng=np.random.default_rng(0))
+
+
 def test_induced_flow_quadratic_closed_form(atlas_p1, p1):
     label = sorted(atlas_p1.leaves)[0]
     T = label[0]
@@ -277,6 +312,49 @@ def test_atlas_locate_and_contains(atlas_p2, p2):
     # center-leaf points resolve to the center label
     zc = atlas_p2.center.point_at(np.array([0.2 * p2.ladder.R]), p2.model)
     assert atlas_p2.locate(zc) == "center"
+
+
+class _RaisingGraph:
+    """A graph whose evaluation raises ``exc``; all else is ``graph``'s."""
+
+    def __init__(self, graph, exc):
+        self._graph = graph
+        self._exc = exc
+
+    def __getattr__(self, name):
+        return getattr(self._graph, name)
+
+    def evaluate(self, z):
+        raise self._exc("graph evaluation failed")
+
+
+def _with_raising_graphs(atlas, exc):
+    def swap(leaf):
+        return dataclasses.replace(leaf, graph=_RaisingGraph(leaf.graph, exc))
+    return dataclasses.replace(
+        atlas, center=swap(atlas.center),
+        leaves={label: swap(leaf) for label, leaf in atlas.leaves.items()})
+
+
+def test_graph_domain_misses_are_skipped(atlas_p2, p2):
+    atlas = _with_raising_graphs(atlas_p2, OutsideSampledDomain)
+    assert atlas.locate(np.zeros(p2.model.n)) is None
+    assert fol.leaf_invariance(atlas).rows == []
+    disk = dataclasses.replace(p2.disk, graph=_RaisingGraph(p2.disk.graph,
+                                                            OutsideSampledDomain))
+    assert not disk.contains(np.zeros(p2.model.n))
+
+
+def test_graph_errors_other_than_domain_misses_propagate(atlas_p2, p2):
+    atlas = _with_raising_graphs(atlas_p2, RuntimeError)
+    with pytest.raises(RuntimeError):
+        atlas.locate(np.zeros(p2.model.n))
+    with pytest.raises(RuntimeError):
+        fol.leaf_invariance(atlas)
+    disk = dataclasses.replace(p2.disk, graph=_RaisingGraph(p2.disk.graph,
+                                                            RuntimeError))
+    with pytest.raises(RuntimeError):
+        disk.contains(np.zeros(p2.model.n))
 
 
 @pytest.fixture(scope="module")
