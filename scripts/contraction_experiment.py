@@ -31,7 +31,7 @@ def measure(config_path, out_csv, pairs=25, seed=0):
     graph_g = lp.graph_G_inf(model, ladder, cache=cache)
     ladder = calibrate_ladder(ladder, model, graph_f, graph_g,
                               overrides=problem.ladder_overrides)
-    disk = descending_disk(model, ladder, graph_f, cache=cache)
+    disk = descending_disk(model, ladder, graph_f)
     rng = np.random.default_rng(seed)
 
     zm = disk.sphere_minus[0]

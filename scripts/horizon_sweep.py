@@ -33,7 +33,7 @@ def sweep(config_path, out_csv, n_horizons=9):
     graph_g = lp.graph_G_inf(model, ladder, cache=cache)
     ladder = calibrate_ladder(ladder, model, graph_f, graph_g,
                               overrides=problem.ladder_overrides)
-    disk = descending_disk(model, ladder, graph_f, cache=cache)
+    disk = descending_disk(model, ladder, graph_f)
     solver = cv.GraphFamilySolver(model, ladder, cache=cache)
 
     t0 = max(ladder.T0, ladder.T2)

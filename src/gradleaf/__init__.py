@@ -19,13 +19,11 @@ from .foliation import ConleyPair, FoliationAtlas, Leaf, build_atlas, build_pair
 from .lyapunov_perron import (
     FixedPointResult,
     GraphSample,
+    IntegralOperator,
     PhiOperator,
     PsiOperator,
     PsiTOperator,
     SolverCache,
-    apply_Phi,
-    apply_Psi_T,
-    apply_Psi_stable,
     backward_orbit,
     fixed_point,
     graph_F_inf,

@@ -52,8 +52,6 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="fixed-point tolerance")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; stages currently run serially")
     parser.add_argument("--stage", default=None,
                         help="with 'all': restrict to this single stage")
     return parser
@@ -70,8 +68,7 @@ def main(argv=None):
         else:
             stages = (args.subcommand,)
         state = pipeline.run(problem, out_dir, stages=stages, tol=args.tol,
-                             seed=args.seed, threads=args.threads,
-                             config_digest=digest)
+                             seed=args.seed, config_digest=digest)
     except Exception as exc:  # emit a machine-readable error record
         code = exit_code_for(exc)
         record = {

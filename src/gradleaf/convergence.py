@@ -40,9 +40,15 @@ class ReportRow:
     bound: float
     budget: float
     ok: bool
+    #: a separation row passes when the gap exceeds the bound; every other
+    #: row passes when the gap stays below bound + budget
+    separation: bool = False
 
     @property
     def slack(self):
+        """Distance to failing: non-negative on a passing row."""
+        if self.separation:
+            return self.gap - self.bound - self.budget
         return self.bound + self.budget - self.gap
 
     def to_list(self):
@@ -78,8 +84,9 @@ def _label(vec):
 
 
 class GraphFamilySolver:
-    """Shared solves for the convergence checks: caches backward orbits and
-    mixed fixed points keyed by (T, z-, z+)."""
+    """The solve store of one ladder: backward orbits keyed by z-, mixed
+    fixed points keyed by (T, z-, z+, enforce_endpoint) and stable fixed
+    points keyed by z+, shared by every stage that solves on that ladder."""
 
     def __init__(self, model, ladder, tol=1e-10, cache=None):
         self.model = model
@@ -102,7 +109,7 @@ class GraphFamilySolver:
 
     def mixed(self, T, z_minus, z_plus, enforce_endpoint=True):
         key = (round(float(T), 12), tuple(np.round(z_minus, 15)),
-               tuple(np.round(z_plus, 15)))
+               tuple(np.round(z_plus, 15)), bool(enforce_endpoint))
         if key not in self._mixed:
             orbit = self.orbit(np.asarray(z_minus), T)
             self._mixed[key] = solve_mixed(

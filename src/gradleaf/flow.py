@@ -19,7 +19,7 @@ from .errors import (
     NotOnUnstableManifold,
     OutsideSampledDomain,
 )
-from .lyapunov_perron import SolverCache, backward_orbit
+from .lyapunov_perron import backward_orbit
 
 BLOWUP_RADIUS = 1e3
 MANIFOLD_RESIDUAL_TOL = 1e-7
@@ -143,10 +143,6 @@ class DescendingDisk:
     sphere_local: np.ndarray
     interior_minus: np.ndarray
     interior_local: np.ndarray
-    _orbits: dict = None
-
-    def __post_init__(self):
-        self._orbits = {}
 
     @property
     def index(self):
@@ -164,14 +160,6 @@ class DescendingDisk:
             return False
         c = self.model.f_local(np.zeros(self.model.n))
         return self.model.f_local(point_local) >= c - self.epsilon * (1 + 1e-9)
-
-    def _orbit_for(self, z_minus, cache=None, tol=1e-10):
-        key = tuple(np.round(np.asarray(z_minus, dtype=float), 14))
-        if key not in self._orbits:
-            self._orbits[key] = backward_orbit(self.model, self.ladder,
-                                               np.asarray(z_minus, dtype=float),
-                                               tol=tol, cache=cache)
-        return self._orbits[key]
 
 
 def algebraic_backward(disk, q_local, t, cache=None,
@@ -192,20 +180,19 @@ def algebraic_backward(disk, q_local, t, cache=None,
     if residual > residual_tol:
         raise NotOnUnstableManifold(
             f"plus-part residual {residual:.3e} against the unstable graph")
-    orbit = disk._orbit_for(zm, cache=cache)
+    orbit = backward_orbit(model, disk.ladder, zm, cache=cache)
     if -t < orbit.curve.grid.t0:
         raise HorizonMismatch(f"time {t} beyond the solved backward horizon")
     return orbit.curve.evaluate(-t)
 
 
 def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None,
-                    bisect_tol=1e-10, cache=None):
+                    bisect_tol=1e-10):
     """Sample the descending disk and locate its boundary sphere.
 
     The sphere is found by bisection in the level value along rays of the
     unstable subspace; for Morse index one it consists of two points.
     """
-    cache = cache or SolverCache(model)
     epsilon = ladder.epsilon if epsilon is None else float(epsilon)
     k = model.k
     c = model.f_local(np.zeros(model.n))

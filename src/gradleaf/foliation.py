@@ -25,7 +25,7 @@ from .errors import (
     RetractViolation,
 )
 from .flow import integrate_forward
-from .lyapunov_perron import SolverCache, backward_orbit, default_horizon, graph_G_T
+from .lyapunov_perron import graph_G_T
 
 PAIR_RTOL = 1e-9
 PAIR_ATOL = 1e-12
@@ -274,16 +274,17 @@ def _leaf_boundary(model, graph, clip_level, resolution=8):
             np.asarray(boundary_local).reshape(-1, model.n))
 
 
-def build_atlas(model, ladder, stable_graph, sphere_minus, pair=None,
-                epsilon=None, tau=None, T_grid=None, zplus_axes=None,
-                tol=1e-10, cache=None, boundary_resolution=8):
+def build_atlas(solver, stable_graph, sphere_minus, pair=None, epsilon=None,
+                tau=None, T_grid=None, zplus_axes=None, boundary_resolution=8):
     """Assemble the leaf family over a (T, alpha) grid.
 
+    ``solver``: the ladder's ``GraphFamilySolver``, which holds the model,
+    the ladder, the tolerance and the backward orbits of the sphere points.
     ``sphere_minus``: minus coordinates of the descending-sphere samples.
     Leaves are built from the time-T graphs and clipped at level c + epsilon;
     the center leaf is the clipped stable graph.
     """
-    cache = cache or SolverCache(model)
+    model, ladder = solver.model, solver.ladder
     epsilon = ladder.epsilon if epsilon is None else float(epsilon)
     tau = ladder.T0 if tau is None else float(tau)
     T_grid = np.asarray(T_grid if T_grid is not None
@@ -314,14 +315,12 @@ def build_atlas(model, ladder, stable_graph, sphere_minus, pair=None,
     leaves = {}
     disk = [np.zeros(model.n)]
     annulus = []
-    horizon = max(default_horizon(ladder), float(np.max(T_grid)))
     for ai, alpha in enumerate(np.atleast_2d(sphere_minus)):
-        orbit = backward_orbit(model, ladder, alpha, t_max=horizon, tol=tol,
-                               cache=cache)
+        orbit = solver.orbit(alpha, float(np.max(T_grid)))
         for T in T_grid:
             graph = graph_G_T(model, ladder, float(T), alpha,
-                              base_axes=zplus_axes, orbit=orbit, tol=tol,
-                              cache=cache)
+                              base_axes=zplus_axes, orbit=orbit, tol=solver.tol,
+                              cache=solver.cache)
             base_point = orbit.curve.evaluate(-float(T))
             label = (float(T), ai)
             bnd_p, bnd_l = _leaf_boundary(model, graph, clip,
@@ -387,7 +386,8 @@ def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
         ok = separation > floor
         report.add(check="disjoint", T=float(a[0]), z_minus_label=str(a),
                    z_plus_label=str(b), direction_label="",
-                   gap=separation, bound=floor, budget=0.0, ok=ok)
+                   gap=separation, bound=floor, budget=0.0, ok=ok,
+                   separation=True)
         if not ok:
             raise DisjointnessViolation(
                 f"leaves {a} and {b} separated by {separation:.3e} "

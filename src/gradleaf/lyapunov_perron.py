@@ -1,7 +1,11 @@
-"""Contraction operators on weighted curve spaces and their graph maps.
+"""The contraction operator on weighted curve spaces and its graph maps.
 
-Three integral operators are provided, all built from the same exponential
-convolutions and all using the Cauchy problem in forward time only:
+One integral operator, ``IntegralOperator``, serves every problem: a curve
+maps to a boundary term plus the exponential convolutions of the
+nonlinearity along it, minus columns integrated backward from the end of the
+grid and plus columns forward from its start.  Only the Cauchy problem in
+forward time is used.  Three constructors build the boundary term of each
+problem:
 
 * ``PhiOperator`` on backward curves: its fixed point is the flow line
   emanating from the critical point with prescribed unstable projection;
@@ -95,105 +99,102 @@ class FixedPointResult:
         return self.references[key]
 
 
-class _OperatorBase:
-    kind = None
+def _add_integrals(out, conv, k, y):
+    """Add the Lyapunov-Perron integrals of ``y`` to ``out`` in place.
 
-    def __init__(self, model, ladder, grid, conv):
+    Minus columns (``j < k``) subtract the backward convolution, which
+    vanishes at the end of the grid; plus columns add the forward one, which
+    vanishes at its start.
+    """
+    for j in range(out.shape[1]):
+        if j < k:
+            out[:, j] -= conv.backward(j, y[:, j])
+        else:
+            out[:, j] += conv.forward(j, y[:, j])
+    return out
+
+
+def _boundary_term(model, grid, z_minus=None, z_plus=None, t_minus=0.0):
+    """The free linear solution on ``grid``: the minus part equals
+    ``z_minus`` at time ``t_minus``, the plus part ``z_plus`` at time 0."""
+    t = grid.nodes
+    k, eigs = model.k, model.eigenvalues
+    out = np.zeros((grid.size, model.n))
+    if z_minus is not None:
+        for j in range(k):
+            # exp(-(t - t_minus) lam_j) with t <= t_minus, lam_j < 0: at most one
+            out[:, j] = np.exp(-(t - t_minus) * eigs[j]) * z_minus[j]
+    if z_plus is not None:
+        for j in range(k, model.n):
+            out[:, j] += np.exp(-t * eigs[j]) * z_plus[j - k]
+    return out
+
+
+class IntegralOperator:
+    """Boundary term plus the exponential convolutions of h along a curve.
+
+    ``reference`` (time-T problems only) centers the rho ball and the
+    initial curve; without it both are centered at zero.  ``tail`` bounds
+    the integral discarded by truncating an infinite horizon.
+    """
+
+    def __init__(self, model, ladder, grid, conv, boundary, kind, tail,
+                 reference=None):
         self.model = model
         self.ladder = ladder
         self.grid = grid
         self.conv = conv
         self.k = model.k
         self.n = model.n
-        self.eigs = model.eigenvalues
+        self.boundary = boundary
+        self.kind = kind
+        self.tail = tail
+        self.reference = reference
 
-    def _nonlinearity(self, curve):
+    def initial_curve(self):
+        start = self.boundary.copy()
+        if self.reference is not None:
+            # the reference with the plus columns of the boundary added
+            start[:, : self.k] = 0.0
+            start = self.reference.values + start
+        return Curve(self.grid, start, self.ladder.lambda_, self.kind)
+
+    def apply(self, curve):
         # curves must stay inside the trust ball where h is controlled
         worst = curve.max_norm()
         if worst > self.model.problem.trust_radius * (1 + NORM_SLACK):
             raise OutOfTrustRegion(
                 f"curve reaches |xi| = {worst:.3e} beyond the trust radius")
-        return self.model.h(curve.values)
-
-    def _check_budget(self, curve, reference=None):
-        gap = curve.exp_norm() if reference is None else curve.exp_distance(reference)
+        y = self.model.h(curve.values)
+        result = curve.with_values(
+            _add_integrals(self.boundary.copy(), self.conv, self.k, y))
+        gap = (result.exp_norm() if self.reference is None
+               else result.exp_distance(self.reference))
         if gap > self.ladder.rho * (1 + NORM_SLACK):
             raise NormBudgetExceeded(
                 f"curve left the rho ball: {gap:.3e} > {self.ladder.rho:.3e}")
-
-    def initial_curve(self):
-        raise NotImplementedError
-
-    def apply(self, curve):
-        raise NotImplementedError
+        return result
 
 
-class PhiOperator(_OperatorBase):
+def PhiOperator(model, ladder, z_minus, grid, conv):
     """Backward-horizon operator with prescribed unstable projection."""
-
-    kind = BACKWARD
-
-    def __init__(self, model, ladder, z_minus, grid, conv):
-        super().__init__(model, ladder, grid, conv)
-        if abs(grid.t1) > 1e-12:
-            raise HorizonMismatch("backward grids must end at t = 0")
-        self.z_minus = np.asarray(z_minus, dtype=float)
-        self.tail = truncation_tail(ladder, -grid.t0)
-        t = grid.nodes
-        self._boundary = np.zeros((grid.size, self.n))
-        for j in range(self.k):
-            # exp(-s * lam_j) with s <= 0 and lam_j < 0: bounded by one
-            self._boundary[:, j] = np.exp(-t * self.eigs[j]) * self.z_minus[j]
-
-    def initial_curve(self):
-        return Curve(self.grid, self._boundary.copy(), self.ladder.lambda_, self.kind)
-
-    def apply(self, curve):
-        y = self._nonlinearity(curve)
-        out = self._boundary.copy()
-        for j in range(self.n):
-            if j < self.k:
-                out[:, j] -= self.conv.backward(j, y[:, j])
-            else:
-                out[:, j] += self.conv.forward(j, y[:, j])
-        result = curve.with_values(out)
-        self._check_budget(result)
-        return result
+    if abs(grid.t1) > 1e-12:
+        raise HorizonMismatch("backward grids must end at t = 0")
+    boundary = _boundary_term(model, grid, z_minus=np.asarray(z_minus, dtype=float))
+    return IntegralOperator(model, ladder, grid, conv, boundary, BACKWARD,
+                            truncation_tail(ladder, -grid.t0))
 
 
-class PsiOperator(_OperatorBase):
+def PsiOperator(model, ladder, z_plus, grid, conv):
     """Forward-horizon operator with prescribed stable projection."""
-
-    kind = FORWARD_INFINITE
-
-    def __init__(self, model, ladder, z_plus, grid, conv):
-        super().__init__(model, ladder, grid, conv)
-        if abs(grid.t0) > 1e-12:
-            raise HorizonMismatch("forward grids must start at t = 0")
-        self.z_plus = np.asarray(z_plus, dtype=float)
-        self.tail = truncation_tail(ladder, grid.t1)
-        t = grid.nodes
-        self._boundary = np.zeros((grid.size, self.n))
-        for j in range(self.k, self.n):
-            self._boundary[:, j] = np.exp(-t * self.eigs[j]) * self.z_plus[j - self.k]
-
-    def initial_curve(self):
-        return Curve(self.grid, self._boundary.copy(), self.ladder.lambda_, self.kind)
-
-    def apply(self, curve):
-        y = self._nonlinearity(curve)
-        out = self._boundary.copy()
-        for j in range(self.n):
-            if j < self.k:
-                out[:, j] -= self.conv.backward(j, y[:, j])
-            else:
-                out[:, j] += self.conv.forward(j, y[:, j])
-        result = curve.with_values(out)
-        self._check_budget(result)
-        return result
+    if abs(grid.t0) > 1e-12:
+        raise HorizonMismatch("forward grids must start at t = 0")
+    boundary = _boundary_term(model, grid, z_plus=np.asarray(z_plus, dtype=float))
+    return IntegralOperator(model, ladder, grid, conv, boundary,
+                            FORWARD_INFINITE, truncation_tail(ladder, grid.t1))
 
 
-class PsiTOperator(_OperatorBase):
+def PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid, conv):
     """Mixed-boundary operator on [0, T].
 
     Boundary exactness is structural: the forward convolution vanishes at
@@ -201,50 +202,15 @@ class PsiTOperator(_OperatorBase):
     equals ``z_plus`` at 0 and the minus part equals ``z_minus`` at T to
     rounding error.
     """
-
-    kind = FORWARD_FINITE
-
-    def __init__(self, model, ladder, T, z_minus, z_plus, reference, grid, conv):
-        super().__init__(model, ladder, grid, conv)
-        if abs(grid.t0) > 1e-12 or abs(grid.t1 - T) > 1e-9:
-            raise HorizonMismatch(f"grid horizon [{grid.t0}, {grid.t1}] does not match T = {T}")
-        self.T = float(T)
-        self.z_minus = np.asarray(z_minus, dtype=float)
-        self.z_plus = np.asarray(z_plus, dtype=float)
-        if np.linalg.norm(self.z_plus) > ladder.R * (1 + NORM_SLACK):
-            raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
-        self.reference = reference
-        self.tail = 0.0
-        t = grid.nodes
-        self._boundary = np.zeros((grid.size, self.n))
-        for j in range(self.k):
-            # exp(-(t - T) lam_j) with t <= T and lam_j < 0: bounded by one
-            self._boundary[:, j] = np.exp(-(t - self.T) * self.eigs[j]) * self.z_minus[j]
-        for j in range(self.k, self.n):
-            self._boundary[:, j] += np.exp(-t * self.eigs[j]) * self.z_plus[j - self.k]
-
-    def initial_curve(self):
-        return Curve(self.grid, self.reference.values + self._psi_free(),
-                     self.ladder.lambda_, self.kind)
-
-    def _psi_free(self):
-        t = self.grid.nodes
-        free = np.zeros((self.grid.size, self.n))
-        for j in range(self.k, self.n):
-            free[:, j] = np.exp(-t * self.eigs[j]) * self.z_plus[j - self.k]
-        return free
-
-    def apply(self, curve):
-        y = self._nonlinearity(curve)
-        out = self._boundary.copy()
-        for j in range(self.n):
-            if j < self.k:
-                out[:, j] -= self.conv.backward(j, y[:, j])
-            else:
-                out[:, j] += self.conv.forward(j, y[:, j])
-        result = curve.with_values(out)
-        self._check_budget(result, self.reference)
-        return result
+    if abs(grid.t0) > 1e-12 or abs(grid.t1 - T) > 1e-9:
+        raise HorizonMismatch(f"grid horizon [{grid.t0}, {grid.t1}] does not match T = {T}")
+    z_plus = np.asarray(z_plus, dtype=float)
+    if np.linalg.norm(z_plus) > ladder.R * (1 + NORM_SLACK):
+        raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
+    boundary = _boundary_term(model, grid, z_minus=np.asarray(z_minus, dtype=float),
+                              z_plus=z_plus, t_minus=float(T))
+    return IntegralOperator(model, ladder, grid, conv, boundary, FORWARD_FINITE,
+                            0.0, reference=reference)
 
 
 def fixed_point(operator, initial=None, tol=1e-10, max_iter=200):
@@ -269,30 +235,6 @@ def fixed_point(operator, initial=None, tol=1e-10, max_iter=200):
         prev_res = res
         current = nxt
     raise NoConvergence(f"no convergence in {max_iter} iterations (residual {res:.3e})")
-
-
-# -- spec-level single-application entry points ------------------------------
-
-def apply_Phi(model, ladder, z_minus, eta, cache=None):
-    cache = cache or SolverCache(model)
-    grid = eta.grid
-    op = PhiOperator(model, ladder, z_minus, grid, cache.convolver(grid))
-    return op.apply(eta)
-
-
-def apply_Psi_stable(model, ladder, z_plus, xi, cache=None):
-    cache = cache or SolverCache(model)
-    grid = xi.grid
-    op = PsiOperator(model, ladder, z_plus, grid, cache.convolver(grid))
-    return op.apply(xi)
-
-
-def apply_Psi_T(model, ladder, T, z_minus, z_plus, xi, reference, cache=None):
-    cache = cache or SolverCache(model)
-    grid = xi.grid
-    op = PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid,
-                      cache.convolver(grid))
-    return op.apply(xi)
 
 
 # -- orbit and graph solvers --------------------------------------------------
@@ -443,23 +385,39 @@ def default_axes(radius, dim, count=13):
     return tuple(np.linspace(-half, half, count) for _ in range(dim))
 
 
+def _sample_tensor_grid(axes, codim, solve):
+    """One fixed-point solve per node of the tensor grid ``axes``.
+
+    ``solve(z)`` returns ``(graph value, FixedPointResult, endpoint gap)``;
+    returns the value, residual, iteration and endpoint-gap arrays.
+    """
+    shape = tuple(len(ax) for ax in axes)
+    values = np.zeros(shape + (codim,))
+    residuals = np.zeros(shape)
+    iters = np.zeros(shape, dtype=int)
+    gaps = np.zeros(shape)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    base = np.stack([m.ravel() for m in mesh], axis=-1)
+    for idx, z in enumerate(base):
+        value, res, gap = solve(z)
+        multi = np.unravel_index(idx, shape)
+        values[multi] = value
+        residuals[multi] = res.reported_residual
+        iters[multi] = res.iterations
+        gaps[multi] = gap
+    return values, residuals, iters, gaps
+
+
 def graph_F_inf(model, ladder, base_axes=None, tol=1e-10, cache=None):
     """Unstable graph: plus part at time 0 of the backward fixed points."""
     cache = cache or SolverCache(model)
     axes = base_axes or default_axes(ladder.R, model.k)
-    shape = tuple(len(ax) for ax in axes)
-    codim = model.n - model.k
-    values = np.zeros(shape + (codim,))
-    residuals = np.zeros(shape)
-    iters = np.zeros(shape, dtype=int)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    base = np.stack([m.ravel() for m in mesh], axis=-1)
-    for idx, z_minus in enumerate(base):
+
+    def solve(z_minus):
         res = backward_orbit(model, ladder, z_minus, tol=tol, cache=cache)
-        multi = np.unravel_index(idx, shape)
-        values[multi] = res.curve.values[-1, model.k:]
-        residuals[multi] = res.reported_residual
-        iters[multi] = res.iterations
+        return res.curve.values[-1, model.k:], res, 0.0
+
+    values, residuals, iters, _ = _sample_tensor_grid(axes, model.n - model.k, solve)
     return GraphSample("F_inf", "minus", tuple(axes), values, residuals, iters,
                        rate=ladder.lambda_)
 
@@ -468,18 +426,12 @@ def graph_G_inf(model, ladder, base_axes=None, tol=1e-10, cache=None):
     """Stable graph: minus part at time 0 of the forward fixed points."""
     cache = cache or SolverCache(model)
     axes = base_axes or default_axes(ladder.R, model.n - model.k)
-    shape = tuple(len(ax) for ax in axes)
-    values = np.zeros(shape + (model.k,))
-    residuals = np.zeros(shape)
-    iters = np.zeros(shape, dtype=int)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    base = np.stack([m.ravel() for m in mesh], axis=-1)
-    for idx, z_plus in enumerate(base):
+
+    def solve(z_plus):
         res = solve_stable(model, ladder, z_plus, tol=tol, cache=cache)
-        multi = np.unravel_index(idx, shape)
-        values[multi] = res.curve.values[0, : model.k]
-        residuals[multi] = res.reported_residual
-        iters[multi] = res.iterations
+        return res.curve.values[0, : model.k], res, 0.0
+
+    values, residuals, iters, _ = _sample_tensor_grid(axes, model.k, solve)
     return GraphSample("G_inf", "plus", tuple(axes), values, residuals, iters,
                        rate=ladder.lambda_)
 
@@ -493,21 +445,13 @@ def graph_G_T(model, ladder, T, z_minus, base_axes=None, orbit=None, tol=1e-10,
                                t_max=max(default_horizon(ladder), T), tol=tol,
                                cache=cache)
     axes = base_axes or default_axes(ladder.R, model.n - model.k)
-    shape = tuple(len(ax) for ax in axes)
-    values = np.zeros(shape + (model.k,))
-    residuals = np.zeros(shape)
-    iters = np.zeros(shape, dtype=int)
-    gaps = np.zeros(shape)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    base = np.stack([m.ravel() for m in mesh], axis=-1)
-    for idx, z_plus in enumerate(base):
+
+    def solve(z_plus):
         res, gap = solve_mixed(model, ladder, T, z_minus, z_plus, orbit,
                                tol=tol, cache=cache)
-        multi = np.unravel_index(idx, shape)
-        values[multi] = res.curve.values[0, : model.k]
-        residuals[multi] = res.reported_residual
-        iters[multi] = res.iterations
-        gaps[multi] = gap
+        return res.curve.values[0, : model.k], res, gap
+
+    values, residuals, iters, gaps = _sample_tensor_grid(axes, model.k, solve)
     return GraphSample("G_T", "plus", tuple(axes), values, residuals, iters,
                        rate=ladder.lambda_, T=float(T),
                        z_minus=np.asarray(z_minus, dtype=float),
@@ -543,24 +487,18 @@ def graph_derivative(sample, point, direction, step):
 def _linearized_fixed_point(model, ladder, grid, conv, dh_nodes, v_plus, tol):
     """Solve the linearized integral equation for one direction ``v``.
 
-    Shares the convolution machinery; the inhomogeneity is exp(-tA)v with
-    v in the plus subspace, and there is no minus boundary term (the time-T
-    and stable linearizations agree in form).
+    Shares the boundary term and the convolutions with the operator; the
+    inhomogeneity is exp(-tA)v with v in the plus subspace, and there is no
+    minus boundary term (the time-T and stable linearizations agree in
+    form).  The map is linear with no trust-region or rho-ball check, so it
+    keeps its own Picard loop.
     """
     t = grid.nodes
-    n, k = model.n, model.k
-    boundary = np.zeros((grid.size, n))
-    for j in range(k, n):
-        boundary[:, j] = np.exp(-t * model.eigenvalues[j]) * v_plus[j - k]
+    boundary = _boundary_term(model, grid, z_plus=v_plus)
     X = boundary.copy()
     for it in range(200):
         y = np.einsum("mij,mj->mi", dh_nodes, X)
-        nxt = boundary.copy()
-        for j in range(n):
-            if j < k:
-                nxt[:, j] -= conv.backward(j, y[:, j])
-            else:
-                nxt[:, j] += conv.forward(j, y[:, j])
+        nxt = _add_integrals(boundary.copy(), conv, model.k, y)
         res = float(np.max(np.exp(ladder.lambda_ * t) * np.linalg.norm(nxt - X, axis=1)))
         X = nxt
         if res <= tol:

@@ -2,9 +2,11 @@
 
 Stages: spectral -> ladder -> manifolds -> lambda -> foliate -> oracle.
 Each stage consumes the state produced by earlier ones, emits CSV artifacts
-into the output directory, and records a pass/fail status.  The run manifest
-lists every emitted file, echoes the full constants ladder, and carries the
-config hash and wall times.
+into the output directory, and records a pass/fail status.  The manifolds
+stage builds the solve store of the calibrated ladder (``RunState.solver``)
+that the later stages share.  The run manifest lists every emitted file,
+echoes the full constants ladder, and carries the config hash and wall
+times.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import convergence, foliation, reporting
 from .errors import BoundViolation
 from .flow import descending_disk, integrate_forward
 from .local_model import LocalModel, build_ladder, calibrate_ladder, lipschitz_modulus
-from .lyapunov_perron import SolverCache, graph_F_inf, graph_G_inf, graph_G_T
+from .lyapunov_perron import SolverCache, default_axes, graph_F_inf, graph_G_inf, graph_G_T
 from .oracle import mixed_bvp_oracle
 from .spectral import split
 
@@ -32,13 +34,13 @@ class RunState:
     out_dir: Path
     tol: float = 1e-10
     seed: int = 0
-    threads: int = 1  # accepted for interface compatibility; stages run serially
     split: object = None
     model: object = None
     modulus: object = None
     kappa_star: float = None
     ladder: object = None
     cache: object = None
+    solver: object = None
     graph_f: object = None
     graph_g: object = None
     disk: object = None
@@ -103,8 +105,9 @@ def stage_manifolds(state):
     state.ladder = calibrate_ladder(state.ladder, state.model, state.graph_f,
                                     state.graph_g,
                                     overrides=state.problem.ladder_overrides)
-    state.disk = descending_disk(state.model, state.ladder, state.graph_f,
-                                 cache=state.cache)
+    state.solver = convergence.GraphFamilySolver(state.model, state.ladder,
+                                                 tol=state.tol, cache=state.cache)
+    state.disk = descending_disk(state.model, state.ladder, state.graph_f)
     for sample, name in ((state.graph_f, "graph_F_inf.csv"),
                          (state.graph_g, "graph_G_inf.csv")):
         state.emit(name, reporting.graph_header(state.model, sample),
@@ -142,8 +145,7 @@ def _lambda_sample_sets(state, n_zplus=3):
 def stage_lambda(state, T_count=5):
     _require(state, "manifolds")
     ladder = state.ladder
-    solver = convergence.GraphFamilySolver(state.model, ladder, tol=state.tol,
-                                           cache=state.cache)
+    solver = state.solver
     t_min = max(ladder.T0, ladder.T2)
     T_grid = t_min + np.arange(T_count, dtype=float)
     zm_list, zp_list = _lambda_sample_sets(state)
@@ -184,12 +186,9 @@ def stage_foliate(state):
     T_grid = tau + np.arange(0.0, 3.0)
     pair = foliation.build_pair(state.model, ladder, rng=state.rng(2))
     atlas = foliation.build_atlas(
-        state.model, ladder, state.graph_g, state.disk.sphere_minus,
+        state.solver, state.graph_g, state.disk.sphere_minus,
         pair=pair, tau=tau, T_grid=T_grid,
-        zplus_axes=tuple(np.linspace(-ladder.R / np.sqrt(max(1, state.model.n - state.model.k)),
-                                     ladder.R / np.sqrt(max(1, state.model.n - state.model.k)), 21)
-                         for _ in range(state.model.n - state.model.k)),
-        tol=state.tol, cache=state.cache)
+        zplus_axes=default_axes(ladder.R, state.model.n - state.model.k, 21))
     state.atlas = atlas
     state.emit("pair.csv",
                [f"x{i + 1}" for i in range(state.model.n)] + ["f", "exit"],
@@ -231,8 +230,7 @@ def stage_oracle(state, grid=2):
         state.details["oracle"] = {"skipped": "shooting suite covers index one"}
         return
     ladder = state.ladder
-    solver = convergence.GraphFamilySolver(state.model, ladder, tol=state.tol,
-                                           cache=state.cache)
+    solver = state.solver
     # forward shooting has condition number exp(T |lambda_min|); cap the
     # horizon so the oracle itself stays meaningful (the mixed problem is
     # well posed for every T > 0, so shorter-T validation is equally strict)
@@ -290,13 +288,12 @@ def run_stage(name, state):
     state.wall_times[name] = time.perf_counter() - start
 
 
-def run(problem, out_dir, stages=("all",), tol=1e-10, seed=0, threads=1,
+def run(problem, out_dir, stages=("all",), tol=1e-10, seed=0,
         config_digest=None):
     """Run the requested stages and write the manifest; returns the state."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = RunState(problem=problem, out_dir=out_dir, tol=tol, seed=seed,
-                     threads=threads)
+    state = RunState(problem=problem, out_dir=out_dir, tol=tol, seed=seed)
     todo = list(STAGES) if "all" in stages else list(stages)
     error = None
     try:

@@ -42,8 +42,7 @@ class Setup:
         self.ladder = calibrate_ladder(self.ladder_raw, self.model,
                                        self.graph_f, self.graph_g,
                                        overrides=problem.ladder_overrides)
-        self.disk = descending_disk(self.model, self.ladder, self.graph_f,
-                                    cache=self.cache)
+        self.disk = descending_disk(self.model, self.ladder, self.graph_f)
 
     def sphere_point(self, i=0):
         return self.disk.sphere_minus[i]

@@ -45,15 +45,14 @@ def solver_p2(p2):
 
 
 @pytest.fixture(scope="module")
-def atlas_p2(p2):
+def atlas_p2(p2, solver_p2):
     tau = p2.ladder.T0
     return fol.build_atlas(
-        p2.model, p2.ladder, p2.graph_g, p2.disk.sphere_minus,
+        solver_p2, p2.graph_g, p2.disk.sphere_minus,
         pair=fol.build_pair(p2.model, p2.ladder, n_samples=100,
                             rng=np.random.default_rng(9)),
         tau=tau, T_grid=tau + np.array([0.0, 1.0, 2.0]),
-        zplus_axes=(np.linspace(-p2.ladder.R, p2.ladder.R, 21),),
-        cache=p2.cache)
+        zplus_axes=(np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
 
 
 def test_criterion_1_contraction_factor(p2):

@@ -158,3 +158,29 @@ def test_report_row_slack():
                        budget=0.1, ok=True)
     assert row.slack == pytest.approx(0.3)
     assert len(row.to_list()) == len(cv.REPORT_COLUMNS)
+    # slack is the distance to failing: non-negative exactly on passing rows,
+    # also for separation rows, which pass when the gap exceeds the bound
+    rows = [
+        row,
+        cv.ReportRow("c0", 1.0, "", "", "", gap=0.7, bound=0.5, budget=0.1, ok=False),
+        cv.ReportRow("disjoint", 1.0, "", "", "", gap=2e-7, bound=1e-7, budget=0.0,
+                     ok=True, separation=True),
+        cv.ReportRow("disjoint", 1.0, "", "", "", gap=1e-8, bound=1e-7, budget=0.0,
+                     ok=False, separation=True),
+    ]
+    assert [r.slack >= 0 for r in rows] == [r.ok for r in rows]
+    assert rows[2].slack == pytest.approx(1e-7)
+
+
+def test_mixed_store_key_includes_endpoint_enforcement(p2):
+    # a solve stored without the endpoint check must not answer a request
+    # that enforces it
+    from gradleaf.errors import HorizonMismatch
+
+    solver = cv.GraphFamilySolver(p2.model, p2.ladder, cache=p2.cache)
+    zm = p2.sphere_point()
+    zp = np.zeros(1)
+    T = 0.5 * p2.ladder.T0
+    solver.mixed(T, zm, zp, enforce_endpoint=False)
+    with pytest.raises(HorizonMismatch):
+        solver.mixed(T, zm, zp)

@@ -87,8 +87,7 @@ def test_backward_rejects_off_manifold(p2):
 
 def test_sphere_closed_form(p1):
     # f = -x^2/2 on the unstable axis: the level -eps sits at sqrt(2 eps)
-    disk = descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=0.005,
-                           cache=p1.cache)
+    disk = descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=0.005)
     assert np.allclose(np.abs(disk.sphere_minus.ravel()), np.sqrt(0.01),
                        atol=1e-9)
     assert set(np.sign(disk.sphere_minus.ravel())) == {-1.0, 1.0}
@@ -97,8 +96,7 @@ def test_sphere_closed_form(p1):
 def test_sphere_radius_shrinks_with_epsilon(p1):
     radii = []
     for eps in (0.004, 0.001, 0.00025):
-        d = descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=eps,
-                            cache=p1.cache)
+        d = descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=eps)
         radii.append(np.max(np.abs(d.sphere_minus)))
     assert radii[0] > radii[1] > radii[2]
     assert radii[2] <= np.sqrt(2 * 0.00025) * 1.01
@@ -119,8 +117,7 @@ def test_disk_samples_above_level(p2):
 
 def test_epsilon_too_large_raises(p1):
     with pytest.raises(LevelNotReached):
-        descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=10.0,
-                        cache=p1.cache)
+        descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=10.0)
 
 
 def test_disk_backward_invariant(p2):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gradleaf import convergence as cv
 from gradleaf import foliation as fol
 from gradleaf import lyapunov_perron as lp
 from gradleaf.errors import DisjointnessViolation, OutsideLeafDomain, OutsideSampledDomain
@@ -17,11 +18,10 @@ def atlas_p2(p2):
     T_grid = tau + np.array([0.0, 1.0, 2.0])
     pair = fol.build_pair(p2.model, p2.ladder, n_samples=120,
                           rng=np.random.default_rng(5))
-    return fol.build_atlas(p2.model, p2.ladder, p2.graph_g,
-                           p2.disk.sphere_minus, pair=pair, tau=tau,
+    return fol.build_atlas(cv.GraphFamilySolver(p2.model, p2.ladder, cache=p2.cache),
+                           p2.graph_g, p2.disk.sphere_minus, pair=pair, tau=tau,
                            T_grid=T_grid,
-                           zplus_axes=(np.linspace(-p2.ladder.R, p2.ladder.R, 21),),
-                           cache=p2.cache)
+                           zplus_axes=(np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +30,10 @@ def atlas_p1(p1):
     T_grid = tau + np.array([0.0, 1.0])
     pair = fol.build_pair(p1.model, p1.ladder, n_samples=80,
                           rng=np.random.default_rng(6))
-    return fol.build_atlas(p1.model, p1.ladder, p1.graph_g,
-                           p1.disk.sphere_minus, pair=pair, tau=tau,
+    return fol.build_atlas(cv.GraphFamilySolver(p1.model, p1.ladder, cache=p1.cache),
+                           p1.graph_g, p1.disk.sphere_minus, pair=pair, tau=tau,
                            T_grid=T_grid,
-                           zplus_axes=(np.linspace(-p1.ladder.R, p1.ladder.R, 21),),
-                           cache=p1.cache)
+                           zplus_axes=(np.linspace(-p1.ladder.R, p1.ladder.R, 21),))
 
 
 # -- pair ----------------------------------------------------------------------
@@ -173,6 +172,18 @@ def test_disjointness_floor_of_parallel_sloped_leaves():
     assert rep.all_ok
     assert all(r.bound < 1e-12 and r.gap == pytest.approx(3e-9, rel=1e-6)
                for r in rep.rows)
+
+
+def test_disjoint_rows_report_positive_slack():
+    # a separation row passes when the gap exceeds the floor: its slack is
+    # the margin above the floor, positive on every passing row
+    atlas = _line_leaf_atlas(lambda z: 1e-3 * z + 0.01,
+                             lambda z: 2e-3 * z + 0.0111)
+    rep = fol.check_disjoint(atlas, pair_count=4, rng=np.random.default_rng(0))
+    assert rep.all_ok
+    for r in rep.rows:
+        assert r.slack == pytest.approx(r.gap - r.bound, rel=1e-12)
+        assert r.slack > 0.0
 
 
 def test_disjointness_crossing_leaves_raise():
@@ -364,12 +375,12 @@ def atlas_p3(p3):
     half = p3.ladder.R / np.sqrt(2)
     pair = fol.build_pair(p3.model, p3.ladder, n_samples=50,
                           rng=np.random.default_rng(7))
-    return fol.build_atlas(p3.model, p3.ladder, p3.graph_g,
-                           p3.disk.sphere_minus[:1], pair=pair, tau=tau,
+    return fol.build_atlas(cv.GraphFamilySolver(p3.model, p3.ladder, cache=p3.cache),
+                           p3.graph_g, p3.disk.sphere_minus[:1], pair=pair, tau=tau,
                            T_grid=tau + np.array([0.0, 1.0]),
                            zplus_axes=tuple(np.linspace(-half, half, 9)
                                             for _ in range(2)),
-                           cache=p3.cache, boundary_resolution=8)
+                           boundary_resolution=8)
 
 
 def test_codim2_leaf_geometry(atlas_p3, p3):

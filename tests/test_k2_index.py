@@ -74,7 +74,7 @@ def test_stable_graph_flat(k2):
 
 def test_descending_sphere_is_a_circle(k2):
     problem, sp, model, ladder, cache, graph_f, _ = k2
-    disk = descending_disk(model, ladder, graph_f, resolution=8, cache=cache)
+    disk = descending_disk(model, ladder, graph_f, resolution=8)
     assert disk.index == 2
     assert disk.sphere_minus.shape[0] == 8
     c = model.f_local(np.zeros(3))
@@ -90,7 +90,7 @@ def test_mixed_solve_and_oracle_k2(k2):
     problem, sp, model, ladder, cache, graph_f, _ = k2
     # keep the horizon inside the shooting conditioning budget e^{3T} <= 1e6
     T = 4.0
-    disk = descending_disk(model, ladder, graph_f, resolution=8, cache=cache)
+    disk = descending_disk(model, ladder, graph_f, resolution=8)
     zm = disk.sphere_minus[1]
     zp = np.array([0.4 * ladder.R])
     orbit = lp.backward_orbit(model, ladder, zm, cache=cache)

@@ -332,24 +332,82 @@ def test_apply_entry_points_quadratic(p1):
     grid_b = cache.grid(-lp.default_horizon(lad), 0.0)
     eta = Curve(grid_b, 0.3 * lad.rho * np.exp(lad.lambda_ * grid_b.nodes)[:, None]
                 * np.ones((1, 2)), lad.lambda_, "backward")
-    out = lp.apply_Phi(p1.model, lad, zm, eta, cache=cache)
+    out = lp.PhiOperator(p1.model, lad, zm, grid_b, cache.convolver(grid_b)).apply(eta)
     assert np.allclose(out.values[:, 0], 0.1 * np.exp(grid_b.nodes), atol=1e-14)
     assert np.allclose(out.values[:, 1], 0.0)
 
     grid_f = cache.grid(0.0, lp.default_horizon(lad))
     xi = Curve(grid_f, np.zeros((grid_f.size, 2)), lad.lambda_, "forward_infinite")
-    out = lp.apply_Psi_stable(p1.model, lad, zp, xi, cache=cache)
+    out = lp.PsiOperator(p1.model, lad, zp, grid_f, cache.convolver(grid_f)).apply(xi)
     assert np.allclose(out.values[:, 1], 0.12 * np.exp(-2 * grid_f.nodes), atol=1e-14)
 
     T = lad.T0
     orbit = p1.orbit(zm, t_need=T)
     grid_T = cache.grid(0.0, T)
     ref = lp.reference_curve(orbit.curve, grid_T, lad.lambda_)
-    out = lp.apply_Psi_T(p1.model, lad, T, zm, zp, ref, ref, cache=cache)
+    out = lp.PsiTOperator(p1.model, lad, T, zm, zp, ref, grid_T,
+                          cache.convolver(grid_T)).apply(ref)
     expect0 = 0.1 * np.exp(grid_T.nodes - T)
     expect1 = 0.12 * np.exp(-2 * grid_T.nodes)
     assert np.allclose(out.values[:, 0], expect0, atol=1e-13)
     assert np.allclose(out.values[:, 1], expect1, atol=1e-13)
+
+
+def test_operator_constructors_match_per_class_apply(p2):
+    # the three operators were separate classes, each building its boundary
+    # term and repeating the apply loop below; one operator class must
+    # reproduce their initial curves and images bit for bit
+    model, lad, cache = p2.model, p2.ladder, p2.cache
+    k, n, eigs = model.k, model.n, model.eigenvalues
+    zm = p2.sphere_point()
+    zp = np.array([0.3 * lad.R])
+    T = lad.T0 + 0.5
+
+    def per_class_apply(op, boundary, curve):
+        y = model.h(curve.values)
+        out = boundary.copy()
+        for j in range(n):
+            if j < k:
+                out[:, j] -= op.conv.backward(j, y[:, j])
+            else:
+                out[:, j] += op.conv.forward(j, y[:, j])
+        return out
+
+    grid_b = cache.grid(-lp.default_horizon(lad), 0.0)
+    phi_bd = np.zeros((grid_b.size, n))
+    for j in range(k):
+        phi_bd[:, j] = np.exp(-grid_b.nodes * eigs[j]) * zm[j]
+    phi = lp.PhiOperator(model, lad, zm, grid_b, cache.convolver(grid_b))
+
+    grid_f = cache.grid(0.0, lp.default_horizon(lad))
+    psi_bd = np.zeros((grid_f.size, n))
+    for j in range(k, n):
+        psi_bd[:, j] = np.exp(-grid_f.nodes * eigs[j]) * zp[j - k]
+    psi = lp.PsiOperator(model, lad, zp, grid_f, cache.convolver(grid_f))
+
+    grid_T = cache.grid(0.0, T)
+    ref = p2.orbit(zm, t_need=T).reference(grid_T, lad.lambda_)
+    t = grid_T.nodes
+    psi_t_bd = np.zeros((grid_T.size, n))
+    free = np.zeros((grid_T.size, n))
+    for j in range(k):
+        psi_t_bd[:, j] = np.exp(-(t - T) * eigs[j]) * zm[j]
+    for j in range(k, n):
+        psi_t_bd[:, j] += np.exp(-t * eigs[j]) * zp[j - k]
+        free[:, j] = np.exp(-t * eigs[j]) * zp[j - k]
+    psi_t = lp.PsiTOperator(model, lad, T, zm, zp, ref, grid_T,
+                            cache.convolver(grid_T))
+
+    for op, boundary, start in ((phi, phi_bd, phi_bd), (psi, psi_bd, psi_bd),
+                                (psi_t, psi_t_bd, ref.values + free)):
+        first = op.initial_curve()
+        assert first.values.tobytes() == start.tobytes()
+        curve = first
+        for _ in range(3):
+            image = op.apply(curve)
+            assert image.values.tobytes() == per_class_apply(op, boundary, curve).tobytes()
+            curve = image
+        assert np.max(np.abs(curve.values)) > 0.0
 
 
 def test_operator_rejects_curve_outside_trust_region(p2):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -70,3 +71,47 @@ def test_unknown_stage_rejected(tmp_path):
     state = pipeline.RunState(problem=quartic_saddle(), out_dir=tmp_path)
     with pytest.raises(ValueError):
         pipeline.run_stage("bogus", state)
+
+
+def test_one_solve_store_per_run(tmp_path, monkeypatch):
+    # every stage solves on the manifolds stage's store: each backward orbit
+    # of one ladder and each stored mixed problem is solved once per run
+    from gradleaf import convergence, flow, foliation
+    from gradleaf import lyapunov_perron as lp
+
+    orbits, mixed, stores = Counter(), Counter(), []
+    backward_orbit, solve_mixed = lp.backward_orbit, lp.solve_mixed
+    init = convergence.GraphFamilySolver.__init__
+
+    def key(v):
+        return tuple(np.round(np.asarray(v, dtype=float), 14))
+
+    def counted_orbit(model, ladder, z_minus, *args, **kw):
+        orbits[(repr(ladder), key(z_minus))] += 1
+        return backward_orbit(model, ladder, z_minus, *args, **kw)
+
+    def counted_mixed(model, ladder, T, z_minus, z_plus, *args, **kw):
+        mixed[(repr(ladder), round(float(T), 12), key(z_minus), key(z_plus))] += 1
+        return solve_mixed(model, ladder, T, z_minus, z_plus, *args, **kw)
+
+    def counted_init(self, *args, **kw):
+        stores.append(self)
+        init(self, *args, **kw)
+
+    for module in (lp, convergence, flow, foliation, pipeline):
+        if getattr(module, "backward_orbit", None) is backward_orbit:
+            monkeypatch.setattr(module, "backward_orbit", counted_orbit)
+    # the store's own solves; graph_G_T samples its grid without storing it
+    monkeypatch.setattr(convergence, "solve_mixed", counted_mixed)
+    monkeypatch.setattr(convergence.GraphFamilySolver, "__init__", counted_init)
+
+    state = pipeline.run(quartic_saddle(), tmp_path, stages=("all",))
+    assert all(v == "pass" for v in state.statuses.values())
+    assert stores == [state.solver]
+    # the unstable graph grid on the raw ladder plus two sphere points on
+    # the calibrated one
+    assert len(orbits) == 13 + 2
+    assert set(orbits.values()) == {1}
+    # lambda solves c0, c1 and Lipschitz-in-T keys; the oracle's are among them
+    assert len(mixed) == len(state.solver._mixed) > 0
+    assert set(mixed.values()) == {1}

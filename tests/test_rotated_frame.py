@@ -102,7 +102,7 @@ def test_rotated_mixed_solution_matches_diagonal(rotated, p2):
     problem, sp, model, ladder, cache, graph_f, _ = rotated
     # eigenvector signs are a convention: compare frame-invariant quantities
     T = max(ladder.T0, p2.ladder.T0)
-    disk = descending_disk(model, ladder, graph_f, cache=cache)
+    disk = descending_disk(model, ladder, graph_f)
     zm = disk.sphere_minus[0]
     zp = np.array([0.4 * ladder.R])
     orbit = lp.backward_orbit(model, ladder, zm,
@@ -128,7 +128,7 @@ def test_rotated_mixed_solution_matches_diagonal(rotated, p2):
 def test_rotated_oracle_agreement(rotated):
     problem, sp, model, ladder, cache, graph_f, _ = rotated
     T = ladder.T0
-    disk = descending_disk(model, ladder, graph_f, cache=cache)
+    disk = descending_disk(model, ladder, graph_f)
     zm = disk.sphere_minus[0]
     zp = np.array([0.35 * ladder.R])
     orbit = lp.backward_orbit(model, ladder, zm,
