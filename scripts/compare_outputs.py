@@ -1,0 +1,90 @@
+"""Compare the CSV artifacts of two gradleaf output directories.
+
+Usage: python scripts/compare_outputs.py DIR_A DIR_B
+
+For every CSV name found in either directory (searched recursively, so two
+``run_references.py`` trees compare config by config) it prints
+"identical" when the files are byte-identical, and otherwise the largest
+absolute difference per numeric column, with the count of differing cells
+in non-numeric columns.  Exits 1 when a file is missing on one side, the
+shapes or headers differ, a non-numeric cell differs, or a numeric
+difference exceeds 1e-14; 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import sys
+from pathlib import Path
+
+TOLERANCE = 1e-14
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare_csv(path_a, path_b):
+    """``(ok, lines)`` for one pair of CSV files."""
+    if path_a.read_bytes() == path_b.read_bytes():
+        return True, ["identical"]
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return False, ["headers differ"]
+    header, rows_a, rows_b = rows_a[0], rows_a[1:], rows_b[1:]
+    if len(rows_a) != len(rows_b) or any(len(a) != len(b) for a, b in zip(rows_a, rows_b)):
+        return False, [f"shapes differ: {len(rows_a)} vs {len(rows_b)} rows"]
+    ok = True
+    lines = []
+    for j, name in enumerate(header):
+        worst = 0.0
+        mismatched = 0
+        for a, b in zip(rows_a, rows_b):
+            if a[j] == b[j]:
+                continue
+            x, y = _number(a[j]), _number(b[j])
+            if x is None or y is None or math.isnan(x) or math.isnan(y):
+                mismatched += 1
+            else:
+                worst = max(worst, abs(x - y))
+        if mismatched:
+            ok = False
+            lines.append(f"{name}: {mismatched} non-numeric cells differ")
+        elif worst > 0.0:
+            ok = ok and worst <= TOLERANCE
+            lines.append(f"{name}: max abs diff {worst:.3e}")
+    return ok, lines
+
+
+def compare_dirs(dir_a, dir_b):
+    """Print a report per CSV; True when every file agrees to TOLERANCE."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    names = sorted({p.relative_to(d) for d in (dir_a, dir_b) for p in d.rglob("*.csv")})
+    all_ok = True
+    for name in names:
+        a, b = dir_a / name, dir_b / name
+        if not (a.is_file() and b.is_file()):
+            print(f"{name}: only in {dir_a if a.is_file() else dir_b}")
+            all_ok = False
+            continue
+        ok, lines = compare_csv(a, b)
+        all_ok = all_ok and ok
+        print(f"{name}: " + "; ".join(lines))
+    return all_ok
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    return 0 if compare_dirs(*argv) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

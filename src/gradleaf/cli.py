@@ -3,7 +3,8 @@
 Subcommands run the pipeline stages on a problem config and emit CSV/JSON
 artifacts plus a run manifest.  Exit codes: 0 all checks pass, 2 a
 quantitative bound failed beyond its tolerance budget, 3 configuration
-error, 4 solver non-convergence.
+error (a ``ValueError`` counts as one), 4 solver non-convergence, 5 internal
+error (any other exception, i.e. a bug).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_BOUND = 2
 EXIT_CONFIG = 3
 EXIT_SOLVER = 4
+EXIT_INTERNAL = 5
 
 SUBCOMMANDS = ("spectral", "ladder", "manifolds", "lambda", "foliate",
                "oracle", "all")
@@ -36,7 +38,9 @@ def exit_code_for(error):
         return EXIT_SOLVER
     if isinstance(error, GradleafError):
         return EXIT_SOLVER
-    return EXIT_CONFIG
+    if isinstance(error, ValueError):
+        return EXIT_CONFIG
+    return EXIT_INTERNAL
 
 
 def build_parser():

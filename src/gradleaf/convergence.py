@@ -70,7 +70,19 @@ class ConvergenceReport:
 
     @property
     def all_ok(self):
-        return all(r.ok for r in self.rows)
+        """True when every row passes; a report with no rows checked nothing
+        and fails."""
+        return bool(self.rows) and all(r.ok for r in self.rows)
+
+    def describe_worst(self):
+        """One line naming the report and its worst row: the failing row with
+        the least slack, else the passing row with the least slack."""
+        row = min(self.rows, key=lambda r: (r.ok, r.slack), default=None)
+        if row is None:
+            return f"report {self.kind} has no rows"
+        return (f"report {self.kind}, row check={row.check} T={row.T:.6g} "
+                f"z_minus={row.z_minus_label} z_plus={row.z_plus_label}: "
+                f"gap {row.gap:.3e}, bound {row.bound:.3e}, budget {row.budget:.3e}")
 
     def max_gap(self):
         return max((r.gap for r in self.rows), default=0.0)
@@ -303,8 +315,5 @@ def endpoint_audit(solver, graph, budget_scale=1.0):
                    direction_label="", gap=float(gap), bound=bound,
                    budget=budget, ok=gap <= bound + budget)
     if not report.all_ok:
-        worst = min(report.rows, key=lambda r: r.slack)
-        raise EndpointViolation(
-            f"endpoint bound violated at z_plus={worst.z_plus_label}: "
-            f"gap {worst.gap:.3e} > bound {worst.bound:.3e} + budget {worst.budget:.3e}")
+        raise EndpointViolation(f"endpoint bound violated: {report.describe_worst()}")
     return report

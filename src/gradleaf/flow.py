@@ -7,10 +7,11 @@ the emanating-orbit fixed points of the backward contraction operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .errors import (
     BlowUp,
@@ -23,6 +24,13 @@ from .lyapunov_perron import backward_orbit
 
 BLOWUP_RADIUS = 1e3
 MANIFOLD_RESIDUAL_TOL = 1e-7
+
+# step-size control of scipy's explicit Runge-Kutta solvers, which the batch
+# integrator repeats row by row (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, II.4)
+STEP_SAFETY = 0.9
+STEP_MIN_FACTOR = 0.2
+STEP_MAX_FACTOR = 10.0
 
 
 @dataclass
@@ -63,16 +71,14 @@ class Trajectory:
 
 
 def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
-                      blowup_radius=BLOWUP_RADIUS, stop_radius=None,
-                      stop_below_level=None):
+                      blowup_radius=BLOWUP_RADIUS, stop_radius=None):
     """Integrate the downward gradient flow for ``duration >= 0``.
 
     Uses an adaptive Runge-Kutta scheme (DOP853) with dense output; the
     terminal state is evaluated exactly at ``duration``.  When
-    ``stop_radius`` (exit from a ball around the critical point) or
-    ``stop_below_level`` (objective drops below a level; legitimate because
-    f is monotone along trajectories) is given, integration ends early
-    without error; exceeding ``blowup_radius`` always raises.
+    ``stop_radius`` is given, integration ends early without error on exit
+    from that ball around the critical point; exceeding ``blowup_radius``
+    always raises.
     """
     if duration < 0:
         raise ValueError("forward integration requires duration >= 0")
@@ -101,12 +107,6 @@ def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
         exit_ball.terminal = True
         exit_ball.direction = 1.0
         events.append(exit_ball)
-    if stop_below_level is not None:
-        def drop_below(t, x):
-            return float(problem.f(x) - stop_below_level)
-        drop_below.terminal = True
-        drop_below.direction = -1.0
-        events.append(drop_below)
 
     sol = solve_ivp(rhs, (0.0, float(duration)), start, method="DOP853",
                     rtol=rtol, atol=atol, dense_output=True, events=events)
@@ -124,6 +124,116 @@ def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
         # pin the terminal state exactly at the requested time
         states[-1] = sol.sol(duration)
     return Trajectory(problem, times, states, sol.sol, stopped_at=stopped_at)
+
+
+def _rms(x):
+    """Row-wise root-mean-square norm, the norm scipy controls errors in."""
+    return np.linalg.norm(x, axis=1) / math.sqrt(x.shape[1])
+
+
+def _initial_steps(rhs, y0, f0, duration, rtol, atol):
+    """scipy's initial-step rule (``select_initial_step``), one step per row."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, duration)
+        d2 = _rms((rhs(y0 + h0[:, None] * f0) - f0) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1.0 / (DOP853.error_estimator_order + 1)))
+    return np.minimum(np.minimum(100.0 * h0, h1), duration)
+
+
+def integrate_forward_batch(problem, starts, duration, rtol, atol,
+                            blowup_radius=BLOWUP_RADIUS, stop_below_level=None):
+    """Terminal states of many forward trajectories, integrated in lockstep.
+
+    Runs DOP853 on an ``(m, n)`` array of start points.  Every row keeps its
+    own step size, acceptance decision and error control, with scipy's
+    per-trajectory error norm and initial-step rule, so each row steps as a
+    lone ``integrate_forward`` would; the right-hand side is evaluated once
+    per stage for all live rows.  A row retires at ``duration`` or, when
+    ``stop_below_level`` is given, at the first step end where f is below
+    that level (f decreases along trajectories, so it stays below).
+
+    Returns ``(terminal_states, stopped_mask)``; a stopped row's terminal
+    state is the step end where it stopped.  A live row beyond
+    ``blowup_radius`` raises BlowUp, as does a step below the floating-point
+    spacing of its row's time.
+    """
+    if duration < 0:
+        raise ValueError("forward integration requires duration >= 0")
+    duration = float(duration)
+    terminal = np.array(starts, dtype=float)
+    m, n = terminal.shape
+    stopped = np.zeros(m, dtype=bool)
+    if duration == 0.0 or m == 0:
+        return terminal, stopped
+
+    def rhs(y):
+        return -problem.grad(y)
+
+    # the flow is autonomous, so the stage times DOP853.C are not needed
+    A, B = DOP853.A, DOP853.B
+    exponent = -1.0 / (DOP853.error_estimator_order + 1)
+    rows = np.arange(m)
+    y = terminal.copy()
+    f = rhs(y)
+    t = np.zeros(m)
+    h_abs = _initial_steps(rhs, y, f, duration, rtol, atol)
+    rejected = np.zeros(m, dtype=bool)
+    while rows.size:
+        # a fresh step is raised to the spacing floor; a retried one below
+        # it cannot be taken
+        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+        too_small = rejected & (h_abs < min_step)
+        if too_small.any():
+            i = int(np.argmax(too_small))
+            raise BlowUp(f"integrator failed: required step size is less than "
+                         f"spacing between numbers (t = {t[i]:.4g})")
+        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        t_new = np.minimum(t + h_abs, duration)
+        h = t_new - t
+
+        K = np.empty((DOP853.n_stages + 1,) + y.shape)
+        K[0] = f
+        for s in range(1, DOP853.n_stages):
+            K[s] = rhs(y + np.tensordot(A[s, :s], K[:s], axes=1) * h[:, None])
+        y_new = y + h[:, None] * np.tensordot(B, K[:-1], axes=1)
+        K[-1] = f_new = rhs(y_new)
+
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = np.sum((np.tensordot(DOP853.E5, K, axes=1) / scale) ** 2, axis=1)
+        err3 = np.sum((np.tensordot(DOP853.E3, K, axes=1) / scale) ** 2, axis=1)
+        denom = err5 + 0.01 * err3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            error_norm = np.where(denom == 0.0, 0.0, h * err5 / np.sqrt(denom * n))
+            grow = np.where(error_norm == 0.0, STEP_MAX_FACTOR,
+                            np.fmin(STEP_MAX_FACTOR, STEP_SAFETY * error_norm ** exponent))
+            shrink = np.fmax(STEP_MIN_FACTOR, STEP_SAFETY * error_norm ** exponent)
+        accept = error_norm < 1.0
+        h_abs = h * np.where(accept, np.where(rejected, np.minimum(1.0, grow), grow),
+                             shrink)
+        rejected = ~accept
+        t = np.where(accept, t_new, t)
+        y[accept] = y_new[accept]
+        f[accept] = f_new[accept]
+
+        if np.any(np.linalg.norm(y[accept], axis=1) > blowup_radius):
+            raise BlowUp(f"state norm exceeded {blowup_radius} by "
+                         f"t = {np.max(t[accept]):.4g}")
+        below = np.zeros_like(accept)
+        if stop_below_level is not None:
+            below[accept] = problem.f(y[accept]) < stop_below_level
+        done = below | (t >= duration)
+        if done.any():
+            terminal[rows[done]] = y[done]
+            stopped[rows[below]] = True
+            keep = ~done
+            rows, y, f, t = rows[keep], y[keep], f[keep], t[keep]
+            h_abs, rejected = h_abs[keep], rejected[keep]
+    return terminal, stopped
 
 
 @dataclass

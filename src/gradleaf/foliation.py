@@ -24,7 +24,7 @@ from .errors import (
     OutsideSampledDomain,
     RetractViolation,
 )
-from .flow import integrate_forward
+from .flow import integrate_forward, integrate_forward_batch
 from .lyapunov_perron import graph_G_T
 
 PAIR_RTOL = 1e-9
@@ -48,28 +48,39 @@ class ConleyPair:
         return self.samples[self.exit_mask]
 
 
-def pair_membership(model, point_local, epsilon, tau, rtol=PAIR_RTOL,
+def pair_membership(model, points, epsilon, tau, rtol=PAIR_RTOL,
                     atol=PAIR_ATOL):
-    """(in_N, in_L) for one local-frame point, by forward integration.
+    """(in_N, in_L) for local-frame points, by forward integration.
 
-    The objective is monotone along trajectories, so both conditions are
-    decided by the time at which the trajectory crosses level c - epsilon:
-    never by 2 tau puts the point in N only, crossing in [tau, 2 tau] puts
-    it in both, crossing before tau excludes it.
+    ``points`` is one point ``(n,)``, giving two bools, or ``(m, n)``,
+    giving two bool arrays.  The objective is monotone along trajectories,
+    so both conditions are level tests: p is in N iff it starts in the band
+    |f - c| <= epsilon and f(phi_tau(p)) >= c - epsilon, and in L iff it is
+    in N and f(phi_{2 tau}(p)) <= c - epsilon.  The in-band points are
+    integrated together over [0, tau], stopping where f falls below the
+    level (those are not in N); the survivors continue over [tau, 2 tau],
+    and stopping there or ending at or below the level puts them in L.
     """
+    points = np.asarray(points, dtype=float)
+    pts = np.atleast_2d(points)
+    problem = model.problem
     c = model.f_local(np.zeros(model.n))
     level = c - epsilon
-    f0 = model.f_local(point_local)
-    if f0 > c + epsilon or f0 < level:
-        return False, False
-    traj = integrate_forward(model.problem, model.to_ambient(point_local),
-                             2.0 * tau, rtol=rtol, atol=atol,
-                             stop_below_level=level)
-    if traj.stopped_at is None:
-        return True, False
-    t_cross = traj.stopped_at
-    in_n = t_cross >= tau
-    return bool(in_n), bool(in_n and t_cross <= 2.0 * tau)
+    f0 = problem.f(model.to_ambient(pts))
+    band = (f0 <= c + epsilon) & (f0 >= level)
+    in_n = band.copy()
+    in_l = np.zeros_like(band)
+    if band.any():
+        mid, left = integrate_forward_batch(
+            problem, model.to_ambient(pts[band]), tau, rtol, atol,
+            stop_below_level=level)
+        in_n[band] = ~left
+        end, crossed = integrate_forward_batch(
+            problem, mid[~left], tau, rtol, atol, stop_below_level=level)
+        in_l[in_n] = crossed | (problem.f(end) <= level)
+    if points.ndim == 1:
+        return bool(in_n[0]), bool(in_l[0])
+    return in_n, in_l
 
 
 def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240,
@@ -102,15 +113,9 @@ def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240,
 
     pts = rng.uniform(-1.0, 1.0, size=(n_samples, n)) * widths
     pts = np.concatenate([np.zeros((1, n)), pts])  # x itself is always in N
-    accepted = []
-    exit_flags = []
-    for p in pts:
-        in_n, in_l = pair_membership(model, p, epsilon, tau, rtol=rtol)
-        if in_n:
-            accepted.append(p)
-            exit_flags.append(in_l)
-    accepted = np.asarray(accepted)
-    exit_flags = np.asarray(exit_flags, dtype=bool)
+    in_n, in_l = pair_membership(model, pts, epsilon, tau, rtol=rtol)
+    accepted = pts[in_n]
+    exit_flags = in_l[in_n]
 
     # flood fill from x over the sample graph; the radius blends the local
     # sampling density with the box scale so random gaps do not fragment
@@ -482,9 +487,7 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fd_steps=(1e-4, 1e-5),
                        ok=worst < 0.0)
     report.extras["mu_audit"] = mu_audit
     if not report.all_ok:
-        bad = [r for r in report.rows if not r.ok][0]
-        raise RetractViolation(f"{bad.check} failed at {bad.z_minus_label} "
-                               f"{bad.z_plus_label}: gap {bad.gap:.3e}")
+        raise RetractViolation(f"retract audit failed: {report.describe_worst()}")
     return report
 
 

@@ -142,6 +142,23 @@ def _lambda_sample_sets(state, n_zplus=3):
     return zm_list, zp_list
 
 
+def _emit_reports(state, reports):
+    """Write ``report_<name>.csv`` for each report; returns the failed ones."""
+    failed = []
+    for name, rep in reports.items():
+        state.emit(f"report_{name}.csv", convergence.REPORT_COLUMNS,
+                   reporting.report_rows(rep))
+        if not rep.all_ok:
+            failed.append(rep)
+    return failed
+
+
+def _bound_violation(what, failed):
+    """A BoundViolation naming each failed report and its worst row."""
+    return BoundViolation(f"{what} failed beyond its budget: "
+                          + "; ".join(rep.describe_worst() for rep in failed))
+
+
 def stage_lambda(state, T_count=5):
     _require(state, "manifolds")
     ladder = state.ladder
@@ -164,18 +181,14 @@ def stage_lambda(state, T_count=5):
                reporting.graph_rows(graph_t, state.model))
     reports["endpoint"] = convergence.endpoint_audit(solver, graph_t)
 
-    all_ok = True
-    for name, rep in reports.items():
-        state.emit(f"report_{name}.csv", convergence.REPORT_COLUMNS,
-                   reporting.report_rows(rep))
-        all_ok = all_ok and rep.all_ok
+    failed = _emit_reports(state, reports)
     state.details["lambda"] = {
         "fitted_rates": c0.fitted_rates,
         "rate_bound": c0.extras.get("rate_bound"),
-        "all_ok": all_ok,
+        "all_ok": not failed,
     }
-    if not all_ok:
-        raise BoundViolation("a convergence bound failed beyond its budget")
+    if failed:
+        raise _bound_violation("a convergence bound", failed)
     state.details["lambda"]["graph_T"] = float(T_grid[0])
 
 
@@ -208,20 +221,16 @@ def stage_foliate(state):
         "center_distance": foliation.contraction_to_center(atlas),
         "retract": foliation.retract_audit(atlas),
     }
-    all_ok = True
-    for name, rep in reports.items():
-        state.emit(f"report_{name}.csv", convergence.REPORT_COLUMNS,
-                   reporting.report_rows(rep))
-        all_ok = all_ok and rep.all_ok
+    failed = _emit_reports(state, reports)
     state.details["foliate"] = {
         "leaves": len(atlas.all_labels()),
         "leaf_files": leaf_files,
         "mu_audit": reports["retract"].extras.get("mu_audit"),
         "pair_samples": len(pair.samples),
-        "all_ok": all_ok,
+        "all_ok": not failed,
     }
-    if not all_ok:
-        raise BoundViolation("a foliation audit failed beyond its budget")
+    if failed:
+        raise _bound_violation("a foliation audit", failed)
 
 
 def stage_oracle(state, grid=2):

@@ -77,7 +77,11 @@ class GradientProblem:
 
 def load_problem(path):
     """Read a problem config (JSON-compatible key/value text)."""
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    with fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -92,6 +96,8 @@ def problem_from_dict(raw):
         crit = raw["critical_point"]
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
     return GradientProblem(
         name=str(raw.get("name", "problem")),
         dimension=dim,

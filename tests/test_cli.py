@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from gradleaf.cli import EXIT_BOUND, EXIT_CONFIG, EXIT_SOLVER, exit_code_for, main
+from gradleaf.cli import (
+    EXIT_BOUND,
+    EXIT_CONFIG,
+    EXIT_INTERNAL,
+    EXIT_SOLVER,
+    exit_code_for,
+    main,
+)
 from gradleaf.errors import (
     BoundViolation,
     ConfigError,
@@ -98,6 +105,21 @@ def test_exit_code_mapping():
     assert exit_code_for(BoundViolation("x")) == EXIT_BOUND
     assert exit_code_for(DisjointnessViolation("x")) == EXIT_BOUND
     assert exit_code_for(ValueError("x")) == EXIT_CONFIG
+    assert exit_code_for(KeyError("x")) == EXIT_INTERNAL
+    assert exit_code_for(ZeroDivisionError("x")) == EXIT_INTERNAL
+
+
+def test_unreadable_config_exit_code(tmp_path):
+    # a missing file or an objective that is not a list is the config's
+    # fault, not an internal error
+    cpath = tmp_path / "scalar_objective.json"
+    cpath.write_text(json.dumps({"dimension": 2, "critical_point": [0.0, 0.0],
+                                 "objective": 5}))
+    for config in (tmp_path / "missing.json", cpath):
+        assert run_cli(["spectral", "--config", config,
+                        "--out", tmp_path / "o"]) == EXIT_CONFIG
+        record = json.loads((tmp_path / "o" / "error.json").read_text())
+        assert record["error"] == "config"
 
 
 @pytest.fixture(scope="module")

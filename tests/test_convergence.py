@@ -172,6 +172,26 @@ def test_report_row_slack():
     assert rows[2].slack == pytest.approx(1e-7)
 
 
+def test_empty_report_fails_and_worst_row_is_named():
+    report = cv.ConvergenceReport("c0")
+    assert not report.all_ok
+    assert report.describe_worst() == "report c0 has no rows"
+    report.add(check="c0", T=12.5, z_minus_label="(0.1)", z_plus_label="(0.2)",
+               direction_label="", gap=0.1, bound=0.5, budget=0.0, ok=True)
+    report.add(check="c0", T=13.5, z_minus_label="(0.1)", z_plus_label="(0.3)",
+               direction_label="", gap=0.45, bound=0.5, budget=0.0, ok=True)
+    assert report.all_ok
+    assert "z_plus=(0.3): gap 4.500e-01" in report.describe_worst()
+    # a failing row outranks any passing one, even a tied strict row at slack 0
+    report.add(check="retract_inward", T=0.0, z_minus_label="center",
+               z_plus_label="(0.4)", direction_label="", gap=0.0, bound=0.0,
+               budget=0.0, ok=False)
+    assert not report.all_ok
+    message = report.describe_worst()
+    assert message.startswith("report c0, row check=retract_inward T=0 ")
+    assert "z_minus=center z_plus=(0.4)" in message
+
+
 def test_mixed_store_key_includes_endpoint_enforcement(p2):
     # a solve stored without the endpoint check must not answer a request
     # that enforces it

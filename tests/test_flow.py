@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from gradleaf.errors import LevelNotReached, NotOnUnstableManifold
-from gradleaf.flow import algebraic_backward, descending_disk, integrate_forward
+from gradleaf.errors import BlowUp, LevelNotReached, NotOnUnstableManifold
+from gradleaf.flow import (
+    algebraic_backward,
+    descending_disk,
+    integrate_forward,
+    integrate_forward_batch,
+)
 
 
 def test_linear_flow_closed_form(p1):
@@ -40,6 +45,51 @@ def test_f_derivative_is_gradient_norm(p2):
     quotient = (p2.problem.f(traj.terminal) - p2.problem.f(p)) / h
     assert quotient == pytest.approx(-np.linalg.norm(p2.problem.grad(p)) ** 2,
                                      rel=1e-4)
+
+
+@pytest.mark.parametrize("name", ["p2", "p3"])
+def test_batch_terminal_states_match_single_trajectories(name, request):
+    # each row steps with its own error control, so it lands where a lone
+    # scipy integration at the same tolerances lands
+    setup = request.getfixturevalue(name)
+    n = setup.problem.dimension
+    starts = np.random.default_rng(4).uniform(-0.3, 0.3, size=(9, n))
+    starts[0] = 0.0
+    for duration in (0.7, 2.5):
+        terminal, stopped = integrate_forward_batch(setup.problem, starts, duration,
+                                                    1e-10, 1e-12)
+        assert not stopped.any()
+        for start, end in zip(starts, terminal):
+            single = integrate_forward(setup.problem, start, duration,
+                                       rtol=1e-10, atol=1e-12)
+            assert np.max(np.abs(end - single.terminal)) <= 1e-9
+
+
+def test_batch_stops_below_level(p2):
+    starts = np.array([[0.05, 0.0], [0.2, 0.0], [0.0, 0.1]])
+    level = -0.01
+    terminal, stopped = integrate_forward_batch(p2.problem, starts, 3.0, 1e-10,
+                                                1e-12, stop_below_level=level)
+    f_end = p2.problem.f(terminal)
+    assert stopped.tolist() == [True, True, False]
+    assert np.all(f_end[stopped] < level)
+    # the unstopped row ran the full duration
+    single = integrate_forward(p2.problem, starts[2], 3.0, rtol=1e-10, atol=1e-12)
+    assert np.max(np.abs(terminal[2] - single.terminal)) <= 1e-9
+
+
+def test_batch_blow_up_and_empty_inputs(p2):
+    starts = np.array([[0.0, 0.0], [0.3, 0.0]])
+    with pytest.raises(BlowUp):
+        integrate_forward_batch(p2.problem, starts, 2.0, 1e-10, 1e-12,
+                                blowup_radius=0.31)
+    terminal, stopped = integrate_forward_batch(p2.problem, starts, 0.0, 1e-10, 1e-12)
+    assert np.array_equal(terminal, starts) and not stopped.any()
+    terminal, stopped = integrate_forward_batch(p2.problem, np.zeros((0, 2)), 1.0,
+                                                1e-10, 1e-12)
+    assert terminal.shape == (0, 2) and stopped.shape == (0,)
+    with pytest.raises(ValueError):
+        integrate_forward_batch(p2.problem, starts, -1.0, 1e-10, 1e-12)
 
 
 def test_trajectory_rows_format(p1):

@@ -79,6 +79,60 @@ def test_pair_spec_example_point(p1):
     assert not in_n and not in_l
 
 
+def _pair_reference(setup, p, epsilon, tau):
+    """Membership of one point from f at tau and 2 tau on a single
+    trajectory at tight tolerance."""
+    c = setup.model.f_local(np.zeros(setup.model.n))
+    level = c - epsilon
+    f0 = setup.model.f_local(p)
+    if f0 > c + epsilon or f0 < level:
+        return False, False
+    # leaving the unit ball (where f < -0.4 on these problems) ends the
+    # trajectory before it blows up; f only decreases after that
+    traj = integrate_forward(setup.problem, setup.model.to_ambient(p), 2 * tau,
+                             rtol=1e-11, atol=1e-14, stop_radius=1.0)
+
+    def f_at(t):
+        if traj.stopped_at is not None and t >= traj.stopped_at:
+            assert setup.problem.f(traj.terminal) < level
+            return setup.problem.f(traj.terminal)
+        return setup.problem.f(traj.at(t))
+    in_n = bool(f_at(tau) >= level)
+    return in_n, in_n and bool(f_at(2 * tau) <= level)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_batched_pair_membership_matches_per_point_decision(name, request):
+    setup = request.getfixturevalue(name)
+    eps, tau = setup.ladder.epsilon, setup.ladder.T0
+    # twice build_pair's box, so that points leave the band and N
+    lam = setup.model.eigenvalues
+    widths = 2.6 * np.sqrt(2.0 * eps / np.abs(lam)) * np.exp(-tau * np.maximum(-lam, 0.0))
+    pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(60, 2)) * widths
+    pts[:2] = [[0.0, 0.0], [0.0, 0.25 * widths[1]]]  # on the stable manifold
+    in_n, in_l = fol.pair_membership(setup.model, pts, eps, tau)
+    assert in_n.shape == in_l.shape == (60,)
+    expected = np.array([_pair_reference(setup, p, eps, tau) for p in pts])
+    assert np.array_equal(in_n, expected[:, 0])
+    assert np.array_equal(in_l, expected[:, 1])
+    # both outcomes occur, so the comparison decides something
+    assert 0 < in_n.sum() < len(pts) and in_l.any() and (in_n & ~in_l).any()
+    # a single point gives the same two flags as plain bools
+    single = fol.pair_membership(setup.model, pts[0], eps, tau)
+    assert single == (bool(in_n[0]), bool(in_l[0]))
+    assert all(type(flag) is bool for flag in single)
+
+
+def test_out_of_band_points_are_not_integrated(p1, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated an out-of-band point")
+    monkeypatch.setattr(fol, "integrate_forward_batch", fail)
+    # f = -x^2/2 + y^2 is far above c + eps or far below c - eps here
+    pts = np.array([[0.0, 0.5], [0.9, 0.0], [0.0, -0.4]])
+    in_n, in_l = fol.pair_membership(p1.model, pts, 0.005, 2.0)
+    assert not in_n.any() and not in_l.any()
+
+
 def test_pair_samples_verified_by_oracle(p2, atlas_p2):
     # point-wise re-integration at tighter tolerance confirms membership
     pair = atlas_p2.pair

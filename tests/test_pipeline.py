@@ -4,8 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gradleaf import pipeline
-from gradleaf.problems import cubic_saddle_3d, quartic_saddle
+from gradleaf import convergence, foliation, pipeline
+from gradleaf.errors import BoundViolation
+from gradleaf.problems import cubic_saddle_3d, quadratic_saddle, quartic_saddle
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +116,27 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
     # lambda solves c0, c1 and Lipschitz-in-T keys; the oracle's are among them
     assert len(mixed) == len(state.solver._mixed) > 0
     assert set(mixed.values()) == {1}
+
+
+@pytest.mark.parametrize("stage, module, name", [
+    ("lambda", convergence, "lipschitz_in_T"),
+    ("foliate", foliation, "contraction_to_center"),
+])
+def test_bound_violation_names_worst_row(tmp_path, monkeypatch, stage, module, name):
+    def failing(*args, **kwargs):
+        report = convergence.ConvergenceReport("forced")
+        for gap in (0.2, 3.0, 2.0):
+            report.add(check="forced", T=12.5, z_minus_label="(0.1)",
+                       z_plus_label=f"({gap:g})", direction_label="", gap=gap,
+                       bound=1.0, budget=0.5, ok=gap <= 1.5)
+        return report
+    monkeypatch.setattr(module, name, failing)
+    state = pipeline.RunState(problem=quadratic_saddle(), out_dir=tmp_path)
+    for prior in ("spectral", "ladder", "manifolds"):
+        pipeline.run_stage(prior, state)
+    with pytest.raises(BoundViolation) as info:
+        pipeline.run_stage(stage, state)
+    assert str(info.value).endswith(
+        "failed beyond its budget: report forced, row check=forced T=12.5 "
+        "z_minus=(0.1) z_plus=(3): gap 3.000e+00, bound 1.000e+00, budget 5.000e-01")
+    assert state.details[stage]["all_ok"] is False
