@@ -185,9 +185,9 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol,
     rejected = np.zeros(m, dtype=bool)
     while rows.size:
         # a fresh step is raised to the spacing floor; a retried one below
-        # it cannot be taken
+        # it (or NaN, from a non-finite right-hand side) cannot be taken
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
-        too_small = rejected & (h_abs < min_step)
+        too_small = rejected & ~(h_abs >= min_step)
         if too_small.any():
             i = int(np.argmax(too_small))
             raise BlowUp(f"integrator failed: required step size is less than "
@@ -220,9 +220,10 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol,
         y[accept] = y_new[accept]
         f[accept] = f_new[accept]
 
-        if np.any(np.linalg.norm(y[accept], axis=1) > blowup_radius):
-            raise BlowUp(f"state norm exceeded {blowup_radius} by "
-                         f"t = {np.max(t[accept]):.4g}")
+        beyond = np.linalg.norm(y, axis=1) > blowup_radius
+        if beyond.any():
+            raise BlowUp(f"state norm exceeded {blowup_radius} at "
+                         f"t = {t[np.argmax(beyond)]:.4g}")
         below = np.zeros_like(accept)
         if stop_below_level is not None:
             below[accept] = problem.f(y[accept]) < stop_below_level

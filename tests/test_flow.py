@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,16 @@ def test_batch_stops_below_level(p2):
     # the unstopped row ran the full duration
     single = integrate_forward(p2.problem, starts[2], 3.0, rtol=1e-10, atol=1e-12)
     assert np.max(np.abs(terminal[2] - single.terminal)) <= 1e-9
+
+
+@pytest.mark.parametrize("starts", [[[0.1, 0.0], [0.0, 0.2]], [[np.nan, 0.0]]])
+def test_batch_step_failure_raises(starts):
+    # the right-hand side turns NaN beyond |x| = 0.5 (or at once, from a NaN
+    # start), so steps are rejected until they fall below the spacing of the
+    # row's time
+    problem = SimpleNamespace(grad=lambda y: np.where(np.abs(y) > 0.5, np.nan, -y))
+    with pytest.raises(BlowUp, match="integrator failed"):
+        integrate_forward_batch(problem, np.array(starts), 5.0, 1e-10, 1e-12)
 
 
 def test_batch_blow_up_and_empty_inputs(p2):
