@@ -145,21 +145,21 @@ def _initial_steps(rhs, y0, f0, duration, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), duration)
 
 
-def integrate_forward_batch(problem, starts, duration, rtol, atol,
-                            blowup_radius=BLOWUP_RADIUS, stop_below_level=None):
+def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_level):
     """Terminal states of many forward trajectories, integrated in lockstep.
 
     Runs DOP853 on an ``(m, n)`` array of start points.  Every row keeps its
     own step size, acceptance decision and error control, with scipy's
     per-trajectory error norm and initial-step rule, so each row steps as a
     lone ``integrate_forward`` would; the right-hand side is evaluated once
-    per stage for all live rows.  A row retires at ``duration`` or, when
-    ``stop_below_level`` is given, at the first step end where f is below
-    that level (f decreases along trajectories, so it stays below).
+    per stage for all live rows.  A row retires at ``duration`` or at the
+    first step end where f is below ``stop_below_level`` (f decreases along
+    trajectories, so it stays below; pass ``-inf`` to run every row to
+    ``duration``).
 
     Returns ``(terminal_states, stopped_mask)``; a stopped row's terminal
     state is the step end where it stopped.  A live row beyond
-    ``blowup_radius`` raises BlowUp, as does a step below the floating-point
+    ``BLOWUP_RADIUS`` raises BlowUp, as does a step below the floating-point
     spacing of its row's time.
     """
     if duration < 0:
@@ -220,13 +220,12 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol,
         y[accept] = y_new[accept]
         f[accept] = f_new[accept]
 
-        beyond = np.linalg.norm(y, axis=1) > blowup_radius
+        beyond = np.linalg.norm(y, axis=1) > BLOWUP_RADIUS
         if beyond.any():
-            raise BlowUp(f"state norm exceeded {blowup_radius} at "
+            raise BlowUp(f"state norm exceeded {BLOWUP_RADIUS} at "
                          f"t = {t[np.argmax(beyond)]:.4g}")
         below = np.zeros_like(accept)
-        if stop_below_level is not None:
-            below[accept] = problem.f(y[accept]) < stop_below_level
+        below[accept] = problem.f(y[accept]) < stop_below_level
         done = below | (t >= duration)
         if done.any():
             terminal[rows[done]] = y[done]

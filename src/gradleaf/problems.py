@@ -90,23 +90,44 @@ def load_problem(path):
 
 
 def problem_from_dict(raw):
-    try:
-        dim = int(raw["dimension"])
-        objective = Polynomial.from_pairs(dim, raw["objective"])
-        crit = raw["critical_point"]
-    except KeyError as exc:
-        raise ConfigError(f"config missing required key {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"config value of the wrong type: {exc}") from exc
+    """Build a problem from a parsed config; a malformed config is a ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config is not a key/value object")
+    dim = _config_value(raw, "dimension", int)
     return GradientProblem(
         name=str(raw.get("name", "problem")),
         dimension=dim,
-        objective=objective,
-        critical_point=np.asarray(crit, dtype=float),
-        trust_radius=float(raw.get("trust_radius", 1.0)),
+        objective=Polynomial.from_pairs(
+            dim, _config_value(raw, "objective", _objective_pairs)),
+        critical_point=_config_value(raw, "critical_point",
+                                     lambda v: np.asarray(v, dtype=float)),
+        trust_radius=_config_value(raw, "trust_radius", float, 1.0),
         c21=bool(raw.get("c21", True)),
-        ladder_overrides=dict(raw.get("ladder_overrides", {})),
+        ladder_overrides=_config_value(raw, "ladder_overrides", _overrides, {}),
     )
+
+
+_REQUIRED = object()
+
+
+def _config_value(raw, key, convert, default=_REQUIRED):
+    """``convert(raw[key])``, a missing or mistyped value raising ConfigError."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigError(f"config missing required key {key!r}")
+        return default
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config value of the wrong type for {key!r}: {exc}") from exc
+
+
+def _objective_pairs(entries):
+    return [(tuple(int(a) for a in alpha), float(coeff)) for alpha, coeff in entries]
+
+
+def _overrides(table):
+    return {str(key): float(value) for key, value in dict(table).items()}
 
 
 # -- reference problems used throughout the test suite ----------------------

@@ -110,12 +110,20 @@ def test_exit_code_mapping():
 
 
 def test_unreadable_config_exit_code(tmp_path):
-    # a missing file or an objective that is not a list is the config's
-    # fault, not an internal error
-    cpath = tmp_path / "scalar_objective.json"
-    cpath.write_text(json.dumps({"dimension": 2, "critical_point": [0.0, 0.0],
-                                 "objective": 5}))
-    for config in (tmp_path / "missing.json", cpath):
+    # a missing file, a config that is not an object, or any value of the
+    # wrong type is the config's fault, not an internal error
+    base = {"dimension": 2, "critical_point": [0.0, 0.0],
+            "objective": [[[2, 0], -0.5], [[0, 2], 1.0]]}
+    malformed = [[1, 2], {"objective": 5}, {"objective": [[[2, 0]]]},
+                 {"dimension": [2]}, {"critical_point": {"x": 0.0}},
+                 {"trust_radius": [1]}, {"ladder_overrides": 5},
+                 {"ladder_overrides": {"lambda": [0.5]}}]
+    configs = [tmp_path / "missing.json"]
+    for i, change in enumerate(malformed):
+        configs.append(tmp_path / f"malformed_{i}.json")
+        configs[-1].write_text(json.dumps(
+            change if isinstance(change, list) else {**base, **change}))
+    for config in configs:
         assert run_cli(["spectral", "--config", config,
                         "--out", tmp_path / "o"]) == EXIT_CONFIG
         record = json.loads((tmp_path / "o" / "error.json").read_text())

@@ -59,7 +59,7 @@ def test_batch_terminal_states_match_single_trajectories(name, request):
     starts[0] = 0.0
     for duration in (0.7, 2.5):
         terminal, stopped = integrate_forward_batch(setup.problem, starts, duration,
-                                                    1e-10, 1e-12)
+                                                    1e-10, 1e-12, -np.inf)
         assert not stopped.any()
         for start, end in zip(starts, terminal):
             single = integrate_forward(setup.problem, start, duration,
@@ -85,23 +85,27 @@ def test_batch_step_failure_raises(starts):
     # the right-hand side turns NaN beyond |x| = 0.5 (or at once, from a NaN
     # start), so steps are rejected until they fall below the spacing of the
     # row's time
-    problem = SimpleNamespace(grad=lambda y: np.where(np.abs(y) > 0.5, np.nan, -y))
+    problem = SimpleNamespace(grad=lambda y: np.where(np.abs(y) > 0.5, np.nan, -y),
+                              f=lambda y: np.sum(y * y, axis=-1))
     with pytest.raises(BlowUp, match="integrator failed"):
-        integrate_forward_batch(problem, np.array(starts), 5.0, 1e-10, 1e-12)
+        integrate_forward_batch(problem, np.array(starts), 5.0, 1e-10, 1e-12, -np.inf)
 
 
 def test_batch_blow_up_and_empty_inputs(p2):
+    # the upward flow x' = x carries |x| = 0.3 past BLOWUP_RADIUS by t = 8.2
+    unstable = SimpleNamespace(grad=lambda y: -y,
+                               f=lambda y: -0.5 * np.sum(y * y, axis=-1))
     starts = np.array([[0.0, 0.0], [0.3, 0.0]])
-    with pytest.raises(BlowUp):
-        integrate_forward_batch(p2.problem, starts, 2.0, 1e-10, 1e-12,
-                                blowup_radius=0.31)
-    terminal, stopped = integrate_forward_batch(p2.problem, starts, 0.0, 1e-10, 1e-12)
+    with pytest.raises(BlowUp, match="state norm exceeded"):
+        integrate_forward_batch(unstable, starts, 10.0, 1e-10, 1e-12, -np.inf)
+    terminal, stopped = integrate_forward_batch(p2.problem, starts, 0.0, 1e-10, 1e-12,
+                                                -np.inf)
     assert np.array_equal(terminal, starts) and not stopped.any()
     terminal, stopped = integrate_forward_batch(p2.problem, np.zeros((0, 2)), 1.0,
-                                                1e-10, 1e-12)
+                                                1e-10, 1e-12, -np.inf)
     assert terminal.shape == (0, 2) and stopped.shape == (0,)
     with pytest.raises(ValueError):
-        integrate_forward_batch(p2.problem, starts, -1.0, 1e-10, 1e-12)
+        integrate_forward_batch(p2.problem, starts, -1.0, 1e-10, 1e-12, -np.inf)
 
 
 def test_trajectory_rows_format(p1):
