@@ -8,40 +8,33 @@ Usage: python scripts/contraction_experiment.py CONFIG [OUT_CSV] [PAIRS]
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from gradleaf import lyapunov_perron as lp
-from gradleaf.flow import descending_disk
-from gradleaf.local_model import LocalModel, build_ladder, calibrate_ladder, lipschitz_modulus
+from gradleaf.pipeline import RunState, run_stage
 from gradleaf.problems import load_problem
 from gradleaf.reporting import write_csv
-from gradleaf.spectral import split
 
 
 def measure(config_path, out_csv, pairs=25, seed=0):
-    problem = load_problem(config_path)
-    sp = split(problem.hess(problem.critical_point))
-    model = LocalModel(problem, sp)
-    modulus, kappa_star = lipschitz_modulus(problem, sp)
-    ladder = build_ladder(sp, modulus, choices=problem.ladder_overrides,
-                          kappa_star=kappa_star, rho0=problem.trust_radius)
-    cache = lp.SolverCache(model)
-    graph_f = lp.graph_F_inf(model, ladder, cache=cache)
-    graph_g = lp.graph_G_inf(model, ladder, cache=cache)
-    ladder = calibrate_ladder(ladder, model, graph_f, graph_g,
-                              overrides=problem.ladder_overrides)
-    disk = descending_disk(model, ladder, graph_f)
+    # the manifolds stage sets up the calibrated ladder, the solve store and
+    # the descending disk; its own artifacts are not kept
+    with tempfile.TemporaryDirectory() as stage_dir:
+        state = RunState(problem=load_problem(config_path),
+                         out_dir=Path(stage_dir), seed=seed)
+        run_stage("manifolds", state)
+    model, ladder, cache = state.model, state.ladder, state.cache
     rng = np.random.default_rng(seed)
 
-    zm = disk.sphere_minus[0]
+    zm = state.disk.sphere_minus[0]
     z_plus = np.zeros(model.n - model.k)
     z_plus[0] = 0.3 * ladder.R
     rows = []
     for T in ladder.T0 + np.linspace(0.0, 4.0, 5):
-        orbit = lp.backward_orbit(model, ladder, zm,
-                                  t_max=max(lp.default_horizon(ladder), T),
-                                  cache=cache)
+        orbit = state.solver.orbit(zm, T)
         grid = cache.grid(0.0, T)
         ref = lp.reference_curve(orbit.curve, grid, ladder.lambda_)
         op = lp.PsiTOperator(model, ladder, T, zm, z_plus, ref, grid,

@@ -9,36 +9,28 @@ Usage: python scripts/horizon_sweep.py CONFIG [OUT_CSV] [N_HORIZONS]
 
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from gradleaf import convergence as cv
-from gradleaf import lyapunov_perron as lp
-from gradleaf.flow import descending_disk
-from gradleaf.local_model import LocalModel, build_ladder, calibrate_ladder, lipschitz_modulus
+from gradleaf.pipeline import RunState, run_stage
 from gradleaf.problems import load_problem
 from gradleaf.reporting import write_csv
-from gradleaf.spectral import split
 
 
 def sweep(config_path, out_csv, n_horizons=9):
-    problem = load_problem(config_path)
-    sp = split(problem.hess(problem.critical_point))
-    model = LocalModel(problem, sp)
-    modulus, kappa_star = lipschitz_modulus(problem, sp)
-    ladder = build_ladder(sp, modulus, choices=problem.ladder_overrides,
-                          kappa_star=kappa_star, rho0=problem.trust_radius)
-    cache = lp.SolverCache(model)
-    graph_f = lp.graph_F_inf(model, ladder, cache=cache)
-    graph_g = lp.graph_G_inf(model, ladder, cache=cache)
-    ladder = calibrate_ladder(ladder, model, graph_f, graph_g,
-                              overrides=problem.ladder_overrides)
-    disk = descending_disk(model, ladder, graph_f)
-    solver = cv.GraphFamilySolver(model, ladder, cache=cache)
+    # the manifolds stage sets up the calibrated ladder, the solve store and
+    # the descending disk; its own artifacts are not kept
+    with tempfile.TemporaryDirectory() as stage_dir:
+        state = RunState(problem=load_problem(config_path),
+                         out_dir=Path(stage_dir))
+        run_stage("manifolds", state)
+    ladder, solver, graph_g = state.ladder, state.solver, state.graph_g
 
     t0 = max(ladder.T0, ladder.T2)
     T_grid = t0 + np.linspace(0.0, 6.0, n_horizons)
-    zm = disk.sphere_minus[0]
+    zm = state.disk.sphere_minus[0]
     zp_axis = graph_g.axes[0]
     zp_list = [np.full(len(graph_g.axes), zp_axis[i])
                for i in (len(zp_axis) // 4, len(zp_axis) // 2)]

@@ -71,13 +71,13 @@ class Trajectory:
 
 
 def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
-                      blowup_radius=BLOWUP_RADIUS, stop_radius=None):
+                      stop_radius=None):
     """Integrate the downward gradient flow for ``duration >= 0``.
 
     Uses an adaptive Runge-Kutta scheme (DOP853) with dense output; the
     terminal state is evaluated exactly at ``duration``.  When
     ``stop_radius`` is given, integration ends early without error on exit
-    from that ball around the critical point; exceeding ``blowup_radius``
+    from that ball around the critical point; exceeding ``BLOWUP_RADIUS``
     always raises.
     """
     if duration < 0:
@@ -94,7 +94,7 @@ def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
         return -problem.grad(x)
 
     def blow_up(t, x):
-        return float(np.linalg.norm(x) - blowup_radius)
+        return float(np.linalg.norm(x) - BLOWUP_RADIUS)
     blow_up.terminal = True
     blow_up.direction = 1.0
 
@@ -113,7 +113,7 @@ def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
     stopped_at = None
     if sol.status == 1:
         if sol.t_events[0].size:
-            raise BlowUp(f"state norm exceeded {blowup_radius} at t = {sol.t_events[0][0]:.4g}")
+            raise BlowUp(f"state norm exceeded {BLOWUP_RADIUS} at t = {sol.t_events[0][0]:.4g}")
         fired = [te[0] for te in sol.t_events[1:] if te.size]
         stopped_at = float(min(fired))
     elif not sol.success:
@@ -260,16 +260,14 @@ class DescendingDisk:
 
     def contains(self, point_local, residual_tol=MANIFOLD_RESIDUAL_TOL):
         """Membership through the graph parametrization and the level band."""
-        point_local = np.asarray(point_local, dtype=float)
-        zm = point_local[: self.model.k]
         try:
-            val = self.graph.evaluate(zm)
+            residual = self.graph.residual(point_local)
         except OutsideSampledDomain:
             return False
-        if np.linalg.norm(point_local[self.model.k:] - val) > residual_tol:
+        if residual > residual_tol:
             return False
-        c = self.model.f_local(np.zeros(self.model.n))
-        return self.model.f_local(point_local) >= c - self.epsilon * (1 + 1e-9)
+        return (self.model.f_local(np.asarray(point_local, dtype=float))
+                >= self.model.critical_value - self.epsilon * (1 + 1e-9))
 
 
 def algebraic_backward(disk, q_local, t, cache=None,
@@ -283,14 +281,12 @@ def algebraic_backward(disk, q_local, t, cache=None,
     q_local = np.asarray(q_local, dtype=float)
     if t < 0:
         raise ValueError("algebraic backward flow is parametrized by t >= 0")
-    model = disk.model
-    zm = q_local[: model.k]
-    val = disk.graph.evaluate(zm)
-    residual = float(np.linalg.norm(q_local[model.k:] - val))
+    residual = disk.graph.residual(q_local)
     if residual > residual_tol:
         raise NotOnUnstableManifold(
             f"plus-part residual {residual:.3e} against the unstable graph")
-    orbit = backward_orbit(model, disk.ladder, zm, cache=cache)
+    orbit = backward_orbit(disk.model, disk.ladder, q_local[: disk.model.k],
+                           cache=cache)
     if -t < orbit.curve.grid.t0:
         raise HorizonMismatch(f"time {t} beyond the solved backward horizon")
     return orbit.curve.evaluate(-t)
@@ -305,7 +301,7 @@ def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None,
     """
     epsilon = ladder.epsilon if epsilon is None else float(epsilon)
     k = model.k
-    c = model.f_local(np.zeros(model.n))
+    level = model.critical_value - epsilon
 
     if k == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -318,50 +314,21 @@ def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None,
             extra /= np.linalg.norm(extra, axis=1, keepdims=True)
             dirs = np.concatenate([np.pad(dirs, ((0, 0), (0, k - 2))), extra])
 
-    r_max = float(min(ax[-1] for ax in graph_f.axes))
-
-    def level_drop(r, u):
-        zm = r * u
-        point = np.zeros(model.n)
-        point[:k] = zm
-        point[k:] = graph_f.evaluate(zm)
-        return model.f_local(point) - (c - epsilon)
-
-    sphere_minus = []
-    sphere_local = []
+    radii = []
     for u in dirs:
-        lo, hi = 0.0, r_max
-        if level_drop(hi, u) > 0:
+        r = graph_f.level_crossing(model.f_local, u, level, bisect_tol)
+        if r is None:
             raise LevelNotReached(
                 f"epsilon = {epsilon:.3e} not reached within the sampled graph")
-        # f decreases along the ray; bisect the level crossing to bisect_tol in f
-        while True:
-            mid = 0.5 * (lo + hi)
-            val = level_drop(mid, u)
-            if abs(val) <= bisect_tol or hi - lo < 1e-16 * max(1.0, r_max):
-                break
-            if val > 0:
-                lo = mid
-            else:
-                hi = mid
-        zm = mid * u
-        point = np.zeros(model.n)
-        point[:k] = zm
-        point[k:] = graph_f.evaluate(zm)
-        sphere_minus.append(zm)
-        sphere_local.append(point)
-
-    sphere_minus = np.asarray(sphere_minus)
-    sphere_local = np.asarray(sphere_local)
+        radii.append(r)
+    sphere_minus = np.asarray(radii)[:, None] * dirs
+    sphere_local = graph_f.local_points(sphere_minus)
     fractions = np.linspace(0.0, 1.0, 5)[1:-1]
     interior_minus = np.concatenate([
         np.zeros((1, k)),
         np.concatenate([f * sphere_minus for f in fractions]),
     ])
-    interior_local = np.zeros((interior_minus.shape[0], model.n))
-    for i, zm in enumerate(interior_minus):
-        interior_local[i, :k] = zm
-        interior_local[i, k:] = graph_f.evaluate(zm)
+    interior_local = graph_f.local_points(interior_minus)
     return DescendingDisk(model, ladder, graph_f, epsilon,
                           sphere_minus, sphere_local,
                           interior_minus, interior_local)

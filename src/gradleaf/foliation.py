@@ -7,6 +7,12 @@ descending sphere, plus the ascending disk as the center leaf.  Conjugating
 the flow on the center leaf with the graph maps equips every leaf with its
 own semi-flow whose time-infinity map retracts N onto its part in the
 unstable manifold.
+
+Every leaf is a ``GraphSample`` over the plus subspace.  Its local points
+(``local_points``), the residual of a point against it (``residual``, which
+``FoliationAtlas.locate`` and the invariance audit use) and its clip
+boundary along rays (``level_crossing``) all come from that class, so this
+module never places a graph in the local frame itself.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ def pair_membership(model, points, epsilon, tau, rtol=PAIR_RTOL,
     points = np.asarray(points, dtype=float)
     pts = np.atleast_2d(points)
     problem = model.problem
-    c = model.f_local(np.zeros(model.n))
+    c = model.critical_value
     level = c - epsilon
     f0 = problem.f(model.to_ambient(pts))
     band = (f0 <= c + epsilon) & (f0 >= level)
@@ -98,7 +104,6 @@ def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240,
     rng = np.random.default_rng(0) if rng is None else rng
     epsilon = ladder.epsilon if epsilon is None else float(epsilon)
     tau = ladder.T0 if tau is None else float(tau)
-    c = model.f_local(np.zeros(model.n))
     n = model.n
     if box_halfwidth is None:
         widths = np.empty(n)
@@ -145,8 +150,8 @@ def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240,
         exit_flags = exit_flags[reach]
     else:
         dropped = 0
-    return ConleyPair(epsilon=epsilon, tau=tau, c=c, samples=accepted,
-                      exit_mask=exit_flags, dropped=dropped)
+    return ConleyPair(epsilon=epsilon, tau=tau, c=model.critical_value,
+                      samples=accepted, exit_mask=exit_flags, dropped=dropped)
 
 
 @dataclass
@@ -167,20 +172,11 @@ class Leaf:
     boundary_plus: np.ndarray
     boundary_local: np.ndarray
 
-    def point_at(self, z_plus, model):
-        vals = self.graph.evaluate(z_plus)
-        point = np.zeros(model.n)
-        point[: model.k] = vals
-        point[model.k:] = z_plus
-        return point
-
-    def inside_points(self, model):
-        base = self.graph.grid_points()[self.inside_mask.ravel()]
-        vals = self.graph.values_flat()[self.inside_mask.ravel()]
-        pts = np.zeros((base.shape[0], model.n))
-        pts[:, : model.k] = vals
-        pts[:, model.k:] = base
-        return base, pts
+    def inside_points(self):
+        """Plus coordinates and local points of the grid nodes inside the clip."""
+        inside = self.inside_mask.ravel()
+        return (self.graph.grid_points()[inside],
+                self.graph.local_points()[inside])
 
 
 @dataclass
@@ -211,19 +207,14 @@ class FoliationAtlas:
         is compared against every leaf graph at its plus part, because
         codimension-k sets cannot be membership-tested by ambient distance.
         """
-        model = self.model
         tol = (10.0 * self.interp_tolerance + 1e-9 if residual_tol is None
                else residual_tol)
-        point_local = np.asarray(point_local, dtype=float)
-        z_plus = point_local[model.k:]
         best = (None, np.inf)
         for label in self.all_labels():
-            leaf = self.leaf(label)
             try:
-                val = leaf.graph.evaluate(z_plus)
+                residual = self.leaf(label).graph.residual(point_local)
             except OutsideSampledDomain:
                 continue
-            residual = float(np.linalg.norm(point_local[: model.k] - val))
             if residual < best[1]:
                 best = (label, residual)
         if best[0] is None or best[1] > tol:
@@ -250,33 +241,14 @@ def _leaf_boundary(model, graph, clip_level, resolution=8):
         if d > 2:
             dirs = np.pad(dirs, ((0, 0), (0, d - 2)))
 
-    def leaf_f(z_plus):
-        vals = graph.evaluate(z_plus)
-        point = np.zeros(model.n)
-        point[: model.k] = vals
-        point[model.k:] = z_plus
-        return model.f_local(point), point
-
-    r_max = float(min(ax[-1] for ax in graph.axes))
-    boundary_plus, boundary_local = [], []
+    tol = 1e-12 * max(1.0, abs(clip_level)) + 1e-15
+    boundary_plus = []
     for u in dirs:
-        f_hi, _ = leaf_f(r_max * u)
-        if f_hi < clip_level:
-            continue  # leaf not clipped along this ray
-        lo, hi = 0.0, r_max
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            val, point = leaf_f(mid * u)
-            if abs(val - clip_level) <= 1e-12 * max(1.0, abs(clip_level)) + 1e-15:
-                break
-            if val < clip_level:
-                lo = mid
-            else:
-                hi = mid
-        boundary_plus.append(mid * u)
-        boundary_local.append(point)
-    return (np.asarray(boundary_plus).reshape(-1, d),
-            np.asarray(boundary_local).reshape(-1, model.n))
+        r = graph.level_crossing(model.f_local, u, clip_level, tol)
+        if r is not None:  # None: the leaf is not clipped along this ray
+            boundary_plus.append(r * u)
+    boundary_plus = np.asarray(boundary_plus).reshape(-1, d)
+    return boundary_plus, graph.local_points(boundary_plus)
 
 
 def build_atlas(solver, stable_graph, sphere_minus, pair=None, epsilon=None,
@@ -296,20 +268,13 @@ def build_atlas(solver, stable_graph, sphere_minus, pair=None, epsilon=None,
                         else tau + np.arange(0.0, 5.0), dtype=float)
     if np.any(T_grid < tau - 1e-12):
         raise ValueError("atlas horizons must satisfy T >= tau")
-    c = model.f_local(np.zeros(model.n))
-    clip = c + epsilon
+    clip = model.critical_value + epsilon
 
     pair = pair if pair is not None else build_pair(model, ladder,
                                                     epsilon=epsilon, tau=tau)
 
     def inside(graph):
-        base = graph.grid_points()
-        vals = graph.values_flat()
-        pts = np.zeros((base.shape[0], model.n))
-        pts[:, : model.k] = vals
-        pts[:, model.k:] = base
-        fvals = np.array([model.f_local(p) for p in pts])
-        return (fvals <= clip).reshape(graph.grid_shape)
+        return (model.f_local(graph.local_points()) <= clip).reshape(graph.grid_shape)
 
     bnd_p, bnd_l = _leaf_boundary(model, stable_graph, clip, boundary_resolution)
     center = Leaf(label="center", graph=stable_graph,
@@ -416,11 +381,11 @@ def induced_flow(atlas, label, z_local, t, rtol=1e-10, atol=1e-12,
         return leaf.base_point.copy()
     if t < 0:
         raise ValueError("the induced flow is a semi-flow: t >= 0")
-    center_point = atlas.center.point_at(z_plus, model)
+    center_point = atlas.center.graph.local_points(z_plus)
     traj = integrate_forward(model.problem, model.to_ambient(center_point),
                              float(t), rtol=rtol, atol=atol)
     y_t = model.to_local(traj.terminal)[model.k:]
-    return leaf.point_at(y_t, model)
+    return leaf.graph.local_points(y_t)
 
 
 def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fd_steps=(1e-4, 1e-5),
@@ -449,8 +414,8 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fd_steps=(1e-4, 1e-5),
     # (i) theta_inf maps leaf samples onto the base point
     for label in atlas.all_labels():
         leaf = atlas.leaf(label)
-        end = induced_flow(atlas, label, leaf.point_at(
-            np.zeros(model.n - model.k), model), math.inf)
+        end = induced_flow(atlas, label, leaf.graph.local_points(
+            np.zeros(model.n - model.k)), math.inf)
         gap = float(np.linalg.norm(end - leaf.base_point))
         report.add(check="retract_theta_inf", T=leaf.T or 0.0,
                    z_minus_label=str(label), z_plus_label="", direction_label="",
@@ -472,8 +437,7 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fd_steps=(1e-4, 1e-5),
     mu_audit = math.inf
     for label in atlas.all_labels():
         leaf = atlas.leaf(label)
-        for z_plus in leaf.boundary_plus:
-            z = leaf.point_at(z_plus, model)
+        for z_plus, z in zip(leaf.boundary_plus, leaf.boundary_local):
             f0 = model.f_local(z)
             quotients = []
             for h in fd_steps:
@@ -503,16 +467,14 @@ def leaf_invariance(atlas, sigmas=(1.0,), rtol=1e-11, atol=1e-13):
             if target_label not in atlas.leaves:
                 continue
             target = atlas.leaves[target_label]
-            base, pts = leaf.inside_points(model)
+            base, pts = leaf.inside_points()
             for z_plus, p in zip(base, pts):
                 traj = integrate_forward(model.problem, model.to_ambient(p),
                                          float(sigma), rtol=rtol, atol=atol)
-                moved = model.to_local(traj.terminal)
                 try:
-                    expected = target.graph.evaluate(moved[model.k:])
+                    gap = target.graph.residual(model.to_local(traj.terminal))
                 except OutsideSampledDomain:
                     continue  # flowed outside the sampled target domain
-                gap = float(np.linalg.norm(moved[: model.k] - expected))
                 report.add(check="invariance", T=float(T),
                            z_minus_label=str((T, ai)),
                            z_plus_label=_label(z_plus),
@@ -524,7 +486,6 @@ def leaf_invariance(atlas, sigmas=(1.0,), rtol=1e-11, atol=1e-13):
 def contraction_to_center(atlas, refine=8):
     """One-sided distance of each leaf to the ascending disk against
     exp(-T lambda / 8)."""
-    model = atlas.model
     ladder = atlas.ladder
     report = ConvergenceReport("center_distance")
     axes = atlas.center.graph.axes
@@ -532,15 +493,12 @@ def contraction_to_center(atlas, refine=8):
                  for ax in axes)
     mesh = np.meshgrid(*fine, indexing="ij")
     probes = np.stack([m.ravel() for m in mesh], axis=-1)
-    center_vals = atlas.center.graph.evaluate(probes)
-    center_pts = np.zeros((probes.shape[0], model.n))
-    center_pts[:, : model.k] = center_vals
-    center_pts[:, model.k:] = probes
+    center_pts = atlas.center.graph.local_points(probes)
     budget = RESIDUAL_TO_ERROR * float(np.max(
         [np.max(lf.graph.residuals) for lf in atlas.leaves.values()]
         + [np.max(atlas.center.graph.residuals)])) + atlas.interp_tolerance
     for label, leaf in atlas.leaves.items():
-        _, pts = leaf.inside_points(model)
+        _, pts = leaf.inside_points()
         sup = 0.0
         for p in pts:
             sup = max(sup, float(np.min(np.linalg.norm(center_pts - p, axis=1))))

@@ -45,6 +45,8 @@ class LocalModel:
         self.eigenvalues = split.eigenvalues
         self.k = split.morse_index
         self.n = split.dimension
+        #: the objective at the critical point, c = f(x0)
+        self.critical_value = self.f_local(np.zeros(self.n))
 
     # -- coordinates ---------------------------------------------------------
     def to_ambient(self, xi):
@@ -60,12 +62,6 @@ class LocalModel:
         out[:, : self.k] = c
         return out[0] if out.shape[0] == 1 else out
 
-    def embed_plus(self, c):
-        c = np.atleast_2d(np.asarray(c, dtype=float))
-        out = np.zeros((c.shape[0], self.n))
-        out[:, self.k:] = c
-        return out[0] if out.shape[0] == 1 else out
-
     # -- nonlinearity ----------------------------------------------------------
     def h(self, xi):
         """Nonlinearity in the adapted frame; accepts (n,) or (m, n)."""
@@ -79,6 +75,7 @@ class LocalModel:
         return np.diag(self.eigenvalues) - self.U.T @ H @ self.U
 
     def f_local(self, xi):
+        """The objective at local point(s): (n,) gives a float, (m, n) an array."""
         return self.problem.f(self.to_ambient(xi))
 
 
@@ -340,8 +337,6 @@ def calibrate_ladder(ladder, model, graph_f, graph_g, overrides=None):
     ascending disk at level varsigma.  Overridden entries are kept.
     """
     overrides = dict(overrides or {})
-    c = model.f_local(np.zeros(model.n))
-
     drop = _boundary_level_change(model, graph_f, sign=-1.0)
     rise = _boundary_level_change(model, graph_g, sign=+1.0)
     varsigma = overrides.get("varsigma", 0.45 * min(drop, rise))
@@ -352,7 +347,8 @@ def calibrate_ladder(ladder, model, graph_f, graph_g, overrides=None):
     if "varkappa" in overrides:
         varkappa = overrides["varkappa"]
     else:
-        varkappa = 0.9 * _plus_radius_within_level(model, graph_g, c + varsigma)
+        varkappa = 0.9 * _plus_radius_within_level(
+            model, graph_g, model.critical_value + varsigma)
         varkappa = min(1.0, varkappa)
     T1 = -math.log(varkappa) / ladder.lambda_
     T0 = max(T1, ladder.T2, 1.0)
@@ -362,10 +358,8 @@ def calibrate_ladder(ladder, model, graph_f, graph_g, overrides=None):
 
 def _boundary_level_change(model, graph, sign):
     """Min |f - c| over the boundary base points of a graph sample."""
-    c = model.f_local(np.zeros(model.n))
-    pts = graph.boundary_points_local(model)
-    vals = np.array([model.f_local(p) for p in pts])
-    change = sign * (vals - c)
+    change = sign * (model.f_local(graph.boundary_points_local())
+                     - model.critical_value)
     lo = float(np.min(change))
     if lo <= 0:
         raise LadderInfeasible("objective not monotone across a graph boundary")
@@ -374,9 +368,8 @@ def _boundary_level_change(model, graph, sign):
 
 def _plus_radius_within_level(model, graph_g, level):
     """Largest base radius of the stable graph staying below ``level``."""
-    base, pts = graph_g.all_points_local(model)
-    radii = np.linalg.norm(base, axis=1)
-    vals = np.array([model.f_local(p) for p in pts])
+    radii = np.linalg.norm(graph_g.grid_points(), axis=1)
+    vals = model.f_local(graph_g.local_points())
     bad = radii[vals > level]
     limit = float(np.min(bad)) if bad.size else float(np.max(radii))
     inside = radii[radii < limit - 1e-15]

@@ -19,6 +19,11 @@ problem:
 
 Picard iteration converges with factor at most 1/2 whenever the rate ladder
 invariants hold.
+
+Solving on a tensor grid of base points gives a ``GraphSample``.  Every
+other module reaches the local-frame geometry of a sampled graph through it:
+the points over given base points, the residual of a point against the
+graph, and the level crossings of the objective along rays of its domain.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from .kernels import ExpConvolver
 NORM_SLACK = 1e-9
 STALL_FACTOR = 0.9
 STALL_STEPS = 10
+#: cap on the halvings of ``GraphSample.level_crossing``
+LEVEL_BISECT_STEPS = 200
 
 
 def default_horizon(ladder):
@@ -299,7 +306,12 @@ class GraphSample:
 
     ``axes`` are 1D arrays of subspace coordinates; ``values`` maps the grid
     into the complementary subspace (shape ``grid_shape + (codim,)``).
-    ``domain_sign`` tells which subspace the base grid lives in.
+    ``domain_sign`` tells which subspace the base grid lives in.  It is the
+    only code that knows how the graph sits in the local frame (minus
+    coordinates first): ``local_points`` puts base points and graph values
+    together, ``residual`` measures a local point against the graph, and
+    ``level_crossing`` bisects a level of the objective along a ray of the
+    domain.
     """
 
     kind: str
@@ -345,27 +357,74 @@ class GraphSample:
     def values_flat(self):
         return self.values.reshape(-1, self.codim)
 
-    def _assemble_local(self, base, vals, model):
-        pts = np.zeros((base.shape[0], model.n))
-        if self.domain_sign == "minus":
-            pts[:, : model.k] = base
-            pts[:, model.k:] = vals
+    def local_points(self, base=None):
+        """Local-frame point(s) on the graph over base point(s).
+
+        ``base`` is one base point ``(d,)`` or many ``(m, d)``, evaluated by
+        interpolation; None gives every grid node, in grid order, with its
+        sampled value.  The base fills the domain slot and the graph value
+        the other one.
+        """
+        if base is None:
+            base, vals = self.grid_points(), self.values_flat()
         else:
-            pts[:, : model.k] = vals
-            pts[:, model.k:] = base
-        return pts
+            base = np.asarray(base, dtype=float)
+            vals = self.evaluate(base)
+        parts = (base, vals) if self.domain_sign == "minus" else (vals, base)
+        return np.concatenate(parts, axis=-1)
 
-    def all_points_local(self, model):
-        base = self.grid_points()
-        return base, self._assemble_local(base, self.values_flat(), model)
+    def residual(self, point):
+        """Distance between the codomain part of one local point and the
+        graph value at its domain part.
 
-    def boundary_points_local(self, model):
+        Raises :class:`OutsideSampledDomain` when the domain part lies
+        outside the sampled grid.
+        """
+        point = np.asarray(point, dtype=float)
+        d = len(self.axes)
+        base, value = ((point[:d], point[d:]) if self.domain_sign == "minus"
+                       else (point[-d:], point[:-d]))
+        return float(np.linalg.norm(value - self.evaluate(base)))
+
+    def boundary_points_local(self):
+        """Local points over the grid nodes on the boundary of the domain."""
         base = self.grid_points()
-        vals = self.values_flat()
         on_bd = np.zeros(base.shape[0], bool)
         for i, ax in enumerate(self.axes):
             on_bd |= np.isclose(base[:, i], ax[0]) | np.isclose(base[:, i], ax[-1])
-        return self._assemble_local(base[on_bd], vals[on_bd], model)
+        return self.local_points()[on_bd]
+
+    def level_crossing(self, f, direction, level, tol):
+        """Radius r at which ``f`` on the graph point over ``r * direction``
+        crosses ``level``, by bisection on [0, r_max]; None when the ray
+        leaves the sampled domain (radius r_max) before reaching the level.
+
+        ``f`` falls away from the critical point on a graph over the minus
+        subspace (the unstable manifold) and rises on a graph over the plus
+        subspace, so the bracket keeps its near end on the side of f(0).
+        Bisection stops when |f - level| <= ``tol``, when the bracket is
+        below the floating-point resolution of the radius, or after
+        ``LEVEL_BISECT_STEPS`` halvings.
+        """
+        sign = -1.0 if self.domain_sign == "minus" else 1.0
+        r_max = float(min(ax[-1] for ax in self.axes))
+
+        def offset(r):
+            return sign * (f(self.local_points(r * direction)) - level)
+
+        if offset(r_max) < 0:
+            return None
+        lo, hi = 0.0, r_max
+        for _ in range(LEVEL_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            val = offset(mid)
+            if abs(val) <= tol or hi - lo < 1e-16 * max(1.0, r_max):
+                break
+            if val < 0:
+                lo = mid
+            else:
+                hi = mid
+        return mid
 
     def interp_tolerance(self):
         """Second-difference estimate of the multilinear interpolation error."""

@@ -182,9 +182,14 @@ def stage_lambda(state, T_count=5):
     reports["endpoint"] = convergence.endpoint_audit(solver, graph_t)
 
     failed = _emit_reports(state, reports)
+    # the second quotients are keyed by tuples, which JSON cannot write
+    second = reports["lipschitz_T"].extras.get("second_quotients", {})
     state.details["lambda"] = {
         "fitted_rates": c0.fitted_rates,
         "rate_bound": c0.extras.get("rate_bound"),
+        "linearized_vs_fd_max": (reports["c1"].extras.get("linearized_vs_fd_max")
+                                 if "c1" in reports else None),
+        "second_quotient_max": max(second.values(), default=None),
         "all_ok": not failed,
     }
     if failed:

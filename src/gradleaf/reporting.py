@@ -104,13 +104,10 @@ def report_rows(report):
 
 def atlas_leaf_rows(leaf, model):
     base = leaf.graph.grid_points()
-    vals = leaf.graph.values_flat()
+    points = leaf.graph.local_points()
     inside = leaf.inside_mask.ravel()
     rows = []
-    for b, v, keep in zip(base, vals, inside):
-        point = np.zeros(model.n)
-        point[: model.k] = v
-        point[model.k:] = b
+    for b, point, keep in zip(base, points, inside):
         ambient = model.to_ambient(point)
         rows.append([*b, *ambient, model.f_local(point), int(keep)])
     return rows

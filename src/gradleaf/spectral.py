@@ -35,35 +35,6 @@ class SpectralSplit:
     proj_minus: np.ndarray
     proj_plus: np.ndarray
 
-    @property
-    def lambda_min(self):
-        return float(self.eigenvalues[0])
-
-    @property
-    def lambda_max(self):
-        return float(self.eigenvalues[-1])
-
-    @property
-    def minus_basis(self):
-        return self.eigenvectors[:, : self.morse_index]
-
-    @property
-    def plus_basis(self):
-        return self.eigenvectors[:, self.morse_index:]
-
-    # subspace coordinates are taken w.r.t. the adapted orthonormal basis
-    def to_minus_coords(self, v):
-        return np.asarray(v) @ self.minus_basis
-
-    def to_plus_coords(self, v):
-        return np.asarray(v) @ self.plus_basis
-
-    def from_minus_coords(self, c):
-        return np.asarray(c) @ self.minus_basis.T
-
-    def from_plus_coords(self, c):
-        return np.asarray(c) @ self.plus_basis.T
-
 
 def split(hessian, tol=None):
     """Spectral splitting of a symmetric matrix.

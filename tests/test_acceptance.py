@@ -214,7 +214,7 @@ def test_criterion_9_dynamical_thickening(p2, atlas_p2):
         assert rep.extras["mu_audit"] > 0.0
         label = sorted(atlas_p2.leaves)[0]
         leaf = atlas_p2.leaf(label)
-        z = leaf.point_at(np.array([0.5 * lad.R]), p2.model)
+        z = leaf.graph.local_points(np.array([0.5 * lad.R]))
         assert np.array_equal(
             fol.induced_flow(atlas_p2, label, z, math.inf), leaf.base_point)
         t_big = 20.0

@@ -253,7 +253,7 @@ def test_induced_flow_quadratic_closed_form(atlas_p1, p1):
     T = label[0]
     alpha = p1.disk.sphere_minus[label[1]][0]
     y0 = 0.3 * p1.ladder.R
-    z = atlas_p1.leaf(label).point_at(np.array([y0]), p1.model)
+    z = atlas_p1.leaf(label).graph.local_points(np.array([y0]))
     for t in (0.7, 2.0):
         out = fol.induced_flow(atlas_p1, label, z, t)
         expected = np.array([alpha * math.exp(-T), y0 * math.exp(-2 * t)])
@@ -271,7 +271,7 @@ def test_induced_flow_fixes_base_point(atlas_p2):
 def test_induced_flow_infinite_time(atlas_p2, p2):
     label = sorted(atlas_p2.leaves)[0]
     leaf = atlas_p2.leaf(label)
-    z = leaf.point_at(np.array([0.5 * p2.ladder.R]), p2.model)
+    z = leaf.graph.local_points(np.array([0.5 * p2.ladder.R]))
     out = fol.induced_flow(atlas_p2, label, z, math.inf)
     assert np.array_equal(out, leaf.base_point)
 
@@ -280,7 +280,7 @@ def test_induced_flow_large_t_surrogate(atlas_p2, p2):
     lad = p2.ladder
     label = sorted(atlas_p2.leaves)[0]
     leaf = atlas_p2.leaf(label)
-    z = leaf.point_at(np.array([0.5 * lad.R]), p2.model)
+    z = leaf.graph.local_points(np.array([0.5 * lad.R]))
     t_big = 20.0
     out = fol.induced_flow(atlas_p2, label, z, t_big)
     gap = np.linalg.norm(out - leaf.base_point)
@@ -291,7 +291,7 @@ def test_induced_flow_large_t_surrogate(atlas_p2, p2):
 def test_induced_flow_cocycle(atlas_p2, p2):
     label = sorted(atlas_p2.leaves)[1]
     leaf = atlas_p2.leaf(label)
-    z = leaf.point_at(np.array([0.45 * p2.ladder.R]), p2.model)
+    z = leaf.graph.local_points(np.array([0.45 * p2.ladder.R]))
     one = fol.induced_flow(atlas_p2, label, z, 3.0)
     two = fol.induced_flow(atlas_p2, label,
                            fol.induced_flow(atlas_p2, label, z, 1.2), 1.8)
@@ -308,7 +308,7 @@ def test_induced_flow_domain_guard(atlas_p2, p2):
 def test_center_leaf_flow_is_plain_flow(atlas_p2, p2):
     # on the center leaf the induced flow restricts to the gradient flow
     y0 = 0.4 * p2.ladder.R
-    z = atlas_p2.center.point_at(np.array([y0]), p2.model)
+    z = atlas_p2.center.graph.local_points(np.array([y0]))
     out = fol.induced_flow(atlas_p2, "center", z, 1.5)
     traj = integrate_forward(p2.problem, p2.model.to_ambient(z), 1.5,
                              rtol=1e-12, atol=1e-15)
@@ -368,14 +368,14 @@ def test_shrink_to_critical_point(p2):
 def test_atlas_locate_and_contains(atlas_p2, p2):
     label = sorted(atlas_p2.leaves)[1]
     leaf = atlas_p2.leaf(label)
-    z = leaf.point_at(np.array([0.3 * p2.ladder.R]), p2.model)
+    z = leaf.graph.local_points(np.array([0.3 * p2.ladder.R]))
     assert atlas_p2.locate(z) == label
     assert atlas_p2.contains(z)
     # a point off every leaf graph is not located
     off = z + np.array([10 * atlas_p2.interp_tolerance + 1e-5, 0.0])
     assert atlas_p2.locate(off) is None
     # center-leaf points resolve to the center label
-    zc = atlas_p2.center.point_at(np.array([0.2 * p2.ladder.R]), p2.model)
+    zc = atlas_p2.center.graph.local_points(np.array([0.2 * p2.ladder.R]))
     assert atlas_p2.locate(zc) == "center"
 
 
@@ -390,6 +390,9 @@ class _RaisingGraph:
         return getattr(self._graph, name)
 
     def evaluate(self, z):
+        raise self._exc("graph evaluation failed")
+
+    def residual(self, point):
         raise self._exc("graph evaluation failed")
 
 
@@ -461,8 +464,8 @@ def test_codim2_disjoint_and_retract(atlas_p3):
 def test_codim2_induced_flow(atlas_p3, p3):
     label = sorted(atlas_p3.leaves)[0]
     leaf = atlas_p3.leaf(label)
-    z = leaf.point_at(np.array([0.2 * p3.ladder.R, -0.15 * p3.ladder.R]),
-                      p3.model)
+    z = leaf.graph.local_points(
+        np.array([0.2 * p3.ladder.R, -0.15 * p3.ladder.R]))
     out = fol.induced_flow(atlas_p3, label, z, 1.5)
     # plus part contracts under the diagonal stable rates (1 and 3)
     assert abs(out[1]) == pytest.approx(abs(z[1]) * np.exp(-1.5), rel=1e-6)

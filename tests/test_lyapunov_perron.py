@@ -445,3 +445,34 @@ def test_mixed_rejects_short_horizon(p2):
     with pytest.raises(HorizonMismatch):
         lp.solve_mixed(p2.model, p2.ladder, 0.5 * p2.ladder.T0, zm,
                        np.zeros(1), orbit, cache=p2.cache)
+
+
+def test_graph_sample_local_frame(p3):
+    # the unstable graph fills the minus slot with its base, the stable graph
+    # the plus slot; residual measures the other slot against the graph
+    k, R = p3.model.k, p3.ladder.R
+    for graph, base in ((p3.graph_f, np.array([0.3 * R])),
+                        (p3.graph_g, np.array([0.2 * R, -0.1 * R]))):
+        point = graph.local_points(base)
+        dom, cod = ((point[:k], point[k:]) if graph is p3.graph_f
+                    else (point[k:], point[:k]))
+        assert np.array_equal(dom, base)
+        assert np.array_equal(cod, graph.evaluate(base))
+        assert graph.residual(point) == 0.0
+        shifted = point.copy()
+        shifted[1 if graph is p3.graph_f else 0] += 1e-3
+        assert graph.residual(shifted) == pytest.approx(1e-3, rel=1e-9)
+        nodes = graph.local_points()
+        assert np.array_equal(nodes, graph.local_points(graph.grid_points()))
+
+
+def test_graph_sample_level_crossing(p3):
+    f, c = p3.model.f_local, p3.model.critical_value
+    u = np.array([1.0])
+    level = c - p3.ladder.epsilon
+    r = p3.graph_f.level_crossing(f, u, level, 1e-12)
+    assert abs(f(p3.graph_f.local_points(r * u)) - level) <= 1e-12
+    # f falls along rays of the unstable graph and rises along rays of the
+    # stable one; a level beyond the sampled range is not reached
+    assert p3.graph_f.level_crossing(f, u, c - 1.0, 1e-12) is None
+    assert p3.graph_g.level_crossing(f, np.array([1.0, 0.0]), c + 1.0, 1e-12) is None

@@ -57,6 +57,14 @@ def test_stage_dependencies_autorun(tmp_path):
     assert state.statuses["lambda"] == "pass"
 
 
+def test_lambda_diagnostics_in_manifest(tmp_path):
+    pipeline.run(quartic_saddle(), tmp_path, stages=("lambda",))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    details = manifest["details"]["lambda"]
+    for key in ("linearized_vs_fd_max", "second_quotient_max"):
+        assert np.isfinite(details[key]), key
+
+
 def test_run_writes_manifest_on_error(tmp_path):
     problem = quartic_saddle()
     bad = pipeline.RunState(problem=problem, out_dir=tmp_path)
