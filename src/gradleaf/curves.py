@@ -15,6 +15,7 @@ import numpy as np
 from .errors import HorizonMismatch
 
 NODES_PER_PANEL = 13  # polynomial degree 12 per panel
+MIN_PANELS = 3
 
 #: horizon kinds; the weight of the exp norm depends on the kind
 FORWARD_FINITE = "forward_finite"      # [0, T], weight e^{+lambda t}
@@ -58,19 +59,18 @@ class PanelGrid:
     """Composite Chebyshev-Lobatto grid on ``[t0, t1]``.
 
     Adjacent panels share their endpoint node; the flat grid therefore has
-    ``n_panels * (nodes_per_panel - 1) + 1`` distinct, strictly increasing
-    nodes.
+    ``n_panels * (NODES_PER_PANEL - 1) + 1`` distinct, strictly increasing
+    nodes.  There are at least ``MIN_PANELS`` panels.
     """
 
-    def __init__(self, t0, t1, max_rate, nodes_per_panel=NODES_PER_PANEL,
-                 min_panels=3):
+    def __init__(self, t0, t1, max_rate):
         if not t1 > t0:
             raise ValueError("need t1 > t0")
         width = min(0.5, 2.0 / max(float(max_rate), 1e-12))
-        n_panels = max(min_panels, int(np.ceil((t1 - t0) / width)))
+        n_panels = max(MIN_PANELS, int(np.ceil((t1 - t0) / width)))
         self.t0 = float(t0)
         self.t1 = float(t1)
-        self.p = nodes_per_panel - 1
+        self.p = NODES_PER_PANEL - 1
         self.n_panels = n_panels
         self.edges = np.linspace(t0, t1, n_panels + 1)
         ref = _lobatto_reference(self.p)

@@ -13,11 +13,18 @@ the recursions below are unconditionally stable and nothing can overflow.
 Within a panel, ``y`` is replaced by its Chebyshev-Lobatto interpolant and
 the product with the kernel is integrated by Gauss-Legendre quadrature of
 order 16; the panel width is tied to the stiffest rate, so both factors are
-resolved to near machine precision.  Across panels the accumulated integral
-is propagated by exact endpoint decay factors.  Panels of one grid all have
-the same width, so a single set of local operators per rate serves the whole
-horizon; one instance serves every Picard iteration and every sample sharing
-the horizon.
+resolved to near machine precision.  Panels of one grid all have the same
+width, so a single set of local operators per rate serves the whole horizon;
+one instance serves every Picard iteration and every sample sharing the
+horizon.
+
+Each convolution gathers the samples of all panels through a precomputed
+index array and forms every panel's local integrals in one stacked product.
+Only the carry across panels is sequential: a scalar recursion in which the
+accumulated integral decays by the exact endpoint factor of one panel.  The
+stacked ``matmul`` rounds exactly as one product per panel does, and the
+carry runs in the same order, so the result is the same bit for bit as a
+panel-by-panel loop.
 """
 
 from __future__ import annotations
@@ -38,14 +45,14 @@ class ExpConvolver:
     ``rates[j] <= 0``.
     """
 
-    def __init__(self, grid, rates, gauss_order=GAUSS_ORDER):
+    def __init__(self, grid, rates):
         self.grid = grid
         self.rates = np.asarray(rates, dtype=float)
         p = grid.p
         m = p + 1
         ref = _lobatto_reference(p)
         ref_w = barycentric_weights(ref)
-        gx, gw = roots_legendre(gauss_order)
+        gx, gw = roots_legendre(GAUSS_ORDER)
         gx = 0.5 * (gx + 1.0)  # map to [0, 1]
         gw = 0.5 * gw
 
@@ -54,6 +61,8 @@ class ExpConvolver:
             raise ValueError("ExpConvolver expects a uniform-width panel grid")
         w = float(widths[0])
         n_rates = self.rates.size
+        #: flat-grid index of every panel node, (n_panels, p + 1)
+        self._rows = np.arange(grid.n_panels)[:, None] * p + np.arange(m)
 
         self._fwd_local = np.zeros((n_rates, m, m))
         self._bwd_local = np.zeros((n_rates, m, m))
@@ -89,30 +98,40 @@ class ExpConvolver:
         """F(t) on the flat grid for coordinate samples ``y``; needs lam >= 0."""
         if self.rates[rate_index] < 0.0:
             raise ValueError("forward convolution requires a non-negative rate")
-        grid = self.grid
-        local = self._fwd_local[rate_index]
-        carry = self._fwd_carry[rate_index]
-        out = np.empty(grid.size)
-        acc = 0.0
-        for ip in range(grid.n_panels):
-            sl = grid.panel_slice(ip)
-            vals = carry * acc + local @ y[sl]
-            out[sl] = vals
-            acc = vals[-1]
+        vals = self._panel_values(self._fwd_local[rate_index],
+                                  self._fwd_carry[rate_index], y, -1)
+        # a node shared by two panels takes the later panel's value
+        out = np.empty(self.grid.size)
+        out[:-1] = vals[:, :-1].ravel()
+        out[-1] = vals[-1, -1]
         return out
 
     def backward(self, rate_index, y):
         """B(t) on the flat grid for coordinate samples ``y``; needs lam <= 0."""
         if self.rates[rate_index] > 0.0:
             raise ValueError("backward convolution requires a non-positive rate")
-        grid = self.grid
-        local = self._bwd_local[rate_index]
-        carry = self._bwd_carry[rate_index]
-        out = np.empty(grid.size)
-        acc = 0.0
-        for ip in reversed(range(grid.n_panels)):
-            sl = grid.panel_slice(ip)
-            vals = carry * acc + local @ y[sl]
-            out[sl] = vals
-            acc = vals[0]
+        vals = self._panel_values(self._bwd_local[rate_index],
+                                  self._bwd_carry[rate_index], y, 0)
+        # a node shared by two panels takes the earlier panel's value
+        out = np.empty(self.grid.size)
+        out[1:] = vals[:, 1:].ravel()
+        out[0] = vals[0, 0]
         return out
+
+    def _panel_values(self, local, carry, y, exit_node):
+        """Convolution values on every panel, (n_panels, p + 1): the local
+        integrals plus the integral carried in, a scalar recursion in sweep
+        order through each panel's value at ``exit_node`` (-1 forward, 0
+        backward)."""
+        # rounds as one ``local @ y[panel]`` per panel; ``@ local.T``,
+        # ``dot`` and ``einsum`` do not
+        L = np.matmul(local, y[self._rows][..., None])[..., 0]
+        d = float(carry[exit_node])
+        exits = L[:, exit_node].tolist()
+        order = range(len(exits)) if exit_node == -1 else reversed(range(len(exits)))
+        acc = np.empty(len(exits))
+        a = 0.0
+        for i in order:
+            acc[i] = a
+            a = d * a + exits[i]
+        return carry * acc[:, None] + L

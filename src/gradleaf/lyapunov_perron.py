@@ -397,7 +397,8 @@ class GraphSample:
     def level_crossing(self, f, direction, level, tol):
         """Radius r at which ``f`` on the graph point over ``r * direction``
         crosses ``level``, by bisection on [0, r_max]; None when the ray
-        leaves the sampled domain (radius r_max) before reaching the level.
+        leaves the sampled domain (radius r_max) before reaching the level,
+        or when the level lies behind f(0), where the ray starts.
 
         ``f`` falls away from the critical point on a graph over the minus
         subspace (the unstable manifold) and rises on a graph over the plus
@@ -412,7 +413,7 @@ class GraphSample:
         def offset(r):
             return sign * (f(self.local_points(r * direction)) - level)
 
-        if offset(r_max) < 0:
+        if offset(0.0) >= 0 or offset(r_max) < 0:
             return None
         lo, hi = 0.0, r_max
         for _ in range(LEVEL_BISECT_STEPS):
@@ -577,7 +578,7 @@ def graph_derivative_linearized(model, ladder, fp_result, v_plus, tol=1e-11,
     curve = fp_result.curve
     grid = curve.grid
     conv = cache.convolver(grid)
-    dh_nodes = np.stack([model.dh(xi) for xi in curve.values])
+    dh_nodes = model.dh(curve.values)
     X = _linearized_fixed_point(model, ladder, grid, conv, dh_nodes,
                                 np.asarray(v_plus, dtype=float), tol)
     return X[0, : model.k]

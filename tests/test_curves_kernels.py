@@ -116,6 +116,52 @@ def test_convolver_rejects_wrong_sign(grid):
         conv.backward(1, np.zeros(grid.size))
 
 
+def _forward_per_panel(conv, r, y):
+    """Reference: the per-panel loop, one local product per panel."""
+    grid, local, carry = conv.grid, conv._fwd_local[r], conv._fwd_carry[r]
+    out, acc = np.empty(grid.size), 0.0
+    for ip in range(grid.n_panels):
+        sl = grid.panel_slice(ip)
+        vals = carry * acc + local @ y[sl]
+        out[sl] = vals
+        acc = vals[-1]
+    return out
+
+
+def _backward_per_panel(conv, r, y):
+    grid, local, carry = conv.grid, conv._bwd_local[r], conv._bwd_carry[r]
+    out, acc = np.empty(grid.size), 0.0
+    for ip in reversed(range(grid.n_panels)):
+        sl = grid.panel_slice(ip)
+        vals = carry * acc + local @ y[sl]
+        out[sl] = vals
+        acc = vals[0]
+    return out
+
+
+@pytest.mark.parametrize("n_panels", [3, 25, 80, 160])
+def test_stacked_convolution_matches_per_panel_loop(n_panels):
+    grid = PanelGrid(0.0, 0.5 * n_panels, max_rate=1.0)
+    assert grid.n_panels == n_panels
+    rates = np.array([-4.0, -1.3, -0.2, 0.0, 0.6, 2.3, 4.0])
+    conv = ExpConvolver(grid, rates)
+    rng = np.random.default_rng(n_panels)
+    samples = rng.standard_normal((grid.size, rates.size))
+    for r, lam in enumerate(rates):
+        # a column of a 2-D array, as the operators pass it
+        y = samples[:, r]
+        if lam >= 0.0:
+            assert _same_bits(conv.forward(r, y), _forward_per_panel(conv, r, y))
+        else:
+            with pytest.raises(ValueError, match="non-negative"):
+                conv.forward(r, y)
+        if lam <= 0.0:
+            assert _same_bits(conv.backward(r, y), _backward_per_panel(conv, r, y))
+        else:
+            with pytest.raises(ValueError, match="non-positive"):
+                conv.backward(r, y)
+
+
 def test_exp_norm_forward():
     grid = PanelGrid(0.0, 4.0, max_rate=1.0)
     lam = 0.5

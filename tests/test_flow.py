@@ -186,6 +186,13 @@ def test_epsilon_too_large_raises(p1):
         descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=10.0)
 
 
+def test_level_behind_critical_value_raises(p1):
+    # a negative epsilon asks for a level above c, which the unstable graph
+    # never reaches: f falls along its rays from f(0) = c
+    with pytest.raises(LevelNotReached):
+        descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=-1e-3)
+
+
 def test_disk_backward_invariant(p2):
     # backward flow keeps interior samples inside the disk (graph membership)
     for zm in p2.disk.interior_minus[1:3]:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import strategies as st
 
 from gradleaf.errors import IndexOutOfRange, LadderInfeasible, OutOfTrustRegion
 from gradleaf.local_model import (
+    KAPPA_SAFETY,
     KappaModulus,
     LocalModel,
+    _ball_samples,
     build_ladder,
     flatten_map,
+    lipschitz_modulus,
     nonlinearity,
 )
 from gradleaf.polynomials import Polynomial
-from gradleaf.problems import problem_from_dict
+from gradleaf.problems import load_problem, problem_from_dict
 from gradleaf.spectral import split
 
 
@@ -213,3 +217,65 @@ def test_unknown_ladder_override_rejected():
     kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(ConfigError):
         build_ladder(sp, kappa, choices={"lamda": 0.5})
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _k2_model():
+    problem = load_problem(Path(__file__).resolve().parent.parent / "configs" / "k2_cubic.json")
+    return LocalModel(problem, split(problem.hess(problem.critical_point)))
+
+
+def test_batched_dh_matches_per_point(p2, p3):
+    for model in (p2.model, p3.model, _k2_model()):
+        rng = np.random.default_rng(model.n)
+        pts = 0.4 * model.problem.trust_radius * rng.standard_normal((37, model.n))
+        stacked = np.stack([model.dh(xi) for xi in pts])
+        assert _same_bits(model.dh(pts), stacked)
+        assert _same_bits(model.dh(pts[:1]), stacked[:1])
+
+
+def _lipschitz_modulus_per_point(problem, sp, samples, rng):
+    """Reference: the kappa sampling with one dh call per point."""
+    model = LocalModel(problem, sp)
+    n, rho0 = problem.dimension, problem.trust_radius
+    values = []
+    for rho in rho0 * 0.5 ** np.arange(0, 11)[::-1]:
+        best = 0.0
+        pts = _ball_samples(rng, n, rho, samples)
+        qts = _ball_samples(rng, n, rho, samples)
+        dn = np.linalg.norm(pts - qts, axis=1)
+        ok = dn > 1e-12 * rho
+        if np.any(ok):
+            quot = np.linalg.norm(model.h(pts)[ok] - model.h(qts)[ok], axis=1) / dn[ok]
+            best = float(np.max(quot))
+        axes = np.linspace(-rho / math.sqrt(n), rho / math.sqrt(n), 5)
+        mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        shell = _ball_samples(rng, n, rho, samples)
+        shell *= rho / np.maximum(np.linalg.norm(shell, axis=1, keepdims=True), 1e-300)
+        for xi in np.concatenate([mesh, shell]):
+            best = max(best, float(np.linalg.norm(model.dh(xi), 2)))
+        values.append(KAPPA_SAFETY * best)
+    best = 0.0
+    pts = _ball_samples(rng, n, rho0, samples)
+    qts = _ball_samples(rng, n, rho0, samples)
+    for a, b in zip(pts, qts):
+        dn = float(np.linalg.norm(a - b))
+        if dn > 1e-12:
+            best = max(best, float(np.linalg.norm(model.dh(a) - model.dh(b), 2)) / dn)
+    return np.maximum.accumulate(values), KAPPA_SAFETY * best
+
+
+def test_lipschitz_modulus_matches_per_point_loop(p2):
+    # the ladder stage's draw at seed 0: with it, a row-wise norm of
+    # pts - qts as the kappa* denominator rounds differently from the
+    # per-pair norm on p2
+    modulus, kappa_star = lipschitz_modulus(p2.problem, p2.split, samples=160,
+                                            rng=np.random.default_rng(1))
+    values, ref_star = _lipschitz_modulus_per_point(
+        p2.problem, p2.split, 160, np.random.default_rng(1))
+    assert _same_bits(modulus.values[1:], values)
+    assert kappa_star is not None and kappa_star == ref_star

@@ -476,3 +476,6 @@ def test_graph_sample_level_crossing(p3):
     # stable one; a level beyond the sampled range is not reached
     assert p3.graph_f.level_crossing(f, u, c - 1.0, 1e-12) is None
     assert p3.graph_g.level_crossing(f, np.array([1.0, 0.0]), c + 1.0, 1e-12) is None
+    # a level behind f(0) is not reached either
+    assert p3.graph_f.level_crossing(f, u, c + 1e-3, 1e-12) is None
+    assert p3.graph_g.level_crossing(f, np.array([1.0, 0.0]), c - 1e-3, 1e-12) is None
