@@ -3,6 +3,13 @@
 No operation here ever integrates the gradient equation in reverse time.
 Backward motion exists only on the unstable manifold, where it is read off
 the emanating-orbit fixed points of the backward contraction operator.
+
+Forward integration is gradleaf's own DOP853 (Hairer, Norsett & Wanner,
+*Solving Ordinary Differential Equations I*, II.4-II.6, and Hairer's
+``dop853.f``; coefficients in :mod:`gradleaf.dop853`).  It repeats scipy's
+``solve_ivp(method="DOP853")`` operation for operation (step-size control,
+error norm, initial step, dense output and the choice of interpolant), so
+its steps, states and interpolated values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -11,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
 
+from . import dop853
 from .errors import (
     BlowUp,
     HorizonMismatch,
@@ -25,12 +32,15 @@ from .lyapunov_perron import backward_orbit
 BLOWUP_RADIUS = 1e3
 MANIFOLD_RESIDUAL_TOL = 1e-7
 
-# step-size control of scipy's explicit Runge-Kutta solvers, which the batch
-# integrator repeats row by row (Hairer, Norsett & Wanner, Solving Ordinary
-# Differential Equations I, II.4)
+# step-size control (Hairer, Norsett & Wanner, II.4), as in scipy's explicit
+# Runge-Kutta solvers
 STEP_SAFETY = 0.9
 STEP_MIN_FACTOR = 0.2
 STEP_MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
+#: width to which an exit time is bisected, relative to 1 + |t| (the
+#: tolerance scipy's event location hands to its root finder)
+EXIT_TIME_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -48,10 +58,9 @@ class Trajectory:
     stopped_at: float | None = None
 
     def at(self, t):
-        """State at time ``t`` from the integrator's dense output."""
-        t = np.asarray(t, dtype=float)
-        out = self.dense(t)
-        return out.T if t.ndim else out
+        """State(s) at time(s) ``t`` from the integrator's dense output,
+        shape ``np.shape(t) + (n,)``."""
+        return self.dense(np.asarray(t, dtype=float))
 
     @property
     def terminal(self):
@@ -70,60 +79,240 @@ class Trajectory:
         return [[t, *state, fv] for t, state, fv in zip(self.times, self.states, f)]
 
 
+class DenseSolution:
+    """The accepted steps of one DOP853 run and its dense output.
+
+    ``times`` holds 0 and every step end (at a stop, the stop time in place
+    of the last one) and ``states`` the state at each.  Segment ``i`` is the
+    step of size ``steps[i]`` from ``times[i]``; its seventh-order
+    interpolant needs three more right-hand-side evaluations, so it is formed
+    only when a time in the segment is first evaluated.  ``nfev`` counts the
+    right-hand-side evaluations made so far.
+    """
+
+    def __init__(self, fun, y0):
+        self._fun = fun
+        self.nfev = 0
+        self.times = [0.0]
+        self.states = [y0]
+        self.steps = []
+        self.stopped_at = None
+        self._ends = [y0]      # the step ends as the steps produced them
+        self._stages = []      # each step's (16, n) stage array, 13 rows filled
+        self._coefficients = {}
+
+    def rhs(self, y):
+        self.nfev += 1
+        return self._fun(y)
+
+    def accept(self, t, y, h, K):
+        self.times.append(t)
+        self.states.append(y)
+        self.steps.append(h)
+        self._ends.append(y)
+        self._stages.append(K)
+
+    def __call__(self, t):
+        """Interpolated state(s) at time(s) ``t``, shape ``t.shape + (n,)``.
+
+        The segment of ``t`` is chosen as scipy's ``OdeSolution`` chooses
+        it: a step end belongs to the step before it, and times outside the
+        run use the first or last segment.
+        """
+        segment = np.searchsorted(self.times, t, side="left") - 1
+        return self.segment_value(np.clip(segment, 0, len(self.steps) - 1), t)
+
+    def segment_value(self, segment, t):
+        """scipy's ``Dop853DenseOutput`` evaluation, at each time of ``t``
+        on the interpolant of the matching entry of ``segment``."""
+        used, inverse = np.unique(segment, return_inverse=True)
+        F = np.stack([self._interpolant(int(i)) for i in used])[inverse]
+        start = np.asarray(self.times)[segment]
+        x = ((t - start) / np.asarray(self.steps)[segment])[..., None]
+        y = np.zeros(F.shape[:-2] + F.shape[-1:])
+        for i in range(dop853.INTERPOLATOR_POWER):
+            y += F[..., -1 - i, :]
+            y *= x if i % 2 == 0 else 1 - x
+        y += np.asarray(self._ends)[segment]
+        return y
+
+    def _interpolant(self, i):
+        """Coefficients ``F`` (7, n) of segment ``i`` (scipy's
+        ``_dense_output_impl``): the three extra stages, then the
+        interpolant's coefficients."""
+        if i not in self._coefficients:
+            h, K = self.steps[i], self._stages[i]
+            y_old, y_new = self._ends[i], self._ends[i + 1]
+            for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
+                dy = np.dot(K[:s].T, dop853.A[s, :s]) * h
+                K[s] = self.rhs(y_old + dy)
+            f_old, f_new = K[0], K[dop853.N_STAGES]
+            delta_y = y_new - y_old
+            F = np.empty((dop853.INTERPOLATOR_POWER, y_old.size))
+            F[0] = delta_y
+            F[1] = h * f_old - delta_y
+            F[2] = 2 * delta_y - h * (f_new + f_old)
+            F[3:] = h * np.dot(dop853.D, K)
+            self._coefficients[i] = F
+        return self._coefficients[i]
+
+
+def _rk_step(rhs, y, f, h, K):
+    """One DOP853 step (scipy's ``rk_step``); fills the first 13 rows of
+    ``K`` and returns the new state and its derivative."""
+    K[0] = f
+    for s in range(1, dop853.N_STAGES):
+        dy = np.dot(K[:s].T, dop853.A[s, :s]) * h
+        K[s] = rhs(y + dy)
+    y_new = y + h * np.dot(K[:dop853.N_STAGES].T, dop853.B)
+    f_new = rhs(y_new)
+    K[dop853.N_STAGES] = f_new
+    return y_new, f_new
+
+
+def _error_norm(K, h, scale):
+    """scipy's DOP853 error norm of one step from its 13 stages ``K``."""
+    err5 = np.dot(K.T, dop853.E5) / scale
+    err3 = np.dot(K.T, dop853.E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def _rms_vector(x):
+    """Root-mean-square norm of one vector.  A one-row ``_rms`` rounds
+    differently, so the single and batch drivers each keep their own."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, y0, f0, duration, rtol, atol):
+    """scipy's initial-step rule (``select_initial_step``) for one start."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms_vector(y0 / scale)
+    d1 = _rms_vector(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, duration)
+    d2 = _rms_vector((rhs(y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (dop853.ERROR_ESTIMATOR_ORDER + 1))
+    return min(100 * h0, h1, duration)
+
+
+def _step_failure(t):
+    return BlowUp(f"integrator failed: required step size is less than "
+                  f"spacing between numbers (t = {t:.4g})")
+
+
+def solve_ivp(fun, duration, y0, rtol, atol, exit_event=None):
+    """DOP853 for the autonomous system y' = fun(y) from ``y0`` at time 0
+    to ``duration > 0``.
+
+    ``exit_event(y)``, when given, stops the run where it crosses zero
+    upward between two step ends; the crossing is bisected on the step's
+    interpolant to ``EXIT_TIME_TOL``.  A step end beyond ``BLOWUP_RADIUS``
+    raises BlowUp, as does a step below the floating-point spacing of its
+    time or a NaN step (from a non-finite right-hand side).  Returns a
+    :class:`DenseSolution`; unless the run stopped, its last state is the
+    interpolant's value at ``duration``, as scipy's dense output gives it.
+    """
+    sol = DenseSolution(fun, y0)
+    rhs = sol.rhs
+    t, y = 0.0, y0
+    f = rhs(y)
+    h_abs = _initial_step(rhs, y, f, duration, rtol, atol)
+    g = None if exit_event is None else exit_event(y)
+    while t < duration:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise _step_failure(t)
+            t_new = min(t + h_abs, duration)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K = np.empty((dop853.N_STAGES_EXTENDED, y.size))
+            y_new, f_new = _rk_step(rhs, y, f, h, K)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K[:dop853.N_STAGES + 1], h, scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = STEP_MAX_FACTOR
+                else:
+                    factor = min(STEP_MAX_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(STEP_MIN_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        sol.accept(t_new, y_new, h, K)
+        if g is not None:
+            g_new = exit_event(y_new)
+            if g <= 0 <= g_new:
+                _stop_at_exit(sol, exit_event, t, t_new)
+                return sol
+            g = g_new
+        if np.linalg.norm(y_new) > BLOWUP_RADIUS:
+            raise BlowUp(f"state norm exceeded {BLOWUP_RADIUS} at t = {t_new:.4g}")
+        t, y, f = t_new, y_new, f_new
+    sol.states[-1] = sol(np.asarray(duration))
+    return sol
+
+
+def _stop_at_exit(sol, exit_event, lo, hi):
+    """End ``sol`` at the upward zero of ``exit_event`` in its last step,
+    bisected on that step's interpolant."""
+    last = len(sol.steps) - 1
+
+    def g(t):
+        return exit_event(sol.segment_value(last, t))
+
+    while hi - lo > EXIT_TIME_TOL * (1.0 + abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if g(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    sol.times[-1] = sol.stopped_at = float(hi)
+    sol.states[-1] = sol.segment_value(last, np.asarray(hi))
+
+
 def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
                       stop_radius=None):
     """Integrate the downward gradient flow for ``duration >= 0``.
 
-    Uses an adaptive Runge-Kutta scheme (DOP853) with dense output; the
-    terminal state is evaluated exactly at ``duration``.  When
-    ``stop_radius`` is given, integration ends early without error on exit
-    from that ball around the critical point; exceeding ``BLOWUP_RADIUS``
-    always raises.
+    Uses DOP853 (:func:`solve_ivp`) with dense output; the terminal state
+    is evaluated exactly at ``duration``.  When ``stop_radius`` is given,
+    integration ends early without error on exit from that ball around the
+    critical point; exceeding ``BLOWUP_RADIUS`` always raises.
     """
     if duration < 0:
         raise ValueError("forward integration requires duration >= 0")
     start = np.asarray(start, dtype=float)
     if duration == 0.0:
-        times = np.array([0.0])
-        states = start[None, :]
-        return Trajectory(problem, times, states,
-                          lambda t: np.repeat(start[:, None], np.size(t), axis=1)
-                          if np.ndim(t) else start)
+        return Trajectory(problem, np.array([0.0]), start[None, :],
+                          lambda t: np.tile(start, t.shape + (1,)))
 
-    def rhs(t, x):
+    def rhs(x):
         return -problem.grad(x)
 
-    def blow_up(t, x):
-        return float(np.linalg.norm(x) - BLOWUP_RADIUS)
-    blow_up.terminal = True
-    blow_up.direction = 1.0
-
-    events = [blow_up]
+    exit_ball = None
     if stop_radius is not None:
         center = problem.critical_point
 
-        def exit_ball(t, x):
+        def exit_ball(x):
             return float(np.linalg.norm(x - center) - stop_radius)
-        exit_ball.terminal = True
-        exit_ball.direction = 1.0
-        events.append(exit_ball)
 
-    sol = solve_ivp(rhs, (0.0, float(duration)), start, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=events)
-    stopped_at = None
-    if sol.status == 1:
-        if sol.t_events[0].size:
-            raise BlowUp(f"state norm exceeded {BLOWUP_RADIUS} at t = {sol.t_events[0][0]:.4g}")
-        fired = [te[0] for te in sol.t_events[1:] if te.size]
-        stopped_at = float(min(fired))
-    elif not sol.success:
-        raise BlowUp(f"integrator failed: {sol.message}")
-    times = sol.t
-    states = sol.y.T.copy()
-    if stopped_at is None:
-        # pin the terminal state exactly at the requested time
-        states[-1] = sol.sol(duration)
-    return Trajectory(problem, times, states, sol.sol, stopped_at=stopped_at)
+    sol = solve_ivp(rhs, float(duration), start, rtol, atol, exit_ball)
+    return Trajectory(problem, np.array(sol.times), np.array(sol.states), sol,
+                      stopped_at=sol.stopped_at)
 
 
 def _rms(x):
@@ -141,7 +330,7 @@ def _initial_steps(rhs, y0, f0, duration, rtol, atol):
         h0 = np.minimum(h0, duration)
         d2 = _rms((rhs(y0 + h0[:, None] * f0) - f0) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (1.0 / (DOP853.error_estimator_order + 1)))
+                      (0.01 / np.maximum(d1, d2)) ** (1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)))
     return np.minimum(np.minimum(100.0 * h0, h1), duration)
 
 
@@ -174,9 +363,8 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
     def rhs(y):
         return -problem.grad(y)
 
-    # the flow is autonomous, so the stage times DOP853.C are not needed
-    A, B = DOP853.A, DOP853.B
-    exponent = -1.0 / (DOP853.error_estimator_order + 1)
+    # the flow is autonomous, so the stage times dop853.C are not needed
+    A, B = dop853.A, dop853.B
     rows = np.arange(m)
     y = terminal.copy()
     f = rhs(y)
@@ -190,28 +378,27 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
         too_small = rejected & ~(h_abs >= min_step)
         if too_small.any():
             i = int(np.argmax(too_small))
-            raise BlowUp(f"integrator failed: required step size is less than "
-                         f"spacing between numbers (t = {t[i]:.4g})")
+            raise _step_failure(t[i])
         h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
         t_new = np.minimum(t + h_abs, duration)
         h = t_new - t
 
-        K = np.empty((DOP853.n_stages + 1,) + y.shape)
+        K = np.empty((dop853.N_STAGES + 1,) + y.shape)
         K[0] = f
-        for s in range(1, DOP853.n_stages):
+        for s in range(1, dop853.N_STAGES):
             K[s] = rhs(y + np.tensordot(A[s, :s], K[:s], axes=1) * h[:, None])
         y_new = y + h[:, None] * np.tensordot(B, K[:-1], axes=1)
         K[-1] = f_new = rhs(y_new)
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5 = np.sum((np.tensordot(DOP853.E5, K, axes=1) / scale) ** 2, axis=1)
-        err3 = np.sum((np.tensordot(DOP853.E3, K, axes=1) / scale) ** 2, axis=1)
+        err5 = np.sum((np.tensordot(dop853.E5, K, axes=1) / scale) ** 2, axis=1)
+        err3 = np.sum((np.tensordot(dop853.E3, K, axes=1) / scale) ** 2, axis=1)
         denom = err5 + 0.01 * err3
         with np.errstate(divide="ignore", invalid="ignore"):
             error_norm = np.where(denom == 0.0, 0.0, h * err5 / np.sqrt(denom * n))
             grow = np.where(error_norm == 0.0, STEP_MAX_FACTOR,
-                            np.fmin(STEP_MAX_FACTOR, STEP_SAFETY * error_norm ** exponent))
-            shrink = np.fmax(STEP_MIN_FACTOR, STEP_SAFETY * error_norm ** exponent)
+                            np.fmin(STEP_MAX_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT))
+            shrink = np.fmax(STEP_MIN_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT)
         accept = error_norm < 1.0
         h_abs = h * np.where(accept, np.where(rejected, np.minimum(1.0, grow), grow),
                              shrink)

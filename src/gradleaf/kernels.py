@@ -30,11 +30,25 @@ panel-by-panel loop.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .curves import _lobatto_reference, barycentric_matrix, barycentric_weights
 
-GAUSS_ORDER = 16
+#: positive nodes and their weights of the 16-point Gauss-Legendre rule on
+#: [-1, 1], which is symmetric; the same doubles as scipy's
+#: ``roots_legendre(16)`` (numpy's ``leggauss`` weights differ in the last
+#: digits)
+_GAUSS_POSITIVE_NODES = np.array([
+    0.09501250983763745, 0.2816035507792589, 0.4580167776572274,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+])
+_GAUSS_POSITIVE_WEIGHTS = np.array([
+    0.1894506104550681, 0.18260341504492328, 0.16915651939500212,
+    0.14959598881657638, 0.12462897125553363, 0.09515851168249231,
+    0.06225352393864763, 0.027152459411756466,
+])
+GAUSS_NODES = np.concatenate([-_GAUSS_POSITIVE_NODES[::-1], _GAUSS_POSITIVE_NODES])
+GAUSS_WEIGHTS = np.concatenate([_GAUSS_POSITIVE_WEIGHTS[::-1], _GAUSS_POSITIVE_WEIGHTS])
 
 
 class ExpConvolver:
@@ -52,9 +66,8 @@ class ExpConvolver:
         m = p + 1
         ref = _lobatto_reference(p)
         ref_w = barycentric_weights(ref)
-        gx, gw = roots_legendre(GAUSS_ORDER)
-        gx = 0.5 * (gx + 1.0)  # map to [0, 1]
-        gw = 0.5 * gw
+        gx = 0.5 * (GAUSS_NODES + 1.0)  # map to [0, 1]
+        gw = 0.5 * GAUSS_WEIGHTS
 
         widths = np.diff(grid.edges)
         if not np.allclose(widths, widths[0], rtol=1e-12, atol=0.0):

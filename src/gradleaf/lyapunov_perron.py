@@ -28,10 +28,10 @@ graph, and the level crossings of the objective along rays of its domain.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .curves import BACKWARD, FORWARD_FINITE, FORWARD_INFINITE, Curve, PanelGrid
 from .errors import (
@@ -324,7 +324,6 @@ class GraphSample:
     T: float | None = None
     z_minus: np.ndarray | None = None
     endpoint_gaps: np.ndarray | None = None
-    _interp: object = field(default=None, repr=False, compare=False)
 
     @property
     def grid_shape(self):
@@ -334,21 +333,36 @@ class GraphSample:
     def codim(self):
         return self.values.shape[-1]
 
-    def interpolator(self):
-        if self._interp is None:
-            self._interp = RegularGridInterpolator(
-                self.axes, self.values, method="linear", bounds_error=True)
-        return self._interp
-
     def evaluate(self, z):
-        """Multilinear interpolation of the graph at subspace point(s) z."""
+        """Multilinear interpolation of the graph at subspace point(s) z.
+
+        ``z`` is one point ``(d,)`` or many ``(m, d)``.  Rounds exactly as
+        scipy's linear ``RegularGridInterpolator`` with its generic
+        ``_evaluate_linear`` (the path any grid with a codim axis takes):
+        per axis the cell ``[ax[j], ax[j+1]]`` holding the point (the last
+        cell for the last node) and the distance into it, then the corners
+        of the cell summed in ``itertools.product`` order.  A point outside
+        the grid, or with a NaN coordinate, raises OutsideSampledDomain.
+        """
         z = np.asarray(z, dtype=float)
-        single = z.ndim == 1
-        try:
-            out = self.interpolator()(np.atleast_2d(z))
-        except ValueError as exc:
-            raise OutsideSampledDomain(str(exc)) from exc
-        return out[0] if single else out
+        points = np.atleast_2d(z)
+        corners = []
+        for i, ax in enumerate(self.axes):
+            p = points[:, i]
+            if not np.all((ax[0] <= p) & (p <= ax[-1])):
+                raise OutsideSampledDomain(
+                    f"a requested point is out of bounds in dimension {i}")
+            j = np.clip(np.searchsorted(ax, p, side="right") - 1, 0, len(ax) - 2)
+            y = (p - ax[j]) / (ax[j + 1] - ax[j])
+            corners.append(((j, 1 - y), (j + 1, y)))
+        out = np.array([0.0])
+        for corner in itertools.product(*corners):
+            index, factors = zip(*corner)
+            weight = np.array([1.0])
+            for w in factors:
+                weight = weight * w
+            out = out + self.values[index] * weight[:, None]
+        return out[0] if z.ndim == 1 else out
 
     def grid_points(self):
         mesh = np.meshgrid(*self.axes, indexing="ij")

@@ -4,10 +4,13 @@ catch that in the ordinary suite."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from gradleaf.cli import main
 
@@ -47,5 +50,11 @@ def test_traced_run_matches_untraced(tmp_path):
         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "spans.npz").is_file()
     assert compare_outputs.main([str(plain), str(traced)]) == 0
+    # the single-trajectory driver is reached through the traced name
+    spans = np.load(tmp_path / "spans.npz")
+    counters = json.loads(spans["counters"].item())
+    assert counters["flow.rhs_evals"] > 0
+    names = spans["names"].tolist()
+    assert "flow.solve_ivp" in names
+    assert np.count_nonzero(spans["name"] == names.index("flow.solve_ivp")) >= 1

@@ -52,7 +52,7 @@ def test_f_derivative_is_gradient_norm(p2):
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_batch_terminal_states_match_single_trajectories(name, request):
     # each row steps with its own error control, so it lands where a lone
-    # scipy integration at the same tolerances lands
+    # integrate_forward at the same tolerances lands
     setup = request.getfixturevalue(name)
     n = setup.problem.dimension
     starts = np.random.default_rng(4).uniform(-0.3, 0.3, size=(9, n))
@@ -106,6 +106,25 @@ def test_batch_blow_up_and_empty_inputs(p2):
     assert terminal.shape == (0, 2) and stopped.shape == (0,)
     with pytest.raises(ValueError):
         integrate_forward_batch(p2.problem, starts, -1.0, 1e-10, 1e-12, -np.inf)
+
+
+def test_single_trajectory_failures_raise():
+    # a NaN start makes the first step NaN, which ends the run at once
+    # instead of shrinking a NaN step forever
+    calls = []
+
+    def grad(y):
+        calls.append(1)
+        assert len(calls) <= 2, "the run went on past a NaN step"
+        return -y
+
+    stable = SimpleNamespace(grad=grad, critical_point=np.zeros(2))
+    with pytest.raises(BlowUp, match="integrator failed"):
+        integrate_forward(stable, np.array([np.nan, 0.0]), 5.0)
+    # the upward flow x' = x carries |x| = 0.3 past BLOWUP_RADIUS by t = 8.2
+    unstable = SimpleNamespace(grad=lambda y: -y, critical_point=np.zeros(2))
+    with pytest.raises(BlowUp, match="state norm exceeded"):
+        integrate_forward(unstable, np.array([0.3, 0.0]), 10.0)
 
 
 def test_trajectory_rows_format(p1):
