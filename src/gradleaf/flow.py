@@ -86,8 +86,8 @@ class DenseSolution:
     of the last one) and ``states`` the state at each.  Segment ``i`` is the
     step of size ``steps[i]`` from ``times[i]``; its seventh-order
     interpolant needs three more right-hand-side evaluations, so it is formed
-    only when a time in the segment is first evaluated.  ``nfev`` counts the
-    right-hand-side evaluations made so far.
+    only when a time in the segment is first evaluated (most oracle shots
+    read none).  ``nfev`` counts the right-hand-side evaluations made so far.
     """
 
     def __init__(self, fun, y0):
@@ -124,16 +124,23 @@ class DenseSolution:
 
     def segment_value(self, segment, t):
         """scipy's ``Dop853DenseOutput`` evaluation, at each time of ``t``
-        on the interpolant of the matching entry of ``segment``."""
+        on the interpolant of the matching entry of ``segment``.  Only the
+        segments in use are gathered."""
+        segment = np.asarray(segment)
         used, inverse = np.unique(segment, return_inverse=True)
-        F = np.stack([self._interpolant(int(i)) for i in used])[inverse]
-        start = np.asarray(self.times)[segment]
-        x = ((t - start) / np.asarray(self.steps)[segment])[..., None]
+        used = used.tolist()
+        # numpy 1 returns the inverse flattened, numpy 2 in segment's shape
+        inverse = inverse.reshape(segment.shape)
+        F = np.stack([self._interpolant(i) for i in used])[inverse]
+        start = np.array([self.times[i] for i in used])[inverse]
+        step = np.array([self.steps[i] for i in used])[inverse]
+        y_old = np.stack([self._ends[i] for i in used])[inverse]
+        x = ((t - start) / step)[..., None]
         y = np.zeros(F.shape[:-2] + F.shape[-1:])
         for i in range(dop853.INTERPOLATOR_POWER):
             y += F[..., -1 - i, :]
             y *= x if i % 2 == 0 else 1 - x
-        y += np.asarray(self._ends)[segment]
+        y += y_old
         return y
 
     def _interpolant(self, i):
@@ -363,7 +370,6 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
     def rhs(y):
         return -problem.grad(y)
 
-    # the flow is autonomous, so the stage times dop853.C are not needed
     A, B = dop853.A, dop853.B
     rows = np.arange(m)
     y = terminal.copy()

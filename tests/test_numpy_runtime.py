@@ -58,7 +58,7 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("name", ["A", "B", "C", "E3", "E5", "D"])
+@pytest.mark.parametrize("name", ["A", "B", "E3", "E5", "D"])
 def test_dop853_tableau_matches_scipy(name):
     assert _same_bits(getattr(dop853, name), getattr(dop853_coefficients, name))
 
@@ -147,6 +147,27 @@ def test_integrate_forward_matches_scipy_bitwise(name):
         for t in [0.0, duration, ref.t[1], *times[-4:]]:
             assert _same_bits(traj.at(t), ref.sol(t))
         assert traj.stopped_at is None
+
+
+@pytest.mark.parametrize("flat_inverse", [False, True])
+def test_dense_output_shape_follows_the_times(monkeypatch, flat_inverse):
+    """``at(t)`` has shape ``t.shape + (n,)`` whether ``np.unique`` returns
+    its inverse in the input's shape (numpy 2) or flattened (numpy 1)."""
+    if flat_inverse:
+        unique = np.unique
+
+        def flat_unique(a, **kwargs):
+            used, inverse = unique(a, **kwargs)
+            return used, inverse.ravel()
+        monkeypatch.setattr(np, "unique", flat_unique)
+    problem = quartic_saddle()
+    n = problem.dimension
+    traj = integrate_forward(problem, problem.critical_point + 0.05, 1.5)
+    assert traj.states.shape == (traj.times.size, n)
+    assert traj.at(0.3).shape == (n,)
+    assert traj.at(np.array([0.3])).shape == (1, n)
+    times = np.linspace(0.0, 1.5, 6).reshape(2, 3)
+    assert _same_bits(traj.at(times), traj.at(times.ravel()).reshape(2, 3, n))
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
