@@ -1,6 +1,12 @@
-"""Run the full pipeline on every reference config.
+"""Run the full pipeline on every reference config, plus the lambda stage
+alone on p3_cubic3d.
 
 Usage: python scripts/run_references.py [OUT_DIR]
+
+Each run writes into its own subdirectory of OUT_DIR: the config's name for
+``gradleaf all``, and ``p3_cubic3d_lambda`` for ``gradleaf lambda``.  Two
+such trees compare run by run with ``scripts/compare_outputs.py``.  Exits
+0 when every run does, else with the largest exit code among the runs.
 """
 
 import sys
@@ -9,15 +15,19 @@ from pathlib import Path
 from gradleaf.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+#: (subcommand, config, output subdirectory) run after the full pipelines
+EXTRA_RUNS = (("lambda", ROOT / "configs" / "p3_cubic3d.json", "p3_cubic3d_lambda"),)
 
 
 def run_all(out_root):
+    runs = [("all", config, config.stem)
+            for config in sorted((ROOT / "configs").glob("*.json"))]
     codes = {}
-    for config in sorted((ROOT / "configs").glob("*.json")):
-        out = Path(out_root) / config.stem
-        print(f"== {config.name} -> {out}")
-        codes[config.name] = main(["all", "--config", str(config),
-                                   "--out", str(out), "--seed", "0"])
+    for subcommand, config, name in runs + list(EXTRA_RUNS):
+        out = Path(out_root) / name
+        print(f"== {subcommand} {config.name} -> {out}")
+        codes[name] = main([subcommand, "--config", str(config),
+                            "--out", str(out), "--seed", "0"])
     return codes
 
 

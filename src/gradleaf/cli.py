@@ -1,10 +1,13 @@
-"""Batch front end.
+"""Batch front end: ``gradleaf SUBCOMMAND --config CONFIG.json [--out DIR]
+[--seed N]``.
 
-Subcommands run the pipeline stages on a problem config and emit CSV/JSON
-artifacts plus a run manifest.  Exit codes: 0 all checks pass, 2 a
+A subcommand runs one pipeline stage and the stages it needs (``all`` runs
+every stage), writing CSV artifacts and a run manifest into ``--out``.  The
+Picard tolerance is the constant ``lyapunov_perron.PICARD_TOL``, recorded
+as ``tol`` in the manifest.  Exit codes: 0 all checks pass, 2 a
 quantitative bound failed beyond its tolerance budget, 3 configuration
-error (a ``ValueError`` counts as one), 4 solver non-convergence, 5 internal
-error (any other exception, i.e. a bug).
+error (a ``ValueError`` counts as one), 4 any other gradleaf error (solver
+non-convergence), 5 internal error (any other exception, i.e. a bug).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import BOUND_ERRORS, CONFIG_ERRORS, SOLVER_ERRORS, GradleafError
+from .errors import BOUND_ERRORS, CONFIG_ERRORS, GradleafError
 from .problems import load_problem
 from .reporting import config_hash
 
@@ -34,8 +37,6 @@ def exit_code_for(error):
         return EXIT_BOUND
     if isinstance(error, CONFIG_ERRORS):
         return EXIT_CONFIG
-    if isinstance(error, SOLVER_ERRORS):
-        return EXIT_SOLVER
     if isinstance(error, GradleafError):
         return EXIT_SOLVER
     if isinstance(error, ValueError):
@@ -54,10 +55,6 @@ def build_parser():
     parser.add_argument("--config", required=True, help="problem config path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="fixed-point tolerance")
-    parser.add_argument("--stage", default=None,
-                        help="with 'all': restrict to this single stage")
     return parser
 
 
@@ -67,11 +64,7 @@ def main(argv=None):
     try:
         problem = load_problem(args.config)
         digest = config_hash(args.config)
-        if args.subcommand == "all":
-            stages = (args.stage,) if args.stage else ("all",)
-        else:
-            stages = (args.subcommand,)
-        state = pipeline.run(problem, out_dir, stages=stages, tol=args.tol,
+        state = pipeline.run(problem, out_dir, stages=(args.subcommand,),
                              seed=args.seed, config_digest=digest)
     except Exception as exc:  # emit a machine-readable error record
         code = exit_code_for(exc)

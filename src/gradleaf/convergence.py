@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import EndpointViolation, FlagMissing
 from .lyapunov_perron import (
+    PICARD_TOL,
     SolverCache,
     backward_orbit,
     default_horizon,
@@ -100,10 +101,9 @@ class GraphFamilySolver:
     fixed points keyed by (T, z-, z+, enforce_endpoint) and stable fixed
     points keyed by z+, shared by every stage that solves on that ladder."""
 
-    def __init__(self, model, ladder, tol=1e-10, cache=None):
+    def __init__(self, model, ladder, cache=None):
         self.model = model
         self.ladder = ladder
-        self.tol = tol
         self.cache = cache or SolverCache(model)
         self._orbits = {}
         self._mixed = {}
@@ -115,7 +115,7 @@ class GraphFamilySolver:
         if have is None or have.curve.grid.t0 > -t_need:
             t_max = max(default_horizon(self.ladder), t_need)
             have = backward_orbit(self.model, self.ladder, np.asarray(z_minus),
-                                  t_max=t_max, tol=self.tol, cache=self.cache)
+                                  t_max=t_max, cache=self.cache)
             self._orbits[key] = have
         return have
 
@@ -126,7 +126,7 @@ class GraphFamilySolver:
             orbit = self.orbit(np.asarray(z_minus), T)
             self._mixed[key] = solve_mixed(
                 self.model, self.ladder, T, np.asarray(z_minus),
-                np.asarray(z_plus), orbit, tol=self.tol, cache=self.cache,
+                np.asarray(z_plus), orbit, cache=self.cache,
                 enforce_endpoint=enforce_endpoint)
         return self._mixed[key]
 
@@ -138,8 +138,7 @@ class GraphFamilySolver:
         key = tuple(np.round(z_plus, 15))
         if key not in self._stable:
             self._stable[key] = solve_stable(self.model, self.ladder,
-                                             np.asarray(z_plus), tol=self.tol,
-                                             cache=self.cache)
+                                             np.asarray(z_plus), cache=self.cache)
         return self._stable[key]
 
     def stable_value(self, z_plus):
@@ -185,7 +184,7 @@ def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
                            gap=gap, bound=bound, budget=budget,
                            ok=gap <= bound + budget)
                 series.setdefault(f"{_label(zm)}|{_label(zp)}", []).append((T, gap))
-    floor = 50.0 * solver.tol
+    floor = 50.0 * PICARD_TOL
     pooled_T, pooled_gap = [], []
     for key, pts in series.items():
         Ts, gaps = zip(*pts)
@@ -202,7 +201,7 @@ def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
 
 
 def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
-                   fd_step=None, use_linearized=True):
+                   use_linearized=True):
     """Directional-derivative gap of the time-T graphs against the stable one.
 
     Requires the C^{2,1} flag (the bound constant c_* needs the Lipschitz
@@ -216,7 +215,7 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
         raise FlagMissing("C^{2,1} flag (and kappa_star) required for C1 checks")
     directions = directions if directions is not None else \
         [np.eye(model.n - model.k)[i] for i in range(model.n - model.k)]
-    fd_step = fd_step if fd_step is not None else 0.05 * ladder.R
+    fd_step = 0.05 * ladder.R
     report = ConvergenceReport("c1")
     cross = []
     for T in sorted(T_grid):
@@ -240,7 +239,7 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
                     gap = float(np.linalg.norm(dT_half - dI_half))
                     fd_err = (np.linalg.norm(dT_full - dT_half)
                               + np.linalg.norm(dI_full - dI_half)) / 3.0
-                    noise = 4.0 * RESIDUAL_TO_ERROR * solver.tol / fd_step
+                    noise = 4.0 * RESIDUAL_TO_ERROR * PICARD_TOL / fd_step
                     bound = ladder.c_star * math.exp(-T * ladder.lambda_ / 8.0) * nv
                     budget = float(fd_err + noise)
                     report.add(check="c1", T=float(T), z_minus_label=_label(zm),
@@ -297,7 +296,7 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
     return report
 
 
-def endpoint_audit(solver, graph, budget_scale=1.0):
+def endpoint_audit(solver, graph):
     """Audit of ``|xi(T) - z_minus|`` against the sharp bound rho e^{-T lambda}."""
     ladder = solver.ladder
     if graph.kind != "G_T":
@@ -309,7 +308,7 @@ def endpoint_audit(solver, graph, budget_scale=1.0):
     residuals = graph.residuals.ravel()
     base = graph.grid_points()
     for zp, gap, res in zip(base, gaps, residuals):
-        budget = budget_scale * RESIDUAL_TO_ERROR * res
+        budget = RESIDUAL_TO_ERROR * res
         report.add(check="endpoint", T=float(T),
                    z_minus_label=_label(graph.z_minus), z_plus_label=_label(zp),
                    direction_label="", gap=float(gap), bound=bound,

@@ -129,17 +129,6 @@ CONFIG_ERRORS = (
     OutsideLeafDomain,
 )
 
-#: errors that indicate the solver failed to converge / lost its bracket
-SOLVER_ERRORS = (
-    NoConvergence,
-    NewtonDiverged,
-    BracketLost,
-    NormBudgetExceeded,
-    BlowUp,
-    NotOnUnstableManifold,
-    ComponentAmbiguous,
-)
-
 class BoundViolation(GradleafError):
     """A quantitative estimate failed beyond its tolerance budget."""
 

@@ -451,31 +451,31 @@ class DescendingDisk:
     def index(self):
         return self.model.k
 
-    def contains(self, point_local, residual_tol=MANIFOLD_RESIDUAL_TOL):
+    def contains(self, point_local):
         """Membership through the graph parametrization and the level band."""
         try:
             residual = self.graph.residual(point_local)
         except OutsideSampledDomain:
             return False
-        if residual > residual_tol:
+        if residual > MANIFOLD_RESIDUAL_TOL:
             return False
         return (self.model.f_local(np.asarray(point_local, dtype=float))
                 >= self.model.critical_value - self.epsilon * (1 + 1e-9))
 
 
-def algebraic_backward(disk, q_local, t, cache=None,
-                       residual_tol=MANIFOLD_RESIDUAL_TOL):
+def algebraic_backward(disk, q_local, t, cache=None):
     """Backward flow on the unstable manifold, via emanating orbits.
 
     ``q_local`` must lie on the sampled unstable graph (plus-part residual
-    below ``residual_tol``); the result is the emanating orbit through ``q``
-    evaluated at time ``-t``.  No backward Cauchy problem is solved.
+    below ``MANIFOLD_RESIDUAL_TOL``); the result is the emanating orbit
+    through ``q`` evaluated at time ``-t``.  No backward Cauchy problem is
+    solved.
     """
     q_local = np.asarray(q_local, dtype=float)
     if t < 0:
         raise ValueError("algebraic backward flow is parametrized by t >= 0")
     residual = disk.graph.residual(q_local)
-    if residual > residual_tol:
+    if residual > MANIFOLD_RESIDUAL_TOL:
         raise NotOnUnstableManifold(
             f"plus-part residual {residual:.3e} against the unstable graph")
     orbit = backward_orbit(disk.model, disk.ladder, q_local[: disk.model.k],
@@ -485,12 +485,12 @@ def algebraic_backward(disk, q_local, t, cache=None,
     return orbit.curve.evaluate(-t)
 
 
-def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None,
-                    bisect_tol=1e-10):
+def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None):
     """Sample the descending disk and locate its boundary sphere.
 
     The sphere is found by bisection in the level value along rays of the
-    unstable subspace; for Morse index one it consists of two points.
+    unstable subspace, to 1e-10 in f; for Morse index one it consists of
+    two points.
     """
     epsilon = ladder.epsilon if epsilon is None else float(epsilon)
     k = model.k
@@ -509,7 +509,7 @@ def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None,
 
     radii = []
     for u in dirs:
-        r = graph_f.level_crossing(model.f_local, u, level, bisect_tol)
+        r = graph_f.level_crossing(model.f_local, u, level, 1e-10)
         if r is None:
             raise LevelNotReached(
                 f"epsilon = {epsilon:.3e} not reached within the sampled graph")

@@ -31,10 +31,13 @@ from .errors import (
     RetractViolation,
 )
 from .flow import integrate_forward, integrate_forward_batch
-from .lyapunov_perron import graph_G_T
+from .lyapunov_perron import graph_G_T, tensor_points
 
 PAIR_RTOL = 1e-9
 PAIR_ATOL = 1e-12
+#: integration tolerances of the retract and invariance audits
+AUDIT_RTOL = 1e-11
+AUDIT_ATOL = 1e-13
 COMPONENT_KEEP_FRACTION = 0.9
 
 
@@ -54,8 +57,7 @@ class ConleyPair:
         return self.samples[self.exit_mask]
 
 
-def pair_membership(model, points, epsilon, tau, rtol=PAIR_RTOL,
-                    atol=PAIR_ATOL):
+def pair_membership(model, points, epsilon, tau):
     """(in_N, in_L) for local-frame points, by forward integration.
 
     ``points`` is one point ``(n,)``, giving two bools, or ``(m, n)``,
@@ -78,19 +80,18 @@ def pair_membership(model, points, epsilon, tau, rtol=PAIR_RTOL,
     in_l = np.zeros_like(band)
     if band.any():
         mid, left = integrate_forward_batch(
-            problem, model.to_ambient(pts[band]), tau, rtol, atol,
+            problem, model.to_ambient(pts[band]), tau, PAIR_RTOL, PAIR_ATOL,
             stop_below_level=level)
         in_n[band] = ~left
         end, crossed = integrate_forward_batch(
-            problem, mid[~left], tau, rtol, atol, stop_below_level=level)
+            problem, mid[~left], tau, PAIR_RTOL, PAIR_ATOL, stop_below_level=level)
         in_l[in_n] = crossed | (problem.f(end) <= level)
     if points.ndim == 1:
         return bool(in_n[0]), bool(in_l[0])
     return in_n, in_l
 
 
-def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240,
-               box_halfwidth=None, rng=None, rtol=PAIR_RTOL):
+def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240, rng=None):
     """Rejection-sample the pair on a box and keep the component of x.
 
     The box is anisotropic: along unstable directions the set N thins out
@@ -105,20 +106,17 @@ def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240,
     epsilon = ladder.epsilon if epsilon is None else float(epsilon)
     tau = ladder.T0 if tau is None else float(tau)
     n = model.n
-    if box_halfwidth is None:
-        widths = np.empty(n)
-        for j, lam in enumerate(model.eigenvalues):
-            scale = math.sqrt(2.0 * epsilon / abs(lam))
-            if lam < 0:
-                widths[j] = 1.3 * scale * math.exp(-tau * abs(lam))
-            else:
-                widths[j] = 1.3 * scale
-    else:
-        widths = np.broadcast_to(np.asarray(box_halfwidth, dtype=float), (n,)).copy()
+    widths = np.empty(n)
+    for j, lam in enumerate(model.eigenvalues):
+        scale = math.sqrt(2.0 * epsilon / abs(lam))
+        if lam < 0:
+            widths[j] = 1.3 * scale * math.exp(-tau * abs(lam))
+        else:
+            widths[j] = 1.3 * scale
 
     pts = rng.uniform(-1.0, 1.0, size=(n_samples, n)) * widths
     pts = np.concatenate([np.zeros((1, n)), pts])  # x itself is always in N
-    in_n, in_l = pair_membership(model, pts, epsilon, tau, rtol=rtol)
+    in_n, in_l = pair_membership(model, pts, epsilon, tau)
     accepted = pts[in_n]
     exit_flags = in_l[in_n]
 
@@ -200,15 +198,14 @@ class FoliationAtlas:
     def all_labels(self):
         return ["center"] + list(self.leaves.keys())
 
-    def locate(self, point_local, residual_tol=None):
+    def locate(self, point_local):
         """Label of the leaf through ``point_local`` (None when on no leaf).
 
         Resolves through the graph parametrization: the point's minus part
         is compared against every leaf graph at its plus part, because
         codimension-k sets cannot be membership-tested by ambient distance.
         """
-        tol = (10.0 * self.interp_tolerance + 1e-9 if residual_tol is None
-               else residual_tol)
+        tol = 10.0 * self.interp_tolerance + 1e-9
         best = (None, np.inf)
         for label in self.all_labels():
             try:
@@ -221,9 +218,9 @@ class FoliationAtlas:
             return None
         return best[0]
 
-    def contains(self, point_local, residual_tol=None):
+    def contains(self, point_local):
         """Membership in the sampled pair region through the leaf graphs."""
-        label = self.locate(point_local, residual_tol=residual_tol)
+        label = self.locate(point_local)
         if label is None:
             return False
         f_val = self.model.f_local(np.asarray(point_local, dtype=float))
@@ -251,18 +248,18 @@ def _leaf_boundary(model, graph, clip_level, resolution=8):
     return boundary_plus, graph.local_points(boundary_plus)
 
 
-def build_atlas(solver, stable_graph, sphere_minus, pair=None, epsilon=None,
-                tau=None, T_grid=None, zplus_axes=None, boundary_resolution=8):
+def build_atlas(solver, stable_graph, sphere_minus, pair=None, tau=None,
+                T_grid=None, zplus_axes=None, boundary_resolution=8):
     """Assemble the leaf family over a (T, alpha) grid.
 
     ``solver``: the ladder's ``GraphFamilySolver``, which holds the model,
-    the ladder, the tolerance and the backward orbits of the sphere points.
+    the ladder and the backward orbits of the sphere points.
     ``sphere_minus``: minus coordinates of the descending-sphere samples.
     Leaves are built from the time-T graphs and clipped at level c + epsilon;
     the center leaf is the clipped stable graph.
     """
     model, ladder = solver.model, solver.ladder
-    epsilon = ladder.epsilon if epsilon is None else float(epsilon)
+    epsilon = ladder.epsilon
     tau = ladder.T0 if tau is None else float(tau)
     T_grid = np.asarray(T_grid if T_grid is not None
                         else tau + np.arange(0.0, 5.0), dtype=float)
@@ -289,7 +286,7 @@ def build_atlas(solver, stable_graph, sphere_minus, pair=None, epsilon=None,
         orbit = solver.orbit(alpha, float(np.max(T_grid)))
         for T in T_grid:
             graph = graph_G_T(model, ladder, float(T), alpha,
-                              base_axes=zplus_axes, orbit=orbit, tol=solver.tol,
+                              base_axes=zplus_axes, orbit=orbit,
                               cache=solver.cache)
             base_point = orbit.curve.evaluate(-float(T))
             label = (float(T), ai)
@@ -308,6 +305,12 @@ def build_atlas(solver, stable_graph, sphere_minus, pair=None, epsilon=None,
                           leaves=leaves, disk_D=np.asarray(disk),
                           annulus_labels=annulus, tau=tau, epsilon=epsilon,
                           interp_tolerance=interp_tol)
+
+
+def _refined_axes(axes, refine):
+    """``axes`` with every cell split into ``refine`` equal cells."""
+    return tuple(np.linspace(ax[0], ax[-1], refine * (len(ax) - 1) + 1)
+                 for ax in axes)
 
 
 def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
@@ -336,11 +339,8 @@ def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
             worst = max(worst, float(np.max(dv / dx.reshape(-1, *([1] * (dv.ndim - 1))))))
         return worst
 
-    axes = atlas.center.graph.axes
-    fine = tuple(np.linspace(ax[0], ax[-1], refine * (len(ax) - 1) + 1)
-                 for ax in axes)
-    mesh = np.meshgrid(*fine, indexing="ij")
-    probes = np.stack([m.ravel() for m in mesh], axis=-1)
+    fine = _refined_axes(atlas.center.graph.axes, refine)
+    probes = tensor_points(fine)
     spacing = max(float(np.max(np.diff(f))) for f in fine)
 
     for _ in range(pair_count):
@@ -365,8 +365,7 @@ def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
     return report
 
 
-def induced_flow(atlas, label, z_local, t, rtol=1e-10, atol=1e-12,
-                 domain_slack=1e-9):
+def induced_flow(atlas, label, z_local, t, rtol=1e-10, atol=1e-12):
     """The leaf-preserving semi-flow: conjugate the center-leaf flow by the
     graph maps.  ``t = inf`` returns the leaf's base point exactly."""
     model = atlas.model
@@ -374,7 +373,7 @@ def induced_flow(atlas, label, z_local, t, rtol=1e-10, atol=1e-12,
     z_local = np.asarray(z_local, dtype=float)
     z_plus = z_local[model.k:]
     for i, ax in enumerate(leaf.graph.axes):
-        if z_plus[i] < ax[0] - domain_slack or z_plus[i] > ax[-1] + domain_slack:
+        if z_plus[i] < ax[0] - 1e-9 or z_plus[i] > ax[-1] + 1e-9:
             raise OutsideLeafDomain(
                 f"plus coordinate {z_plus} outside the leaf graph domain")
     if t == math.inf:
@@ -388,18 +387,17 @@ def induced_flow(atlas, label, z_local, t, rtol=1e-10, atol=1e-12,
     return leaf.graph.local_points(y_t)
 
 
-def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fd_steps=(1e-4, 1e-5),
-                  fix_tol=1e-10, rtol=1e-11, atol=1e-13):
+def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
     """Three checks behind the strong-deformation-retract property.
 
     (i) the time-infinity map sends every sampled leaf point to the leaf's
     base point on the disk D; (ii) the induced flow fixes D pointwise;
     (iii) the objective strictly decreases along the induced flow at every
     leaf-boundary sample (inward pointing), quantified by finite-difference
-    quotients at two step sizes.  Structurally (i) holds by construction;
-    the audit re-evaluates it numerically.  Check (ii) presumes coordinates
-    with a flat unstable manifold; the measured flatness residual widens the
-    tolerance and is reported.
+    quotients at the steps 1e-4 and 1e-5.  Structurally (i) holds by
+    construction; the audit re-evaluates it numerically.  Check (ii)
+    presumes coordinates with a flat unstable manifold; the measured
+    flatness residual widens the tolerance and is reported.
     """
     model = atlas.model
     report = ConvergenceReport("retract")
@@ -426,7 +424,7 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fd_steps=(1e-4, 1e-5),
         leaf = atlas.leaf(label)
         for t in t_samples:
             moved = induced_flow(atlas, label, leaf.base_point, t,
-                                 rtol=rtol, atol=atol)
+                                 rtol=AUDIT_RTOL, atol=AUDIT_ATOL)
             gap = float(np.linalg.norm(moved - leaf.base_point))
             report.add(check="retract_fix_D", T=leaf.T or 0.0,
                        z_minus_label=str(label), z_plus_label="",
@@ -440,8 +438,9 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fd_steps=(1e-4, 1e-5),
         for z_plus, z in zip(leaf.boundary_plus, leaf.boundary_local):
             f0 = model.f_local(z)
             quotients = []
-            for h in fd_steps:
-                moved = induced_flow(atlas, label, z, h, rtol=rtol, atol=atol)
+            for h in (1e-4, 1e-5):
+                moved = induced_flow(atlas, label, z, h, rtol=AUDIT_RTOL,
+                                     atol=AUDIT_ATOL)
                 quotients.append((model.f_local(moved) - f0) / h)
             worst = max(quotients)
             mu_audit = min(mu_audit, -worst)
@@ -455,7 +454,7 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fd_steps=(1e-4, 1e-5),
     return report
 
 
-def leaf_invariance(atlas, sigmas=(1.0,), rtol=1e-11, atol=1e-13):
+def leaf_invariance(atlas, sigmas=(1.0,)):
     """Forward-flow compatibility: points of the (T, alpha) leaf land on the
     (T - sigma, alpha) leaf, measured through that leaf's graph."""
     model = atlas.model
@@ -470,7 +469,8 @@ def leaf_invariance(atlas, sigmas=(1.0,), rtol=1e-11, atol=1e-13):
             base, pts = leaf.inside_points()
             for z_plus, p in zip(base, pts):
                 traj = integrate_forward(model.problem, model.to_ambient(p),
-                                         float(sigma), rtol=rtol, atol=atol)
+                                         float(sigma), rtol=AUDIT_RTOL,
+                                         atol=AUDIT_ATOL)
                 try:
                     gap = target.graph.residual(model.to_local(traj.terminal))
                 except OutsideSampledDomain:
@@ -483,16 +483,12 @@ def leaf_invariance(atlas, sigmas=(1.0,), rtol=1e-11, atol=1e-13):
     return report
 
 
-def contraction_to_center(atlas, refine=8):
+def contraction_to_center(atlas):
     """One-sided distance of each leaf to the ascending disk against
-    exp(-T lambda / 8)."""
+    exp(-T lambda / 8), the disk probed on its grid refined eightfold."""
     ladder = atlas.ladder
     report = ConvergenceReport("center_distance")
-    axes = atlas.center.graph.axes
-    fine = tuple(np.linspace(ax[0], ax[-1], refine * (len(ax) - 1) + 1)
-                 for ax in axes)
-    mesh = np.meshgrid(*fine, indexing="ij")
-    probes = np.stack([m.ravel() for m in mesh], axis=-1)
+    probes = tensor_points(_refined_axes(atlas.center.graph.axes, 8))
     center_pts = atlas.center.graph.local_points(probes)
     budget = RESIDUAL_TO_ERROR * float(np.max(
         [np.max(lf.graph.residuals) for lf in atlas.leaves.values()]

@@ -24,6 +24,7 @@ from .errors import (
     OutOfTrustRegion,
     OutsideSampledDomain,
 )
+from .lyapunov_perron import tensor_points
 
 KAPPA_SAFETY = 1.5
 #: region factor: curves of the contraction spaces stay within this multiple
@@ -112,12 +113,13 @@ def _ball_samples(rng, n, radius, count):
     return v * r[:, None]
 
 
-def lipschitz_modulus(problem, split, rho_grid=None, samples=160, rng=None):
+def lipschitz_modulus(problem, split, samples=160, rng=None):
     """Sampled upper estimate of the Lipschitz modulus of ``h`` on balls.
 
-    For each radius the estimate combines random difference quotients with a
-    dense maximization of |dh| (grid plus sphere samples), inflated by a
-    safety factor; the result is monotonized.  Returns ``(modulus,
+    The radii are the trust radius halved 0 to 10 times.  For each radius
+    the estimate combines random difference quotients with a dense
+    maximization of |dh| (grid plus sphere samples), inflated by a safety
+    factor; the result is monotonized.  Returns ``(modulus,
     kappa_star)`` where ``kappa_star`` is the sampled Lipschitz constant of
     ``dh`` on the trust ball (None unless the problem is C^{2,1}).
     """
@@ -125,11 +127,7 @@ def lipschitz_modulus(problem, split, rho_grid=None, samples=160, rng=None):
     model = LocalModel(problem, split)
     n = problem.dimension
     rho0 = problem.trust_radius
-    if rho_grid is None:
-        rho_grid = rho0 * 0.5 ** np.arange(0, 11)
-    rho_grid = np.sort(np.asarray(rho_grid, dtype=float))
-    if rho_grid[-1] > rho0 * (1 + 1e-12):
-        raise OutsideSampledDomain("rho grid exceeds the trust radius")
+    rho_grid = rho0 * 0.5 ** np.arange(10, -1, -1)
 
     values = []
     for rho in rho_grid:
@@ -144,7 +142,7 @@ def lipschitz_modulus(problem, split, rho_grid=None, samples=160, rng=None):
             best = float(np.max(np.linalg.norm(hp[ok] - hq[ok], axis=1) / dn[ok]))
         # dense |dh| maximization: interior grid + sphere shell
         axes = np.linspace(-rho / math.sqrt(n), rho / math.sqrt(n), 5)
-        mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        mesh = tensor_points([axes] * n)
         shell = _ball_samples(rng, n, rho, samples)
         shell *= rho / np.maximum(np.linalg.norm(shell, axis=1, keepdims=True), 1e-300)
         dense = np.linalg.norm(model.dh(np.concatenate([mesh, shell])), 2, axis=(1, 2))

@@ -45,6 +45,10 @@ from .errors import (
 )
 from .kernels import ExpConvolver
 
+#: Picard tolerance of every solve, in the exp norm; the manifest records
+#: it as ``tol``
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 200
 NORM_SLACK = 1e-9
 STALL_FACTOR = 0.9
 STALL_STEPS = 10
@@ -220,7 +224,7 @@ def PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid, conv):
                             0.0, reference=reference)
 
 
-def fixed_point(operator, initial=None, tol=1e-10, max_iter=200):
+def fixed_point(operator, initial=None, tol=PICARD_TOL):
     """Picard iteration in the exp norm.
 
     Raises :class:`NoConvergence` when the residual stalls (fails to shrink
@@ -230,7 +234,7 @@ def fixed_point(operator, initial=None, tol=1e-10, max_iter=200):
     current = operator.initial_curve() if initial is None else initial
     stall = 0
     prev_res = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         nxt = operator.apply(current)
         res = nxt.exp_distance(current)
         if res <= tol:
@@ -241,27 +245,27 @@ def fixed_point(operator, initial=None, tol=1e-10, max_iter=200):
                 f"residual stalled at {res:.3e} after {it} iterations")
         prev_res = res
         current = nxt
-    raise NoConvergence(f"no convergence in {max_iter} iterations (residual {res:.3e})")
+    raise NoConvergence(f"no convergence in {PICARD_MAX_ITER} iterations "
+                        f"(residual {res:.3e})")
 
 
 # -- orbit and graph solvers --------------------------------------------------
 
-def backward_orbit(model, ladder, z_minus, t_max=None, tol=1e-10, cache=None):
+def backward_orbit(model, ladder, z_minus, t_max=None, cache=None):
     """Fixed point of the backward operator: the orbit emanating from the
     critical point whose minus projection at time zero is ``z_minus``."""
     cache = cache or SolverCache(model)
     t_max = default_horizon(ladder) if t_max is None else float(t_max)
     grid = cache.grid(-t_max, 0.0)
     op = PhiOperator(model, ladder, z_minus, grid, cache.convolver(grid))
-    return fixed_point(op, tol=tol)
+    return fixed_point(op)
 
 
-def solve_stable(model, ladder, z_plus, t_max=None, tol=1e-10, cache=None):
+def solve_stable(model, ladder, z_plus, cache=None):
     cache = cache or SolverCache(model)
-    t_max = default_horizon(ladder) if t_max is None else float(t_max)
-    grid = cache.grid(0.0, t_max)
+    grid = cache.grid(0.0, default_horizon(ladder))
     op = PsiOperator(model, ladder, z_plus, grid, cache.convolver(grid))
-    return fixed_point(op, tol=tol)
+    return fixed_point(op)
 
 
 def reference_curve(orbit_curve, grid, rate):
@@ -271,7 +275,7 @@ def reference_curve(orbit_curve, grid, rate):
     return Curve(grid, vals, rate, FORWARD_FINITE)
 
 
-def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, tol=1e-10, cache=None,
+def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, cache=None,
                 enforce_endpoint=True):
     """Fixed point of the mixed-boundary operator for one (T, z-, z+).
 
@@ -288,7 +292,7 @@ def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, tol=1e-10, cache=None,
     ref = orbit.reference(grid, ladder.lambda_)
     op = PsiTOperator(model, ladder, T, z_minus, z_plus, ref, grid,
                       cache.convolver(grid))
-    result = fixed_point(op, tol=tol)
+    result = fixed_point(op)
     end = result.curve.values[-1]
     target = model.embed_minus(z_minus)
     gap = float(np.linalg.norm(end - target))
@@ -365,8 +369,7 @@ class GraphSample:
         return out[0] if z.ndim == 1 else out
 
     def grid_points(self):
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_points(self.axes)
 
     def values_flat(self):
         return self.values.reshape(-1, self.codim)
@@ -453,6 +456,13 @@ class GraphSample:
         return worst
 
 
+def tensor_points(axes):
+    """The nodes of the tensor grid ``axes`` as rows, in ``indexing="ij"``
+    order (the last axis varies fastest)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def default_axes(radius, dim, count=13):
     """Tensor axes for the cube inscribed in the radius ball."""
     half = radius / np.sqrt(dim)
@@ -470,9 +480,7 @@ def _sample_tensor_grid(axes, codim, solve):
     residuals = np.zeros(shape)
     iters = np.zeros(shape, dtype=int)
     gaps = np.zeros(shape)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    base = np.stack([m.ravel() for m in mesh], axis=-1)
-    for idx, z in enumerate(base):
+    for idx, z in enumerate(tensor_points(axes)):
         value, res, gap = solve(z)
         multi = np.unravel_index(idx, shape)
         values[multi] = value
@@ -482,13 +490,13 @@ def _sample_tensor_grid(axes, codim, solve):
     return values, residuals, iters, gaps
 
 
-def graph_F_inf(model, ladder, base_axes=None, tol=1e-10, cache=None):
+def graph_F_inf(model, ladder, base_axes=None, cache=None):
     """Unstable graph: plus part at time 0 of the backward fixed points."""
     cache = cache or SolverCache(model)
     axes = base_axes or default_axes(ladder.R, model.k)
 
     def solve(z_minus):
-        res = backward_orbit(model, ladder, z_minus, tol=tol, cache=cache)
+        res = backward_orbit(model, ladder, z_minus, cache=cache)
         return res.curve.values[-1, model.k:], res, 0.0
 
     values, residuals, iters, _ = _sample_tensor_grid(axes, model.n - model.k, solve)
@@ -496,13 +504,13 @@ def graph_F_inf(model, ladder, base_axes=None, tol=1e-10, cache=None):
                        rate=ladder.lambda_)
 
 
-def graph_G_inf(model, ladder, base_axes=None, tol=1e-10, cache=None):
+def graph_G_inf(model, ladder, cache=None):
     """Stable graph: minus part at time 0 of the forward fixed points."""
     cache = cache or SolverCache(model)
-    axes = base_axes or default_axes(ladder.R, model.n - model.k)
+    axes = default_axes(ladder.R, model.n - model.k)
 
     def solve(z_plus):
-        res = solve_stable(model, ladder, z_plus, tol=tol, cache=cache)
+        res = solve_stable(model, ladder, z_plus, cache=cache)
         return res.curve.values[0, : model.k], res, 0.0
 
     values, residuals, iters, _ = _sample_tensor_grid(axes, model.k, solve)
@@ -510,19 +518,17 @@ def graph_G_inf(model, ladder, base_axes=None, tol=1e-10, cache=None):
                        rate=ladder.lambda_)
 
 
-def graph_G_T(model, ladder, T, z_minus, base_axes=None, orbit=None, tol=1e-10,
-              cache=None):
+def graph_G_T(model, ladder, T, z_minus, base_axes=None, orbit=None, cache=None):
     """Time-T graph over the plus ball for one sphere point ``z_minus``."""
     cache = cache or SolverCache(model)
     if orbit is None:
         orbit = backward_orbit(model, ladder, z_minus,
-                               t_max=max(default_horizon(ladder), T), tol=tol,
-                               cache=cache)
+                               t_max=max(default_horizon(ladder), T), cache=cache)
     axes = base_axes or default_axes(ladder.R, model.n - model.k)
 
     def solve(z_plus):
         res, gap = solve_mixed(model, ladder, T, z_minus, z_plus, orbit,
-                               tol=tol, cache=cache)
+                               cache=cache)
         return res.curve.values[0, : model.k], res, gap
 
     values, residuals, iters, gaps = _sample_tensor_grid(axes, model.k, solve)
@@ -580,8 +586,7 @@ def _linearized_fixed_point(model, ladder, grid, conv, dh_nodes, v_plus, tol):
     raise NoConvergence("linearized derivative iteration did not converge")
 
 
-def graph_derivative_linearized(model, ladder, fp_result, v_plus, tol=1e-11,
-                                cache=None):
+def graph_derivative_linearized(model, ladder, fp_result, v_plus, cache=None):
     """Directional derivative of a graph map via the linearized equation.
 
     ``fp_result`` is the fixed point whose graph value is being
@@ -594,5 +599,5 @@ def graph_derivative_linearized(model, ladder, fp_result, v_plus, tol=1e-11,
     conv = cache.convolver(grid)
     dh_nodes = model.dh(curve.values)
     X = _linearized_fixed_point(model, ladder, grid, conv, dh_nodes,
-                                np.asarray(v_plus, dtype=float), tol)
+                                np.asarray(v_plus, dtype=float), 1e-11)
     return X[0, : model.k]

@@ -18,6 +18,7 @@ from .flow import integrate_forward
 
 ORACLE_RTOL = 1e-12
 ORACLE_ATOL = 1e-15
+NEWTON_MAX_ITER = 30
 
 
 @dataclass
@@ -34,26 +35,27 @@ def _escape_side(model, traj):
     return 1.0 if end_local[0] >= 0 else -1.0
 
 
-def stable_point_oracle(model, ladder, z_plus, horizon=None, tol=1e-8,
-                        escape_radius=None, rtol=ORACLE_RTOL, atol=ORACLE_ATOL):
+def stable_point_oracle(model, ladder, z_plus, tol=1e-8):
     """Find the unstable coordinate putting ``(w, z_plus)`` on the stable set.
 
     Morse index one only: bisection on ``w`` using the side on which forward
-    trajectories escape.  Returns a :class:`ShootingResult` whose solution is
-    the full local-frame point ``(w, z_plus)``.
+    trajectories escape the ball of radius 4 rho within time 2 T0.  Returns
+    a :class:`ShootingResult` whose solution is the full local-frame point
+    ``(w, z_plus)``.
     """
     if model.k != 1:
         raise NewtonDiverged("bisection oracle requires Morse index one; "
                              "use mixed_bvp_oracle for higher index")
     z_plus = np.asarray(z_plus, dtype=float)
-    horizon = 2.0 * ladder.T0 if horizon is None else float(horizon)
-    escape_radius = 4.0 * ladder.rho if escape_radius is None else float(escape_radius)
+    horizon = 2.0 * ladder.T0
+    escape_radius = 4.0 * ladder.rho
     problem = model.problem
 
     def shoot(w):
         start_local = np.concatenate([[w], z_plus])
         return integrate_forward(problem, model.to_ambient(start_local), horizon,
-                                 rtol=rtol, atol=atol, stop_radius=escape_radius)
+                                 rtol=ORACLE_RTOL, atol=ORACLE_ATOL,
+                                 stop_radius=escape_radius)
 
     lo, hi = -ladder.R, ladder.R
     side_lo = _escape_side(model, shoot(lo))
@@ -80,13 +82,11 @@ def stable_point_oracle(model, ladder, z_plus, horizon=None, tol=1e-8,
         query=f"stable point over z_plus={z_plus}",
         solution=np.concatenate([[w], z_plus]),
         bracket_width=hi - lo,
-        integration_tol=rtol,
+        integration_tol=ORACLE_RTOL,
     )
 
 
-def mixed_bvp_oracle(model, ladder, T, z_minus, z_plus, tol=1e-8,
-                     rtol=ORACLE_RTOL, atol=ORACLE_ATOL, max_iter=30,
-                     initial_guess=None):
+def mixed_bvp_oracle(model, ladder, T, z_minus, z_plus, tol=1e-8):
     """Shooting solution of the mixed boundary problem.
 
     Finds the initial minus part ``w`` such that the forward trajectory from
@@ -107,19 +107,16 @@ def mixed_bvp_oracle(model, ladder, T, z_minus, z_plus, tol=1e-8,
     def shoot(u):
         start_local = np.concatenate([scale * u, z_plus])
         traj = integrate_forward(problem, model.to_ambient(start_local), T,
-                                 rtol=rtol, atol=atol)
+                                 rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
         end_local = model.to_local(traj.terminal)
         return end_local[:k] - z_minus, traj
 
-    if initial_guess is None:
-        u = z_minus.copy()  # linear-model prediction in the scaled variable
-    else:
-        u = np.asarray(initial_guess, dtype=float) / scale
+    u = z_minus.copy()  # linear-model prediction in the scaled variable
 
     resid, traj = shoot(u)
     best = (np.linalg.norm(resid), u, traj)
     fd = max(1e-9, 1e-7 * float(np.linalg.norm(u)))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if np.linalg.norm(resid) <= tol:
             break
         J = np.empty((k, k))
@@ -152,6 +149,6 @@ def mixed_bvp_oracle(model, ladder, T, z_minus, z_plus, tol=1e-8,
         query=f"mixed boundary problem T={T}",
         solution=np.concatenate([w, z_plus]),
         bracket_width=float(best[0]),
-        integration_tol=rtol,
+        integration_tol=ORACLE_RTOL,
     )
     return traj, record

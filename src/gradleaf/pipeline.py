@@ -21,7 +21,8 @@ from . import convergence, foliation, reporting
 from .errors import BoundViolation
 from .flow import descending_disk, integrate_forward
 from .local_model import LocalModel, build_ladder, calibrate_ladder, lipschitz_modulus
-from .lyapunov_perron import SolverCache, default_axes, graph_F_inf, graph_G_inf, graph_G_T
+from .lyapunov_perron import (PICARD_TOL, SolverCache, default_axes, graph_F_inf,
+                              graph_G_inf, graph_G_T)
 from .oracle import mixed_bvp_oracle
 from .spectral import split
 
@@ -32,7 +33,6 @@ STAGES = ("spectral", "ladder", "manifolds", "lambda", "foliate", "oracle")
 class RunState:
     problem: object
     out_dir: Path
-    tol: float = 1e-10
     seed: int = 0
     split: object = None
     model: object = None
@@ -98,15 +98,13 @@ def stage_ladder(state):
 
 def stage_manifolds(state):
     _require(state, "ladder")
-    state.graph_f = graph_F_inf(state.model, state.ladder, tol=state.tol,
-                                cache=state.cache)
-    state.graph_g = graph_G_inf(state.model, state.ladder, tol=state.tol,
-                                cache=state.cache)
+    state.graph_f = graph_F_inf(state.model, state.ladder, cache=state.cache)
+    state.graph_g = graph_G_inf(state.model, state.ladder, cache=state.cache)
     state.ladder = calibrate_ladder(state.ladder, state.model, state.graph_f,
                                     state.graph_g,
                                     overrides=state.problem.ladder_overrides)
     state.solver = convergence.GraphFamilySolver(state.model, state.ladder,
-                                                 tol=state.tol, cache=state.cache)
+                                                 cache=state.cache)
     state.disk = descending_disk(state.model, state.ladder, state.graph_f)
     for sample, name in ((state.graph_f, "graph_F_inf.csv"),
                          (state.graph_g, "graph_G_inf.csv")):
@@ -159,12 +157,12 @@ def _bound_violation(what, failed):
                           + "; ".join(rep.describe_worst() for rep in failed))
 
 
-def stage_lambda(state, T_count=5):
+def stage_lambda(state):
     _require(state, "manifolds")
     ladder = state.ladder
     solver = state.solver
     t_min = max(ladder.T0, ladder.T2)
-    T_grid = t_min + np.arange(T_count, dtype=float)
+    T_grid = t_min + np.arange(5, dtype=float)
     zm_list, zp_list = _lambda_sample_sets(state)
 
     c0 = convergence.c0_convergence(solver, T_grid, zm_list, zp_list)
@@ -176,7 +174,7 @@ def stage_lambda(state, T_count=5):
         solver, T_grid[:2], (1e-2, 1e-3), zm_list[:1], zp_list[:2])
     graph_t = graph_G_T(state.model, ladder, float(T_grid[0]),
                         zm_list[0], orbit=solver.orbit(zm_list[0], T_grid[0]),
-                        tol=state.tol, cache=state.cache)
+                        cache=state.cache)
     state.emit("graph_G_T.csv", reporting.graph_header(state.model, graph_t),
                reporting.graph_rows(graph_t, state.model))
     reports["endpoint"] = convergence.endpoint_audit(solver, graph_t)
@@ -238,7 +236,7 @@ def stage_foliate(state):
         raise _bound_violation("a foliation audit", failed)
 
 
-def stage_oracle(state, grid=2):
+def stage_oracle(state):
     _require(state, "manifolds")
     if state.model.k != 1:
         state.details["oracle"] = {"skipped": "shooting suite covers index one"}
@@ -251,6 +249,7 @@ def stage_oracle(state, grid=2):
     t_cap = np.log(1e6) / abs(ladder.lambda_min)
     t_base = min(max(ladder.T0, ladder.T2), t_cap)
     enforce = t_base >= ladder.T0 - 1e-12
+    grid = 2  # horizons, sphere points and plus points compared
     T_list = t_base + (np.linspace(0.0, 2.0, grid) if enforce
                        else np.linspace(-2.0, 0.0, grid))
     zm_list, zp_list = _lambda_sample_sets(state, n_zplus=grid)
@@ -302,12 +301,11 @@ def run_stage(name, state):
     state.wall_times[name] = time.perf_counter() - start
 
 
-def run(problem, out_dir, stages=("all",), tol=1e-10, seed=0,
-        config_digest=None):
+def run(problem, out_dir, stages=("all",), seed=0, config_digest=None):
     """Run the requested stages and write the manifest; returns the state."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = RunState(problem=problem, out_dir=out_dir, tol=tol, seed=seed)
+    state = RunState(problem=problem, out_dir=out_dir, seed=seed)
     todo = list(STAGES) if "all" in stages else list(stages)
     error = None
     try:
@@ -319,7 +317,7 @@ def run(problem, out_dir, stages=("all",), tol=1e-10, seed=0,
         "problem": problem.name,
         "config_hash": config_digest,
         "seed": seed,
-        "tol": tol,
+        "tol": PICARD_TOL,
         "stages_requested": todo,
         "stage_statuses": state.statuses,
         "wall_times": state.wall_times,

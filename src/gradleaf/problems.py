@@ -56,12 +56,14 @@ class GradientProblem:
     def hess(self, x):
         return self.objective.hessian(x)
 
-    def check_derivatives(self, rng=None, samples=8, h=1e-6):
-        """Max deviation between symbolic and finite-difference derivatives."""
-        rng = np.random.default_rng(0) if rng is None else rng
+    def check_derivatives(self):
+        """Max deviation between symbolic and central-difference derivatives
+        (step 1e-6) at 8 random points near the critical point."""
+        rng = np.random.default_rng(0)
+        h = 1e-6
         n = self.dimension
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(8):
             x = self.critical_point + 0.1 * rng.standard_normal(n)
             g = self.grad(x)
             H = self.hess(x)
@@ -93,7 +95,7 @@ def problem_from_dict(raw):
     """Build a problem from a parsed config; a malformed config is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config is not a key/value object")
-    dim = _config_value(raw, "dimension", int)
+    dim = _config_value(raw, "dimension", _integral)
     return GradientProblem(
         name=str(raw.get("name", "problem")),
         dimension=dim,
@@ -102,7 +104,7 @@ def problem_from_dict(raw):
         critical_point=_config_value(raw, "critical_point",
                                      lambda v: np.asarray(v, dtype=float)),
         trust_radius=_config_value(raw, "trust_radius", float, 1.0),
-        c21=bool(raw.get("c21", True)),
+        c21=_config_value(raw, "c21", _json_bool, True),
         ladder_overrides=_config_value(raw, "ladder_overrides", _overrides, {}),
     )
 
@@ -122,8 +124,22 @@ def _config_value(raw, key, convert, default=_REQUIRED):
         raise ConfigError(f"config value of the wrong type for {key!r}: {exc}") from exc
 
 
+def _integral(value):
+    """An integral JSON number (``2`` or ``2.0``) as an int."""
+    if type(value) not in (int, float) or value % 1 != 0:
+        raise TypeError(f"expected an integral number, got {value!r}")
+    return int(value)
+
+
+def _json_bool(value):
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _objective_pairs(entries):
-    return [(tuple(int(a) for a in alpha), float(coeff)) for alpha, coeff in entries]
+    return [(tuple(_integral(a) for a in alpha), float(coeff))
+            for alpha, coeff in entries]
 
 
 def _overrides(table):
@@ -148,8 +164,8 @@ def quartic_saddle():
     return GradientProblem("p2_quartic", 2, poly, np.zeros(2))
 
 
-def cubic_saddle_3d(coupling=0.05):
-    """f = -x1^2 + x2^2/2 + 3 x3^2/2 + coupling * x1^2 x2.
+def cubic_saddle_3d():
+    """f = -x1^2 + x2^2/2 + 3 x3^2/2 + 0.05 x1^2 x2.
 
     Hessian diag(-2, 1, 3); the cubic coupling curves the unstable manifold.
     """
@@ -157,12 +173,12 @@ def cubic_saddle_3d(coupling=0.05):
         [[2, 0, 0], -1.0],
         [[0, 2, 0], 0.5],
         [[0, 0, 2], 1.5],
-        [[2, 1, 0], coupling],
+        [[2, 1, 0], 0.05],
     ])
     return GradientProblem("p3_cubic3d", 3, poly, np.zeros(3))
 
 
-def curved_stable_saddle(coupling=0.1):
-    """f = -x1^2/2 + x2^2 + coupling * x1 x2^2: curved stable manifold."""
-    poly = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0], [[1, 2], coupling]])
+def curved_stable_saddle():
+    """f = -x1^2/2 + x2^2 + 0.1 x1 x2^2: curved stable manifold."""
+    poly = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0], [[1, 2], 0.1]])
     return GradientProblem("curved_stable", 2, poly, np.zeros(2))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateCriticalPoint, NotSymmetric
 
-#: relative scale for the default non-degeneracy tolerance
+#: relative scale of the symmetry and non-degeneracy tolerances
 DEGENERACY_REL_TOL = 1e-9
 
 
@@ -36,12 +36,12 @@ class SpectralSplit:
     proj_plus: np.ndarray
 
 
-def split(hessian, tol=None):
+def split(hessian):
     """Spectral splitting of a symmetric matrix.
 
-    ``tol`` doubles as the symmetry tolerance and the non-degeneracy
-    threshold; by default it is ``1e-9 * max |eigenvalue|`` so the check is
-    scale invariant.
+    The matrix must be symmetric to ``1e-9 * max |entry|`` and have no
+    eigenvalue within ``1e-9 * max |eigenvalue|`` of zero, so both checks
+    are scale invariant.
     """
     A = np.asarray(hessian, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -49,12 +49,12 @@ def split(hessian, tol=None):
     n = A.shape[0]
     asym = float(np.max(np.abs(A - A.T))) if n else 0.0
     scale = float(np.max(np.abs(A))) or 1.0
-    sym_tol = tol if tol is not None else DEGENERACY_REL_TOL * scale
+    sym_tol = DEGENERACY_REL_TOL * scale
     if asym > sym_tol:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {sym_tol:.3e}")
 
     evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
-    degeneracy_tol = tol if tol is not None else DEGENERACY_REL_TOL * float(np.max(np.abs(evals)))
+    degeneracy_tol = DEGENERACY_REL_TOL * float(np.max(np.abs(evals)))
     if np.any(np.abs(evals) < degeneracy_tol):
         raise DegenerateCriticalPoint(
             f"eigenvalue within {degeneracy_tol:.3e} of zero: {evals}")

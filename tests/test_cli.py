@@ -117,7 +117,9 @@ def test_unreadable_config_exit_code(tmp_path):
     malformed = [[1, 2], {"objective": 5}, {"objective": [[[2, 0]]]},
                  {"dimension": [2]}, {"critical_point": {"x": 0.0}},
                  {"trust_radius": [1]}, {"ladder_overrides": 5},
-                 {"ladder_overrides": {"lambda": [0.5]}}]
+                 {"ladder_overrides": {"lambda": [0.5]}}, {"c21": "false"},
+                 {"dimension": 2.7},
+                 {"objective": [[[2.5, 0], -0.5], [[0, 2], 1.0]]}]
     configs = [tmp_path / "missing.json"]
     for i, change in enumerate(malformed):
         configs.append(tmp_path / f"malformed_{i}.json")
@@ -165,8 +167,8 @@ def test_determinism_byte_identical(p1_run, tmp_path):
 
 def test_stage_flag_restricts(tmp_path):
     out = tmp_path / "stage"
-    code = run_cli(["all", "--config", CONFIGS / "p1_quadratic.json",
-                    "--out", out, "--stage", "ladder"])
+    code = run_cli(["ladder", "--config", CONFIGS / "p1_quadratic.json",
+                    "--out", out])
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["stage_statuses"]) == {"spectral", "ladder"}
