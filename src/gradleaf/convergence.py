@@ -21,8 +21,8 @@ from .lyapunov_perron import (
     backward_orbit,
     default_horizon,
     graph_derivative_linearized,
-    solve_mixed,
-    solve_stable,
+    mixed_columns,
+    stable_columns,
 )
 
 #: a fixed point with residual r lies within 2 r of the exact one
@@ -96,10 +96,18 @@ def _label(vec):
     return "(" + ",".join(f"{v:.6g}" for v in np.atleast_1d(vec)) + ")"
 
 
+def _key(vec):
+    return tuple(np.asarray(vec, dtype=float).round(15).tolist())
+
+
 class GraphFamilySolver:
     """The solve store of one ladder: backward orbits keyed by z-, mixed
     fixed points keyed by (T, z-, z+, enforce_endpoint) and stable fixed
-    points keyed by z+, shared by every stage that solves on that ladder."""
+    points keyed by z+, shared by every stage that solves on that ladder.
+
+    ``mixed_rows`` and ``stable_rows`` take many z+ at once and solve the
+    ones not yet held together, in one batched Picard loop.
+    """
 
     def __init__(self, model, ladder, cache=None):
         self.model = model
@@ -110,35 +118,83 @@ class GraphFamilySolver:
         self._stable = {}
 
     def orbit(self, z_minus, t_need):
-        key = tuple(np.round(z_minus, 15))
+        key = _key(z_minus)
         have = self._orbits.get(key)
         if have is None or have.curve.grid.t0 > -t_need:
             t_max = max(default_horizon(self.ladder), t_need)
             have = backward_orbit(self.model, self.ladder, np.asarray(z_minus),
                                   t_max=t_max, cache=self.cache)
             self._orbits[key] = have
+            # a held mixed solve of this z- is centered on the orbit replaced
+            self._mixed = {k: v for k, v in self._mixed.items() if k[1] != key}
         return have
 
+    def _mixed_key(self, T, z_minus, z_plus, enforce_endpoint):
+        return (round(float(T), 12), _key(z_minus), _key(z_plus),
+                bool(enforce_endpoint))
+
+    def held_mixed(self, T, z_minus, z_plus):
+        """The held ``(result, gap)`` of an endpoint-enforced key, or None."""
+        return self._mixed.get(self._mixed_key(T, z_minus, z_plus, True))
+
+    def mixed_rows(self, T, z_minus, z_plus_rows, enforce_endpoint=True):
+        """``(result, gap)`` for each row of ``z_plus_rows``, in row order.
+
+        The keys not yet held are solved together and stored; the first
+        failing one raises, after the rows before it are stored.
+        """
+        keys = [self._mixed_key(T, z_minus, zp, enforce_endpoint)
+                for zp in z_plus_rows]
+        wanted = {}
+        for key, zp in zip(keys, z_plus_rows):
+            wanted.setdefault(key, zp)
+        self._solve_mixed(T, z_minus, wanted, enforce_endpoint)
+        return [self._mixed[key] for key in keys]
+
     def mixed(self, T, z_minus, z_plus, enforce_endpoint=True):
-        key = (round(float(T), 12), tuple(np.round(z_minus, 15)),
-               tuple(np.round(z_plus, 15)), bool(enforce_endpoint))
-        if key not in self._mixed:
-            orbit = self.orbit(np.asarray(z_minus), T)
-            self._mixed[key] = solve_mixed(
-                self.model, self.ladder, T, np.asarray(z_minus),
-                np.asarray(z_plus), orbit, cache=self.cache,
-                enforce_endpoint=enforce_endpoint)
+        key = self._mixed_key(T, z_minus, z_plus, enforce_endpoint)
+        self._solve_mixed(T, z_minus, {key: z_plus}, enforce_endpoint)
         return self._mixed[key]
+
+    def _solve_mixed(self, T, z_minus, wanted, enforce_endpoint):
+        """Solve the z+ of ``wanted`` (key -> z+) not yet held, together,
+        and store them under their keys."""
+        if all(key in self._mixed for key in wanted):
+            return
+        z_minus = np.asarray(z_minus, dtype=float)
+        orbit = self.orbit(z_minus, T)
+        # after ``orbit``, which drops the keys of an orbit it replaces
+        todo = {key: zp for key, zp in wanted.items() if key not in self._mixed}
+        solved = mixed_columns(self.model, self.ladder, T, z_minus,
+                               np.array(list(todo.values()), dtype=float),
+                               orbit, self.cache, enforce_endpoint)
+        for key, out in zip(todo, solved):
+            self._mixed[key] = out
 
     def graph_value(self, T, z_minus, z_plus, **kw):
         res, _ = self.mixed(T, z_minus, z_plus, **kw)
         return res.curve.values[0, : self.model.k]
 
+    def stable_rows(self, z_plus_rows):
+        """Stable fixed points for each row of ``z_plus_rows``, in row order;
+        the rows not yet held are solved together and stored."""
+        keys = [_key(zp) for zp in z_plus_rows]
+        todo = {}
+        for key, zp in zip(keys, z_plus_rows):
+            if key not in self._stable:
+                todo.setdefault(key, zp)
+        if todo:
+            solved = stable_columns(self.model, self.ladder,
+                                    np.array(list(todo.values()), dtype=float),
+                                    self.cache)
+            for key, out in zip(todo, solved):
+                self._stable[key] = out
+        return [self._stable[key] for key in keys]
+
     def stable(self, z_plus):
-        key = tuple(np.round(z_plus, 15))
+        key = _key(z_plus)
         if key not in self._stable:
-            self._stable[key] = solve_stable(self.model, self.ladder,
-                                             np.asarray(z_plus), cache=self.cache)
+            self.stable_rows([z_plus])
         return self._stable[key]
 
     def stable_value(self, z_plus):
@@ -170,10 +226,10 @@ def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
     series = {}
     for T in T_grid:
         for zm in z_minus_list:
-            for zp in z_plus_list:
-                res, _ = solver.mixed(T, zm, zp)
+            mixed = solver.mixed_rows(T, zm, z_plus_list)
+            stable = solver.stable_rows(z_plus_list)
+            for zp, (res, _), st in zip(z_plus_list, mixed, stable):
                 g_t = res.curve.values[0, : solver.model.k]
-                st = solver.stable(zp)
                 g_inf = st.curve.values[0, : solver.model.k]
                 gap = float(np.linalg.norm(g_t - g_inf))
                 bound = math.exp(-T * ladder.lambda_ / 8.0)
@@ -220,6 +276,14 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
     cross = []
     for T in sorted(T_grid):
         for zm in z_minus_list:
+            # every z+ the rows below read: the finite-difference probes and
+            # the linearized cross-check's base points
+            probes = [zp + h * np.asarray(v, dtype=float)
+                      for zp in z_plus_list for v in directions
+                      for h in (fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step)]
+            probes += list(z_plus_list) if use_linearized else []
+            solver.mixed_rows(T, zm, probes)
+            solver.stable_rows(probes)
             for zp in z_plus_list:
                 for i, v in enumerate(directions):
                     v = np.asarray(v, dtype=float)
@@ -274,6 +338,9 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
     for T in sorted(T_grid):
         for tau in tau_grid:
             for zm in z_minus_list:
+                steps = (0, 1, 2) if solver.model.problem.c21 else (0, 1)
+                for step in steps:
+                    solver.mixed_rows(T + step * tau, zm, z_plus_list)
                 for zp in z_plus_list:
                     resA, _ = solver.mixed(T, zm, zp)
                     resB, _ = solver.mixed(T + tau, zm, zp)

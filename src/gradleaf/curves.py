@@ -23,6 +23,20 @@ FORWARD_INFINITE = "forward_infinite"  # [0, T_max] truncation, weight e^{+lambd
 BACKWARD = "backward"                  # [-T_max, 0] truncation, weight e^{-lambda t}
 
 
+def row_norms(values):
+    """Euclidean norms over the last axis of ``values``, any leading shape.
+
+    The squares are summed coordinate by coordinate, which is the order
+    ``np.linalg.norm(values, axis=-1)`` sums them in, so the two agree bit
+    for bit; on a curve's few coordinates this is several times cheaper.
+    """
+    sq = values[..., 0] * values[..., 0]
+    for i in range(1, values.shape[-1]):
+        v = values[..., i]
+        sq += v * v
+    return np.sqrt(sq)
+
+
 def _lobatto_reference(p):
     # Chebyshev-Lobatto nodes mapped to [0, 1], ascending
     j = np.arange(p + 1)
@@ -81,10 +95,19 @@ class PanelGrid:
         self.nodes = np.concatenate(nodes)
         self.ref_nodes = ref
         self.ref_weights = barycentric_weights(ref)
+        self._profiles = {}
 
     @property
     def size(self):
         return self.nodes.size
+
+    def exp_profile(self, rate, origin=0.0):
+        """``exp(-(t - origin) * rate)`` at the nodes, computed once per
+        (rate, origin) and shared by every curve on this grid."""
+        key = (rate, origin)
+        if key not in self._profiles:
+            self._profiles[key] = np.exp(-(self.nodes - origin) * rate)
+        return self._profiles[key]
 
     def panel_slice(self, ip):
         start = ip * self.p
@@ -133,6 +156,12 @@ class PanelGrid:
         return D
 
 
+def exp_weights(grid, rate, kind):
+    """The exp-norm weight at the nodes of ``grid``: exp(-rate t) on a
+    backward horizon, exp(rate t) on a forward one."""
+    return grid.exp_profile(rate if kind == BACKWARD else -rate)
+
+
 @dataclass
 class Curve:
     """Sampled curve in the split-adapted frame with an exp-norm rate.
@@ -153,23 +182,20 @@ class Curve:
                 f"{self.values.shape[0]} values on a grid of {self.grid.size} nodes")
 
     def weights(self):
-        sign = -1.0 if self.kind == BACKWARD else 1.0
-        return np.exp(sign * self.rate * self.grid.nodes)
+        return exp_weights(self.grid, self.rate, self.kind)
 
     def exp_norm(self):
         """Weighted sup norm; the weight grows toward the open end."""
-        norms = np.linalg.norm(self.values, axis=1)
-        return float(np.max(self.weights() * norms))
+        return float(np.max(self.weights() * row_norms(self.values)))
 
     def exp_distance(self, other):
-        norms = np.linalg.norm(self.values - other.values, axis=1)
-        return float(np.max(self.weights() * norms))
+        return float(np.max(self.weights() * row_norms(self.values - other.values)))
 
     def sup_distance(self, other):
-        return float(np.max(np.linalg.norm(self.values - other.values, axis=1)))
+        return float(np.max(row_norms(self.values - other.values)))
 
     def max_norm(self):
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        return float(np.max(row_norms(self.values)))
 
     def evaluate(self, t):
         return self.grid.interpolate(self.values, t)

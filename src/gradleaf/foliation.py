@@ -286,8 +286,7 @@ def build_atlas(solver, stable_graph, sphere_minus, pair=None, tau=None,
         orbit = solver.orbit(alpha, float(np.max(T_grid)))
         for T in T_grid:
             graph = graph_G_T(model, ladder, float(T), alpha,
-                              base_axes=zplus_axes, orbit=orbit,
-                              cache=solver.cache)
+                              base_axes=zplus_axes, solver=solver)
             base_point = orbit.curve.evaluate(-float(T))
             label = (float(T), ai)
             bnd_p, bnd_l = _leaf_boundary(model, graph, clip,

@@ -25,6 +25,12 @@ accumulated integral decays by the exact endpoint factor of one panel.  The
 stacked ``matmul`` rounds exactly as one product per panel does, and the
 carry runs in the same order, so the result is the same bit for bit as a
 panel-by-panel loop.
+
+A convolution takes one column of samples, shape ``(size,)``, or a stack of
+columns, ``(B, size)``, as the batched Picard loop passes them.  A stack
+goes through the same stacked product, one panel of one column at a time,
+and the carry runs column by column in the same order, so every column
+comes out bit for bit as it does alone.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ _GAUSS_POSITIVE_WEIGHTS = np.array([
 ])
 GAUSS_NODES = np.concatenate([-_GAUSS_POSITIVE_NODES[::-1], _GAUSS_POSITIVE_NODES])
 GAUSS_WEIGHTS = np.concatenate([_GAUSS_POSITIVE_WEIGHTS[::-1], _GAUSS_POSITIVE_WEIGHTS])
+#: from this many columns on, the carry runs across columns in numpy, one
+#: panel at a time; below it, column by column in Python floats.  Both
+#: forms round the same.
+CARRY_ARRAY_COLUMNS = 12
 
 
 class ExpConvolver:
@@ -76,6 +86,10 @@ class ExpConvolver:
         n_rates = self.rates.size
         #: flat-grid index of every panel node, (n_panels, p + 1)
         self._rows = np.arange(grid.n_panels)[:, None] * p + np.arange(m)
+        #: the sweep order of the carry by exit node: forward through the
+        #: panels (exit -1), backward (exit 0)
+        self._orders = {-1: range(grid.n_panels),
+                        0: range(grid.n_panels - 1, -1, -1)}
 
         self._fwd_local = np.zeros((n_rates, m, m))
         self._bwd_local = np.zeros((n_rates, m, m))
@@ -108,43 +122,62 @@ class ExpConvolver:
                 self._bwd_carry[r] = np.exp((1.0 - ref) * w * lam)
 
     def forward(self, rate_index, y):
-        """F(t) on the flat grid for coordinate samples ``y``; needs lam >= 0."""
+        """F(t) on the flat grid for coordinate samples ``y``, one column
+        ``(size,)`` or a stack ``(B, size)``; needs lam >= 0."""
         if self.rates[rate_index] < 0.0:
             raise ValueError("forward convolution requires a non-negative rate")
-        vals = self._panel_values(self._fwd_local[rate_index],
-                                  self._fwd_carry[rate_index], y, -1)
-        # a node shared by two panels takes the later panel's value
-        out = np.empty(self.grid.size)
-        out[:-1] = vals[:, :-1].ravel()
-        out[-1] = vals[-1, -1]
-        return out
+        return self._convolve(self._fwd_local[rate_index],
+                              self._fwd_carry[rate_index], y, -1)
 
     def backward(self, rate_index, y):
-        """B(t) on the flat grid for coordinate samples ``y``; needs lam <= 0."""
+        """B(t) on the flat grid for coordinate samples ``y``, one column
+        ``(size,)`` or a stack ``(B, size)``; needs lam <= 0."""
         if self.rates[rate_index] > 0.0:
             raise ValueError("backward convolution requires a non-positive rate")
-        vals = self._panel_values(self._bwd_local[rate_index],
-                                  self._bwd_carry[rate_index], y, 0)
-        # a node shared by two panels takes the earlier panel's value
-        out = np.empty(self.grid.size)
-        out[1:] = vals[:, 1:].ravel()
-        out[0] = vals[0, 0]
-        return out
+        return self._convolve(self._bwd_local[rate_index],
+                              self._bwd_carry[rate_index], y, 0)
 
-    def _panel_values(self, local, carry, y, exit_node):
-        """Convolution values on every panel, (n_panels, p + 1): the local
+    def _convolve(self, local, carry, y, exit_node):
+        """Convolution values on the flat grid: on each panel, the local
         integrals plus the integral carried in, a scalar recursion in sweep
         order through each panel's value at ``exit_node`` (-1 forward, 0
-        backward)."""
+        backward).  A node shared by two panels takes the value of the panel
+        the sweep reaches it from: the later one forward, the earlier one
+        backward."""
         # rounds as one ``local @ y[panel]`` per panel; ``@ local.T``,
         # ``dot`` and ``einsum`` do not
-        L = np.matmul(local, y[self._rows][..., None])[..., 0]
-        d = float(carry[exit_node])
-        exits = L[:, exit_node].tolist()
-        order = range(len(exits)) if exit_node == -1 else reversed(range(len(exits)))
+        Y = y[self._rows] if y.ndim == 1 else y[:, self._rows]
+        L = np.matmul(local, Y[..., None])[..., 0]
+        acc = _sweep(float(carry[exit_node]), L[..., exit_node],
+                     self._orders[exit_node])
+        vals = carry * acc[..., None] + L
+        out = np.empty(y.shape)
+        if exit_node == -1:
+            out[..., :-1] = vals[..., :-1].reshape(out.shape[:-1] + (-1,))
+        else:
+            out[..., 1:] = vals[..., 1:].reshape(out.shape[:-1] + (-1,))
+        out[..., exit_node] = vals[..., exit_node, exit_node]
+        return out
+
+
+def _sweep(d, exits, order):
+    """The integral carried into each panel, shaped as ``exits``, (P,) or
+    (B, P): ``a <- d * a + exits[..., i]`` from ``a = 0`` over the panels in
+    ``order``, one recursion per column."""
+    if exits.ndim == 1:
         acc = np.empty(len(exits))
+        row = exits.tolist()
         a = 0.0
         for i in order:
             acc[i] = a
-            a = d * a + exits[i]
-        return carry * acc[:, None] + L
+            a = d * a + row[i]
+        return acc
+    if len(exits) < CARRY_ARRAY_COLUMNS:
+        return np.array([_sweep(d, row, order) for row in exits])
+    cols = np.ascontiguousarray(exits.T)
+    acc = np.empty(exits.shape)
+    a = np.zeros(len(exits))
+    for i in order:
+        acc[:, i] = a
+        a = d * a + cols[i]
+    return acc

@@ -2,10 +2,10 @@
 
 One integral operator, ``IntegralOperator``, serves every problem: a curve
 maps to a boundary term plus the exponential convolutions of the
-nonlinearity along it, minus columns integrated backward from the end of the
-grid and plus columns forward from its start.  Only the Cauchy problem in
-forward time is used.  Three constructors build the boundary term of each
-problem:
+nonlinearity along it, minus coordinates integrated backward from the end
+of the grid and plus coordinates forward from its start.  Only the Cauchy
+problem in forward time is used.  Three constructors build the boundary
+term of each problem:
 
 * ``PhiOperator`` on backward curves: its fixed point is the flow line
   emanating from the critical point with prescribed unstable projection;
@@ -18,7 +18,14 @@ problem:
   yield the time-T graph family converging to the stable graph.
 
 Picard iteration converges with factor at most 1/2 whenever the rate ladder
-invariants hold.
+invariants hold.  One operator holds a stack of columns, independent fixed
+points that share grid, convolver and reference orbit (every node of a
+sampled graph, or the z+ of one (T, z-) the solve store asks for), and one
+loop iterates them together on ``(B, size, n)`` blocks.  A column is frozen
+when it converges or fails; it rounds as it does alone, so its residual,
+iteration count and exception are those of a solve of that column by
+itself, and ``fixed_point`` is the loop's one-column case.  The loop counts
+its work per operator kind in the cache's ``SolverCounts``.
 
 Solving on a tensor grid of base points gives a ``GraphSample``.  Every
 other module reaches the local-frame geometry of a sampled graph through it:
@@ -29,11 +36,20 @@ graph, and the level crossings of the objective along rays of its domain.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import BACKWARD, FORWARD_FINITE, FORWARD_INFINITE, Curve, PanelGrid
+from .curves import (
+    BACKWARD,
+    FORWARD_FINITE,
+    FORWARD_INFINITE,
+    Curve,
+    PanelGrid,
+    exp_weights,
+    row_norms,
+)
 from .errors import (
     EndpointViolation,
     HorizonMismatch,
@@ -52,6 +68,9 @@ PICARD_MAX_ITER = 200
 NORM_SLACK = 1e-9
 STALL_FACTOR = 0.9
 STALL_STEPS = 10
+#: a block of Picard columns holds at most this many curve values (columns
+#: x nodes x coordinates): 30,000 doubles, 240 kB per temporary array
+BLOCK_VALUES = 30_000
 #: cap on the halvings of ``GraphSample.level_crossing``
 LEVEL_BISECT_STEPS = 200
 
@@ -67,13 +86,42 @@ def truncation_tail(ladder, t_max):
     return ladder.kappa_rho * ladder.rho * np.exp(-t_max * lam) / (lam + mu)
 
 
+class SolverCounts:
+    """What the Picard loop did, per operator kind: columns solved, batched
+    calls, the sum and the maximum of the columns' iteration counts, and the
+    worst contraction ratio res_k / res_(k-1) measured between two
+    iterations of a column."""
+
+    def __init__(self):
+        self.kinds = {}
+
+    def record(self, kind, iterations, worst_ratio):
+        """One batched call that solved columns in ``iterations`` steps each."""
+        entry = self.kinds.setdefault(kind, {
+            "columns": 0, "batches": 0, "iterations_sum": 0,
+            "iterations_max": 0, "worst_ratio": 0.0})
+        entry["columns"] += len(iterations)
+        entry["batches"] += 1
+        entry["iterations_sum"] += sum(iterations)
+        entry["iterations_max"] = max([entry["iterations_max"], *iterations])
+        entry["worst_ratio"] = max(entry["worst_ratio"], worst_ratio)
+
+    def summary(self, ladder):
+        """The counts with the a priori factor of ``ladder`` and the paper's 1/2."""
+        return {"kinds": self.kinds,
+                "contraction_bound": ladder.contraction_bound(),
+                "paper_bound": 0.5}
+
+
 class SolverCache:
-    """Grids and convolvers keyed by horizon, shared across solves."""
+    """Grids and convolvers keyed by horizon, shared across solves, and the
+    counts of the solves made with them."""
 
     def __init__(self, model):
         self.model = model
         self._grids = {}
         self._convs = {}
+        self.counts = SolverCounts()
 
     def grid(self, t0, t1):
         key = (round(float(t0), 12), round(float(t1), 12))
@@ -113,100 +161,156 @@ class FixedPointResult:
 def _add_integrals(out, conv, k, y):
     """Add the Lyapunov-Perron integrals of ``y`` to ``out`` in place.
 
-    Minus columns (``j < k``) subtract the backward convolution, which
-    vanishes at the end of the grid; plus columns add the forward one, which
-    vanishes at its start.
+    ``out`` and ``y`` are one curve ``(size, n)`` or a stack ``(B, size,
+    n)``.  Minus coordinates (``j < k``) subtract the backward convolution,
+    which vanishes at the end of the grid; plus coordinates add the forward
+    one, which vanishes at its start.
     """
-    for j in range(out.shape[1]):
+    if out.ndim == 3 and len(out) == 1:
+        # a stack of one column takes the convolver's cheaper 1-D path
+        _add_integrals(out[0], conv, k, y[0])
+        return out
+    for j in range(out.shape[-1]):
         if j < k:
-            out[:, j] -= conv.backward(j, y[:, j])
+            out[..., j] -= conv.backward(j, y[..., j])
         else:
-            out[:, j] += conv.forward(j, y[:, j])
+            out[..., j] += conv.forward(j, y[..., j])
     return out
 
 
-def _boundary_term(model, grid, z_minus=None, z_plus=None, t_minus=0.0):
-    """The free linear solution on ``grid``: the minus part equals
-    ``z_minus`` at time ``t_minus``, the plus part ``z_plus`` at time 0."""
-    t = grid.nodes
+def _boundary_term(model, grid, count, z_minus=None, z_plus=None, t_minus=0.0):
+    """The free linear solutions on ``grid`` of ``count`` columns, shape
+    (count, size, n): the minus part equals ``z_minus`` at time ``t_minus``,
+    the plus part ``z_plus`` at time 0.  Each of the two is one row per
+    column, (count, d), or one vector (d,) that every column shares."""
     k, eigs = model.k, model.eigenvalues
-    out = np.zeros((grid.size, model.n))
+    out = np.zeros((count, grid.size, model.n))
     if z_minus is not None:
         for j in range(k):
             # exp(-(t - t_minus) lam_j) with t <= t_minus, lam_j < 0: at most one
-            out[:, j] = np.exp(-(t - t_minus) * eigs[j]) * z_minus[j]
+            out[:, :, j] = grid.exp_profile(eigs[j], t_minus) * z_minus[..., j, None]
     if z_plus is not None:
         for j in range(k, model.n):
-            out[:, j] += np.exp(-t * eigs[j]) * z_plus[j - k]
+            out[:, :, j] += grid.exp_profile(eigs[j]) * z_plus[..., j - k, None]
     return out
 
 
 class IntegralOperator:
     """Boundary term plus the exponential convolutions of h along a curve.
 
-    ``reference`` (time-T problems only) centers the rho ball and the
-    initial curve; without it both are centered at zero.  ``tail`` bounds
-    the integral discarded by truncating an infinite horizon.
+    One operator holds a stack of columns that share grid, convolver and
+    reference.  ``z_minus`` and ``z_plus`` each give one row per column,
+    (B, d), or one vector (d,) that every column shares; with no rows at
+    all the operator has one column.  The boundary terms are built per
+    block of columns, when the block is solved.  ``reference`` (time-T
+    problems only) centers the rho ball and the initial curve; without it
+    both are centered at zero.  ``tail`` bounds the integral discarded by
+    truncating an infinite horizon.
     """
 
-    def __init__(self, model, ladder, grid, conv, boundary, kind, tail,
-                 reference=None):
+    def __init__(self, model, ladder, grid, conv, kind, tail, z_minus=None,
+                 z_plus=None, t_minus=0.0, reference=None):
         self.model = model
         self.ladder = ladder
         self.grid = grid
         self.conv = conv
         self.k = model.k
         self.n = model.n
-        self.boundary = boundary
         self.kind = kind
         self.tail = tail
         self.reference = reference
+        self.z_minus = None if z_minus is None else np.asarray(z_minus, dtype=float)
+        self.z_plus = None if z_plus is None else np.asarray(z_plus, dtype=float)
+        self.t_minus = t_minus
+        self.columns = max([len(z) for z in (self.z_minus, self.z_plus)
+                            if z is not None and z.ndim == 2], default=1)
+        #: the exp-norm weight of every curve of this operator
+        self.weights = exp_weights(grid, ladder.lambda_, kind)
+
+    def boundary(self, cols):
+        """Boundary terms of the columns ``cols`` (a slice), (B, size, n)."""
+        def pick(z):
+            return z[cols] if z is not None and z.ndim == 2 else z
+        count = len(range(*cols.indices(self.columns)))
+        return _boundary_term(self.model, self.grid, count, pick(self.z_minus),
+                              pick(self.z_plus), self.t_minus)
+
+    def start(self, boundary):
+        """Initial curves for the boundary terms ``boundary``."""
+        if self.reference is None:
+            return boundary
+        # the reference with the plus columns of the boundary added
+        start = boundary.copy()
+        start[..., : self.k] = 0.0
+        return self.reference.values + start
+
+    def curve(self, values):
+        return Curve(self.grid, values, self.ladder.lambda_, self.kind)
 
     def initial_curve(self):
-        start = self.boundary.copy()
-        if self.reference is not None:
-            # the reference with the plus columns of the boundary added
-            start[:, : self.k] = 0.0
-            start = self.reference.values + start
-        return Curve(self.grid, start, self.ladder.lambda_, self.kind)
+        """The initial curve of a one-column operator."""
+        return self.curve(self.start(self.boundary(slice(0, 1)))[0])
 
     def apply(self, curve):
-        # curves must stay inside the trust ball where h is controlled
-        worst = curve.max_norm()
-        if worst > self.model.problem.trust_radius * (1 + NORM_SLACK):
-            raise OutOfTrustRegion(
-                f"curve reaches |xi| = {worst:.3e} beyond the trust radius")
-        y = self.model.h(curve.values)
-        result = curve.with_values(
-            _add_integrals(self.boundary.copy(), self.conv, self.k, y))
-        gap = (result.exp_norm() if self.reference is None
-               else result.exp_distance(self.reference))
-        if gap > self.ladder.rho * (1 + NORM_SLACK):
-            raise NormBudgetExceeded(
-                f"curve left the rho ball: {gap:.3e} > {self.ladder.rho:.3e}")
-        return result
+        """The image of one curve under a one-column operator; raises
+        OutOfTrustRegion or NormBudgetExceeded as ``advance`` reports."""
+        images, errors = self.advance(curve.values[None],
+                                      self.boundary(slice(0, 1)))
+        if errors:
+            raise errors[0]
+        return curve.with_values(images[0])
+
+    def advance(self, values, boundary):
+        """One application to the curves ``values`` (B, size, n) with their
+        boundary terms.
+
+        Returns ``(images, errors)``: the exception of every column whose
+        curve leaves the trust ball, where h is controlled, or whose image
+        leaves the rho ball, keyed by its index, and the images of the
+        other columns, in order.
+        """
+        errors = {}
+        worst = row_norms(values).max(axis=-1)
+        outside = worst > self.model.problem.trust_radius * (1 + NORM_SLACK)
+        if outside.any():
+            for i in np.flatnonzero(outside):
+                errors[i] = OutOfTrustRegion(
+                    f"curve reaches |xi| = {worst[i]:.3e} beyond the trust radius")
+            values, boundary = values[~outside], boundary[~outside]
+            if not len(values):
+                return values, errors
+        y = self.model.h(values.reshape(-1, self.n)).reshape(values.shape)
+        images = _add_integrals(boundary.copy(), self.conv, self.k, y)
+        offset = images if self.reference is None else images - self.reference.values
+        gap = (self.weights * row_norms(offset)).max(axis=-1)
+        far = gap > self.ladder.rho * (1 + NORM_SLACK)
+        if far.any():
+            for i, g in zip(np.flatnonzero(~outside)[far], gap[far]):
+                errors[i] = NormBudgetExceeded(
+                    f"curve left the rho ball: {g:.3e} > {self.ladder.rho:.3e}")
+            images = images[~far]
+        return images, errors
 
 
 def PhiOperator(model, ladder, z_minus, grid, conv):
-    """Backward-horizon operator with prescribed unstable projection."""
+    """Backward-horizon operator with prescribed unstable projection(s)."""
     if abs(grid.t1) > 1e-12:
         raise HorizonMismatch("backward grids must end at t = 0")
-    boundary = _boundary_term(model, grid, z_minus=np.asarray(z_minus, dtype=float))
-    return IntegralOperator(model, ladder, grid, conv, boundary, BACKWARD,
-                            truncation_tail(ladder, -grid.t0))
+    return IntegralOperator(model, ladder, grid, conv, BACKWARD,
+                            truncation_tail(ladder, -grid.t0), z_minus=z_minus)
 
 
 def PsiOperator(model, ladder, z_plus, grid, conv):
-    """Forward-horizon operator with prescribed stable projection."""
+    """Forward-horizon operator with prescribed stable projection(s)."""
     if abs(grid.t0) > 1e-12:
         raise HorizonMismatch("forward grids must start at t = 0")
-    boundary = _boundary_term(model, grid, z_plus=np.asarray(z_plus, dtype=float))
-    return IntegralOperator(model, ladder, grid, conv, boundary,
-                            FORWARD_INFINITE, truncation_tail(ladder, grid.t1))
+    return IntegralOperator(model, ladder, grid, conv, FORWARD_INFINITE,
+                            truncation_tail(ladder, grid.t1), z_plus=z_plus)
 
 
 def PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid, conv):
-    """Mixed-boundary operator on [0, T].
+    """Mixed-boundary operator on [0, T], for one ``z_minus`` and one or
+    more ``z_plus`` rows.
 
     Boundary exactness is structural: the forward convolution vanishes at
     t = 0 and the backward one at t = T, so the plus part of any image curve
@@ -216,37 +320,99 @@ def PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid, conv):
     if abs(grid.t0) > 1e-12 or abs(grid.t1 - T) > 1e-9:
         raise HorizonMismatch(f"grid horizon [{grid.t0}, {grid.t1}] does not match T = {T}")
     z_plus = np.asarray(z_plus, dtype=float)
-    if np.linalg.norm(z_plus) > ladder.R * (1 + NORM_SLACK):
+    if np.any(row_norms(z_plus) > ladder.R * (1 + NORM_SLACK)):
         raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
-    boundary = _boundary_term(model, grid, z_minus=np.asarray(z_minus, dtype=float),
-                              z_plus=z_plus, t_minus=float(T))
-    return IntegralOperator(model, ladder, grid, conv, boundary, FORWARD_FINITE,
-                            0.0, reference=reference)
+    return IntegralOperator(model, ladder, grid, conv, FORWARD_FINITE, 0.0,
+                            z_minus=z_minus, z_plus=z_plus, t_minus=float(T),
+                            reference=reference)
 
 
-def fixed_point(operator, initial=None, tol=PICARD_TOL):
-    """Picard iteration in the exp norm.
+def _picard(operator, cols, counts, initial=None, tol=PICARD_TOL):
+    """Picard iteration in the exp norm of the columns ``cols`` together.
 
-    Raises :class:`NoConvergence` when the residual stalls (fails to shrink
-    by the factor 0.9 for 10 consecutive steps) or the iteration budget runs
-    out; either signals a ladder violation or an over-coarse grid.
+    Returns one outcome per column: its FixedPointResult, or the exception
+    that ended it.  A column is frozen when it converges or fails, so its
+    residual, iteration count and exception are those it has when solved
+    alone.  It fails with :class:`NoConvergence` when its residual stalls
+    (fails to shrink by the factor 0.9 for 10 consecutive steps) or the
+    iteration budget runs out; either signals a ladder violation or an
+    over-coarse grid.
     """
-    current = operator.initial_curve() if initial is None else initial
-    stall = 0
-    prev_res = np.inf
+    boundary = operator.boundary(cols)
+    current = operator.start(boundary) if initial is None else initial.values[None]
+    outcomes = [None] * len(boundary)
+    # per live column: its index in the block, stall count, last residual
+    live = list(range(len(boundary)))
+    stall = [0] * len(live)
+    prev_res = [math.inf] * len(live)
+    iterations, worst_ratio = [], 0.0
     for it in range(1, PICARD_MAX_ITER + 1):
-        nxt = operator.apply(current)
-        res = nxt.exp_distance(current)
-        if res <= tol:
-            return FixedPointResult(nxt, res, it, operator.tail)
-        stall = stall + 1 if res > STALL_FACTOR * prev_res else 0
-        if stall >= STALL_STEPS:
-            raise NoConvergence(
-                f"residual stalled at {res:.3e} after {it} iterations")
-        prev_res = res
+        nxt, errors = operator.advance(current, boundary)
+        if errors:
+            for i, exc in errors.items():
+                outcomes[live[i]] = exc
+            keep = [i for i in range(len(live)) if i not in errors]
+            live, stall, prev_res = ([v[i] for i in keep]
+                                     for v in (live, stall, prev_res))
+            current, boundary = current[keep], boundary[keep]
+            if not live:
+                break
+        res = (operator.weights * row_norms(nxt - current)).max(axis=-1).tolist()
+        going = []
+        for i, r in enumerate(res):
+            worst_ratio = max(worst_ratio, r / prev_res[i])
+            if r <= tol:
+                outcomes[live[i]] = FixedPointResult(
+                    operator.curve(nxt[i].copy()), r, it, operator.tail)
+                iterations.append(it)
+                continue
+            stall[i] = stall[i] + 1 if r > STALL_FACTOR * prev_res[i] else 0
+            if stall[i] >= STALL_STEPS:
+                outcomes[live[i]] = NoConvergence(
+                    f"residual stalled at {r:.3e} after {it} iterations")
+                continue
+            going.append(i)
+        live, stall, prev_res = ([v[i] for i in going]
+                                 for v in (live, stall, res))
+        if not live:
+            break
+        if len(going) < len(res):
+            nxt, boundary = nxt[going], boundary[going]
         current = nxt
-    raise NoConvergence(f"no convergence in {PICARD_MAX_ITER} iterations "
-                        f"(residual {res:.3e})")
+    for i, r in zip(live, prev_res):
+        outcomes[i] = NoConvergence(f"no convergence in {PICARD_MAX_ITER} iterations "
+                                    f"(residual {r:.3e})")
+    if counts is not None:
+        counts.record(operator.kind, iterations, worst_ratio)
+    return outcomes
+
+
+def fixed_point(operator, initial=None, tol=PICARD_TOL, counts=None):
+    """Picard iteration of a one-column operator: the one-column case of
+    ``solve_columns``, with an optional initial curve and tolerance.
+
+    Returns the FixedPointResult or raises the exception that ended it.
+    """
+    (outcome,) = _picard(operator, slice(0, 1), counts, initial, tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def solve_columns(operator, counts):
+    """FixedPointResult of every column of ``operator``, in column order.
+
+    Columns are solved in blocks of at most ``BLOCK_VALUES`` curve values,
+    so a block's arrays stay small whatever the grid.  The first failing
+    column raises its exception when its turn comes, after every column
+    before it has been yielded, as solving them one at a time would.
+    """
+    per_block = max(1, BLOCK_VALUES // (operator.grid.size * operator.n))
+    for start in range(0, operator.columns, per_block):
+        for outcome in _picard(operator, slice(start, start + per_block), counts):
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
 
 
 # -- orbit and graph solvers --------------------------------------------------
@@ -258,14 +424,20 @@ def backward_orbit(model, ladder, z_minus, t_max=None, cache=None):
     t_max = default_horizon(ladder) if t_max is None else float(t_max)
     grid = cache.grid(-t_max, 0.0)
     op = PhiOperator(model, ladder, z_minus, grid, cache.convolver(grid))
-    return fixed_point(op)
+    return fixed_point(op, counts=cache.counts)
+
+
+def stable_columns(model, ladder, z_plus_rows, cache):
+    """Fixed points of the forward operator, one per row of ``z_plus_rows``,
+    in row order (see ``solve_columns``)."""
+    grid = cache.grid(0.0, default_horizon(ladder))
+    op = PsiOperator(model, ladder, z_plus_rows, grid, cache.convolver(grid))
+    return solve_columns(op, cache.counts)
 
 
 def solve_stable(model, ladder, z_plus, cache=None):
-    cache = cache or SolverCache(model)
-    grid = cache.grid(0.0, default_horizon(ladder))
-    op = PsiOperator(model, ladder, z_plus, grid, cache.convolver(grid))
-    return fixed_point(op)
+    (result,) = stable_columns(model, ladder, [z_plus], cache or SolverCache(model))
+    return result
 
 
 def reference_curve(orbit_curve, grid, rate):
@@ -275,31 +447,40 @@ def reference_curve(orbit_curve, grid, rate):
     return Curve(grid, vals, rate, FORWARD_FINITE)
 
 
-def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, cache=None,
-                enforce_endpoint=True):
-    """Fixed point of the mixed-boundary operator for one (T, z-, z+).
+def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache,
+                  enforce_endpoint=True):
+    """Fixed points of the mixed-boundary operator for one (T, z-), one per
+    row of ``z_plus_rows``: ``(FixedPointResult, endpoint_gap)`` in row
+    order (see ``solve_columns``).
 
     ``orbit`` is the backward-orbit result for ``z_minus``; its horizon must
-    cover [-T, 0], and it keeps the reference curve built for this T.
-    Returns ``(FixedPointResult, endpoint_gap)``.
+    cover [-T, 0], and it keeps the reference curve built for this T.  A
+    column whose endpoint misses ``z_minus`` by more than varkappa raises
+    EndpointViolation in its turn.
     """
-    cache = cache or SolverCache(model)
     if T < ladder.T0 - 1e-12 and enforce_endpoint:
         raise HorizonMismatch(f"T = {T} below T0 = {ladder.T0}")
     if orbit.curve.grid.t0 > -T + 1e-12:
         raise HorizonMismatch("backward orbit horizon does not cover [-T, 0]")
     grid = cache.grid(0.0, T)
     ref = orbit.reference(grid, ladder.lambda_)
-    op = PsiTOperator(model, ladder, T, z_minus, z_plus, ref, grid,
+    op = PsiTOperator(model, ladder, T, z_minus, z_plus_rows, ref, grid,
                       cache.convolver(grid))
-    result = fixed_point(op)
-    end = result.curve.values[-1]
     target = model.embed_minus(z_minus)
-    gap = float(np.linalg.norm(end - target))
-    if enforce_endpoint and gap > ladder.varkappa * (1 + NORM_SLACK):
-        raise EndpointViolation(
-            f"|xi(T) - z_minus| = {gap:.3e} exceeds varkappa = {ladder.varkappa:.3e}")
-    return result, gap
+    for result in solve_columns(op, cache.counts):
+        gap = float(np.linalg.norm(result.curve.values[-1] - target))
+        if enforce_endpoint and gap > ladder.varkappa * (1 + NORM_SLACK):
+            raise EndpointViolation(
+                f"|xi(T) - z_minus| = {gap:.3e} exceeds varkappa = {ladder.varkappa:.3e}")
+        yield result, gap
+
+
+def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, cache=None,
+                enforce_endpoint=True):
+    """``mixed_columns`` for one z+: returns ``(FixedPointResult, endpoint_gap)``."""
+    (out,) = mixed_columns(model, ladder, T, z_minus, [z_plus], orbit,
+                           cache or SolverCache(model), enforce_endpoint)
+    return out
 
 
 # -- sampled graphs -----------------------------------------------------------
@@ -469,19 +650,19 @@ def default_axes(radius, dim, count=13):
     return tuple(np.linspace(-half, half, count) for _ in range(dim))
 
 
-def _sample_tensor_grid(axes, codim, solve):
-    """One fixed-point solve per node of the tensor grid ``axes``.
+def _sample_tensor_grid(axes, codim, solved):
+    """Graph arrays from one solve per node of the tensor grid ``axes``.
 
-    ``solve(z)`` returns ``(graph value, FixedPointResult, endpoint gap)``;
-    returns the value, residual, iteration and endpoint-gap arrays.
+    ``solved`` yields ``(graph value, FixedPointResult, endpoint gap)`` for
+    the nodes in grid order; returns the value, residual, iteration and
+    endpoint-gap arrays.
     """
     shape = tuple(len(ax) for ax in axes)
     values = np.zeros(shape + (codim,))
     residuals = np.zeros(shape)
     iters = np.zeros(shape, dtype=int)
     gaps = np.zeros(shape)
-    for idx, z in enumerate(tensor_points(axes)):
-        value, res, gap = solve(z)
+    for idx, (value, res, gap) in enumerate(solved):
         multi = np.unravel_index(idx, shape)
         values[multi] = value
         residuals[multi] = res.reported_residual
@@ -494,12 +675,12 @@ def graph_F_inf(model, ladder, base_axes=None, cache=None):
     """Unstable graph: plus part at time 0 of the backward fixed points."""
     cache = cache or SolverCache(model)
     axes = base_axes or default_axes(ladder.R, model.k)
-
-    def solve(z_minus):
-        res = backward_orbit(model, ladder, z_minus, cache=cache)
-        return res.curve.values[-1, model.k:], res, 0.0
-
-    values, residuals, iters, _ = _sample_tensor_grid(axes, model.n - model.k, solve)
+    grid = cache.grid(-default_horizon(ladder), 0.0)
+    op = PhiOperator(model, ladder, tensor_points(axes), grid,
+                     cache.convolver(grid))
+    solved = ((res.curve.values[-1, model.k:], res, 0.0)
+              for res in solve_columns(op, cache.counts))
+    values, residuals, iters, _ = _sample_tensor_grid(axes, model.n - model.k, solved)
     return GraphSample("F_inf", "minus", tuple(axes), values, residuals, iters,
                        rate=ladder.lambda_)
 
@@ -508,30 +689,36 @@ def graph_G_inf(model, ladder, cache=None):
     """Stable graph: minus part at time 0 of the forward fixed points."""
     cache = cache or SolverCache(model)
     axes = default_axes(ladder.R, model.n - model.k)
-
-    def solve(z_plus):
-        res = solve_stable(model, ladder, z_plus, cache=cache)
-        return res.curve.values[0, : model.k], res, 0.0
-
-    values, residuals, iters, _ = _sample_tensor_grid(axes, model.k, solve)
+    solved = ((res.curve.values[0, : model.k], res, 0.0) for res in
+              stable_columns(model, ladder, tensor_points(axes), cache))
+    values, residuals, iters, _ = _sample_tensor_grid(axes, model.k, solved)
     return GraphSample("G_inf", "plus", tuple(axes), values, residuals, iters,
                        rate=ladder.lambda_)
 
 
-def graph_G_T(model, ladder, T, z_minus, base_axes=None, orbit=None, cache=None):
-    """Time-T graph over the plus ball for one sphere point ``z_minus``."""
+def graph_G_T(model, ladder, T, z_minus, base_axes=None, orbit=None, cache=None,
+              solver=None):
+    """Time-T graph over the plus ball for one sphere point ``z_minus``.
+
+    With ``solver``, the ladder's ``GraphFamilySolver``, the graph uses its
+    orbit and cache and takes the nodes it already holds; the rest are
+    solved here and not stored.
+    """
+    if solver is not None:
+        cache, orbit = solver.cache, solver.orbit(z_minus, T)
     cache = cache or SolverCache(model)
     if orbit is None:
         orbit = backward_orbit(model, ladder, z_minus,
                                t_max=max(default_horizon(ladder), T), cache=cache)
     axes = base_axes or default_axes(ladder.R, model.n - model.k)
-
-    def solve(z_plus):
-        res, gap = solve_mixed(model, ladder, T, z_minus, z_plus, orbit,
-                               cache=cache)
-        return res.curve.values[0, : model.k], res, gap
-
-    values, residuals, iters, gaps = _sample_tensor_grid(axes, model.k, solve)
+    points = tensor_points(axes)
+    held = [None if solver is None else solver.held_mixed(T, z_minus, zp)
+            for zp in points]
+    fresh = mixed_columns(model, ladder, T, z_minus,
+                          points[[h is None for h in held]], orbit, cache)
+    solved = ((res.curve.values[0, : model.k], res, gap) for res, gap in
+              (h if h is not None else next(fresh) for h in held))
+    values, residuals, iters, gaps = _sample_tensor_grid(axes, model.k, solved)
     return GraphSample("G_T", "plus", tuple(axes), values, residuals, iters,
                        rate=ladder.lambda_, T=float(T),
                        z_minus=np.asarray(z_minus, dtype=float),
@@ -574,12 +761,12 @@ def _linearized_fixed_point(model, ladder, grid, conv, dh_nodes, v_plus, tol):
     keeps its own Picard loop.
     """
     t = grid.nodes
-    boundary = _boundary_term(model, grid, z_plus=v_plus)
+    boundary = _boundary_term(model, grid, 1, z_plus=v_plus)[0]
     X = boundary.copy()
     for it in range(200):
         y = np.einsum("mij,mj->mi", dh_nodes, X)
         nxt = _add_integrals(boundary.copy(), conv, model.k, y)
-        res = float(np.max(np.exp(ladder.lambda_ * t) * np.linalg.norm(nxt - X, axis=1)))
+        res = float(np.max(np.exp(ladder.lambda_ * t) * row_norms(nxt - X)))
         X = nxt
         if res <= tol:
             return X

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convergence, foliation, reporting
+from .curves import row_norms
 from .errors import BoundViolation
 from .flow import descending_disk, integrate_forward
 from .local_model import LocalModel, build_ladder, calibrate_ladder, lipschitz_modulus
@@ -172,9 +173,8 @@ def stage_lambda(state):
             solver, T_grid[:2], zm_list[:1], zp_list[:2])
     reports["lipschitz_T"] = convergence.lipschitz_in_T(
         solver, T_grid[:2], (1e-2, 1e-3), zm_list[:1], zp_list[:2])
-    graph_t = graph_G_T(state.model, ladder, float(T_grid[0]),
-                        zm_list[0], orbit=solver.orbit(zm_list[0], T_grid[0]),
-                        cache=state.cache)
+    graph_t = graph_G_T(state.model, ladder, float(T_grid[0]), zm_list[0],
+                        solver=solver)
     state.emit("graph_G_T.csv", reporting.graph_header(state.model, graph_t),
                reporting.graph_rows(graph_t, state.model))
     reports["endpoint"] = convergence.endpoint_audit(solver, graph_t)
@@ -257,14 +257,14 @@ def stage_oracle(state):
     worst = 0.0
     for T in T_list:
         for zm in zm_list[:grid]:
-            for zp in zp_list[:grid]:
-                res, _ = solver.mixed(T, zm, zp, enforce_endpoint=enforce)
+            solved = solver.mixed_rows(T, zm, zp_list[:grid],
+                                       enforce_endpoint=enforce)
+            for zp, (res, _) in zip(zp_list[:grid], solved):
                 traj, record = mixed_bvp_oracle(state.model, ladder, float(T),
                                                 zm, zp)
                 nodes = res.curve.grid.nodes
                 states = state.model.to_local(traj.at(nodes))
-                err = float(np.max(np.linalg.norm(states - res.curve.values,
-                                                  axis=1)))
+                err = float(np.max(row_norms(states - res.curve.values)))
                 worst = max(worst, err)
                 rows.append([T, *np.atleast_1d(zm), *np.atleast_1d(zp), err,
                              record.bracket_width])
@@ -313,6 +313,8 @@ def run(problem, out_dir, stages=("all",), seed=0, config_digest=None):
             run_stage(name, state)
     except Exception as exc:
         error = exc
+    if state.cache is not None:
+        state.details["solver"] = state.cache.counts.summary(state.ladder)
     manifest = {
         "problem": problem.name,
         "config_hash": config_digest,

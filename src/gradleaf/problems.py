@@ -101,9 +101,8 @@ def problem_from_dict(raw):
         dimension=dim,
         objective=Polynomial.from_pairs(
             dim, _config_value(raw, "objective", _objective_pairs)),
-        critical_point=_config_value(raw, "critical_point",
-                                     lambda v: np.asarray(v, dtype=float)),
-        trust_radius=_config_value(raw, "trust_radius", float, 1.0),
+        critical_point=_config_value(raw, "critical_point", _reals),
+        trust_radius=_config_value(raw, "trust_radius", _real, 1.0),
         c21=_config_value(raw, "c21", _json_bool, True),
         ladder_overrides=_config_value(raw, "ladder_overrides", _overrides, {}),
     )
@@ -131,6 +130,21 @@ def _integral(value):
     return int(value)
 
 
+def _real(value):
+    """A finite JSON number as a float; booleans and strings are not numbers."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value)):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(values):
+    """A JSON list of finite numbers as a float array."""
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return np.array([_real(v) for v in values])
+
+
 def _json_bool(value):
     if type(value) is not bool:
         raise TypeError(f"expected true or false, got {value!r}")
@@ -138,12 +152,12 @@ def _json_bool(value):
 
 
 def _objective_pairs(entries):
-    return [(tuple(_integral(a) for a in alpha), float(coeff))
+    return [(tuple(_integral(a) for a in alpha), _real(coeff))
             for alpha, coeff in entries]
 
 
 def _overrides(table):
-    return {str(key): float(value) for key, value in dict(table).items()}
+    return {str(key): _real(value) for key, value in dict(table).items()}
 
 
 # -- reference problems used throughout the test suite ----------------------

@@ -119,7 +119,13 @@ def test_unreadable_config_exit_code(tmp_path):
                  {"trust_radius": [1]}, {"ladder_overrides": 5},
                  {"ladder_overrides": {"lambda": [0.5]}}, {"c21": "false"},
                  {"dimension": 2.7},
-                 {"objective": [[[2.5, 0], -0.5], [[0, 2], 1.0]]}]
+                 {"objective": [[[2.5, 0], -0.5], [[0, 2], 1.0]]},
+                 # booleans and numeric strings are not numbers
+                 {"trust_radius": True}, {"trust_radius": "1.0"},
+                 {"critical_point": ["0", False]},
+                 {"ladder_overrides": {"lambda": "0.5"}},
+                 {"objective": [[[2, 0], "-0.5"], [[0, 2], 1.0]]},
+                 {"objective": [[[2, 0], True], [[0, 2], 1.0]]}]
     configs = [tmp_path / "missing.json"]
     for i, change in enumerate(malformed):
         configs.append(tmp_path / f"malformed_{i}.json")
@@ -152,6 +158,24 @@ def test_manifest_lists_every_file(p1_run):
     on_disk = {p.name for p in p1_run.iterdir()}
     listed = set(manifest["artifact_paths"]) | {"manifest.json"}
     assert on_disk == listed
+
+
+def test_manifest_counts_solver_work(p1_run):
+    # the batched Picard loop counts its own work per operator kind
+    solver = json.loads((p1_run / "manifest.json").read_text())["details"]["solver"]
+    assert solver["paper_bound"] == 0.5
+    assert 0.0 <= solver["contraction_bound"] <= 0.5
+    kinds = solver["kinds"]
+    assert set(kinds) == {"backward", "forward_infinite", "forward_finite"}
+    for entry in kinds.values():
+        assert entry["columns"] >= entry["batches"] >= 1
+        assert entry["columns"] <= entry["iterations_sum"]
+        assert entry["iterations_max"] >= 1
+        # linear flow: the first image is the fixed point
+        assert entry["worst_ratio"] == 0.0
+    # the 13 nodes of the unstable graph, several to a block, and the
+    # backward orbits of the sphere points
+    assert kinds["backward"]["columns"] >= 13 > kinds["backward"]["batches"]
 
 
 def test_determinism_byte_identical(p1_run, tmp_path):

@@ -87,9 +87,11 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
     # of one ladder and each stored mixed problem is solved once per run
     from gradleaf import convergence, flow, foliation
     from gradleaf import lyapunov_perron as lp
+    from gradleaf.curves import BACKWARD
 
     orbits, mixed, stores = Counter(), Counter(), []
-    backward_orbit, solve_mixed = lp.backward_orbit, lp.solve_mixed
+    backward_orbit, mixed_columns = lp.backward_orbit, lp.mixed_columns
+    solve_columns = lp.solve_columns
     init = convergence.GraphFamilySolver.__init__
 
     def key(v):
@@ -99,9 +101,18 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
         orbits[(repr(ladder), key(z_minus))] += 1
         return backward_orbit(model, ladder, z_minus, *args, **kw)
 
-    def counted_mixed(model, ladder, T, z_minus, z_plus, *args, **kw):
-        mixed[(repr(ladder), round(float(T), 12), key(z_minus), key(z_plus))] += 1
-        return solve_mixed(model, ladder, T, z_minus, z_plus, *args, **kw)
+    def counted_columns(op, counts):
+        # graph_F_inf's batched backward orbits, one per column
+        for i, res in enumerate(solve_columns(op, counts)):
+            if op.kind == BACKWARD:
+                orbits[(repr(op.ladder), key(op.z_minus[i]))] += 1
+            yield res
+
+    def counted_mixed(model, ladder, T, z_minus, z_plus_rows, *args, **kw):
+        solved = mixed_columns(model, ladder, T, z_minus, z_plus_rows, *args, **kw)
+        for z_plus, out in zip(z_plus_rows, solved):
+            mixed[(repr(ladder), round(float(T), 12), key(z_minus), key(z_plus))] += 1
+            yield out
 
     def counted_init(self, *args, **kw):
         stores.append(self)
@@ -110,8 +121,9 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
     for module in (lp, convergence, flow, foliation, pipeline):
         if getattr(module, "backward_orbit", None) is backward_orbit:
             monkeypatch.setattr(module, "backward_orbit", counted_orbit)
+    monkeypatch.setattr(lp, "solve_columns", counted_columns)
     # the store's own solves; graph_G_T samples its grid without storing it
-    monkeypatch.setattr(convergence, "solve_mixed", counted_mixed)
+    monkeypatch.setattr(convergence, "mixed_columns", counted_mixed)
     monkeypatch.setattr(convergence.GraphFamilySolver, "__init__", counted_init)
 
     state = pipeline.run(quartic_saddle(), tmp_path, stages=("all",))
