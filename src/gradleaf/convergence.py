@@ -145,31 +145,23 @@ class GraphFamilySolver:
         """
         keys = [self._mixed_key(T, z_minus, zp, enforce_endpoint)
                 for zp in z_plus_rows]
-        wanted = {}
-        for key, zp in zip(keys, z_plus_rows):
-            wanted.setdefault(key, zp)
-        self._solve_mixed(T, z_minus, wanted, enforce_endpoint)
+        if not all(key in self._mixed for key in keys):
+            z_minus = np.asarray(z_minus, dtype=float)
+            orbit = self.orbit(z_minus, T)
+            # after ``orbit``, which drops the keys of an orbit it replaces
+            todo = {}
+            for key, zp in zip(keys, z_plus_rows):
+                if key not in self._mixed:
+                    todo.setdefault(key, zp)
+            solved = mixed_columns(self.model, self.ladder, T, z_minus,
+                                   np.array(list(todo.values()), dtype=float),
+                                   orbit, self.cache, enforce_endpoint)
+            for key, out in zip(todo, solved):
+                self._mixed[key] = out
         return [self._mixed[key] for key in keys]
 
     def mixed(self, T, z_minus, z_plus, enforce_endpoint=True):
-        key = self._mixed_key(T, z_minus, z_plus, enforce_endpoint)
-        self._solve_mixed(T, z_minus, {key: z_plus}, enforce_endpoint)
-        return self._mixed[key]
-
-    def _solve_mixed(self, T, z_minus, wanted, enforce_endpoint):
-        """Solve the z+ of ``wanted`` (key -> z+) not yet held, together,
-        and store them under their keys."""
-        if all(key in self._mixed for key in wanted):
-            return
-        z_minus = np.asarray(z_minus, dtype=float)
-        orbit = self.orbit(z_minus, T)
-        # after ``orbit``, which drops the keys of an orbit it replaces
-        todo = {key: zp for key, zp in wanted.items() if key not in self._mixed}
-        solved = mixed_columns(self.model, self.ladder, T, z_minus,
-                               np.array(list(todo.values()), dtype=float),
-                               orbit, self.cache, enforce_endpoint)
-        for key, out in zip(todo, solved):
-            self._mixed[key] = out
+        return self.mixed_rows(T, z_minus, [z_plus], enforce_endpoint)[0]
 
     def graph_value(self, T, z_minus, z_plus, **kw):
         res, _ = self.mixed(T, z_minus, z_plus, **kw)
@@ -192,10 +184,7 @@ class GraphFamilySolver:
         return [self._stable[key] for key in keys]
 
     def stable(self, z_plus):
-        key = _key(z_plus)
-        if key not in self._stable:
-            self.stable_rows([z_plus])
-        return self._stable[key]
+        return self.stable_rows([z_plus])[0]
 
     def stable_value(self, z_plus):
         return self.stable(z_plus).curve.values[0, : self.model.k]
@@ -271,40 +260,41 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
         raise FlagMissing("C^{2,1} flag (and kappa_star) required for C1 checks")
     directions = directions if directions is not None else \
         [np.eye(model.n - model.k)[i] for i in range(model.n - model.k)]
+    directions = [np.asarray(v, dtype=float) for v in directions]
     fd_step = 0.05 * ladder.R
+    fd_probes = (fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step)
+    noise = 4.0 * RESIDUAL_TO_ERROR * PICARD_TOL / fd_step
+
+    def fd(g, h, at):
+        """Central difference of the graph values ``g`` over the probes at
+        +h (index ``at``) and -h (``at + 1``)."""
+        return (g[at] - g[at + 1]) / (2.0 * h)
+
     report = ConvergenceReport("c1")
     cross = []
     for T in sorted(T_grid):
         for zm in z_minus_list:
-            # every z+ the rows below read: the finite-difference probes and
-            # the linearized cross-check's base points
-            probes = [zp + h * np.asarray(v, dtype=float)
-                      for zp in z_plus_list for v in directions
-                      for h in (fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step)]
+            # one request per (T, z-): the four probes of every (z+,
+            # direction), then the z+ themselves for the linearized check
+            probes = [zp + h * v for zp in z_plus_list for v in directions
+                      for h in fd_probes]
             probes += list(z_plus_list) if use_linearized else []
-            solver.mixed_rows(T, zm, probes)
-            solver.stable_rows(probes)
-            for zp in z_plus_list:
+            mixed = solver.mixed_rows(T, zm, probes)
+            stable = solver.stable_rows(probes)
+            g_T = [res.curve.values[0, : model.k] for res, _ in mixed]
+            g_I = [st.curve.values[0, : model.k] for st in stable]
+            for a, zp in enumerate(z_plus_list):
                 for i, v in enumerate(directions):
-                    v = np.asarray(v, dtype=float)
-                    nv = np.linalg.norm(v)
-
-                    def fd(value_fn, h):
-                        hi = value_fn(zp + h * v)
-                        lo = value_fn(zp - h * v)
-                        return (hi - lo) / (2.0 * h)
-
-                    gT = lambda z: solver.graph_value(T, zm, z)
-                    gI = solver.stable_value
-                    dT_full = fd(gT, fd_step)
-                    dT_half = fd(gT, 0.5 * fd_step)
-                    dI_full = fd(gI, fd_step)
-                    dI_half = fd(gI, 0.5 * fd_step)
+                    at = len(fd_probes) * (a * len(directions) + i)
+                    dT_full = fd(g_T, fd_step, at)
+                    dT_half = fd(g_T, 0.5 * fd_step, at + 2)
+                    dI_full = fd(g_I, fd_step, at)
+                    dI_half = fd(g_I, 0.5 * fd_step, at + 2)
                     gap = float(np.linalg.norm(dT_half - dI_half))
                     fd_err = (np.linalg.norm(dT_full - dT_half)
                               + np.linalg.norm(dI_full - dI_half)) / 3.0
-                    noise = 4.0 * RESIDUAL_TO_ERROR * PICARD_TOL / fd_step
-                    bound = ladder.c_star * math.exp(-T * ladder.lambda_ / 8.0) * nv
+                    bound = (ladder.c_star * math.exp(-T * ladder.lambda_ / 8.0)
+                             * np.linalg.norm(v))
                     budget = float(fd_err + noise)
                     report.add(check="c1", T=float(T), z_minus_label=_label(zm),
                                z_plus_label=_label(zp),
@@ -312,12 +302,11 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
                                gap=gap, bound=bound, budget=budget,
                                ok=gap <= bound + budget)
                     if use_linearized:
-                        resT, _ = solver.mixed(T, zm, zp)
+                        base = len(probes) - len(z_plus_list) + a
                         dT_lin = graph_derivative_linearized(
-                            model, ladder, resT, v, cache=solver.cache)
+                            model, ladder, mixed[base][0], v, cache=solver.cache)
                         dI_lin = graph_derivative_linearized(
-                            model, ladder, solver.stable(zp), v,
-                            cache=solver.cache)
+                            model, ladder, stable[base], v, cache=solver.cache)
                         cross.append(float(np.linalg.norm(
                             (dT_lin - dI_lin) - (dT_half - dI_half))))
     if cross:
@@ -339,11 +328,12 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
         for tau in tau_grid:
             for zm in z_minus_list:
                 steps = (0, 1, 2) if solver.model.problem.c21 else (0, 1)
-                for step in steps:
-                    solver.mixed_rows(T + step * tau, zm, z_plus_list)
-                for zp in z_plus_list:
-                    resA, _ = solver.mixed(T, zm, zp)
-                    resB, _ = solver.mixed(T + tau, zm, zp)
+                # per step, the (result, gap) of every z+ at T + step tau
+                by_step = [solver.mixed_rows(T + step * tau, zm, z_plus_list)
+                           for step in steps]
+                for col, zp in enumerate(z_plus_list):
+                    resA, _ = by_step[0][col]
+                    resB, _ = by_step[1][col]
                     gA = resA.curve.values[0, : solver.model.k]
                     gB = resB.curve.values[0, : solver.model.k]
                     quotient = float(np.linalg.norm(gB - gA)) / tau
@@ -355,7 +345,7 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
                                gap=quotient, bound=ladder.c1, budget=budget,
                                ok=quotient <= ladder.c1 + budget)
                     if solver.model.problem.c21:
-                        resC, _ = solver.mixed(T + 2 * tau, zm, zp)
+                        resC, _ = by_step[2][col]
                         gC = resC.curve.values[0, : solver.model.k]
                         theta_diff = float(np.linalg.norm(gC - 2 * gB + gA)) / (tau * tau)
                         second[(float(T), float(tau), _label(zm), _label(zp))] = theta_diff

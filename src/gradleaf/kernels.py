@@ -29,8 +29,10 @@ panel-by-panel loop.
 A convolution takes one column of samples, shape ``(size,)``, or a stack of
 columns, ``(B, size)``, as the batched Picard loop passes them.  A stack
 goes through the same stacked product, one panel of one column at a time,
-and the carry runs column by column in the same order, so every column
-comes out bit for bit as it does alone.
+and each column's carry runs the same recursion in the same order, so every
+column comes out bit for bit as it does alone.  A few columns carry in
+Python floats, one after another; from ``CARRY_ARRAY_COLUMNS`` on, numpy
+carries all columns at once, one panel at a time.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ _GAUSS_POSITIVE_WEIGHTS = np.array([
 GAUSS_NODES = np.concatenate([-_GAUSS_POSITIVE_NODES[::-1], _GAUSS_POSITIVE_NODES])
 GAUSS_WEIGHTS = np.concatenate([_GAUSS_POSITIVE_WEIGHTS[::-1], _GAUSS_POSITIVE_WEIGHTS])
 #: from this many columns on, the carry runs across columns in numpy, one
-#: panel at a time; below it, column by column in Python floats.  Both
-#: forms round the same.
-CARRY_ARRAY_COLUMNS = 12
+#: panel at a time; below it, column by column in Python floats, which is
+#: faster there (the crossover measured on p3's finite and infinite grids,
+#: BENCH_picard.json ``carry_sweep``).  Both forms round the same.
+CARRY_ARRAY_COLUMNS = 16
 
 
 class ExpConvolver:
@@ -163,21 +166,23 @@ class ExpConvolver:
 def _sweep(d, exits, order):
     """The integral carried into each panel, shaped as ``exits``, (P,) or
     (B, P): ``a <- d * a + exits[..., i]`` from ``a = 0`` over the panels in
-    ``order``, one recursion per column."""
-    if exits.ndim == 1:
-        acc = np.empty(len(exits))
-        row = exits.tolist()
+    ``order``, one recursion per column.
+
+    Below ``CARRY_ARRAY_COLUMNS`` columns the recursion runs column by
+    column in Python floats, from there across all columns at once in
+    numpy, one panel at a time; both round the same.
+    """
+    if exits.ndim == 2 and len(exits) >= CARRY_ARRAY_COLUMNS:
+        cols = np.ascontiguousarray(exits.T)
+        acc = np.empty(exits.shape)
+        a = np.zeros(len(exits))
+        for i in order:
+            acc[:, i] = a
+            a = d * a + cols[i]
+        return acc
+    rows = exits.tolist()
+    for row in rows if exits.ndim == 2 else [rows]:
         a = 0.0
         for i in order:
-            acc[i] = a
-            a = d * a + row[i]
-        return acc
-    if len(exits) < CARRY_ARRAY_COLUMNS:
-        return np.array([_sweep(d, row, order) for row in exits])
-    cols = np.ascontiguousarray(exits.T)
-    acc = np.empty(exits.shape)
-    a = np.zeros(len(exits))
-    for i in order:
-        acc[:, i] = a
-        a = d * a + cols[i]
-    return acc
+            a, row[i] = d * a + row[i], a
+    return np.array(rows)

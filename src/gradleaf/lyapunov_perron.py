@@ -25,7 +25,7 @@ loop iterates them together on ``(B, size, n)`` blocks.  A column is frozen
 when it converges or fails; it rounds as it does alone, so its residual,
 iteration count and exception are those of a solve of that column by
 itself, and ``fixed_point`` is the loop's one-column case.  The loop counts
-its work per operator kind in the cache's ``SolverCounts``.
+its work per ladder and operator kind in the cache's ``SolverCounts``.
 
 Solving on a tensor grid of base points gives a ``GraphSample``.  Every
 other module reaches the local-frame geometry of a sampled graph through it:
@@ -87,17 +87,23 @@ def truncation_tail(ladder, t_max):
 
 
 class SolverCounts:
-    """What the Picard loop did, per operator kind: columns solved, batched
-    calls, the sum and the maximum of the columns' iteration counts, and the
-    worst contraction ratio res_k / res_(k-1) measured between two
-    iterations of a column."""
+    """What the Picard loop did, per ladder and operator kind: columns
+    solved, batched calls, the sum and the maximum of the columns' iteration
+    counts, and the worst contraction ratio res_k / res_(k-1) measured
+    between two iterations of a column."""
 
     def __init__(self):
-        self.kinds = {}
+        #: (ladder, {kind: counts}) in the order the ladders were first used
+        self.ladders = []
 
-    def record(self, kind, iterations, worst_ratio):
-        """One batched call that solved columns in ``iterations`` steps each."""
-        entry = self.kinds.setdefault(kind, {
+    def record(self, ladder, kind, iterations, worst_ratio):
+        """One batched call on ``ladder`` that solved columns in
+        ``iterations`` steps each."""
+        kinds = next((k for held, k in self.ladders if held is ladder), None)
+        if kinds is None:
+            kinds = {}
+            self.ladders.append((ladder, kinds))
+        entry = kinds.setdefault(kind, {
             "columns": 0, "batches": 0, "iterations_sum": 0,
             "iterations_max": 0, "worst_ratio": 0.0})
         entry["columns"] += len(iterations)
@@ -106,10 +112,11 @@ class SolverCounts:
         entry["iterations_max"] = max([entry["iterations_max"], *iterations])
         entry["worst_ratio"] = max(entry["worst_ratio"], worst_ratio)
 
-    def summary(self, ladder):
-        """The counts with the a priori factor of ``ladder`` and the paper's 1/2."""
-        return {"kinds": self.kinds,
-                "contraction_bound": ladder.contraction_bound(),
+    def summary(self):
+        """Per ladder, in order of first use, its counts next to its a
+        priori contraction factor; and the paper's 1/2."""
+        return {"ladders": [{"contraction_bound": ladder.contraction_bound(),
+                             "kinds": kinds} for ladder, kinds in self.ladders],
                 "paper_bound": 0.5}
 
 
@@ -167,7 +174,8 @@ def _add_integrals(out, conv, k, y):
     one, which vanishes at its start.
     """
     if out.ndim == 3 and len(out) == 1:
-        # a stack of one column takes the convolver's cheaper 1-D path
+        # one column solves about 5 % faster as a curve than as a stack of
+        # one (BENCH_picard.json ``one_column_as_curve``)
         _add_integrals(out[0], conv, k, y[0])
         return out
     for j in range(out.shape[-1]):
@@ -270,25 +278,29 @@ class IntegralOperator:
         other columns, in order.
         """
         errors = {}
-        worst = row_norms(values).max(axis=-1)
-        outside = worst > self.model.problem.trust_radius * (1 + NORM_SLACK)
-        if outside.any():
-            for i in np.flatnonzero(outside):
-                errors[i] = OutOfTrustRegion(
-                    f"curve reaches |xi| = {worst[i]:.3e} beyond the trust radius")
-            values, boundary = values[~outside], boundary[~outside]
-            if not len(values):
+        limit = self.model.problem.trust_radius * (1 + NORM_SLACK)
+        worst = row_norms(values).max(axis=-1).tolist()
+        inside = [i for i, w in enumerate(worst) if w <= limit]
+        if len(inside) < len(worst):
+            for i, w in enumerate(worst):
+                if w > limit:
+                    errors[i] = OutOfTrustRegion(
+                        f"curve reaches |xi| = {w:.3e} beyond the trust radius")
+            values, boundary = values[inside], boundary[inside]
+            if not inside:
                 return values, errors
         y = self.model.h(values.reshape(-1, self.n)).reshape(values.shape)
         images = _add_integrals(boundary.copy(), self.conv, self.k, y)
         offset = images if self.reference is None else images - self.reference.values
-        gap = (self.weights * row_norms(offset)).max(axis=-1)
-        far = gap > self.ladder.rho * (1 + NORM_SLACK)
-        if far.any():
-            for i, g in zip(np.flatnonzero(~outside)[far], gap[far]):
-                errors[i] = NormBudgetExceeded(
-                    f"curve left the rho ball: {g:.3e} > {self.ladder.rho:.3e}")
-            images = images[~far]
+        gap = (self.weights * row_norms(offset)).max(axis=-1).tolist()
+        rho = self.ladder.rho * (1 + NORM_SLACK)
+        near = [j for j, g in enumerate(gap) if g <= rho]
+        if len(near) < len(gap):
+            for j, g in enumerate(gap):
+                if g > rho:
+                    errors[inside[j]] = NormBudgetExceeded(
+                        f"curve left the rho ball: {g:.3e} > {self.ladder.rho:.3e}")
+            images = images[near]
         return images, errors
 
 
@@ -315,13 +327,11 @@ def PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid, conv):
     Boundary exactness is structural: the forward convolution vanishes at
     t = 0 and the backward one at t = T, so the plus part of any image curve
     equals ``z_plus`` at 0 and the minus part equals ``z_minus`` at T to
-    rounding error.
+    rounding error.  ``mixed_columns`` checks that each z+ lies in the
+    graph domain when its turn comes.
     """
     if abs(grid.t0) > 1e-12 or abs(grid.t1 - T) > 1e-9:
         raise HorizonMismatch(f"grid horizon [{grid.t0}, {grid.t1}] does not match T = {T}")
-    z_plus = np.asarray(z_plus, dtype=float)
-    if np.any(row_norms(z_plus) > ladder.R * (1 + NORM_SLACK)):
-        raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
     return IntegralOperator(model, ladder, grid, conv, FORWARD_FINITE, 0.0,
                             z_minus=z_minus, z_plus=z_plus, t_minus=float(T),
                             reference=reference)
@@ -360,7 +370,9 @@ def _picard(operator, cols, counts, initial=None, tol=PICARD_TOL):
         res = (operator.weights * row_norms(nxt - current)).max(axis=-1).tolist()
         going = []
         for i, r in enumerate(res):
-            worst_ratio = max(worst_ratio, r / prev_res[i])
+            ratio = r / prev_res[i]
+            if ratio > worst_ratio:
+                worst_ratio = ratio
             if r <= tol:
                 outcomes[live[i]] = FixedPointResult(
                     operator.curve(nxt[i].copy()), r, it, operator.tail)
@@ -372,18 +384,17 @@ def _picard(operator, cols, counts, initial=None, tol=PICARD_TOL):
                     f"residual stalled at {r:.3e} after {it} iterations")
                 continue
             going.append(i)
-        live, stall, prev_res = ([v[i] for i in going]
-                                 for v in (live, stall, res))
-        if not live:
-            break
         if len(going) < len(res):
+            live, stall, res = ([v[i] for i in going] for v in (live, stall, res))
+            if not live:
+                break
             nxt, boundary = nxt[going], boundary[going]
-        current = nxt
+        prev_res, current = res, nxt
     for i, r in zip(live, prev_res):
         outcomes[i] = NoConvergence(f"no convergence in {PICARD_MAX_ITER} iterations "
                                     f"(residual {r:.3e})")
     if counts is not None:
-        counts.record(operator.kind, iterations, worst_ratio)
+        counts.record(operator.ladder, operator.kind, iterations, worst_ratio)
     return outcomes
 
 
@@ -456,7 +467,8 @@ def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache,
     ``orbit`` is the backward-orbit result for ``z_minus``; its horizon must
     cover [-T, 0], and it keeps the reference curve built for this T.  A
     column whose endpoint misses ``z_minus`` by more than varkappa raises
-    EndpointViolation in its turn.
+    EndpointViolation in its turn, and a z+ outside the graph domain
+    NormBudgetExceeded.
     """
     if T < ladder.T0 - 1e-12 and enforce_endpoint:
         raise HorizonMismatch(f"T = {T} below T0 = {ladder.T0}")
@@ -464,7 +476,12 @@ def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache,
         raise HorizonMismatch("backward orbit horizon does not cover [-T, 0]")
     grid = cache.grid(0.0, T)
     ref = orbit.reference(grid, ladder.lambda_)
-    op = PsiTOperator(model, ladder, T, z_minus, z_plus_rows, ref, grid,
+    z_plus_rows = np.asarray(z_plus_rows, dtype=float)
+    # the rows before the first one outside the graph domain, the ball of
+    # radius R = rho/2, are solved; that one raises in its turn
+    outside = (row_norms(z_plus_rows) > ladder.R * (1 + NORM_SLACK)).tolist()
+    stop = outside.index(True) if True in outside else len(outside)
+    op = PsiTOperator(model, ladder, T, z_minus, z_plus_rows[:stop], ref, grid,
                       cache.convolver(grid))
     target = model.embed_minus(z_minus)
     for result in solve_columns(op, cache.counts):
@@ -473,6 +490,8 @@ def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache,
             raise EndpointViolation(
                 f"|xi(T) - z_minus| = {gap:.3e} exceeds varkappa = {ladder.varkappa:.3e}")
         yield result, gap
+    if stop < len(outside):
+        raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
 
 
 def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, cache=None,

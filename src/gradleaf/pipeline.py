@@ -314,7 +314,7 @@ def run(problem, out_dir, stages=("all",), seed=0, config_digest=None):
     except Exception as exc:
         error = exc
     if state.cache is not None:
-        state.details["solver"] = state.cache.counts.summary(state.ladder)
+        state.details["solver"] = state.cache.counts.summary()
     manifest = {
         "problem": problem.name,
         "config_hash": config_digest,

@@ -69,7 +69,10 @@ def loop_stable(model, ladder, z, cache):
 
 
 def loop_mixed(model, ladder, T, z_minus, z_plus, orbit, cache):
-    """One mixed solve with its endpoint check, as the per-node loop made it."""
+    """One mixed solve with its domain and endpoint checks, as the per-node
+    loop made it."""
+    if np.linalg.norm(z_plus) > ladder.R * (1 + lp.NORM_SLACK):
+        raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
     grid = cache.grid(0.0, T)
     op = lp.PsiTOperator(model, ladder, T, z_minus, z_plus,
                          orbit.reference(grid, ladder.lambda_), grid,
@@ -196,6 +199,44 @@ def test_trust_region_failure_matches_per_node(p3):
     with pytest.raises(OutOfTrustRegion) as info:
         lp.graph_G_T(model, p3.ladder, T, zm, orbit=orbit, cache=p3.cache)
     assert str(info.value) == str(expected)
+
+
+@pytest.mark.parametrize("first", [EndpointViolation, NormBudgetExceeded])
+def test_domain_failure_raises_in_its_turn(p2, first):
+    # a plus axis that leaves the graph domain at one end: the node outside
+    # raises NormBudgetExceeded only when its turn comes, so an earlier
+    # node's endpoint failure is the one raised, and the other way round
+    model, cache = p2.model, p2.cache
+    T = p2.ladder.T0
+    zm = p2.sphere_point()
+    orbit = p2.orbit(zm, t_need=T)
+    gaps = lp.graph_G_T(model, p2.ladder, T, zm, orbit=orbit,
+                        cache=cache).endpoint_gaps
+    ladder = replace(p2.ladder, varkappa=float(np.median(gaps)))
+    R = ladder.R
+    axis = (np.linspace(-R, 1.5 * R, 16) if first is EndpointViolation
+            else np.linspace(-1.5 * R, R, 16))
+    points = lp.tensor_points((axis,))
+    alone = []
+    for z in points:
+        try:
+            alone.append(loop_mixed(model, ladder, T, zm, z, orbit, cache))
+        except Exception as exc:  # noqa: BLE001 - compared below
+            alone.append(exc)
+    failures = [out for out in alone if isinstance(out, Exception)]
+    # both kinds of failure lie on the axis; ``first`` comes first
+    assert {type(out) for out in failures} == {EndpointViolation,
+                                                NormBudgetExceeded}
+    assert isinstance(failures[0], first)
+    with pytest.raises(first) as info:
+        lp.graph_G_T(model, ladder, T, zm, base_axes=(axis,), orbit=orbit,
+                     cache=cache)
+    assert str(info.value) == str(failures[0])
+    # the store keeps the rows solved before the failing one
+    solver = convergence.GraphFamilySolver(model, ladder, cache=cache)
+    with pytest.raises(first):
+        solver.mixed_rows(T, zm, points)
+    assert len(solver._mixed) == alone.index(failures[0])
 
 
 class ScriptedOperator:

@@ -161,21 +161,26 @@ def test_manifest_lists_every_file(p1_run):
 
 
 def test_manifest_counts_solver_work(p1_run):
-    # the batched Picard loop counts its own work per operator kind
+    # the batched Picard loop counts its own work per ladder and operator
+    # kind: the built ladder solves the two infinite graphs, the calibrated
+    # one everything after
     solver = json.loads((p1_run / "manifest.json").read_text())["details"]["solver"]
     assert solver["paper_bound"] == 0.5
-    assert 0.0 <= solver["contraction_bound"] <= 0.5
-    kinds = solver["kinds"]
-    assert set(kinds) == {"backward", "forward_infinite", "forward_finite"}
-    for entry in kinds.values():
-        assert entry["columns"] >= entry["batches"] >= 1
-        assert entry["columns"] <= entry["iterations_sum"]
-        assert entry["iterations_max"] >= 1
-        # linear flow: the first image is the fixed point
-        assert entry["worst_ratio"] == 0.0
-    # the 13 nodes of the unstable graph, several to a block, and the
-    # backward orbits of the sphere points
-    assert kinds["backward"]["columns"] >= 13 > kinds["backward"]["batches"]
+    built, calibrated = solver["ladders"]
+    assert set(built["kinds"]) == {"backward", "forward_infinite"}
+    assert set(calibrated["kinds"]) == {"backward", "forward_infinite",
+                                        "forward_finite"}
+    for ladder in (built, calibrated):
+        assert 0.0 <= ladder["contraction_bound"] <= 0.5
+        for entry in ladder["kinds"].values():
+            assert entry["columns"] >= entry["batches"] >= 1
+            assert entry["columns"] <= entry["iterations_sum"]
+            assert entry["iterations_max"] >= 1
+            # linear flow: the first image is the fixed point
+            assert entry["worst_ratio"] == 0.0
+    # the 13 nodes of the unstable graph, several to a block
+    assert built["kinds"]["backward"]["columns"] == 13
+    assert built["kinds"]["backward"]["batches"] < 13
 
 
 def test_determinism_byte_identical(p1_run, tmp_path):
