@@ -507,14 +507,11 @@ def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None):
             extra /= np.linalg.norm(extra, axis=1, keepdims=True)
             dirs = np.concatenate([np.pad(dirs, ((0, 0), (0, k - 2))), extra])
 
-    radii = []
-    for u in dirs:
-        r = graph_f.level_crossing(model.f_local, u, level, 1e-10)
-        if r is None:
-            raise LevelNotReached(
-                f"epsilon = {epsilon:.3e} not reached within the sampled graph")
-        radii.append(r)
-    sphere_minus = np.asarray(radii)[:, None] * dirs
+    radii = graph_f.level_crossing(model.f_local, dirs, level, 1e-10)
+    if np.isnan(radii).any():
+        raise LevelNotReached(
+            f"epsilon = {epsilon:.3e} not reached within the sampled graph")
+    sphere_minus = radii[:, None] * dirs
     sphere_local = graph_f.local_points(sphere_minus)
     fractions = np.linspace(0.0, 1.0, 5)[1:-1]
     interior_minus = np.concatenate([

@@ -30,8 +30,8 @@ from .errors import (
     OutsideSampledDomain,
     RetractViolation,
 )
-from .flow import integrate_forward, integrate_forward_batch
-from .lyapunov_perron import graph_G_T, tensor_points
+from .flow import integrate_forward_batch
+from .lyapunov_perron import graph_G_T, multilinear_stencil, tensor_points
 
 PAIR_RTOL = 1e-9
 PAIR_ATOL = 1e-12
@@ -239,12 +239,9 @@ def _leaf_boundary(model, graph, clip_level, resolution=8):
             dirs = np.pad(dirs, ((0, 0), (0, d - 2)))
 
     tol = 1e-12 * max(1.0, abs(clip_level)) + 1e-15
-    boundary_plus = []
-    for u in dirs:
-        r = graph.level_crossing(model.f_local, u, clip_level, tol)
-        if r is not None:  # None: the leaf is not clipped along this ray
-            boundary_plus.append(r * u)
-    boundary_plus = np.asarray(boundary_plus).reshape(-1, d)
+    radii = graph.level_crossing(model.f_local, dirs, clip_level, tol)
+    clipped = ~np.isnan(radii)  # NaN: the leaf is not clipped along this ray
+    boundary_plus = radii[clipped, None] * dirs[clipped]
     return boundary_plus, graph.local_points(boundary_plus)
 
 
@@ -320,7 +317,8 @@ def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
     multilinear interpolants on one grid is the interpolant of the
     difference, so the separation floor is the grid Lipschitz constant of
     the difference times the probe spacing: the largest dip of the
-    separation between probes.
+    separation between probes.  The probes' interpolation weights are
+    computed once, and each leaf is interpolated at them once.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     labels = list(atlas.leaves.keys())
@@ -338,18 +336,28 @@ def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
             worst = max(worst, float(np.max(dv / dx.reshape(-1, *([1] * (dv.ndim - 1))))))
         return worst
 
+    axes = atlas.leaves[labels[0]].graph.axes
+    for label in labels:
+        if not all(np.array_equal(x, y)
+                   for x, y in zip(atlas.leaves[label].graph.axes, axes)):
+            raise ValueError(f"leaves {labels[0]} and {label} are sampled on "
+                             "different plus grids")
     fine = _refined_axes(atlas.center.graph.axes, refine)
-    probes = tensor_points(fine)
+    stencil = multilinear_stencil(axes, tensor_points(fine))
     spacing = max(float(np.max(np.diff(f))) for f in fine)
+    probed = {}
+
+    def probe_values(label):
+        if label not in probed:
+            probed[label] = atlas.leaves[label].graph.interpolate(stencil)
+        return probed[label]
 
     for _ in range(pair_count):
         la, lb = rng.choice(len(labels), size=2, replace=False)
         a, b = labels[la], labels[lb]
         ga, gb = atlas.leaves[a].graph, atlas.leaves[b].graph
-        if not all(np.array_equal(x, y) for x, y in zip(ga.axes, gb.axes)):
-            raise ValueError(f"leaves {a} and {b} are sampled on different plus grids")
-        vals_a = ga.evaluate(probes)
-        vals_b = gb.evaluate(probes)
+        vals_a = probe_values(a)
+        vals_b = probe_values(b)
         separation = float(np.min(np.linalg.norm(vals_a - vals_b, axis=-1)))
         floor = lipschitz(ga.values - gb.values, ga.axes) * spacing
         ok = separation > floor
@@ -364,26 +372,42 @@ def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
     return report
 
 
-def induced_flow(atlas, label, z_local, t, rtol=1e-10, atol=1e-12):
+def induced_flow(atlas, labels, z_local, t):
     """The leaf-preserving semi-flow: conjugate the center-leaf flow by the
-    graph maps.  ``t = inf`` returns the leaf's base point exactly."""
+    graph maps.
+
+    ``z_local`` is one local point ``(n,)`` on the leaf ``labels``, or rows
+    ``(m, n)`` with one label per row in ``labels``; the rows are integrated
+    together (``integrate_forward_batch``) at the audit tolerances.  A row
+    whose plus part lies outside its leaf's graph domain raises
+    OutsideLeafDomain.  ``t = inf`` returns each leaf's base point exactly.
+    """
     model = atlas.model
-    leaf = atlas.leaf(label)
     z_local = np.asarray(z_local, dtype=float)
-    z_plus = z_local[model.k:]
-    for i, ax in enumerate(leaf.graph.axes):
-        if z_plus[i] < ax[0] - 1e-9 or z_plus[i] > ax[-1] + 1e-9:
-            raise OutsideLeafDomain(
-                f"plus coordinate {z_plus} outside the leaf graph domain")
+    rows = np.atleast_2d(z_local)
+    leaves = [atlas.leaf(label)
+              for label in ([labels] if z_local.ndim == 1 else labels)]
+    z_plus = rows[:, model.k:]
+    for leaf, zp in zip(leaves, z_plus):
+        for i, ax in enumerate(leaf.graph.axes):
+            if zp[i] < ax[0] - 1e-9 or zp[i] > ax[-1] + 1e-9:
+                raise OutsideLeafDomain(
+                    f"plus coordinate {zp} outside the leaf graph domain")
+    out = np.empty_like(rows)
     if t == math.inf:
-        return leaf.base_point.copy()
-    if t < 0:
-        raise ValueError("the induced flow is a semi-flow: t >= 0")
-    center_point = atlas.center.graph.local_points(z_plus)
-    traj = integrate_forward(model.problem, model.to_ambient(center_point),
-                             float(t), rtol=rtol, atol=atol)
-    y_t = model.to_local(traj.terminal)[model.k:]
-    return leaf.graph.local_points(y_t)
+        for i, leaf in enumerate(leaves):
+            out[i] = leaf.base_point
+    else:
+        if t < 0:
+            raise ValueError("the induced flow is a semi-flow: t >= 0")
+        center_points = atlas.center.graph.local_points(z_plus)
+        terminal, _ = integrate_forward_batch(
+            model.problem, model.to_ambient(center_points), float(t),
+            AUDIT_RTOL, AUDIT_ATOL, stop_below_level=-math.inf)
+        y_t = model.to_local(terminal)[:, model.k:]
+        for i, leaf in enumerate(leaves):
+            out[i] = leaf.graph.local_points(y_t[i])
+    return out[0] if z_local.ndim == 1 else out
 
 
 def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
@@ -396,10 +420,14 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
     quotients at the steps 1e-4 and 1e-5.  Structurally (i) holds by
     construction; the audit re-evaluates it numerically.  Check (ii)
     presumes coordinates with a flat unstable manifold; the measured
-    flatness residual widens the tolerance and is reported.
+    flatness residual widens the tolerance and is reported.  The induced
+    flow runs once per t sample over every base point, and once per step
+    over every boundary sample.
     """
     model = atlas.model
     report = ConvergenceReport("retract")
+    labels = atlas.all_labels()
+    leaves = [atlas.leaf(label) for label in labels]
 
     flatness = 0.0
     for label in atlas.leaves:
@@ -409,44 +437,43 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
     fix_budget = fix_tol + 10.0 * flatness + 10.0 * atlas.interp_tolerance
 
     # (i) theta_inf maps leaf samples onto the base point
-    for label in atlas.all_labels():
-        leaf = atlas.leaf(label)
-        end = induced_flow(atlas, label, leaf.graph.local_points(
-            np.zeros(model.n - model.k)), math.inf)
+    origin = np.zeros(model.n - model.k)
+    ends = induced_flow(atlas, labels, [leaf.graph.local_points(origin)
+                                        for leaf in leaves], math.inf)
+    for label, leaf, end in zip(labels, leaves, ends):
         gap = float(np.linalg.norm(end - leaf.base_point))
         report.add(check="retract_theta_inf", T=leaf.T or 0.0,
                    z_minus_label=str(label), z_plus_label="", direction_label="",
                    gap=gap, bound=0.0, budget=fix_tol, ok=gap <= fix_tol)
 
     # (ii) theta_t fixes the disk D pointwise
-    for label in atlas.all_labels():
-        leaf = atlas.leaf(label)
-        for t in t_samples:
-            moved = induced_flow(atlas, label, leaf.base_point, t,
-                                 rtol=AUDIT_RTOL, atol=AUDIT_ATOL)
-            gap = float(np.linalg.norm(moved - leaf.base_point))
+    bases = np.array([leaf.base_point for leaf in leaves])
+    moved = [induced_flow(atlas, labels, bases, t) for t in t_samples]
+    for i, (label, leaf) in enumerate(zip(labels, leaves)):
+        for t, moved_t in zip(t_samples, moved):
+            gap = float(np.linalg.norm(moved_t[i] - leaf.base_point))
             report.add(check="retract_fix_D", T=leaf.T or 0.0,
                        z_minus_label=str(label), z_plus_label="",
                        direction_label=f"t={t:g}", gap=gap, bound=0.0,
                        budget=fix_budget, ok=gap <= fix_budget)
 
     # (iii) inward pointing along every leaf boundary
+    rows = [(label, leaf, z_plus, z) for label, leaf in zip(labels, leaves)
+            for z_plus, z in zip(leaf.boundary_plus, leaf.boundary_local)]
+    boundary = np.array([z for *_, z in rows]).reshape(-1, model.n)
+    row_labels = [label for label, *_ in rows]
+    steps = (1e-4, 1e-5)
+    moved = [induced_flow(atlas, row_labels, boundary, h) for h in steps]
     mu_audit = math.inf
-    for label in atlas.all_labels():
-        leaf = atlas.leaf(label)
-        for z_plus, z in zip(leaf.boundary_plus, leaf.boundary_local):
-            f0 = model.f_local(z)
-            quotients = []
-            for h in (1e-4, 1e-5):
-                moved = induced_flow(atlas, label, z, h, rtol=AUDIT_RTOL,
-                                     atol=AUDIT_ATOL)
-                quotients.append((model.f_local(moved) - f0) / h)
-            worst = max(quotients)
-            mu_audit = min(mu_audit, -worst)
-            report.add(check="retract_inward", T=leaf.T or 0.0,
-                       z_minus_label=str(label), z_plus_label=_label(z_plus),
-                       direction_label="", gap=worst, bound=0.0, budget=0.0,
-                       ok=worst < 0.0)
+    for i, (label, leaf, z_plus, z) in enumerate(rows):
+        f0 = model.f_local(z)
+        worst = max((model.f_local(moved_h[i]) - f0) / h
+                    for h, moved_h in zip(steps, moved))
+        mu_audit = min(mu_audit, -worst)
+        report.add(check="retract_inward", T=leaf.T or 0.0,
+                   z_minus_label=str(label), z_plus_label=_label(z_plus),
+                   direction_label="", gap=worst, bound=0.0, budget=0.0,
+                   ok=worst < 0.0)
     report.extras["mu_audit"] = mu_audit
     if not report.all_ok:
         raise RetractViolation(f"retract audit failed: {report.describe_worst()}")
@@ -455,23 +482,34 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
 
 def leaf_invariance(atlas, sigmas=(1.0,)):
     """Forward-flow compatibility: points of the (T, alpha) leaf land on the
-    (T - sigma, alpha) leaf, measured through that leaf's graph."""
+    (T - sigma, alpha) leaf, measured through that leaf's graph.  Per sigma,
+    the inside points of every leaf with a target are flowed together."""
     model = atlas.model
     report = ConvergenceReport("invariance")
     tol = 10.0 * atlas.interp_tolerance + 1e-9
-    for (T, ai), leaf in atlas.leaves.items():
+    inside = {label: leaf.inside_points() for label, leaf in atlas.leaves.items()}
+    landed = {}
+    for sigma in sigmas:
+        sources = [label for label in atlas.leaves
+                   if (float(label[0] - sigma), label[1]) in atlas.leaves]
+        if not sources:
+            continue
+        starts = np.concatenate([inside[label][1] for label in sources])
+        terminal, _ = integrate_forward_batch(
+            model.problem, model.to_ambient(starts), float(sigma),
+            AUDIT_RTOL, AUDIT_ATOL, stop_below_level=-math.inf)
+        ends = np.split(model.to_local(terminal),
+                        np.cumsum([len(inside[label][1]) for label in sources]))
+        landed.update(((label, sigma), end) for label, end in zip(sources, ends))
+    for (T, ai) in atlas.leaves:
         for sigma in sigmas:
-            target_label = (float(T - sigma), ai)
-            if target_label not in atlas.leaves:
+            if ((T, ai), sigma) not in landed:
                 continue
-            target = atlas.leaves[target_label]
-            base, pts = leaf.inside_points()
-            for z_plus, p in zip(base, pts):
-                traj = integrate_forward(model.problem, model.to_ambient(p),
-                                         float(sigma), rtol=AUDIT_RTOL,
-                                         atol=AUDIT_ATOL)
+            target = atlas.leaves[(float(T - sigma), ai)]
+            base = inside[(T, ai)][0]
+            for z_plus, end in zip(base, landed[((T, ai), sigma)]):
                 try:
-                    gap = target.graph.residual(model.to_local(traj.terminal))
+                    gap = target.graph.residual(end)
                 except OutsideSampledDomain:
                     continue  # flowed outside the sampled target domain
                 report.add(check="invariance", T=float(T),

@@ -90,7 +90,8 @@ class SolverCounts:
     """What the Picard loop did, per ladder and operator kind: columns
     solved, batched calls, the sum and the maximum of the columns' iteration
     counts, and the worst contraction ratio res_k / res_(k-1) measured
-    between two iterations of a column."""
+    between two iterations of a column (None while every column converged
+    at its first iteration, so that no ratio was formed)."""
 
     def __init__(self):
         #: (ladder, {kind: counts}) in the order the ladders were first used
@@ -98,19 +99,21 @@ class SolverCounts:
 
     def record(self, ladder, kind, iterations, worst_ratio):
         """One batched call on ``ladder`` that solved columns in
-        ``iterations`` steps each."""
+        ``iterations`` steps each; ``worst_ratio`` is None when it formed no
+        ratio."""
         kinds = next((k for held, k in self.ladders if held is ladder), None)
         if kinds is None:
             kinds = {}
             self.ladders.append((ladder, kinds))
         entry = kinds.setdefault(kind, {
             "columns": 0, "batches": 0, "iterations_sum": 0,
-            "iterations_max": 0, "worst_ratio": 0.0})
+            "iterations_max": 0, "worst_ratio": None})
         entry["columns"] += len(iterations)
         entry["batches"] += 1
         entry["iterations_sum"] += sum(iterations)
         entry["iterations_max"] = max([entry["iterations_max"], *iterations])
-        entry["worst_ratio"] = max(entry["worst_ratio"], worst_ratio)
+        ratios = [r for r in (entry["worst_ratio"], worst_ratio) if r is not None]
+        entry["worst_ratio"] = max(ratios, default=None)
 
     def summary(self):
         """Per ladder, in order of first use, its counts next to its a
@@ -355,7 +358,7 @@ def _picard(operator, cols, counts, initial=None, tol=PICARD_TOL):
     live = list(range(len(boundary)))
     stall = [0] * len(live)
     prev_res = [math.inf] * len(live)
-    iterations, worst_ratio = [], 0.0
+    iterations, worst_ratio = [], None
     for it in range(1, PICARD_MAX_ITER + 1):
         nxt, errors = operator.advance(current, boundary)
         if errors:
@@ -370,9 +373,10 @@ def _picard(operator, cols, counts, initial=None, tol=PICARD_TOL):
         res = (operator.weights * row_norms(nxt - current)).max(axis=-1).tolist()
         going = []
         for i, r in enumerate(res):
-            ratio = r / prev_res[i]
-            if ratio > worst_ratio:
-                worst_ratio = ratio
+            if it > 1:
+                ratio = r / prev_res[i]
+                if worst_ratio is None or ratio > worst_ratio:
+                    worst_ratio = ratio
             if r <= tol:
                 outcomes[live[i]] = FixedPointResult(
                     operator.curve(nxt[i].copy()), r, it, operator.tail)
@@ -514,7 +518,7 @@ class GraphSample:
     only code that knows how the graph sits in the local frame (minus
     coordinates first): ``local_points`` puts base points and graph values
     together, ``residual`` measures a local point against the graph, and
-    ``level_crossing`` bisects a level of the objective along a ray of the
+    ``level_crossing`` bisects a level of the objective along rays of the
     domain.
     """
 
@@ -540,33 +544,21 @@ class GraphSample:
     def evaluate(self, z):
         """Multilinear interpolation of the graph at subspace point(s) z.
 
-        ``z`` is one point ``(d,)`` or many ``(m, d)``.  Rounds exactly as
-        scipy's linear ``RegularGridInterpolator`` with its generic
-        ``_evaluate_linear`` (the path any grid with a codim axis takes):
-        per axis the cell ``[ax[j], ax[j+1]]`` holding the point (the last
-        cell for the last node) and the distance into it, then the corners
-        of the cell summed in ``itertools.product`` order.  A point outside
-        the grid, or with a NaN coordinate, raises OutsideSampledDomain.
+        ``z`` is one point ``(d,)`` or many ``(m, d)``; see
+        :func:`multilinear_stencil`.  A point outside the grid, or with a
+        NaN coordinate, raises OutsideSampledDomain.
         """
         z = np.asarray(z, dtype=float)
-        points = np.atleast_2d(z)
-        corners = []
-        for i, ax in enumerate(self.axes):
-            p = points[:, i]
-            if not np.all((ax[0] <= p) & (p <= ax[-1])):
-                raise OutsideSampledDomain(
-                    f"a requested point is out of bounds in dimension {i}")
-            j = np.clip(np.searchsorted(ax, p, side="right") - 1, 0, len(ax) - 2)
-            y = (p - ax[j]) / (ax[j + 1] - ax[j])
-            corners.append(((j, 1 - y), (j + 1, y)))
-        out = np.array([0.0])
-        for corner in itertools.product(*corners):
-            index, factors = zip(*corner)
-            weight = np.array([1.0])
-            for w in factors:
-                weight = weight * w
-            out = out + self.values[index] * weight[:, None]
+        out = self.interpolate(multilinear_stencil(self.axes, np.atleast_2d(z)))
         return out[0] if z.ndim == 1 else out
+
+    def interpolate(self, stencil):
+        """The graph values at the points of a :func:`multilinear_stencil`
+        built on this graph's axes, ``(m, codim)``."""
+        out = np.array([0.0])
+        for index, weight in stencil:
+            out = out + self.values[index] * weight
+        return out
 
     def grid_points(self):
         return tensor_points(self.axes)
@@ -611,38 +603,49 @@ class GraphSample:
             on_bd |= np.isclose(base[:, i], ax[0]) | np.isclose(base[:, i], ax[-1])
         return self.local_points()[on_bd]
 
-    def level_crossing(self, f, direction, level, tol):
-        """Radius r at which ``f`` on the graph point over ``r * direction``
-        crosses ``level``, by bisection on [0, r_max]; None when the ray
-        leaves the sampled domain (radius r_max) before reaching the level,
-        or when the level lies behind f(0), where the ray starts.
+    def level_crossing(self, f, directions, level, tol):
+        """Radii r at which ``f`` on the graph point over ``r * u`` crosses
+        ``level``, one per row ``u`` of ``directions`` ``(m, d)``, by
+        bisection on [0, r_max]; NaN where the ray leaves the sampled domain
+        (radius r_max) before reaching the level, or where the level lies
+        behind f(0), where every ray starts.
 
         ``f`` falls away from the critical point on a graph over the minus
         subspace (the unstable manifold) and rises on a graph over the plus
-        subspace, so the bracket keeps its near end on the side of f(0).
-        Bisection stops when |f - level| <= ``tol``, when the bracket is
-        below the floating-point resolution of the radius, or after
-        ``LEVEL_BISECT_STEPS`` halvings.
+        subspace, so each bracket keeps its near end on the side of f(0).
+        The rays are bisected in lockstep, with one ``local_points`` call
+        per halving for the rays still open.  A ray stops when
+        |f - level| <= ``tol``, when its bracket is below the floating-point
+        resolution of the radius, or after ``LEVEL_BISECT_STEPS`` halvings;
+        each ray steps as it would alone.
         """
+        directions = np.asarray(directions, dtype=float)
         sign = -1.0 if self.domain_sign == "minus" else 1.0
         r_max = float(min(ax[-1] for ax in self.axes))
+        floor = 1e-16 * max(1.0, r_max)
 
-        def offset(r):
-            return sign * (f(self.local_points(r * direction)) - level)
+        def offset(r, rows):
+            points = self.local_points(r[:, None] * directions[rows])
+            return sign * (f(points) - level)
 
-        if offset(0.0) >= 0 or offset(r_max) < 0:
-            return None
-        lo, hi = 0.0, r_max
+        m = directions.shape[0]
+        radii = np.full(m, np.nan)
+        live = np.flatnonzero(offset(np.zeros(m), slice(None)) < 0)
+        if live.size:
+            live = live[offset(np.full(live.size, r_max), live) >= 0]
+        lo, hi = np.zeros(m), np.full(m, r_max)
         for _ in range(LEVEL_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            val = offset(mid)
-            if abs(val) <= tol or hi - lo < 1e-16 * max(1.0, r_max):
+            if not live.size:
                 break
-            if val < 0:
-                lo = mid
-            else:
-                hi = mid
-        return mid
+            mid = 0.5 * (lo[live] + hi[live])
+            val = offset(mid, live)
+            radii[live] = mid
+            done = (np.abs(val) <= tol) | (hi[live] - lo[live] < floor)
+            below = val < 0
+            lo[live[below]] = mid[below]
+            hi[live[~below]] = mid[~below]
+            live = live[~done]
+        return radii
 
     def interp_tolerance(self):
         """Second-difference estimate of the multilinear interpolation error."""
@@ -654,6 +657,38 @@ class GraphSample:
             second = v[2:] - 2.0 * v[1:-1] + v[:-2]
             worst = max(worst, 0.125 * float(np.max(np.abs(second))))
         return worst
+
+
+def multilinear_stencil(axes, points):
+    """The corners and weights of multilinear interpolation on the tensor
+    grid ``axes`` at ``points`` ``(m, d)``: a list of (corner index, weight
+    ``(m, 1)``), which ``GraphSample.interpolate`` applies to any values on
+    that grid.
+
+    Rounds exactly as scipy's linear ``RegularGridInterpolator`` with its
+    generic ``_evaluate_linear`` (the path any grid with a codim axis
+    takes): per axis the cell ``[ax[j], ax[j+1]]`` holding the point (the
+    last cell for the last node) and the distance into it, then the corners
+    of the cell in ``itertools.product`` order.  A point outside the grid,
+    or with a NaN coordinate, raises OutsideSampledDomain.
+    """
+    corners = []
+    for i, ax in enumerate(axes):
+        p = points[:, i]
+        if not np.all((ax[0] <= p) & (p <= ax[-1])):
+            raise OutsideSampledDomain(
+                f"a requested point is out of bounds in dimension {i}")
+        j = np.clip(np.searchsorted(ax, p, side="right") - 1, 0, len(ax) - 2)
+        y = (p - ax[j]) / (ax[j + 1] - ax[j])
+        corners.append(((j, 1 - y), (j + 1, y)))
+    stencil = []
+    for corner in itertools.product(*corners):
+        index, factors = zip(*corner)
+        weight = np.array([1.0])
+        for w in factors:
+            weight = weight * w
+        stencil.append((index, weight[:, None]))
+    return stencil
 
 
 def tensor_points(axes):

@@ -472,3 +472,115 @@ def test_codim2_induced_flow(atlas_p3, p3):
     assert abs(out[2]) == pytest.approx(abs(z[2]) * np.exp(-4.5), rel=1e-4)
     assert np.array_equal(fol.induced_flow(atlas_p3, label, z, math.inf),
                           leaf.base_point)
+
+
+# -- lockstep audits against one trajectory and one ray at a time --------------
+
+@pytest.mark.parametrize("kind", ["minus", "plus"])
+def test_level_crossing_matches_one_ray_at_a_time(kind, p3):
+    f = p3.model.f_local
+    if kind == "minus":
+        # the short third ray ends before the descending sphere
+        graph = p3.graph_f
+        dirs = np.array([[1.0], [-1.0], [1e-3]])
+        level = p3.model.critical_value - p3.ladder.epsilon
+    else:
+        # f rises three times faster along the second plus axis, so a level
+        # between its values at the far ends of the rays cuts some of them
+        graph = p3.graph_g
+        angles = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        far = f(graph.local_points(min(ax[-1] for ax in graph.axes) * dirs))
+        level = 0.5 * (far.min() + far.max())
+    radii = graph.level_crossing(f, dirs, level, 1e-12)
+    one_by_one = np.array([graph.level_crossing(f, u[None], level, 1e-12)[0]
+                           for u in dirs])
+    assert radii.tobytes() == one_by_one.tobytes()
+    # some rays reach the level and some do not
+    assert np.isnan(radii).any() and not np.isnan(radii).all()
+    hit = ~np.isnan(radii)
+    crossings = f(graph.local_points(radii[hit, None] * dirs[hit]))
+    assert np.all(np.abs(crossings - level) <= 1e-12)
+
+
+def _induced_flow_reference(atlas, label, z, t):
+    """The induced flow of one point by one ``integrate_forward`` call."""
+    model = atlas.model
+    start = atlas.center.graph.local_points(z[model.k:])
+    traj = integrate_forward(model.problem, model.to_ambient(start), t,
+                             rtol=fol.AUDIT_RTOL, atol=fol.AUDIT_ATOL)
+    return atlas.leaf(label).graph.local_points(
+        model.to_local(traj.terminal)[model.k:])
+
+
+def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2):
+    model = p2.model
+    sigmas = (1.0, 2.0)
+    expected = []
+    for (T, ai), leaf in atlas_p2.leaves.items():
+        for sigma in sigmas:
+            target = atlas_p2.leaves.get((float(T - sigma), ai))
+            if target is None:
+                continue
+            for z_plus, p in zip(*leaf.inside_points()):
+                traj = integrate_forward(p2.problem, model.to_ambient(p), sigma,
+                                         rtol=fol.AUDIT_RTOL, atol=fol.AUDIT_ATOL)
+                try:
+                    gap = target.graph.residual(model.to_local(traj.terminal))
+                except OutsideSampledDomain:
+                    continue
+                expected.append((str((T, ai)), cv._label(z_plus),
+                                 f"sigma={sigma:g}", gap))
+    rows = fol.leaf_invariance(atlas_p2, sigmas=sigmas).rows
+    assert len(expected) > 0
+    assert [(r.z_minus_label, r.z_plus_label, r.direction_label) for r in rows] \
+        == [e[:3] for e in expected]
+    assert max(abs(r.gap - e[3]) for r, e in zip(rows, expected)) <= 1e-14
+
+
+def test_retract_audit_matches_single_trajectories(atlas_p2, p2):
+    f = p2.model.f_local
+    t_samples = (0.5, 1.5, 4.0)
+    fix_d, inward = [], []
+    for label in atlas_p2.all_labels():
+        leaf = atlas_p2.leaf(label)
+        for t in t_samples:
+            moved = _induced_flow_reference(atlas_p2, label, leaf.base_point, t)
+            fix_d.append((str(label), f"t={t:g}",
+                          np.linalg.norm(moved - leaf.base_point)))
+        for z_plus, z in zip(leaf.boundary_plus, leaf.boundary_local):
+            worst = max((f(_induced_flow_reference(atlas_p2, label, z, h)) - f(z)) / h
+                        for h in (1e-4, 1e-5))
+            inward.append((str(label), cv._label(z_plus), worst))
+    rep = fol.retract_audit(atlas_p2, t_samples=t_samples)
+    rows_d = [r for r in rep.rows if r.check == "retract_fix_D"]
+    rows_i = [r for r in rep.rows if r.check == "retract_inward"]
+    assert [(r.z_minus_label, r.direction_label) for r in rows_d] \
+        == [e[:2] for e in fix_d]
+    assert [(r.z_minus_label, r.z_plus_label) for r in rows_i] \
+        == [e[:2] for e in inward]
+    assert max(abs(r.gap - e[2]) for r, e in zip(rows_d, fix_d)) <= 1e-14
+    assert max(abs(r.gap - e[2]) for r, e in zip(rows_i, inward)) <= 1e-14
+
+
+def test_audits_integrate_one_batch_per_horizon(atlas_p2, monkeypatch):
+    from gradleaf import flow
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a single trajectory")
+    monkeypatch.setattr(flow, "integrate_forward", never)
+    assert not hasattr(fol, "integrate_forward")
+    calls = []
+    batch = fol.integrate_forward_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return batch(*args, **kwargs)
+    monkeypatch.setattr(fol, "integrate_forward_batch", counted)
+
+    fol.leaf_invariance(atlas_p2, sigmas=(1.0, 2.0))
+    assert calls == [1.0, 2.0]
+    calls.clear()
+    t_samples = (0.5, 1.5, 4.0)
+    fol.retract_audit(atlas_p2, t_samples=t_samples)
+    assert calls == [*t_samples, 1e-4, 1e-5]

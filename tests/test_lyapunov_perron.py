@@ -468,14 +468,16 @@ def test_graph_sample_local_frame(p3):
 
 def test_graph_sample_level_crossing(p3):
     f, c = p3.model.f_local, p3.model.critical_value
-    u = np.array([1.0])
+    u = np.array([[1.0]])
     level = c - p3.ladder.epsilon
     r = p3.graph_f.level_crossing(f, u, level, 1e-12)
-    assert abs(f(p3.graph_f.local_points(r * u)) - level) <= 1e-12
+    assert r.shape == (1,)
+    assert abs(f(p3.graph_f.local_points(r[0] * u[0])) - level) <= 1e-12
     # f falls along rays of the unstable graph and rises along rays of the
     # stable one; a level beyond the sampled range is not reached
-    assert p3.graph_f.level_crossing(f, u, c - 1.0, 1e-12) is None
-    assert p3.graph_g.level_crossing(f, np.array([1.0, 0.0]), c + 1.0, 1e-12) is None
+    plus = np.array([[1.0, 0.0]])
+    assert np.isnan(p3.graph_f.level_crossing(f, u, c - 1.0, 1e-12)).all()
+    assert np.isnan(p3.graph_g.level_crossing(f, plus, c + 1.0, 1e-12)).all()
     # a level behind f(0) is not reached either
-    assert p3.graph_f.level_crossing(f, u, c + 1e-3, 1e-12) is None
-    assert p3.graph_g.level_crossing(f, np.array([1.0, 0.0]), c - 1e-3, 1e-12) is None
+    assert np.isnan(p3.graph_f.level_crossing(f, u, c + 1e-3, 1e-12)).all()
+    assert np.isnan(p3.graph_g.level_crossing(f, plus, c - 1e-3, 1e-12)).all()
