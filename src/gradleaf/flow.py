@@ -80,14 +80,15 @@ class Trajectory:
 
 
 class DenseSolution:
-    """The accepted steps of one DOP853 run and its dense output.
+    """The accepted steps of one DOP853 run and its dense output: a
+    :func:`solve_ivp` run, or a kept row of :func:`integrate_forward_batch`.
 
     ``times`` holds 0 and every step end (at a stop, the stop time in place
     of the last one) and ``states`` the state at each.  Segment ``i`` is the
     step of size ``steps[i]`` from ``times[i]``; its seventh-order
     interpolant needs three more right-hand-side evaluations, so it is formed
-    only when a time in the segment is first evaluated (most oracle shots
-    read none).  ``nfev`` counts the right-hand-side evaluations made so far.
+    only when a time in the segment is first evaluated (many runs read
+    none).  ``nfev`` counts the right-hand-side evaluations made so far.
     """
 
     def __init__(self, fun, y0):
@@ -341,42 +342,60 @@ def _initial_steps(rhs, y0, f0, duration, rtol, atol):
     return np.minimum(np.minimum(100.0 * h0, h1), duration)
 
 
-def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_level):
+def _stage_sum(w, K):
+    """``np.tensordot(w, K, axes=1)`` for stage weights ``w`` and stages
+    ``K`` of shape ``(len(w), m, n)``: the reshape and ``dot`` that tensordot
+    makes, without its Python overhead, so the two agree bit for bit."""
+    return np.dot(w, K.reshape(len(w), -1)).reshape(K.shape[1:])
+
+
+def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_level,
+                            dense=None):
     """Terminal states of many forward trajectories, integrated in lockstep.
 
-    Runs DOP853 on an ``(m, n)`` array of start points.  Every row keeps its
+    Runs DOP853 on an ``(m, n)`` array of start points, to ``duration``: one
+    horizon for every row, or an ``(m,)`` array of them.  Every row keeps its
     own step size, acceptance decision and error control, with scipy's
-    per-trajectory error norm and initial-step rule, so each row steps as a
-    lone ``integrate_forward`` would; the right-hand side is evaluated once
-    per stage for all live rows.  A row retires at ``duration`` or at the
-    first step end where f is below ``stop_below_level`` (f decreases along
-    trajectories, so it stays below; pass ``-inf`` to run every row to
-    ``duration``).
+    per-trajectory error norm and initial-step rule, so each row runs the
+    step control a lone ``integrate_forward`` would; the right-hand side is
+    evaluated once per stage for all live rows.  It does not repeat that
+    run's bits: BLAS sums a stage block in an order that depends on the
+    block's width, so a row's rounding depends on the other rows of its
+    batch, and with it the size of a step whose error estimate sits at
+    rounding level.  A row's terminal state stays within about 1e-14 of a
+    lone run's.  A row retires at its duration or at the first step end
+    where f is below ``stop_below_level`` (f decreases along trajectories,
+    so it stays below; pass ``-inf`` to run every row to its duration).
 
     Returns ``(terminal_states, stopped_mask)``; a stopped row's terminal
-    state is the step end where it stopped.  A live row beyond
-    ``BLOWUP_RADIUS`` raises BlowUp, as does a step below the floating-point
-    spacing of its row's time.
+    state is the step end where it stopped.  ``dense``, when given, is a
+    boolean mask of the rows whose steps are kept; a third value is then
+    returned, a list holding a :class:`DenseSolution` for each kept row
+    (None for the others) whose interpolants are formed when first read.
+    A live row beyond ``BLOWUP_RADIUS`` raises BlowUp, as does a step below
+    the floating-point spacing of its row's time.
     """
-    if duration < 0:
-        raise ValueError("forward integration requires duration >= 0")
-    duration = float(duration)
     terminal = np.array(starts, dtype=float)
     m, n = terminal.shape
+    duration = np.broadcast_to(np.asarray(duration, dtype=float), (m,))
+    if np.any(duration < 0):
+        raise ValueError("forward integration requires duration >= 0")
     stopped = np.zeros(m, dtype=bool)
-    if duration == 0.0 or m == 0:
-        return terminal, stopped
 
     def rhs(y):
         return -problem.grad(y)
 
+    kept = np.zeros(m, dtype=bool) if dense is None else np.asarray(dense, dtype=bool)
+    sols = [DenseSolution(rhs, terminal[i].copy()) if keep else None
+            for i, keep in enumerate(kept)]
+    rows = np.flatnonzero(duration > 0.0)
     A, B = dop853.A, dop853.B
-    rows = np.arange(m)
-    y = terminal.copy()
+    y = terminal[rows]
+    end = duration[rows]
     f = rhs(y)
-    t = np.zeros(m)
-    h_abs = _initial_steps(rhs, y, f, duration, rtol, atol)
-    rejected = np.zeros(m, dtype=bool)
+    t = np.zeros(rows.size)
+    h_abs = _initial_steps(rhs, y, f, end, rtol, atol)
+    rejected = np.zeros(rows.size, dtype=bool)
     while rows.size:
         # a fresh step is raised to the spacing floor; a retried one below
         # it (or NaN, from a non-finite right-hand side) cannot be taken
@@ -386,19 +405,19 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
             i = int(np.argmax(too_small))
             raise _step_failure(t[i])
         h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-        t_new = np.minimum(t + h_abs, duration)
+        t_new = np.minimum(t + h_abs, end)
         h = t_new - t
 
         K = np.empty((dop853.N_STAGES + 1,) + y.shape)
         K[0] = f
         for s in range(1, dop853.N_STAGES):
-            K[s] = rhs(y + np.tensordot(A[s, :s], K[:s], axes=1) * h[:, None])
-        y_new = y + h[:, None] * np.tensordot(B, K[:-1], axes=1)
+            K[s] = rhs(y + _stage_sum(A[s, :s], K[:s]) * h[:, None])
+        y_new = y + h[:, None] * _stage_sum(B, K[:-1])
         K[-1] = f_new = rhs(y_new)
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5 = np.sum((np.tensordot(dop853.E5, K, axes=1) / scale) ** 2, axis=1)
-        err3 = np.sum((np.tensordot(dop853.E3, K, axes=1) / scale) ** 2, axis=1)
+        err5 = np.sum((_stage_sum(dop853.E5, K) / scale) ** 2, axis=1)
+        err3 = np.sum((_stage_sum(dop853.E3, K) / scale) ** 2, axis=1)
         denom = err5 + 0.01 * err3
         with np.errstate(divide="ignore", invalid="ignore"):
             error_norm = np.where(denom == 0.0, 0.0, h * err5 / np.sqrt(denom * n))
@@ -412,6 +431,10 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
         t = np.where(accept, t_new, t)
         y[accept] = y_new[accept]
         f[accept] = f_new[accept]
+        for j in np.flatnonzero(accept & kept[rows]):
+            stages = np.empty((dop853.N_STAGES_EXTENDED, n))
+            stages[:dop853.N_STAGES + 1] = K[:, j]
+            sols[rows[j]].accept(t_new[j], y_new[j], h[j], stages)
 
         beyond = np.linalg.norm(y, axis=1) > BLOWUP_RADIUS
         if beyond.any():
@@ -419,14 +442,16 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
                          f"t = {t[np.argmax(beyond)]:.4g}")
         below = np.zeros_like(accept)
         below[accept] = problem.f(y[accept]) < stop_below_level
-        done = below | (t >= duration)
+        done = below | (t >= end)
         if done.any():
             terminal[rows[done]] = y[done]
             stopped[rows[below]] = True
             keep = ~done
-            rows, y, f, t = rows[keep], y[keep], f[keep], t[keep]
+            rows, y, f, t, end = rows[keep], y[keep], f[keep], t[keep], end[keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
-    return terminal, stopped
+    if dense is None:
+        return terminal, stopped
+    return terminal, stopped, sols
 
 
 @dataclass

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convergence import RESIDUAL_TO_ERROR, ConvergenceReport, _label
+from .curves import row_norms
 from .errors import (
     ComponentAmbiguous,
     DisjointnessViolation,
@@ -39,6 +40,8 @@ PAIR_ATOL = 1e-12
 AUDIT_RTOL = 1e-11
 AUDIT_ATOL = 1e-13
 COMPONENT_KEEP_FRACTION = 0.9
+#: size of the temporary gap array of one chunk in contraction_to_center
+NEAREST_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -533,8 +536,11 @@ def contraction_to_center(atlas):
     for label, leaf in atlas.leaves.items():
         _, pts = leaf.inside_points()
         sup = 0.0
-        for p in pts:
-            sup = max(sup, float(np.min(np.linalg.norm(center_pts - p, axis=1))))
+        # nearest probe of each inside point, a chunk of points at a time
+        chunk = max(1, NEAREST_CHUNK_BYTES // (8 * center_pts.size))
+        for start in range(0, len(pts), chunk):
+            gaps = row_norms(center_pts - pts[start:start + chunk, None, :])
+            sup = max(sup, float(np.max(np.min(gaps, axis=1))))
         bound = math.exp(-leaf.T * ladder.lambda_ / 8.0)
         report.add(check="center_distance", T=leaf.T, z_minus_label=str(label),
                    z_plus_label="", direction_label="", gap=sup, bound=bound,

@@ -3,8 +3,11 @@
 These are deliberately independent of the contraction machinery: stable
 manifold points come from bisection on the escape side of forward
 trajectories, and mixed boundary problems from shooting over the unknown
-unstable component with a secant/Newton iteration on the time-T endpoint.
-They exist to validate the fixed-point solvers, not to be fast.
+unstable component with a damped Newton iteration on the time-T endpoint.
+They exist to validate the fixed-point solvers.  The shooting check is the
+largest stage of a verification run, so the mixed queries are shot in
+lockstep, each Newton phase of all of them one batched integration, while
+each query keeps the iteration it would run alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketLost, NewtonDiverged
-from .flow import integrate_forward
+from .flow import Trajectory, integrate_forward, integrate_forward_batch
 
 ORACLE_RTOL = 1e-12
 ORACLE_ATOL = 1e-15
@@ -86,69 +89,141 @@ def stable_point_oracle(model, ladder, z_plus, tol=1e-8):
     )
 
 
-def mixed_bvp_oracle(model, ladder, T, z_minus, z_plus, tol=1e-8):
-    """Shooting solution of the mixed boundary problem.
+@dataclass
+class _Newton:
+    """The damped Newton iteration of one mixed query, in the pre-stretched
+    unknown ``u`` (``w = scale * u``)."""
 
-    Finds the initial minus part ``w`` such that the forward trajectory from
-    ``(w, z_plus)`` has minus projection ``z_minus`` at time ``T``; Newton
-    with a finite-difference Jacobian, damped on over-shoots.  Returns the
-    dense trajectory together with the shooting record.
+    index: int
+    T: float
+    z_minus: np.ndarray
+    z_plus: np.ndarray
+    scale: np.ndarray
+    u: np.ndarray
+    fd: float
+    resid: np.ndarray = None
+    best: tuple = None
+    probes: list = None
+    step: np.ndarray = None
+    active: bool = True
+    error: Exception = None
+
+
+def _shoot(model, shots, keep):
+    """Endpoint residuals of ``shots``, ``(query, u)`` pairs, integrated in
+    one batch, and the dense solutions of the rows ``keep`` marks."""
+    starts = np.array([model.to_ambient(np.concatenate([q.scale * u, q.z_plus]))
+                       for q, u in shots])
+    terminal, _, sols = integrate_forward_batch(
+        model.problem, starts, [q.T for q, _ in shots], ORACLE_RTOL, ORACLE_ATOL,
+        -np.inf, dense=keep)
+    resid = [model.to_local(end)[:model.k] - q.z_minus
+             for (q, _), end in zip(shots, terminal)]
+    return resid, sols
+
+
+def mixed_bvp_oracle(model, ladder, queries, tol=1e-8):
+    """Shooting solutions of mixed boundary problems, solved in lockstep.
+
+    For each ``(T, z_minus, z_plus)`` of ``queries``, finds the initial
+    minus part ``w`` such that the forward trajectory from ``(w, z_plus)``
+    has minus projection ``z_minus`` at time ``T``: Newton with a
+    finite-difference Jacobian, damped on over-shoots.  Each query runs the
+    iteration it would run alone; only the shots are pooled, one
+    :func:`integrate_forward_batch` call for the base shots with the first
+    Jacobian probes, one for each later iteration's probes and one for each
+    damping level.  Returns ``(trajectory, ShootingResult)`` per query, in
+    query order.
+
+    A failing query raises NewtonDiverged once no query before it can fail
+    any more, so the error is the one solving the queries one after another
+    would raise first.  A BlowUp in a pooled batch propagates at once,
+    whichever query's shot it was.
     """
-    z_minus = np.asarray(z_minus, dtype=float)
-    z_plus = np.asarray(z_plus, dtype=float)
     k = model.k
-    problem = model.problem
+    eye = np.eye(k)
+    newton = []
+    for i, (T, z_minus, z_plus) in enumerate(queries):
+        z_minus = np.asarray(z_minus, dtype=float)
+        u = z_minus.copy()  # linear-model prediction in the scaled variable
+        # the time-T map stretches the minus part by exp(-T lam_j); shooting
+        # in the pre-stretched variable keeps the Jacobian O(1) and
+        # finite-difference probes from blowing the trajectory up
+        newton.append(_Newton(i, float(T), z_minus, np.asarray(z_plus, dtype=float),
+                              np.exp(T * model.eigenvalues[:k]), u,
+                              max(1e-9, 1e-7 * float(np.linalg.norm(u)))))
 
-    # the time-T map stretches the minus part by exp(-T lam_j); shooting in
-    # the pre-stretched variable u (w = scale * u) keeps the Jacobian O(1)
-    # and finite-difference probes from blowing the trajectory up
-    scale = np.exp(T * model.eigenvalues[:k])
+    def fail(q, error):
+        q.error = error
+        # a later query can no longer change which error is raised
+        for r in newton[q.index:]:
+            r.active = False
 
-    def shoot(u):
-        start_local = np.concatenate([scale * u, z_plus])
-        traj = integrate_forward(problem, model.to_ambient(start_local), T,
-                                 rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
-        end_local = model.to_local(traj.terminal)
-        return end_local[:k] - z_minus, traj
+    def probe_shots(live):
+        return [(q, q.u + q.fd * e) for q in live for e in eye]
 
-    u = z_minus.copy()  # linear-model prediction in the scaled variable
+    def take_probes(live, resid):
+        for j, q in enumerate(live):
+            q.probes = resid[j * k:(j + 1) * k]
 
-    resid, traj = shoot(u)
-    best = (np.linalg.norm(resid), u, traj)
-    fd = max(1e-9, 1e-7 * float(np.linalg.norm(u)))
-    for _ in range(NEWTON_MAX_ITER):
-        if np.linalg.norm(resid) <= tol:
+    shots = [(q, q.u) for q in newton] + probe_shots(newton)
+    resid, sols = _shoot(model, shots,
+                         [True] * len(newton) + [False] * (len(shots) - len(newton)))
+    for q, r, sol in zip(newton, resid, sols):
+        q.resid = r
+        q.best = (np.linalg.norm(r), q.u, sol)
+    take_probes(newton, resid[len(newton):])
+
+    for iteration in range(NEWTON_MAX_ITER):
+        for q in newton:
+            if q.active and np.linalg.norm(q.resid) <= tol:
+                q.active = False
+        live = [q for q in newton if q.active]
+        if not live:
             break
-        J = np.empty((k, k))
-        for j in range(k):
-            du = np.zeros(k)
-            du[j] = fd
-            resid_j, _ = shoot(u + du)
-            J[:, j] = (resid_j - resid) / fd
-        try:
-            step = np.linalg.solve(J, resid)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDiverged(f"singular shooting Jacobian: {exc}") from exc
+        if iteration:
+            shots = probe_shots(live)
+            take_probes(live, _shoot(model, shots, [False] * len(shots))[0])
+        for q in live:
+            J = np.empty((k, k))
+            for j in range(k):
+                J[:, j] = (q.probes[j] - q.resid) / q.fd
+            try:
+                q.step = np.linalg.solve(J, q.resid)
+            except np.linalg.LinAlgError as exc:
+                fail(q, NewtonDiverged(f"singular shooting Jacobian: {exc}"))
+        pending = [q for q in live if q.active]
         damping = 1.0
         for _ in range(8):
-            resid_new, traj_new = shoot(u - damping * step)
-            if np.linalg.norm(resid_new) < np.linalg.norm(resid):
+            if not pending:
                 break
+            shots = [(q, q.u - damping * q.step) for q in pending]
+            resid, sols = _shoot(model, shots, [True] * len(shots))
+            pending = []
+            for (q, u), r, sol in zip(shots, resid, sols):
+                if not np.linalg.norm(r) < np.linalg.norm(q.resid):
+                    pending.append(q)
+                    continue
+                q.u, q.resid = u, r
+                if np.linalg.norm(r) < q.best[0]:
+                    q.best = (np.linalg.norm(r), u, sol)
             damping *= 0.5
-        else:
-            raise NewtonDiverged("damped Newton made no progress on the shot")
-        u = u - damping * step
-        resid, traj = resid_new, traj_new
-        if np.linalg.norm(resid) < best[0]:
-            best = (np.linalg.norm(resid), u, traj)
-    if best[0] > tol:
-        raise NewtonDiverged(f"endpoint residual {best[0]:.3e} above tol {tol}")
-    _, u, traj = best
-    w = scale * u
-    record = ShootingResult(
-        query=f"mixed boundary problem T={T}",
-        solution=np.concatenate([w, z_plus]),
-        bracket_width=float(best[0]),
-        integration_tol=ORACLE_RTOL,
-    )
-    return traj, record
+        for q in pending:
+            fail(q, NewtonDiverged("damped Newton made no progress on the shot"))
+    for q in newton:
+        if q.error is None and q.best[0] > tol:
+            fail(q, NewtonDiverged(f"endpoint residual {q.best[0]:.3e} above tol {tol}"))
+        if q.error is not None:
+            raise q.error
+
+    out = []
+    for q in newton:
+        norm, u, sol = q.best
+        traj = Trajectory(model.problem, np.array(sol.times), np.array(sol.states), sol)
+        out.append((traj, ShootingResult(
+            query=f"mixed boundary problem T={q.T}",
+            solution=np.concatenate([q.scale * u, q.z_plus]),
+            bracket_width=float(norm),
+            integration_tol=ORACLE_RTOL,
+        )))
+    return out

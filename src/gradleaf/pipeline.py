@@ -236,13 +236,10 @@ def stage_foliate(state):
         raise _bound_violation("a foliation audit", failed)
 
 
-def stage_oracle(state):
-    _require(state, "manifolds")
-    if state.model.k != 1:
-        state.details["oracle"] = {"skipped": "shooting suite covers index one"}
-        return
+def oracle_queries(state):
+    """The oracle comparisons ``(T, z_minus, z_plus)``, grouped by
+    ``(T, z_minus)``, and whether their mixed solves enforce the endpoint."""
     ladder = state.ladder
-    solver = state.solver
     # forward shooting has condition number exp(T |lambda_min|); cap the
     # horizon so the oracle itself stays meaningful (the mixed problem is
     # well posed for every T > 0, so shorter-T validation is equally strict)
@@ -253,21 +250,33 @@ def stage_oracle(state):
     T_list = t_base + (np.linspace(0.0, 2.0, grid) if enforce
                        else np.linspace(-2.0, 0.0, grid))
     zm_list, zp_list = _lambda_sample_sets(state, n_zplus=grid)
+    queries = [[(T, zm, zp) for zp in zp_list[:grid]]
+               for T in T_list for zm in zm_list[:grid]]
+    return queries, enforce
+
+
+def stage_oracle(state):
+    _require(state, "manifolds")
+    if state.model.k != 1:
+        state.details["oracle"] = {"skipped": "shooting suite covers index one"}
+        return
+    groups, enforce = oracle_queries(state)
+    queries, curves = [], []
+    for group in groups:
+        T, zm, _ = group[0]
+        solved = state.solver.mixed_rows(T, zm, [zp for _, _, zp in group],
+                                         enforce_endpoint=enforce)
+        queries += group
+        curves += [res.curve for res, _ in solved]
     rows = []
     worst = 0.0
-    for T in T_list:
-        for zm in zm_list[:grid]:
-            solved = solver.mixed_rows(T, zm, zp_list[:grid],
-                                       enforce_endpoint=enforce)
-            for zp, (res, _) in zip(zp_list[:grid], solved):
-                traj, record = mixed_bvp_oracle(state.model, ladder, float(T),
-                                                zm, zp)
-                nodes = res.curve.grid.nodes
-                states = state.model.to_local(traj.at(nodes))
-                err = float(np.max(row_norms(states - res.curve.values)))
-                worst = max(worst, err)
-                rows.append([T, *np.atleast_1d(zm), *np.atleast_1d(zp), err,
-                             record.bracket_width])
+    shot = mixed_bvp_oracle(state.model, state.ladder, queries)
+    for (T, zm, zp), curve, (traj, record) in zip(queries, curves, shot):
+        states = state.model.to_local(traj.at(curve.grid.nodes))
+        err = float(np.max(row_norms(states - curve.values)))
+        worst = max(worst, err)
+        rows.append([T, *np.atleast_1d(zm), *np.atleast_1d(zp), err,
+                     record.bracket_width])
     state.emit("oracle_comparison.csv",
                ["T"] + [f"zminus_{i}" for i in range(state.model.k)]
                + [f"zplus_{i}" for i in range(state.model.n - state.model.k)]

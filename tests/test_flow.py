@@ -67,6 +67,31 @@ def test_batch_terminal_states_match_single_trajectories(name, request):
             assert np.max(np.abs(end - single.terminal)) <= 1e-9
 
 
+def test_batch_rows_with_own_durations_match_lone_runs(p2):
+    # BLAS sums a stage block in an order that depends on its width, so a
+    # row's bits depend on the other rows of its batch, and so do step sizes
+    # whose error estimates sit at rounding level.  Each row of a batch of
+    # mixed horizons still lands within rounding of its one-row batch and of
+    # integrate_forward, and a kept row's dense output reads as
+    # integrate_forward's does
+    starts = np.random.default_rng(12).uniform(-0.3, 0.3, size=(17, 2))
+    durations = np.where(np.arange(17) % 3 == 0, 2.5, 0.7)
+    keep = np.arange(17) % 4 == 1
+    terminal, stopped, dense = integrate_forward_batch(
+        p2.problem, starts, durations, 1e-12, 1e-15, -np.inf, dense=keep)
+    assert not stopped.any()
+    for start, T, end, sol, kept in zip(starts, durations, terminal, dense, keep):
+        alone, _ = integrate_forward_batch(p2.problem, start[None], T, 1e-12, 1e-15,
+                                           -np.inf)
+        single = integrate_forward(p2.problem, start, T, rtol=1e-12, atol=1e-15)
+        assert np.max(np.abs(end - alone[0])) <= 1e-14
+        assert np.max(np.abs(end - single.terminal)) <= 1e-14
+        assert (sol is not None) == kept
+        if kept:
+            ts = np.linspace(0.0, T, 23)
+            assert np.max(np.abs(sol(ts) - single.at(ts))) <= 1e-14
+
+
 def test_batch_stops_below_level(p2):
     starts = np.array([[0.05, 0.0], [0.2, 0.0], [0.0, 0.1]])
     level = -0.01

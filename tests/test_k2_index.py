@@ -99,7 +99,7 @@ def test_mixed_solve_and_oracle_k2(k2):
     xi = res.curve.values
     assert np.max(np.abs(xi[0, 2:] - zp)) <= 1e-12
     assert np.max(np.abs(xi[-1, :2] - zm)) <= 1e-12
-    traj, record = mixed_bvp_oracle(model, ladder, T, zm, zp, tol=1e-9)
+    [(traj, record)] = mixed_bvp_oracle(model, ladder, [(T, zm, zp)], tol=1e-9)
     nodes = res.curve.grid.nodes
     states = model.to_local(traj.at(nodes))
     assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6

@@ -1,9 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from gradleaf import flow, oracle, pipeline
 from gradleaf import lyapunov_perron as lp
-from gradleaf.errors import BracketLost
+from gradleaf.errors import BlowUp, BracketLost, NewtonDiverged
+from gradleaf.flow import integrate_forward
 from gradleaf.oracle import mixed_bvp_oracle, stable_point_oracle
+from gradleaf.problems import (
+    cubic_saddle_3d,
+    curved_stable_saddle,
+    quadratic_saddle,
+    quartic_saddle,
+)
 
 
 def test_linear_shooting_exact(p1):
@@ -11,7 +21,8 @@ def test_linear_shooting_exact(p1):
     T = 6.0
     zm = np.array([0.1])
     zp = np.array([0.05])
-    traj, record = mixed_bvp_oracle(p1.model, p1.ladder, T, zm, zp, tol=1e-10)
+    [(traj, record)] = mixed_bvp_oracle(p1.model, p1.ladder, [(T, zm, zp)],
+                                        tol=1e-10)
     assert record.solution[0] == pytest.approx(0.1 * np.exp(-T), rel=1e-8)
     end = p1.model.to_local(traj.terminal)
     assert end[0] == pytest.approx(0.1, abs=1e-10)
@@ -21,7 +32,7 @@ def test_zero_zplus_recovers_backward_orbit(p2):
     T = p2.ladder.T0
     zm = p2.sphere_point()
     orbit = p2.orbit(zm, t_need=T)
-    traj, _ = mixed_bvp_oracle(p2.model, p2.ladder, T, zm, np.zeros(1))
+    [(traj, _)] = mixed_bvp_oracle(p2.model, p2.ladder, [(T, zm, np.zeros(1))])
     ts = np.linspace(0.0, T, 30)
     ref = orbit.curve.evaluate(ts - T)
     got = p2.model.to_local(traj.at(ts))
@@ -35,7 +46,7 @@ def test_oracle_matches_fixed_point_curve(p2):
     orbit = p2.orbit(zm, t_need=T)
     res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit,
                             cache=p2.cache)
-    traj, _ = mixed_bvp_oracle(p2.model, p2.ladder, T, zm, zp)
+    [(traj, _)] = mixed_bvp_oracle(p2.model, p2.ladder, [(T, zm, zp)])
     nodes = res.curve.grid.nodes
     states = p2.model.to_local(traj.at(nodes))
     assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6
@@ -120,3 +131,152 @@ def test_unstable_graph_via_negated_problem():
     assert abs(shot_amb[1] - point_amb[1]) <= 1e-6
     # curvature against the invariance asymptotics y = -(c/4) x^2
     assert val == pytest.approx(-0.1 / 4.0 * x * x, rel=0.05)
+
+
+# -- the lockstep oracle against its serial form --------------------------
+
+def loop_oracle(model, T, z_minus, z_plus, tol):
+    """One query's damped Newton iteration, one integrate_forward per shot:
+    the oracle as it ran before its shots were pooled.  Returns the
+    trajectory, the solution and the endpoint residual."""
+    k = model.k
+    scale = np.exp(T * model.eigenvalues[:k])
+
+    def shoot(u):
+        start_local = np.concatenate([scale * u, z_plus])
+        traj = integrate_forward(model.problem, model.to_ambient(start_local), T,
+                                 rtol=oracle.ORACLE_RTOL, atol=oracle.ORACLE_ATOL)
+        return model.to_local(traj.terminal)[:k] - z_minus, traj
+
+    u = z_minus.copy()
+    resid, traj = shoot(u)
+    best = (np.linalg.norm(resid), u, traj)
+    fd = max(1e-9, 1e-7 * float(np.linalg.norm(u)))
+    for _ in range(oracle.NEWTON_MAX_ITER):
+        if np.linalg.norm(resid) <= tol:
+            break
+        J = np.empty((k, k))
+        for j in range(k):
+            du = np.zeros(k)
+            du[j] = fd
+            J[:, j] = (shoot(u + du)[0] - resid) / fd
+        step = np.linalg.solve(J, resid)
+        damping = 1.0
+        for _ in range(8):
+            resid_new, traj_new = shoot(u - damping * step)
+            if np.linalg.norm(resid_new) < np.linalg.norm(resid):
+                break
+            damping *= 0.5
+        else:
+            raise NewtonDiverged("damped Newton made no progress on the shot")
+        u = u - damping * step
+        resid, traj = resid_new, traj_new
+        if np.linalg.norm(resid) < best[0]:
+            best = (np.linalg.norm(resid), u, traj)
+    norm, u, traj = best
+    return traj, np.concatenate([scale * u, z_plus]), norm
+
+
+def _ready_state(make, tmp_path):
+    """A pipeline run of ``make()`` through the stages the oracle needs."""
+    state = pipeline.RunState(problem=make(), out_dir=tmp_path)
+    for stage in ("spectral", "ladder", "manifolds"):
+        pipeline.run_stage(stage, state)
+    return state
+
+
+@pytest.mark.parametrize("make", [quadratic_saddle, quartic_saddle,
+                                  cubic_saddle_3d, curved_stable_saddle])
+def test_lockstep_matches_serial_loop(make, tmp_path):
+    state = _ready_state(make, tmp_path)
+    groups, _ = pipeline.oracle_queries(state)
+    queries = [query for group in groups for query in group]
+    tol = 1e-8
+    shot = mixed_bvp_oracle(state.model, state.ladder, queries, tol=tol)
+    assert len(shot) == len(queries) == 8
+    k = state.model.k
+    for (T, zm, zp), (traj, record) in zip(queries, shot):
+        _, solution, norm = loop_oracle(state.model, T, zm, zp, tol)
+        assert np.max(np.abs(record.solution - solution)) <= 1e-12
+        assert norm <= tol and record.bracket_width <= tol
+        end = state.model.to_local(traj.terminal)[:k]
+        assert np.linalg.norm(end - zm) == record.bracket_width
+        assert traj.times[-1] == T
+
+
+def _scripted_batch(model, scripts):
+    """Stand-in for ``integrate_forward_batch``: a row of horizon T ends
+    where its minus residual is ``scripts[T](u)`` (queries with z- = 0), or
+    raises what ``scripts[T]`` is when that is an exception."""
+    k = model.k
+
+    def batch(problem, starts, duration, rtol, atol, stop_below_level, dense=None):
+        ends = []
+        for start, T in zip(starts, duration):
+            script = scripts[T]
+            if isinstance(script, Exception):
+                raise script
+            u = model.to_local(start)[:k] / np.exp(T * model.eigenvalues[:k])
+            ends.append(model.to_ambient(np.concatenate(
+                [script(u), np.zeros(model.n - k)])))
+        return np.array(ends), np.zeros(len(starts), dtype=bool), [None] * len(starts)
+
+    return batch
+
+
+def _no_progress(u):
+    # the Jacobian is 1, and every damped step backwards raises |residual|
+    return np.array([1.0 + abs(u[0])])
+
+
+def _flat(u):
+    return np.array([1.0])
+
+
+@pytest.mark.parametrize("scripts, error", [
+    # the later query's singular Jacobian shows in the first round, before
+    # the earlier query runs out of damping levels; solved one after the
+    # other, the earlier query raises first
+    ({1.0: _no_progress, 2.0: _flat}, "no progress"),
+    ({1.0: _flat, 2.0: _no_progress}, "singular shooting Jacobian"),
+])
+def test_failure_is_the_serial_one(p1, monkeypatch, scripts, error):
+    monkeypatch.setattr(oracle, "integrate_forward_batch",
+                        _scripted_batch(p1.model, scripts))
+    queries = [(T, np.zeros(1), np.zeros(1)) for T in scripts]
+    with pytest.raises(NewtonDiverged, match=error):
+        mixed_bvp_oracle(p1.model, p1.ladder, queries)
+
+
+def test_blow_up_in_a_pooled_batch_propagates(p1, monkeypatch):
+    # a BlowUp carries no query, so it propagates from the batch at once,
+    # even where the serial loop would first have stopped at the earlier
+    # query's NewtonDiverged
+    scripts = {1.0: _no_progress, 2.0: BlowUp("state norm exceeded 1000.0")}
+    monkeypatch.setattr(oracle, "integrate_forward_batch",
+                        _scripted_batch(p1.model, scripts))
+    queries = [(T, np.zeros(1), np.zeros(1)) for T in scripts]
+    with pytest.raises(BlowUp):
+        mixed_bvp_oracle(p1.model, p1.ladder, queries)
+
+
+def test_p2_oracle_stage_makes_two_batch_calls(tmp_path, monkeypatch):
+    state = _ready_state(quartic_saddle, tmp_path)
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(oracle, "integrate_forward_batch")
+    for module in (oracle, pipeline, flow):
+        counted(module, "integrate_forward")
+    counted(flow, "solve_ivp")
+    pipeline.run_stage("oracle", state)
+    assert state.statuses["oracle"] == "pass"
+    # the base shots with the first probes, then one damping level
+    assert calls == {"integrate_forward_batch": 2}

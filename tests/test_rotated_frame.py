@@ -135,7 +135,7 @@ def test_rotated_oracle_agreement(rotated):
                               t_max=max(lp.default_horizon(ladder), T),
                               cache=cache)
     res, _ = lp.solve_mixed(model, ladder, T, zm, zp, orbit, cache=cache)
-    traj, _ = mixed_bvp_oracle(model, ladder, T, zm, zp)
+    [(traj, _)] = mixed_bvp_oracle(model, ladder, [(T, zm, zp)])
     nodes = res.curve.grid.nodes
     states = model.to_local(traj.at(nodes))
     assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6
