@@ -11,8 +11,8 @@ unstable manifold.
 Every leaf is a ``GraphSample`` over the plus subspace.  Its local points
 (``local_points``), the residual of a point against it (``residual``, which
 ``FoliationAtlas.locate`` and the invariance audit use) and its clip
-boundary along rays (``level_crossing``) all come from that class, so this
-module never places a graph in the local frame itself.
+boundary along rays (``level_crossings``, over all leaves at once) all come
+from that module, so this module never places a graph in the local frame.
 """
 
 from __future__ import annotations
@@ -32,7 +32,12 @@ from .errors import (
     RetractViolation,
 )
 from .flow import integrate_forward_batch
-from .lyapunov_perron import graph_G_T, multilinear_stencil, tensor_points
+from .lyapunov_perron import (
+    graph_G_T,
+    level_crossings,
+    multilinear_stencil,
+    tensor_points,
+)
 
 PAIR_RTOL = 1e-9
 PAIR_ATOL = 1e-12
@@ -131,7 +136,7 @@ def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240, rng=None):
         dists = np.linalg.norm(accepted[:, None, :] - accepted[None, :, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
         nn = np.min(dists, axis=1)
-        radius = max(3.0 * float(np.median(nn)),
+        radius = max(3.0 * _median(nn),
                      0.15 * float(np.linalg.norm(2.0 * widths)))
         reach = np.zeros(m, dtype=bool)
         reach[0] = True
@@ -153,6 +158,14 @@ def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240, rng=None):
         dropped = 0
     return ConleyPair(epsilon=epsilon, tau=tau, c=model.critical_value,
                       samples=accepted, exit_mask=exit_flags, dropped=dropped)
+
+
+def _median(x):
+    """``np.median`` of a 1D float array, bit for bit, by sorting; unlike
+    ``np.median`` it does not load ``numpy.ma``."""
+    x = np.sort(x)
+    h = len(x) // 2
+    return float(x[h]) if len(x) % 2 else float((x[h - 1] + x[h]) / 2.0)
 
 
 @dataclass
@@ -230,8 +243,10 @@ class FoliationAtlas:
         return bool(f_val <= self.leaf(label).clip_level + 1e-12)
 
 
-def _leaf_boundary(model, graph, clip_level, resolution=8):
-    """Level-crossing samples of a leaf along rays of the plus subspace."""
+def _leaf_boundaries(model, graphs, clip_level, resolution):
+    """Level-crossing samples of leaves on one plus grid along rays of the
+    plus subspace, ``(boundary_plus, boundary_local)`` per graph, from one
+    lockstep bisection over every ray of every leaf."""
     d = model.n - model.k
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
@@ -242,10 +257,10 @@ def _leaf_boundary(model, graph, clip_level, resolution=8):
             dirs = np.pad(dirs, ((0, 0), (0, d - 2)))
 
     tol = 1e-12 * max(1.0, abs(clip_level)) + 1e-15
-    radii = graph.level_crossing(model.f_local, dirs, clip_level, tol)
+    radii = level_crossings(graphs, model.f_local, dirs, clip_level, tol)
     clipped = ~np.isnan(radii)  # NaN: the leaf is not clipped along this ray
-    boundary_plus = radii[clipped, None] * dirs[clipped]
-    return boundary_plus, graph.local_points(boundary_plus)
+    plus = [r[c, None] * dirs[c] for r, c in zip(radii, clipped)]
+    return [(bp, graph.local_points(bp)) for graph, bp in zip(graphs, plus)]
 
 
 def build_atlas(solver, stable_graph, sphere_minus, pair=None, tau=None,
@@ -270,34 +285,28 @@ def build_atlas(solver, stable_graph, sphere_minus, pair=None, tau=None,
     pair = pair if pair is not None else build_pair(model, ladder,
                                                     epsilon=epsilon, tau=tau)
 
-    def inside(graph):
-        return (model.f_local(graph.local_points()) <= clip).reshape(graph.grid_shape)
+    def leaf(label, graph, base_point, T, boundary):
+        inside = model.f_local(graph.local_points()) <= clip
+        return Leaf(label=label, graph=graph, base_point=base_point, T=T,
+                    clip_level=clip, inside_mask=inside.reshape(graph.grid_shape),
+                    boundary_plus=boundary[0], boundary_local=boundary[1])
 
-    bnd_p, bnd_l = _leaf_boundary(model, stable_graph, clip, boundary_resolution)
-    center = Leaf(label="center", graph=stable_graph,
-                  base_point=np.zeros(model.n), T=None, clip_level=clip,
-                  inside_mask=inside(stable_graph),
-                  boundary_plus=bnd_p, boundary_local=bnd_l)
+    [bnd] = _leaf_boundaries(model, [stable_graph], clip, boundary_resolution)
+    center = leaf("center", stable_graph, np.zeros(model.n), None, bnd)
 
-    leaves = {}
-    disk = [np.zeros(model.n)]
-    annulus = []
+    labels, graphs, disk, annulus = [], [], [np.zeros(model.n)], []
     for ai, alpha in enumerate(np.atleast_2d(sphere_minus)):
         orbit = solver.orbit(alpha, float(np.max(T_grid)))
         for T in T_grid:
-            graph = graph_G_T(model, ladder, float(T), alpha,
-                              base_axes=zplus_axes, solver=solver)
-            base_point = orbit.curve.evaluate(-float(T))
-            label = (float(T), ai)
-            bnd_p, bnd_l = _leaf_boundary(model, graph, clip,
-                                          boundary_resolution)
-            leaves[label] = Leaf(label=label, graph=graph,
-                                 base_point=base_point, T=float(T),
-                                 clip_level=clip, inside_mask=inside(graph),
-                                 boundary_plus=bnd_p, boundary_local=bnd_l)
-            disk.append(base_point)
+            labels.append((float(T), ai))
+            graphs.append(graph_G_T(model, ladder, float(T), alpha,
+                                    base_axes=zplus_axes, solver=solver))
+            disk.append(orbit.curve.evaluate(-float(T)))
             if T <= 2.0 * tau + 1e-12:
-                annulus.append(label)
+                annulus.append(labels[-1])
+    bounds = _leaf_boundaries(model, graphs, clip, boundary_resolution)
+    leaves = {label: leaf(label, graph, base, label[0], bnd)
+              for label, graph, base, bnd in zip(labels, graphs, disk[1:], bounds)}
     interp_tol = max([center.graph.interp_tolerance()]
                      + [lf.graph.interp_tolerance() for lf in leaves.values()])
     return FoliationAtlas(model=model, ladder=ladder, pair=pair, center=center,
@@ -529,7 +538,8 @@ def contraction_to_center(atlas):
     ladder = atlas.ladder
     report = ConvergenceReport("center_distance")
     probes = tensor_points(_refined_axes(atlas.center.graph.axes, 8))
-    center_pts = atlas.center.graph.local_points(probes)
+    # coordinate-major: one contiguous row of probes per coordinate
+    center_cols = np.ascontiguousarray(atlas.center.graph.local_points(probes).T)
     budget = RESIDUAL_TO_ERROR * float(np.max(
         [np.max(lf.graph.residuals) for lf in atlas.leaves.values()]
         + [np.max(atlas.center.graph.residuals)])) + atlas.interp_tolerance
@@ -537,9 +547,10 @@ def contraction_to_center(atlas):
         _, pts = leaf.inside_points()
         sup = 0.0
         # nearest probe of each inside point, a chunk of points at a time
-        chunk = max(1, NEAREST_CHUNK_BYTES // (8 * center_pts.size))
+        chunk = max(1, NEAREST_CHUNK_BYTES // (8 * center_cols.size))
         for start in range(0, len(pts), chunk):
-            gaps = row_norms(center_pts - pts[start:start + chunk, None, :])
+            gaps = center_cols[:, None, :] - pts[start:start + chunk].T[:, :, None]
+            gaps = row_norms(np.moveaxis(gaps, 0, -1))
             sup = max(sup, float(np.max(np.min(gaps, axis=1))))
         bound = math.exp(-leaf.T * ladder.lambda_ / 8.0)
         report.add(check="center_distance", T=leaf.T, z_minus_label=str(label),

@@ -16,7 +16,8 @@ order 16; the panel width is tied to the stiffest rate, so both factors are
 resolved to near machine precision.  Panels of one grid all have the same
 width, so a single set of local operators per rate serves the whole horizon;
 one instance serves every Picard iteration and every sample sharing the
-horizon.
+horizon.  The interpolation bases at the Gauss points depend on the panel
+degree alone and are built once per process, on first use.
 
 Each convolution gathers the samples of all panels through a precomputed
 index array and forms every panel's local integrals in one stacked product.
@@ -36,6 +37,8 @@ carries all columns at once, one panel at a time.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -64,6 +67,24 @@ GAUSS_WEIGHTS = np.concatenate([_GAUSS_POSITIVE_WEIGHTS[::-1], _GAUSS_POSITIVE_W
 CARRY_ARRAY_COLUMNS = 16
 
 
+@functools.cache
+def _panel_bases(p):
+    """The Lobatto nodes of degree ``p`` on [0, 1] and, per sign (1 forward
+    over [0, xi], -1 backward over [xi, 1]), ``(i, length, Gauss points,
+    interpolation basis there)`` per node ``xi``; shared by all convolvers."""
+    ref = _lobatto_reference(p)
+    ref_w = barycentric_weights(ref)
+    gx = 0.5 * (GAUSS_NODES + 1.0)  # map to [0, 1]
+    sides = {1.0: [(i, xi, xi * gx) for i, xi in enumerate(ref) if xi > 0.0],
+             -1.0: [(i, 1.0 - xi, xi + (1.0 - xi) * gx)
+                    for i, xi in enumerate(ref) if xi < 1.0]}
+    bases = {sign: tuple((i, length, s, barycentric_matrix(ref, ref_w, s))
+                         for i, length, s in side) for sign, side in sides.items()}
+    for array in [ref] + [a for side in bases.values() for e in side for a in e[2:]]:
+        array.flags.writeable = False  # one copy serves every caller
+    return ref, bases
+
+
 class ExpConvolver:
     """Precomputed forward/backward exponential convolutions for one grid.
 
@@ -77,9 +98,7 @@ class ExpConvolver:
         self.rates = np.asarray(rates, dtype=float)
         p = grid.p
         m = p + 1
-        ref = _lobatto_reference(p)
-        ref_w = barycentric_weights(ref)
-        gx = 0.5 * (GAUSS_NODES + 1.0)  # map to [0, 1]
+        ref, bases = _panel_bases(p)
         gw = 0.5 * GAUSS_WEIGHTS
 
         widths = np.diff(grid.edges)
@@ -99,25 +118,14 @@ class ExpConvolver:
         self._fwd_carry = np.zeros((n_rates, m))
         self._bwd_carry = np.zeros((n_rates, m))
 
-        for i in range(m):
-            xi = ref[i]
-            if xi > 0.0:
-                # s = xi * gx in reference coordinates of the panel
-                s_ref = xi * gx
-                basis = barycentric_matrix(ref, ref_w, s_ref)  # (q, m)
+        # forward over [0, xi] (lam >= 0), backward over [xi, 1] (lam <= 0);
+        # either kernel is exp((s - xi) w lam)
+        for local, sign in ((self._fwd_local, 1.0), (self._bwd_local, -1.0)):
+            for i, length, s_ref, basis in bases[sign]:
                 for r, lam in enumerate(self.rates):
-                    if lam < 0.0:
-                        continue
-                    kern = np.exp(-(xi - s_ref) * w * lam)
-                    self._fwd_local[r, i] = (gw * xi * w * kern) @ basis
-            if xi < 1.0:
-                s_ref = xi + (1.0 - xi) * gx
-                basis = barycentric_matrix(ref, ref_w, s_ref)
-                for r, lam in enumerate(self.rates):
-                    if lam > 0.0:
-                        continue
-                    kern = np.exp((s_ref - xi) * w * lam)
-                    self._bwd_local[r, i] = (gw * (1.0 - xi) * w * kern) @ basis
+                    if sign * lam >= 0.0:
+                        kern = np.exp((s_ref - ref[i]) * w * lam)
+                        local[r, i] = (gw * length * w * kern) @ basis
         for r, lam in enumerate(self.rates):
             if lam >= 0.0:
                 self._fwd_carry[r] = np.exp(-ref * w * lam)

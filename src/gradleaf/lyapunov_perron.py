@@ -71,7 +71,7 @@ STALL_STEPS = 10
 #: a block of Picard columns holds at most this many curve values (columns
 #: x nodes x coordinates): 30,000 doubles, 240 kB per temporary array
 BLOCK_VALUES = 30_000
-#: cap on the halvings of ``GraphSample.level_crossing``
+#: cap on the halvings of a ray in ``level_crossings``
 LEVEL_BISECT_STEPS = 200
 
 
@@ -519,7 +519,7 @@ class GraphSample:
     coordinates first): ``local_points`` puts base points and graph values
     together, ``residual`` measures a local point against the graph, and
     ``level_crossing`` bisects a level of the objective along rays of the
-    domain.
+    domain (:func:`level_crossings` does so for several graphs at once).
     """
 
     kind: str
@@ -571,14 +571,18 @@ class GraphSample:
 
         ``base`` is one base point ``(d,)`` or many ``(m, d)``, evaluated by
         interpolation; None gives every grid node, in grid order, with its
-        sampled value.  The base fills the domain slot and the graph value
-        the other one.
+        sampled value; see ``place``.
         """
         if base is None:
             base, vals = self.grid_points(), self.values_flat()
         else:
             base = np.asarray(base, dtype=float)
             vals = self.evaluate(base)
+        return self.place(base, vals)
+
+    def place(self, base, vals):
+        """Local points from base points and graph values: the base fills
+        the domain slot and the value the other one."""
         parts = (base, vals) if self.domain_sign == "minus" else (vals, base)
         return np.concatenate(parts, axis=-1)
 
@@ -605,47 +609,9 @@ class GraphSample:
 
     def level_crossing(self, f, directions, level, tol):
         """Radii r at which ``f`` on the graph point over ``r * u`` crosses
-        ``level``, one per row ``u`` of ``directions`` ``(m, d)``, by
-        bisection on [0, r_max]; NaN where the ray leaves the sampled domain
-        (radius r_max) before reaching the level, or where the level lies
-        behind f(0), where every ray starts.
-
-        ``f`` falls away from the critical point on a graph over the minus
-        subspace (the unstable manifold) and rises on a graph over the plus
-        subspace, so each bracket keeps its near end on the side of f(0).
-        The rays are bisected in lockstep, with one ``local_points`` call
-        per halving for the rays still open.  A ray stops when
-        |f - level| <= ``tol``, when its bracket is below the floating-point
-        resolution of the radius, or after ``LEVEL_BISECT_STEPS`` halvings;
-        each ray steps as it would alone.
-        """
-        directions = np.asarray(directions, dtype=float)
-        sign = -1.0 if self.domain_sign == "minus" else 1.0
-        r_max = float(min(ax[-1] for ax in self.axes))
-        floor = 1e-16 * max(1.0, r_max)
-
-        def offset(r, rows):
-            points = self.local_points(r[:, None] * directions[rows])
-            return sign * (f(points) - level)
-
-        m = directions.shape[0]
-        radii = np.full(m, np.nan)
-        live = np.flatnonzero(offset(np.zeros(m), slice(None)) < 0)
-        if live.size:
-            live = live[offset(np.full(live.size, r_max), live) >= 0]
-        lo, hi = np.zeros(m), np.full(m, r_max)
-        for _ in range(LEVEL_BISECT_STEPS):
-            if not live.size:
-                break
-            mid = 0.5 * (lo[live] + hi[live])
-            val = offset(mid, live)
-            radii[live] = mid
-            done = (np.abs(val) <= tol) | (hi[live] - lo[live] < floor)
-            below = val < 0
-            lo[live[below]] = mid[below]
-            hi[live[~below]] = mid[~below]
-            live = live[~done]
-        return radii
+        ``level``, one per row ``u`` of ``directions``: the one-graph case of
+        :func:`level_crossings`."""
+        return level_crossings([self], f, directions, level, tol)[0]
 
     def interp_tolerance(self):
         """Second-difference estimate of the multilinear interpolation error."""
@@ -657,6 +623,61 @@ class GraphSample:
             second = v[2:] - 2.0 * v[1:-1] + v[:-2]
             worst = max(worst, 0.125 * float(np.max(np.abs(second))))
         return worst
+
+
+def level_crossings(graphs, f, directions, level, tol):
+    """Radii r at which ``f`` on the point of each graph over ``r * u``
+    crosses ``level``, ``(len(graphs), m)`` for the rows ``u`` of
+    ``directions`` ``(m, d)``, by bisection on [0, r_max]; NaN where the ray
+    leaves the sampled domain (radius r_max) before reaching the level, or
+    where the level lies behind f(0), where every ray starts.
+
+    The graphs share one tensor grid and domain.  ``f`` falls away from the
+    critical point over the minus subspace and rises over the plus one, so
+    each bracket keeps its near end on the side of f(0).  All rays of all
+    graphs are bisected in lockstep: per halving, one
+    :func:`multilinear_stencil` for the open rays, applied to the stacked
+    values as ``GraphSample.interpolate`` does.  A ray stops when
+    |f - level| <= ``tol``, when its bracket is below the resolution of the
+    radius, or after ``LEVEL_BISECT_STEPS`` halvings, as it would alone.
+    """
+    first = graphs[0]
+    if any(g.domain_sign != first.domain_sign or g.grid_shape != first.grid_shape
+           or not all(map(np.array_equal, g.axes, first.axes)) for g in graphs):
+        raise ValueError("level_crossings needs graphs on one grid")
+    directions = np.asarray(directions, dtype=float)
+    sign = -1.0 if first.domain_sign == "minus" else 1.0
+    r_max = float(min(ax[-1] for ax in first.axes))
+    floor = 1e-16 * max(1.0, r_max)
+    stacked = np.stack([g.values for g in graphs])
+    owner = np.repeat(np.arange(len(graphs)), len(directions))
+    rays = np.tile(directions, (len(graphs), 1))
+    m = len(rays)
+
+    def offset(r, rows):
+        base = r[:, None] * rays[rows]
+        vals = np.array([0.0])
+        for index, weight in multilinear_stencil(first.axes, base):
+            vals = vals + stacked[(owner[rows],) + index] * weight
+        return sign * (f(first.place(base, vals)) - level)
+
+    radii = np.full(m, np.nan)
+    live = np.flatnonzero(offset(np.zeros(m), slice(None)) < 0)
+    if live.size:
+        live = live[offset(np.full(live.size, r_max), live) >= 0]
+    lo, hi = np.zeros(m), np.full(m, r_max)
+    for _ in range(LEVEL_BISECT_STEPS):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        val = offset(mid, live)
+        radii[live] = mid
+        done = (np.abs(val) <= tol) | (hi[live] - lo[live] < floor)
+        below = val < 0
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+        live = live[~done]
+    return radii.reshape(len(graphs), -1)
 
 
 def multilinear_stencil(axes, points):

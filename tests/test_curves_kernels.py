@@ -199,3 +199,64 @@ def test_exp_norm_triangle_and_scaling(T, rate, seed):
     assert nsum <= na + nb + 1e-12 * (na + nb)
     assert a.with_values(2.5 * a.values).exp_norm() == pytest.approx(2.5 * na, rel=1e-12)
     assert a.exp_distance(b) == a.with_values(a.values - b.values).exp_norm()
+
+
+def per_build_tables(grid, rates):
+    """The local operators and carries of ``ExpConvolver`` with every
+    Gauss-point basis formed in the build itself, as before the bases were
+    shared across builds: (fwd_local, bwd_local, fwd_carry, bwd_carry)."""
+    from gradleaf.curves import _lobatto_reference, barycentric_weights
+    from gradleaf.kernels import GAUSS_NODES, GAUSS_WEIGHTS
+
+    rates = np.asarray(rates, dtype=float)
+    p = grid.p
+    m = p + 1
+    ref = _lobatto_reference(p)
+    ref_w = barycentric_weights(ref)
+    gx = 0.5 * (GAUSS_NODES + 1.0)
+    gw = 0.5 * GAUSS_WEIGHTS
+    w = float(np.diff(grid.edges)[0])
+    fwd_local = np.zeros((rates.size, m, m))
+    bwd_local = np.zeros((rates.size, m, m))
+    fwd_carry = np.zeros((rates.size, m))
+    bwd_carry = np.zeros((rates.size, m))
+    for i in range(m):
+        xi = ref[i]
+        if xi > 0.0:
+            s_ref = xi * gx
+            basis = barycentric_matrix(ref, ref_w, s_ref)
+            for r, lam in enumerate(rates):
+                if lam < 0.0:
+                    continue
+                kern = np.exp(-(xi - s_ref) * w * lam)
+                fwd_local[r, i] = (gw * xi * w * kern) @ basis
+        if xi < 1.0:
+            s_ref = xi + (1.0 - xi) * gx
+            basis = barycentric_matrix(ref, ref_w, s_ref)
+            for r, lam in enumerate(rates):
+                if lam > 0.0:
+                    continue
+                kern = np.exp((s_ref - xi) * w * lam)
+                bwd_local[r, i] = (gw * (1.0 - xi) * w * kern) @ basis
+    for r, lam in enumerate(rates):
+        if lam >= 0.0:
+            fwd_carry[r] = np.exp(-ref * w * lam)
+        if lam <= 0.0:
+            bwd_carry[r] = np.exp((1.0 - ref) * w * lam)
+    return fwd_local, bwd_local, fwd_carry, bwd_carry
+
+
+@pytest.mark.parametrize("t0, t1, max_rate", [
+    (0.0, 3.0, 2.0), (0.0, 3.0, 8.0), (0.0, 2.9, 6.0), (-7.3, 0.0, 5.0),
+    (0.0, 11.47, 4.4)])
+def test_shared_bases_build_as_per_build_bases(t0, t1, max_rate):
+    grid = PanelGrid(t0, t1, max_rate=max_rate)
+    width = np.diff(grid.edges)[0]
+    assert 0.25 <= width <= 0.5
+    rates = [-3.0, -0.7, -0.0, 0.0, 0.4, 2.5]
+    expected = per_build_tables(grid, rates)
+    # the first build may form the shared bases, the second reuses them
+    for conv in (ExpConvolver(grid, rates), ExpConvolver(grid, rates)):
+        got = (conv._fwd_local, conv._bwd_local, conv._fwd_carry, conv._bwd_carry)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -53,6 +53,30 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert result == {"code": 0, "after_import": [], "after_run": []}
 
 
+_LOADED_MA = """
+import json, sys
+from gradleaf import cli
+
+code = cli.main(["all", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "after_run": sorted(
+    m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))}))
+"""
+
+
+def test_runtime_loads_no_numpy_ma(tmp_path):
+    # np.median loads numpy.ma on its first call; a run must not
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MA,
+         str(ROOT / "configs" / "p1_quadratic.json"), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"code": 0, "after_run": []}
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
