@@ -5,7 +5,8 @@ loop (``lyapunov_perron.level_crossings``).  Each ray keeps its own bracket
 and stop rules, so its radius must be the same bit for bit as the one a
 bisection of its graph alone gives.  The foliate stage runs here as
 ``gradleaf all`` runs it, with the stencil builds inside ``build_atlas``
-counted.
+counted.  The stage's nearest-probe search and the pair's median are held
+to the forms they replaced, bit for bit.
 """
 
 import math

@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gradleaf.curves import BACKWARD, FORWARD_FINITE, Curve, PanelGrid, barycentric_matrix
+from gradleaf.curves import (
+    BACKWARD,
+    FORWARD_FINITE,
+    Curve,
+    PanelGrid,
+    _lobatto_reference,
+    barycentric_matrix,
+    barycentric_weights,
+)
 from gradleaf.errors import HorizonMismatch
-from gradleaf.kernels import ExpConvolver
+from gradleaf.kernels import GAUSS_NODES, GAUSS_WEIGHTS, ExpConvolver
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +213,6 @@ def per_build_tables(grid, rates):
     """The local operators and carries of ``ExpConvolver`` with every
     Gauss-point basis formed in the build itself, as before the bases were
     shared across builds: (fwd_local, bwd_local, fwd_carry, bwd_carry)."""
-    from gradleaf.curves import _lobatto_reference, barycentric_weights
-    from gradleaf.kernels import GAUSS_NODES, GAUSS_WEIGHTS
-
     rates = np.asarray(rates, dtype=float)
     p = grid.p
     m = p + 1
