@@ -88,7 +88,9 @@ class DenseSolution:
     step of size ``steps[i]`` from ``times[i]``; its seventh-order
     interpolant needs three more right-hand-side evaluations, so it is formed
     only when a time in the segment is first evaluated (many runs read
-    none).  ``nfev`` counts the right-hand-side evaluations made so far.
+    none), together with every other new segment of the same read.
+    ``nfev`` counts the right-hand-side evaluations made so far, one per
+    state: each formed segment adds 3.
     """
 
     def __init__(self, fun, y0):
@@ -126,13 +128,15 @@ class DenseSolution:
     def segment_value(self, segment, t):
         """scipy's ``Dop853DenseOutput`` evaluation, at each time of ``t``
         on the interpolant of the matching entry of ``segment``.  Only the
-        segments in use are gathered."""
+        segments in use are gathered, and those not yet formed are formed
+        together."""
         segment = np.asarray(segment)
         used, inverse = np.unique(segment, return_inverse=True)
         used = used.tolist()
         # numpy 1 returns the inverse flattened, numpy 2 in segment's shape
         inverse = inverse.reshape(segment.shape)
-        F = np.stack([self._interpolant(i) for i in used])[inverse]
+        self._form([i for i in used if i not in self._coefficients])
+        F = np.stack([self._coefficients[i] for i in used])[inverse]
         start = np.array([self.times[i] for i in used])[inverse]
         step = np.array([self.steps[i] for i in used])[inverse]
         y_old = np.stack([self._ends[i] for i in used])[inverse]
@@ -144,25 +148,29 @@ class DenseSolution:
         y += y_old
         return y
 
-    def _interpolant(self, i):
-        """Coefficients ``F`` (7, n) of segment ``i`` (scipy's
-        ``_dense_output_impl``): the three extra stages, then the
-        interpolant's coefficients."""
-        if i not in self._coefficients:
-            h, K = self.steps[i], self._stages[i]
-            y_old, y_new = self._ends[i], self._ends[i + 1]
-            for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
-                dy = np.dot(K[:s].T, dop853.A[s, :s]) * h
-                K[s] = self.rhs(y_old + dy)
-            f_old, f_new = K[0], K[dop853.N_STAGES]
-            delta_y = y_new - y_old
-            F = np.empty((dop853.INTERPOLATOR_POWER, y_old.size))
-            F[0] = delta_y
-            F[1] = h * f_old - delta_y
-            F[2] = 2 * delta_y - h * (f_new + f_old)
-            F[3:] = h * np.dot(dop853.D, K)
-            self._coefficients[i] = F
-        return self._coefficients[i]
+    def _form(self, segments):
+        """Coefficients ``F`` (7, n) of each of ``segments`` (scipy's
+        ``_dense_output_impl``), formed in one pass: each of the three extra
+        stages is one right-hand-side evaluation over all of them (``nfev``
+        grows by 3 per segment), and each segment's stage sums are the
+        ``dot`` of its own stages, stacked in one ``matmul``."""
+        if not segments:
+            return
+        h = np.array([self.steps[i] for i in segments])[:, None]
+        K = np.stack([self._stages[i] for i in segments])
+        y_old = np.stack([self._ends[i] for i in segments])
+        for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
+            dy = np.matmul(K[:, :s].transpose(0, 2, 1), dop853.A[s, :s]) * h
+            self.nfev += len(segments)
+            K[:, s] = self._fun(y_old + dy)
+        f_old, f_new = K[:, 0], K[:, dop853.N_STAGES]
+        delta_y = np.stack([self._ends[i + 1] for i in segments]) - y_old
+        F = np.empty((len(segments), dop853.INTERPOLATOR_POWER, y_old.shape[1]))
+        F[:, 0] = delta_y
+        F[:, 1] = h * f_old - delta_y
+        F[:, 2] = 2 * delta_y - h * (f_new + f_old)
+        F[:, 3:] = h[:, None] * np.matmul(dop853.D, K)
+        self._coefficients.update(zip(segments, F))
 
 
 def _rk_step(rhs, y, f, h, K):
@@ -365,7 +373,8 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
     rounding level.  A row's terminal state stays within about 1e-14 of a
     lone run's.  A row retires at its duration or at the first step end
     where f is below ``stop_below_level`` (f decreases along trajectories,
-    so it stays below; pass ``-inf`` to run every row to its duration).
+    so it stays below; pass ``-inf`` to run every row to its duration, and
+    f is never evaluated).
 
     Returns ``(terminal_states, stopped_mask)``; a stopped row's terminal
     state is the step end where it stopped.  ``dense``, when given, is a
@@ -441,7 +450,8 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
             raise BlowUp(f"state norm exceeded {BLOWUP_RADIUS} at "
                          f"t = {t[np.argmax(beyond)]:.4g}")
         below = np.zeros_like(accept)
-        below[accept] = problem.f(y[accept]) < stop_below_level
+        if stop_below_level > -np.inf:  # no f value is below -inf
+            below[accept] = problem.f(y[accept]) < stop_below_level
         done = below | (t >= end)
         if done.any():
             terminal[rows[done]] = y[done]

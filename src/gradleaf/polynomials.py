@@ -2,7 +2,9 @@
 
 Objectives are ingested as coefficient tables, so gradients and Hessians are
 exact (derived term-by-term) rather than obtained by automatic or numerical
-differentiation.
+differentiation.  On first use, the value, gradient and Hessian tables are
+each compiled into one straight-line kernel, which evaluates one point on
+Python floats and many points on array columns, rounding alike.
 """
 
 from __future__ import annotations
@@ -15,29 +17,44 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _compile(terms):
-    """``(coefficient, ((variable, power), ...))`` per term, in table order."""
-    return [(c, tuple((i, a) for i, a in enumerate(alpha) if a))
-            for alpha, c in terms.items()]
+def _kernel(dimension, components):
+    """Compile ``(target, terms)`` components into one straight-line function
+    ``kernel(out, x0, ..., x{n-1})`` that assigns each component's sum to its
+    ``target`` (an assignment target in ``out``).
 
-
-def _evaluate(table, cols):
-    """Sum of a compiled table at ``cols``: one Python float per variable for
-    one point, or one array column per variable for many points.
-
-    Both forms round alike, and alike to evaluating the terms one column at
-    a time: squares are ``v * v`` and higher powers go through numpy's
-    ``power`` (whose rounding differs from Python's float ``**``), and the
-    terms are added in table order starting from 0.0.
+    The ``x`` are one Python float per variable for one point, or one array
+    column per variable for many points; both forms round alike, and alike
+    to evaluating the terms one column at a time.  Each power is computed
+    once: squares are ``v * v`` and higher powers go through numpy's
+    ``power`` (whose rounding differs from Python's float ``**``).  A
+    monomial multiplies its factors in table order, and a component adds
+    ``c * monomial`` in table order starting from 0.0 (which turns -0.0
+    into 0.0).  Coefficients are bound as names, so ``inf`` and ``nan``
+    need no literal.
     """
-    total = 0.0
-    for c, factors in table:
-        mon = 1.0
-        for i, a in factors:
-            v = cols[i]
-            mon = mon * (v if a == 1 else v * v if a == 2 else np.power(v, a))
-        total = total + c * mon
-    return total
+    coefficients, powers, lines = [], {}, []
+    for target, terms in components:
+        parts = []
+        for alpha, c in terms.items():
+            name = f"c{len(coefficients)}"
+            coefficients.append(c)
+            factors = []
+            for i, a in enumerate(alpha):
+                if a > 1:
+                    powers[f"p{i}_{a}"] = f"x{i} * x{i}" if a == 2 else f"power(x{i}, {a})"
+                if a:
+                    factors.append(f"x{i}" if a == 1 else f"p{i}_{a}")
+            parts.append(f"{name} * ({' * '.join(factors)})" if factors else name)
+        # summed in chunks: one long expression nests too deep to compile
+        lines += ["s = 0.0"] + [f"s = s + {' + '.join(parts[k:k + 256])}"
+                                for k in range(0, len(parts), 256)] + [f"{target} = s"]
+    body = [f"{name} = {value}" for name, value in powers.items()] + lines
+    source = (f"def make(power, {', '.join(f'c{k}' for k in range(len(coefficients)))}):\n"
+              f"    def kernel(out, {', '.join(f'x{i}' for i in range(dimension))}):\n"
+              + "".join(f"        {line}\n" for line in body) + "    return kernel\n")
+    namespace = {}
+    exec(source, namespace)
+    return namespace["make"](np.power, *coefficients)
 
 
 @dataclass(frozen=True)
@@ -68,34 +85,38 @@ class Polynomial:
         return cls(dimension, terms)
 
     @cached_property
-    def _value_table(self):
-        return _compile(self.terms)
+    def _value_kernel(self):
+        return _kernel(self.dimension, [("out[...]", self.terms)])
 
     @cached_property
-    def _gradient_tables(self):
-        return [_compile(self.differentiate(i).terms) for i in range(self.dimension)]
+    def _gradient_kernel(self):
+        return _kernel(self.dimension, [(f"out[..., {i}]", self.differentiate(i).terms)
+                                        for i in range(self.dimension)])
 
     @cached_property
-    def _hessian_tables(self):
-        """``(i, j, table)`` for the entries on and above the diagonal."""
+    def _hessian_kernel(self):
+        """Entries on and above the diagonal, each mirrored below it."""
         n = self.dimension
         grads = [self.differentiate(i) for i in range(n)]
-        return [(i, j, _compile(grads[i].differentiate(j).terms))
-                for i in range(n) for j in range(i, n)]
+        return _kernel(n, [(f"out[..., {i}, {j}] = out[..., {j}, {i}]",
+                            grads[i].differentiate(j).terms)
+                           for i in range(n) for j in range(i, n)])
 
-    def _columns(self, x):
-        """``(single, columns, count)``: Python floats for one point given as
-        a 1-D array, else one array column per variable."""
+    def _run(self, kernel, x, shape):
+        """``kernel`` on Python floats for one point given as a 1-D array,
+        else on one array column per variable; ``shape`` per point."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return True, x.tolist(), 1
-        pts = np.atleast_2d(x)
-        return False, [pts[:, i] for i in range(self.dimension)], pts.shape[0]
+            out = np.empty(shape)
+            kernel(out, *x.tolist())
+        else:
+            pts = np.atleast_2d(x)
+            out = np.empty(pts.shape[:1] + shape)
+            kernel(out, *pts.T)
+        return out
 
     def __call__(self, x):
-        single, cols, m = self._columns(x)
-        val = _evaluate(self._value_table, cols)
-        return np.float64(val) if single else np.full(m, val)
+        return self._run(self._value_kernel, x, ())[()]
 
     def differentiate(self, var):
         """Exact partial derivative with respect to variable ``var``."""
@@ -111,22 +132,8 @@ class Polynomial:
         return Polynomial(self.dimension, terms)
 
     def gradient(self, x):
-        single, cols, m = self._columns(x)
-        g = np.empty(self.dimension if single else (m, self.dimension))
-        for i, table in enumerate(self._gradient_tables):
-            g[..., i] = _evaluate(table, cols)
-        return g
+        return self._run(self._gradient_kernel, x, (self.dimension,))
 
     def hessian(self, x):
-        single, cols, m = self._columns(x)
         n = self.dimension
-        H = np.empty((n, n) if single else (m, n, n))
-        for i, j, table in self._hessian_tables:
-            vals = _evaluate(table, cols)
-            H[..., i, j] = vals
-            H[..., j, i] = vals
-        return H
-
-    def to_pairs(self):
-        """Deterministically ordered (multi-index, coefficient) list."""
-        return [[list(alpha), self.terms[alpha]] for alpha in sorted(self.terms)]
+        return self._run(self._hessian_kernel, x, (n, n))

@@ -198,11 +198,9 @@ def test_config_roundtrip(tmp_path):
 def test_h_at_origin_bounded_by_gradient_residual():
     # a numerically imperfect critical point: |h(0)| = |grad f(x0)| exactly
     # (the frame change is orthogonal)
-    poly = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0],
-                                     [[1, 0], 1e-10]])
     prob = problem_from_dict({
         "name": "offset", "dimension": 2, "critical_point": [0.0, 0.0],
-        "objective": poly.to_pairs()})
+        "objective": [[[2, 0], -0.5], [[0, 2], 1.0], [[1, 0], 1e-10]]})
     sp = split(prob.hess(prob.critical_point))
     model = LocalModel(prob, sp)
     g = np.linalg.norm(prob.grad(prob.critical_point))
