@@ -85,9 +85,6 @@ class ConvergenceReport:
                 f"z_minus={row.z_minus_label} z_plus={row.z_plus_label}: "
                 f"gap {row.gap:.3e}, bound {row.bound:.3e}, budget {row.budget:.3e}")
 
-    def max_gap(self):
-        return max((r.gap for r in self.rows), default=0.0)
-
     def add(self, **kw):
         self.rows.append(ReportRow(**kw))
 

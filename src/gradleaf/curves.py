@@ -109,10 +109,6 @@ class PanelGrid:
             self._profiles[key] = np.exp(-(self.nodes - origin) * rate)
         return self._profiles[key]
 
-    def panel_slice(self, ip):
-        start = ip * self.p
-        return slice(start, start + self.p + 1)
-
     def interpolate(self, values, t):
         """Barycentric evaluation of panel-wise interpolants at times ``t``.
 
@@ -141,19 +137,6 @@ class PanelGrid:
         if t_arr.ndim == 0:
             return out[0]
         return out.reshape(t_arr.shape + out.shape[1:])
-
-    def differentiation_matrix(self, ip):
-        """Spectral differentiation matrix for panel ``ip``."""
-        nodes = self.panel_nodes[ip]
-        w = barycentric_weights(nodes)
-        n = len(nodes)
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    D[i, j] = (w[j] / w[i]) / (nodes[i] - nodes[j])
-        np.fill_diagonal(D, -D.sum(axis=1))
-        return D
 
 
 def exp_weights(grid, rate, kind):
@@ -184,33 +167,14 @@ class Curve:
     def weights(self):
         return exp_weights(self.grid, self.rate, self.kind)
 
-    def exp_norm(self):
-        """Weighted sup norm; the weight grows toward the open end."""
-        return float(np.max(self.weights() * row_norms(self.values)))
-
     def exp_distance(self, other):
         return float(np.max(self.weights() * row_norms(self.values - other.values)))
-
-    def sup_distance(self, other):
-        return float(np.max(row_norms(self.values - other.values)))
-
-    def max_norm(self):
-        return float(np.max(row_norms(self.values)))
 
     def evaluate(self, t):
         return self.grid.interpolate(self.values, t)
 
     def with_values(self, values):
         return Curve(self.grid, values, self.rate, self.kind)
-
-    def derivative_values(self):
-        """Node-wise time derivative of the panel interpolants."""
-        out = np.empty_like(self.values)
-        for ip in range(self.grid.n_panels):
-            D = self.grid.differentiation_matrix(ip)
-            sl = self.grid.panel_slice(ip)
-            out[sl] = D @ self.values[sl]
-        return out
 
     def copy(self):
         return Curve(self.grid, self.values.copy(), self.rate, self.kind)

@@ -51,10 +51,6 @@ class BlowUp(GradleafError):
     code = "blow_up"
 
 
-class NotOnUnstableManifold(GradleafError):
-    code = "not_on_unstable_manifold"
-
-
 class LevelNotReached(GradleafError):
     code = "level_not_reached"
 
@@ -75,10 +71,6 @@ class NoConvergence(GradleafError):
 
 class EndpointViolation(GradleafError):
     code = "endpoint_violation"
-
-
-class StepTooLarge(GradleafError):
-    code = "step_too_large"
 
 
 class FlagMissing(GradleafError):
@@ -105,10 +97,6 @@ class OutsideLeafDomain(GradleafError):
 
 # -- oracle -----------------------------------------------------------------
 
-class BracketLost(GradleafError):
-    code = "bracket_lost"
-
-
 class NewtonDiverged(GradleafError):
     code = "newton_diverged"
 
@@ -124,7 +112,6 @@ CONFIG_ERRORS = (
     OutsideSampledDomain,
     LevelNotReached,
     HorizonMismatch,
-    StepTooLarge,
     FlagMissing,
     OutsideLeafDomain,
 )

@@ -1,8 +1,7 @@
-"""Forward flow integration, the algebraic backward flow, and level disks.
+"""Forward flow integration and the descending disk.
 
-No operation here ever integrates the gradient equation in reverse time.
-Backward motion exists only on the unstable manifold, where it is read off
-the emanating-orbit fixed points of the backward contraction operator.
+No operation here integrates the gradient equation in reverse time; the
+descending disk is read off the sampled unstable graph.
 
 Forward integration is gradleaf's own DOP853 (Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, II.4-II.6, and Hairer's
@@ -20,17 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dop853
-from .errors import (
-    BlowUp,
-    HorizonMismatch,
-    LevelNotReached,
-    NotOnUnstableManifold,
-    OutsideSampledDomain,
-)
-from .lyapunov_perron import backward_orbit
+from .errors import BlowUp, LevelNotReached
 
 BLOWUP_RADIUS = 1e3
-MANIFOLD_RESIDUAL_TOL = 1e-7
 
 # step-size control (Hairer, Norsett & Wanner, II.4), as in scipy's explicit
 # Runge-Kutta solvers
@@ -38,24 +29,16 @@ STEP_SAFETY = 0.9
 STEP_MIN_FACTOR = 0.2
 STEP_MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
-#: width to which an exit time is bisected, relative to 1 + |t| (the
-#: tolerance scipy's event location hands to its root finder)
-EXIT_TIME_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
 class Trajectory:
-    """Dense-output forward trajectory in ambient coordinates.
-
-    ``stopped_at`` records the time of a requested stop event (exit from a
-    ball around the critical point), None when the full duration was run.
-    """
+    """Dense-output forward trajectory in ambient coordinates."""
 
     problem: object
     times: np.ndarray
     states: np.ndarray
     dense: object
-    stopped_at: float | None = None
 
     def at(self, t):
         """State(s) at time(s) ``t`` from the integrator's dense output,
@@ -69,11 +52,6 @@ class Trajectory:
     def f_values(self):
         return self.problem.f(self.states)
 
-    def f_decrease_violation(self):
-        """Largest increase of f between consecutive nodes (0 when monotone)."""
-        f = self.f_values()
-        return float(max(0.0, np.max(np.diff(f)))) if f.size > 1 else 0.0
-
     def to_rows(self):
         f = self.f_values()
         return [[t, *state, fv] for t, state, fv in zip(self.times, self.states, f)]
@@ -83,12 +61,11 @@ class DenseSolution:
     """The accepted steps of one DOP853 run and its dense output: a
     :func:`solve_ivp` run, or a kept row of :func:`integrate_forward_batch`.
 
-    ``times`` holds 0 and every step end (at a stop, the stop time in place
-    of the last one) and ``states`` the state at each.  Segment ``i`` is the
-    step of size ``steps[i]`` from ``times[i]``; its seventh-order
-    interpolant needs three more right-hand-side evaluations, so it is formed
-    only when a time in the segment is first evaluated (many runs read
-    none), together with every other new segment of the same read.
+    ``times`` holds 0 and every step end and ``states`` the state at each.
+    Segment ``i`` is the step of size ``steps[i]`` from ``times[i]``; its
+    seventh-order interpolant needs three more right-hand-side evaluations,
+    so it is formed only when a time in the segment is first evaluated (many
+    runs read none), together with every other new segment of the same read.
     ``nfev`` counts the right-hand-side evaluations made so far, one per
     state: each formed segment adds 3.
     """
@@ -99,7 +76,6 @@ class DenseSolution:
         self.times = [0.0]
         self.states = [y0]
         self.steps = []
-        self.stopped_at = None
         self._ends = [y0]      # the step ends as the steps produced them
         self._stages = []      # each step's (16, n) stage array, 13 rows filled
         self._coefficients = {}
@@ -224,24 +200,21 @@ def _step_failure(t):
                   f"spacing between numbers (t = {t:.4g})")
 
 
-def solve_ivp(fun, duration, y0, rtol, atol, exit_event=None):
+def solve_ivp(fun, duration, y0, rtol, atol):
     """DOP853 for the autonomous system y' = fun(y) from ``y0`` at time 0
     to ``duration > 0``.
 
-    ``exit_event(y)``, when given, stops the run where it crosses zero
-    upward between two step ends; the crossing is bisected on the step's
-    interpolant to ``EXIT_TIME_TOL``.  A step end beyond ``BLOWUP_RADIUS``
-    raises BlowUp, as does a step below the floating-point spacing of its
-    time or a NaN step (from a non-finite right-hand side).  Returns a
-    :class:`DenseSolution`; unless the run stopped, its last state is the
-    interpolant's value at ``duration``, as scipy's dense output gives it.
+    A step end beyond ``BLOWUP_RADIUS`` raises BlowUp, as does a step below
+    the floating-point spacing of its time or a NaN step (from a non-finite
+    right-hand side).  Returns a :class:`DenseSolution`; its last state is
+    the interpolant's value at ``duration``, as scipy's dense output gives
+    it.
     """
     sol = DenseSolution(fun, y0)
     rhs = sol.rhs
     t, y = 0.0, y0
     f = rhs(y)
     h_abs = _initial_step(rhs, y, f, duration, rtol, atol)
-    g = None if exit_event is None else exit_event(y)
     while t < duration:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs < min_step:
@@ -269,12 +242,6 @@ def solve_ivp(fun, duration, y0, rtol, atol, exit_event=None):
             h_abs *= max(STEP_MIN_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
         sol.accept(t_new, y_new, h, K)
-        if g is not None:
-            g_new = exit_event(y_new)
-            if g <= 0 <= g_new:
-                _stop_at_exit(sol, exit_event, t, t_new)
-                return sol
-            g = g_new
         if np.linalg.norm(y_new) > BLOWUP_RADIUS:
             raise BlowUp(f"state norm exceeded {BLOWUP_RADIUS} at t = {t_new:.4g}")
         t, y, f = t_new, y_new, f_new
@@ -282,32 +249,12 @@ def solve_ivp(fun, duration, y0, rtol, atol, exit_event=None):
     return sol
 
 
-def _stop_at_exit(sol, exit_event, lo, hi):
-    """End ``sol`` at the upward zero of ``exit_event`` in its last step,
-    bisected on that step's interpolant."""
-    last = len(sol.steps) - 1
-
-    def g(t):
-        return exit_event(sol.segment_value(last, t))
-
-    while hi - lo > EXIT_TIME_TOL * (1.0 + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    sol.times[-1] = sol.stopped_at = float(hi)
-    sol.states[-1] = sol.segment_value(last, np.asarray(hi))
-
-
-def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
-                      stop_radius=None):
+def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12):
     """Integrate the downward gradient flow for ``duration >= 0``.
 
     Uses DOP853 (:func:`solve_ivp`) with dense output; the terminal state
-    is evaluated exactly at ``duration``.  When ``stop_radius`` is given,
-    integration ends early without error on exit from that ball around the
-    critical point; exceeding ``BLOWUP_RADIUS`` always raises.
+    is evaluated exactly at ``duration``.  Exceeding ``BLOWUP_RADIUS``
+    raises BlowUp.
     """
     if duration < 0:
         raise ValueError("forward integration requires duration >= 0")
@@ -319,16 +266,8 @@ def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12,
     def rhs(x):
         return -problem.grad(x)
 
-    exit_ball = None
-    if stop_radius is not None:
-        center = problem.critical_point
-
-        def exit_ball(x):
-            return float(np.linalg.norm(x - center) - stop_radius)
-
-    sol = solve_ivp(rhs, float(duration), start, rtol, atol, exit_ball)
-    return Trajectory(problem, np.array(sol.times), np.array(sol.states), sol,
-                      stopped_at=sol.stopped_at)
+    sol = solve_ivp(rhs, float(duration), start, rtol, atol)
+    return Trajectory(problem, np.array(sol.times), np.array(sol.states), sol)
 
 
 def _rms(x):
@@ -474,8 +413,6 @@ class DescendingDisk:
     """
 
     model: object
-    ladder: object
-    graph: object
     epsilon: float
     sphere_minus: np.ndarray
     sphere_local: np.ndarray
@@ -485,39 +422,6 @@ class DescendingDisk:
     @property
     def index(self):
         return self.model.k
-
-    def contains(self, point_local):
-        """Membership through the graph parametrization and the level band."""
-        try:
-            residual = self.graph.residual(point_local)
-        except OutsideSampledDomain:
-            return False
-        if residual > MANIFOLD_RESIDUAL_TOL:
-            return False
-        return (self.model.f_local(np.asarray(point_local, dtype=float))
-                >= self.model.critical_value - self.epsilon * (1 + 1e-9))
-
-
-def algebraic_backward(disk, q_local, t, cache=None):
-    """Backward flow on the unstable manifold, via emanating orbits.
-
-    ``q_local`` must lie on the sampled unstable graph (plus-part residual
-    below ``MANIFOLD_RESIDUAL_TOL``); the result is the emanating orbit
-    through ``q`` evaluated at time ``-t``.  No backward Cauchy problem is
-    solved.
-    """
-    q_local = np.asarray(q_local, dtype=float)
-    if t < 0:
-        raise ValueError("algebraic backward flow is parametrized by t >= 0")
-    residual = disk.graph.residual(q_local)
-    if residual > MANIFOLD_RESIDUAL_TOL:
-        raise NotOnUnstableManifold(
-            f"plus-part residual {residual:.3e} against the unstable graph")
-    orbit = backward_orbit(disk.model, disk.ladder, q_local[: disk.model.k],
-                           cache=cache)
-    if -t < orbit.curve.grid.t0:
-        raise HorizonMismatch(f"time {t} beyond the solved backward horizon")
-    return orbit.curve.evaluate(-t)
 
 
 def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None):
@@ -554,6 +458,6 @@ def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None):
         np.concatenate([f * sphere_minus for f in fractions]),
     ])
     interior_local = graph_f.local_points(interior_minus)
-    return DescendingDisk(model, ladder, graph_f, epsilon,
+    return DescendingDisk(model, epsilon,
                           sphere_minus, sphere_local,
                           interior_minus, interior_local)

@@ -10,9 +10,9 @@ unstable manifold.
 
 Every leaf is a ``GraphSample`` over the plus subspace.  Its local points
 (``local_points``), the residual of a point against it (``residual``, which
-``FoliationAtlas.locate`` and the invariance audit use) and its clip
-boundary along rays (``level_crossings``, over all leaves at once) all come
-from that module, so this module never places a graph in the local frame.
+the invariance audit uses) and its clip boundary along rays
+(``level_crossings``, over all leaves at once) all come from that module,
+so this module never places a graph in the local frame.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class ConleyPair:
     samples: np.ndarray          # accepted N samples, local frame
     exit_mask: np.ndarray        # True where the sample belongs to L
     dropped: int                 # accepted points outside the x-component
-
-    @property
-    def L_samples(self):
-        return self.samples[self.exit_mask]
 
 
 def pair_membership(model, points, epsilon, tau):
@@ -213,34 +209,6 @@ class FoliationAtlas:
 
     def all_labels(self):
         return ["center"] + list(self.leaves.keys())
-
-    def locate(self, point_local):
-        """Label of the leaf through ``point_local`` (None when on no leaf).
-
-        Resolves through the graph parametrization: the point's minus part
-        is compared against every leaf graph at its plus part, because
-        codimension-k sets cannot be membership-tested by ambient distance.
-        """
-        tol = 10.0 * self.interp_tolerance + 1e-9
-        best = (None, np.inf)
-        for label in self.all_labels():
-            try:
-                residual = self.leaf(label).graph.residual(point_local)
-            except OutsideSampledDomain:
-                continue
-            if residual < best[1]:
-                best = (label, residual)
-        if best[0] is None or best[1] > tol:
-            return None
-        return best[0]
-
-    def contains(self, point_local):
-        """Membership in the sampled pair region through the leaf graphs."""
-        label = self.locate(point_local)
-        if label is None:
-            return False
-        f_val = self.model.f_local(np.asarray(point_local, dtype=float))
-        return bool(f_val <= self.leaf(label).clip_level + 1e-12)
 
 
 def _leaf_boundaries(model, graphs, clip_level, resolution):

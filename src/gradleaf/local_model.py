@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     IndexOutOfRange,
     LadderInfeasible,
-    OutOfTrustRegion,
     OutsideSampledDomain,
 )
 from .lyapunov_perron import tensor_points
@@ -80,16 +79,6 @@ class LocalModel:
     def f_local(self, xi):
         """The objective at local point(s): (n,) gives a float, (m, n) an array."""
         return self.problem.f(self.to_ambient(xi))
-
-
-def nonlinearity(problem, split, xi):
-    """Evaluate ``h`` inside the trust region ball."""
-    xi = np.asarray(xi, dtype=float)
-    norm = np.max(np.linalg.norm(np.atleast_2d(xi), axis=1))
-    if norm > problem.trust_radius * (1 + 1e-12):
-        raise OutOfTrustRegion(
-            f"|xi| = {norm:.3e} exceeds trust radius {problem.trust_radius}")
-    return LocalModel(problem, split).h(xi)
 
 
 @dataclass(frozen=True)
@@ -376,22 +365,3 @@ def _plus_radius_within_level(model, graph_g, level):
     limit = float(np.min(bad)) if bad.size else float(np.max(radii))
     inside = radii[radii < limit - 1e-15]
     return float(np.max(inside)) if inside.size else limit
-
-
-def flatten_map(graph_f, graph_g, point, split):
-    """Straightening diffeomorphism built from the two manifold graphs.
-
-    ``point`` is a local-frame vector; returns (x - G(y), y - F(x)) in the
-    same frame.  The sampled unstable graph maps into the minus subspace and
-    the stable graph into the plus subspace, up to interpolation error.
-    """
-    point = np.asarray(point, dtype=float)
-    k = split.morse_index
-    x = point[:k]
-    y = point[k:]
-    gx = graph_f.evaluate(x)
-    gy = graph_g.evaluate(y)
-    out = np.empty_like(point)
-    out[:k] = x - gy
-    out[k:] = y - gx
-    return out

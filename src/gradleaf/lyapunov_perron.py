@@ -57,7 +57,6 @@ from .errors import (
     NormBudgetExceeded,
     OutOfTrustRegion,
     OutsideSampledDomain,
-    StepTooLarge,
 )
 from .kernels import ExpConvolver
 
@@ -258,10 +257,6 @@ class IntegralOperator:
     def curve(self, values):
         return Curve(self.grid, values, self.ladder.lambda_, self.kind)
 
-    def initial_curve(self):
-        """The initial curve of a one-column operator."""
-        return self.curve(self.start(self.boundary(slice(0, 1)))[0])
-
     def apply(self, curve):
         """The image of one curve under a one-column operator; raises
         OutOfTrustRegion or NormBudgetExceeded as ``advance`` reports."""
@@ -448,11 +443,6 @@ def stable_columns(model, ladder, z_plus_rows, cache):
     grid = cache.grid(0.0, default_horizon(ladder))
     op = PsiOperator(model, ladder, z_plus_rows, grid, cache.convolver(grid))
     return solve_columns(op, cache.counts)
-
-
-def solve_stable(model, ladder, z_plus, cache=None):
-    (result,) = stable_columns(model, ladder, [z_plus], cache or SolverCache(model))
-    return result
 
 
 def reference_curve(orbit_curve, grid, rate):
@@ -800,52 +790,25 @@ def graph_G_T(model, ladder, T, z_minus, base_axes=None, orbit=None, cache=None,
                        endpoint_gaps=gaps)
 
 
-def graph_derivative(sample, point, direction, step):
-    """Central-difference directional derivative of a sampled graph.
+class _LinearizedOperator(IntegralOperator):
+    """The linearized integral equation along the fixed point ``curve``
+    for one direction ``v_plus``.
 
-    Returns ``(derivative, error_estimate)``; the estimate is the Richardson
-    defect between the full-step and half-step quotients (O(step^2)).
-    """
-    point = np.asarray(point, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    for delta in (step, -step):
-        probe = point + delta * direction
-        for i, ax in enumerate(sample.axes):
-            if probe[i] < ax[0] - 1e-15 or probe[i] > ax[-1] + 1e-15:
-                raise StepTooLarge(
-                    f"stencil point {probe} leaves the sampled domain on axis {i}")
-
-    def quotient(h):
-        hi = sample.evaluate(point + h * direction)
-        lo = sample.evaluate(point - h * direction)
-        return (hi - lo) / (2.0 * h)
-
-    full = quotient(step)
-    half = quotient(0.5 * step)
-    err = float(np.linalg.norm(full - half)) / 3.0
-    return half, err
-
-
-def _linearized_fixed_point(model, ladder, grid, conv, dh_nodes, v_plus, tol):
-    """Solve the linearized integral equation for one direction ``v``.
-
-    Shares the boundary term and the convolutions with the operator; the
+    It shares the boundary term and the convolutions with the operator; the
     inhomogeneity is exp(-tA)v with v in the plus subspace, and there is no
     minus boundary term (the time-T and stable linearizations agree in
-    form).  The map is linear with no trust-region or rho-ball check, so it
-    keeps its own Picard loop.
+    form).  The map is linear, with dh along ``curve`` in place of h, and has
+    no trust-region or rho-ball check, so ``advance`` reports no errors.
     """
-    t = grid.nodes
-    boundary = _boundary_term(model, grid, 1, z_plus=v_plus)[0]
-    X = boundary.copy()
-    for it in range(200):
-        y = np.einsum("mij,mj->mi", dh_nodes, X)
-        nxt = _add_integrals(boundary.copy(), conv, model.k, y)
-        res = float(np.max(np.exp(ladder.lambda_ * t) * row_norms(nxt - X)))
-        X = nxt
-        if res <= tol:
-            return X
-    raise NoConvergence("linearized derivative iteration did not converge")
+
+    def __init__(self, model, ladder, curve, conv, v_plus):
+        super().__init__(model, ladder, curve.grid, conv, curve.kind, 0.0,
+                         z_plus=v_plus)
+        self.dh_nodes = model.dh(curve.values)
+
+    def advance(self, values, boundary):
+        y = np.einsum("mij,mj->mi", self.dh_nodes, values[0])
+        return _add_integrals(boundary.copy(), self.conv, self.k, y[None]), {}
 
 
 def graph_derivative_linearized(model, ladder, fp_result, v_plus, cache=None):
@@ -857,9 +820,9 @@ def graph_derivative_linearized(model, ladder, fp_result, v_plus, cache=None):
     """
     cache = cache or SolverCache(model)
     curve = fp_result.curve
-    grid = curve.grid
-    conv = cache.convolver(grid)
-    dh_nodes = model.dh(curve.values)
-    X = _linearized_fixed_point(model, ladder, grid, conv, dh_nodes,
-                                np.asarray(v_plus, dtype=float), 1e-11)
-    return X[0, : model.k]
+    op = _LinearizedOperator(model, ladder, curve, cache.convolver(curve.grid),
+                             np.asarray(v_plus, dtype=float))
+    (outcome,) = _picard(op, slice(0, 1), None, tol=1e-11)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome.curve.values[0, : model.k]

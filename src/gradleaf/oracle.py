@@ -1,13 +1,12 @@
-"""Brute-force cross-validation solvers built on forward integration only.
+"""Brute-force cross-validation of the mixed boundary problems by shooting.
 
-These are deliberately independent of the contraction machinery: stable
-manifold points come from bisection on the escape side of forward
-trajectories, and mixed boundary problems from shooting over the unknown
-unstable component with a damped Newton iteration on the time-T endpoint.
-They exist to validate the fixed-point solvers.  The shooting check is the
-largest stage of a verification run, so the mixed queries are shot in
-lockstep, each Newton phase of all of them one batched integration, while
-each query keeps the iteration it would run alone.
+The oracle is deliberately independent of the contraction machinery: it
+solves each mixed boundary problem by shooting over the unknown unstable
+component, with a damped Newton iteration on the time-T endpoint of forward
+trajectories.  It exists to validate the fixed-point solvers.  The shooting
+check is the largest stage of a verification run, so the mixed queries are
+shot in lockstep, each Newton phase of all of them one batched integration,
+while each query keeps the iteration it would run alone.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketLost, NewtonDiverged
-from .flow import Trajectory, integrate_forward, integrate_forward_batch
+from .errors import NewtonDiverged
+from .flow import Trajectory, integrate_forward_batch
 
 ORACLE_RTOL = 1e-12
 ORACLE_ATOL = 1e-15
@@ -30,63 +29,6 @@ class ShootingResult:
     solution: np.ndarray
     bracket_width: float
     integration_tol: float
-
-
-def _escape_side(model, traj):
-    """Sign of the dominant unstable coordinate at the end of a trajectory."""
-    end_local = model.to_local(traj.terminal)
-    return 1.0 if end_local[0] >= 0 else -1.0
-
-
-def stable_point_oracle(model, ladder, z_plus, tol=1e-8):
-    """Find the unstable coordinate putting ``(w, z_plus)`` on the stable set.
-
-    Morse index one only: bisection on ``w`` using the side on which forward
-    trajectories escape the ball of radius 4 rho within time 2 T0.  Returns
-    a :class:`ShootingResult` whose solution is the full local-frame point
-    ``(w, z_plus)``.
-    """
-    if model.k != 1:
-        raise NewtonDiverged("bisection oracle requires Morse index one; "
-                             "use mixed_bvp_oracle for higher index")
-    z_plus = np.asarray(z_plus, dtype=float)
-    horizon = 2.0 * ladder.T0
-    escape_radius = 4.0 * ladder.rho
-    problem = model.problem
-
-    def shoot(w):
-        start_local = np.concatenate([[w], z_plus])
-        return integrate_forward(problem, model.to_ambient(start_local), horizon,
-                                 rtol=ORACLE_RTOL, atol=ORACLE_ATOL,
-                                 stop_radius=escape_radius)
-
-    lo, hi = -ladder.R, ladder.R
-    side_lo = _escape_side(model, shoot(lo))
-    side_hi = _escape_side(model, shoot(hi))
-    if side_lo == side_hi:
-        raise BracketLost("both bracket ends escape to the same side")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        side = _escape_side(model, shoot(mid))
-        if side == side_lo:
-            lo = mid
-        else:
-            hi = mid
-    w = 0.5 * (lo + hi)
-    # the converged shot must enter the rho/4 ball before any late escape
-    # (residual escape at the bracket-width scale is inherent to shooting)
-    final = shoot(w)
-    probe = np.linspace(0.0, final.times[-1], 400)
-    dist = np.linalg.norm(final.at(probe) - model.x0, axis=1)
-    if float(np.min(dist)) > 0.25 * ladder.rho:
-        raise BracketLost(
-            "converged shot never enters the rho/4 ball; widen the horizon")
-    return ShootingResult(
-        query=f"stable point over z_plus={z_plus}",
-        solution=np.concatenate([[w], z_plus]),
-        bracket_width=hi - lo,
-        integration_tol=ORACLE_RTOL,
-    )
 
 
 @dataclass

@@ -56,26 +56,6 @@ class GradientProblem:
     def hess(self, x):
         return self.objective.hessian(x)
 
-    def check_derivatives(self):
-        """Max deviation between symbolic and central-difference derivatives
-        (step 1e-6) at 8 random points near the critical point."""
-        rng = np.random.default_rng(0)
-        h = 1e-6
-        n = self.dimension
-        worst = 0.0
-        for _ in range(8):
-            x = self.critical_point + 0.1 * rng.standard_normal(n)
-            g = self.grad(x)
-            H = self.hess(x)
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                gfd = (self.f(x + e) - self.f(x - e)) / (2 * h)
-                worst = max(worst, abs(gfd - g[i]))
-                hfd = (self.grad(x + e) - self.grad(x - e)) / (2 * h)
-                worst = max(worst, float(np.max(np.abs(hfd - H[:, i]))))
-        return worst
-
 
 def load_problem(path):
     """Read a problem config (JSON-compatible key/value text)."""
@@ -158,41 +138,3 @@ def _objective_pairs(entries):
 
 def _overrides(table):
     return {str(key): _real(value) for key, value in dict(table).items()}
-
-
-# -- reference problems used throughout the test suite ----------------------
-
-def quadratic_saddle():
-    """f = -x1^2/2 + x2^2.  Linear flow; both local manifolds are flat."""
-    poly = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0]])
-    return GradientProblem("p1_quadratic", 2, poly, np.zeros(2))
-
-
-def quartic_saddle():
-    """f = -x1^2/2 + x2^2 + x1^2 x2^2 / 4.
-
-    The coordinate axes remain invariant, so the local manifolds stay flat
-    while the transverse dynamics (and hence the time-T graphs) are curved.
-    """
-    poly = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0], [[2, 2], 0.25]])
-    return GradientProblem("p2_quartic", 2, poly, np.zeros(2))
-
-
-def cubic_saddle_3d():
-    """f = -x1^2 + x2^2/2 + 3 x3^2/2 + 0.05 x1^2 x2.
-
-    Hessian diag(-2, 1, 3); the cubic coupling curves the unstable manifold.
-    """
-    poly = Polynomial.from_pairs(3, [
-        [[2, 0, 0], -1.0],
-        [[0, 2, 0], 0.5],
-        [[0, 0, 2], 1.5],
-        [[2, 1, 0], 0.05],
-    ])
-    return GradientProblem("p3_cubic3d", 3, poly, np.zeros(3))
-
-
-def curved_stable_saddle():
-    """f = -x1^2/2 + x2^2 + 0.1 x1 x2^2: curved stable manifold."""
-    poly = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0], [[1, 2], 0.1]])
-    return GradientProblem("curved_stable", 2, poly, np.zeros(2))

@@ -1,8 +1,9 @@
 """Eigen-analysis of the Hessian at a critical point.
 
-The symmetric eigendecomposition is the single source of truth for every
-matrix exponential in the package: exponentials are assembled spectrally, so
-the semigroup law and the subspace decay bounds hold to rounding error.
+The symmetric eigendecomposition is the single source of truth for the
+local frame: the linearized flow acts as exp(-t lambda_j) along each of its
+orthonormal eigenvectors, and the signs of the eigenvalues split the frame
+into the unstable and stable subspaces.
 """
 
 from __future__ import annotations
@@ -73,27 +74,3 @@ def split(hessian):
         proj_minus=Um @ Um.T,
         proj_plus=Up @ Up.T,
     )
-
-
-def flow_exponential(split_, t):
-    """Linearized flow map ``exp(-t A)`` assembled spectrally."""
-    U = split_.eigenvectors
-    return (U * np.exp(-t * split_.eigenvalues)) @ U.T
-
-
-def restricted_exponential(split_, sign, t):
-    """``exp(-t A)`` restricted to one spectral subspace, zero on the other.
-
-    ``sign`` selects ``"minus"`` (unstable subspace, valid for all real t
-    without any backward Cauchy problem) or ``"plus"``.
-    """
-    if sign not in ("minus", "plus"):
-        raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    k = split_.morse_index
-    mask = np.zeros(split_.dimension)
-    if sign == "minus":
-        mask[:k] = 1.0
-    else:
-        mask[k:] = 1.0
-    U = split_.eigenvectors
-    return (U * (mask * np.exp(-t * split_.eigenvalues))) @ U.T

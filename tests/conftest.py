@@ -1,5 +1,7 @@
 """Shared fixtures: reference problems solved once per session."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,15 @@ from gradleaf.local_model import (
     calibrate_ladder,
     lipschitz_modulus,
 )
-from gradleaf.problems import (
-    cubic_saddle_3d,
-    curved_stable_saddle,
-    quadratic_saddle,
-    quartic_saddle,
-)
+from gradleaf.problems import load_problem
 from gradleaf.spectral import split
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def reference_problem(name):
+    """The problem of ``configs/<name>.json``."""
+    return load_problem(CONFIGS / f"{name}.json")
 
 
 class Setup:
@@ -57,19 +61,19 @@ class Setup:
 
 @pytest.fixture(scope="session")
 def p1():
-    return Setup(quadratic_saddle())
+    return Setup(reference_problem("p1_quadratic"))
 
 
 @pytest.fixture(scope="session")
 def p2():
-    return Setup(quartic_saddle())
+    return Setup(reference_problem("p2_quartic"))
 
 
 @pytest.fixture(scope="session")
 def p3():
-    return Setup(cubic_saddle_3d())
+    return Setup(reference_problem("p3_cubic3d"))
 
 
 @pytest.fixture(scope="session")
 def curved():
-    return Setup(curved_stable_saddle())
+    return Setup(reference_problem("curved_stable"))

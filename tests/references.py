@@ -1,0 +1,108 @@
+"""Independent references that tests compare gradleaf against.
+
+None of these is used by a run, so they live with the tests:
+
+* ``stable_point_oracle``, a bisection shooting oracle for points of the
+  stable manifold (Morse index one), on scipy's DOP853 with a terminal
+  event, so it shares no integrator code with gradleaf;
+* ``graph_derivative``, central differences of a sampled graph;
+* ``derivative_values``, the spectral derivative of a curve's panel
+  interpolants;
+* ``panel_slice``, the flat-grid nodes of one panel.
+"""
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from gradleaf.curves import barycentric_weights
+
+ORACLE_RTOL = 1e-12
+ORACLE_ATOL = 1e-15
+
+
+def stable_point_oracle(model, ladder, z_plus, tol=1e-8):
+    """The local point ``(w, z_plus)`` on the stable set, and the width of
+    the final bracket on ``w``.
+
+    Morse index one: bisection on ``w`` over [-R, R] by the side on which
+    the forward trajectory from ``(w, z_plus)`` escapes the ball of radius
+    4 rho within time 2 T0.  The converged shot must enter the rho/4 ball
+    before any late escape (an escape at the scale of the bracket width is
+    inherent to shooting).
+    """
+    assert model.k == 1, "the bisection oracle needs Morse index one"
+    z_plus = np.asarray(z_plus, dtype=float)
+    center = model.problem.critical_point
+    radius = 4.0 * ladder.rho
+
+    def exit_ball(t, x):
+        return float(np.linalg.norm(x - center) - radius)
+    exit_ball.terminal = True
+    exit_ball.direction = 1.0
+
+    def shoot(w):
+        start = model.to_ambient(np.concatenate([[w], z_plus]))
+        return solve_ivp(lambda t, x: -model.problem.grad(x), (0.0, 2.0 * ladder.T0),
+                         start, method="DOP853", rtol=ORACLE_RTOL, atol=ORACLE_ATOL,
+                         dense_output=True, events=[exit_ball])
+
+    def side(w):
+        return 1.0 if model.to_local(shoot(w).y[:, -1])[0] >= 0 else -1.0
+
+    lo, hi = -ladder.R, ladder.R
+    side_lo = side(lo)
+    assert side(hi) != side_lo, "both bracket ends escape to the same side"
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if side(mid) == side_lo:
+            lo = mid
+        else:
+            hi = mid
+    w = 0.5 * (lo + hi)
+    final = shoot(w)
+    probe = np.linspace(0.0, final.t[-1], 400)
+    dist = np.linalg.norm(final.sol(probe).T - model.x0, axis=1)
+    assert np.min(dist) <= 0.25 * ladder.rho, \
+        "converged shot never enters the rho/4 ball; widen the horizon"
+    return np.concatenate([[w], z_plus]), hi - lo
+
+
+def graph_derivative(sample, point, direction, step):
+    """Central-difference directional derivative of a sampled graph.
+
+    Returns ``(derivative, error_estimate)``; the estimate is the Richardson
+    defect between the full-step and half-step quotients (O(step^2)).
+    """
+    point = np.asarray(point, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+
+    def quotient(h):
+        hi = sample.evaluate(point + h * direction)
+        lo = sample.evaluate(point - h * direction)
+        return (hi - lo) / (2.0 * h)
+
+    full = quotient(step)
+    half = quotient(0.5 * step)
+    return half, float(np.linalg.norm(full - half)) / 3.0
+
+
+def panel_slice(grid, ip):
+    """The nodes of panel ``ip`` in the flat node array of ``grid``."""
+    return slice(ip * grid.p, (ip + 1) * grid.p + 1)
+
+
+def derivative_values(curve):
+    """Node-wise time derivative of a curve's panel interpolants, by each
+    panel's spectral differentiation matrix."""
+    grid = curve.grid
+    out = np.empty_like(curve.values)
+    for ip in range(grid.n_panels):
+        nodes = grid.panel_nodes[ip]
+        w = barycentric_weights(nodes)
+        D = (w[None, :] / w[:, None]) / (nodes[:, None] - nodes[None, :]
+                                         + np.eye(len(nodes)))
+        np.fill_diagonal(D, 0.0)
+        np.fill_diagonal(D, -D.sum(axis=1))
+        sl = panel_slice(grid, ip)
+        out[sl] = D @ curve.values[sl]
+    return out

@@ -39,10 +39,15 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def initial_curve(op):
+    """The initial curve of a one-column operator."""
+    return op.curve(op.start(op.boundary(slice(0, 1)))[0])
+
+
 def loop_fixed_point(op):
     """The per-column Picard loop the batched one replaced: one operator
     application and one exp-norm residual per step, on one column."""
-    current, stall, prev_res = op.initial_curve(), 0, np.inf
+    current, stall, prev_res = initial_curve(op), 0, np.inf
     for it in range(1, lp.PICARD_MAX_ITER + 1):
         nxt = op.apply(current)
         res = nxt.exp_distance(current)
@@ -187,8 +192,9 @@ def test_trust_region_failure_matches_per_node(p3):
     points = lp.tensor_points(lp.default_axes(p3.ladder.R, 2))
     grid = p3.cache.grid(0.0, T)
     ref = orbit.reference(grid, p3.ladder.lambda_)
-    starts = [lp.PsiTOperator(p3.model, p3.ladder, T, zm, z, ref, grid,
-                              p3.cache.convolver(grid)).initial_curve().max_norm()
+    starts = [np.max(row_norms(initial_curve(lp.PsiTOperator(
+                  p3.model, p3.ladder, T, zm, z, ref, grid,
+                  p3.cache.convolver(grid))).values))
               for z in points]
     # a trust ball that some nodes' initial curves leave
     problem = replace(p3.problem, trust_radius=float(np.median(starts)))
@@ -273,9 +279,6 @@ class ScriptedOperator:
     def curve(self, values):
         # rate 0: the exp-norm weight is one, as ``weights``
         return Curve(self.grid, values, 0.0, self.kind)
-
-    def initial_curve(self):
-        return self.curve(self.start(self.boundary(slice(0, 1)))[0])
 
     def apply(self, curve):
         images, errors = self.advance(curve.values[None], None)

@@ -3,13 +3,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gradleaf.errors import BlowUp, LevelNotReached, NotOnUnstableManifold
-from gradleaf.flow import (
-    algebraic_backward,
-    descending_disk,
-    integrate_forward,
-    integrate_forward_batch,
-)
+from gradleaf import lyapunov_perron as lp
+from gradleaf.errors import BlowUp, LevelNotReached
+from gradleaf.flow import descending_disk, integrate_forward, integrate_forward_batch
+
+
+def backward(setup, q, t):
+    """The point at time ``-t`` of the orbit through ``q`` on the unstable
+    manifold, read off the emanating-orbit fixed point: no backward Cauchy
+    problem is solved."""
+    orbit = lp.backward_orbit(setup.model, setup.ladder, q[: setup.model.k],
+                              cache=setup.cache)
+    return orbit.curve.evaluate(-t)
 
 
 def test_linear_flow_closed_form(p1):
@@ -36,7 +41,7 @@ def test_terminal_state_matches_finer_tolerance(p2):
 
 def test_f_monotone_along_flow(p2):
     traj = integrate_forward(p2.problem, np.array([0.02, 0.1]), 4.0)
-    assert traj.f_decrease_violation() <= 1e-13
+    assert np.max(np.diff(traj.f_values())) <= 1e-13
 
 
 def test_f_derivative_is_gradient_norm(p2):
@@ -162,20 +167,20 @@ def test_trajectory_rows_format(p1):
 def test_backward_quadratic_closed_form(p1):
     q = p1.disk.sphere_local[0]
     t = 2.0
-    out = algebraic_backward(p1.disk, q, t, cache=p1.cache)
+    out = backward(p1, q, t)
     assert np.allclose(out, [q[0] * np.exp(-t), 0.0], atol=1e-12)
 
 
 def test_backward_identity_at_zero(p1):
     q = p1.disk.sphere_local[0]
-    out = algebraic_backward(p1.disk, q, 0.0, cache=p1.cache)
+    out = backward(p1, q, 0.0)
     assert np.allclose(out, q, atol=1e-12)
 
 
 def test_backward_forward_roundtrip(p2):
     q = p2.disk.sphere_local[0]
     for t in (1.0, 3.0, 5.0):
-        back = algebraic_backward(p2.disk, q, t, cache=p2.cache)
+        back = backward(p2, q, t)
         traj = integrate_forward(p2.problem, p2.model.to_ambient(back), t,
                                  rtol=1e-12, atol=1e-15)
         assert np.linalg.norm(p2.model.to_local(traj.terminal) - q) <= 1e-6
@@ -183,16 +188,10 @@ def test_backward_forward_roundtrip(p2):
 
 def test_backward_cocycle(p2):
     q = p2.disk.sphere_local[0]
-    one = algebraic_backward(p2.disk, q, 3.0, cache=p2.cache)
-    half = algebraic_backward(p2.disk, q, 1.5, cache=p2.cache)
-    two = algebraic_backward(p2.disk, half, 1.5, cache=p2.cache)
+    one = backward(p2, q, 3.0)
+    half = backward(p2, q, 1.5)
+    two = backward(p2, half, 1.5)
     assert np.linalg.norm(one - two) <= 1e-9
-
-
-def test_backward_rejects_off_manifold(p2):
-    q = p2.disk.sphere_local[0] + np.array([0.0, 1e-3])
-    with pytest.raises(NotOnUnstableManifold):
-        algebraic_backward(p2.disk, q, 1.0, cache=p2.cache)
 
 
 def test_sphere_closed_form(p1):
@@ -238,13 +237,16 @@ def test_level_behind_critical_value_raises(p1):
 
 
 def test_disk_backward_invariant(p2):
-    # backward flow keeps interior samples inside the disk (graph membership)
+    # backward flow keeps interior samples inside the disk: on the graph,
+    # and above the disk's level
     for zm in p2.disk.interior_minus[1:3]:
         q = np.zeros(2)
         q[0] = zm[0]
         q[1] = p2.graph_f.evaluate(zm)[0]
-        back = algebraic_backward(p2.disk, q, 2.0, cache=p2.cache)
-        assert p2.disk.contains(back)
+        back = backward(p2, q, 2.0)
+        assert p2.graph_f.residual(back) <= 1e-7
+        assert (p2.model.f_local(back)
+                >= p2.model.critical_value - p2.disk.epsilon * (1 + 1e-9))
 
 
 def test_sphere_cross_checked_by_shooting(p2):

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradleaf.errors import IndexOutOfRange, LadderInfeasible, OutOfTrustRegion
+from gradleaf.errors import IndexOutOfRange, LadderInfeasible
 from gradleaf.local_model import (
     KAPPA_SAFETY,
     KappaModulus,
     LocalModel,
     _ball_samples,
     build_ladder,
-    flatten_map,
     lipschitz_modulus,
-    nonlinearity,
 )
 from gradleaf.polynomials import Polynomial
 from gradleaf.problems import load_problem, problem_from_dict
@@ -25,22 +23,17 @@ from gradleaf.spectral import split
 def test_nonlinearity_quadratic_vanishes(p1):
     rng = np.random.default_rng(0)
     pts = 0.3 * rng.standard_normal((20, 2))
-    assert np.allclose(nonlinearity(p1.problem, p1.split, pts), 0.0)
+    assert np.allclose(p1.model.h(pts), 0.0)
 
 
 def test_nonlinearity_quartic_value(p2):
     # oracle: symbolic differentiation of the quartic, checked by hand
-    h = nonlinearity(p2.problem, p2.split, np.array([0.1, 0.1]))
+    h = p2.model.h(np.array([0.1, 0.1]))
     assert h == pytest.approx([-5e-4, -5e-4], abs=1e-15)
 
 
 def test_nonlinearity_zero_at_origin(p2):
-    assert np.allclose(nonlinearity(p2.problem, p2.split, np.zeros(2)), 0.0)
-
-
-def test_nonlinearity_trust_region(p2):
-    with pytest.raises(OutOfTrustRegion):
-        nonlinearity(p2.problem, p2.split, np.array([1.2, 0.0]))
+    assert np.allclose(p2.model.h(np.zeros(2)), 0.0)
 
 
 def test_dh_zero_at_origin(p2):
@@ -136,29 +129,48 @@ def test_ladder_infeasible():
         build_ladder(sp, kappa)
 
 
+def flatten(graph_f, graph_g, point, k):
+    """The straightening map (x - G(y), y - F(x)) of a local point (x, y),
+    built from the two manifold graphs."""
+    x, y = point[:k], point[k:]
+    return np.concatenate([x - graph_g.evaluate(y), y - graph_f.evaluate(x)])
+
+
 def test_flatten_identity_on_flat_graphs(p1):
     pt = np.array([0.1, -0.08])
-    out = flatten_map(p1.graph_f, p1.graph_g, pt, p1.split)
+    out = flatten(p1.graph_f, p1.graph_g, pt, p1.model.k)
     assert np.allclose(out, pt, atol=1e-12)
-    assert np.allclose(flatten_map(p1.graph_f, p1.graph_g, np.zeros(2), p1.split), 0.0)
+    assert np.allclose(flatten(p1.graph_f, p1.graph_g, np.zeros(2), p1.model.k), 0.0)
 
 
 def test_flatten_straightens_curved_graphs(curved):
-    # the image of the sampled unstable graph lands in the minus subspace
+    # the sampled unstable graph maps into the minus subspace and the stable
+    # graph into the plus one, up to interpolation error
     graph_f, graph_g = curved.graph_f, curved.graph_g
     tol = 5 * max(graph_f.interp_tolerance(), 1e-12)
     for x in graph_f.axes[0][::3]:
         pt = np.concatenate([[x], graph_f.evaluate(np.array([x]))])
-        out = flatten_map(graph_f, graph_g, pt, curved.split)
+        out = flatten(graph_f, graph_g, pt, curved.model.k)
         assert abs(out[1]) <= tol
     for y in graph_g.axes[0][::3]:
         pt = np.concatenate([graph_g.evaluate(np.array([y])), [y]])
-        out = flatten_map(graph_f, graph_g, pt, curved.split)
+        out = flatten(graph_f, graph_g, pt, curved.model.k)
         assert abs(out[0]) <= tol
 
 
 def test_problem_derivative_consistency(p3):
-    assert p3.problem.check_derivatives() < 1e-7
+    # symbolic gradient and Hessian against central differences (step 1e-6)
+    # at 8 random points near the critical point
+    problem, h = p3.problem, 1e-6
+    rng = np.random.default_rng(0)
+    n = problem.dimension
+    for _ in range(8):
+        x = problem.critical_point + 0.1 * rng.standard_normal(n)
+        for i, e in enumerate(h * np.eye(n)):
+            gfd = (problem.f(x + e) - problem.f(x - e)) / (2 * h)
+            assert abs(gfd - problem.grad(x)[i]) < 1e-7
+            hfd = (problem.grad(x + e) - problem.grad(x - e)) / (2 * h)
+            assert np.max(np.abs(hfd - problem.hess(x)[:, i])) < 1e-7
 
 
 @settings(max_examples=20, deadline=None)

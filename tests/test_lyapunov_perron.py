@@ -3,9 +3,9 @@ import pytest
 
 from gradleaf import lyapunov_perron as lp
 from gradleaf.curves import FORWARD_FINITE, Curve
-from gradleaf.errors import NormBudgetExceeded, StepTooLarge
+from gradleaf.errors import NormBudgetExceeded
 from gradleaf.flow import integrate_forward
-from gradleaf.oracle import stable_point_oracle
+from references import derivative_values, graph_derivative, stable_point_oracle
 
 
 def random_zt_curves(op, rng, count, scale=0.45):
@@ -50,7 +50,7 @@ def test_phi_zero_input(p1):
 
 def test_psi_quadratic_closed_form(p1):
     z = np.array([0.12])
-    res = lp.solve_stable(p1.model, p1.ladder, z, cache=p1.cache)
+    res = next(lp.stable_columns(p1.model, p1.ladder, [z], p1.cache))
     t = res.curve.grid.nodes
     assert np.allclose(res.curve.values[:, 1], 0.12 * np.exp(-2 * t), atol=1e-14)
     assert np.allclose(res.curve.values[:, 0], 0.0)
@@ -79,7 +79,7 @@ def test_psi_T_zero_zplus_is_reference_orbit(p1, p2):
                                 orbit, cache=setup.cache)
         ref = lp.reference_curve(orbit.curve, res.curve.grid,
                                  setup.ladder.lambda_)
-        assert res.curve.sup_distance(ref) < 5e-10
+        assert np.max(np.linalg.norm(res.curve.values - ref.values, axis=1)) < 5e-10
 
 
 # -- boundary exactness and membership ----------------------------------------
@@ -190,7 +190,7 @@ def test_fixed_point_solves_ode(p2):
     res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit,
                             cache=p2.cache)
     xi = res.curve
-    dv = xi.derivative_values()
+    dv = derivative_values(xi)
     rhs = p2.model.h(xi.values) - xi.values * p2.model.eigenvalues
     assert np.max(np.linalg.norm(dv - rhs, axis=1)) < 1e-6
 
@@ -215,10 +215,10 @@ def test_graph_residuals_below_tolerance(p2):
 def test_stable_graph_matches_oracle_shooting(curved):
     # non-flat stable manifold: graph values against bisection shooting
     y = curved.graph_g.axes[0][-2]
-    res = stable_point_oracle(curved.model, curved.ladder, np.array([y]),
-                              tol=1e-8)
+    solution, _ = stable_point_oracle(curved.model, curved.ladder, np.array([y]),
+                                      tol=1e-8)
     lp_val = curved.graph_g.evaluate(np.array([y]))[0]
-    assert abs(res.solution[0] - lp_val) <= 1e-6
+    assert abs(solution[0] - lp_val) <= 1e-6
     # curvature against the asymptotic model w = 0.02 y^2
     assert lp_val == pytest.approx(0.02 * y * y, rel=0.05)
 
@@ -277,37 +277,29 @@ def test_graph_derivative_flat(p1):
     T = p1.ladder.T0
     sample = lp.graph_G_T(p1.model, p1.ladder, T, p1.sphere_point(),
                           cache=p1.cache)
-    d, err = lp.graph_derivative(sample, np.zeros(1), np.ones(1),
-                                 step=0.2 * p1.ladder.R)
+    d, err = graph_derivative(sample, np.zeros(1), np.ones(1),
+                              step=0.2 * p1.ladder.R)
     assert np.allclose(d, 0.0, atol=1e-12)
     assert err <= 1e-12
 
 
 def test_unstable_graph_tangent_at_origin(p3):
-    d, _ = lp.graph_derivative(p3.graph_f, np.zeros(1), np.ones(1),
-                               step=0.3 * p3.ladder.R / np.sqrt(1))
+    d, _ = graph_derivative(p3.graph_f, np.zeros(1), np.ones(1),
+                            step=0.3 * p3.ladder.R / np.sqrt(1))
     assert np.max(np.abs(d)) <= 1e-8
-
-
-def test_graph_derivative_step_guard(p1):
-    with pytest.raises(StepTooLarge):
-        lp.graph_derivative(p1.graph_g, np.array([p1.graph_g.axes[0][-1]]),
-                            np.ones(1), step=p1.ladder.R)
 
 
 def test_linearized_derivative_matches_fd(curved):
     # re-solve central differences vs the linearized integral equation
     setup = curved
     zp = np.array([0.4 * setup.ladder.R])
-    st_res = lp.solve_stable(setup.model, setup.ladder, zp, cache=setup.cache)
+    st_res = next(lp.stable_columns(setup.model, setup.ladder, [zp], setup.cache))
     v = np.ones(1)
     lin = lp.graph_derivative_linearized(setup.model, setup.ladder, st_res, v,
                                          cache=setup.cache)
     h = 0.05 * setup.ladder.R
-    hi = lp.solve_stable(setup.model, setup.ladder, zp + h * v,
-                         cache=setup.cache).curve.values[0, :1]
-    lo = lp.solve_stable(setup.model, setup.ladder, zp - h * v,
-                         cache=setup.cache).curve.values[0, :1]
+    hi, lo = (res.curve.values[0, :1] for res in lp.stable_columns(
+        setup.model, setup.ladder, [zp + h * v, zp - h * v], setup.cache))
     fd = (hi - lo) / (2 * h)
     # analytic slope of w = 0.02 y^2 is 0.04 y
     assert lin == pytest.approx(fd, abs=5e-8)
@@ -318,8 +310,8 @@ def test_fd_richardson_consistency(curved):
     sample = curved.graph_g
     point = np.zeros(1)
     step = 0.4 * curved.ladder.R
-    d_full, err = lp.graph_derivative(sample, point, np.ones(1), step)
-    d_half, _ = lp.graph_derivative(sample, point, np.ones(1), step / 2)
+    d_full, err = graph_derivative(sample, point, np.ones(1), step)
+    d_half, _ = graph_derivative(sample, point, np.ones(1), step / 2)
     assert np.linalg.norm(d_full - d_half) <= 4 * err + 1e-12
 
 
@@ -400,7 +392,7 @@ def test_operator_constructors_match_per_class_apply(p2):
 
     for op, boundary, start in ((phi, phi_bd, phi_bd), (psi, psi_bd, psi_bd),
                                 (psi_t, psi_t_bd, ref.values + free)):
-        first = op.initial_curve()
+        first = op.curve(op.start(op.boundary(slice(0, 1)))[0])
         assert first.values.tobytes() == start.tobytes()
         curve = first
         for _ in range(3):
@@ -425,13 +417,13 @@ def test_linearized_derivative_norm_bound(p2):
     # the linearized solution obeys the weighted bound |X|_exp <= 2 |v|
     lad = p2.ladder
     zp = np.array([0.4 * lad.R])
-    res = lp.solve_stable(p2.model, lad, zp, cache=p2.cache)
+    res = next(lp.stable_columns(p2.model, lad, [zp], p2.cache))
     grid = res.curve.grid
     conv = p2.cache.convolver(grid)
-    dh_nodes = np.stack([p2.model.dh(xi) for xi in res.curve.values])
     v = np.array([1.0])
-    X = lp._linearized_fixed_point(p2.model, lad, grid, conv, dh_nodes, v,
-                                   tol=1e-12)
+    op = lp._LinearizedOperator(p2.model, lad, res.curve, conv, v)
+    (solution,) = lp._picard(op, slice(0, 1), None, tol=1e-12)
+    X = solution.curve.values
     weighted = np.max(np.exp(lad.lambda_ * grid.nodes)
                       * np.linalg.norm(X, axis=1))
     assert weighted <= 2.0 * np.linalg.norm(v) + 1e-12

@@ -15,12 +15,12 @@ from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import roots_legendre
 
+from conftest import reference_problem
 from gradleaf import dop853
 from gradleaf.errors import OutsideSampledDomain
 from gradleaf.flow import integrate_forward
 from gradleaf.kernels import GAUSS_NODES, GAUSS_WEIGHTS
 from gradleaf.lyapunov_perron import GraphSample
-from gradleaf.problems import cubic_saddle_3d, quadratic_saddle, quartic_saddle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +51,28 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"code": 0, "after_import": [], "after_run": []}
+
+
+_BLAS_THREADS = """
+import os
+import gradleaf
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_one_blas_thread_unless_the_caller_sets_it(given, expected):
+    # gradleaf sets the default before numpy is first imported
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS], env={**env, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
 
 
 _LOADED_MA = """
@@ -147,12 +169,12 @@ def _scipy_trajectory(problem, start, duration, rtol, atol, events=None):
                            dense_output=True, events=events)
 
 
-PROBLEMS = {"p1": quadratic_saddle, "p2": quartic_saddle, "p3": cubic_saddle_3d}
+PROBLEMS = {"p1": "p1_quadratic", "p2": "p2_quartic", "p3": "p3_cubic3d"}
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_integrate_forward_matches_scipy_bitwise(name):
-    problem = PROBLEMS[name]()
+    problem = reference_problem(PROBLEMS[name])
     rng = np.random.default_rng(5)
     n = problem.dimension
     for duration, (rtol, atol) in ((0.8, (1e-10, 1e-12)), (2.5, (1e-8, 1e-11)),
@@ -170,7 +192,6 @@ def test_integrate_forward_matches_scipy_bitwise(name):
         assert _same_bits(traj.at(times), ref.sol(times).T)
         for t in [0.0, duration, ref.t[1], *times[-4:]]:
             assert _same_bits(traj.at(t), ref.sol(t))
-        assert traj.stopped_at is None
 
 
 @pytest.mark.parametrize("flat_inverse", [False, True])
@@ -184,7 +205,7 @@ def test_dense_output_shape_follows_the_times(monkeypatch, flat_inverse):
             used, inverse = unique(a, **kwargs)
             return used, inverse.ravel()
         monkeypatch.setattr(np, "unique", flat_unique)
-    problem = quartic_saddle()
+    problem = reference_problem("p2_quartic")
     n = problem.dimension
     traj = integrate_forward(problem, problem.critical_point + 0.05, 1.5)
     assert traj.states.shape == (traj.times.size, n)
@@ -196,7 +217,9 @@ def test_dense_output_shape_follows_the_times(monkeypatch, flat_inverse):
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_integrate_forward_exit_time_matches_scipy(name):
-    problem = PROBLEMS[name]()
+    """The exit from a ball, bisected on gradleaf's dense output, is where
+    scipy's event location puts it."""
+    problem = reference_problem(PROBLEMS[name])
     rng = np.random.default_rng(6)
     center, radius = problem.critical_point, 0.2
     start = center + rng.uniform(-0.05, 0.05, problem.dimension)
@@ -206,11 +229,19 @@ def test_integrate_forward_exit_time_matches_scipy(name):
     exit_ball.terminal = True
     exit_ball.direction = 1.0
 
-    traj = integrate_forward(problem, start, 20.0, stop_radius=radius)
     ref = _scipy_trajectory(problem, start, 20.0, 1e-10, 1e-12, [exit_ball])
-    assert ref.status == 1 and traj.stopped_at is not None
-    assert abs(traj.stopped_at - ref.t_events[0][0]) <= 1e-13
-    assert traj.times[-1] == traj.stopped_at
-    assert _same_bits(traj.times[:-1], ref.t[:-1])
-    assert _same_bits(traj.states[:-1], ref.y.T[:-1])
-    assert np.linalg.norm(traj.terminal - center) == pytest.approx(radius, abs=1e-12)
+    assert ref.status == 1
+    # run on past the exit, to a duration that the step across it ends before
+    traj = integrate_forward(problem, start, ref.t_events[0][0] + 1.0)
+    # the step ends before the exit are scipy's, bit for bit
+    before = ref.t.size - 1
+    assert _same_bits(traj.times[:before], ref.t[:-1])
+    assert _same_bits(traj.states[:before], ref.y.T[:-1])
+    lo, hi = traj.times[before - 1], traj.times[before]
+    assert hi < traj.times[-1]
+    assert exit_ball(lo, traj.at(lo)) <= 0.0 <= exit_ball(hi, traj.at(hi))
+    while hi - lo > 4.0 * np.finfo(float).eps * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if exit_ball(mid, traj.at(mid)) >= 0.0 else (mid, hi)
+    assert abs(hi - ref.t_events[0][0]) <= 1e-13
+    assert np.linalg.norm(traj.at(hi) - center) == pytest.approx(radius, abs=1e-12)

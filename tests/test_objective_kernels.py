@@ -5,8 +5,16 @@ straight-line function each.  The rounding contract is that of the table
 walk kept below as the reference: squares are ``v * v``, higher powers
 ``np.power``, monomials multiply their factors in table order and each
 component adds ``c * monomial`` in table order from 0.0.  Every result must
-match it bit for bit (NaN payloads and signed zeros included), for one
-point and for a block of rows.
+match it bit for bit (signed zeros included), for one point and for a block
+of rows, except that a NaN need only be a NaN where the reference has one.
+
+The sign of a NaN is not part of the contract.  The one-point path works on
+Python floats, and CPython 3.11's specialising interpreter changes the sign
+of ``nan * nan`` once a code object has run about eight times: ``a * b``
+with ``a = -inf * 0.0`` and ``b = nan`` gives ``0x7ff8...`` seven times and
+``0xfff8...`` after.  So the sign depends on how warm each code object is,
+not on either evaluator.  Configs cannot reach a NaN: ``problems`` rejects
+non-finite numbers.
 """
 
 import math
@@ -72,9 +80,14 @@ def reference_hessian(poly, x):
 
 
 def _same_bits(got, ref):
+    """Same shape and float64 dtype, NaN at the same positions, and every
+    other entry the same bits."""
     got, ref = np.asarray(got), np.asarray(ref)
-    return (got.shape == ref.shape and got.dtype == ref.dtype == np.float64
-            and np.array_equal(got.view(np.int64), ref.view(np.int64)))
+    if not (got.shape == ref.shape and got.dtype == ref.dtype == np.float64):
+        return False
+    nan = np.isnan(got)
+    return (np.array_equal(nan, np.isnan(ref))
+            and np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64)))
 
 
 coefficients = st.one_of(
@@ -129,12 +142,24 @@ def _check(poly, x):
 @example((Polynomial(2, {(5, 0): math.nan, (3, 4): -0.0, (0, 1): math.inf,
                          (1, 1): -1.0}),
           np.array([[-0.0, 0.0], [math.inf, 1.5], [-1.25, -0.0]])))
+# a -inf constant, and nan * nan products whose sign is the interpreter's
+@example((Polynomial(4, {(0, 0, 0, 0): -math.inf, (1, 2, 1, 0): -1.0,
+                         (0, 0, 1, 1): 1.0}),
+          np.array([[-math.inf, 0.0, math.nan, math.nan]])))
 def test_kernels_match_table_walk_bit_for_bit(case):
     poly, x = case
     _check(poly, x)
     # one point at a time, each through its row of the block
     for row in x if x.ndim == 2 else ():
         _check(poly, row)
+
+
+def test_nan_positions_agree_however_warm_the_code():
+    # the first calls and the later ones give NaNs of different signs
+    poly = Polynomial(3, {(1, 2, 1): -1.0})
+    x = np.array([-math.inf, 0.0, math.nan])
+    for _ in range(20):
+        _check(poly, x)
 
 
 def test_kernels_are_built_on_first_use():

@@ -3,17 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import reference_problem
 from gradleaf import flow, oracle, pipeline
 from gradleaf import lyapunov_perron as lp
-from gradleaf.errors import BlowUp, BracketLost, NewtonDiverged
+from gradleaf.errors import BlowUp, NewtonDiverged
 from gradleaf.flow import integrate_forward
-from gradleaf.oracle import mixed_bvp_oracle, stable_point_oracle
-from gradleaf.problems import (
-    cubic_saddle_3d,
-    curved_stable_saddle,
-    quadratic_saddle,
-    quartic_saddle,
-)
+from gradleaf.oracle import mixed_bvp_oracle
+from references import stable_point_oracle
 
 
 def test_linear_shooting_exact(p1):
@@ -53,31 +49,23 @@ def test_oracle_matches_fixed_point_curve(p2):
 
 
 def test_stable_point_quadratic_zero(p1):
-    res = stable_point_oracle(p1.model, p1.ladder, np.array([0.07]), tol=1e-9)
-    assert abs(res.solution[0]) <= 1e-9
-    assert res.bracket_width <= 1e-9
+    solution, bracket_width = stable_point_oracle(p1.model, p1.ladder,
+                                                  np.array([0.07]), tol=1e-9)
+    assert abs(solution[0]) <= 1e-9
+    assert bracket_width <= 1e-9
 
 
 def test_stable_point_at_origin(p1):
-    res = stable_point_oracle(p1.model, p1.ladder, np.zeros(1), tol=1e-9)
-    assert abs(res.solution[0]) <= 1e-9
+    solution, _ = stable_point_oracle(p1.model, p1.ladder, np.zeros(1), tol=1e-9)
+    assert abs(solution[0]) <= 1e-9
 
 
 def test_stable_point_curved_matches_graph(curved):
     y = curved.graph_g.axes[0][-3]
-    res = stable_point_oracle(curved.model, curved.ladder, np.array([y]),
-                              tol=1e-8)
+    solution, _ = stable_point_oracle(curved.model, curved.ladder, np.array([y]),
+                                      tol=1e-8)
     lp_val = curved.graph_g.evaluate(np.array([y]))[0]
-    assert abs(res.solution[0] - lp_val) <= 1e-6
-
-
-def test_bracket_lost_detection(p1, monkeypatch):
-    # both bracket ends escaping the same side must raise, not loop
-    from gradleaf import oracle
-
-    monkeypatch.setattr(oracle, "_escape_side", lambda model, traj: 1.0)
-    with pytest.raises(BracketLost):
-        stable_point_oracle(p1.model, p1.ladder, np.array([0.01]), tol=1e-9)
+    assert abs(solution[0] - lp_val) <= 1e-6
 
 
 def test_oracle_uses_forward_time_only():
@@ -86,9 +74,9 @@ def test_oracle_uses_forward_time_only():
     from gradleaf import oracle
 
     source = inspect.getsource(oracle)
-    # the module integrates through integrate_forward alone; no negative
-    # durations appear anywhere in the oracle path
-    assert "integrate_forward" in source
+    # the module integrates through integrate_forward_batch alone, whose
+    # durations are never negative
+    assert "integrate_forward_batch" in source
     assert "solve_ivp" not in source
 
 
@@ -126,8 +114,8 @@ def test_unstable_graph_via_negated_problem():
     # ambient coordinates
     point_amb = model.to_ambient(np.array([x, val]))
     z_plus_neg = np.array([model_n.to_local(point_amb)[1]])
-    res = stable_point_oracle(model_n, ladder_n, z_plus_neg, tol=1e-9)
-    shot_amb = model_n.to_ambient(res.solution)
+    solution, _ = stable_point_oracle(model_n, ladder_n, z_plus_neg, tol=1e-9)
+    shot_amb = model_n.to_ambient(solution)
     assert abs(shot_amb[1] - point_amb[1]) <= 1e-6
     # curvature against the invariance asymptotics y = -(c/4) x^2
     assert val == pytest.approx(-0.1 / 4.0 * x * x, rel=0.05)
@@ -177,18 +165,23 @@ def loop_oracle(model, T, z_minus, z_plus, tol):
     return traj, np.concatenate([scale * u, z_plus]), norm
 
 
-def _ready_state(make, tmp_path):
-    """A pipeline run of ``make()`` through the stages the oracle needs."""
-    state = pipeline.RunState(problem=make(), out_dir=tmp_path)
+def _ready_state(name, tmp_path):
+    """A pipeline run of ``configs/<name>.json`` through the stages the
+    oracle needs."""
+    state = pipeline.RunState(problem=reference_problem(name), out_dir=tmp_path)
     for stage in ("spectral", "ladder", "manifolds"):
         pipeline.run_stage(stage, state)
     return state
 
 
-@pytest.mark.parametrize("make", [quadratic_saddle, quartic_saddle,
-                                  cubic_saddle_3d, curved_stable_saddle])
-def test_lockstep_matches_serial_loop(make, tmp_path):
-    state = _ready_state(make, tmp_path)
+@pytest.mark.parametrize("name", [
+    pytest.param("p1_quadratic", id="quadratic_saddle"),
+    pytest.param("p2_quartic", id="quartic_saddle"),
+    pytest.param("p3_cubic3d", id="cubic_saddle_3d"),
+    pytest.param("curved_stable", id="curved_stable_saddle"),
+])
+def test_lockstep_matches_serial_loop(name, tmp_path):
+    state = _ready_state(name, tmp_path)
     groups, _ = pipeline.oracle_queries(state)
     queries = [query for group in groups for query in group]
     tol = 1e-8
@@ -261,7 +254,7 @@ def test_blow_up_in_a_pooled_batch_propagates(p1, monkeypatch):
 
 
 def test_p2_oracle_stage_makes_two_batch_calls(tmp_path, monkeypatch):
-    state = _ready_state(quartic_saddle, tmp_path)
+    state = _ready_state("p2_quartic", tmp_path)
     calls = Counter()
 
     def counted(module, name):
@@ -273,7 +266,9 @@ def test_p2_oracle_stage_makes_two_batch_calls(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     counted(oracle, "integrate_forward_batch")
-    for module in (oracle, pipeline, flow):
+    # the oracle module imports no single-trajectory driver at all
+    assert not hasattr(oracle, "integrate_forward")
+    for module in (pipeline, flow):
         counted(module, "integrate_forward")
     counted(flow, "solve_ivp")
     pipeline.run_stage("oracle", state)

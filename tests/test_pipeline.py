@@ -4,15 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import reference_problem
 from gradleaf import convergence, foliation, pipeline
 from gradleaf.errors import BoundViolation
-from gradleaf.problems import cubic_saddle_3d, quadratic_saddle, quartic_saddle
 
 
 @pytest.fixture(scope="module")
 def p3_state(tmp_path_factory):
     out = tmp_path_factory.mktemp("p3_pipeline")
-    state = pipeline.RunState(problem=cubic_saddle_3d(), out_dir=out, seed=2)
+    state = pipeline.RunState(problem=reference_problem("p3_cubic3d"), out_dir=out, seed=2)
     for stage in ("spectral", "ladder", "manifolds", "lambda", "oracle"):
         pipeline.run_stage(stage, state)
     return state
@@ -49,7 +49,7 @@ def test_p3_two_dimensional_plus_grid(p3_state):
 
 def test_stage_dependencies_autorun(tmp_path):
     # requesting the lambda stage alone pulls in its prerequisites
-    state = pipeline.RunState(problem=quartic_saddle(), out_dir=tmp_path)
+    state = pipeline.RunState(problem=reference_problem("p2_quartic"), out_dir=tmp_path)
     pipeline.run_stage("lambda", state)
     assert state.statuses["spectral"] == "pass"
     assert state.statuses["ladder"] == "pass"
@@ -58,7 +58,7 @@ def test_stage_dependencies_autorun(tmp_path):
 
 
 def test_lambda_diagnostics_in_manifest(tmp_path):
-    pipeline.run(quartic_saddle(), tmp_path, stages=("lambda",))
+    pipeline.run(reference_problem("p2_quartic"), tmp_path, stages=("lambda",))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     details = manifest["details"]["lambda"]
     for key in ("linearized_vs_fd_max", "second_quotient_max"):
@@ -66,7 +66,7 @@ def test_lambda_diagnostics_in_manifest(tmp_path):
 
 
 def test_run_writes_manifest_on_error(tmp_path):
-    problem = quartic_saddle()
+    problem = reference_problem("p2_quartic")
     bad = pipeline.RunState(problem=problem, out_dir=tmp_path)
     with pytest.raises(ValueError):
         pipeline.run_stage("not_a_stage", bad)
@@ -77,7 +77,7 @@ def test_run_writes_manifest_on_error(tmp_path):
 
 
 def test_unknown_stage_rejected(tmp_path):
-    state = pipeline.RunState(problem=quartic_saddle(), out_dir=tmp_path)
+    state = pipeline.RunState(problem=reference_problem("p2_quartic"), out_dir=tmp_path)
     with pytest.raises(ValueError):
         pipeline.run_stage("bogus", state)
 
@@ -126,7 +126,7 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(convergence, "mixed_columns", counted_mixed)
     monkeypatch.setattr(convergence.GraphFamilySolver, "__init__", counted_init)
 
-    state = pipeline.run(quartic_saddle(), tmp_path, stages=("all",))
+    state = pipeline.run(reference_problem("p2_quartic"), tmp_path, stages=("all",))
     assert all(v == "pass" for v in state.statuses.values())
     assert stores == [state.solver]
     # the unstable graph grid on the raw ladder plus two sphere points on
@@ -151,7 +151,7 @@ def test_bound_violation_names_worst_row(tmp_path, monkeypatch, stage, module, n
                        bound=1.0, budget=0.5, ok=gap <= 1.5)
         return report
     monkeypatch.setattr(module, name, failing)
-    state = pipeline.RunState(problem=quadratic_saddle(), out_dir=tmp_path)
+    state = pipeline.RunState(problem=reference_problem("p1_quadratic"), out_dir=tmp_path)
     for prior in ("spectral", "ladder", "manifolds"):
         pipeline.run_stage(prior, state)
     with pytest.raises(BoundViolation) as info:

@@ -4,7 +4,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradleaf.errors import DegenerateCriticalPoint, NotSymmetric
-from gradleaf.spectral import flow_exponential, restricted_exponential, split
+from gradleaf.spectral import split
+
+
+def flow_exponential(split_, t):
+    """The linearized flow map ``exp(-t A)``, assembled from the split."""
+    U = split_.eigenvectors
+    return (U * np.exp(-t * split_.eigenvalues)) @ U.T
+
+
+def restricted_exponential(split_, sign, t):
+    """``exp(-t A)`` on the ``"minus"`` or ``"plus"`` subspace of the split,
+    exactly zero on the other one."""
+    minus = np.arange(split_.dimension) < split_.morse_index
+    mask = minus if sign == "minus" else ~minus
+    U = split_.eigenvectors
+    return (U * (mask * np.exp(-t * split_.eigenvalues))) @ U.T
 
 
 def rotation(theta):
