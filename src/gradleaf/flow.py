@@ -5,10 +5,15 @@ descending disk is read off the sampled unstable graph.
 
 Forward integration is gradleaf's own DOP853 (Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, II.4-II.6, and Hairer's
-``dop853.f``; coefficients in :mod:`gradleaf.dop853`).  It repeats scipy's
-``solve_ivp(method="DOP853")`` operation for operation (step-size control,
-error norm, initial step, dense output and the choice of interpolant), so
-its steps, states and interpolated values are the same bit for bit.
+``dop853.f``; coefficients in :mod:`gradleaf.dop853`), in one stepping
+loop, :func:`solve_ivp`, that integrates many trajectories in lockstep.
+Each trajectory runs the step control of scipy's
+``solve_ivp(method="DOP853")`` (step-size control, error norm, initial
+step, dense output and the choice of interpolant), but the stage sums are
+taken over the whole block of rows, so they round differently: a lone
+trajectory's states and interpolated values agree with scipy's to about
+1e-15, and a step whose error estimate sits at rounding level may end at
+another time.
 """
 
 from __future__ import annotations
@@ -45,10 +50,6 @@ class Trajectory:
         shape ``np.shape(t) + (n,)``."""
         return self.dense(np.asarray(t, dtype=float))
 
-    @property
-    def terminal(self):
-        return self.states[-1]
-
     def f_values(self):
         return self.problem.f(self.states)
 
@@ -58,16 +59,16 @@ class Trajectory:
 
 
 class DenseSolution:
-    """The accepted steps of one DOP853 run and its dense output: a
-    :func:`solve_ivp` run, or a kept row of :func:`integrate_forward_batch`.
+    """The accepted steps of one kept row of a :func:`solve_ivp` run and its
+    dense output.
 
     ``times`` holds 0 and every step end and ``states`` the state at each.
     Segment ``i`` is the step of size ``steps[i]`` from ``times[i]``; its
     seventh-order interpolant needs three more right-hand-side evaluations,
     so it is formed only when a time in the segment is first evaluated (many
     runs read none), together with every other new segment of the same read.
-    ``nfev`` counts the right-hand-side evaluations made so far, one per
-    state: each formed segment adds 3.
+    ``nfev`` counts the right-hand-side evaluations of its interpolants, one
+    per state: each formed segment adds 3.
     """
 
     def __init__(self, fun, y0):
@@ -76,19 +77,13 @@ class DenseSolution:
         self.times = [0.0]
         self.states = [y0]
         self.steps = []
-        self._ends = [y0]      # the step ends as the steps produced them
         self._stages = []      # each step's (16, n) stage array, 13 rows filled
         self._coefficients = {}
-
-    def rhs(self, y):
-        self.nfev += 1
-        return self._fun(y)
 
     def accept(self, t, y, h, K):
         self.times.append(t)
         self.states.append(y)
         self.steps.append(h)
-        self._ends.append(y)
         self._stages.append(K)
 
     def __call__(self, t):
@@ -115,7 +110,7 @@ class DenseSolution:
         F = np.stack([self._coefficients[i] for i in used])[inverse]
         start = np.array([self.times[i] for i in used])[inverse]
         step = np.array([self.steps[i] for i in used])[inverse]
-        y_old = np.stack([self._ends[i] for i in used])[inverse]
+        y_old = np.stack([self.states[i] for i in used])[inverse]
         x = ((t - start) / step)[..., None]
         y = np.zeros(F.shape[:-2] + F.shape[-1:])
         for i in range(dop853.INTERPOLATOR_POWER):
@@ -134,140 +129,19 @@ class DenseSolution:
             return
         h = np.array([self.steps[i] for i in segments])[:, None]
         K = np.stack([self._stages[i] for i in segments])
-        y_old = np.stack([self._ends[i] for i in segments])
+        y_old = np.stack([self.states[i] for i in segments])
         for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
             dy = np.matmul(K[:, :s].transpose(0, 2, 1), dop853.A[s, :s]) * h
             self.nfev += len(segments)
             K[:, s] = self._fun(y_old + dy)
         f_old, f_new = K[:, 0], K[:, dop853.N_STAGES]
-        delta_y = np.stack([self._ends[i + 1] for i in segments]) - y_old
+        delta_y = np.stack([self.states[i + 1] for i in segments]) - y_old
         F = np.empty((len(segments), dop853.INTERPOLATOR_POWER, y_old.shape[1]))
         F[:, 0] = delta_y
         F[:, 1] = h * f_old - delta_y
         F[:, 2] = 2 * delta_y - h * (f_new + f_old)
         F[:, 3:] = h[:, None] * np.matmul(dop853.D, K)
         self._coefficients.update(zip(segments, F))
-
-
-def _rk_step(rhs, y, f, h, K):
-    """One DOP853 step (scipy's ``rk_step``); fills the first 13 rows of
-    ``K`` and returns the new state and its derivative."""
-    K[0] = f
-    for s in range(1, dop853.N_STAGES):
-        dy = np.dot(K[:s].T, dop853.A[s, :s]) * h
-        K[s] = rhs(y + dy)
-    y_new = y + h * np.dot(K[:dop853.N_STAGES].T, dop853.B)
-    f_new = rhs(y_new)
-    K[dop853.N_STAGES] = f_new
-    return y_new, f_new
-
-
-def _error_norm(K, h, scale):
-    """scipy's DOP853 error norm of one step from its 13 stages ``K``."""
-    err5 = np.dot(K.T, dop853.E5) / scale
-    err3 = np.dot(K.T, dop853.E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
-def _rms_vector(x):
-    """Root-mean-square norm of one vector.  A one-row ``_rms`` rounds
-    differently, so the single and batch drivers each keep their own."""
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def _initial_step(rhs, y0, f0, duration, rtol, atol):
-    """scipy's initial-step rule (``select_initial_step``) for one start."""
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms_vector(y0 / scale)
-    d1 = _rms_vector(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, duration)
-    d2 = _rms_vector((rhs(y0 + h0 * f0) - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (dop853.ERROR_ESTIMATOR_ORDER + 1))
-    return min(100 * h0, h1, duration)
-
-
-def _step_failure(t):
-    return BlowUp(f"integrator failed: required step size is less than "
-                  f"spacing between numbers (t = {t:.4g})")
-
-
-def solve_ivp(fun, duration, y0, rtol, atol):
-    """DOP853 for the autonomous system y' = fun(y) from ``y0`` at time 0
-    to ``duration > 0``.
-
-    A step end beyond ``BLOWUP_RADIUS`` raises BlowUp, as does a step below
-    the floating-point spacing of its time or a NaN step (from a non-finite
-    right-hand side).  Returns a :class:`DenseSolution`; its last state is
-    the interpolant's value at ``duration``, as scipy's dense output gives
-    it.
-    """
-    sol = DenseSolution(fun, y0)
-    rhs = sol.rhs
-    t, y = 0.0, y0
-    f = rhs(y)
-    h_abs = _initial_step(rhs, y, f, duration, rtol, atol)
-    while t < duration:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise _step_failure(t)
-            t_new = min(t + h_abs, duration)
-            h = t_new - t
-            h_abs = np.abs(h)
-            K = np.empty((dop853.N_STAGES_EXTENDED, y.size))
-            y_new, f_new = _rk_step(rhs, y, f, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K[:dop853.N_STAGES + 1], h, scale)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = STEP_MAX_FACTOR
-                else:
-                    factor = min(STEP_MAX_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(STEP_MIN_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT)
-            rejected = True
-        sol.accept(t_new, y_new, h, K)
-        if np.linalg.norm(y_new) > BLOWUP_RADIUS:
-            raise BlowUp(f"state norm exceeded {BLOWUP_RADIUS} at t = {t_new:.4g}")
-        t, y, f = t_new, y_new, f_new
-    sol.states[-1] = sol(np.asarray(duration))
-    return sol
-
-
-def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12):
-    """Integrate the downward gradient flow for ``duration >= 0``.
-
-    Uses DOP853 (:func:`solve_ivp`) with dense output; the terminal state
-    is evaluated exactly at ``duration``.  Exceeding ``BLOWUP_RADIUS``
-    raises BlowUp.
-    """
-    if duration < 0:
-        raise ValueError("forward integration requires duration >= 0")
-    start = np.asarray(start, dtype=float)
-    if duration == 0.0:
-        return Trajectory(problem, np.array([0.0]), start[None, :],
-                          lambda t: np.tile(start, t.shape + (1,)))
-
-    def rhs(x):
-        return -problem.grad(x)
-
-    sol = solve_ivp(rhs, float(duration), start, rtol, atol)
-    return Trajectory(problem, np.array(sol.times), np.array(sol.states), sol)
 
 
 def _rms(x):
@@ -296,32 +170,47 @@ def _stage_sum(w, K):
     return np.dot(w, K.reshape(len(w), -1)).reshape(K.shape[1:])
 
 
-def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_level,
-                            dense=None):
-    """Terminal states of many forward trajectories, integrated in lockstep.
+@dataclass
+class ForwardRun:
+    """What :func:`solve_ivp` returns: each row's terminal state, the mask
+    of the rows that stopped below the level, the kept rows' dense
+    solutions (None when no row was kept) and the count of right-hand-side
+    rows evaluated."""
+
+    terminal: np.ndarray
+    stopped: np.ndarray
+    dense: list | None
+    nfev: int
+
+
+def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=None):
+    """Forward trajectories of the downward gradient flow, in lockstep.
 
     Runs DOP853 on an ``(m, n)`` array of start points, to ``duration``: one
     horizon for every row, or an ``(m,)`` array of them.  Every row keeps its
     own step size, acceptance decision and error control, with scipy's
     per-trajectory error norm and initial-step rule, so each row runs the
-    step control a lone ``integrate_forward`` would; the right-hand side is
-    evaluated once per stage for all live rows.  It does not repeat that
-    run's bits: BLAS sums a stage block in an order that depends on the
-    block's width, so a row's rounding depends on the other rows of its
-    batch, and with it the size of a step whose error estimate sits at
-    rounding level.  A row's terminal state stays within about 1e-14 of a
-    lone run's.  A row retires at its duration or at the first step end
-    where f is below ``stop_below_level`` (f decreases along trajectories,
-    so it stays below; pass ``-inf`` to run every row to its duration, and
-    f is never evaluated).
+    step control a one-row run would; the right-hand side is evaluated once
+    per stage for all live rows.  It does not repeat a one-row run's bits:
+    BLAS sums a stage block in an order that depends on the block's width,
+    so a row's rounding depends on the other rows of its batch, and with it
+    the size of a step whose error estimate sits at rounding level.  A row's
+    terminal state stays within about 1e-14 of a one-row run's.  A row
+    retires at its duration or at the first step end where f is below
+    ``stop_below_level`` (f decreases along trajectories, so it stays below;
+    pass ``-inf`` to run every row to its duration, and f is never
+    evaluated).
 
-    Returns ``(terminal_states, stopped_mask)``; a stopped row's terminal
-    state is the step end where it stopped.  ``dense``, when given, is a
-    boolean mask of the rows whose steps are kept; a third value is then
-    returned, a list holding a :class:`DenseSolution` for each kept row
-    (None for the others) whose interpolants are formed when first read.
-    A live row beyond ``BLOWUP_RADIUS`` raises BlowUp, as does a step below
-    the floating-point spacing of its row's time.
+    Returns a :class:`ForwardRun`.  Its ``terminal`` holds each row's state
+    at its duration, or at the step end where it stopped, which ``stopped``
+    marks.  ``dense``, when given, is a boolean mask of the rows whose steps
+    are kept; the run's ``dense`` then holds a :class:`DenseSolution` for
+    each kept row (None for the others) whose interpolants are formed when
+    first read.  ``nfev`` counts the right-hand-side rows the run evaluated,
+    those of the initial-step rule included; interpolants formed later are
+    counted by their solutions.  A live row beyond ``BLOWUP_RADIUS`` raises
+    BlowUp, as does a step below the floating-point spacing of its row's
+    time or a NaN step (from a non-finite right-hand side).
     """
     terminal = np.array(starts, dtype=float)
     m, n = terminal.shape
@@ -329,12 +218,18 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
     if np.any(duration < 0):
         raise ValueError("forward integration requires duration >= 0")
     stopped = np.zeros(m, dtype=bool)
+    nfev = 0
 
-    def rhs(y):
+    def velocity(y):
         return -problem.grad(y)
 
+    def rhs(y):
+        nonlocal nfev
+        nfev += len(y)
+        return velocity(y)
+
     kept = np.zeros(m, dtype=bool) if dense is None else np.asarray(dense, dtype=bool)
-    sols = [DenseSolution(rhs, terminal[i].copy()) if keep else None
+    sols = [DenseSolution(velocity, terminal[i].copy()) if keep else None
             for i, keep in enumerate(kept)]
     rows = np.flatnonzero(duration > 0.0)
     A, B = dop853.A, dop853.B
@@ -346,13 +241,13 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
     rejected = np.zeros(rows.size, dtype=bool)
     while rows.size:
         # a fresh step is raised to the spacing floor; a retried one below
-        # it (or NaN, from a non-finite right-hand side) cannot be taken
+        # it, or a NaN one (from a non-finite right-hand side), cannot be taken
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
-        too_small = rejected & ~(h_abs >= min_step)
-        if too_small.any():
-            i = int(np.argmax(too_small))
-            raise _step_failure(t[i])
         h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+        too_small = ~(h_abs >= min_step)
+        if too_small.any():
+            raise BlowUp(f"integrator failed: required step size is less than "
+                         f"spacing between numbers (t = {t[np.argmax(too_small)]:.4g})")
         t_new = np.minimum(t + h_abs, end)
         h = t_new - t
 
@@ -398,9 +293,21 @@ def integrate_forward_batch(problem, starts, duration, rtol, atol, stop_below_le
             keep = ~done
             rows, y, f, t, end = rows[keep], y[keep], f[keep], t[keep], end[keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
-    if dense is None:
-        return terminal, stopped
-    return terminal, stopped, sols
+    return ForwardRun(terminal, stopped, None if dense is None else sols, nfev)
+
+
+def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12):
+    """The forward trajectory from ``start`` for ``duration > 0``: a
+    one-row :func:`solve_ivp` run with its steps kept, so the trajectory
+    reads the run's dense output.  Its last state is the step end at
+    ``duration``.  Exceeding ``BLOWUP_RADIUS`` raises BlowUp.
+    """
+    if not duration > 0:
+        raise ValueError("forward integration requires duration > 0")
+    run = solve_ivp(problem, np.asarray(start, dtype=float)[None], duration, rtol, atol,
+                    -np.inf, dense=[True])
+    sol = run.dense[0]
+    return Trajectory(problem, np.array(sol.times), np.array(sol.states), sol)
 
 
 @dataclass
@@ -412,16 +319,11 @@ class DescendingDisk:
     ``sphere_local`` the corresponding local-frame points on the graph.
     """
 
-    model: object
     epsilon: float
     sphere_minus: np.ndarray
     sphere_local: np.ndarray
     interior_minus: np.ndarray
     interior_local: np.ndarray
-
-    @property
-    def index(self):
-        return self.model.k
 
 
 def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None):
@@ -458,6 +360,5 @@ def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None):
         np.concatenate([f * sphere_minus for f in fractions]),
     ])
     interior_local = graph_f.local_points(interior_minus)
-    return DescendingDisk(model, epsilon,
-                          sphere_minus, sphere_local,
+    return DescendingDisk(epsilon, sphere_minus, sphere_local,
                           interior_minus, interior_local)

@@ -31,7 +31,7 @@ from .errors import (
     OutsideSampledDomain,
     RetractViolation,
 )
-from .flow import integrate_forward_batch
+from .flow import solve_ivp
 from .lyapunov_perron import (
     graph_G_T,
     level_crossings,
@@ -83,13 +83,12 @@ def pair_membership(model, points, epsilon, tau):
     in_n = band.copy()
     in_l = np.zeros_like(band)
     if band.any():
-        mid, left = integrate_forward_batch(
-            problem, model.to_ambient(pts[band]), tau, PAIR_RTOL, PAIR_ATOL,
-            stop_below_level=level)
-        in_n[band] = ~left
-        end, crossed = integrate_forward_batch(
-            problem, mid[~left], tau, PAIR_RTOL, PAIR_ATOL, stop_below_level=level)
-        in_l[in_n] = crossed | (problem.f(end) <= level)
+        first = solve_ivp(problem, model.to_ambient(pts[band]), tau, PAIR_RTOL,
+                          PAIR_ATOL, stop_below_level=level)
+        in_n[band] = ~first.stopped
+        second = solve_ivp(problem, first.terminal[~first.stopped], tau, PAIR_RTOL,
+                           PAIR_ATOL, stop_below_level=level)
+        in_l[in_n] = second.stopped | (problem.f(second.terminal) <= level)
     if points.ndim == 1:
         return bool(in_n[0]), bool(in_l[0])
     return in_n, in_l
@@ -358,7 +357,7 @@ def induced_flow(atlas, labels, z_local, t):
 
     ``z_local`` is one local point ``(n,)`` on the leaf ``labels``, or rows
     ``(m, n)`` with one label per row in ``labels``; the rows are integrated
-    together (``integrate_forward_batch``) at the audit tolerances.  A row
+    together (:func:`~gradleaf.flow.solve_ivp`) at the audit tolerances.  A row
     whose plus part lies outside its leaf's graph domain raises
     OutsideLeafDomain.  ``t = inf`` returns each leaf's base point exactly.
     """
@@ -381,9 +380,8 @@ def induced_flow(atlas, labels, z_local, t):
         if t < 0:
             raise ValueError("the induced flow is a semi-flow: t >= 0")
         center_points = atlas.center.graph.local_points(z_plus)
-        terminal, _ = integrate_forward_batch(
-            model.problem, model.to_ambient(center_points), float(t),
-            AUDIT_RTOL, AUDIT_ATOL, stop_below_level=-math.inf)
+        terminal = solve_ivp(model.problem, model.to_ambient(center_points), float(t),
+                             AUDIT_RTOL, AUDIT_ATOL, stop_below_level=-math.inf).terminal
         y_t = model.to_local(terminal)[:, model.k:]
         for i, leaf in enumerate(leaves):
             out[i] = leaf.graph.local_points(y_t[i])
@@ -475,9 +473,8 @@ def leaf_invariance(atlas, sigmas=(1.0,)):
         if not sources:
             continue
         starts = np.concatenate([inside[label][1] for label in sources])
-        terminal, _ = integrate_forward_batch(
-            model.problem, model.to_ambient(starts), float(sigma),
-            AUDIT_RTOL, AUDIT_ATOL, stop_below_level=-math.inf)
+        terminal = solve_ivp(model.problem, model.to_ambient(starts), float(sigma),
+                             AUDIT_RTOL, AUDIT_ATOL, stop_below_level=-math.inf).terminal
         ends = np.split(model.to_local(terminal),
                         np.cumsum([len(inside[label][1]) for label in sources]))
         landed.update(((label, sigma), end) for label, end in zip(sources, ends))

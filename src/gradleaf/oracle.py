@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonDiverged
-from .flow import Trajectory, integrate_forward_batch
+from .flow import Trajectory, solve_ivp
 
 ORACLE_RTOL = 1e-12
 ORACLE_ATOL = 1e-15
@@ -56,12 +56,11 @@ def _shoot(model, shots, keep):
     one batch, and the dense solutions of the rows ``keep`` marks."""
     starts = np.array([model.to_ambient(np.concatenate([q.scale * u, q.z_plus]))
                        for q, u in shots])
-    terminal, _, sols = integrate_forward_batch(
-        model.problem, starts, [q.T for q, _ in shots], ORACLE_RTOL, ORACLE_ATOL,
-        -np.inf, dense=keep)
+    run = solve_ivp(model.problem, starts, [q.T for q, _ in shots], ORACLE_RTOL,
+                    ORACLE_ATOL, -np.inf, dense=keep)
     resid = [model.to_local(end)[:model.k] - q.z_minus
-             for (q, _), end in zip(shots, terminal)]
-    return resid, sols
+             for (q, _), end in zip(shots, run.terminal)]
+    return resid, run.dense
 
 
 def mixed_bvp_oracle(model, ladder, queries, tol=1e-8):
@@ -72,7 +71,7 @@ def mixed_bvp_oracle(model, ladder, queries, tol=1e-8):
     has minus projection ``z_minus`` at time ``T``: Newton with a
     finite-difference Jacobian, damped on over-shoots.  Each query runs the
     iteration it would run alone; only the shots are pooled, one
-    :func:`integrate_forward_batch` call for the base shots with the first
+    :func:`~gradleaf.flow.solve_ivp` call for the base shots with the first
     Jacobian probes, one for each later iteration's probes and one for each
     damping level.  Returns ``(trajectory, ShootingResult)`` per query, in
     query order.

@@ -2,9 +2,11 @@
 
 None of these is used by a run, so they live with the tests:
 
+* ``scipy_trajectory``, scipy's DOP853 run of the downward gradient flow,
+  which shares no integrator code with gradleaf;
 * ``stable_point_oracle``, a bisection shooting oracle for points of the
-  stable manifold (Morse index one), on scipy's DOP853 with a terminal
-  event, so it shares no integrator code with gradleaf;
+  stable manifold (Morse index one), on ``scipy_trajectory`` with a
+  terminal event;
 * ``graph_derivative``, central differences of a sampled graph;
 * ``derivative_values``, the spectral derivative of a curve's panel
   interpolants;
@@ -18,6 +20,14 @@ from gradleaf.curves import barycentric_weights
 
 ORACLE_RTOL = 1e-12
 ORACLE_ATOL = 1e-15
+
+
+def scipy_trajectory(problem, start, duration, rtol, atol, events=None):
+    """scipy's DOP853 run of x' = -grad f(x) from ``start`` over
+    ``[0, duration]``, with dense output."""
+    return solve_ivp(lambda t, x: -problem.grad(x), (0.0, duration), start,
+                     method="DOP853", rtol=rtol, atol=atol, dense_output=True,
+                     events=events)
 
 
 def stable_point_oracle(model, ladder, z_plus, tol=1e-8):
@@ -42,9 +52,8 @@ def stable_point_oracle(model, ladder, z_plus, tol=1e-8):
 
     def shoot(w):
         start = model.to_ambient(np.concatenate([[w], z_plus]))
-        return solve_ivp(lambda t, x: -model.problem.grad(x), (0.0, 2.0 * ladder.T0),
-                         start, method="DOP853", rtol=ORACLE_RTOL, atol=ORACLE_ATOL,
-                         dense_output=True, events=[exit_ball])
+        return scipy_trajectory(model.problem, start, 2.0 * ladder.T0, ORACLE_RTOL,
+                                ORACLE_ATOL, [exit_ball])
 
     def side(w):
         return 1.0 if model.to_local(shoot(w).y[:, -1])[0] >= 0 else -1.0

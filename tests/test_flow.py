@@ -5,7 +5,8 @@ import pytest
 
 from gradleaf import lyapunov_perron as lp
 from gradleaf.errors import BlowUp, LevelNotReached
-from gradleaf.flow import descending_disk, integrate_forward, integrate_forward_batch
+from gradleaf.flow import descending_disk, integrate_forward, solve_ivp
+from references import scipy_trajectory
 
 
 def backward(setup, q, t):
@@ -22,12 +23,12 @@ def test_linear_flow_closed_form(p1):
     t = 1.3
     traj = integrate_forward(p1.problem, start, t, rtol=1e-12, atol=1e-14)
     expected = np.array([0.05 * np.exp(t), 0.1 * np.exp(-2 * t)])
-    assert np.allclose(traj.terminal, expected, atol=1e-11)
+    assert np.allclose(traj.states[-1], expected, atol=1e-11)
 
 
 def test_constant_at_critical_point(p2):
     traj = integrate_forward(p2.problem, np.zeros(2), 2.0)
-    assert np.allclose(traj.terminal, 0.0)
+    assert np.allclose(traj.states[-1], 0.0)
     assert np.allclose(traj.at(1.234), 0.0)
 
 
@@ -36,7 +37,7 @@ def test_terminal_state_matches_finer_tolerance(p2):
     start = np.array([0.1, 0.1])
     a = integrate_forward(p2.problem, start, 1.0, rtol=1e-8, atol=1e-10)
     b = integrate_forward(p2.problem, start, 1.0, rtol=1e-10, atol=1e-12)
-    assert np.linalg.norm(a.terminal - b.terminal) < 1e-8
+    assert np.linalg.norm(a.states[-1] - b.states[-1]) < 1e-8
 
 
 def test_f_monotone_along_flow(p2):
@@ -49,7 +50,7 @@ def test_f_derivative_is_gradient_norm(p2):
     p = np.array([0.03, 0.08])
     h = 1e-6
     traj = integrate_forward(p2.problem, p, h, rtol=1e-12, atol=1e-14)
-    quotient = (p2.problem.f(traj.terminal) - p2.problem.f(p)) / h
+    quotient = (p2.problem.f(traj.states[-1]) - p2.problem.f(p)) / h
     assert quotient == pytest.approx(-np.linalg.norm(p2.problem.grad(p)) ** 2,
                                      rel=1e-4)
 
@@ -57,19 +58,17 @@ def test_f_derivative_is_gradient_norm(p2):
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_batch_terminal_states_match_single_trajectories(name, request):
     # each row steps with its own error control, so it lands where a lone
-    # integrate_forward at the same tolerances lands
+    # scipy DOP853 run at the same tolerances lands
     setup = request.getfixturevalue(name)
     n = setup.problem.dimension
     starts = np.random.default_rng(4).uniform(-0.3, 0.3, size=(9, n))
     starts[0] = 0.0
     for duration in (0.7, 2.5):
-        terminal, stopped = integrate_forward_batch(setup.problem, starts, duration,
-                                                    1e-10, 1e-12, -np.inf)
-        assert not stopped.any()
-        for start, end in zip(starts, terminal):
-            single = integrate_forward(setup.problem, start, duration,
-                                       rtol=1e-10, atol=1e-12)
-            assert np.max(np.abs(end - single.terminal)) <= 1e-9
+        run = solve_ivp(setup.problem, starts, duration, 1e-10, 1e-12, -np.inf)
+        assert not run.stopped.any()
+        for start, end in zip(starts, run.terminal):
+            single = scipy_trajectory(setup.problem, start, duration, 1e-10, 1e-12)
+            assert np.max(np.abs(end - single.y[:, -1])) <= 1e-9
 
 
 def test_batch_rows_with_own_durations_match_lone_runs(p2):
@@ -77,37 +76,34 @@ def test_batch_rows_with_own_durations_match_lone_runs(p2):
     # row's bits depend on the other rows of its batch, and so do step sizes
     # whose error estimates sit at rounding level.  Each row of a batch of
     # mixed horizons still lands within rounding of its one-row batch and of
-    # integrate_forward, and a kept row's dense output reads as
-    # integrate_forward's does
+    # scipy's DOP853, and a kept row's dense output reads as scipy's does
     starts = np.random.default_rng(12).uniform(-0.3, 0.3, size=(17, 2))
     durations = np.where(np.arange(17) % 3 == 0, 2.5, 0.7)
     keep = np.arange(17) % 4 == 1
-    terminal, stopped, dense = integrate_forward_batch(
-        p2.problem, starts, durations, 1e-12, 1e-15, -np.inf, dense=keep)
-    assert not stopped.any()
-    for start, T, end, sol, kept in zip(starts, durations, terminal, dense, keep):
-        alone, _ = integrate_forward_batch(p2.problem, start[None], T, 1e-12, 1e-15,
-                                           -np.inf)
-        single = integrate_forward(p2.problem, start, T, rtol=1e-12, atol=1e-15)
-        assert np.max(np.abs(end - alone[0])) <= 1e-14
-        assert np.max(np.abs(end - single.terminal)) <= 1e-14
+    run = solve_ivp(p2.problem, starts, durations, 1e-12, 1e-15, -np.inf, dense=keep)
+    assert not run.stopped.any()
+    for start, T, end, sol, kept in zip(starts, durations, run.terminal, run.dense,
+                                        keep):
+        alone = solve_ivp(p2.problem, start[None], T, 1e-12, 1e-15, -np.inf)
+        single = scipy_trajectory(p2.problem, start, T, 1e-12, 1e-15)
+        assert np.max(np.abs(end - alone.terminal[0])) <= 1e-14
+        assert np.max(np.abs(end - single.y[:, -1])) <= 1e-14
         assert (sol is not None) == kept
         if kept:
             ts = np.linspace(0.0, T, 23)
-            assert np.max(np.abs(sol(ts) - single.at(ts))) <= 1e-14
+            assert np.max(np.abs(sol(ts) - single.sol(ts).T)) <= 1e-14
 
 
 def test_batch_stops_below_level(p2):
     starts = np.array([[0.05, 0.0], [0.2, 0.0], [0.0, 0.1]])
     level = -0.01
-    terminal, stopped = integrate_forward_batch(p2.problem, starts, 3.0, 1e-10,
-                                                1e-12, stop_below_level=level)
-    f_end = p2.problem.f(terminal)
-    assert stopped.tolist() == [True, True, False]
-    assert np.all(f_end[stopped] < level)
+    run = solve_ivp(p2.problem, starts, 3.0, 1e-10, 1e-12, stop_below_level=level)
+    f_end = p2.problem.f(run.terminal)
+    assert run.stopped.tolist() == [True, True, False]
+    assert np.all(f_end[run.stopped] < level)
     # the unstopped row ran the full duration
-    single = integrate_forward(p2.problem, starts[2], 3.0, rtol=1e-10, atol=1e-12)
-    assert np.max(np.abs(terminal[2] - single.terminal)) <= 1e-9
+    single = scipy_trajectory(p2.problem, starts[2], 3.0, 1e-10, 1e-12)
+    assert np.max(np.abs(run.terminal[2] - single.y[:, -1])) <= 1e-9
 
 
 @pytest.mark.parametrize("starts", [[[0.1, 0.0], [0.0, 0.2]], [[np.nan, 0.0]]])
@@ -118,7 +114,49 @@ def test_batch_step_failure_raises(starts):
     problem = SimpleNamespace(grad=lambda y: np.where(np.abs(y) > 0.5, np.nan, -y),
                               f=lambda y: np.sum(y * y, axis=-1))
     with pytest.raises(BlowUp, match="integrator failed"):
-        integrate_forward_batch(problem, np.array(starts), 5.0, 1e-10, 1e-12, -np.inf)
+        solve_ivp(problem, np.array(starts), 5.0, 1e-10, 1e-12, -np.inf)
+
+
+def test_nan_row_fails_before_any_stage():
+    # one NaN row among finite ones makes its first step NaN, which raises
+    # after the initial derivative and the initial-step rule's probe, before
+    # any stage of a step is evaluated
+    calls = []
+
+    def grad(y):
+        calls.append(len(y))
+        return y
+
+    problem = SimpleNamespace(grad=grad, f=lambda y: 0.5 * np.sum(y * y, axis=-1))
+    starts = np.array([[0.1, 0.0], [np.nan, 0.0], [0.0, 0.2]])
+    with pytest.raises(BlowUp, match="integrator failed"):
+        solve_ivp(problem, starts, 5.0, 1e-10, 1e-12, -np.inf)
+    assert calls == [3, 3]
+
+
+def test_nfev_counts_the_rows_passed_to_grad(p2):
+    # rows of mixed horizons, one of zero duration, some stopped by the
+    # level: nfev is every row the run passed to grad, and the interpolants
+    # formed on a later read are counted by their solutions
+    rows = []
+
+    def grad(y):
+        rows.append(len(y))
+        return p2.problem.grad(y)
+
+    counted = SimpleNamespace(grad=grad, f=p2.problem.f)
+    starts = np.random.default_rng(9).uniform(-0.3, 0.3, size=(7, 2))
+    durations = np.array([0.0, 0.4, 0.9, 1.6, 2.5, 3.0, 4.0])
+    keep = np.arange(7) % 2 == 1
+    run = solve_ivp(counted, starts, durations, 1e-10, 1e-12, -0.005, dense=keep)
+    assert 0 < run.stopped.sum() < 6
+    assert run.nfev == sum(rows) > 0
+    formed = 0
+    for sol, T in zip(run.dense, durations):
+        if sol is not None:
+            sol(np.linspace(0.0, T, 5))
+            formed += sol.nfev
+    assert sum(rows) == run.nfev + formed > run.nfev
 
 
 def test_batch_blow_up_and_empty_inputs(p2):
@@ -127,15 +165,14 @@ def test_batch_blow_up_and_empty_inputs(p2):
                                f=lambda y: -0.5 * np.sum(y * y, axis=-1))
     starts = np.array([[0.0, 0.0], [0.3, 0.0]])
     with pytest.raises(BlowUp, match="state norm exceeded"):
-        integrate_forward_batch(unstable, starts, 10.0, 1e-10, 1e-12, -np.inf)
-    terminal, stopped = integrate_forward_batch(p2.problem, starts, 0.0, 1e-10, 1e-12,
-                                                -np.inf)
-    assert np.array_equal(terminal, starts) and not stopped.any()
-    terminal, stopped = integrate_forward_batch(p2.problem, np.zeros((0, 2)), 1.0,
-                                                1e-10, 1e-12, -np.inf)
-    assert terminal.shape == (0, 2) and stopped.shape == (0,)
+        solve_ivp(unstable, starts, 10.0, 1e-10, 1e-12, -np.inf)
+    run = solve_ivp(p2.problem, starts, 0.0, 1e-10, 1e-12, -np.inf)
+    assert np.array_equal(run.terminal, starts) and not run.stopped.any()
+    assert run.nfev == 0
+    run = solve_ivp(p2.problem, np.zeros((0, 2)), 1.0, 1e-10, 1e-12, -np.inf)
+    assert run.terminal.shape == (0, 2) and run.stopped.shape == (0,)
     with pytest.raises(ValueError):
-        integrate_forward_batch(p2.problem, starts, -1.0, 1e-10, 1e-12, -np.inf)
+        solve_ivp(p2.problem, starts, -1.0, 1e-10, 1e-12, -np.inf)
 
 
 def test_single_trajectory_failures_raise():
@@ -183,7 +220,7 @@ def test_backward_forward_roundtrip(p2):
         back = backward(p2, q, t)
         traj = integrate_forward(p2.problem, p2.model.to_ambient(back), t,
                                  rtol=1e-12, atol=1e-15)
-        assert np.linalg.norm(p2.model.to_local(traj.terminal) - q) <= 1e-6
+        assert np.linalg.norm(p2.model.to_local(traj.states[-1]) - q) <= 1e-6
 
 
 def test_backward_cocycle(p2):
@@ -275,7 +312,7 @@ def test_f_drop_equals_gradient_quadrature(p2):
         return float(np.linalg.norm(p2.problem.grad(traj.at(t))) ** 2)
 
     drop, _ = quad(speed_sq, 0.0, T, limit=300, epsabs=1e-13)
-    assert p2.problem.f(traj.terminal) - p2.problem.f(start) == \
+    assert p2.problem.f(traj.states[-1]) - p2.problem.f(start) == \
         pytest.approx(-drop, abs=1e-10)
 
 

@@ -4,13 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from gradleaf import convergence as cv
 from gradleaf import foliation as fol
 from gradleaf import lyapunov_perron as lp
 from gradleaf.errors import DisjointnessViolation, OutsideLeafDomain, OutsideSampledDomain
 from gradleaf.flow import integrate_forward
+from references import scipy_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +97,8 @@ def _pair_reference(setup, p, epsilon, tau):
     exit_ball.terminal = True
     exit_ball.direction = 1.0
 
-    traj = solve_ivp(lambda t, x: -setup.problem.grad(x), (0.0, 2 * tau),
-                     setup.model.to_ambient(p), method="DOP853", rtol=1e-11,
-                     atol=1e-14, dense_output=True, events=[exit_ball])
+    traj = scipy_trajectory(setup.problem, setup.model.to_ambient(p), 2 * tau, 1e-11,
+                            1e-14, [exit_ball])
 
     def f_at(t):
         if traj.status == 1 and t >= traj.t[-1]:
@@ -135,7 +134,7 @@ def test_batched_pair_membership_matches_per_point_decision(name, request):
 def test_out_of_band_points_are_not_integrated(p1, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("integrated an out-of-band point")
-    monkeypatch.setattr(fol, "integrate_forward_batch", fail)
+    monkeypatch.setattr(fol, "solve_ivp", fail)
     # f = -x^2/2 + y^2 is far above c + eps or far below c - eps here
     pts = np.array([[0.0, 0.5], [0.9, 0.0], [0.0, -0.4]])
     in_n, in_l = fol.pair_membership(p1.model, pts, 0.005, 2.0)
@@ -156,7 +155,7 @@ def test_pair_samples_verified_by_oracle(p2, atlas_p2):
     exit_sample = pair.samples[pair.exit_mask][0]
     traj = integrate_forward(p2.problem, p2.model.to_ambient(exit_sample),
                              2 * tau, rtol=1e-11, atol=1e-14)
-    assert p2.problem.f(traj.terminal) <= c - eps + 1e-10
+    assert p2.problem.f(traj.states[-1]) <= c - eps + 1e-10
 
 
 def test_pair_L_subset_N(atlas_p2):
@@ -321,7 +320,7 @@ def test_center_leaf_flow_is_plain_flow(atlas_p2, p2):
     out = fol.induced_flow(atlas_p2, "center", z, 1.5)
     traj = integrate_forward(p2.problem, p2.model.to_ambient(z), 1.5,
                              rtol=1e-12, atol=1e-15)
-    assert np.allclose(out, p2.model.to_local(traj.terminal), atol=1e-9)
+    assert np.allclose(out, p2.model.to_local(traj.states[-1]), atol=1e-9)
 
 
 # -- audits ----------------------------------------------------------------------
@@ -514,13 +513,12 @@ def test_level_crossing_matches_one_ray_at_a_time(kind, p3):
 
 
 def _induced_flow_reference(atlas, label, z, t):
-    """The induced flow of one point by one ``integrate_forward`` call."""
+    """The induced flow of one point by one scipy DOP853 run."""
     model = atlas.model
     start = atlas.center.graph.local_points(z[model.k:])
-    traj = integrate_forward(model.problem, model.to_ambient(start), t,
-                             rtol=fol.AUDIT_RTOL, atol=fol.AUDIT_ATOL)
-    return atlas.leaf(label).graph.local_points(
-        model.to_local(traj.terminal)[model.k:])
+    traj = scipy_trajectory(model.problem, model.to_ambient(start), t, fol.AUDIT_RTOL,
+                            fol.AUDIT_ATOL)
+    return atlas.leaf(label).graph.local_points(model.to_local(traj.y[:, -1])[model.k:])
 
 
 def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2):
@@ -533,10 +531,10 @@ def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2):
             if target is None:
                 continue
             for z_plus, p in zip(*leaf.inside_points()):
-                traj = integrate_forward(p2.problem, model.to_ambient(p), sigma,
-                                         rtol=fol.AUDIT_RTOL, atol=fol.AUDIT_ATOL)
+                traj = scipy_trajectory(p2.problem, model.to_ambient(p), sigma,
+                                        fol.AUDIT_RTOL, fol.AUDIT_ATOL)
                 try:
-                    gap = target.graph.residual(model.to_local(traj.terminal))
+                    gap = target.graph.residual(model.to_local(traj.y[:, -1]))
                 except OutsideSampledDomain:
                     continue
                 expected.append((str((T, ai)), cv._label(z_plus),
@@ -581,12 +579,12 @@ def test_audits_integrate_one_batch_per_horizon(atlas_p2, monkeypatch):
     monkeypatch.setattr(flow, "integrate_forward", never)
     assert not hasattr(fol, "integrate_forward")
     calls = []
-    batch = fol.integrate_forward_batch
+    batch = fol.solve_ivp
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return batch(*args, **kwargs)
-    monkeypatch.setattr(fol, "integrate_forward_batch", counted)
+    monkeypatch.setattr(fol, "solve_ivp", counted)
 
     fol.leaf_invariance(atlas_p2, sigmas=(1.0, 2.0))
     assert calls == [1.0, 2.0]

