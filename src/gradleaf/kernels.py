@@ -7,8 +7,8 @@ convolver returns, for every grid node ``t``,
     backward:  B(t) = integral_{t}^{t1}  exp(+(s - t) * lam) y(s) ds
 
 The forward kernel is used only with lam >= 0 and the backward kernel only
-with lam <= 0, so every exponential factor that appears is bounded by one:
-the recursions below are unconditionally stable and nothing can overflow.
+with lam <= 0, so every exponential factor that appears is bounded by one
+and nothing can overflow.
 
 Within a panel, ``y`` is replaced by its Chebyshev-Lobatto interpolant and
 the product with the kernel is integrated by Gauss-Legendre quadrature of
@@ -19,21 +19,17 @@ one instance serves every Picard iteration and every sample sharing the
 horizon.  The interpolation bases at the Gauss points depend on the panel
 degree alone and are built once per process, on first use.
 
-Each convolution gathers the samples of all panels through a precomputed
-index array and forms every panel's local integrals in one stacked product.
-Only the carry across panels is sequential: a scalar recursion in which the
-accumulated integral decays by the exact endpoint factor of one panel.  The
-stacked ``matmul`` rounds exactly as one product per panel does, and the
-carry runs in the same order, so the result is the same bit for bit as a
-panel-by-panel loop.
+Each convolution reads the samples of all panels through one overlapping
+view, ``(P, p + 1)`` per column, and forms every panel's local integrals in
+one matrix product.  The integral carried into each panel is the sum of the
+earlier panels' exit values, each decayed by the exact endpoint factor of
+the panels in between: a second product, with a triangular table of those
+factors built once per rate.
 
 A convolution takes one column of samples, shape ``(size,)``, or a stack of
-columns, ``(B, size)``, as the batched Picard loop passes them.  A stack
-goes through the same stacked product, one panel of one column at a time,
-and each column's carry runs the same recursion in the same order, so every
-column comes out bit for bit as it does alone.  A few columns carry in
-Python floats, one after another; from ``CARRY_ARRAY_COLUMNS`` on, numpy
-carries all columns at once, one panel at a time.
+columns, ``(B, size)``, as the batched Picard loop passes them.  Both
+products run once per column with the same shapes, so every column of a
+stack comes out bit for bit as it does alone.
 """
 
 from __future__ import annotations
@@ -41,6 +37,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .curves import _lobatto_reference, barycentric_matrix, barycentric_weights
 
@@ -60,11 +57,6 @@ _GAUSS_POSITIVE_WEIGHTS = np.array([
 ])
 GAUSS_NODES = np.concatenate([-_GAUSS_POSITIVE_NODES[::-1], _GAUSS_POSITIVE_NODES])
 GAUSS_WEIGHTS = np.concatenate([_GAUSS_POSITIVE_WEIGHTS[::-1], _GAUSS_POSITIVE_WEIGHTS])
-#: from this many columns on, the carry runs across columns in numpy, one
-#: panel at a time; below it, column by column in Python floats, which is
-#: faster there (the crossover measured on p3's finite and infinite grids,
-#: BENCH_picard.json ``carry_sweep``).  Both forms round the same.
-CARRY_ARRAY_COLUMNS = 16
 
 
 @functools.cache
@@ -106,17 +98,15 @@ class ExpConvolver:
             raise ValueError("ExpConvolver expects a uniform-width panel grid")
         w = float(widths[0])
         n_rates = self.rates.size
-        #: flat-grid index of every panel node, (n_panels, p + 1)
-        self._rows = np.arange(grid.n_panels)[:, None] * p + np.arange(m)
-        #: the sweep order of the carry by exit node: forward through the
-        #: panels (exit -1), backward (exit 0)
-        self._orders = {-1: range(grid.n_panels),
-                        0: range(grid.n_panels - 1, -1, -1)}
-
         self._fwd_local = np.zeros((n_rates, m, m))
         self._bwd_local = np.zeros((n_rates, m, m))
         self._fwd_carry = np.zeros((n_rates, m))
         self._bwd_carry = np.zeros((n_rates, m))
+        #: per rate, the (P, P) decay table of the carry in the direction
+        #: the rate may use: entry [j, i] is the factor by which panel j's
+        #: exit value reaches panel i, zero where it does not
+        self._fwd_decay = {}
+        self._bwd_decay = {}
 
         # forward over [0, xi] (lam >= 0), backward over [xi, 1] (lam <= 0);
         # either kernel is exp((s - xi) w lam)
@@ -129,68 +119,70 @@ class ExpConvolver:
         for r, lam in enumerate(self.rates):
             if lam >= 0.0:
                 self._fwd_carry[r] = np.exp(-ref * w * lam)
+                self._fwd_decay[r] = _decay_table(self._fwd_carry[r, -1],
+                                                  grid.n_panels, forward=True)
             if lam <= 0.0:
                 self._bwd_carry[r] = np.exp((1.0 - ref) * w * lam)
+                self._bwd_decay[r] = _decay_table(self._bwd_carry[r, 0],
+                                                  grid.n_panels, forward=False)
 
     def forward(self, rate_index, y):
         """F(t) on the flat grid for coordinate samples ``y``, one column
         ``(size,)`` or a stack ``(B, size)``; needs lam >= 0."""
         if self.rates[rate_index] < 0.0:
             raise ValueError("forward convolution requires a non-negative rate")
-        return self._convolve(self._fwd_local[rate_index],
-                              self._fwd_carry[rate_index], y, -1)
+        return self._convolve(self._fwd_local[rate_index], self._fwd_carry[rate_index],
+                              self._fwd_decay[rate_index], y, -1)
 
     def backward(self, rate_index, y):
         """B(t) on the flat grid for coordinate samples ``y``, one column
         ``(size,)`` or a stack ``(B, size)``; needs lam <= 0."""
         if self.rates[rate_index] > 0.0:
             raise ValueError("backward convolution requires a non-positive rate")
-        return self._convolve(self._bwd_local[rate_index],
-                              self._bwd_carry[rate_index], y, 0)
+        return self._convolve(self._bwd_local[rate_index], self._bwd_carry[rate_index],
+                              self._bwd_decay[rate_index], y, 0)
 
-    def _convolve(self, local, carry, y, exit_node):
+    def _convolve(self, local, carry, decay, y, exit_node):
         """Convolution values on the flat grid: on each panel, the local
-        integrals plus the integral carried in, a scalar recursion in sweep
-        order through each panel's value at ``exit_node`` (-1 forward, 0
-        backward).  A node shared by two panels takes the value of the panel
-        the sweep reaches it from: the later one forward, the earlier one
-        backward."""
-        # rounds as one ``local @ y[panel]`` per panel; ``@ local.T``,
-        # ``dot`` and ``einsum`` do not
-        Y = y[self._rows] if y.ndim == 1 else y[:, self._rows]
-        L = np.matmul(local, Y[..., None])[..., 0]
-        acc = _sweep(float(carry[exit_node]), L[..., exit_node],
-                     self._orders[exit_node])
-        vals = carry * acc[..., None] + L
+        integrals plus the integral carried in, the decayed sum of the exit
+        values (node ``exit_node``: -1 forward, 0 backward) of the panels
+        before it in sweep order.  A node shared by two panels takes the
+        value of the panel the sweep reaches it from: the later one
+        forward, the earlier one backward."""
+        if y.shape[-1] != self.grid.size:
+            # the panel view reads memory by strides: a shorter y would
+            # silently read past its end
+            raise ValueError(f"expected {self.grid.size} samples per column, "
+                             f"got {y.shape[-1]}")
+        p, stride = self.grid.p, y.strides[-1]
+        Y = as_strided(y, y.shape[:-1] + (self.grid.n_panels, p + 1),
+                       y.strides[:-1] + (p * stride, stride), writeable=False)
+        L = Y @ local.T
+        acc = (L[..., None, :, exit_node] @ decay)[..., 0, :]
+        L += carry * acc[..., None]
+        # each panel fills its nodes but the exit node, which the next panel
+        # in sweep order starts from; splitting the last axis of a slice of
+        # ``out`` is a view, so the copy writes into ``out``
+        owned = slice(None, -1) if exit_node == -1 else slice(1, None)
         out = np.empty(y.shape)
-        if exit_node == -1:
-            out[..., :-1] = vals[..., :-1].reshape(out.shape[:-1] + (-1,))
-        else:
-            out[..., 1:] = vals[..., 1:].reshape(out.shape[:-1] + (-1,))
-        out[..., exit_node] = vals[..., exit_node, exit_node]
+        out[..., owned].reshape(L.shape[:-1] + (p,))[...] = L[..., owned]
+        out[..., exit_node] = L[..., exit_node, exit_node]
         return out
 
 
-def _sweep(d, exits, order):
-    """The integral carried into each panel, shaped as ``exits``, (P,) or
-    (B, P): ``a <- d * a + exits[..., i]`` from ``a = 0`` over the panels in
-    ``order``, one recursion per column.
-
-    Below ``CARRY_ARRAY_COLUMNS`` columns the recursion runs column by
-    column in Python floats, from there across all columns at once in
-    numpy, one panel at a time; both round the same.
-    """
-    if exits.ndim == 2 and len(exits) >= CARRY_ARRAY_COLUMNS:
-        cols = np.ascontiguousarray(exits.T)
-        acc = np.empty(exits.shape)
-        a = np.zeros(len(exits))
-        for i in order:
-            acc[:, i] = a
-            a = d * a + cols[i]
-        return acc
-    rows = exits.tolist()
-    for row in rows if exits.ndim == 2 else [rows]:
-        a = 0.0
-        for i in order:
-            a, row[i] = d * a + row[i], a
-    return np.array(rows)
+def _decay_table(d, n, forward):
+    """The ``(n, n)`` decay table of the carry: entry ``[j, i]`` is the
+    factor by which panel ``j``'s exit value decays on its way into panel
+    ``i``, ``d ** (i - 1 - j)`` for ``j < i`` forward and ``d ** (j - 1 - i)``
+    for ``j > i`` backward, and zero elsewhere.  Every row is a window of the
+    powers of ``d`` padded with zeros, so one copy builds the table, in C
+    order (a transposed table makes the carry product several times
+    slower)."""
+    powers = d ** np.arange(n)
+    if forward:
+        # row j is padded[n - 1 - j:][:n]
+        padded = np.concatenate([np.zeros(n), powers])
+        return sliding_window_view(padded, n)[n - 1::-1].copy()
+    # row j is padded[n - j:][:n]
+    padded = np.concatenate([powers[::-1], np.zeros(n)])
+    return sliding_window_view(padded, n)[n:0:-1].copy()

@@ -175,11 +175,6 @@ def _add_integrals(out, conv, k, y):
     which vanishes at the end of the grid; plus coordinates add the forward
     one, which vanishes at its start.
     """
-    if out.ndim == 3 and len(out) == 1:
-        # one column solves about 5 % faster as a curve than as a stack of
-        # one (BENCH_picard.json ``one_column_as_curve``)
-        _add_integrals(out[0], conv, k, y[0])
-        return out
     for j in range(out.shape[-1]):
         if j < k:
             out[..., j] -= conv.backward(j, y[..., j])

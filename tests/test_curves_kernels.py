@@ -125,6 +125,15 @@ def test_convolver_rejects_wrong_sign(grid):
         conv.backward(1, np.zeros(grid.size))
 
 
+def test_convolver_rejects_wrong_length(grid):
+    conv = ExpConvolver(grid, np.array([-1.0, 2.0]))
+    for y in (np.zeros(grid.size - 1), np.zeros((2, grid.size + 1))):
+        with pytest.raises(ValueError, match="samples per column"):
+            conv.forward(1, y)
+        with pytest.raises(ValueError, match="samples per column"):
+            conv.backward(0, y)
+
+
 def _forward_per_panel(conv, r, y):
     """Reference: the per-panel loop, one local product per panel."""
     grid, local, carry = conv.grid, conv._fwd_local[r], conv._fwd_carry[r]
@@ -150,6 +159,8 @@ def _backward_per_panel(conv, r, y):
 
 @pytest.mark.parametrize("n_panels", [3, 25, 80, 160])
 def test_stacked_convolution_matches_per_panel_loop(n_panels):
+    # the stacked products sum in another order than the loop's recursion,
+    # so they agree to rounding, a few ulps of the O(1) values here
     grid = PanelGrid(0.0, 0.5 * n_panels, max_rate=1.0)
     assert grid.n_panels == n_panels
     rates = np.array([-4.0, -1.3, -0.2, 0.0, 0.6, 2.3, 4.0])
@@ -160,12 +171,16 @@ def test_stacked_convolution_matches_per_panel_loop(n_panels):
         # a column of a 2-D array, as the operators pass it
         y = samples[:, r]
         if lam >= 0.0:
-            assert _same_bits(conv.forward(r, y), _forward_per_panel(conv, r, y))
+            got = conv.forward(r, y)
+            assert np.max(np.abs(got - _forward_per_panel(conv, r, y))) <= 4e-15
+            assert got[0] == 0.0
         else:
             with pytest.raises(ValueError, match="non-negative"):
                 conv.forward(r, y)
         if lam <= 0.0:
-            assert _same_bits(conv.backward(r, y), _backward_per_panel(conv, r, y))
+            got = conv.backward(r, y)
+            assert np.max(np.abs(got - _backward_per_panel(conv, r, y))) <= 4e-15
+            assert got[-1] == 0.0
         else:
             with pytest.raises(ValueError, match="non-positive"):
                 conv.backward(r, y)

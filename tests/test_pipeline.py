@@ -48,7 +48,7 @@ def test_p3_two_dimensional_plus_grid(p3_state):
     assert p3_state.graph_g.codim == 1
 
 
-@pytest.mark.parametrize("name", ["p1_quadratic", "k2_cubic"])
+@pytest.mark.parametrize("name", ["p1_quadratic", "k2_cubic", "p3_cubic3d"])
 def test_trajectory_sample_rows_match_scipy(name, tmp_path):
     # every exported row lies on scipy's DOP853 run from the first row, read
     # at the row's own time at tight tolerances (worst error 2.3e-10, on k2)
