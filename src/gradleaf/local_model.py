@@ -3,11 +3,11 @@
 Centering at the critical point and rotating into the eigenbasis of the
 Hessian puts the gradient flow in the form
 
-    xi' + Lambda xi = h(xi),    h(xi) = Lambda xi - grad_f(x0 + U xi) in frame,
+    xi' + Lambda xi = h(xi),    h(xi) = Lambda xi - U^T grad_f(x0 + U xi),
 
-with h(0) = 0 and dh(0) = 0.  This module provides the nonlinearity, sampled
-Lipschitz moduli, and the chain of rate constants that all contraction
-estimates depend on.
+with h(0) = 0 and dh(0) = 0.  h = grad q and dh = Hess q for the local potential
+q(xi) = sum_i lambda_i xi_i^2 / 2 - f(x0 + U xi).  This module provides them,
+sampled Lipschitz moduli, and the rate constants all contraction estimates use.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     OutsideSampledDomain,
 )
 from .lyapunov_perron import tensor_points
+from .polynomials import Polynomial
 
 KAPPA_SAFETY = 1.5
 #: region factor: curves of the contraction spaces stay within this multiple
@@ -45,6 +46,13 @@ class LocalModel:
         self.eigenvalues = split.eigenvalues
         self.k = split.morse_index
         self.n = split.dimension
+        #: q in the local frame; a term cancelling to exactly 0.0 adds 0.0 at any
+        #: finite point and is left out
+        q = {a: -c for a, c in problem.objective.affine(self.x0, self.U).terms.items()}
+        for i, lam in enumerate(self.eigenvalues.tolist()):
+            square = (0,) * i + (2,) + (0,) * (self.n - 1 - i)
+            q[square] = q.get(square, 0.0) + 0.5 * lam
+        self.potential = Polynomial(self.n, {a: c for a, c in q.items() if c != 0.0})
         #: the objective at the critical point, c = f(x0)
         self.critical_value = self.f_local(np.zeros(self.n))
 
@@ -64,17 +72,13 @@ class LocalModel:
 
     # -- nonlinearity ----------------------------------------------------------
     def h(self, xi):
-        """Nonlinearity in the adapted frame; accepts (n,) or (m, n)."""
-        xi = np.asarray(xi, dtype=float)
-        grad = self.problem.grad(self.to_ambient(xi)) @ self.U
-        return xi * self.eigenvalues - grad
+        """Nonlinearity in the adapted frame, grad q; accepts (n,) or (m, n)."""
+        return self.potential.gradient(xi)
 
     def dh(self, xi):
-        """Jacobian of ``h`` in the adapted frame: (n,) gives one (n, n)
-        matrix, (m, n) a stack of m, each equal bit for bit to its own
-        one-point call."""
-        H = self.problem.hess(self.to_ambient(xi))
-        return np.diag(self.eigenvalues) - self.U.T @ H @ self.U
+        """Jacobian of ``h``, Hess q: (n,) gives one (n, n) matrix, (m, n) a
+        stack of m, each equal bit for bit to its own one-point call."""
+        return self.potential.hessian(xi)
 
     def f_local(self, xi):
         """The objective at local point(s): (n,) gives a float, (m, n) an array."""

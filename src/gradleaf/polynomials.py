@@ -57,6 +57,16 @@ def _kernel(dimension, components):
     return namespace["make"](np.power, *coefficients)
 
 
+def _multiply(a, b):
+    """Product of two coefficient tables, summed in table order."""
+    out = {}
+    for alpha, ca in a.items():
+        for beta, cb in b.items():
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            out[gamma] = out.get(gamma, 0.0) + ca * cb
+    return out
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Polynomial in ``dimension`` variables.
@@ -130,6 +140,30 @@ class Polynomial:
             beta = tuple(beta)
             terms[beta] = terms.get(beta, 0.0) + c * a
         return Polynomial(self.dimension, terms)
+
+    def affine(self, shift, matrix):
+        """The polynomial y -> self(shift + matrix @ y), ``matrix`` being
+        (dimension, m), as a coefficient table: each monomial is multiplied
+        out through cached powers of the forms shift_i + (matrix y)_i, and
+        every product term is kept; a 0.0 entry of a form contributes none."""
+        matrix = np.asarray(matrix, dtype=float)
+        m = matrix.shape[1]
+        basis = [(0,) * m] + [tuple(int(j == i) for j in range(m)) for i in range(m)]
+        shift = np.broadcast_to(np.asarray(shift, dtype=float), self.dimension)
+        powers = {(i, 1): {alpha: c for alpha, c in zip(basis, [s, *row]) if c != 0.0}
+                  for i, (s, row) in enumerate(zip(shift.tolist(), matrix.tolist()))}
+        terms = {}
+        for alpha, c in self.terms.items():
+            product = {basis[0]: c}
+            for i, a in enumerate(alpha):
+                for b in range(2, a + 1):
+                    if (i, b) not in powers:
+                        powers[i, b] = _multiply(powers[i, b - 1], powers[i, 1])
+                if a:
+                    product = _multiply(product, powers[i, a])
+            for gamma, v in product.items():
+                terms[gamma] = terms.get(gamma, 0.0) + v
+        return Polynomial(m, terms)
 
     def gradient(self, x):
         return self._run(self._gradient_kernel, x, (self.dimension,))

@@ -16,13 +16,13 @@ import numpy as np
 
 
 def fmt(value):
+    if type(value) is float or isinstance(value, np.floating):
+        # 17 significant digits: exact double roundtrip
+        return f"{float(value):.16e}"
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        # 17 significant digits: exact double roundtrip
-        return f"{float(value):.16e}"
     return str(value)
 
 
@@ -62,26 +62,21 @@ def _json_default(obj):
 
 
 def spectral_rows(split):
-    rows = []
-    for i, lam in enumerate(split.eigenvalues):
-        rows.append([i, lam, *split.eigenvectors[:, i]])
-    return rows
+    return [[i, lam, *vector] for i, (lam, vector) in
+            enumerate(zip(split.eigenvalues.tolist(), split.eigenvectors.T.tolist()))]
 
 
 def graph_rows(sample, model):
     """One row per base point: kind, T, z-, base, value, diagnostics."""
-    base = sample.grid_points()
-    vals = sample.values_flat()
-    residuals = sample.residuals.ravel()
-    iters = sample.iterations.ravel()
-    gaps = (sample.endpoint_gaps.ravel() if sample.endpoint_gaps is not None
-            else np.full(base.shape[0], np.nan))
-    zm = sample.z_minus if sample.z_minus is not None else np.zeros(model.k)
+    base = sample.grid_points().tolist()
+    gaps = (sample.endpoint_gaps.ravel().tolist() if sample.endpoint_gaps is not None
+            else [np.nan] * len(base))
+    zm = sample.z_minus.tolist() if sample.z_minus is not None else [0.0] * model.k
     T = sample.T if sample.T is not None else np.inf
-    rows = []
-    for b, v, r, it, g in zip(base, vals, residuals, iters, gaps):
-        rows.append([sample.kind, T, *zm, *b, *v, r, it, g])
-    return rows
+    return [[sample.kind, T, *zm, *b, *v, r, it, g]
+            for b, v, r, it, g in zip(base, sample.values_flat().tolist(),
+                                      sample.residuals.ravel().tolist(),
+                                      sample.iterations.ravel().tolist(), gaps)]
 
 
 def graph_header(model, sample):
@@ -102,15 +97,18 @@ def report_rows(report):
     return [row.to_list() for row in report.rows]
 
 
+def _ambient_rows(model, points):
+    """Ambient points, one ``to_ambient`` call each (on a stack it rounds
+    differently in a rotated frame), and their objective values, as lists."""
+    ambient = np.array([model.to_ambient(p) for p in points]).reshape(-1, model.n)
+    return ambient.tolist(), model.problem.f(ambient).tolist()
+
+
 def atlas_leaf_rows(leaf, model):
-    base = leaf.graph.grid_points()
-    points = leaf.graph.local_points()
-    inside = leaf.inside_mask.ravel()
-    rows = []
-    for b, point, keep in zip(base, points, inside):
-        ambient = model.to_ambient(point)
-        rows.append([*b, *ambient, model.f_local(point), int(keep)])
-    return rows
+    ambient, values = _ambient_rows(model, leaf.graph.local_points())
+    return [[*b, *x, v, int(keep)]
+            for b, x, v, keep in zip(leaf.graph.grid_points().tolist(), ambient, values,
+                                     leaf.inside_mask.ravel().tolist())]
 
 
 def atlas_leaf_header(model, leaf):
@@ -121,8 +119,6 @@ def atlas_leaf_header(model, leaf):
 
 
 def pair_rows(pair, model):
-    rows = []
-    for p, is_exit in zip(pair.samples, pair.exit_mask):
-        ambient = model.to_ambient(p)
-        rows.append([*ambient, model.f_local(p), int(is_exit)])
-    return rows
+    ambient, values = _ambient_rows(model, pair.samples)
+    return [[*x, v, int(is_exit)]
+            for x, v, is_exit in zip(ambient, values, pair.exit_mask.tolist())]

@@ -10,13 +10,20 @@ None of these is used by a run, so they live with the tests:
 * ``graph_derivative``, central differences of a sampled graph;
 * ``derivative_values``, the spectral derivative of a curve's panel
   interpolants;
-* ``panel_slice``, the flat-grid nodes of one panel.
+* ``panel_slice``, the flat-grid nodes of one panel;
+* ``compose_linear`` and ``translate``, the terms of a polynomial after a
+  linear change of variables (multinomial expansion, one factor at a time)
+  and after a shift (binomial expansion).
 """
+
+import math
+from itertools import product
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from gradleaf.curves import barycentric_weights
+from gradleaf.polynomials import Polynomial
 
 ORACLE_RTOL = 1e-12
 ORACLE_ATOL = 1e-15
@@ -115,3 +122,48 @@ def derivative_values(curve):
         sl = panel_slice(grid, ip)
         out[sl] = D @ curve.values[sl]
     return out
+
+
+def _poly_mul(a, b, dim):
+    out = {}
+    for alpha, ca in a.items():
+        for beta, cb in b.items():
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            out[gamma] = out.get(gamma, 0.0) + ca * cb
+    return out
+
+
+def compose_linear(poly, M):
+    """Terms of x -> poly(M x), by multinomial expansion."""
+    dim = poly.dimension
+    unit = {tuple([0] * dim): 1.0}
+    rows = []
+    for i in range(dim):
+        row = {}
+        for j in range(dim):
+            if M[i, j] != 0.0:
+                alpha = [0] * dim
+                alpha[j] = 1
+                row[tuple(alpha)] = float(M[i, j])
+        rows.append(row)
+    total = {}
+    for alpha, coeff in poly.terms.items():
+        term = dict(unit)
+        for i, power in enumerate(alpha):
+            for _ in range(power):
+                term = _poly_mul(term, rows[i], dim)
+        for gamma, c in term.items():
+            total[gamma] = total.get(gamma, 0.0) + coeff * c
+    return Polynomial(dim, {g: c for g, c in total.items() if abs(c) > 0.0})
+
+
+def translate(poly, shift):
+    """Terms of x -> poly(x - shift), by binomial expansion."""
+    total = {}
+    for alpha, coeff in poly.terms.items():
+        for beta in product(*(range(a + 1) for a in alpha)):
+            c = coeff
+            for a, b, s in zip(alpha, beta, shift):
+                c *= math.comb(a, b) * (-float(s)) ** (a - b)
+            total[beta] = total.get(beta, 0.0) + c
+    return Polynomial(poly.dimension, total)

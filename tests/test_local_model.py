@@ -16,8 +16,9 @@ from gradleaf.local_model import (
     lipschitz_modulus,
 )
 from gradleaf.polynomials import Polynomial
-from gradleaf.problems import load_problem, problem_from_dict
+from gradleaf.problems import GradientProblem, load_problem, problem_from_dict
 from gradleaf.spectral import split
+from references import compose_linear, translate
 
 
 def test_nonlinearity_quadratic_vanishes(p1):
@@ -239,13 +240,89 @@ def _k2_model():
     return LocalModel(problem, split(problem.hess(problem.critical_point)))
 
 
+def _shifted_rotated_model():
+    """The quartic of p2 in a frame rotated by 0.3 rad about the critical
+    point (0.7, -0.4): f(x) = p(R(x - x0)), expanded on the test side, so
+    its table carries rounding-level linear and constant terms."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    base = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0], [[2, 2], 0.25]])
+    x0 = np.array([0.7, -0.4])
+    poly = translate(compose_linear(base, np.array([[c, -s], [s, c]])), x0)
+    problem = GradientProblem("shifted_rotated_quartic", 2, poly, x0)
+    return LocalModel(problem, split(problem.hess(x0)))
+
+
+def _reference_models():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    models = []
+    for path in sorted(configs.glob("*.json")):
+        problem = load_problem(path)
+        models.append(LocalModel(problem, split(problem.hess(problem.critical_point))))
+    return models + [_shifted_rotated_model()]
+
+
+def test_h_and_dh_match_the_ambient_formula():
+    # h = Lambda xi - U^T grad f(x0 + U xi), dh = diag Lambda - U^T H U,
+    # evaluated through the ambient frame as h and dh once were
+    for model in _reference_models():
+        rng = np.random.default_rng(3)
+        xi = 0.5 * model.problem.trust_radius * rng.standard_normal((64, model.n))
+        ambient = model.x0 + xi @ model.U.T
+        h = xi * model.eigenvalues - model.problem.grad(ambient) @ model.U
+        dh = np.diag(model.eigenvalues) - model.U.T @ model.problem.hess(ambient) @ model.U
+        scale = np.linalg.norm(xi * model.eigenvalues, axis=1)
+        assert np.all(np.linalg.norm(model.h(xi) - h, axis=1) <= 1e-14 * scale)
+        assert np.max(np.abs(model.dh(xi) - dh)) <= 1e-14 * np.max(np.abs(model.eigenvalues))
+
+
+def test_shifted_rotated_frame_keeps_rounding_level_terms():
+    # x0 is critical only to rounding, and q keeps the linear terms that
+    # say so: h(0) is not 0, and within rounding of -U^T grad f(x0)
+    model = _shifted_rotated_model()
+    assert not np.allclose(np.abs(model.U), np.eye(2))
+    h0 = model.h(np.zeros(2))
+    assert np.all(h0 != 0.0)
+    assert np.max(np.abs(h0 + model.U.T @ model.problem.grad(model.x0))) <= 1e-15
+
+
 def test_batched_dh_matches_per_point(p2, p3):
-    for model in (p2.model, p3.model, _k2_model()):
+    # h too: a stack and its one-point calls give the same bits
+    for model in (p2.model, p3.model, _k2_model(), _shifted_rotated_model()):
         rng = np.random.default_rng(model.n)
         pts = 0.4 * model.problem.trust_radius * rng.standard_normal((37, model.n))
-        stacked = np.stack([model.dh(xi) for xi in pts])
-        assert _same_bits(model.dh(pts), stacked)
-        assert _same_bits(model.dh(pts[:1]), stacked[:1])
+        for evaluate in (model.h, model.dh):
+            stacked = np.stack([evaluate(xi) for xi in pts])
+            assert _same_bits(evaluate(pts), stacked)
+            assert _same_bits(evaluate(pts[:1]), stacked[:1])
+
+
+def _random_polynomials(seed, count=30):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        pairs = [[rng.integers(0, 5, n).tolist(), float(rng.standard_normal())]
+                 for _ in range(int(rng.integers(0, 7)))]
+        yield Polynomial.from_pairs(n, pairs), rng
+
+
+def test_affine_identity_returns_the_same_terms():
+    for poly, _ in _random_polynomials(0):
+        image = poly.affine(0, np.eye(poly.dimension))
+        assert list(image.terms.items()) == list(poly.terms.items())
+
+
+def test_affine_matches_compose_linear_and_shifted_values():
+    for poly, rng in _random_polynomials(1):
+        n = poly.dimension
+        M, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        linear, ref = poly.affine(0, M).terms, compose_linear(poly, M).terms
+        scale = max([abs(c) for c in poly.terms.values()], default=0.0)
+        for gamma in set(linear) | set(ref):
+            assert abs(linear.get(gamma, 0.0) - ref.get(gamma, 0.0)) <= 1e-13 * scale
+        shift = rng.uniform(-1.0, 1.0, n)
+        y = rng.uniform(-1.0, 1.0, (9, n))
+        assert np.allclose(poly.affine(shift, M)(y), poly(shift + y @ M.T),
+                           rtol=1e-12, atol=1e-12 * max(scale, 1.0))
 
 
 def _lipschitz_modulus_per_point(problem, sp, samples, rng):

@@ -5,10 +5,13 @@ computed in the adapted frame must match the axis-aligned original up to
 eigenvector sign conventions.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from gradleaf import lyapunov_perron as lp
+from gradleaf import reporting
 from gradleaf.flow import descending_disk
 from gradleaf.local_model import (
     LocalModel,
@@ -20,41 +23,9 @@ from gradleaf.oracle import mixed_bvp_oracle
 from gradleaf.polynomials import Polynomial
 from gradleaf.problems import GradientProblem
 from gradleaf.spectral import split
+from references import compose_linear
 
 THETA = 0.3
-
-
-def _poly_mul(a, b, dim):
-    out = {}
-    for alpha, ca in a.items():
-        for beta, cb in b.items():
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            out[gamma] = out.get(gamma, 0.0) + ca * cb
-    return out
-
-
-def compose_linear(poly, M):
-    """Terms of x -> poly(M x), by multinomial expansion."""
-    dim = poly.dimension
-    unit = {tuple([0] * dim): 1.0}
-    rows = []
-    for i in range(dim):
-        row = {}
-        for j in range(dim):
-            if M[i, j] != 0.0:
-                alpha = [0] * dim
-                alpha[j] = 1
-                row[tuple(alpha)] = float(M[i, j])
-        rows.append(row)
-    total = {}
-    for alpha, coeff in poly.terms.items():
-        term = dict(unit)
-        for i, power in enumerate(alpha):
-            for _ in range(power):
-                term = _poly_mul(term, rows[i], dim)
-        for gamma, c in term.items():
-            total[gamma] = total.get(gamma, 0.0) + coeff * c
-    return Polynomial(dim, {g: c for g, c in total.items() if abs(c) > 0.0})
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +110,25 @@ def test_rotated_oracle_agreement(rotated):
     nodes = res.curve.grid.nodes
     states = model.to_local(traj.at(nodes))
     assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6
+
+
+def test_rotated_csv_rows_match_per_point_calls(rotated):
+    # leaf and pair rows in bulk render as rows built one point at a time
+    # (to_ambient and f_local per point)
+    _, _, model, ladder, *_, graph_g = rotated
+    samples = np.random.default_rng(5).uniform(-ladder.R, ladder.R, (240, 2))
+    inside = np.arange(graph_g.grid_points().shape[0]) % 3 > 0
+    leaf = SimpleNamespace(graph=graph_g, inside_mask=inside)
+    pair = SimpleNamespace(samples=samples, exit_mask=samples[:, 0] > 0)
+
+    def per_point(p):
+        return [*model.to_ambient(p), model.f_local(p)]
+
+    cases = [(reporting.atlas_leaf_rows(leaf, model),
+              [[*b, *per_point(p), int(k)] for b, p, k in
+               zip(graph_g.grid_points(), graph_g.local_points(), inside)]),
+             (reporting.pair_rows(pair, model),
+              [[*per_point(p), int(e)] for p, e in zip(samples, pair.exit_mask)])]
+    for rows, ref in cases:
+        assert [[reporting.fmt(v) for v in r] for r in rows] == \
+            [[reporting.fmt(v) for v in r] for r in ref]
