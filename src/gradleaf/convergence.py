@@ -17,7 +17,6 @@ import numpy as np
 from .errors import EndpointViolation, FlagMissing
 from .lyapunov_perron import (
     PICARD_TOL,
-    SolverCache,
     backward_orbit,
     default_horizon,
     graph_derivative_linearized,
@@ -106,10 +105,10 @@ class GraphFamilySolver:
     ones not yet held together, in one batched Picard loop.
     """
 
-    def __init__(self, model, ladder, cache=None):
+    def __init__(self, model, ladder, cache):
         self.model = model
         self.ladder = ladder
-        self.cache = cache or SolverCache(model)
+        self.cache = cache
         self._orbits = {}
         self._mixed = {}
         self._stable = {}
@@ -120,7 +119,7 @@ class GraphFamilySolver:
         if have is None or have.curve.grid.t0 > -t_need:
             t_max = max(default_horizon(self.ladder), t_need)
             have = backward_orbit(self.model, self.ladder, np.asarray(z_minus),
-                                  t_max=t_max, cache=self.cache)
+                                  t_max, self.cache)
             self._orbits[key] = have
             # a held mixed solve of this z- is centered on the orbit replaced
             self._mixed = {k: v for k, v in self._mixed.items() if k[1] != key}
@@ -157,11 +156,11 @@ class GraphFamilySolver:
                 self._mixed[key] = out
         return [self._mixed[key] for key in keys]
 
-    def mixed(self, T, z_minus, z_plus, enforce_endpoint=True):
-        return self.mixed_rows(T, z_minus, [z_plus], enforce_endpoint)[0]
+    def mixed(self, T, z_minus, z_plus):
+        return self.mixed_rows(T, z_minus, [z_plus])[0]
 
-    def graph_value(self, T, z_minus, z_plus, **kw):
-        res, _ = self.mixed(T, z_minus, z_plus, **kw)
+    def graph_value(self, T, z_minus, z_plus):
+        res, _ = self.mixed(T, z_minus, z_plus)
         return res.curve.values[0, : self.model.k]
 
     def stable_rows(self, z_plus_rows):
@@ -242,22 +241,20 @@ def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
     return report
 
 
-def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
-                   use_linearized=True):
-    """Directional-derivative gap of the time-T graphs against the stable one.
+def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
+    """Directional-derivative gap of the time-T graphs against the stable one,
+    along each coordinate axis of the plus subspace.
 
     Requires the C^{2,1} flag (the bound constant c_* needs the Lipschitz
     modulus of dh).  Derivatives are central differences of re-solved graph
-    values; the linearized integral equation provides an optional
-    cross-check recorded in ``extras``.
+    values; the linearized integral equation provides a cross-check
+    recorded in ``extras``.
     """
     ladder = solver.ladder
     model = solver.model
     if ladder.c_star is None or not model.problem.c21:
         raise FlagMissing("C^{2,1} flag (and kappa_star) required for C1 checks")
-    directions = directions if directions is not None else \
-        [np.eye(model.n - model.k)[i] for i in range(model.n - model.k)]
-    directions = [np.asarray(v, dtype=float) for v in directions]
+    directions = list(np.eye(model.n - model.k))
     fd_step = 0.05 * ladder.R
     fd_probes = (fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step)
     noise = 4.0 * RESIDUAL_TO_ERROR * PICARD_TOL / fd_step
@@ -275,7 +272,7 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
             # direction), then the z+ themselves for the linearized check
             probes = [zp + h * v for zp in z_plus_list for v in directions
                       for h in fd_probes]
-            probes += list(z_plus_list) if use_linearized else []
+            probes += list(z_plus_list)
             mixed = solver.mixed_rows(T, zm, probes)
             stable = solver.stable_rows(probes)
             g_T = [res.curve.values[0, : model.k] for res, _ in mixed]
@@ -298,14 +295,13 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list, directions=None,
                                direction_label=f"e{i}",
                                gap=gap, bound=bound, budget=budget,
                                ok=gap <= bound + budget)
-                    if use_linearized:
-                        base = len(probes) - len(z_plus_list) + a
-                        dT_lin = graph_derivative_linearized(
-                            model, ladder, mixed[base][0], v, cache=solver.cache)
-                        dI_lin = graph_derivative_linearized(
-                            model, ladder, stable[base], v, cache=solver.cache)
-                        cross.append(float(np.linalg.norm(
-                            (dT_lin - dI_lin) - (dT_half - dI_half))))
+                    base = len(probes) - len(z_plus_list) + a
+                    dT_lin = graph_derivative_linearized(
+                        model, ladder, mixed[base][0], v, solver.cache)
+                    dI_lin = graph_derivative_linearized(
+                        model, ladder, stable[base], v, solver.cache)
+                    cross.append(float(np.linalg.norm(
+                        (dT_lin - dI_lin) - (dT_half - dI_half))))
     if cross:
         report.extras["linearized_vs_fd_max"] = max(cross)
     return report

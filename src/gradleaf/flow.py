@@ -27,6 +27,11 @@ from . import dop853
 from .errors import BlowUp, LevelNotReached
 
 BLOWUP_RADIUS = 1e3
+#: integration tolerances of ``integrate_forward``
+TRAJECTORY_RTOL = 1e-10
+TRAJECTORY_ATOL = 1e-12
+#: rays of the unstable plane along which the descending sphere is bisected
+DISK_RESOLUTION = 8
 
 # step-size control (Hairer, Norsett & Wanner, II.4), as in scipy's explicit
 # Runge-Kutta solvers
@@ -296,16 +301,17 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=Non
     return ForwardRun(terminal, stopped, None if dense is None else sols, nfev)
 
 
-def integrate_forward(problem, start, duration, rtol=1e-10, atol=1e-12):
+def integrate_forward(problem, start, duration):
     """The forward trajectory from ``start`` for ``duration > 0``: a
-    one-row :func:`solve_ivp` run with its steps kept, so the trajectory
+    one-row :func:`solve_ivp` run at ``TRAJECTORY_RTOL`` and
+    ``TRAJECTORY_ATOL`` with its steps kept, so the trajectory
     reads the run's dense output.  Its last state is the step end at
     ``duration``.  Exceeding ``BLOWUP_RADIUS`` raises BlowUp.
     """
     if not duration > 0:
         raise ValueError("forward integration requires duration > 0")
-    run = solve_ivp(problem, np.asarray(start, dtype=float)[None], duration, rtol, atol,
-                    -np.inf, dense=[True])
+    run = solve_ivp(problem, np.asarray(start, dtype=float)[None], duration,
+                    TRAJECTORY_RTOL, TRAJECTORY_ATOL, -np.inf, dense=[True])
     sol = run.dense[0]
     return Trajectory(problem, np.array(sol.times), np.array(sol.states), sol)
 
@@ -326,25 +332,26 @@ class DescendingDisk:
     interior_local: np.ndarray
 
 
-def descending_disk(model, ladder, graph_f, resolution=8, epsilon=None):
-    """Sample the descending disk and locate its boundary sphere.
+def descending_disk(model, ladder, graph_f):
+    """Sample the descending disk above level c - epsilon of the ladder and
+    locate its boundary sphere.
 
     The sphere is found by bisection in the level value along rays of the
     unstable subspace, to 1e-10 in f; for Morse index one it consists of
     two points.
     """
-    epsilon = ladder.epsilon if epsilon is None else float(epsilon)
+    epsilon = ladder.epsilon
     k = model.k
     level = model.critical_value - epsilon
 
     if k == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        angles = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+        angles = np.linspace(0.0, 2 * np.pi, DISK_RESOLUTION, endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         if k > 2:
             rng = np.random.default_rng(7)
-            extra = rng.standard_normal((resolution * (k - 2), k))
+            extra = rng.standard_normal((DISK_RESOLUTION * (k - 2), k))
             extra /= np.linalg.norm(extra, axis=1, keepdims=True)
             dirs = np.concatenate([np.pad(dirs, ((0, 0), (0, k - 2))), extra])
 

@@ -45,6 +45,17 @@ PAIR_ATOL = 1e-12
 AUDIT_RTOL = 1e-11
 AUDIT_ATOL = 1e-13
 COMPONENT_KEEP_FRACTION = 0.9
+#: box samples of the level-set pair, besides the critical point
+PAIR_SAMPLES = 240
+#: rays of the plus plane along which a leaf's clip boundary is bisected
+BOUNDARY_RESOLUTION = 8
+#: the disjointness probes split every cell of the leaf grid this many ways
+DISJOINT_REFINE = 9
+#: the retract audit's flow times for the disk, and its fixed-point budget
+RETRACT_T_SAMPLES = (0.5, 1.5, 4.0)
+RETRACT_FIX_TOL = 1e-10
+#: the invariance audit flows the (T, alpha) leaf onto the (T - sigma, alpha) one
+INVARIANCE_SIGMAS = (1.0,)
 #: size of the temporary gap array of one chunk in contraction_to_center
 NEAREST_CHUNK_BYTES = 1 << 20
 
@@ -94,8 +105,9 @@ def pair_membership(model, points, epsilon, tau):
     return in_n, in_l
 
 
-def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240, rng=None):
-    """Rejection-sample the pair on a box and keep the component of x.
+def build_pair(model, ladder, rng):
+    """Rejection-sample the pair at the ladder's epsilon and tau = T0 on a
+    box and keep the component of x.
 
     The box is anisotropic: along unstable directions the set N thins out
     like exp(-tau |lambda_j|) (only points that stay above level c - epsilon
@@ -105,9 +117,7 @@ def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240, rng=None):
     sampling density; a large disconnected remainder signals insufficient
     resolution and raises.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    epsilon = ladder.epsilon if epsilon is None else float(epsilon)
-    tau = ladder.T0 if tau is None else float(tau)
+    epsilon, tau = ladder.epsilon, ladder.T0
     n = model.n
     widths = np.empty(n)
     for j, lam in enumerate(model.eigenvalues):
@@ -117,7 +127,7 @@ def build_pair(model, ladder, epsilon=None, tau=None, n_samples=240, rng=None):
         else:
             widths[j] = 1.3 * scale
 
-    pts = rng.uniform(-1.0, 1.0, size=(n_samples, n)) * widths
+    pts = rng.uniform(-1.0, 1.0, size=(PAIR_SAMPLES, n)) * widths
     pts = np.concatenate([np.zeros((1, n)), pts])  # x itself is always in N
     in_n, in_l = pair_membership(model, pts, epsilon, tau)
     accepted = pts[in_n]
@@ -210,7 +220,7 @@ class FoliationAtlas:
         return ["center"] + list(self.leaves.keys())
 
 
-def _leaf_boundaries(model, graphs, clip_level, resolution):
+def _leaf_boundaries(model, graphs, clip_level):
     """Level-crossing samples of leaves on one plus grid along rays of the
     plus subspace, ``(boundary_plus, boundary_local)`` per graph, from one
     lockstep bisection over every ray of every leaf."""
@@ -218,7 +228,7 @@ def _leaf_boundaries(model, graphs, clip_level, resolution):
     if d == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        angles = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+        angles = np.linspace(0.0, 2 * np.pi, BOUNDARY_RESOLUTION, endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         if d > 2:
             dirs = np.pad(dirs, ((0, 0), (0, d - 2)))
@@ -230,27 +240,23 @@ def _leaf_boundaries(model, graphs, clip_level, resolution):
     return [(bp, graph.local_points(bp)) for graph, bp in zip(graphs, plus)]
 
 
-def build_atlas(solver, stable_graph, sphere_minus, pair=None, tau=None,
-                T_grid=None, zplus_axes=None, boundary_resolution=8):
+def build_atlas(solver, stable_graph, sphere_minus, pair, tau, T_grid,
+                zplus_axes):
     """Assemble the leaf family over a (T, alpha) grid.
 
     ``solver``: the ladder's ``GraphFamilySolver``, which holds the model,
     the ladder and the backward orbits of the sphere points.
     ``sphere_minus``: minus coordinates of the descending-sphere samples.
+    ``zplus_axes``: the plus grid of the time-T graphs.
     Leaves are built from the time-T graphs and clipped at level c + epsilon;
     the center leaf is the clipped stable graph.
     """
     model, ladder = solver.model, solver.ladder
     epsilon = ladder.epsilon
-    tau = ladder.T0 if tau is None else float(tau)
-    T_grid = np.asarray(T_grid if T_grid is not None
-                        else tau + np.arange(0.0, 5.0), dtype=float)
+    T_grid = np.asarray(T_grid, dtype=float)
     if np.any(T_grid < tau - 1e-12):
         raise ValueError("atlas horizons must satisfy T >= tau")
     clip = model.critical_value + epsilon
-
-    pair = pair if pair is not None else build_pair(model, ladder,
-                                                    epsilon=epsilon, tau=tau)
 
     def leaf(label, graph, base_point, T, boundary):
         inside = model.f_local(graph.local_points()) <= clip
@@ -258,7 +264,7 @@ def build_atlas(solver, stable_graph, sphere_minus, pair=None, tau=None,
                     clip_level=clip, inside_mask=inside.reshape(graph.grid_shape),
                     boundary_plus=boundary[0], boundary_local=boundary[1])
 
-    [bnd] = _leaf_boundaries(model, [stable_graph], clip, boundary_resolution)
+    [bnd] = _leaf_boundaries(model, [stable_graph], clip)
     center = leaf("center", stable_graph, np.zeros(model.n), None, bnd)
 
     labels, graphs, disk, annulus = [], [], [np.zeros(model.n)], []
@@ -266,12 +272,11 @@ def build_atlas(solver, stable_graph, sphere_minus, pair=None, tau=None,
         orbit = solver.orbit(alpha, float(np.max(T_grid)))
         for T in T_grid:
             labels.append((float(T), ai))
-            graphs.append(graph_G_T(model, ladder, float(T), alpha,
-                                    base_axes=zplus_axes, solver=solver))
+            graphs.append(graph_G_T(solver, float(T), alpha, zplus_axes))
             disk.append(orbit.curve.evaluate(-float(T)))
             if T <= 2.0 * tau + 1e-12:
                 annulus.append(labels[-1])
-    bounds = _leaf_boundaries(model, graphs, clip, boundary_resolution)
+    bounds = _leaf_boundaries(model, graphs, clip)
     leaves = {label: leaf(label, graph, base, label[0], bnd)
               for label, graph, base, bnd in zip(labels, graphs, disk[1:], bounds)}
     interp_tol = max([center.graph.interp_tolerance()]
@@ -288,7 +293,7 @@ def _refined_axes(axes, refine):
                  for ax in axes)
 
 
-def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
+def check_disjoint(atlas, pair_count, rng):
     """Pairwise leaf separation over random distinct labels.
 
     Leaves are graphs over a common plus grid, so they intersect iff their
@@ -299,7 +304,6 @@ def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
     separation between probes.  The probes' interpolation weights are
     computed once, and each leaf is interpolated at them once.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     labels = list(atlas.leaves.keys())
     model = atlas.model
     report = ConvergenceReport("disjoint")
@@ -321,7 +325,7 @@ def check_disjoint(atlas, pair_count=100, rng=None, refine=9):
                    for x, y in zip(atlas.leaves[label].graph.axes, axes)):
             raise ValueError(f"leaves {labels[0]} and {label} are sampled on "
                              "different plus grids")
-    fine = _refined_axes(atlas.center.graph.axes, refine)
+    fine = _refined_axes(atlas.center.graph.axes, DISJOINT_REFINE)
     stencil = multilinear_stencil(axes, tensor_points(fine))
     spacing = max(float(np.max(np.diff(f))) for f in fine)
     probed = {}
@@ -388,7 +392,7 @@ def induced_flow(atlas, labels, z_local, t):
     return out[0] if z_local.ndim == 1 else out
 
 
-def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
+def retract_audit(atlas):
     """Three checks behind the strong-deformation-retract property.
 
     (i) the time-infinity map sends every sampled leaf point to the leaf's
@@ -412,7 +416,7 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
         base = atlas.leaf(label).base_point
         flatness = max(flatness, float(np.linalg.norm(base[model.k:])))
     report.extras["unstable_flatness_residual"] = flatness
-    fix_budget = fix_tol + 10.0 * flatness + 10.0 * atlas.interp_tolerance
+    fix_budget = RETRACT_FIX_TOL + 10.0 * flatness + 10.0 * atlas.interp_tolerance
 
     # (i) theta_inf maps leaf samples onto the base point
     origin = np.zeros(model.n - model.k)
@@ -422,13 +426,14 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
         gap = float(np.linalg.norm(end - leaf.base_point))
         report.add(check="retract_theta_inf", T=leaf.T or 0.0,
                    z_minus_label=str(label), z_plus_label="", direction_label="",
-                   gap=gap, bound=0.0, budget=fix_tol, ok=gap <= fix_tol)
+                   gap=gap, bound=0.0, budget=RETRACT_FIX_TOL,
+                   ok=gap <= RETRACT_FIX_TOL)
 
     # (ii) theta_t fixes the disk D pointwise
     bases = np.array([leaf.base_point for leaf in leaves])
-    moved = [induced_flow(atlas, labels, bases, t) for t in t_samples]
+    moved = [induced_flow(atlas, labels, bases, t) for t in RETRACT_T_SAMPLES]
     for i, (label, leaf) in enumerate(zip(labels, leaves)):
-        for t, moved_t in zip(t_samples, moved):
+        for t, moved_t in zip(RETRACT_T_SAMPLES, moved):
             gap = float(np.linalg.norm(moved_t[i] - leaf.base_point))
             report.add(check="retract_fix_D", T=leaf.T or 0.0,
                        z_minus_label=str(label), z_plus_label="",
@@ -458,7 +463,7 @@ def retract_audit(atlas, t_samples=(0.5, 1.5, 4.0), fix_tol=1e-10):
     return report
 
 
-def leaf_invariance(atlas, sigmas=(1.0,)):
+def leaf_invariance(atlas):
     """Forward-flow compatibility: points of the (T, alpha) leaf land on the
     (T - sigma, alpha) leaf, measured through that leaf's graph.  Per sigma,
     the inside points of every leaf with a target are flowed together."""
@@ -467,7 +472,7 @@ def leaf_invariance(atlas, sigmas=(1.0,)):
     tol = 10.0 * atlas.interp_tolerance + 1e-9
     inside = {label: leaf.inside_points() for label, leaf in atlas.leaves.items()}
     landed = {}
-    for sigma in sigmas:
+    for sigma in INVARIANCE_SIGMAS:
         sources = [label for label in atlas.leaves
                    if (float(label[0] - sigma), label[1]) in atlas.leaves]
         if not sources:
@@ -479,7 +484,7 @@ def leaf_invariance(atlas, sigmas=(1.0,)):
                         np.cumsum([len(inside[label][1]) for label in sources]))
         landed.update(((label, sigma), end) for label, end in zip(sources, ends))
     for (T, ai) in atlas.leaves:
-        for sigma in sigmas:
+        for sigma in INVARIANCE_SIGMAS:
             if ((T, ai), sigma) not in landed:
                 continue
             target = atlas.leaves[(float(T - sigma), ai)]

@@ -27,6 +27,8 @@ from .lyapunov_perron import tensor_points
 from .polynomials import Polynomial
 
 KAPPA_SAFETY = 1.5
+#: random points per radius (and pairs for kappa_star) of the sampled moduli
+KAPPA_SAMPLES = 160
 #: region factor: curves of the contraction spaces stay within this multiple
 #: of rho of the origin, so the smallness inequality is checked there
 REGION_FACTOR = 2.0
@@ -106,8 +108,8 @@ def _ball_samples(rng, n, radius, count):
     return v * r[:, None]
 
 
-def lipschitz_modulus(problem, split, samples=160, rng=None):
-    """Sampled upper estimate of the Lipschitz modulus of ``h`` on balls.
+def lipschitz_modulus(model, rng):
+    """Sampled upper estimate of the Lipschitz modulus of ``model.h`` on balls.
 
     The radii are the trust radius halved 0 to 10 times.  For each radius
     the estimate combines random difference quotients with a dense
@@ -116,27 +118,24 @@ def lipschitz_modulus(problem, split, samples=160, rng=None):
     kappa_star)`` where ``kappa_star`` is the sampled Lipschitz constant of
     ``dh`` on the trust ball (None unless the problem is C^{2,1}).
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    model = LocalModel(problem, split)
-    n = problem.dimension
-    rho0 = problem.trust_radius
+    n, rho0 = model.n, model.problem.trust_radius
     rho_grid = rho0 * 0.5 ** np.arange(10, -1, -1)
 
     values = []
     for rho in rho_grid:
         best = 0.0
-        pts = _ball_samples(rng, n, rho, samples)
-        qts = _ball_samples(rng, n, rho, samples)
+        pts = _ball_samples(rng, n, rho, KAPPA_SAMPLES)
+        qts = _ball_samples(rng, n, rho, KAPPA_SAMPLES)
         hp = model.h(pts)
         hq = model.h(qts)
         dn = np.linalg.norm(pts - qts, axis=1)
-        ok = dn > 1e-12 * rho if rho > 0 else np.zeros(samples, bool)
+        ok = dn > 1e-12 * rho if rho > 0 else np.zeros(KAPPA_SAMPLES, bool)
         if np.any(ok):
             best = float(np.max(np.linalg.norm(hp[ok] - hq[ok], axis=1) / dn[ok]))
         # dense |dh| maximization: interior grid + sphere shell
         axes = np.linspace(-rho / math.sqrt(n), rho / math.sqrt(n), 5)
         mesh = tensor_points([axes] * n)
-        shell = _ball_samples(rng, n, rho, samples)
+        shell = _ball_samples(rng, n, rho, KAPPA_SAMPLES)
         shell *= rho / np.maximum(np.linalg.norm(shell, axis=1, keepdims=True), 1e-300)
         dense = np.linalg.norm(model.dh(np.concatenate([mesh, shell])), 2, axis=(1, 2))
         best = max(best, float(np.max(dense)))
@@ -148,10 +147,10 @@ def lipschitz_modulus(problem, split, samples=160, rng=None):
     modulus = KappaModulus(radii=radii, values=values)
 
     kappa_star = None
-    if problem.c21:
+    if model.problem.c21:
         best = 0.0
-        pts = _ball_samples(rng, n, rho0, samples)
-        qts = _ball_samples(rng, n, rho0, samples)
+        pts = _ball_samples(rng, n, rho0, KAPPA_SAMPLES)
+        qts = _ball_samples(rng, n, rho0, KAPPA_SAMPLES)
         gaps = np.linalg.norm(model.dh(pts) - model.dh(qts), 2, axis=(1, 2))
         for a, b, gap in zip(pts, qts, gaps.tolist()):
             # per pair: the row-wise norm of pts - qts can round differently
@@ -260,7 +259,7 @@ def _provisional_disks(split, rho):
     return varsigma, epsilon, varkappa
 
 
-def build_ladder(split, kappa, choices=None, kappa_star=None, rho0=1.0):
+def build_ladder(split, kappa, choices, kappa_star, rho0):
     """Assemble the rate ladder from the spectral data and sampled modulus.
 
     ``choices`` may fix ``lambda``, ``rho``, ``varkappa``, ``epsilon`` (and
@@ -268,7 +267,7 @@ def build_ladder(split, kappa, choices=None, kappa_star=None, rho0=1.0):
     delta = 0.9 * min(1, (d - lambda)/2), mu = lambda + delta, rho = largest
     sampled radius passing the smallness inequality on the excursion region.
     """
-    choices = dict(choices or {})
+    choices = dict(choices)
     unknown = set(choices) - {"lambda", "rho", "varkappa", "epsilon", "varsigma"}
     if unknown:
         raise ConfigError(f"unknown ladder override keys: {sorted(unknown)}")
@@ -323,7 +322,7 @@ def build_ladder(split, kappa, choices=None, kappa_star=None, rho0=1.0):
     )
 
 
-def calibrate_ladder(ladder, model, graph_f, graph_g, overrides=None):
+def calibrate_ladder(ladder, model, graph_f, graph_g, overrides):
     """Replace provisional disk parameters by graph-verified values.
 
     varsigma: largest level offset whose descending/ascending disks stay
@@ -331,7 +330,7 @@ def calibrate_ladder(ladder, model, graph_f, graph_g, overrides=None):
     the graph boundaries); varkappa: largest plus-ball that stays inside the
     ascending disk at level varsigma.  Overridden entries are kept.
     """
-    overrides = dict(overrides or {})
+    overrides = dict(overrides)
     drop = _boundary_level_change(model, graph_f, sign=-1.0)
     rise = _boundary_level_change(model, graph_g, sign=+1.0)
     varsigma = overrides.get("varsigma", 0.45 * min(drop, rise))

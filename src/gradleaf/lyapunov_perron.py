@@ -183,11 +183,12 @@ def _add_integrals(out, conv, k, y):
     return out
 
 
-def _boundary_term(model, grid, count, z_minus=None, z_plus=None, t_minus=0.0):
+def _boundary_term(model, grid, count, z_minus, z_plus, t_minus):
     """The free linear solutions on ``grid`` of ``count`` columns, shape
     (count, size, n): the minus part equals ``z_minus`` at time ``t_minus``,
     the plus part ``z_plus`` at time 0.  Each of the two is one row per
-    column, (count, d), or one vector (d,) that every column shares."""
+    column, (count, d), one vector (d,) that every column shares, or None
+    for a zero part."""
     k, eigs = model.k, model.eigenvalues
     out = np.zeros((count, grid.size, model.n))
     if z_minus is not None:
@@ -330,8 +331,9 @@ def PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid, conv):
                             reference=reference)
 
 
-def _picard(operator, cols, counts, initial=None, tol=PICARD_TOL):
-    """Picard iteration in the exp norm of the columns ``cols`` together.
+def _picard(operator, cols, counts, tol=PICARD_TOL):
+    """Picard iteration in the exp norm of the columns ``cols`` together,
+    from the operator's initial curves.
 
     Returns one outcome per column: its FixedPointResult, or the exception
     that ended it.  A column is frozen when it converges or fails, so its
@@ -342,7 +344,7 @@ def _picard(operator, cols, counts, initial=None, tol=PICARD_TOL):
     over-coarse grid.
     """
     boundary = operator.boundary(cols)
-    current = operator.start(boundary) if initial is None else initial.values[None]
+    current = operator.start(boundary)
     outcomes = [None] * len(boundary)
     # per live column: its index in the block, stall count, last residual
     live = list(range(len(boundary)))
@@ -392,13 +394,13 @@ def _picard(operator, cols, counts, initial=None, tol=PICARD_TOL):
     return outcomes
 
 
-def fixed_point(operator, initial=None, tol=PICARD_TOL, counts=None):
+def fixed_point(operator, counts):
     """Picard iteration of a one-column operator: the one-column case of
-    ``solve_columns``, with an optional initial curve and tolerance.
+    ``solve_columns``.
 
     Returns the FixedPointResult or raises the exception that ended it.
     """
-    (outcome,) = _picard(operator, slice(0, 1), counts, initial, tol)
+    (outcome,) = _picard(operator, slice(0, 1), counts)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -422,12 +424,11 @@ def solve_columns(operator, counts):
 
 # -- orbit and graph solvers --------------------------------------------------
 
-def backward_orbit(model, ladder, z_minus, t_max=None, cache=None):
-    """Fixed point of the backward operator: the orbit emanating from the
-    critical point whose minus projection at time zero is ``z_minus``."""
-    cache = cache or SolverCache(model)
-    t_max = default_horizon(ladder) if t_max is None else float(t_max)
-    grid = cache.grid(-t_max, 0.0)
+def backward_orbit(model, ladder, z_minus, t_max, cache):
+    """Fixed point of the backward operator on [-t_max, 0]: the orbit
+    emanating from the critical point whose minus projection at time zero
+    is ``z_minus``."""
+    grid = cache.grid(-float(t_max), 0.0)
     op = PhiOperator(model, ladder, z_minus, grid, cache.convolver(grid))
     return fixed_point(op, counts=cache.counts)
 
@@ -483,11 +484,9 @@ def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache,
         raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
 
 
-def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, cache=None,
-                enforce_endpoint=True):
+def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, cache):
     """``mixed_columns`` for one z+: returns ``(FixedPointResult, endpoint_gap)``."""
-    (out,) = mixed_columns(model, ladder, T, z_minus, [z_plus], orbit,
-                           cache or SolverCache(model), enforce_endpoint)
+    (out,) = mixed_columns(model, ladder, T, z_minus, [z_plus], orbit, cache)
     return out
 
 
@@ -731,10 +730,9 @@ def _sample_tensor_grid(axes, codim, solved):
     return values, residuals, iters, gaps
 
 
-def graph_F_inf(model, ladder, base_axes=None, cache=None):
+def graph_F_inf(model, ladder, cache):
     """Unstable graph: plus part at time 0 of the backward fixed points."""
-    cache = cache or SolverCache(model)
-    axes = base_axes or default_axes(ladder.R, model.k)
+    axes = default_axes(ladder.R, model.k)
     grid = cache.grid(-default_horizon(ladder), 0.0)
     op = PhiOperator(model, ladder, tensor_points(axes), grid,
                      cache.convolver(grid))
@@ -745,9 +743,8 @@ def graph_F_inf(model, ladder, base_axes=None, cache=None):
                        rate=ladder.lambda_)
 
 
-def graph_G_inf(model, ladder, cache=None):
+def graph_G_inf(model, ladder, cache):
     """Stable graph: minus part at time 0 of the forward fixed points."""
-    cache = cache or SolverCache(model)
     axes = default_axes(ladder.R, model.n - model.k)
     solved = ((res.curve.values[0, : model.k], res, 0.0) for res in
               stable_columns(model, ladder, tensor_points(axes), cache))
@@ -756,26 +753,21 @@ def graph_G_inf(model, ladder, cache=None):
                        rate=ladder.lambda_)
 
 
-def graph_G_T(model, ladder, T, z_minus, base_axes=None, orbit=None, cache=None,
-              solver=None):
-    """Time-T graph over the plus ball for one sphere point ``z_minus``.
+def graph_G_T(solver, T, z_minus, base_axes=None):
+    """Time-T graph over the plus ball for one sphere point ``z_minus``, on
+    the ladder of ``solver``, its ``GraphFamilySolver``.
 
-    With ``solver``, the ladder's ``GraphFamilySolver``, the graph uses its
-    orbit and cache and takes the nodes it already holds; the rest are
-    solved here and not stored.
+    The graph uses the solver's orbit and cache and takes the nodes it
+    already holds; the rest are solved here and not stored.
     """
-    if solver is not None:
-        cache, orbit = solver.cache, solver.orbit(z_minus, T)
-    cache = cache or SolverCache(model)
-    if orbit is None:
-        orbit = backward_orbit(model, ladder, z_minus,
-                               t_max=max(default_horizon(ladder), T), cache=cache)
+    model, ladder = solver.model, solver.ladder
+    # before ``held_mixed``: an orbit replaced here drops the nodes held on it
+    orbit = solver.orbit(z_minus, T)
     axes = base_axes or default_axes(ladder.R, model.n - model.k)
     points = tensor_points(axes)
-    held = [None if solver is None else solver.held_mixed(T, z_minus, zp)
-            for zp in points]
+    held = [solver.held_mixed(T, z_minus, zp) for zp in points]
     fresh = mixed_columns(model, ladder, T, z_minus,
-                          points[[h is None for h in held]], orbit, cache)
+                          points[[h is None for h in held]], orbit, solver.cache)
     solved = ((res.curve.values[0, : model.k], res, gap) for res, gap in
               (h if h is not None else next(fresh) for h in held))
     values, residuals, iters, gaps = _sample_tensor_grid(axes, model.k, solved)
@@ -806,14 +798,13 @@ class _LinearizedOperator(IntegralOperator):
         return _add_integrals(boundary.copy(), self.conv, self.k, y[None]), {}
 
 
-def graph_derivative_linearized(model, ladder, fp_result, v_plus, cache=None):
+def graph_derivative_linearized(model, ladder, fp_result, v_plus, cache):
     """Directional derivative of a graph map via the linearized equation.
 
     ``fp_result`` is the fixed point whose graph value is being
     differentiated (time-T or stable); returns the minus-part derivative at
     time zero, i.e. the derivative of the graph map itself.
     """
-    cache = cache or SolverCache(model)
     curve = fp_result.curve
     op = _LinearizedOperator(model, ladder, curve, cache.convolver(curve.grid),
                              np.asarray(v_plus, dtype=float))

@@ -21,6 +21,8 @@ from .flow import Trajectory, solve_ivp
 ORACLE_RTOL = 1e-12
 ORACLE_ATOL = 1e-15
 NEWTON_MAX_ITER = 30
+#: a shot is solved when its endpoint misses z_minus by at most this much
+NEWTON_TOL = 1e-8
 
 
 @dataclass
@@ -63,7 +65,7 @@ def _shoot(model, shots, keep):
     return resid, run.dense
 
 
-def mixed_bvp_oracle(model, ladder, queries, tol=1e-8):
+def mixed_bvp_oracle(model, ladder, queries):
     """Shooting solutions of mixed boundary problems, solved in lockstep.
 
     For each ``(T, z_minus, z_plus)`` of ``queries``, finds the initial
@@ -117,7 +119,7 @@ def mixed_bvp_oracle(model, ladder, queries, tol=1e-8):
 
     for iteration in range(NEWTON_MAX_ITER):
         for q in newton:
-            if q.active and np.linalg.norm(q.resid) <= tol:
+            if q.active and np.linalg.norm(q.resid) <= NEWTON_TOL:
                 q.active = False
         live = [q for q in newton if q.active]
         if not live:
@@ -152,8 +154,9 @@ def mixed_bvp_oracle(model, ladder, queries, tol=1e-8):
         for q in pending:
             fail(q, NewtonDiverged("damped Newton made no progress on the shot"))
     for q in newton:
-        if q.error is None and q.best[0] > tol:
-            fail(q, NewtonDiverged(f"endpoint residual {q.best[0]:.3e} above tol {tol}"))
+        if q.error is None and q.best[0] > NEWTON_TOL:
+            fail(q, NewtonDiverged(f"endpoint residual {q.best[0]:.3e} above tol "
+                                   f"{NEWTON_TOL}"))
         if q.error is not None:
             raise q.error
 

@@ -51,7 +51,7 @@ class RunState:
     wall_times: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    def rng(self, salt=0):
+    def rng(self, salt):
         return np.random.default_rng(self.seed + salt)
 
     def emit(self, name, header, rows):
@@ -84,8 +84,7 @@ def stage_spectral(state):
 def stage_ladder(state):
     _require(state, "spectral")
     problem = state.problem
-    state.modulus, state.kappa_star = lipschitz_modulus(
-        problem, state.split, rng=state.rng(1))
+    state.modulus, state.kappa_star = lipschitz_modulus(state.model, state.rng(1))
     state.ladder = build_ladder(state.split, state.modulus,
                                 choices=problem.ladder_overrides,
                                 kappa_star=state.kappa_star,
@@ -99,13 +98,13 @@ def stage_ladder(state):
 
 def stage_manifolds(state):
     _require(state, "ladder")
-    state.graph_f = graph_F_inf(state.model, state.ladder, cache=state.cache)
-    state.graph_g = graph_G_inf(state.model, state.ladder, cache=state.cache)
+    state.graph_f = graph_F_inf(state.model, state.ladder, state.cache)
+    state.graph_g = graph_G_inf(state.model, state.ladder, state.cache)
     state.ladder = calibrate_ladder(state.ladder, state.model, state.graph_f,
                                     state.graph_g,
                                     overrides=state.problem.ladder_overrides)
     state.solver = convergence.GraphFamilySolver(state.model, state.ladder,
-                                                 cache=state.cache)
+                                                 state.cache)
     state.disk = descending_disk(state.model, state.ladder, state.graph_f)
     for sample, name in ((state.graph_f, "graph_F_inf.csv"),
                          (state.graph_g, "graph_G_inf.csv")):
@@ -173,8 +172,7 @@ def stage_lambda(state):
             solver, T_grid[:2], zm_list[:1], zp_list[:2])
     reports["lipschitz_T"] = convergence.lipschitz_in_T(
         solver, T_grid[:2], (1e-2, 1e-3), zm_list[:1], zp_list[:2])
-    graph_t = graph_G_T(state.model, ladder, float(T_grid[0]), zm_list[0],
-                        solver=solver)
+    graph_t = graph_G_T(solver, float(T_grid[0]), zm_list[0])
     state.emit("graph_G_T.csv", reporting.graph_header(state.model, graph_t),
                reporting.graph_rows(graph_t, state.model))
     reports["endpoint"] = convergence.endpoint_audit(solver, graph_t)
@@ -257,9 +255,6 @@ def oracle_queries(state):
 
 def stage_oracle(state):
     _require(state, "manifolds")
-    if state.model.k != 1:
-        state.details["oracle"] = {"skipped": "shooting suite covers index one"}
-        return
     groups, enforce = oracle_queries(state)
     queries, curves = [], []
     for group in groups:
@@ -310,7 +305,7 @@ def run_stage(name, state):
     state.wall_times[name] = time.perf_counter() - start
 
 
-def run(problem, out_dir, stages=("all",), seed=0, config_digest=None):
+def run(problem, out_dir, stages, seed, config_digest):
     """Run the requested stages and write the manifest; returns the state."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

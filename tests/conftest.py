@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradleaf import flow
 from gradleaf import lyapunov_perron as lp
+from gradleaf.convergence import GraphFamilySolver
 from gradleaf.flow import descending_disk
 from gradleaf.local_model import (
     LocalModel,
@@ -25,38 +27,41 @@ def reference_problem(name):
 
 
 class Setup:
-    """Everything downstream modules need for one problem."""
+    """Everything downstream modules need for one problem, built as a run
+    builds it: the ladder from the model's sampled moduli, the raw ladder's
+    graphs, the calibrated ladder and its descending disk, all solved on
+    one ``SolverCache``."""
 
-    def __init__(self, problem, kappa_samples=80):
+    def __init__(self, problem):
         self.problem = problem
         self.split = split(problem.hess(problem.critical_point))
         self.model = LocalModel(problem, self.split)
         self.modulus, self.kappa_star = lipschitz_modulus(
-            problem, self.split, samples=kappa_samples,
-            rng=np.random.default_rng(11))
+            self.model, np.random.default_rng(11))
         self.ladder_raw = build_ladder(self.split, self.modulus,
-                                       choices=problem.ladder_overrides,
-                                       kappa_star=self.kappa_star,
-                                       rho0=problem.trust_radius)
+                                       problem.ladder_overrides,
+                                       self.kappa_star, problem.trust_radius)
         self.cache = lp.SolverCache(self.model)
-        self.graph_f = lp.graph_F_inf(self.model, self.ladder_raw,
-                                      cache=self.cache)
-        self.graph_g = lp.graph_G_inf(self.model, self.ladder_raw,
-                                      cache=self.cache)
+        self.graph_f = lp.graph_F_inf(self.model, self.ladder_raw, self.cache)
+        self.graph_g = lp.graph_G_inf(self.model, self.ladder_raw, self.cache)
         self.ladder = calibrate_ladder(self.ladder_raw, self.model,
                                        self.graph_f, self.graph_g,
-                                       overrides=problem.ladder_overrides)
+                                       problem.ladder_overrides)
         self.disk = descending_disk(self.model, self.ladder, self.graph_f)
 
     def sphere_point(self, i=0):
         return self.disk.sphere_minus[i]
 
+    def solver(self):
+        """A new solve store of the calibrated ladder on the shared cache."""
+        return GraphFamilySolver(self.model, self.ladder, self.cache)
+
     def orbit(self, z_minus, t_need=None):
-        t_max = None if t_need is None else max(
-            lp.default_horizon(self.ladder), t_need)
+        t_max = lp.default_horizon(self.ladder)
         return lp.backward_orbit(self.model, self.ladder,
                                  np.asarray(z_minus, dtype=float),
-                                 t_max=t_max, cache=self.cache)
+                                 t_max if t_need is None else max(t_max, t_need),
+                                 self.cache)
 
 
 @pytest.fixture(scope="session")
@@ -75,5 +80,20 @@ def p3():
 
 
 @pytest.fixture(scope="session")
+def k2():
+    return Setup(reference_problem("k2_cubic"))
+
+
+@pytest.fixture(scope="session")
 def curved():
     return Setup(reference_problem("curved_stable"))
+
+
+@pytest.fixture
+def trajectory_tol(monkeypatch):
+    """``set(rtol, atol)`` sets the tolerances of ``integrate_forward`` for
+    one test."""
+    def set_tol(rtol, atol):
+        monkeypatch.setattr(flow, "TRAJECTORY_RTOL", rtol)
+        monkeypatch.setattr(flow, "TRAJECTORY_ATOL", atol)
+    return set_tol

@@ -8,6 +8,9 @@ None of these is used by a run, so they live with the tests:
   stable manifold (Morse index one), on ``scipy_trajectory`` with a
   terminal event;
 * ``graph_derivative``, central differences of a sampled graph;
+* ``picard``, Picard iteration of a one-column operator from any initial
+  curve by its ``apply``, one image at a time, and ``operator_start``, the
+  curve gradleaf's own loop starts from;
 * ``derivative_values``, the spectral derivative of a curve's panel
   interpolants;
 * ``panel_slice``, the flat-grid nodes of one panel;
@@ -23,6 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from gradleaf.curves import barycentric_weights
+from gradleaf.lyapunov_perron import PICARD_MAX_ITER
 from gradleaf.polynomials import Polynomial
 
 ORACLE_RTOL = 1e-12
@@ -100,6 +104,28 @@ def graph_derivative(sample, point, direction, step):
     full = quotient(step)
     half = quotient(0.5 * step)
     return half, float(np.linalg.norm(full - half)) / 3.0
+
+
+def picard(operator, initial, tol):
+    """Picard iteration of the one-column ``operator`` from the curve
+    ``initial`` until an image lies within ``tol`` of its preimage in the
+    exp norm: ``(fixed point, residual, iterations)``.  ``operator.apply``
+    raises when a curve leaves the trust or rho ball."""
+    current = initial
+    for iteration in range(1, PICARD_MAX_ITER + 1):
+        image = operator.apply(current)
+        residual = image.exp_distance(current)
+        if residual <= tol:
+            return image, residual, iteration
+        current = image
+    raise AssertionError(f"no convergence in {PICARD_MAX_ITER} iterations "
+                         f"(residual {residual:.3e})")
+
+
+def operator_start(operator):
+    """The initial curve gradleaf's Picard loop starts a one-column
+    ``operator`` from."""
+    return operator.curve(operator.start(operator.boundary(slice(0, 1)))[0])
 
 
 def panel_slice(grid, ip):

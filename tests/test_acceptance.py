@@ -36,12 +36,12 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def solver_p1(p1):
-    return cv.GraphFamilySolver(p1.model, p1.ladder, cache=p1.cache)
+    return p1.solver()
 
 
 @pytest.fixture(scope="module")
 def solver_p2(p2):
-    return cv.GraphFamilySolver(p2.model, p2.ladder, cache=p2.cache)
+    return p2.solver()
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,9 @@ def atlas_p2(p2, solver_p2):
     tau = p2.ladder.T0
     return fol.build_atlas(
         solver_p2, p2.graph_g, p2.disk.sphere_minus,
-        pair=fol.build_pair(p2.model, p2.ladder, n_samples=100,
-                            rng=np.random.default_rng(9)),
-        tau=tau, T_grid=tau + np.array([0.0, 1.0, 2.0]),
-        zplus_axes=(np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
+        fol.build_pair(p2.model, p2.ladder, np.random.default_rng(9)),
+        tau, tau + np.array([0.0, 1.0, 2.0]),
+        (np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
 
 
 def test_criterion_1_contraction_factor(p2):
@@ -166,7 +165,7 @@ def test_criterion_6_oracle_equivalence(p2, solver_p2):
                 for zp in zp_list:
                     res, _ = solver_p2.mixed(T, zm, zp)
                     [(traj, _)] = mixed_bvp_oracle(p2.model, lad,
-                                                   [(float(T), zm, zp)], tol=1e-8)
+                                                   [(float(T), zm, zp)])
                     nodes = res.curve.grid.nodes
                     states = p2.model.to_local(traj.at(nodes))
                     worst = max(worst, float(np.max(np.linalg.norm(
@@ -174,30 +173,31 @@ def test_criterion_6_oracle_equivalence(p2, solver_p2):
         assert worst <= 1e-6, f"sup distance {worst:.3e}"
 
 
-def test_criterion_7_manifold_graphs(p1, p2):
+def test_criterion_7_manifold_graphs(p1, p2, trajectory_tol):
     with criterion(7, "flat graphs on P1 to 1e-10; stable-graph points on "
                       "P2 decay like rho exp(-lambda t) up to 3 T0"):
         assert np.max(np.abs(p1.graph_f.values)) <= 1e-10
         assert np.max(np.abs(p1.graph_g.values)) <= 1e-10
         lad = p2.ladder
+        trajectory_tol(1e-12, 1e-15)
         for y in (p2.graph_g.axes[0][2], p2.graph_g.axes[0][-1]):
             start = np.concatenate([p2.graph_g.evaluate(np.array([y])), [y]])
             traj = integrate_forward(p2.problem, p2.model.to_ambient(start),
-                                     3.0 * lad.T0, rtol=1e-12, atol=1e-15)
+                                     3.0 * lad.T0)
             for t in np.linspace(0.0, 3.0 * lad.T0, 10):
                 x = p2.model.to_local(traj.at(t))
                 assert np.linalg.norm(x) <= lad.rho * math.exp(-lad.lambda_ * t) + 1e-12
 
 
-def test_criterion_8_foliation_audits(p2, atlas_p2):
+def test_criterion_8_foliation_audits(p2, atlas_p2, monkeypatch):
     with criterion(8, "leaf disjointness over 100 label pairs, invariance "
                       "residual <= 10x interpolation tolerance, contraction "
                       "onto the ascending disk <= exp(-T lambda/8) on P2"):
-        rep_d = fol.check_disjoint(atlas_p2, pair_count=100,
-                                   rng=np.random.default_rng(12))
+        rep_d = fol.check_disjoint(atlas_p2, 100, np.random.default_rng(12))
         assert rep_d.all_ok
         assert min(r.gap for r in rep_d.rows) > 0.0
-        rep_i = fol.leaf_invariance(atlas_p2, sigmas=(1.0, 2.0))
+        monkeypatch.setattr(fol, "INVARIANCE_SIGMAS", (1.0, 2.0))
+        rep_i = fol.leaf_invariance(atlas_p2)
         assert rep_i.all_ok
         assert (max(r.gap for r in rep_i.rows)
                 <= 10.0 * atlas_p2.interp_tolerance + 1e-9)
@@ -210,7 +210,7 @@ def test_criterion_9_dynamical_thickening(p2, atlas_p2):
                       "leaf base point at t = inf, large-t surrogate within "
                       "rho exp(-lambda t), boundary quotients negative"):
         lad = p2.ladder
-        rep = fol.retract_audit(atlas_p2, fix_tol=1e-10)
+        rep = fol.retract_audit(atlas_p2)
         assert rep.all_ok
         assert rep.extras["mu_audit"] > 0.0
         label = sorted(atlas_p2.leaves)[0]

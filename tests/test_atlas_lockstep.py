@@ -52,7 +52,8 @@ def foliated(tmp_path_factory):
             mp.setattr(fol, "build_atlas", build_atlas)
             state = pipeline.run(load_problem(CONFIGS / f"{name}.json"),
                                  tmp_path_factory.mktemp(name),
-                                 stages=("spectral", "ladder", "manifolds", "foliate"))
+                                 ("spectral", "ladder", "manifolds", "foliate"),
+                                 0, None)
         assert state.statuses["foliate"] == "pass"
         runs[name] = (state, calls["count"])
     return runs

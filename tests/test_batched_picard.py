@@ -7,12 +7,10 @@ node fails, the same exception from the first failing node in grid order.
 """
 
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import Setup
 from gradleaf import convergence
 from gradleaf import lyapunov_perron as lp
 from gradleaf.curves import FORWARD_FINITE, Curve, PanelGrid, row_norms
@@ -24,14 +22,7 @@ from gradleaf.errors import (
 )
 from gradleaf.kernels import ExpConvolver
 from gradleaf.local_model import LocalModel
-from gradleaf.problems import load_problem
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-@pytest.fixture(scope="module")
-def k2():
-    return Setup(load_problem(CONFIGS / "k2_cubic.json"))
+from references import operator_start
 
 
 def _bits(a):
@@ -39,15 +30,10 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-def initial_curve(op):
-    """The initial curve of a one-column operator."""
-    return op.curve(op.start(op.boundary(slice(0, 1)))[0])
-
-
 def loop_fixed_point(op):
     """The per-column Picard loop the batched one replaced: one operator
     application and one exp-norm residual per step, on one column."""
-    current, stall, prev_res = initial_curve(op), 0, np.inf
+    current, stall, prev_res = operator_start(op), 0, np.inf
     for it in range(1, lp.PICARD_MAX_ITER + 1):
         nxt = op.apply(current)
         res = nxt.exp_distance(current)
@@ -139,7 +125,7 @@ def test_time_T_graph_matches_per_node(request, name):
     T = max(ladder.T0, ladder.T2) + 0.5
     zm = setup.sphere_point()
     orbit = setup.orbit(zm, t_need=T)
-    sample = lp.graph_G_T(model, ladder, T, zm, orbit=orbit, cache=cache)
+    sample = lp.graph_G_T(setup.solver(), T, zm)
 
     def mixed(z):
         res, gap = loop_mixed(model, ladder, T, zm, z, orbit, cache)
@@ -149,10 +135,10 @@ def test_time_T_graph_matches_per_node(request, name):
     assert_same_sample(sample, reference)
 
     # through the store: the node it already holds is taken, not re-solved
-    solver = convergence.GraphFamilySolver(model, ladder, cache=cache)
+    solver = setup.solver()
     origin = np.zeros(model.n - model.k)
     held = solver.mixed(T, zm, origin)
-    stored = lp.graph_G_T(model, ladder, T, zm, solver=solver)
+    stored = lp.graph_G_T(solver, T, zm)
     assert_same_sample(stored, reference)
     assert len(solver._mixed) == 1 and solver.held_mixed(T, zm, origin) is held
 
@@ -172,8 +158,7 @@ def test_endpoint_failure_matches_per_node(p2):
     T = p2.ladder.T0
     zm = p2.sphere_point()
     orbit = p2.orbit(zm, t_need=T)
-    gaps = lp.graph_G_T(model, p2.ladder, T, zm, orbit=orbit,
-                        cache=cache).endpoint_gaps
+    gaps = lp.graph_G_T(p2.solver(), T, zm).endpoint_gaps
     # some nodes inside the tighter endpoint bound and some outside
     ladder = replace(p2.ladder, varkappa=float(np.median(gaps)))
     points = lp.tensor_points(lp.default_axes(ladder.R, 1))
@@ -181,7 +166,7 @@ def test_endpoint_failure_matches_per_node(p2):
         lambda z: loop_mixed(model, ladder, T, zm, z, orbit, cache), points)
     assert isinstance(expected, EndpointViolation)
     with pytest.raises(EndpointViolation) as info:
-        lp.graph_G_T(model, ladder, T, zm, orbit=orbit, cache=cache)
+        lp.graph_G_T(convergence.GraphFamilySolver(model, ladder, cache), T, zm)
     assert str(info.value) == str(expected)
 
 
@@ -192,7 +177,7 @@ def test_trust_region_failure_matches_per_node(p3):
     points = lp.tensor_points(lp.default_axes(p3.ladder.R, 2))
     grid = p3.cache.grid(0.0, T)
     ref = orbit.reference(grid, p3.ladder.lambda_)
-    starts = [np.max(row_norms(initial_curve(lp.PsiTOperator(
+    starts = [np.max(row_norms(operator_start(lp.PsiTOperator(
                   p3.model, p3.ladder, T, zm, z, ref, grid,
                   p3.cache.convolver(grid))).values))
               for z in points]
@@ -203,7 +188,8 @@ def test_trust_region_failure_matches_per_node(p3):
         lambda z: loop_mixed(model, p3.ladder, T, zm, z, orbit, p3.cache), points)
     assert isinstance(expected, OutOfTrustRegion)
     with pytest.raises(OutOfTrustRegion) as info:
-        lp.graph_G_T(model, p3.ladder, T, zm, orbit=orbit, cache=p3.cache)
+        lp.graph_G_T(convergence.GraphFamilySolver(model, p3.ladder, p3.cache),
+                     T, zm)
     assert str(info.value) == str(expected)
 
 
@@ -216,8 +202,7 @@ def test_domain_failure_raises_in_its_turn(p2, first):
     T = p2.ladder.T0
     zm = p2.sphere_point()
     orbit = p2.orbit(zm, t_need=T)
-    gaps = lp.graph_G_T(model, p2.ladder, T, zm, orbit=orbit,
-                        cache=cache).endpoint_gaps
+    gaps = lp.graph_G_T(p2.solver(), T, zm).endpoint_gaps
     ladder = replace(p2.ladder, varkappa=float(np.median(gaps)))
     R = ladder.R
     axis = (np.linspace(-R, 1.5 * R, 16) if first is EndpointViolation
@@ -235,11 +220,11 @@ def test_domain_failure_raises_in_its_turn(p2, first):
                                                 NormBudgetExceeded}
     assert isinstance(failures[0], first)
     with pytest.raises(first) as info:
-        lp.graph_G_T(model, ladder, T, zm, base_axes=(axis,), orbit=orbit,
-                     cache=cache)
+        lp.graph_G_T(convergence.GraphFamilySolver(model, ladder, cache), T, zm,
+                     (axis,))
     assert str(info.value) == str(failures[0])
     # the store keeps the rows solved before the failing one
-    solver = convergence.GraphFamilySolver(model, ladder, cache=cache)
+    solver = convergence.GraphFamilySolver(model, ladder, cache)
     with pytest.raises(first):
         solver.mixed_rows(T, zm, points)
     assert len(solver._mixed) == alone.index(failures[0])
@@ -332,7 +317,7 @@ def test_first_failing_column_raises_its_own_exception(monkeypatch, scripts,
     # the one-column case of the batched loop agrees with the per-column loop
     for col in table:
         try:
-            one = lp.fixed_point(ScriptedOperator(grid, table, [col]))
+            one = lp.fixed_point(ScriptedOperator(grid, table, [col]), None)
         except Exception as exc:  # noqa: BLE001 - compared below
             one = exc
         assert type(one) is type(alone[col]) and str(one) == str(alone[col])

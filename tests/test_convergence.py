@@ -10,12 +10,12 @@ from gradleaf.errors import FlagMissing
 
 @pytest.fixture(scope="module")
 def solver_p1(p1):
-    return cv.GraphFamilySolver(p1.model, p1.ladder, cache=p1.cache)
+    return p1.solver()
 
 
 @pytest.fixture(scope="module")
 def solver_p2(p2):
-    return cv.GraphFamilySolver(p2.model, p2.ladder, cache=p2.cache)
+    return p2.solver()
 
 
 def test_c0_quadratic_closed_form(p1, solver_p1):
@@ -69,18 +69,9 @@ def test_c1_quadratic_zero_gap(p1, solver_p1):
     lad = p1.ladder
     T = max(lad.T0, lad.T2)
     rep = cv.c1_convergence(solver_p1, [T], [p1.sphere_point()],
-                            [np.array([0.25 * lad.R])], use_linearized=False)
+                            [np.array([0.25 * lad.R])])
     assert rep.all_ok
     assert max(r.gap for r in rep.rows) <= 1e-10
-
-
-def test_c1_zero_direction(p1, solver_p1):
-    lad = p1.ladder
-    T = max(lad.T0, lad.T2)
-    rep = cv.c1_convergence(solver_p1, [T], [p1.sphere_point()],
-                            [np.array([0.25 * lad.R])],
-                            directions=[np.zeros(1)], use_linearized=False)
-    assert max(r.gap for r in rep.rows) == 0.0
 
 
 def test_c1_quartic_bound(p2, solver_p2):
@@ -99,7 +90,7 @@ def test_c1_requires_flag(p2):
     no_flag = dataclasses.replace(p2.problem, c21=False)
     model = type(p2.model)(no_flag, p2.split)
     ladder = dataclasses.replace(p2.ladder, kappa_star=None, c_star=None)
-    solver = cv.GraphFamilySolver(model, ladder)
+    solver = cv.GraphFamilySolver(model, ladder, lp.SolverCache(model))
     with pytest.raises(FlagMissing):
         cv.c1_convergence(solver, [ladder.T0], [p2.sphere_point()],
                           [np.zeros(1)])
@@ -131,8 +122,7 @@ def test_endpoint_audit(p2, solver_p2):
     lad = p2.ladder
     T = max(lad.T0, lad.T2)
     zm = p2.sphere_point()
-    graph = lp.graph_G_T(p2.model, lad, T, zm,
-                         orbit=solver_p2.orbit(zm, T), cache=p2.cache)
+    graph = lp.graph_G_T(solver_p2, T, zm)
     rep = cv.endpoint_audit(solver_p2, graph)
     assert rep.all_ok
     bound = lad.rho * math.exp(-T * lad.lambda_)
@@ -145,8 +135,7 @@ def test_endpoint_quadratic_closed_form(p1, solver_p1):
     lad = p1.ladder
     T = max(lad.T0, lad.T2)
     zm = p1.sphere_point()
-    graph = lp.graph_G_T(p1.model, lad, T, zm,
-                         orbit=solver_p1.orbit(zm, T), cache=p1.cache)
+    graph = lp.graph_G_T(solver_p1, T, zm)
     gaps = graph.endpoint_gaps.ravel()
     base = graph.grid_points().ravel()
     # |xi(T) - z-| = |exp(-T A+) z+| = exp(-2T) |z+|
@@ -197,10 +186,10 @@ def test_mixed_store_key_includes_endpoint_enforcement(p2):
     # that enforces it
     from gradleaf.errors import HorizonMismatch
 
-    solver = cv.GraphFamilySolver(p2.model, p2.ladder, cache=p2.cache)
+    solver = p2.solver()
     zm = p2.sphere_point()
     zp = np.zeros(1)
     T = 0.5 * p2.ladder.T0
-    solver.mixed(T, zm, zp, enforce_endpoint=False)
+    solver.mixed_rows(T, zm, [zp], enforce_endpoint=False)
     with pytest.raises(HorizonMismatch):
         solver.mixed(T, zm, zp)

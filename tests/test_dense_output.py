@@ -98,9 +98,9 @@ def p2_oracle(tmp_path_factory):
             record["reads"].append(record["inside"])
             record["inside"] = None
 
-    def mixed_bvp_oracle(model, ladder, queries, *args, **kwargs):
+    def mixed_bvp_oracle(model, ladder, queries):
         record["queries"] = list(queries)
-        return oracle.mixed_bvp_oracle(model, ladder, queries, *args, **kwargs)
+        return oracle.mixed_bvp_oracle(model, ladder, queries)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polynomial, "gradient", counted_gradient)
@@ -108,7 +108,7 @@ def p2_oracle(tmp_path_factory):
         mp.setattr(pipeline, "mixed_bvp_oracle", mixed_bvp_oracle)
         state = pipeline.run(load_problem(CONFIGS / "p2_quartic.json"),
                              tmp_path_factory.mktemp("p2"),
-                             stages=("spectral", "ladder", "manifolds", "oracle"))
+                             ("spectral", "ladder", "manifolds", "oracle"), 0, None)
     assert state.statuses["oracle"] == "pass"
     return state, record
 

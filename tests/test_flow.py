@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gradleaf import lyapunov_perron as lp
 from gradleaf.errors import BlowUp, LevelNotReached
 from gradleaf.flow import descending_disk, integrate_forward, solve_ivp
 from references import scipy_trajectory
@@ -13,15 +12,14 @@ def backward(setup, q, t):
     """The point at time ``-t`` of the orbit through ``q`` on the unstable
     manifold, read off the emanating-orbit fixed point: no backward Cauchy
     problem is solved."""
-    orbit = lp.backward_orbit(setup.model, setup.ladder, q[: setup.model.k],
-                              cache=setup.cache)
-    return orbit.curve.evaluate(-t)
+    return setup.orbit(q[: setup.model.k]).curve.evaluate(-t)
 
 
-def test_linear_flow_closed_form(p1):
+def test_linear_flow_closed_form(p1, trajectory_tol):
     start = np.array([0.05, 0.1])
     t = 1.3
-    traj = integrate_forward(p1.problem, start, t, rtol=1e-12, atol=1e-14)
+    trajectory_tol(1e-12, 1e-14)
+    traj = integrate_forward(p1.problem, start, t)
     expected = np.array([0.05 * np.exp(t), 0.1 * np.exp(-2 * t)])
     assert np.allclose(traj.states[-1], expected, atol=1e-11)
 
@@ -32,11 +30,13 @@ def test_constant_at_critical_point(p2):
     assert np.allclose(traj.at(1.234), 0.0)
 
 
-def test_terminal_state_matches_finer_tolerance(p2):
+def test_terminal_state_matches_finer_tolerance(p2, trajectory_tol):
     # oracle: the same integrator at tolerance / 100
     start = np.array([0.1, 0.1])
-    a = integrate_forward(p2.problem, start, 1.0, rtol=1e-8, atol=1e-10)
-    b = integrate_forward(p2.problem, start, 1.0, rtol=1e-10, atol=1e-12)
+    trajectory_tol(1e-8, 1e-10)
+    a = integrate_forward(p2.problem, start, 1.0)
+    trajectory_tol(1e-10, 1e-12)
+    b = integrate_forward(p2.problem, start, 1.0)
     assert np.linalg.norm(a.states[-1] - b.states[-1]) < 1e-8
 
 
@@ -45,11 +45,12 @@ def test_f_monotone_along_flow(p2):
     assert np.max(np.diff(traj.f_values())) <= 1e-13
 
 
-def test_f_derivative_is_gradient_norm(p2):
+def test_f_derivative_is_gradient_norm(p2, trajectory_tol):
     # d/dt f(phi_t p) = -|grad f|^2, checked by a quotient at the start
     p = np.array([0.03, 0.08])
     h = 1e-6
-    traj = integrate_forward(p2.problem, p, h, rtol=1e-12, atol=1e-14)
+    trajectory_tol(1e-12, 1e-14)
+    traj = integrate_forward(p2.problem, p, h)
     quotient = (p2.problem.f(traj.states[-1]) - p2.problem.f(p)) / h
     assert quotient == pytest.approx(-np.linalg.norm(p2.problem.grad(p)) ** 2,
                                      rel=1e-4)
@@ -214,12 +215,12 @@ def test_backward_identity_at_zero(p1):
     assert np.allclose(out, q, atol=1e-12)
 
 
-def test_backward_forward_roundtrip(p2):
+def test_backward_forward_roundtrip(p2, trajectory_tol):
     q = p2.disk.sphere_local[0]
+    trajectory_tol(1e-12, 1e-15)
     for t in (1.0, 3.0, 5.0):
         back = backward(p2, q, t)
-        traj = integrate_forward(p2.problem, p2.model.to_ambient(back), t,
-                                 rtol=1e-12, atol=1e-15)
+        traj = integrate_forward(p2.problem, p2.model.to_ambient(back), t)
         assert np.linalg.norm(p2.model.to_local(traj.states[-1]) - q) <= 1e-6
 
 
@@ -231,9 +232,14 @@ def test_backward_cocycle(p2):
     assert np.linalg.norm(one - two) <= 1e-9
 
 
+def at_level(epsilon):
+    """A stand-in ladder for ``descending_disk``, which reads its epsilon."""
+    return SimpleNamespace(epsilon=epsilon)
+
+
 def test_sphere_closed_form(p1):
     # f = -x^2/2 on the unstable axis: the level -eps sits at sqrt(2 eps)
-    disk = descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=0.005)
+    disk = descending_disk(p1.model, at_level(0.005), p1.graph_f)
     assert np.allclose(np.abs(disk.sphere_minus.ravel()), np.sqrt(0.01),
                        atol=1e-9)
     assert set(np.sign(disk.sphere_minus.ravel())) == {-1.0, 1.0}
@@ -242,7 +248,7 @@ def test_sphere_closed_form(p1):
 def test_sphere_radius_shrinks_with_epsilon(p1):
     radii = []
     for eps in (0.004, 0.001, 0.00025):
-        d = descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=eps)
+        d = descending_disk(p1.model, at_level(eps), p1.graph_f)
         radii.append(np.max(np.abs(d.sphere_minus)))
     assert radii[0] > radii[1] > radii[2]
     assert radii[2] <= np.sqrt(2 * 0.00025) * 1.01
@@ -263,14 +269,14 @@ def test_disk_samples_above_level(p2):
 
 def test_epsilon_too_large_raises(p1):
     with pytest.raises(LevelNotReached):
-        descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=10.0)
+        descending_disk(p1.model, at_level(10.0), p1.graph_f)
 
 
 def test_level_behind_critical_value_raises(p1):
     # a negative epsilon asks for a level above c, which the unstable graph
     # never reaches: f falls along its rays from f(0) = c
     with pytest.raises(LevelNotReached):
-        descending_disk(p1.model, p1.ladder, p1.graph_f, epsilon=-1e-3)
+        descending_disk(p1.model, at_level(-1e-3), p1.graph_f)
 
 
 def test_disk_backward_invariant(p2):
@@ -300,13 +306,14 @@ def test_sphere_cross_checked_by_shooting(p2):
     assert abs(rs[idx] - abs(zm[0])) <= rs[1] - rs[0] + 1e-12
 
 
-def test_f_drop_equals_gradient_quadrature(p2):
+def test_f_drop_equals_gradient_quadrature(p2, trajectory_tol):
     # f(T) - f(0) = -integral |grad f(phi_t)|^2 dt, by adaptive quadrature
     from scipy.integrate import quad
 
     start = np.array([0.02, 0.09])
     T = 3.0
-    traj = integrate_forward(p2.problem, start, T, rtol=1e-12, atol=1e-14)
+    trajectory_tol(1e-12, 1e-14)
+    traj = integrate_forward(p2.problem, start, T)
 
     def speed_sq(t):
         return float(np.linalg.norm(p2.problem.grad(traj.at(t))) ** 2)

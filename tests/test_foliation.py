@@ -17,24 +17,20 @@ from references import scipy_trajectory
 def atlas_p2(p2):
     tau = p2.ladder.T0
     T_grid = tau + np.array([0.0, 1.0, 2.0])
-    pair = fol.build_pair(p2.model, p2.ladder, n_samples=120,
-                          rng=np.random.default_rng(5))
-    return fol.build_atlas(cv.GraphFamilySolver(p2.model, p2.ladder, cache=p2.cache),
-                           p2.graph_g, p2.disk.sphere_minus, pair=pair, tau=tau,
-                           T_grid=T_grid,
-                           zplus_axes=(np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
+    pair = fol.build_pair(p2.model, p2.ladder, np.random.default_rng(5))
+    return fol.build_atlas(p2.solver(), p2.graph_g, p2.disk.sphere_minus, pair,
+                           tau, T_grid,
+                           (np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
 
 
 @pytest.fixture(scope="module")
 def atlas_p1(p1):
     tau = p1.ladder.T0
     T_grid = tau + np.array([0.0, 1.0])
-    pair = fol.build_pair(p1.model, p1.ladder, n_samples=80,
-                          rng=np.random.default_rng(6))
-    return fol.build_atlas(cv.GraphFamilySolver(p1.model, p1.ladder, cache=p1.cache),
-                           p1.graph_g, p1.disk.sphere_minus, pair=pair, tau=tau,
-                           T_grid=T_grid,
-                           zplus_axes=(np.linspace(-p1.ladder.R, p1.ladder.R, 21),))
+    pair = fol.build_pair(p1.model, p1.ladder, np.random.default_rng(6))
+    return fol.build_atlas(p1.solver(), p1.graph_g, p1.disk.sphere_minus, pair,
+                           tau, T_grid,
+                           (np.linspace(-p1.ladder.R, p1.ladder.R, 21),))
 
 
 # -- pair ----------------------------------------------------------------------
@@ -141,20 +137,20 @@ def test_out_of_band_points_are_not_integrated(p1, monkeypatch):
     assert not in_n.any() and not in_l.any()
 
 
-def test_pair_samples_verified_by_oracle(p2, atlas_p2):
+def test_pair_samples_verified_by_oracle(p2, atlas_p2, trajectory_tol):
     # point-wise re-integration at tighter tolerance confirms membership
+    trajectory_tol(1e-11, 1e-14)
     pair = atlas_p2.pair
     c, eps, tau = pair.c, pair.epsilon, pair.tau
     for p in pair.samples[:6]:
         amb = p2.model.to_ambient(p)
-        traj = integrate_forward(p2.problem, amb, 2 * tau, rtol=1e-11,
-                                 atol=1e-14)
+        traj = integrate_forward(p2.problem, amb, 2 * tau)
         assert p2.problem.f(amb) <= c + eps + 1e-12
         assert p2.problem.f(traj.at(tau)) >= c - eps - 1e-10
     # exit-set members cross the level by 2 tau
     exit_sample = pair.samples[pair.exit_mask][0]
     traj = integrate_forward(p2.problem, p2.model.to_ambient(exit_sample),
-                             2 * tau, rtol=1e-11, atol=1e-14)
+                             2 * tau)
     assert p2.problem.f(traj.states[-1]) <= c - eps + 1e-10
 
 
@@ -194,8 +190,7 @@ def test_annulus_labels(atlas_p2):
 
 def test_disjointness_quadratic_closed_form(atlas_p1, p1):
     # leaves over alpha and -alpha at equal T sit 2 e^{-T} |alpha| apart
-    rep = fol.check_disjoint(atlas_p1, pair_count=40,
-                             rng=np.random.default_rng(3))
+    rep = fol.check_disjoint(atlas_p1, 40, np.random.default_rng(3))
     assert rep.all_ok
     T = min(lbl[0] for lbl in atlas_p1.leaves)
     alpha = abs(p1.disk.sphere_minus[0][0])
@@ -206,8 +201,7 @@ def test_disjointness_quadratic_closed_form(atlas_p1, p1):
 
 
 def test_disjointness_quartic(atlas_p2):
-    rep = fol.check_disjoint(atlas_p2, pair_count=100,
-                             rng=np.random.default_rng(4))
+    rep = fol.check_disjoint(atlas_p2, 100, np.random.default_rng(4))
     assert rep.all_ok
     assert min(r.gap for r in rep.rows) > 0.0
 
@@ -230,7 +224,7 @@ def test_disjointness_floor_of_parallel_sloped_leaves():
     # 3e-9 separation; the floor is the slope of the difference, near zero
     atlas = _line_leaf_atlas(lambda z: 1e-3 * z + 0.01,
                              lambda z: 1e-3 * z + 0.01 + 3e-9)
-    rep = fol.check_disjoint(atlas, pair_count=4, rng=np.random.default_rng(0))
+    rep = fol.check_disjoint(atlas, 4, np.random.default_rng(0))
     assert rep.all_ok
     assert all(r.bound < 1e-12 and r.gap == pytest.approx(3e-9, rel=1e-6)
                for r in rep.rows)
@@ -241,7 +235,7 @@ def test_disjoint_rows_report_positive_slack():
     # the margin above the floor, positive on every passing row
     atlas = _line_leaf_atlas(lambda z: 1e-3 * z + 0.01,
                              lambda z: 2e-3 * z + 0.0111)
-    rep = fol.check_disjoint(atlas, pair_count=4, rng=np.random.default_rng(0))
+    rep = fol.check_disjoint(atlas, 4, np.random.default_rng(0))
     assert rep.all_ok
     for r in rep.rows:
         assert r.slack == pytest.approx(r.gap - r.bound, rel=1e-12)
@@ -253,7 +247,7 @@ def test_disjointness_crossing_leaves_raise():
     atlas = _line_leaf_atlas(lambda z: 1e-3 * z,
                              lambda z: -1e-3 * (z - 1e-3))
     with pytest.raises(DisjointnessViolation):
-        fol.check_disjoint(atlas, pair_count=4, rng=np.random.default_rng(0))
+        fol.check_disjoint(atlas, 4, np.random.default_rng(0))
 
 
 def test_induced_flow_quadratic_closed_form(atlas_p1, p1):
@@ -313,13 +307,13 @@ def test_induced_flow_domain_guard(atlas_p2, p2):
         fol.induced_flow(atlas_p2, label, z, 1.0)
 
 
-def test_center_leaf_flow_is_plain_flow(atlas_p2, p2):
+def test_center_leaf_flow_is_plain_flow(atlas_p2, p2, trajectory_tol):
     # on the center leaf the induced flow restricts to the gradient flow
+    trajectory_tol(1e-12, 1e-15)
     y0 = 0.4 * p2.ladder.R
     z = atlas_p2.center.graph.local_points(np.array([y0]))
     out = fol.induced_flow(atlas_p2, "center", z, 1.5)
-    traj = integrate_forward(p2.problem, p2.model.to_ambient(z), 1.5,
-                             rtol=1e-12, atol=1e-15)
+    traj = integrate_forward(p2.problem, p2.model.to_ambient(z), 1.5)
     assert np.allclose(out, p2.model.to_local(traj.states[-1]), atol=1e-9)
 
 
@@ -345,8 +339,9 @@ def test_retract_audit_quartic(atlas_p2):
     assert rep.extras["unstable_flatness_residual"] <= 1e-12
 
 
-def test_leaf_invariance(atlas_p2):
-    rep = fol.leaf_invariance(atlas_p2, sigmas=(1.0, 2.0))
+def test_leaf_invariance(atlas_p2, monkeypatch):
+    monkeypatch.setattr(fol, "INVARIANCE_SIGMAS", (1.0, 2.0))
+    rep = fol.leaf_invariance(atlas_p2)
     assert len(rep.rows) > 0
     assert rep.all_ok
     assert max(r.gap for r in rep.rows) <= 10 * atlas_p2.interp_tolerance + 1e-9
@@ -359,13 +354,15 @@ def test_contraction_to_center(atlas_p2, p2):
         assert row.gap <= math.exp(-row.T * p2.ladder.lambda_ / 8.0) + row.budget
 
 
-def test_shrink_to_critical_point(p2):
+def test_shrink_to_critical_point(p2, monkeypatch):
     # halving search: small enough (eps, tau) puts the pair inside a given box
+    monkeypatch.setattr(fol, "PAIR_SAMPLES", 60)
     target = 0.002
     eps, tau = p2.ladder.epsilon, p2.ladder.T0
     for _ in range(6):
-        pair = fol.build_pair(p2.model, p2.ladder, epsilon=eps, tau=tau,
-                              n_samples=60, rng=np.random.default_rng(8))
+        # build_pair reads epsilon and tau = T0 off the ladder
+        ladder = SimpleNamespace(epsilon=eps, T0=tau)
+        pair = fol.build_pair(p2.model, ladder, np.random.default_rng(8))
         extent = np.max(np.abs(pair.samples)) if len(pair.samples) else 0.0
         if extent <= target:
             break
@@ -439,14 +436,10 @@ def atlas_p3(p3):
     # codimension-two leaves: graphs over a 2D plus grid
     tau = p3.ladder.T0
     half = p3.ladder.R / np.sqrt(2)
-    pair = fol.build_pair(p3.model, p3.ladder, n_samples=50,
-                          rng=np.random.default_rng(7))
-    return fol.build_atlas(cv.GraphFamilySolver(p3.model, p3.ladder, cache=p3.cache),
-                           p3.graph_g, p3.disk.sphere_minus[:1], pair=pair, tau=tau,
-                           T_grid=tau + np.array([0.0, 1.0]),
-                           zplus_axes=tuple(np.linspace(-half, half, 9)
-                                            for _ in range(2)),
-                           boundary_resolution=8)
+    pair = fol.build_pair(p3.model, p3.ladder, np.random.default_rng(7))
+    return fol.build_atlas(p3.solver(), p3.graph_g, p3.disk.sphere_minus[:1],
+                           pair, tau, tau + np.array([0.0, 1.0]),
+                           tuple(np.linspace(-half, half, 9) for _ in range(2)))
 
 
 def test_codim2_leaf_geometry(atlas_p3, p3):
@@ -462,10 +455,9 @@ def test_codim2_leaf_geometry(atlas_p3, p3):
 
 
 def test_codim2_disjoint_and_retract(atlas_p3):
-    rep = fol.check_disjoint(atlas_p3, pair_count=10,
-                             rng=np.random.default_rng(1), refine=3)
+    rep = fol.check_disjoint(atlas_p3, 10, np.random.default_rng(1))
     assert rep.all_ok
-    audit = fol.retract_audit(atlas_p3, t_samples=(0.5, 2.0))
+    audit = fol.retract_audit(atlas_p3)
     assert audit.all_ok
     assert audit.extras["mu_audit"] > 0.0
 
@@ -521,9 +513,10 @@ def _induced_flow_reference(atlas, label, z, t):
     return atlas.leaf(label).graph.local_points(model.to_local(traj.y[:, -1])[model.k:])
 
 
-def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2):
+def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2, monkeypatch):
     model = p2.model
     sigmas = (1.0, 2.0)
+    monkeypatch.setattr(fol, "INVARIANCE_SIGMAS", sigmas)
     expected = []
     for (T, ai), leaf in atlas_p2.leaves.items():
         for sigma in sigmas:
@@ -539,7 +532,7 @@ def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2):
                     continue
                 expected.append((str((T, ai)), cv._label(z_plus),
                                  f"sigma={sigma:g}", gap))
-    rows = fol.leaf_invariance(atlas_p2, sigmas=sigmas).rows
+    rows = fol.leaf_invariance(atlas_p2).rows
     assert len(expected) > 0
     assert [(r.z_minus_label, r.z_plus_label, r.direction_label) for r in rows] \
         == [e[:3] for e in expected]
@@ -548,7 +541,7 @@ def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2):
 
 def test_retract_audit_matches_single_trajectories(atlas_p2, p2):
     f = p2.model.f_local
-    t_samples = (0.5, 1.5, 4.0)
+    t_samples = fol.RETRACT_T_SAMPLES
     fix_d, inward = [], []
     for label in atlas_p2.all_labels():
         leaf = atlas_p2.leaf(label)
@@ -560,7 +553,7 @@ def test_retract_audit_matches_single_trajectories(atlas_p2, p2):
             worst = max((f(_induced_flow_reference(atlas_p2, label, z, h)) - f(z)) / h
                         for h in (1e-4, 1e-5))
             inward.append((str(label), cv._label(z_plus), worst))
-    rep = fol.retract_audit(atlas_p2, t_samples=t_samples)
+    rep = fol.retract_audit(atlas_p2)
     rows_d = [r for r in rep.rows if r.check == "retract_fix_D"]
     rows_i = [r for r in rep.rows if r.check == "retract_inward"]
     assert [(r.z_minus_label, r.direction_label) for r in rows_d] \
@@ -586,9 +579,9 @@ def test_audits_integrate_one_batch_per_horizon(atlas_p2, monkeypatch):
         return batch(*args, **kwargs)
     monkeypatch.setattr(fol, "solve_ivp", counted)
 
-    fol.leaf_invariance(atlas_p2, sigmas=(1.0, 2.0))
+    monkeypatch.setattr(fol, "INVARIANCE_SIGMAS", (1.0, 2.0))
+    fol.leaf_invariance(atlas_p2)
     assert calls == [1.0, 2.0]
     calls.clear()
-    t_samples = (0.5, 1.5, 4.0)
-    fol.retract_audit(atlas_p2, t_samples=t_samples)
-    assert calls == [*t_samples, 1e-4, 1e-5]
+    fol.retract_audit(atlas_p2)
+    assert calls == [*fol.RETRACT_T_SAMPLES, 1e-4, 1e-5]

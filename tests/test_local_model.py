@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gradleaf.errors import IndexOutOfRange, LadderInfeasible
 from gradleaf.local_model import (
     KAPPA_SAFETY,
+    KAPPA_SAMPLES,
     KappaModulus,
     LocalModel,
     _ball_samples,
@@ -72,7 +73,7 @@ def test_modulus_monotone(p2):
 def test_ladder_T1_formula():
     sp = split(np.diag([-1.0, 2.0]))
     kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    ladder = build_ladder(sp, kappa, choices={"lambda": 0.5, "varkappa": 0.1})
+    ladder = build_ladder(sp, kappa, {"lambda": 0.5, "varkappa": 0.1}, None, 1.0)
     assert ladder.T1 == pytest.approx(math.log(10.0) / 0.5, rel=1e-15)
     assert ladder.T1 == pytest.approx(4.605170185988091, rel=1e-12)
 
@@ -81,7 +82,7 @@ def test_ladder_T2_closed_form():
     # oracle: solve exp(-T mu / 4) = 1/8 exactly: T = 4 ln 8 / mu
     sp = split(np.diag([-1.0, 2.0]))
     kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    ladder = build_ladder(sp, kappa, choices={"lambda": 0.375})
+    ladder = build_ladder(sp, kappa, {"lambda": 0.375}, None, 1.0)
     # mu = lambda + delta = 0.375 + 0.9 * 0.3125 = 0.65625; independent check
     assert ladder.mu == pytest.approx(0.65625)
     assert ladder.T2 == pytest.approx(4.0 * math.log(8.0) / ladder.mu, rel=1e-15)
@@ -119,7 +120,7 @@ def test_ladder_index_out_of_range():
     sp = split(np.diag([1.0, 2.0]))
     kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(IndexOutOfRange):
-        build_ladder(sp, kappa)
+        build_ladder(sp, kappa, {}, None, 1.0)
 
 
 def test_ladder_infeasible():
@@ -127,7 +128,7 @@ def test_ladder_infeasible():
     # modulus too large at every radius
     kappa = KappaModulus(np.array([0.0, 1e-7, 1.0]), np.array([0.0, 1.0, 1.0]))
     with pytest.raises(LadderInfeasible):
-        build_ladder(sp, kappa)
+        build_ladder(sp, kappa, {}, None, 1.0)
 
 
 def flatten(graph_f, graph_g, point, k):
@@ -227,7 +228,7 @@ def test_unknown_ladder_override_rejected():
     sp = split(np.diag([-1.0, 2.0]))
     kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(ConfigError):
-        build_ladder(sp, kappa, choices={"lamda": 0.5})
+        build_ladder(sp, kappa, {"lamda": 0.5}, None, 1.0)
 
 
 def _same_bits(a, b):
@@ -325,10 +326,9 @@ def test_affine_matches_compose_linear_and_shifted_values():
                            rtol=1e-12, atol=1e-12 * max(scale, 1.0))
 
 
-def _lipschitz_modulus_per_point(problem, sp, samples, rng):
+def _lipschitz_modulus_per_point(model, samples, rng):
     """Reference: the kappa sampling with one dh call per point."""
-    model = LocalModel(problem, sp)
-    n, rho0 = problem.dimension, problem.trust_radius
+    n, rho0 = model.problem.dimension, model.problem.trust_radius
     values = []
     for rho in rho0 * 0.5 ** np.arange(0, 11)[::-1]:
         best = 0.0
@@ -360,9 +360,8 @@ def test_lipschitz_modulus_matches_per_point_loop(p2):
     # the ladder stage's draw at seed 0: with it, a row-wise norm of
     # pts - qts as the kappa* denominator rounds differently from the
     # per-pair norm on p2
-    modulus, kappa_star = lipschitz_modulus(p2.problem, p2.split, samples=160,
-                                            rng=np.random.default_rng(1))
+    modulus, kappa_star = lipschitz_modulus(p2.model, np.random.default_rng(1))
     values, ref_star = _lipschitz_modulus_per_point(
-        p2.problem, p2.split, 160, np.random.default_rng(1))
+        p2.model, KAPPA_SAMPLES, np.random.default_rng(1))
     assert _same_bits(modulus.values[1:], values)
     assert kappa_star is not None and kappa_star == ref_star

@@ -5,7 +5,13 @@ from gradleaf import lyapunov_perron as lp
 from gradleaf.curves import FORWARD_FINITE, Curve
 from gradleaf.errors import NormBudgetExceeded
 from gradleaf.flow import integrate_forward
-from references import derivative_values, graph_derivative, stable_point_oracle
+from references import (
+    derivative_values,
+    graph_derivative,
+    operator_start,
+    picard,
+    stable_point_oracle,
+)
 
 
 def random_zt_curves(op, rng, count, scale=0.45):
@@ -37,14 +43,14 @@ def mixed_operator(setup, T, z_minus, z_plus):
 
 def test_phi_quadratic_closed_form(p1):
     z = np.array([0.1])
-    res = lp.backward_orbit(p1.model, p1.ladder, z, cache=p1.cache)
+    res = p1.orbit(z)
     t = res.curve.grid.nodes
     assert np.allclose(res.curve.values[:, 0], 0.1 * np.exp(t), atol=1e-14)
     assert np.allclose(res.curve.values[:, 1], 0.0)
 
 
 def test_phi_zero_input(p1):
-    res = lp.backward_orbit(p1.model, p1.ladder, np.array([0.0]), cache=p1.cache)
+    res = p1.orbit(np.array([0.0]))
     assert np.allclose(res.curve.values, 0.0)
 
 
@@ -142,9 +148,9 @@ def test_fixed_point_quadratic_two_iterations(p1):
     op = mixed_operator(p1, T, zm, zp)
     zero = Curve(op.grid, np.zeros((op.grid.size, 2)), p1.ladder.lambda_,
                  FORWARD_FINITE)
-    res = lp.fixed_point(op, initial=zero, tol=1e-14)
-    assert res.iterations <= 2
-    assert res.residual <= 1e-14
+    _, residual, iterations = picard(op, zero, 1e-14)
+    assert iterations <= 2
+    assert residual <= 1e-14
 
 
 def test_fixed_point_exact_initial_one_check(p2):
@@ -152,10 +158,10 @@ def test_fixed_point_exact_initial_one_check(p2):
     zm = p2.sphere_point()
     zp = np.array([0.25 * p2.ladder.R])
     op = mixed_operator(p2, T, zm, zp)
-    first = lp.fixed_point(op, tol=1e-12)
-    again = lp.fixed_point(op, initial=first.curve, tol=1e-10)
+    first, _, _ = picard(op, operator_start(op), 1e-12)
+    _, _, iterations = picard(op, first, 1e-10)
     # no Picard updates beyond the convergence check itself
-    assert again.iterations == 1
+    assert iterations == 1
 
 
 def test_fixed_point_iteration_budget(p2):
@@ -164,8 +170,8 @@ def test_fixed_point_iteration_budget(p2):
     op = mixed_operator(p2, T, zm, np.array([0.4 * p2.ladder.R]))
     zero = Curve(op.grid, np.zeros((op.grid.size, 2)), p2.ladder.lambda_,
                  FORWARD_FINITE)
-    res = lp.fixed_point(op, initial=zero, tol=1e-10)
-    assert res.iterations <= int(np.ceil(np.log2(p2.ladder.rho / 1e-10))) + 5
+    _, _, iterations = picard(op, zero, 1e-10)
+    assert iterations <= int(np.ceil(np.log2(p2.ladder.rho / 1e-10))) + 5
 
 
 def test_uniqueness_from_different_initials(p2):
@@ -174,11 +180,11 @@ def test_uniqueness_from_different_initials(p2):
     zp = np.array([0.35 * p2.ladder.R])
     op = mixed_operator(p2, T, zm, zp)
     tol = 1e-11
-    res_a = lp.fixed_point(op, tol=tol)
+    res_a, _, _ = picard(op, operator_start(op), tol)
     zero = Curve(op.grid, np.zeros((op.grid.size, 2)), p2.ladder.lambda_,
                  FORWARD_FINITE)
-    res_b = lp.fixed_point(op, initial=zero, tol=tol)
-    assert res_a.curve.exp_distance(res_b.curve) <= 2 * tol
+    res_b, _, _ = picard(op, zero, tol)
+    assert res_a.exp_distance(res_b) <= 2 * tol
 
 
 def test_fixed_point_solves_ode(p2):
@@ -227,8 +233,7 @@ def test_graph_G_T_identity_at_zero(p2):
     T = p2.ladder.T0 + 0.5
     zm = p2.sphere_point()
     orbit = p2.orbit(zm, t_need=T)
-    sample = lp.graph_G_T(p2.model, p2.ladder, T, zm, orbit=orbit,
-                          cache=p2.cache)
+    sample = lp.graph_G_T(p2.solver(), T, zm)
     val = sample.evaluate(np.zeros(1))
     expected = orbit.curve.evaluate(-T)[: p2.model.k]
     assert np.allclose(val, expected, atol=1e-11)
@@ -238,34 +243,32 @@ def test_graph_G_T_identity_at_zero(p2):
 def test_graph_G_T_quadratic_flat(p1):
     T = p1.ladder.T0
     zm = p1.sphere_point()
-    sample = lp.graph_G_T(p1.model, p1.ladder, T, zm, cache=p1.cache)
+    sample = lp.graph_G_T(p1.solver(), T, zm)
     expected = zm[0] * np.exp(-T)
     assert np.allclose(sample.values, expected, atol=1e-13)
 
 
-def test_graph_point_forward_roundtrip(p2):
+def test_graph_point_forward_roundtrip(p2, trajectory_tol):
     # forward integration of a sampled graph point reaches the fiber over z-
     T = p2.ladder.T0
     zm = p2.sphere_point()
-    orbit = p2.orbit(zm, t_need=T)
-    sample = lp.graph_G_T(p2.model, p2.ladder, T, zm, orbit=orbit,
-                          cache=p2.cache)
+    sample = lp.graph_G_T(p2.solver(), T, zm)
     zp = sample.axes[0][3]
     start = np.concatenate([sample.evaluate(np.array([zp])), [zp]])
-    traj = integrate_forward(p2.problem, p2.model.to_ambient(start), T,
-                             rtol=1e-12, atol=1e-15)
+    trajectory_tol(1e-12, 1e-15)
+    traj = integrate_forward(p2.problem, p2.model.to_ambient(start), T)
     end = p2.model.to_local(traj.states[-1])
     assert abs(end[0] - zm[0]) <= 1e-6
     assert abs(end[1]) <= p2.ladder.varkappa
 
 
-def test_stable_graph_decay_along_flow(p2):
+def test_stable_graph_decay_along_flow(p2, trajectory_tol):
     # integrated stable-graph points decay like rho * exp(-lambda t)
     lad = p2.ladder
     y = p2.graph_g.axes[0][-1]
     start = np.concatenate([p2.graph_g.evaluate(np.array([y])), [y]])
-    traj = integrate_forward(p2.problem, p2.model.to_ambient(start),
-                             3.0 * lad.T0, rtol=1e-12, atol=1e-15)
+    trajectory_tol(1e-12, 1e-15)
+    traj = integrate_forward(p2.problem, p2.model.to_ambient(start), 3.0 * lad.T0)
     for t in np.linspace(0.0, 3.0 * lad.T0, 12):
         x = p2.model.to_local(traj.at(t))
         assert np.linalg.norm(x) <= lad.rho * np.exp(-lad.lambda_ * t) + 1e-12
@@ -275,8 +278,7 @@ def test_stable_graph_decay_along_flow(p2):
 
 def test_graph_derivative_flat(p1):
     T = p1.ladder.T0
-    sample = lp.graph_G_T(p1.model, p1.ladder, T, p1.sphere_point(),
-                          cache=p1.cache)
+    sample = lp.graph_G_T(p1.solver(), T, p1.sphere_point())
     d, err = graph_derivative(sample, np.zeros(1), np.ones(1),
                               step=0.2 * p1.ladder.R)
     assert np.allclose(d, 0.0, atol=1e-12)

@@ -168,7 +168,7 @@ PROBLEMS = {"p1": "p1_quadratic", "p2": "p2_quartic", "p3": "p3_cubic3d"}
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_integrate_forward_matches_scipy(name):
+def test_integrate_forward_matches_scipy(name, trajectory_tol):
     # the stage sums of a one-row block round differently from scipy's, so
     # the two agree to rounding, not bit for bit
     problem = reference_problem(PROBLEMS[name])
@@ -177,7 +177,8 @@ def test_integrate_forward_matches_scipy(name):
     for duration, (rtol, atol) in ((0.8, (1e-10, 1e-12)), (2.5, (1e-8, 1e-11)),
                                    (2.0, (1e-11, 1e-13))):
         start = problem.critical_point + rng.uniform(-0.1, 0.1, n)
-        traj = integrate_forward(problem, start, duration, rtol=rtol, atol=atol)
+        trajectory_tol(rtol, atol)
+        traj = integrate_forward(problem, start, duration)
         ref = scipy_trajectory(problem, start, duration, rtol, atol)
         assert traj.times[-1] == duration
         assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 1e-14

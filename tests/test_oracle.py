@@ -11,13 +11,13 @@ from gradleaf.oracle import mixed_bvp_oracle
 from references import scipy_trajectory, stable_point_oracle
 
 
-def test_linear_shooting_exact(p1):
+def test_linear_shooting_exact(p1, monkeypatch):
     # closed form: w = exp(T lambda_1) z- reproduces the flat graph value
     T = 6.0
     zm = np.array([0.1])
     zp = np.array([0.05])
-    [(traj, record)] = mixed_bvp_oracle(p1.model, p1.ladder, [(T, zm, zp)],
-                                        tol=1e-10)
+    monkeypatch.setattr(oracle, "NEWTON_TOL", 1e-10)
+    [(traj, record)] = mixed_bvp_oracle(p1.model, p1.ladder, [(T, zm, zp)])
     assert record.solution[0] == pytest.approx(0.1 * np.exp(-T), rel=1e-8)
     end = p1.model.to_local(traj.states[-1])
     assert end[0] == pytest.approx(0.1, abs=1e-10)
@@ -95,16 +95,14 @@ def test_unstable_graph_via_negated_problem():
 
     sp = split(prob.hess(prob.critical_point))
     model = LocalModel(prob, sp)
-    modulus, kstar = lipschitz_modulus(prob, sp, samples=80,
-                                       rng=np.random.default_rng(0))
-    ladder = build_ladder(sp, modulus, kappa_star=kstar)
-    graph_f = lp.graph_F_inf(model, ladder)
+    modulus, kstar = lipschitz_modulus(model, np.random.default_rng(0))
+    ladder = build_ladder(sp, modulus, {}, kstar, 1.0)
+    graph_f = lp.graph_F_inf(model, ladder, lp.SolverCache(model))
 
     sp_n = split(neg.hess(neg.critical_point))
     model_n = LocalModel(neg, sp_n)
-    modulus_n, kstar_n = lipschitz_modulus(neg, sp_n, samples=80,
-                                           rng=np.random.default_rng(0))
-    ladder_n = build_ladder(sp_n, modulus_n, kappa_star=kstar_n)
+    modulus_n, kstar_n = lipschitz_modulus(model_n, np.random.default_rng(0))
+    ladder_n = build_ladder(sp_n, modulus_n, {}, kstar_n, 1.0)
     assert sp_n.morse_index == 1
 
     x = graph_f.axes[0][-1]
@@ -179,13 +177,14 @@ def _ready_state(name, tmp_path):
     pytest.param("p2_quartic", id="quartic_saddle"),
     pytest.param("p3_cubic3d", id="cubic_saddle_3d"),
     pytest.param("curved_stable", id="curved_stable_saddle"),
+    pytest.param("k2_cubic", id="index_two_saddle"),
 ])
 def test_lockstep_matches_serial_loop(name, tmp_path):
     state = _ready_state(name, tmp_path)
     groups, _ = pipeline.oracle_queries(state)
     queries = [query for group in groups for query in group]
-    tol = 1e-8
-    shot = mixed_bvp_oracle(state.model, state.ladder, queries, tol=tol)
+    tol = oracle.NEWTON_TOL
+    shot = mixed_bvp_oracle(state.model, state.ladder, queries)
     assert len(shot) == len(queries) == 8
     k = state.model.k
     for (T, zm, zp), (traj, record) in zip(queries, shot):

@@ -1,12 +1,18 @@
-"""Every defaulted parameter in gradleaf is set by some caller.
+"""Every defaulted parameter in gradleaf is one a run both uses and overrides.
 
 A default that no call overrides is a constant dressed as a knob: it widens
 the signature and the configurations to test without any caller needing
-it.  The scan reads ``src/gradleaf`` with ``ast`` and matches calls by the
+it.  A default that every call overrides is a fallback no run takes: the
+code behind it runs only in tests.  "The run" is the code in ``src/`` and
+``scripts/``; a test that needs another value sets a module constant with
+``monkeypatch`` or builds its inputs explicitly.
+
+The scan reads ``src/gradleaf`` with ``ast`` and matches calls by the
 called name (a call of a class counts as a call of its ``__init__``), so
-methods of the same name share their callers.  A parameter counts as set
-when a call in ``src/``, ``tests/`` or ``scripts/`` passes it by keyword or
-by position, or forwards ``*args`` / ``**kwargs`` that could carry it.
+methods of the same name share their callers.  A call sets a parameter
+when it passes it by keyword or by position.  A call that forwards
+``*args`` or ``**kwargs`` may set any parameter, and may leave any one at
+its default.
 """
 
 import ast
@@ -14,9 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gradleaf"
-CALLER_DIRS = ("src", "tests", "scripts")
-#: stands for a call that forwards ``*args``: it may reach any position
-ANY_POSITION = float("inf")
+CALLER_DIRS = ("src", "scripts")
 
 
 def _defaulted(func, is_method):
@@ -64,10 +68,10 @@ def defaulted_parameters(root=PACKAGE):
 
 
 def calls(roots):
-    """Called name -> (keywords passed, largest count of positional arguments).
+    """Called name -> one ``(keywords, positional count, forwards)`` per call.
 
-    A ``**kwargs`` argument is recorded as the keyword None, and a
-    ``*args`` argument as ``ANY_POSITION`` positional arguments.
+    ``forwards`` is true when the call passes ``*args`` or ``**kwargs``;
+    those arguments count neither as keywords nor as positions.
     """
     seen = {}
     for root in roots:
@@ -80,32 +84,52 @@ def calls(roots):
                         else func.attr if isinstance(func, ast.Attribute) else None)
                 if name is None:
                     continue
-                keywords, count = seen.get(name, (set(), 0))
-                keywords.update(k.arg for k in node.keywords)
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
-                seen[name] = (keywords, max(count, ANY_POSITION if starred
-                                            else len(node.args)))
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                plain = [a for a in node.args if not isinstance(a, ast.Starred)]
+                forwards = (len(plain) < len(node.args)
+                            or any(k.arg is None for k in node.keywords))
+                seen.setdefault(name, []).append((keywords, len(plain), forwards))
     return seen
+
+
+def _classify(package, caller_roots):
+    """``function(parameter)`` of the defaulted parameters no call sets, and
+    of those every call sets."""
+    caller_roots = ([ROOT / d for d in CALLER_DIRS] if caller_roots is None
+                    else caller_roots)
+    seen = calls(caller_roots)
+    unset, always = [], []
+    for where, called, name, position in defaulted_parameters(package):
+        found = seen.get(called, [])
+        sets = [name in keywords or (position is not None and count > position)
+                for keywords, count, _ in found]
+        if not any(s or forwards for s, (_, _, forwards) in zip(sets, found)):
+            unset.append(f"{where}({name})")
+        elif all(sets):
+            always.append(f"{where}({name})")
+    return unset, always
 
 
 def unset_parameters(package=PACKAGE, caller_roots=None):
     """Defaulted parameters that no call passes, as ``function(parameter)``."""
-    caller_roots = ([ROOT / d for d in CALLER_DIRS] if caller_roots is None
-                    else caller_roots)
-    seen = calls(caller_roots)
-    unset = []
-    for where, called, name, position in defaulted_parameters(package):
-        keywords, count = seen.get(called, (set(), 0))
-        by_position = position is not None and count > position
-        if not (name in keywords or None in keywords or by_position):
-            unset.append(f"{where}({name})")
-    return unset
+    return _classify(package, caller_roots)[0]
+
+
+def always_set_parameters(package=PACKAGE, caller_roots=None):
+    """Defaulted parameters that every call passes, as ``function(parameter)``."""
+    return _classify(package, caller_roots)[1]
 
 
 def test_every_defaulted_parameter_has_a_caller():
     unset = unset_parameters()
-    assert not unset, ("defaulted parameters that no caller sets; make them "
+    assert not unset, ("defaulted parameters that no run call sets; make them "
                        "constants: " + ", ".join(unset))
+
+
+def test_every_default_is_used_by_some_caller():
+    always = always_set_parameters()
+    assert not always, ("defaulted parameters that every run call sets; make "
+                        "them required: " + ", ".join(always))
 
 
 def test_scan_sees_keywords_positions_and_classes(tmp_path):
@@ -118,3 +142,19 @@ def test_scan_sees_keywords_positions_and_classes(tmp_path):
     (tmp_path / "use.py").write_text("f(1, 2)\nK(3)\nK(1).m(z=1)\n")
     assert unset_parameters(package, [tmp_path]) == [
         "pkg/mod.py:f(c)", "pkg/mod.py:K.__init__(y)"]
+    # every call sets f's b, K's x and m's z
+    assert always_set_parameters(package, [tmp_path]) == [
+        "pkg/mod.py:f(b)", "pkg/mod.py:K.__init__(x)", "pkg/mod.py:K.m(z)"]
+
+
+def test_forwarded_arguments_may_set_or_default_any_parameter(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def f(a, b=1, c=2):\n    return a\n\n"
+        "def g(a, d=1):\n    return a\n")
+    (tmp_path / "use.py").write_text(
+        "f(1, c=3)\nf(*args)\ng(1, d=2)\ng(1, **kw)\n")
+    # ``*args`` may reach b and ``**kw`` may leave d at its default
+    assert unset_parameters(package, [tmp_path]) == []
+    assert always_set_parameters(package, [tmp_path]) == []

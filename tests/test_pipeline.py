@@ -71,7 +71,7 @@ def test_stage_dependencies_autorun(tmp_path):
 
 
 def test_lambda_diagnostics_in_manifest(tmp_path):
-    pipeline.run(reference_problem("p2_quartic"), tmp_path, stages=("lambda",))
+    pipeline.run(reference_problem("p2_quartic"), tmp_path, ("lambda",), 0, None)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     details = manifest["details"]["lambda"]
     for key in ("linearized_vs_fd_max", "second_quotient_max"):
@@ -84,7 +84,7 @@ def test_run_writes_manifest_on_error(tmp_path):
     with pytest.raises(ValueError):
         pipeline.run_stage("not_a_stage", bad)
     with pytest.raises(Exception):
-        pipeline.run(problem, tmp_path, stages=("not_a_stage",))
+        pipeline.run(problem, tmp_path, ("not_a_stage",), 0, None)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "error" in manifest
 
@@ -139,7 +139,7 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(convergence, "mixed_columns", counted_mixed)
     monkeypatch.setattr(convergence.GraphFamilySolver, "__init__", counted_init)
 
-    state = pipeline.run(reference_problem("p2_quartic"), tmp_path, stages=("all",))
+    state = pipeline.run(reference_problem("p2_quartic"), tmp_path, ("all",), 0, None)
     assert all(v == "pass" for v in state.statuses.values())
     assert stores == [state.solver]
     # the unstable graph grid on the raw ladder plus two sphere points on

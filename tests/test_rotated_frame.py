@@ -10,19 +10,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import Setup
 from gradleaf import lyapunov_perron as lp
 from gradleaf import reporting
-from gradleaf.flow import descending_disk
-from gradleaf.local_model import (
-    LocalModel,
-    build_ladder,
-    calibrate_ladder,
-    lipschitz_modulus,
-)
 from gradleaf.oracle import mixed_bvp_oracle
 from gradleaf.polynomials import Polynomial
 from gradleaf.problems import GradientProblem
-from gradleaf.spectral import split
 from references import compose_linear
 
 THETA = 0.3
@@ -35,27 +28,17 @@ def rotated():
     base = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0],
                                      [[2, 2], 0.25]])
     poly = compose_linear(base, R)
-    problem = GradientProblem("rotated_quartic", 2, poly, np.zeros(2))
-    sp = split(problem.hess(problem.critical_point))
-    model = LocalModel(problem, sp)
-    modulus, kappa_star = lipschitz_modulus(problem, sp, samples=80,
-                                            rng=np.random.default_rng(11))
-    ladder = build_ladder(sp, modulus, kappa_star=kappa_star)
-    cache = lp.SolverCache(model)
-    graph_f = lp.graph_F_inf(model, ladder, cache=cache)
-    graph_g = lp.graph_G_inf(model, ladder, cache=cache)
-    ladder = calibrate_ladder(ladder, model, graph_f, graph_g)
-    return problem, sp, model, ladder, cache, graph_f, graph_g
+    return Setup(GradientProblem("rotated_quartic", 2, poly, np.zeros(2)))
 
 
 def test_rotated_spectrum(rotated):
-    _, sp, *_ = rotated
+    sp = rotated.split
     assert np.allclose(sp.eigenvalues, [-1.0, 2.0], atol=1e-12)
     assert not np.allclose(np.abs(sp.eigenvectors), np.eye(2))
 
 
 def test_rotated_hessian_composition(rotated):
-    problem, *_ = rotated
+    problem = rotated.problem
     c, s = np.cos(THETA), np.sin(THETA)
     R = np.array([[c, -s], [s, c]])
     assert np.allclose(problem.hess(np.zeros(2)), R.T @ np.diag([-1.0, 2.0]) @ R,
@@ -63,23 +46,20 @@ def test_rotated_hessian_composition(rotated):
 
 
 def test_rotated_graphs_flat_in_eigenframe(rotated):
-    *_, graph_f, graph_g = rotated
+    graph_f, graph_g = rotated.graph_f, rotated.graph_g
     # the invariant axes rotate with the problem: flat in the adapted frame
     assert np.max(np.abs(graph_f.values)) <= 1e-10
     assert np.max(np.abs(graph_g.values)) <= 1e-10
 
 
 def test_rotated_mixed_solution_matches_diagonal(rotated, p2):
-    problem, sp, model, ladder, cache, graph_f, _ = rotated
+    model, ladder = rotated.model, rotated.ladder
     # eigenvector signs are a convention: compare frame-invariant quantities
     T = max(ladder.T0, p2.ladder.T0)
-    disk = descending_disk(model, ladder, graph_f)
-    zm = disk.sphere_minus[0]
+    zm = rotated.sphere_point()
     zp = np.array([0.4 * ladder.R])
-    orbit = lp.backward_orbit(model, ladder, zm,
-                              t_max=max(lp.default_horizon(ladder), T),
-                              cache=cache)
-    res, gap = lp.solve_mixed(model, ladder, T, zm, zp, orbit, cache=cache)
+    res, gap = lp.solve_mixed(model, ladder, T, zm, zp, rotated.orbit(zm, T),
+                              rotated.cache)
 
     zm_d = np.array([abs(zm[0])])
     zp_d = np.array([abs(zp[0])])
@@ -97,15 +77,12 @@ def test_rotated_mixed_solution_matches_diagonal(rotated, p2):
 
 
 def test_rotated_oracle_agreement(rotated):
-    problem, sp, model, ladder, cache, graph_f, _ = rotated
+    model, ladder = rotated.model, rotated.ladder
     T = ladder.T0
-    disk = descending_disk(model, ladder, graph_f)
-    zm = disk.sphere_minus[0]
+    zm = rotated.sphere_point()
     zp = np.array([0.35 * ladder.R])
-    orbit = lp.backward_orbit(model, ladder, zm,
-                              t_max=max(lp.default_horizon(ladder), T),
-                              cache=cache)
-    res, _ = lp.solve_mixed(model, ladder, T, zm, zp, orbit, cache=cache)
+    res, _ = lp.solve_mixed(model, ladder, T, zm, zp, rotated.orbit(zm, T),
+                            rotated.cache)
     [(traj, _)] = mixed_bvp_oracle(model, ladder, [(T, zm, zp)])
     nodes = res.curve.grid.nodes
     states = model.to_local(traj.at(nodes))
@@ -115,7 +92,7 @@ def test_rotated_oracle_agreement(rotated):
 def test_rotated_csv_rows_match_per_point_calls(rotated):
     # leaf and pair rows in bulk render as rows built one point at a time
     # (to_ambient and f_local per point)
-    _, _, model, ladder, *_, graph_g = rotated
+    model, ladder, graph_g = rotated.model, rotated.ladder, rotated.graph_g
     samples = np.random.default_rng(5).uniform(-ladder.R, ladder.R, (240, 2))
     inside = np.arange(graph_g.grid_points().shape[0]) % 3 > 0
     leaf = SimpleNamespace(graph=graph_g, inside_mask=inside)
