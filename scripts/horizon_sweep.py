@@ -1,19 +1,20 @@
 """Sweep the graph-family horizon and record the gap to the stable graph.
 
-Emits plot-ready CSV (T, gap, bound) per sample so the exponential decay of
-the time-T graphs toward the stable graph can be inspected over a wider
-horizon range than the default verification grid.
+Emits plot-ready CSV (T, z+, gap, bound) per row of the C0 check
+(``convergence.c0_convergence``) so the exponential decay of the time-T
+graphs toward the stable graph can be inspected over a wider horizon range
+than the default verification grid.
 
 Usage: python scripts/horizon_sweep.py CONFIG [OUT_CSV] [N_HORIZONS]
 """
 
-import math
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from gradleaf.convergence import c0_convergence
 from gradleaf.pipeline import RunState, run_stage
 from gradleaf.problems import load_problem
 from gradleaf.reporting import write_csv
@@ -34,13 +35,10 @@ def sweep(config_path, out_csv, n_horizons=9):
     zp_axis = graph_g.axes[0]
     zp_list = [np.full(len(graph_g.axes), zp_axis[i])
                for i in (len(zp_axis) // 4, len(zp_axis) // 2)]
-    rows = []
-    for T in T_grid:
-        for zp in zp_list:
-            g_t = solver.graph_value(T, zm, zp)
-            g_inf = solver.stable_value(zp)
-            gap = float(np.linalg.norm(g_t - g_inf))
-            rows.append([T, *zp, gap, math.exp(-T * ladder.lambda_ / 8.0)])
+    # the report's rows run T-major over the plus points of one sphere point
+    report = c0_convergence(solver, T_grid, [zm], zp_list)
+    rows = [[row.T, *zp, row.gap, row.bound]
+            for row, zp in zip(report.rows, zp_list * len(T_grid))]
     header = ["T"] + [f"zplus_{i}" for i in range(len(graph_g.axes))] \
         + ["gap", "bound"]
     write_csv(out_csv, header, rows)

@@ -38,7 +38,7 @@ from .lyapunov_perron import (
     graph_G_inf,
     solve_mixed,
 )
-from .oracle import ShootingResult, mixed_bvp_oracle
+from .oracle import mixed_bvp_oracle
 from .problems import GradientProblem, load_problem, problem_from_dict
 from .spectral import SpectralSplit, split
 

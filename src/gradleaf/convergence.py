@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EndpointViolation, FlagMissing
+from .errors import FlagMissing
 from .lyapunov_perron import (
     PICARD_TOL,
     backward_orbit,
@@ -159,10 +159,6 @@ class GraphFamilySolver:
     def mixed(self, T, z_minus, z_plus):
         return self.mixed_rows(T, z_minus, [z_plus])[0]
 
-    def graph_value(self, T, z_minus, z_plus):
-        res, _ = self.mixed(T, z_minus, z_plus)
-        return res.curve.values[0, : self.model.k]
-
     def stable_rows(self, z_plus_rows):
         """Stable fixed points for each row of ``z_plus_rows``, in row order;
         the rows not yet held are solved together and stored."""
@@ -178,12 +174,6 @@ class GraphFamilySolver:
             for key, out in zip(todo, solved):
                 self._stable[key] = out
         return [self._stable[key] for key in keys]
-
-    def stable(self, z_plus):
-        return self.stable_rows([z_plus])[0]
-
-    def stable_value(self, z_plus):
-        return self.stable(z_plus).curve.values[0, : self.model.k]
 
 
 def _fit_rate(T_values, gaps, floor):
@@ -363,6 +353,4 @@ def endpoint_audit(solver, graph):
                    z_minus_label=_label(graph.z_minus), z_plus_label=_label(zp),
                    direction_label="", gap=float(gap), bound=bound,
                    budget=budget, ok=gap <= bound + budget)
-    if not report.all_ok:
-        raise EndpointViolation(f"endpoint bound violated: {report.describe_worst()}")
     return report

@@ -83,14 +83,6 @@ class ComponentAmbiguous(GradleafError):
     code = "component_ambiguous"
 
 
-class DisjointnessViolation(GradleafError):
-    code = "disjointness_violation"
-
-
-class RetractViolation(GradleafError):
-    code = "retract_violation"
-
-
 class OutsideLeafDomain(GradleafError):
     code = "outside_leaf_domain"
 
@@ -125,7 +117,5 @@ class BoundViolation(GradleafError):
 #: errors that indicate a quantitative bound was violated beyond budget
 BOUND_ERRORS = (
     EndpointViolation,
-    DisjointnessViolation,
-    RetractViolation,
     BoundViolation,
 )

@@ -318,23 +318,21 @@ def integrate_forward(problem, start, duration):
 
 @dataclass
 class DescendingDisk:
-    """Sampled part of the unstable manifold above level ``c - epsilon``.
+    """Boundary sphere of the descending disk, the part of the unstable
+    manifold above level ``c - epsilon``.
 
-    The boundary sphere consists of the level-crossing points along rays in
+    The sphere consists of the level-crossing points along rays in
     the unstable subspace; ``sphere_minus`` holds their minus coordinates and
     ``sphere_local`` the corresponding local-frame points on the graph.
     """
 
-    epsilon: float
     sphere_minus: np.ndarray
     sphere_local: np.ndarray
-    interior_minus: np.ndarray
-    interior_local: np.ndarray
 
 
 def descending_disk(model, ladder, graph_f):
-    """Sample the descending disk above level c - epsilon of the ladder and
-    locate its boundary sphere.
+    """Locate the boundary sphere of the descending disk above level
+    c - epsilon of the ladder.
 
     The sphere is found by bisection in the level value along rays of the
     unstable subspace, to 1e-10 in f; for Morse index one it consists of
@@ -360,12 +358,4 @@ def descending_disk(model, ladder, graph_f):
         raise LevelNotReached(
             f"epsilon = {epsilon:.3e} not reached within the sampled graph")
     sphere_minus = radii[:, None] * dirs
-    sphere_local = graph_f.local_points(sphere_minus)
-    fractions = np.linspace(0.0, 1.0, 5)[1:-1]
-    interior_minus = np.concatenate([
-        np.zeros((1, k)),
-        np.concatenate([f * sphere_minus for f in fractions]),
-    ])
-    interior_local = graph_f.local_points(interior_minus)
-    return DescendingDisk(epsilon, sphere_minus, sphere_local,
-                          interior_minus, interior_local)
+    return DescendingDisk(sphere_minus, graph_f.local_points(sphere_minus))

@@ -42,7 +42,6 @@ class LocalModel:
         if problem.dimension != split.dimension:
             raise ValueError("problem and split dimensions disagree")
         self.problem = problem
-        self.split = split
         self.x0 = problem.critical_point
         self.U = split.eigenvectors
         self.eigenvalues = split.eigenvalues
@@ -184,7 +183,6 @@ class RateLadder:
     T0: float
     kappa_rho: float
     kappa_region: float
-    kappa_of_rho: KappaModulus
     kappa_star: float | None
     c1: float
     c_star: float | None
@@ -316,7 +314,7 @@ def build_ladder(split, kappa, choices, kappa_star, rho0):
         varkappa=varkappa, epsilon=epsilon, varsigma=varsigma,
         T1=T1, T2=T2, T0=T0,
         kappa_rho=kappa(rho), kappa_region=kappa(min(REGION_FACTOR * rho, rho0)),
-        kappa_of_rho=kappa, kappa_star=kappa_star,
+        kappa_star=kappa_star,
         c1=c1, c_star=c_star,
         gap=d, lambda_min=lam1, morse_index=k,
     )

@@ -512,7 +512,6 @@ class GraphSample:
     values: np.ndarray
     residuals: np.ndarray
     iterations: np.ndarray
-    rate: float
     T: float | None = None
     z_minus: np.ndarray | None = None
     endpoint_gaps: np.ndarray | None = None
@@ -739,8 +738,7 @@ def graph_F_inf(model, ladder, cache):
     solved = ((res.curve.values[-1, model.k:], res, 0.0)
               for res in solve_columns(op, cache.counts))
     values, residuals, iters, _ = _sample_tensor_grid(axes, model.n - model.k, solved)
-    return GraphSample("F_inf", "minus", tuple(axes), values, residuals, iters,
-                       rate=ladder.lambda_)
+    return GraphSample("F_inf", "minus", tuple(axes), values, residuals, iters)
 
 
 def graph_G_inf(model, ladder, cache):
@@ -749,8 +747,7 @@ def graph_G_inf(model, ladder, cache):
     solved = ((res.curve.values[0, : model.k], res, 0.0) for res in
               stable_columns(model, ladder, tensor_points(axes), cache))
     values, residuals, iters, _ = _sample_tensor_grid(axes, model.k, solved)
-    return GraphSample("G_inf", "plus", tuple(axes), values, residuals, iters,
-                       rate=ladder.lambda_)
+    return GraphSample("G_inf", "plus", tuple(axes), values, residuals, iters)
 
 
 def graph_G_T(solver, T, z_minus, base_axes=None):
@@ -772,7 +769,7 @@ def graph_G_T(solver, T, z_minus, base_axes=None):
               (h if h is not None else next(fresh) for h in held))
     values, residuals, iters, gaps = _sample_tensor_grid(axes, model.k, solved)
     return GraphSample("G_T", "plus", tuple(axes), values, residuals, iters,
-                       rate=ladder.lambda_, T=float(T),
+                       T=float(T),
                        z_minus=np.asarray(z_minus, dtype=float),
                        endpoint_gaps=gaps)
 

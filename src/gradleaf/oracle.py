@@ -26,14 +26,6 @@ NEWTON_TOL = 1e-8
 
 
 @dataclass
-class ShootingResult:
-    query: str
-    solution: np.ndarray
-    bracket_width: float
-    integration_tol: float
-
-
-@dataclass
 class _Newton:
     """The damped Newton iteration of one mixed query, in the pre-stretched
     unknown ``u`` (``w = scale * u``)."""
@@ -75,8 +67,9 @@ def mixed_bvp_oracle(model, ladder, queries):
     iteration it would run alone; only the shots are pooled, one
     :func:`~gradleaf.flow.solve_ivp` call for the base shots with the first
     Jacobian probes, one for each later iteration's probes and one for each
-    damping level.  Returns ``(trajectory, ShootingResult)`` per query, in
-    query order.
+    damping level.  Returns ``(trajectory, residual)`` per query, in query
+    order: the forward trajectory of the best shot, the one whose endpoint
+    misses ``z_minus`` least, and the norm of that miss.
 
     A failing query raises NewtonDiverged once no query before it can fail
     any more, so the error is the one solving the queries one after another
@@ -114,7 +107,7 @@ def mixed_bvp_oracle(model, ladder, queries):
                          [True] * len(newton) + [False] * (len(shots) - len(newton)))
     for q, r, sol in zip(newton, resid, sols):
         q.resid = r
-        q.best = (np.linalg.norm(r), q.u, sol)
+        q.best = (np.linalg.norm(r), sol)
     take_probes(newton, resid[len(newton):])
 
     for iteration in range(NEWTON_MAX_ITER):
@@ -149,7 +142,7 @@ def mixed_bvp_oracle(model, ladder, queries):
                     continue
                 q.u, q.resid = u, r
                 if np.linalg.norm(r) < q.best[0]:
-                    q.best = (np.linalg.norm(r), u, sol)
+                    q.best = (np.linalg.norm(r), sol)
             damping *= 0.5
         for q in pending:
             fail(q, NewtonDiverged("damped Newton made no progress on the shot"))
@@ -160,14 +153,5 @@ def mixed_bvp_oracle(model, ladder, queries):
         if q.error is not None:
             raise q.error
 
-    out = []
-    for q in newton:
-        norm, u, sol = q.best
-        traj = Trajectory(model.problem, np.array(sol.times), np.array(sol.states), sol)
-        out.append((traj, ShootingResult(
-            query=f"mixed boundary problem T={q.T}",
-            solution=np.concatenate([q.scale * u, q.z_plus]),
-            bracket_width=float(norm),
-            integration_tol=ORACLE_RTOL,
-        )))
-    return out
+    return [(Trajectory(model.problem, np.array(sol.times), np.array(sol.states), sol),
+             float(norm)) for norm, sol in (q.best for q in newton)]

@@ -45,7 +45,6 @@ class RunState:
     graph_f: object = None
     graph_g: object = None
     disk: object = None
-    atlas: object = None
     statuses: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
     wall_times: dict = field(default_factory=dict)
@@ -200,10 +199,9 @@ def stage_foliate(state):
     T_grid = tau + np.arange(0.0, 3.0)
     pair = foliation.build_pair(state.model, ladder, rng=state.rng(2))
     atlas = foliation.build_atlas(
-        state.solver, state.graph_g, state.disk.sphere_minus,
-        pair=pair, tau=tau, T_grid=T_grid,
+        state.solver, state.graph_g, state.disk.sphere_minus, tau=tau,
+        T_grid=T_grid,
         zplus_axes=default_axes(ladder.R, state.model.n - state.model.k, 21))
-    state.atlas = atlas
     state.emit("pair.csv",
                [f"x{i + 1}" for i in range(state.model.n)] + ["f", "exit"],
                reporting.pair_rows(pair, state.model))
@@ -266,12 +264,11 @@ def stage_oracle(state):
     rows = []
     worst = 0.0
     shot = mixed_bvp_oracle(state.model, state.ladder, queries)
-    for (T, zm, zp), curve, (traj, record) in zip(queries, curves, shot):
+    for (T, zm, zp), curve, (traj, residual) in zip(queries, curves, shot):
         states = state.model.to_local(traj.at(curve.grid.nodes))
         err = float(np.max(row_norms(states - curve.values)))
         worst = max(worst, err)
-        rows.append([T, *np.atleast_1d(zm), *np.atleast_1d(zp), err,
-                     record.bracket_width])
+        rows.append([T, *np.atleast_1d(zm), *np.atleast_1d(zp), err, residual])
     state.emit("oracle_comparison.csv",
                ["T"] + [f"zminus_{i}" for i in range(state.model.k)]
                + [f"zplus_{i}" for i in range(state.model.n - state.model.k)]

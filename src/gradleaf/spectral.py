@@ -28,13 +28,10 @@ class SpectralSplit:
     """
 
     dimension: int
-    hessian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     morse_index: int
     gap: float
-    proj_minus: np.ndarray
-    proj_plus: np.ndarray
 
 
 def split(hessian):
@@ -60,17 +57,6 @@ def split(hessian):
         raise DegenerateCriticalPoint(
             f"eigenvalue within {degeneracy_tol:.3e} of zero: {evals}")
 
-    k = int(np.sum(evals < 0))
-    gap = float(np.min(np.abs(evals)))
-    Um = evecs[:, :k]
-    Up = evecs[:, k:]
-    return SpectralSplit(
-        dimension=n,
-        hessian=A,
-        eigenvalues=evals,
-        eigenvectors=evecs,
-        morse_index=k,
-        gap=gap,
-        proj_minus=Um @ Um.T,
-        proj_plus=Up @ Up.T,
-    )
+    return SpectralSplit(dimension=n, eigenvalues=evals, eigenvectors=evecs,
+                         morse_index=int(np.sum(evals < 0)),
+                         gap=float(np.min(np.abs(evals))))

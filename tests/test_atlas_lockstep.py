@@ -30,10 +30,11 @@ STENCIL_CAPS = {"k2_cubic": 100, "p2_quartic": 80, "p3_cubic3d": 80}
 @pytest.fixture(scope="module")
 def foliated(tmp_path_factory):
     """The foliate stage of each config, with the ``multilinear_stencil``
-    calls made inside ``build_atlas`` counted: config -> (state, count)."""
+    calls made inside ``build_atlas`` counted and the atlas it built kept:
+    config -> (state, count, atlas)."""
     runs = {}
     for name in STENCIL_CAPS:
-        calls = {"inside": False, "count": 0}
+        calls = {"inside": False, "count": 0, "atlas": None}
 
         def counted(*args, _stencil=lp.multilinear_stencil):
             calls["count"] += calls["inside"]
@@ -42,7 +43,8 @@ def foliated(tmp_path_factory):
         def build_atlas(*args, _build=fol.build_atlas, **kwargs):
             calls["inside"] = True
             try:
-                return _build(*args, **kwargs)
+                calls["atlas"] = _build(*args, **kwargs)
+                return calls["atlas"]
             finally:
                 calls["inside"] = False
 
@@ -55,7 +57,7 @@ def foliated(tmp_path_factory):
                                  ("spectral", "ladder", "manifolds", "foliate"),
                                  0, None)
         assert state.statuses["foliate"] == "pass"
-        runs[name] = (state, calls["count"])
+        runs[name] = (state, calls["count"], calls["atlas"])
     return runs
 
 
@@ -93,8 +95,8 @@ def loop_level_crossing(graph, f, directions, level, tol):
 @pytest.mark.parametrize("name, n_leaves, n_rays", [
     ("p2_quartic", 6, 2), ("k2_cubic", 24, 2), ("p3_cubic3d", 6, 8)])
 def test_level_crossings_match_one_graph_at_a_time(foliated, name, n_leaves, n_rays):
-    state, _ = foliated[name]
-    atlas, f = state.atlas, state.model.f_local
+    state, _, atlas = foliated[name]
+    f = state.model.f_local
     graphs = [leaf.graph for leaf in atlas.leaves.values()]
     d = state.model.n - state.model.k
     if d == 1:
@@ -108,7 +110,8 @@ def test_level_crossings_match_one_graph_at_a_time(foliated, name, n_leaves, n_r
     r_max = min(ax[-1] for ax in graphs[0].axes)
     far = f(np.concatenate([g.local_points(r_max * dirs) for g in graphs]))
     seen = []
-    for level in (atlas.center.clip_level, 0.5 * (far.min() + far.max())):
+    clip = state.model.critical_value + state.ladder.epsilon
+    for level in (clip, 0.5 * (far.min() + far.max())):
         tol = 1e-12 * max(1.0, abs(level)) + 1e-15
         radii = lp.level_crossings(graphs, f, dirs, level, tol)
         assert radii.shape == (n_leaves, n_rays)
@@ -121,25 +124,24 @@ def test_level_crossings_match_one_graph_at_a_time(foliated, name, n_leaves, n_r
 
 
 def test_level_crossings_need_one_grid(foliated):
-    state, _ = foliated["p2_quartic"]
-    leaf = next(iter(state.atlas.leaves.values()))
+    state, _, atlas = foliated["p2_quartic"]
+    leaf = next(iter(atlas.leaves.values()))
     with pytest.raises(ValueError, match="one grid"):
-        lp.level_crossings([leaf.graph, state.atlas.center.graph],
+        lp.level_crossings([leaf.graph, atlas.center.graph],
                            state.model.f_local, np.array([[1.0]]),
-                           leaf.clip_level, 1e-12)
+                           state.model.critical_value + state.ladder.epsilon, 1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(STENCIL_CAPS))
 def test_build_atlas_stencil_count(foliated, name):
-    _, count = foliated[name]
+    _, count, _ = foliated[name]
     assert 0 < count <= STENCIL_CAPS[name]
 
 
 def test_contraction_to_center_matches_point_major_search(foliated):
     # the nearest-probe search one inside point at a time, with the probes
     # point-major as before the search went coordinate-major
-    state, _ = foliated["p3_cubic3d"]
-    atlas = state.atlas
+    _, _, atlas = foliated["p3_cubic3d"]
     probes = lp.tensor_points(fol._refined_axes(atlas.center.graph.axes, 8))
     center_pts = atlas.center.graph.local_points(probes)
     report = fol.contraction_to_center(atlas)

@@ -17,7 +17,7 @@ from gradleaf.cli import (
 from gradleaf.errors import (
     BoundViolation,
     ConfigError,
-    DisjointnessViolation,
+    EndpointViolation,
     LadderInfeasible,
     NoConvergence,
     NewtonDiverged,
@@ -103,7 +103,7 @@ def test_exit_code_mapping():
     assert exit_code_for(NoConvergence("x")) == EXIT_SOLVER
     assert exit_code_for(NewtonDiverged("x")) == EXIT_SOLVER
     assert exit_code_for(BoundViolation("x")) == EXIT_BOUND
-    assert exit_code_for(DisjointnessViolation("x")) == EXIT_BOUND
+    assert exit_code_for(EndpointViolation("x")) == EXIT_BOUND
     assert exit_code_for(ValueError("x")) == EXIT_CONFIG
     assert exit_code_for(KeyError("x")) == EXIT_INTERNAL
     assert exit_code_for(ZeroDivisionError("x")) == EXIT_INTERNAL

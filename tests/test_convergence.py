@@ -41,10 +41,14 @@ def test_c0_monotone_bound_between_horizons(p1, solver_p1):
     zm = p1.sphere_point()
     zp = np.array([0.3 * lad.R])
     tau = 0.5
-    g1 = np.linalg.norm(solver_p1.graph_value(t0, zm, zp)
-                        - solver_p1.stable_value(zp))
-    g2 = np.linalg.norm(solver_p1.graph_value(t0 + tau, zm, zp)
-                        - solver_p1.stable_value(zp))
+    k = p1.model.k
+    [stable] = solver_p1.stable_rows([zp])
+
+    def gap(T):
+        res, _ = solver_p1.mixed(T, zm, zp)
+        return np.linalg.norm(res.curve.values[0, :k] - stable.curve.values[0, :k])
+
+    g1, g2 = gap(t0), gap(t0 + tau)
     assert g2 <= g1 + lad.c1 * tau + 1e-12
 
 

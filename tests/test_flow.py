@@ -257,14 +257,21 @@ def test_sphere_radius_shrinks_with_epsilon(p1):
 def test_sphere_on_level_set(p2):
     c = p2.model.f_local(np.zeros(2))
     for pt in p2.disk.sphere_local:
-        assert p2.model.f_local(pt) == pytest.approx(c - p2.disk.epsilon,
+        assert p2.model.f_local(pt) == pytest.approx(c - p2.ladder.epsilon,
                                                      abs=1e-9)
+
+
+def _disk_interior(disk):
+    """The origin and the points 1/4, 1/2 and 3/4 of the way to each
+    sphere point, in minus coordinates."""
+    return np.concatenate([np.zeros((1, disk.sphere_minus.shape[1]))]
+                          + [f * disk.sphere_minus for f in (0.25, 0.5, 0.75)])
 
 
 def test_disk_samples_above_level(p2):
     c = p2.model.f_local(np.zeros(2))
-    for pt in p2.disk.interior_local:
-        assert p2.model.f_local(pt) >= c - p2.disk.epsilon - 1e-12
+    for pt in p2.graph_f.local_points(_disk_interior(p2.disk)):
+        assert p2.model.f_local(pt) >= c - p2.ladder.epsilon - 1e-12
 
 
 def test_epsilon_too_large_raises(p1):
@@ -282,14 +289,14 @@ def test_level_behind_critical_value_raises(p1):
 def test_disk_backward_invariant(p2):
     # backward flow keeps interior samples inside the disk: on the graph,
     # and above the disk's level
-    for zm in p2.disk.interior_minus[1:3]:
+    for zm in _disk_interior(p2.disk)[1:3]:
         q = np.zeros(2)
         q[0] = zm[0]
         q[1] = p2.graph_f.evaluate(zm)[0]
         back = backward(p2, q, 2.0)
         assert p2.graph_f.residual(back) <= 1e-7
         assert (p2.model.f_local(back)
-                >= p2.model.critical_value - p2.disk.epsilon * (1 + 1e-9))
+                >= p2.model.critical_value - p2.ladder.epsilon * (1 + 1e-9))
 
 
 def test_sphere_cross_checked_by_shooting(p2):
@@ -302,7 +309,7 @@ def test_sphere_cross_checked_by_shooting(p2):
     rs = np.linspace(0.0, p2.graph_f.axes[0][-1], 4001)
     fs = np.array([p2.model.f_local(
         np.array([r, p2.graph_f.evaluate(np.array([r]))[0]])) for r in rs])
-    idx = np.searchsorted(-fs, -(c - p2.disk.epsilon))
+    idx = np.searchsorted(-fs, -(c - p2.ladder.epsilon))
     assert abs(rs[idx] - abs(zm[0])) <= rs[1] - rs[0] + 1e-12
 
 

@@ -8,29 +8,30 @@ import pytest
 from gradleaf import convergence as cv
 from gradleaf import foliation as fol
 from gradleaf import lyapunov_perron as lp
-from gradleaf.errors import DisjointnessViolation, OutsideLeafDomain, OutsideSampledDomain
+from gradleaf.errors import OutsideLeafDomain, OutsideSampledDomain
 from gradleaf.flow import integrate_forward
 from references import scipy_trajectory
+
+
+@pytest.fixture(scope="module")
+def pair_p2(p2):
+    return fol.build_pair(p2.model, p2.ladder, np.random.default_rng(5))
 
 
 @pytest.fixture(scope="module")
 def atlas_p2(p2):
     tau = p2.ladder.T0
     T_grid = tau + np.array([0.0, 1.0, 2.0])
-    pair = fol.build_pair(p2.model, p2.ladder, np.random.default_rng(5))
-    return fol.build_atlas(p2.solver(), p2.graph_g, p2.disk.sphere_minus, pair,
-                           tau, T_grid,
-                           (np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
+    return fol.build_atlas(p2.solver(), p2.graph_g, p2.disk.sphere_minus, tau,
+                           T_grid, (np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
 
 
 @pytest.fixture(scope="module")
 def atlas_p1(p1):
     tau = p1.ladder.T0
     T_grid = tau + np.array([0.0, 1.0])
-    pair = fol.build_pair(p1.model, p1.ladder, np.random.default_rng(6))
-    return fol.build_atlas(p1.solver(), p1.graph_g, p1.disk.sphere_minus, pair,
-                           tau, T_grid,
-                           (np.linspace(-p1.ladder.R, p1.ladder.R, 21),))
+    return fol.build_atlas(p1.solver(), p1.graph_g, p1.disk.sphere_minus, tau,
+                           T_grid, (np.linspace(-p1.ladder.R, p1.ladder.R, 21),))
 
 
 # -- pair ----------------------------------------------------------------------
@@ -137,11 +138,11 @@ def test_out_of_band_points_are_not_integrated(p1, monkeypatch):
     assert not in_n.any() and not in_l.any()
 
 
-def test_pair_samples_verified_by_oracle(p2, atlas_p2, trajectory_tol):
+def test_pair_samples_verified_by_oracle(p2, pair_p2, trajectory_tol):
     # point-wise re-integration at tighter tolerance confirms membership
     trajectory_tol(1e-11, 1e-14)
-    pair = atlas_p2.pair
-    c, eps, tau = pair.c, pair.epsilon, pair.tau
+    pair = pair_p2
+    c, eps, tau = p2.model.critical_value, p2.ladder.epsilon, p2.ladder.T0
     for p in pair.samples[:6]:
         amb = p2.model.to_ambient(p)
         traj = integrate_forward(p2.problem, amb, 2 * tau)
@@ -154,8 +155,8 @@ def test_pair_samples_verified_by_oracle(p2, atlas_p2, trajectory_tol):
     assert p2.problem.f(traj.states[-1]) <= c - eps + 1e-10
 
 
-def test_pair_L_subset_N(atlas_p2):
-    pair = atlas_p2.pair
+def test_pair_L_subset_N(pair_p2):
+    pair = pair_p2
     assert pair.exit_mask.shape[0] == pair.samples.shape[0]
     assert np.all(~pair.exit_mask | np.isfinite(pair.samples[:, 0]))
 
@@ -164,7 +165,8 @@ def test_pair_L_subset_N(atlas_p2):
 
 def test_atlas_leaf_count(atlas_p2):
     assert len(atlas_p2.leaves) == 6  # 3 horizons x 2 sphere points
-    assert atlas_p2.center.label == "center"
+    assert atlas_p2.leaf("center") is atlas_p2.center
+    assert atlas_p2.all_labels() == ["center"] + list(atlas_p2.leaves)
 
 
 def test_quadratic_leaves_flat(atlas_p1, p1):
@@ -176,16 +178,10 @@ def test_quadratic_leaves_flat(atlas_p1, p1):
 
 
 def test_leaf_labels_biject_with_disk(atlas_p2):
-    assert len(atlas_p2.disk_D) == len(atlas_p2.leaves) + 1
-    for label, leaf in atlas_p2.leaves.items():
-        hits = np.linalg.norm(atlas_p2.disk_D - leaf.base_point, axis=1)
-        assert np.min(hits) == 0.0
-
-
-def test_annulus_labels(atlas_p2):
-    tau = atlas_p2.tau
-    for label in atlas_p2.annulus_labels:
-        assert tau - 1e-9 <= label[0] <= 2 * tau + 1e-9
+    # distinct labels have distinct base points, none of them the origin
+    bases = np.array([leaf.base_point for leaf in atlas_p2.leaves.values()])
+    assert len(np.unique(bases, axis=0)) == len(atlas_p2.leaves)
+    assert np.all(np.linalg.norm(bases, axis=1) > 0.0)
 
 
 def test_disjointness_quadratic_closed_form(atlas_p1, p1):
@@ -212,8 +208,7 @@ def _line_leaf_atlas(*graphs):
     leaves = {}
     for ai, g in enumerate(graphs):
         sample = lp.GraphSample("G_T", "plus", (axis,), g(axis)[:, None],
-                                np.zeros(axis.size), np.zeros(axis.size, int),
-                                rate=0.5)
+                                np.zeros(axis.size), np.zeros(axis.size, int))
         leaves[(1.0 + ai, ai)] = SimpleNamespace(graph=sample)
     first = next(iter(leaves.values()))
     return SimpleNamespace(leaves=leaves, model=None, center=first)
@@ -242,12 +237,14 @@ def test_disjoint_rows_report_positive_slack():
         assert r.slack > 0.0
 
 
-def test_disjointness_crossing_leaves_raise():
-    # the crossing at z = 1e-3 lies between probes
+def test_disjointness_crossing_leaves_fail():
+    # the crossing at z = 1e-3 lies between probes: every drawn pair is the
+    # crossing one, and each of its rows fails
     atlas = _line_leaf_atlas(lambda z: 1e-3 * z,
                              lambda z: -1e-3 * (z - 1e-3))
-    with pytest.raises(DisjointnessViolation):
-        fol.check_disjoint(atlas, 4, np.random.default_rng(0))
+    rep = fol.check_disjoint(atlas, 4, np.random.default_rng(0))
+    assert len(rep.rows) == 4 and not any(r.ok for r in rep.rows)
+    assert all(r.gap <= r.bound for r in rep.rows)
 
 
 def test_induced_flow_quadratic_closed_form(atlas_p1, p1):
@@ -324,7 +321,7 @@ def test_retract_audit_quadratic(atlas_p1, p1):
     assert rep.all_ok
     # closed form at the center-leaf boundary (0, +-sqrt(eps)): quotient
     # approaches -|grad f|^2 = -4 eps
-    eps = atlas_p1.epsilon
+    eps = p1.ladder.epsilon
     center_rows = [r for r in rep.rows
                    if r.check == "retract_inward" and r.z_minus_label == "center"]
     for row in center_rows:
@@ -386,7 +383,7 @@ def test_atlas_locate_and_contains(atlas_p2, p2):
     leaf = atlas_p2.leaf(label)
     z = leaf.graph.local_points(np.array([0.3 * p2.ladder.R]))
     assert _locate(atlas_p2, z) == label
-    assert p2.model.f_local(z) <= leaf.clip_level + 1e-12
+    assert p2.model.f_local(z) <= p2.model.critical_value + p2.ladder.epsilon + 1e-12
     # a point off every leaf graph is not located
     off = z + np.array([10 * atlas_p2.interp_tolerance + 1e-5, 0.0])
     assert _locate(atlas_p2, off) is None
@@ -436,9 +433,8 @@ def atlas_p3(p3):
     # codimension-two leaves: graphs over a 2D plus grid
     tau = p3.ladder.T0
     half = p3.ladder.R / np.sqrt(2)
-    pair = fol.build_pair(p3.model, p3.ladder, np.random.default_rng(7))
     return fol.build_atlas(p3.solver(), p3.graph_g, p3.disk.sphere_minus[:1],
-                           pair, tau, tau + np.array([0.0, 1.0]),
+                           tau, tau + np.array([0.0, 1.0]),
                            tuple(np.linspace(-half, half, 9) for _ in range(2)))
 
 
@@ -450,8 +446,8 @@ def test_codim2_leaf_geometry(atlas_p3, p3):
         assert leaf.boundary_plus.shape[1] == 2
         # boundary samples sit on the clip level
         for pt in leaf.boundary_local:
-            assert p3.model.f_local(pt) == pytest.approx(leaf.clip_level,
-                                                         abs=1e-9)
+            assert p3.model.f_local(pt) == pytest.approx(
+                p3.model.critical_value + p3.ladder.epsilon, abs=1e-9)
 
 
 def test_codim2_disjoint_and_retract(atlas_p3):

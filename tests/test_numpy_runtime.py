@@ -126,7 +126,7 @@ def _sample(axes, codim, rng):
     shape = tuple(len(ax) for ax in axes)
     values = rng.standard_normal(shape + (codim,))
     return GraphSample("test", "minus", tuple(axes), values,
-                       np.zeros(shape), np.zeros(shape, dtype=int), 0.5)
+                       np.zeros(shape), np.zeros(shape, dtype=int))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -173,3 +173,22 @@ def test_bound_violation_names_worst_row(tmp_path, monkeypatch, stage, module, n
         "failed beyond its budget: report forced, row check=forced T=12.5 "
         "z_minus=(0.1) z_plus=(3): gap 3.000e+00, bound 1.000e+00, budget 5.000e-01")
     assert state.details[stage]["all_ok"] is False
+
+
+def test_failed_audit_still_writes_every_foliate_report(tmp_path, monkeypatch):
+    # no gap is at or below a negative budget, so the retract audit's
+    # time-infinity rows fail; the audit returns its report, and the stage
+    # writes it and the three reports before it before raising
+    monkeypatch.setattr(foliation, "RETRACT_FIX_TOL", -1.0)
+    state = pipeline.RunState(problem=reference_problem("p1_quadratic"), out_dir=tmp_path)
+    for prior in ("spectral", "ladder", "manifolds"):
+        pipeline.run_stage(prior, state)
+    with pytest.raises(BoundViolation) as info:
+        pipeline.run_stage("foliate", state)
+    assert "failed beyond its budget: report retract, row check=" in str(info.value)
+    for name in ("disjoint", "invariance", "center_distance", "retract"):
+        assert (tmp_path / f"report_{name}.csv").is_file()
+    rows = (tmp_path / "report_retract.csv").read_text().splitlines()[1:]
+    assert any(row.startswith("retract_theta_inf,") and row.endswith(",0")
+               for row in rows)
+    assert state.details["foliate"]["all_ok"] is False

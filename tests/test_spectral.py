@@ -22,6 +22,14 @@ def restricted_exponential(split_, sign, t):
     return (U * (mask * np.exp(-t * split_.eigenvalues))) @ U.T
 
 
+def projectors(split_):
+    """The orthogonal projectors onto the minus and plus subspaces, from
+    the split's eigenvectors."""
+    U = split_.eigenvectors
+    Um, Up = U[:, :split_.morse_index], U[:, split_.morse_index:]
+    return Um @ Um.T, Up @ Up.T
+
+
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -31,8 +39,9 @@ def test_diagonal_saddle():
     sp = split(np.diag([-1.0, 2.0]))
     assert sp.morse_index == 1
     assert sp.gap == 1.0
-    assert np.allclose(sp.proj_minus, np.diag([1.0, 0.0]))
-    assert np.allclose(sp.proj_plus, np.diag([0.0, 1.0]))
+    proj_minus, proj_plus = projectors(sp)
+    assert np.allclose(proj_minus, np.diag([1.0, 0.0]))
+    assert np.allclose(proj_plus, np.diag([0.0, 1.0]))
 
 
 def test_diagonal_4d():
@@ -49,21 +58,23 @@ def test_rotated_saddle_conjugation():
     A = R.T @ np.diag([-1.0, 2.0]) @ R
     sp = split(A)
     assert np.allclose(sp.eigenvalues, [-1.0, 2.0])
-    assert np.allclose(sp.proj_minus, R.T @ np.diag([1.0, 0.0]) @ R, atol=1e-12)
-    assert np.allclose(sp.proj_plus, R.T @ np.diag([0.0, 1.0]) @ R, atol=1e-12)
+    proj_minus, proj_plus = projectors(sp)
+    assert np.allclose(proj_minus, R.T @ np.diag([1.0, 0.0]) @ R, atol=1e-12)
+    assert np.allclose(proj_plus, R.T @ np.diag([0.0, 1.0]) @ R, atol=1e-12)
 
 
 def test_projection_identities():
-    sp = split(np.diag([-3.0, -1.0, 2.0, 5.0]))
+    A = np.diag([-3.0, -1.0, 2.0, 5.0])
+    sp = split(A)
     n = sp.dimension
-    assert np.allclose(sp.proj_minus + sp.proj_plus, np.eye(n), atol=1e-13)
-    assert np.allclose(sp.proj_minus @ sp.proj_plus, 0.0, atol=1e-13)
-    for P in (sp.proj_minus, sp.proj_plus):
+    proj_minus, proj_plus = projectors(sp)
+    assert np.allclose(proj_minus + proj_plus, np.eye(n), atol=1e-13)
+    assert np.allclose(proj_minus @ proj_plus, 0.0, atol=1e-13)
+    for P in (proj_minus, proj_plus):
         assert np.allclose(P @ P, P, atol=1e-13)
         assert np.allclose(P, P.T, atol=1e-13)
-    assert np.allclose(sp.hessian @ sp.proj_minus, sp.proj_minus @ sp.hessian,
-                       atol=1e-12)
-    assert np.linalg.matrix_rank(sp.proj_minus) == sp.morse_index
+    assert np.allclose(A @ proj_minus, proj_minus @ A, atol=1e-12)
+    assert np.linalg.matrix_rank(proj_minus) == sp.morse_index
 
 
 def test_degenerate_raises():
@@ -107,7 +118,7 @@ def test_restricted_matches_projected_flow_rotated():
     sp = split(A)
     for t in (-1.5, 0.0, 0.7, 3.0):
         full = flow_exponential(sp, t)
-        for sign, P in (("minus", sp.proj_minus), ("plus", sp.proj_plus)):
+        for sign, P in zip(("minus", "plus"), projectors(sp)):
             assert np.allclose(restricted_exponential(sp, sign, t), full @ P,
                                atol=1e-12)
 
@@ -135,8 +146,9 @@ def test_semigroup_and_decomposition(data, t, s):
     Es = flow_exponential(sp, s)
     Ets = flow_exponential(sp, t + s)
     assert np.allclose(Et @ Es, Ets, atol=1e-10 * np.linalg.norm(Ets, 2))
-    recomposed = (restricted_exponential(sp, "minus", t) @ sp.proj_minus
-                  + restricted_exponential(sp, "plus", t) @ sp.proj_plus)
+    proj_minus, proj_plus = projectors(sp)
+    recomposed = (restricted_exponential(sp, "minus", t) @ proj_minus
+                  + restricted_exponential(sp, "plus", t) @ proj_plus)
     assert np.allclose(Et, recomposed, atol=1e-10 * max(1.0, np.linalg.norm(Et, 2)))
 
 
@@ -157,8 +169,9 @@ def test_exponential_decay_bounds(data, t, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(sp.dimension)
     mu = sp.gap  # any mu in the spectral gap works; the gap itself is sharpest
-    vp = sp.proj_plus @ v
-    vm = sp.proj_minus @ v
+    proj_minus, proj_plus = projectors(sp)
+    vp = proj_plus @ v
+    vm = proj_minus @ v
     tol = 1e-10
     Ep = restricted_exponential(sp, "plus", t)
     Em = restricted_exponential(sp, "minus", t)
