@@ -73,10 +73,6 @@ class EndpointViolation(GradleafError):
     code = "endpoint_violation"
 
 
-class FlagMissing(GradleafError):
-    code = "flag_missing"
-
-
 # -- foliation --------------------------------------------------------------
 
 class ComponentAmbiguous(GradleafError):
@@ -104,7 +100,6 @@ CONFIG_ERRORS = (
     OutsideSampledDomain,
     LevelNotReached,
     HorizonMismatch,
-    FlagMissing,
     OutsideLeafDomain,
 )
 

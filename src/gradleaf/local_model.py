@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    IndexOutOfRange,
-    LadderInfeasible,
-    OutsideSampledDomain,
-)
+from .errors import IndexOutOfRange, LadderInfeasible, OutsideSampledDomain
 from .lyapunov_perron import tensor_points
 from .polynomials import Polynomial
 
@@ -115,7 +110,8 @@ def lipschitz_modulus(model, rng):
     maximization of |dh| (grid plus sphere samples), inflated by a safety
     factor; the result is monotonized.  Returns ``(modulus,
     kappa_star)`` where ``kappa_star`` is the sampled Lipschitz constant of
-    ``dh`` on the trust ball (None unless the problem is C^{2,1}).
+    ``dh`` on the trust ball, finite because a polynomial objective is
+    C^{2,1}.
     """
     n, rho0 = model.n, model.problem.trust_radius
     rho_grid = rho0 * 0.5 ** np.arange(10, -1, -1)
@@ -145,19 +141,16 @@ def lipschitz_modulus(model, rng):
     values = np.concatenate([[0.0], values])
     modulus = KappaModulus(radii=radii, values=values)
 
-    kappa_star = None
-    if model.problem.c21:
-        best = 0.0
-        pts = _ball_samples(rng, n, rho0, KAPPA_SAMPLES)
-        qts = _ball_samples(rng, n, rho0, KAPPA_SAMPLES)
-        gaps = np.linalg.norm(model.dh(pts) - model.dh(qts), 2, axis=(1, 2))
-        for a, b, gap in zip(pts, qts, gaps.tolist()):
-            # per pair: the row-wise norm of pts - qts can round differently
-            dn = float(np.linalg.norm(a - b))
-            if dn > 1e-12:
-                best = max(best, gap / dn)
-        kappa_star = KAPPA_SAFETY * best
-    return modulus, kappa_star
+    best = 0.0
+    pts = _ball_samples(rng, n, rho0, KAPPA_SAMPLES)
+    qts = _ball_samples(rng, n, rho0, KAPPA_SAMPLES)
+    gaps = np.linalg.norm(model.dh(pts) - model.dh(qts), 2, axis=(1, 2))
+    for a, b, gap in zip(pts, qts, gaps.tolist()):
+        # per pair: the row-wise norm of pts - qts can round differently
+        dn = float(np.linalg.norm(a - b))
+        if dn > 1e-12:
+            best = max(best, gap / dn)
+    return modulus, KAPPA_SAFETY * best
 
 
 @dataclass(frozen=True)
@@ -183,9 +176,9 @@ class RateLadder:
     T0: float
     kappa_rho: float
     kappa_region: float
-    kappa_star: float | None
+    kappa_star: float
     c1: float
-    c_star: float | None
+    c_star: float
     gap: float
     lambda_min: float
     morse_index: int
@@ -244,8 +237,7 @@ class RateLadder:
 def _provisional_disks(split, rho):
     """Quadratic-model estimates for varsigma, epsilon, varkappa.
 
-    Replaced by graph-calibrated values once the local manifolds are solved;
-    config overrides win over both.
+    Replaced by graph-calibrated values once the local manifolds are solved.
     """
     R = 0.5 * rho
     lam_u = float(np.min(np.abs(split.eigenvalues[: split.morse_index])))
@@ -257,57 +249,39 @@ def _provisional_disks(split, rho):
     return varsigma, epsilon, varkappa
 
 
-def build_ladder(split, kappa, choices, kappa_star, rho0):
-    """Assemble the rate ladder from the spectral data and sampled modulus.
+def build_ladder(split, kappa, kappa_star, rho0):
+    """Assemble the rate ladder from the spectral data and sampled moduli.
 
-    ``choices`` may fix ``lambda``, ``rho``, ``varkappa``, ``epsilon`` (and
-    optionally ``varsigma``); everything else follows the conventions below:
-    delta = 0.9 * min(1, (d - lambda)/2), mu = lambda + delta, rho = largest
-    sampled radius passing the smallness inequality on the excursion region.
+    Every constant is derived: lambda = d/2 for the spectral gap d, delta =
+    0.9 * min(1, (d - lambda)/2), mu = lambda + delta, rho = largest sampled
+    radius passing the smallness inequality on the excursion region, and
+    varsigma, epsilon, varkappa the provisional disk estimates.
     """
-    choices = dict(choices)
-    unknown = set(choices) - {"lambda", "rho", "varkappa", "epsilon", "varsigma"}
-    if unknown:
-        raise ConfigError(f"unknown ladder override keys: {sorted(unknown)}")
     k, n = split.morse_index, split.dimension
     if k in (0, n):
         raise IndexOutOfRange(f"Morse index {k} of {n}: no transverse family")
     d = split.gap
-    lam = float(choices.get("lambda", 0.5 * d))
-    if not 0 < lam < d:
-        raise LadderInfeasible(f"lambda {lam} outside spectral gap (0, {d})")
+    lam = 0.5 * d
     delta = 0.9 * min(1.0, (d - lam) / 2)
     mu = lam + delta
     smallness = 4 / lam + 1 / delta + 1
 
-    def feasible(rho):
-        region = min(REGION_FACTOR * rho, rho0)
-        return kappa(region) * smallness <= SMALLNESS_BOUND
+    rho = None
+    for candidate in rho0 * 0.5 ** np.arange(1, 16):
+        if kappa(min(REGION_FACTOR * candidate, rho0)) * smallness <= SMALLNESS_BOUND:
+            rho = float(candidate)
+            break
+    if rho is None:
+        raise LadderInfeasible("no sampled radius satisfies the smallness inequality")
 
-    if "rho" in choices:
-        rho = float(choices["rho"])
-        if rho > 0.5 * rho0 or not feasible(rho):
-            raise LadderInfeasible(f"requested rho {rho} fails the smallness inequality")
-    else:
-        rho = None
-        for candidate in rho0 * 0.5 ** np.arange(1, 16):
-            if feasible(candidate):
-                rho = float(candidate)
-                break
-        if rho is None:
-            raise LadderInfeasible("no sampled radius satisfies the smallness inequality")
-
-    varsigma_est, epsilon_est, varkappa_est = _provisional_disks(split, rho)
-    varsigma = float(choices.get("varsigma", varsigma_est))
-    epsilon = float(choices.get("epsilon", min(epsilon_est, 0.5 * varsigma)))
-    varkappa = float(choices.get("varkappa", varkappa_est))
+    varsigma, epsilon, varkappa = _provisional_disks(split, rho)
 
     T1 = -math.log(varkappa) / lam
     T2 = 4.0 * math.log(8.0) / mu
     T0 = max(T1, T2, 1.0)
     lam1 = float(split.eigenvalues[0])
     c1 = 2.0 * (abs(lam1) + 1.0)
-    c_star = None if kappa_star is None else 2.0 * kappa_star * (1 / delta + 1 / lam) + 0.25
+    c_star = 2.0 * kappa_star * (1 / delta + 1 / lam) + 0.25
 
     return RateLadder(
         lambda_=lam, delta=delta, mu=mu, rho=rho,
@@ -320,28 +294,22 @@ def build_ladder(split, kappa, choices, kappa_star, rho0):
     )
 
 
-def calibrate_ladder(ladder, model, graph_f, graph_g, overrides):
+def calibrate_ladder(ladder, model, graph_f, graph_g):
     """Replace provisional disk parameters by graph-verified values.
 
     varsigma: largest level offset whose descending/ascending disks stay
     inside the sampled graph images (read off the objective's drop/rise along
-    the graph boundaries); varkappa: largest plus-ball that stays inside the
-    ascending disk at level varsigma.  Overridden entries are kept.
+    the graph boundaries), epsilon = varsigma / 2; varkappa: largest
+    plus-ball that stays inside the ascending disk at level varsigma.
     """
-    overrides = dict(overrides)
     drop = _boundary_level_change(model, graph_f, sign=-1.0)
     rise = _boundary_level_change(model, graph_g, sign=+1.0)
-    varsigma = overrides.get("varsigma", 0.45 * min(drop, rise))
+    varsigma = 0.45 * min(drop, rise)
     if varsigma <= 0:
         raise LadderInfeasible("graphs carry no level range: varsigma <= 0")
-    epsilon = overrides.get("epsilon", 0.5 * varsigma)
-
-    if "varkappa" in overrides:
-        varkappa = overrides["varkappa"]
-    else:
-        varkappa = 0.9 * _plus_radius_within_level(
-            model, graph_g, model.critical_value + varsigma)
-        varkappa = min(1.0, varkappa)
+    epsilon = 0.5 * varsigma
+    varkappa = min(1.0, 0.9 * _plus_radius_within_level(
+        model, graph_g, model.critical_value + varsigma))
     T1 = -math.log(varkappa) / ladder.lambda_
     T0 = max(T1, ladder.T2, 1.0)
     return replace(ladder, varsigma=varsigma, epsilon=epsilon, varkappa=varkappa,

@@ -57,7 +57,7 @@ def _shoot(model, shots, keep):
     return resid, run.dense
 
 
-def mixed_bvp_oracle(model, ladder, queries):
+def mixed_bvp_oracle(model, queries):
     """Shooting solutions of mixed boundary problems, solved in lockstep.
 
     For each ``(T, z_minus, z_plus)`` of ``queries``, finds the initial

@@ -37,8 +37,6 @@ class RunState:
     seed: int = 0
     split: object = None
     model: object = None
-    modulus: object = None
-    kappa_star: float = None
     ladder: object = None
     cache: object = None
     solver: object = None
@@ -82,16 +80,12 @@ def stage_spectral(state):
 
 def stage_ladder(state):
     _require(state, "spectral")
-    problem = state.problem
-    state.modulus, state.kappa_star = lipschitz_modulus(state.model, state.rng(1))
-    state.ladder = build_ladder(state.split, state.modulus,
-                                choices=problem.ladder_overrides,
-                                kappa_star=state.kappa_star,
-                                rho0=problem.trust_radius)
+    modulus, kappa_star = lipschitz_modulus(state.model, state.rng(1))
+    state.ladder = build_ladder(state.split, modulus, kappa_star=kappa_star,
+                                rho0=state.problem.trust_radius)
     state.cache = SolverCache(state.model)
-    rows = [[k, v] for k, v in sorted(state.ladder.echo().items())
-            if v is not None]
-    state.emit("ladder.csv", ["constant", "value"], rows)
+    state.emit("ladder.csv", ["constant", "value"],
+               sorted(state.ladder.echo().items()))
     state.details["ladder"] = state.ladder.echo()
 
 
@@ -100,8 +94,7 @@ def stage_manifolds(state):
     state.graph_f = graph_F_inf(state.model, state.ladder, state.cache)
     state.graph_g = graph_G_inf(state.model, state.ladder, state.cache)
     state.ladder = calibrate_ladder(state.ladder, state.model, state.graph_f,
-                                    state.graph_g,
-                                    overrides=state.problem.ladder_overrides)
+                                    state.graph_g)
     state.solver = convergence.GraphFamilySolver(state.model, state.ladder,
                                                  state.cache)
     state.disk = descending_disk(state.model, state.ladder, state.graph_f)
@@ -109,9 +102,8 @@ def stage_manifolds(state):
                          (state.graph_g, "graph_G_inf.csv")):
         state.emit(name, reporting.graph_header(state.model, sample),
                    reporting.graph_rows(sample, state.model))
-    rows = [[k, v] for k, v in sorted(state.ladder.echo().items())
-            if v is not None]
-    state.emit("ladder_calibrated.csv", ["constant", "value"], rows)
+    state.emit("ladder_calibrated.csv", ["constant", "value"],
+               sorted(state.ladder.echo().items()))
     # one exported reference trajectory from a graph point
     start_local = state.disk.sphere_local[0]
     traj = integrate_forward(state.problem, state.model.to_ambient(start_local),
@@ -165,12 +157,13 @@ def stage_lambda(state):
     zm_list, zp_list = _lambda_sample_sets(state)
 
     c0 = convergence.c0_convergence(solver, T_grid, zm_list, zp_list)
-    reports = {"c0": c0}
-    if state.problem.c21:
-        reports["c1"] = convergence.c1_convergence(
-            solver, T_grid[:2], zm_list[:1], zp_list[:2])
-    reports["lipschitz_T"] = convergence.lipschitz_in_T(
-        solver, T_grid[:2], (1e-2, 1e-3), zm_list[:1], zp_list[:2])
+    reports = {
+        "c0": c0,
+        "c1": convergence.c1_convergence(solver, T_grid[:2], zm_list[:1],
+                                         zp_list[:2]),
+        "lipschitz_T": convergence.lipschitz_in_T(
+            solver, T_grid[:2], (1e-2, 1e-3), zm_list[:1], zp_list[:2]),
+    }
     graph_t = graph_G_T(solver, float(T_grid[0]), zm_list[0])
     state.emit("graph_G_T.csv", reporting.graph_header(state.model, graph_t),
                reporting.graph_rows(graph_t, state.model))
@@ -182,8 +175,7 @@ def stage_lambda(state):
     state.details["lambda"] = {
         "fitted_rates": c0.fitted_rates,
         "rate_bound": c0.extras.get("rate_bound"),
-        "linearized_vs_fd_max": (reports["c1"].extras.get("linearized_vs_fd_max")
-                                 if "c1" in reports else None),
+        "linearized_vs_fd_max": reports["c1"].extras.get("linearized_vs_fd_max"),
         "second_quotient_max": max(second.values(), default=None),
         "all_ok": not failed,
     }
@@ -263,7 +255,7 @@ def stage_oracle(state):
         curves += [res.curve for res, _ in solved]
     rows = []
     worst = 0.0
-    shot = mixed_bvp_oracle(state.model, state.ladder, queries)
+    shot = mixed_bvp_oracle(state.model, queries)
     for (T, zm, zp), curve, (traj, residual) in zip(queries, curves, shot):
         states = state.model.to_local(traj.at(curve.grid.nodes))
         err = float(np.max(row_norms(states - curve.values)))

@@ -9,7 +9,7 @@ symbolically from the coefficient table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,9 @@ class GradientProblem:
     """Objective ``f`` with a critical point and trust radius.
 
     ``trust_radius`` bounds the local-model ball; it is capped at 1 (in the
-    Euclidean model there is no injectivity-radius constraint).  ``c21`` flags
-    whether the Hessian field is locally Lipschitz; true for polynomials.
+    Euclidean model there is no injectivity-radius constraint).  The objective
+    is a polynomial, so its Hessian field is locally Lipschitz (C^{2,1}) and
+    every check the paper states for that class applies.
     """
 
     name: str
@@ -33,8 +34,6 @@ class GradientProblem:
     objective: Polynomial
     critical_point: np.ndarray
     trust_radius: float = 1.0
-    c21: bool = True
-    ladder_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "critical_point",
@@ -72,19 +71,29 @@ def load_problem(path):
 
 
 def problem_from_dict(raw):
-    """Build a problem from a parsed config; a malformed config is a ConfigError."""
+    """Build a problem from a parsed config; a malformed config is a ConfigError.
+
+    Each key is consumed as it is read, and a key left over is an error, not
+    ignored: the ladder is derived from the problem, never set by the config.
+    ``c21`` may only assert what every polynomial objective is.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config is not a key/value object")
+    raw = dict(raw)
+    name = str(raw.pop("name", "problem"))
     dim = _config_value(raw, "dimension", _integral)
+    pairs = _config_value(raw, "objective", _objective_pairs)
+    critical_point = _config_value(raw, "critical_point", _reals)
+    trust_radius = _config_value(raw, "trust_radius", _real, 1.0)
+    if not _config_value(raw, "c21", _json_bool, True):
+        raise ConfigError("config key 'c21' is false, but a polynomial "
+                          "objective is C^{2,1}")
+    if raw:
+        raise ConfigError(f"config has unknown keys {sorted(raw)}")
     return GradientProblem(
-        name=str(raw.get("name", "problem")),
-        dimension=dim,
-        objective=Polynomial.from_pairs(
-            dim, _config_value(raw, "objective", _objective_pairs)),
-        critical_point=_config_value(raw, "critical_point", _reals),
-        trust_radius=_config_value(raw, "trust_radius", _real, 1.0),
-        c21=_config_value(raw, "c21", _json_bool, True),
-        ladder_overrides=_config_value(raw, "ladder_overrides", _overrides, {}),
+        name=name, dimension=dim,
+        objective=Polynomial.from_pairs(dim, pairs),
+        critical_point=critical_point, trust_radius=trust_radius,
     )
 
 
@@ -92,13 +101,13 @@ _REQUIRED = object()
 
 
 def _config_value(raw, key, convert, default=_REQUIRED):
-    """``convert(raw[key])``, a missing or mistyped value raising ConfigError."""
+    """``convert(raw.pop(key))``, a missing or mistyped value raising ConfigError."""
     if key not in raw:
         if default is _REQUIRED:
             raise ConfigError(f"config missing required key {key!r}")
         return default
     try:
-        return convert(raw[key])
+        return convert(raw.pop(key))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config value of the wrong type for {key!r}: {exc}") from exc
 
@@ -134,7 +143,3 @@ def _json_bool(value):
 def _objective_pairs(entries):
     return [(tuple(_integral(a) for a in alpha), _real(coeff))
             for alpha, coeff in entries]
-
-
-def _overrides(table):
-    return {str(key): _real(value) for key, value in dict(table).items()}

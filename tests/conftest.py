@@ -39,14 +39,12 @@ class Setup:
         self.modulus, self.kappa_star = lipschitz_modulus(
             self.model, np.random.default_rng(11))
         self.ladder_raw = build_ladder(self.split, self.modulus,
-                                       problem.ladder_overrides,
                                        self.kappa_star, problem.trust_radius)
         self.cache = lp.SolverCache(self.model)
         self.graph_f = lp.graph_F_inf(self.model, self.ladder_raw, self.cache)
         self.graph_g = lp.graph_G_inf(self.model, self.ladder_raw, self.cache)
         self.ladder = calibrate_ladder(self.ladder_raw, self.model,
-                                       self.graph_f, self.graph_g,
-                                       problem.ladder_overrides)
+                                       self.graph_f, self.graph_g)
         self.disk = descending_disk(self.model, self.ladder, self.graph_f)
 
     def sphere_point(self, i=0):

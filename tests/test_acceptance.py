@@ -162,8 +162,7 @@ def test_criterion_6_oracle_equivalence(p2, solver_p2):
             for zm in zm_list:
                 for zp in zp_list:
                     res, _ = solver_p2.mixed(T, zm, zp)
-                    [(traj, _)] = mixed_bvp_oracle(p2.model, lad,
-                                                   [(float(T), zm, zp)])
+                    [(traj, _)] = mixed_bvp_oracle(p2.model, [(float(T), zm, zp)])
                     nodes = res.curve.grid.nodes
                     states = p2.model.to_local(traj.at(nodes))
                     worst = max(worst, float(np.max(np.linalg.norm(

@@ -30,25 +30,6 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def test_ladder_subcommand_echo(tmp_path):
-    # overriding varkappa = 0.1 and lambda = 0.5 must echo T1 = ln(10)/0.5
-    config = {
-        "name": "echo",
-        "dimension": 2,
-        "critical_point": [0.0, 0.0],
-        "objective": [[[2, 0], -0.5], [[0, 2], 1.0]],
-        "ladder_overrides": {"lambda": 0.5, "varkappa": 0.1},
-    }
-    cpath = tmp_path / "echo.json"
-    cpath.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert run_cli(["ladder", "--config", cpath, "--out", out]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    echo = manifest["ladder_echo"]
-    assert echo["T1"] == pytest.approx(math.log(10.0) / 0.5, rel=1e-15)
-    assert echo["T1"] == pytest.approx(4.605170185988091, rel=1e-12)
-
-
 def test_ladder_identities_exact(tmp_path):
     out = tmp_path / "out"
     assert run_cli(["ladder", "--config", CONFIGS / "p2_quartic.json",
@@ -84,17 +65,21 @@ def test_missing_critical_point_gradient(tmp_path):
 
 
 def test_infeasible_ladder_exit_code(tmp_path):
+    # the cubic term makes dh too large at every sampled radius
     config = {
         "name": "infeasible",
         "dimension": 2,
         "critical_point": [0.0, 0.0],
-        "objective": [[[2, 0], -0.5], [[0, 2], 1.0]],
-        "ladder_overrides": {"lambda": 5.0},
+        "objective": [[[2, 0], -0.5], [[0, 2], 1.0], [[3, 0], 100.0]],
     }
     cpath = tmp_path / "inf.json"
     cpath.write_text(json.dumps(config))
     assert run_cli(["ladder", "--config", cpath, "--out", tmp_path / "o"]) \
         == EXIT_CONFIG
+    record = json.loads((tmp_path / "o" / "error.json").read_text())
+    assert record["error"] == "ladder_infeasible"
+    assert "no sampled radius satisfies the smallness inequality" \
+        in record["message"]
 
 
 def test_exit_code_mapping():
@@ -110,8 +95,9 @@ def test_exit_code_mapping():
 
 
 def test_unreadable_config_exit_code(tmp_path):
-    # a missing file, a config that is not an object, or any value of the
-    # wrong type is the config's fault, not an internal error
+    # a missing file, a config that is not an object, any value of the
+    # wrong type or any key the run does not read (``ladder_overrides``) is
+    # the config's fault, not an internal error
     base = {"dimension": 2, "critical_point": [0.0, 0.0],
             "objective": [[[2, 0], -0.5], [[0, 2], 1.0]]}
     malformed = [[1, 2], {"objective": 5}, {"objective": [[[2, 0]]]},

@@ -5,7 +5,6 @@ import pytest
 
 from gradleaf import convergence as cv
 from gradleaf import lyapunov_perron as lp
-from gradleaf.errors import FlagMissing
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +85,6 @@ def test_c1_quartic_bound(p2, solver_p2):
     assert rep.all_ok
     # linearized-equation cross-check agrees with finite differences
     assert rep.extras["linearized_vs_fd_max"] <= 1e-7
-
-
-def test_c1_requires_flag(p2):
-    import dataclasses
-
-    no_flag = dataclasses.replace(p2.problem, c21=False)
-    model = type(p2.model)(no_flag, p2.split)
-    ladder = dataclasses.replace(p2.ladder, kappa_star=None, c_star=None)
-    solver = cv.GraphFamilySolver(model, ladder, lp.SolverCache(model))
-    with pytest.raises(FlagMissing):
-        cv.c1_convergence(solver, [ladder.T0], [p2.sphere_point()],
-                          [np.zeros(1)])
 
 
 def test_lipschitz_quadratic_quotient(p1, solver_p1):

@@ -98,9 +98,9 @@ def p2_oracle(tmp_path_factory):
             record["reads"].append(record["inside"])
             record["inside"] = None
 
-    def mixed_bvp_oracle(model, ladder, queries):
+    def mixed_bvp_oracle(model, queries):
         record["queries"] = list(queries)
-        return oracle.mixed_bvp_oracle(model, ladder, queries)
+        return oracle.mixed_bvp_oracle(model, queries)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polynomial, "gradient", counted_gradient)
@@ -124,7 +124,7 @@ def test_oracle_reads_batch_their_interpolants(p2_oracle):
 
 def test_oracle_trajectories_match_per_segment_formation(p2_oracle):
     state, record = p2_oracle
-    shot = oracle.mixed_bvp_oracle(state.model, state.ladder, record["queries"])
+    shot = oracle.mixed_bvp_oracle(state.model, record["queries"])
     assert len(shot) == 8
     for seed, (traj, _) in enumerate(shot):
         sol = traj.dense

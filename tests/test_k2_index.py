@@ -72,7 +72,7 @@ def test_mixed_solve_and_oracle_k2(k2, monkeypatch):
     assert np.max(np.abs(xi[0, 2:] - zp)) <= 1e-12
     assert np.max(np.abs(xi[-1, :2] - zm)) <= 1e-12
     monkeypatch.setattr(oracle, "NEWTON_TOL", 1e-9)
-    [(traj, record)] = mixed_bvp_oracle(model, ladder, [(T, zm, zp)])
+    [(traj, record)] = mixed_bvp_oracle(model, [(T, zm, zp)])
     nodes = res.curve.grid.nodes
     states = model.to_local(traj.at(nodes))
     assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6

@@ -71,20 +71,24 @@ def test_modulus_monotone(p2):
 
 
 def test_ladder_T1_formula():
+    # by hand: gap 1 gives lambda = 1/2; kappa = 0 gives rho = 1/2, R = 1/4,
+    # varsigma = 1 * R^2 / 8 = 1/128 and varkappa = 0.9 sqrt(varsigma / 2)
+    # = 9/160, so T1 = -ln(varkappa) / lambda = 2 ln(160/9)
     sp = split(np.diag([-1.0, 2.0]))
     kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    ladder = build_ladder(sp, kappa, {"lambda": 0.5, "varkappa": 0.1}, None, 1.0)
-    assert ladder.T1 == pytest.approx(math.log(10.0) / 0.5, rel=1e-15)
-    assert ladder.T1 == pytest.approx(4.605170185988091, rel=1e-12)
+    ladder = build_ladder(sp, kappa, 0.0, 1.0)
+    assert ladder.varkappa == pytest.approx(9.0 / 160.0, rel=1e-15)
+    assert ladder.T1 == pytest.approx(2.0 * math.log(160.0 / 9.0), rel=1e-15)
+    assert ladder.T1 == pytest.approx(5.755898475795215, rel=1e-12)
 
 
 def test_ladder_T2_closed_form():
     # oracle: solve exp(-T mu / 4) = 1/8 exactly: T = 4 ln 8 / mu
-    sp = split(np.diag([-1.0, 2.0]))
+    sp = split(np.diag([-0.75, 2.0]))
     kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    ladder = build_ladder(sp, kappa, {"lambda": 0.375}, None, 1.0)
-    # mu = lambda + delta = 0.375 + 0.9 * 0.3125 = 0.65625; independent check
-    assert ladder.mu == pytest.approx(0.65625)
+    ladder = build_ladder(sp, kappa, 0.0, 1.0)
+    # gap 0.75: mu = lambda + delta = 0.375 + 0.9 * 0.1875 = 0.54375
+    assert ladder.mu == pytest.approx(0.54375)
     assert ladder.T2 == pytest.approx(4.0 * math.log(8.0) / ladder.mu, rel=1e-15)
     assert math.exp(-ladder.T2 * ladder.mu / 4.0) <= 0.125 + 1e-15
 
@@ -120,7 +124,7 @@ def test_ladder_index_out_of_range():
     sp = split(np.diag([1.0, 2.0]))
     kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(IndexOutOfRange):
-        build_ladder(sp, kappa, {}, None, 1.0)
+        build_ladder(sp, kappa, 0.0, 1.0)
 
 
 def test_ladder_infeasible():
@@ -128,7 +132,7 @@ def test_ladder_infeasible():
     # modulus too large at every radius
     kappa = KappaModulus(np.array([0.0, 1e-7, 1.0]), np.array([0.0, 1.0, 1.0]))
     with pytest.raises(LadderInfeasible):
-        build_ladder(sp, kappa, {}, None, 1.0)
+        build_ladder(sp, kappa, 0.0, 1.0)
 
 
 def flatten(graph_f, graph_g, point, k):
@@ -202,11 +206,9 @@ def test_config_roundtrip(tmp_path):
         "dimension": 2,
         "critical_point": [0.0, 0.0],
         "objective": [[[2, 0], -0.5], [[0, 2], 1.0]],
-        "ladder_overrides": {"lambda": 0.25},
     }
     prob = problem_from_dict(raw)
     assert prob.f(np.array([0.2, 0.1])) == pytest.approx(-0.02 + 0.01)
-    assert prob.ladder_overrides == {"lambda": 0.25}
 
 
 def test_h_at_origin_bounded_by_gradient_residual():
@@ -220,15 +222,6 @@ def test_h_at_origin_bounded_by_gradient_residual():
     g = np.linalg.norm(prob.grad(prob.critical_point))
     assert 0 < g <= 1e-9
     assert np.linalg.norm(model.h(np.zeros(2))) <= g * (1 + 1e-12)
-
-
-def test_unknown_ladder_override_rejected():
-    from gradleaf.errors import ConfigError
-
-    sp = split(np.diag([-1.0, 2.0]))
-    kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    with pytest.raises(ConfigError):
-        build_ladder(sp, kappa, {"lamda": 0.5}, None, 1.0)
 
 
 def _same_bits(a, b):
@@ -364,4 +357,4 @@ def test_lipschitz_modulus_matches_per_point_loop(p2):
     values, ref_star = _lipschitz_modulus_per_point(
         p2.model, KAPPA_SAMPLES, np.random.default_rng(1))
     assert _same_bits(modulus.values[1:], values)
-    assert kappa_star is not None and kappa_star == ref_star
+    assert kappa_star == ref_star

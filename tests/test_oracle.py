@@ -17,7 +17,7 @@ def test_linear_shooting_exact(p1, monkeypatch):
     zm = np.array([0.1])
     zp = np.array([0.05])
     monkeypatch.setattr(oracle, "NEWTON_TOL", 1e-10)
-    [(traj, _)] = mixed_bvp_oracle(p1.model, p1.ladder, [(T, zm, zp)])
+    [(traj, _)] = mixed_bvp_oracle(p1.model, [(T, zm, zp)])
     start = p1.model.to_local(traj.at(0.0))
     assert start[0] == pytest.approx(0.1 * np.exp(-T), rel=1e-8)
     end = p1.model.to_local(traj.states[-1])
@@ -28,7 +28,7 @@ def test_zero_zplus_recovers_backward_orbit(p2):
     T = p2.ladder.T0
     zm = p2.sphere_point()
     orbit = p2.orbit(zm, t_need=T)
-    [(traj, _)] = mixed_bvp_oracle(p2.model, p2.ladder, [(T, zm, np.zeros(1))])
+    [(traj, _)] = mixed_bvp_oracle(p2.model, [(T, zm, np.zeros(1))])
     ts = np.linspace(0.0, T, 30)
     ref = orbit.curve.evaluate(ts - T)
     got = p2.model.to_local(traj.at(ts))
@@ -42,7 +42,7 @@ def test_oracle_matches_fixed_point_curve(p2):
     orbit = p2.orbit(zm, t_need=T)
     res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit,
                             cache=p2.cache)
-    [(traj, _)] = mixed_bvp_oracle(p2.model, p2.ladder, [(T, zm, zp)])
+    [(traj, _)] = mixed_bvp_oracle(p2.model, [(T, zm, zp)])
     nodes = res.curve.grid.nodes
     states = p2.model.to_local(traj.at(nodes))
     assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6
@@ -97,13 +97,13 @@ def test_unstable_graph_via_negated_problem():
     sp = split(prob.hess(prob.critical_point))
     model = LocalModel(prob, sp)
     modulus, kstar = lipschitz_modulus(model, np.random.default_rng(0))
-    ladder = build_ladder(sp, modulus, {}, kstar, 1.0)
+    ladder = build_ladder(sp, modulus, kstar, 1.0)
     graph_f = lp.graph_F_inf(model, ladder, lp.SolverCache(model))
 
     sp_n = split(neg.hess(neg.critical_point))
     model_n = LocalModel(neg, sp_n)
     modulus_n, kstar_n = lipschitz_modulus(model_n, np.random.default_rng(0))
-    ladder_n = build_ladder(sp_n, modulus_n, {}, kstar_n, 1.0)
+    ladder_n = build_ladder(sp_n, modulus_n, kstar_n, 1.0)
     assert sp_n.morse_index == 1
 
     x = graph_f.axes[0][-1]
@@ -185,7 +185,7 @@ def test_lockstep_matches_serial_loop(name, tmp_path):
     groups, _ = pipeline.oracle_queries(state)
     queries = [query for group in groups for query in group]
     tol = oracle.NEWTON_TOL
-    shot = mixed_bvp_oracle(state.model, state.ladder, queries)
+    shot = mixed_bvp_oracle(state.model, queries)
     assert len(shot) == len(queries) == 8
     k = state.model.k
     for (T, zm, zp), (traj, residual) in zip(queries, shot):
@@ -239,7 +239,7 @@ def test_failure_is_the_serial_one(p1, monkeypatch, scripts, error):
     monkeypatch.setattr(oracle, "solve_ivp", _scripted_batch(p1.model, scripts))
     queries = [(T, np.zeros(1), np.zeros(1)) for T in scripts]
     with pytest.raises(NewtonDiverged, match=error):
-        mixed_bvp_oracle(p1.model, p1.ladder, queries)
+        mixed_bvp_oracle(p1.model, queries)
 
 
 def test_blow_up_in_a_pooled_batch_propagates(p1, monkeypatch):
@@ -250,7 +250,7 @@ def test_blow_up_in_a_pooled_batch_propagates(p1, monkeypatch):
     monkeypatch.setattr(oracle, "solve_ivp", _scripted_batch(p1.model, scripts))
     queries = [(T, np.zeros(1), np.zeros(1)) for T in scripts]
     with pytest.raises(BlowUp):
-        mixed_bvp_oracle(p1.model, p1.ladder, queries)
+        mixed_bvp_oracle(p1.model, queries)
 
 
 def test_p2_oracle_stage_makes_two_batch_calls(tmp_path, monkeypatch):

@@ -83,7 +83,7 @@ def test_rotated_oracle_agreement(rotated):
     zp = np.array([0.35 * ladder.R])
     res, _ = lp.solve_mixed(model, ladder, T, zm, zp, rotated.orbit(zm, T),
                             rotated.cache)
-    [(traj, _)] = mixed_bvp_oracle(model, ladder, [(T, zm, zp)])
+    [(traj, _)] = mixed_bvp_oracle(model, [(T, zm, zp)])
     nodes = res.curve.grid.nodes
     states = model.to_local(traj.at(nodes))
     assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6
