@@ -1,4 +1,4 @@
-"""Compare the CSV artifacts of two gradleaf output directories.
+"""Compare the CSV artifacts and manifests of two gradleaf output directories.
 
 Usage: python scripts/compare_outputs.py DIR_A DIR_B
 
@@ -6,14 +6,17 @@ For every CSV name found in either directory (searched recursively, so two
 ``run_references.py`` trees compare config by config) it prints
 "identical" when the files are byte-identical, and otherwise the largest
 absolute difference per numeric column, with the count of differing cells
-in non-numeric columns.  Exits 1 when a file is missing on one side, the
-shapes or headers differ, a non-numeric cell differs, or a numeric
-difference exceeds 1e-14; 0 otherwise.
+in non-numeric columns.  For every ``manifest.json`` it drops
+``wall_times`` and prints "equal apart from wall_times" or the key paths
+that differ.  Exits 1 when a file is missing on one side, the shapes or
+headers differ, a non-numeric cell differs, a numeric difference exceeds
+1e-14, or a manifest differs; 0 otherwise.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -61,10 +64,40 @@ def compare_csv(path_a, path_b):
     return ok, lines
 
 
+_MISSING = object()
+
+
+def _differing_paths(a, b, path):
+    """Key paths at which two parsed JSON values differ; leaves compare as
+    JSON text, so a NaN equals a NaN and 1 differs from 1.0."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(set(a) | set(b))
+                for p in _differing_paths(a.get(key, _MISSING), b.get(key, _MISSING),
+                                          f"{path}.{key}" if path else key)]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in _differing_paths(x, y, f"{path}[{i}]")]
+    same = a is not _MISSING and b is not _MISSING and json.dumps(a) == json.dumps(b)
+    return [] if same else [path]
+
+
+def compare_manifests(path_a, path_b):
+    """``(ok, lines)`` for one pair of manifest.json files, ``wall_times`` dropped."""
+    a, b = (json.loads(p.read_text()) for p in (path_a, path_b))
+    for manifest in (a, b):
+        manifest.pop("wall_times", None)
+    diffs = _differing_paths(a, b, "")
+    if diffs:
+        return False, [f"differs at {', '.join(diffs)}"]
+    return True, ["equal apart from wall_times"]
+
+
 def compare_dirs(dir_a, dir_b):
-    """Print a report per CSV; True when every file agrees to TOLERANCE."""
+    """Print a report per CSV and manifest; True when every CSV agrees to
+    TOLERANCE and every manifest apart from its wall times."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    names = sorted({p.relative_to(d) for d in (dir_a, dir_b) for p in d.rglob("*.csv")})
+    names = sorted({p.relative_to(d) for d in (dir_a, dir_b)
+                    for pattern in ("*.csv", "manifest.json") for p in d.rglob(pattern)})
     all_ok = True
     for name in names:
         a, b = dir_a / name, dir_b / name
@@ -72,7 +105,8 @@ def compare_dirs(dir_a, dir_b):
             print(f"{name}: only in {dir_a if a.is_file() else dir_b}")
             all_ok = False
             continue
-        ok, lines = compare_csv(a, b)
+        compare = compare_manifests if name.name == "manifest.json" else compare_csv
+        ok, lines = compare(a, b)
         all_ok = all_ok and ok
         print(f"{name}: " + "; ".join(lines))
     return all_ok

@@ -4,10 +4,11 @@
 A subcommand runs one pipeline stage and the stages it needs (``all`` runs
 every stage), writing CSV artifacts and a run manifest into ``--out``.  The
 Picard tolerance is the constant ``lyapunov_perron.PICARD_TOL``, recorded
-as ``tol`` in the manifest.  Exit codes: 0 all checks pass, 2 a
-quantitative bound failed beyond its tolerance budget, 3 configuration
-error (a ``ValueError`` counts as one), 4 any other gradleaf error (solver
-non-convergence), 5 internal error (any other exception, i.e. a bug).
+as ``tol`` in the manifest.  Exit codes, by the class of the error: 0 all
+checks pass, 2 a quantitative bound failed beyond its tolerance budget
+(``BoundViolation``), 3 configuration error (``ConfigError``), 4 any other
+gradleaf error (solver non-convergence), 5 internal error (any other
+exception, such as an internal guard's ``ValueError``: a bug).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .errors import BOUND_ERRORS, CONFIG_ERRORS, GradleafError
+from .errors import BoundViolation, ConfigError, GradleafError
 from .problems import load_problem
 from .reporting import config_hash
 
@@ -33,14 +34,12 @@ SUBCOMMANDS = ("spectral", "ladder", "manifolds", "lambda", "foliate",
 
 
 def exit_code_for(error):
-    if isinstance(error, BOUND_ERRORS):
+    if isinstance(error, BoundViolation):
         return EXIT_BOUND
-    if isinstance(error, CONFIG_ERRORS):
+    if isinstance(error, ConfigError):
         return EXIT_CONFIG
     if isinstance(error, GradleafError):
         return EXIT_SOLVER
-    if isinstance(error, ValueError):
-        return EXIT_CONFIG
     return EXIT_INTERNAL
 
 

@@ -289,8 +289,7 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
                         model, ladder, stable[base], v, solver.cache)
                     cross.append(float(np.linalg.norm(
                         (dT_lin - dI_lin) - (dT_half - dI_half))))
-    if cross:
-        report.extras["linearized_vs_fd_max"] = max(cross)
+    report.extras["linearized_vs_fd_max"] = max(cross)
     return report
 
 

@@ -112,10 +112,10 @@ class PanelGrid:
     def interpolate(self, values, t):
         """Barycentric evaluation of panel-wise interpolants at times ``t``.
 
-        ``t`` may be a scalar or an array of any shape; the result has the
-        shape of ``t`` followed by the trailing shape of ``values``.  Times
-        at a shared panel edge take the right-hand panel, the last edge
-        the last panel.
+        ``values`` is ``(size, d)``, one row per node.  ``t`` may be a
+        scalar or an array of any shape; the result has the shape of ``t``
+        followed by ``(d,)``.  Times at a shared panel edge take the
+        right-hand panel, the last edge the last panel.
         """
         t_arr = np.asarray(t, dtype=float)
         flat_t = t_arr.ravel()
@@ -128,12 +128,8 @@ class PanelGrid:
         a = self.panel_nodes[idx, 0]
         b = self.panel_nodes[idx, -1]
         M = barycentric_matrix(self.ref_nodes, self.ref_weights, (flat_t - a) / (b - a))
-        flat = values.ndim == 1
-        vals = values[:, None] if flat else values
         rows = idx[:, None] * self.p + np.arange(self.p + 1)
-        out = np.matmul(M[:, None, :], vals[rows])[:, 0]
-        if flat:
-            out = out[:, 0]
+        out = np.matmul(M[:, None, :], values[rows])[:, 0]
         if t_arr.ndim == 0:
             return out[0]
         return out.reshape(t_arr.shape + out.shape[1:])
@@ -175,6 +171,3 @@ class Curve:
 
     def with_values(self, values):
         return Curve(self.grid, values, self.rate, self.kind)
-
-    def copy(self):
-        return Curve(self.grid, self.values.copy(), self.rate, self.kind)

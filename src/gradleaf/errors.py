@@ -1,7 +1,9 @@
 """Error taxonomy shared by all modules.
 
 Every error carries a stable machine-readable ``code`` so the CLI can emit
-structured error records and map failures onto exit codes.
+structured error records.  The CLI's exit code follows the class: a
+``BoundViolation`` is a failed quantitative bound, a ``ConfigError`` a
+misconfigured run, and any other ``GradleafError`` a solver failure.
 """
 
 
@@ -15,17 +17,23 @@ class ConfigError(GradleafError):
     code = "config"
 
 
+class BoundViolation(GradleafError):
+    """A quantitative estimate failed beyond its tolerance budget."""
+
+    code = "bound_violation"
+
+
 # -- spectral ---------------------------------------------------------------
 
-class NotSymmetric(GradleafError):
+class NotSymmetric(ConfigError):
     code = "not_symmetric"
 
 
-class DegenerateCriticalPoint(GradleafError):
+class DegenerateCriticalPoint(ConfigError):
     code = "degenerate_critical_point"
 
 
-class IndexOutOfRange(GradleafError):
+class IndexOutOfRange(ConfigError):
     """Morse index 0 or n: no transverse graph family exists."""
 
     code = "index_out_of_range"
@@ -33,15 +41,15 @@ class IndexOutOfRange(GradleafError):
 
 # -- local model ------------------------------------------------------------
 
-class OutOfTrustRegion(GradleafError):
+class OutOfTrustRegion(ConfigError):
     code = "out_of_trust_region"
 
 
-class LadderInfeasible(GradleafError):
+class LadderInfeasible(ConfigError):
     code = "ladder_infeasible"
 
 
-class OutsideSampledDomain(GradleafError):
+class OutsideSampledDomain(ConfigError):
     code = "outside_sampled_domain"
 
 
@@ -51,7 +59,7 @@ class BlowUp(GradleafError):
     code = "blow_up"
 
 
-class LevelNotReached(GradleafError):
+class LevelNotReached(ConfigError):
     code = "level_not_reached"
 
 
@@ -61,7 +69,7 @@ class NormBudgetExceeded(GradleafError):
     code = "norm_budget_exceeded"
 
 
-class HorizonMismatch(GradleafError):
+class HorizonMismatch(ConfigError):
     code = "horizon_mismatch"
 
 
@@ -69,7 +77,7 @@ class NoConvergence(GradleafError):
     code = "no_convergence"
 
 
-class EndpointViolation(GradleafError):
+class EndpointViolation(BoundViolation):
     code = "endpoint_violation"
 
 
@@ -79,7 +87,7 @@ class ComponentAmbiguous(GradleafError):
     code = "component_ambiguous"
 
 
-class OutsideLeafDomain(GradleafError):
+class OutsideLeafDomain(ConfigError):
     code = "outside_leaf_domain"
 
 
@@ -87,30 +95,3 @@ class OutsideLeafDomain(GradleafError):
 
 class NewtonDiverged(GradleafError):
     code = "newton_diverged"
-
-
-#: errors that indicate a misconfigured run rather than a solver failure
-CONFIG_ERRORS = (
-    ConfigError,
-    NotSymmetric,
-    DegenerateCriticalPoint,
-    IndexOutOfRange,
-    LadderInfeasible,
-    OutOfTrustRegion,
-    OutsideSampledDomain,
-    LevelNotReached,
-    HorizonMismatch,
-    OutsideLeafDomain,
-)
-
-class BoundViolation(GradleafError):
-    """A quantitative estimate failed beyond its tolerance budget."""
-
-    code = "bound_violation"
-
-
-#: errors that indicate a quantitative bound was violated beyond budget
-BOUND_ERRORS = (
-    EndpointViolation,
-    BoundViolation,
-)

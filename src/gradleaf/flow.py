@@ -192,7 +192,8 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=Non
     """Forward trajectories of the downward gradient flow, in lockstep.
 
     Runs DOP853 on an ``(m, n)`` array of start points, to ``duration``: one
-    horizon for every row, or an ``(m,)`` array of them.  Every row keeps its
+    horizon for every row, or an ``(m,)`` array of them, each finite and
+    ``>= 0`` (else ValueError, before any step).  Every row keeps its
     own step size, acceptance decision and error control, with scipy's
     per-trajectory error norm and initial-step rule, so each row runs the
     step control a one-row run would; the right-hand side is evaluated once
@@ -220,8 +221,11 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=Non
     terminal = np.array(starts, dtype=float)
     m, n = terminal.shape
     duration = np.broadcast_to(np.asarray(duration, dtype=float), (m,))
-    if np.any(duration < 0):
-        raise ValueError("forward integration requires duration >= 0")
+    bad = ~((duration >= 0.0) & (duration < np.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"forward integration requires a finite duration >= 0, "
+                         f"row {i} has {duration[i]}")
     stopped = np.zeros(m, dtype=bool)
     nfev = 0
 

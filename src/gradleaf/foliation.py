@@ -65,8 +65,8 @@ class ConleyPair:
 def pair_membership(model, points, epsilon, tau):
     """(in_N, in_L) for local-frame points, by forward integration.
 
-    ``points`` is one point ``(n,)``, giving two bools, or ``(m, n)``,
-    giving two bool arrays.  The objective is monotone along trajectories,
+    ``points`` is ``(m, n)``, one point per row, giving two ``(m,)`` bool
+    arrays.  The objective is monotone along trajectories,
     so both conditions are level tests: p is in N iff it starts in the band
     |f - c| <= epsilon and f(phi_tau(p)) >= c - epsilon, and in L iff it is
     in N and f(phi_{2 tau}(p)) <= c - epsilon.  The in-band points are
@@ -74,24 +74,20 @@ def pair_membership(model, points, epsilon, tau):
     level (those are not in N); the survivors continue over [tau, 2 tau],
     and stopping there or ending at or below the level puts them in L.
     """
-    points = np.asarray(points, dtype=float)
-    pts = np.atleast_2d(points)
     problem = model.problem
     c = model.critical_value
     level = c - epsilon
-    f0 = problem.f(model.to_ambient(pts))
+    f0 = problem.f(model.to_ambient(points))
     band = (f0 <= c + epsilon) & (f0 >= level)
     in_n = band.copy()
     in_l = np.zeros_like(band)
     if band.any():
-        first = solve_ivp(problem, model.to_ambient(pts[band]), tau, PAIR_RTOL,
+        first = solve_ivp(problem, model.to_ambient(points[band]), tau, PAIR_RTOL,
                           PAIR_ATOL, stop_below_level=level)
         in_n[band] = ~first.stopped
         second = solve_ivp(problem, first.terminal[~first.stopped], tau, PAIR_RTOL,
                            PAIR_ATOL, stop_below_level=level)
         in_l[in_n] = second.stopped | (problem.f(second.terminal) <= level)
-    if points.ndim == 1:
-        return bool(in_n[0]), bool(in_l[0])
     return in_n, in_l
 
 
@@ -384,7 +380,7 @@ def retract_audit(atlas):
     presumes coordinates with a flat unstable manifold; the measured
     flatness residual widens the tolerance and is reported.  The induced
     flow runs once per t sample over every base point, and once per step
-    over every boundary sample.
+    over every boundary sample; the objective is read once per flowed block.
     """
     model = atlas.model
     report = ConvergenceReport("retract")
@@ -427,11 +423,12 @@ def retract_audit(atlas):
     row_labels = [label for label, *_ in rows]
     steps = (1e-4, 1e-5)
     moved = [induced_flow(atlas, row_labels, boundary, h) for h in steps]
+    f0 = model.f_local(boundary)
+    quotients = [((model.f_local(moved_h) - f0) / h).tolist()
+                 for h, moved_h in zip(steps, moved)]
     mu_audit = math.inf
-    for i, (label, leaf, z_plus, z) in enumerate(rows):
-        f0 = model.f_local(z)
-        worst = max((model.f_local(moved_h[i]) - f0) / h
-                    for h, moved_h in zip(steps, moved))
+    for (label, leaf, z_plus, _), *per_step in zip(rows, *quotients):
+        worst = max(per_step)
         mu_audit = min(mu_audit, -worst)
         report.add(check="retract_inward", T=leaf.T or 0.0,
                    z_minus_label=str(label), z_plus_label=_label(z_plus),

@@ -171,12 +171,12 @@ def stage_lambda(state):
 
     failed = _emit_reports(state, reports)
     # the second quotients are keyed by tuples, which JSON cannot write
-    second = reports["lipschitz_T"].extras.get("second_quotients", {})
+    second = reports["lipschitz_T"].extras["second_quotients"]
     state.details["lambda"] = {
         "fitted_rates": c0.fitted_rates,
-        "rate_bound": c0.extras.get("rate_bound"),
-        "linearized_vs_fd_max": reports["c1"].extras.get("linearized_vs_fd_max"),
-        "second_quotient_max": max(second.values(), default=None),
+        "rate_bound": c0.extras["rate_bound"],
+        "linearized_vs_fd_max": reports["c1"].extras["linearized_vs_fd_max"],
+        "second_quotient_max": max(second.values()),
         "all_ok": not failed,
     }
     if failed:
@@ -216,7 +216,7 @@ def stage_foliate(state):
     state.details["foliate"] = {
         "leaves": len(atlas.all_labels()),
         "leaf_files": leaf_files,
-        "mu_audit": reports["retract"].extras.get("mu_audit"),
+        "mu_audit": reports["retract"].extras["mu_audit"],
         "pair_samples": len(pair.samples),
         "all_ok": not failed,
     }

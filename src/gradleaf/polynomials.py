@@ -3,8 +3,9 @@
 Objectives are ingested as coefficient tables, so gradients and Hessians are
 exact (derived term-by-term) rather than obtained by automatic or numerical
 differentiation.  On first use, the value, gradient and Hessian tables are
-each compiled into one straight-line kernel, which evaluates one point on
-Python floats and many points on array columns, rounding alike.
+each compiled into one straight-line kernel, which evaluates a block of
+points on array columns, one column per variable; a single point is a
+one-row block, and each point rounds as it would alone.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ def _kernel(dimension, components):
     ``kernel(out, x0, ..., x{n-1})`` that assigns each component's sum to its
     ``target`` (an assignment target in ``out``).
 
-    The ``x`` are one Python float per variable for one point, or one array
-    column per variable for many points; both forms round alike, and alike
-    to evaluating the terms one column at a time.  Each power is computed
+    The ``x`` are one array column per variable, a point per row; a row
+    rounds alike in any block, and alike to evaluating the terms one
+    column at a time.  Each power is computed
     once: squares are ``v * v`` and higher powers go through numpy's
     ``power`` (whose rounding differs from Python's float ``**``).  A
     monomial multiplies its factors in table order, and a component adds
@@ -113,17 +114,13 @@ class Polynomial:
                            for i in range(n) for j in range(i, n)])
 
     def _run(self, kernel, x, shape):
-        """``kernel`` on Python floats for one point given as a 1-D array,
-        else on one array column per variable; ``shape`` per point."""
+        """``kernel`` on one array column per variable of the rows of ``x``,
+        ``shape`` per row; a 1-D point runs as a one-row block."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            out = np.empty(shape)
-            kernel(out, *x.tolist())
-        else:
-            pts = np.atleast_2d(x)
-            out = np.empty(pts.shape[:1] + shape)
-            kernel(out, *pts.T)
-        return out
+        pts = np.atleast_2d(x)
+        out = np.empty(pts.shape[:1] + shape)
+        kernel(out, *pts.T)
+        return out[0] if x.ndim == 1 else out
 
     def __call__(self, x):
         return self._run(self._value_kernel, x, ())[()]

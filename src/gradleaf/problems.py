@@ -33,9 +33,11 @@ class GradientProblem:
     dimension: int
     objective: Polynomial
     critical_point: np.ndarray
-    trust_radius: float = 1.0
+    trust_radius: float
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ConfigError(f"dimension must be at least 1, got {self.dimension}")
         object.__setattr__(self, "critical_point",
                            np.asarray(self.critical_point, dtype=float))
         if self.critical_point.shape != (self.dimension,):
@@ -43,7 +45,7 @@ class GradientProblem:
         if not (0 < self.trust_radius <= 1.0):
             raise ConfigError("trust_radius must lie in (0, 1]")
         g = np.linalg.norm(self.objective.gradient(self.critical_point))
-        if g > GRAD_TOL:
+        if not g <= GRAD_TOL:  # a NaN gradient fails too
             raise ConfigError(f"gradient norm {g:.3e} at declared critical point exceeds {GRAD_TOL}")
 
     def f(self, x):

@@ -48,12 +48,12 @@ def split(hessian):
     asym = float(np.max(np.abs(A - A.T))) if n else 0.0
     scale = float(np.max(np.abs(A))) or 1.0
     sym_tol = DEGENERACY_REL_TOL * scale
-    if asym > sym_tol:
+    if not asym <= sym_tol:  # a NaN or inf entry fails too
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {sym_tol:.3e}")
 
     evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
     degeneracy_tol = DEGENERACY_REL_TOL * float(np.max(np.abs(evals)))
-    if np.any(np.abs(evals) < degeneracy_tol):
+    if not np.min(np.abs(evals)) >= degeneracy_tol:
         raise DegenerateCriticalPoint(
             f"eigenvalue within {degeneracy_tol:.3e} of zero: {evals}")
 

@@ -16,7 +16,7 @@ the 1e-6 oracle bound resolve.
 import pytest
 
 from conftest import reference_problem
-from gradleaf.errors import BOUND_ERRORS, BoundViolation
+from gradleaf.errors import BoundViolation
 from gradleaf.local_model import LocalModel
 from gradleaf.pipeline import STAGES, RunState, run_stage
 
@@ -27,11 +27,11 @@ UNRESOLVED = pytest.mark.xfail(
 
 
 @pytest.mark.parametrize("name, error, report", [
-    pytest.param("p2_quartic", BOUND_ERRORS, "", marks=UNRESOLVED, id="p2"),
+    pytest.param("p2_quartic", BoundViolation, "", marks=UNRESOLVED, id="p2"),
     pytest.param("curved_stable", BoundViolation, "report invariance",
                  id="curved_stable"),
-    pytest.param("k2_cubic", BOUND_ERRORS, "", marks=UNRESOLVED, id="k2"),
-    pytest.param("p3_cubic3d", BOUND_ERRORS, "", marks=UNRESOLVED, id="p3"),
+    pytest.param("k2_cubic", BoundViolation, "", marks=UNRESOLVED, id="k2"),
+    pytest.param("p3_cubic3d", BoundViolation, "", marks=UNRESOLVED, id="p3"),
 ])
 def test_linearized_construction_fails_a_check(name, error, report, tmp_path,
                                                monkeypatch):

@@ -4,8 +4,10 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gradleaf import pipeline
 from gradleaf.cli import (
     EXIT_BOUND,
     EXIT_CONFIG,
@@ -89,9 +91,23 @@ def test_exit_code_mapping():
     assert exit_code_for(NewtonDiverged("x")) == EXIT_SOLVER
     assert exit_code_for(BoundViolation("x")) == EXIT_BOUND
     assert exit_code_for(EndpointViolation("x")) == EXIT_BOUND
-    assert exit_code_for(ValueError("x")) == EXIT_CONFIG
+    # an internal guard's ValueError is a bug, not a config error
+    assert exit_code_for(ValueError("x")) == EXIT_INTERNAL
     assert exit_code_for(KeyError("x")) == EXIT_INTERNAL
     assert exit_code_for(ZeroDivisionError("x")) == EXIT_INTERNAL
+
+
+def test_internal_value_error_exits_internal(tmp_path, monkeypatch):
+    # an internal guard's ValueError inside a stage is reported as a bug
+    def broken(state):
+        raise ValueError("internal guard")
+    monkeypatch.setitem(pipeline._STAGE_FUNCS, "spectral", broken)
+    out = tmp_path / "o"
+    assert run_cli(["spectral", "--config", CONFIGS / "p1_quadratic.json",
+                    "--out", out]) == EXIT_INTERNAL
+    record = json.loads((out / "error.json").read_text())
+    assert record["type"] == "ValueError" and record["exit_code"] == EXIT_INTERNAL
+    assert record["message"] == "internal guard"
 
 
 def test_unreadable_config_exit_code(tmp_path):
@@ -111,15 +127,24 @@ def test_unreadable_config_exit_code(tmp_path):
                  {"critical_point": ["0", False]},
                  {"ladder_overrides": {"lambda": "0.5"}},
                  {"objective": [[[2, 0], "-0.5"], [[0, 2], 1.0]]},
-                 {"objective": [[[2, 0], True], [[0, 2], 1.0]]}]
+                 {"objective": [[[2, 0], True], [[0, 2], 1.0]]},
+                 # no variables; a NaN gradient at the critical point (x y^2
+                 # is 0 * inf there), once with an inf Hessian as well
+                 {"dimension": 0, "critical_point": [], "objective": []},
+                 {"critical_point": [1e160, 1e160],
+                  "objective": [[[2, 0], -0.5], [[0, 2], 1.0], [[2, 2], 1e300],
+                                [[3, 1], -1e300]]},
+                 {"critical_point": [0.0, 1e160],
+                  "objective": [[[2, 0], -0.5], [[0, 2], 1.0], [[2, 2], 1e300]]}]
     configs = [tmp_path / "missing.json"]
     for i, change in enumerate(malformed):
         configs.append(tmp_path / f"malformed_{i}.json")
         configs[-1].write_text(json.dumps(
             change if isinstance(change, list) else {**base, **change}))
     for config in configs:
-        assert run_cli(["spectral", "--config", config,
-                        "--out", tmp_path / "o"]) == EXIT_CONFIG
+        with np.errstate(all="ignore"):
+            code = run_cli(["spectral", "--config", config, "--out", tmp_path / "o"])
+        assert code == EXIT_CONFIG, config.name
         record = json.loads((tmp_path / "o" / "error.json").read_text())
         assert record["error"] == "config"
 

@@ -37,3 +37,25 @@ def test_differences_fail(tmp_path, capsys):
     _write(b, "only_a.csv", "y\n1\n")
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert "only_a.csv: headers differ" in capsys.readouterr().out
+
+
+def test_manifests_equal_apart_from_wall_times_pass(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "cfg/manifest.json",
+           '{"details": {"gap": NaN, "rows": [1, 2]}, "wall_times": {"all": 0.5}}')
+    _write(b, "cfg/manifest.json",
+           '{"details": {"gap": NaN, "rows": [1, 2]}, "wall_times": {"all": 0.7}}')
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert "cfg/manifest.json: equal apart from wall_times" in capsys.readouterr().out
+
+
+def test_manifest_differences_fail(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "cfg/manifest.json", '{"details": {"gap": 1.0, "rows": [1, 2]}, "seed": 0}')
+    _write(b, "cfg/manifest.json", '{"details": {"gap": 1, "rows": [1, 3]}, "tol": 0.1}')
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert ("cfg/manifest.json: differs at details.gap, details.rows[1], seed, tol"
+            in capsys.readouterr().out)
+    (b / "cfg" / "manifest.json").unlink()
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert "cfg/manifest.json: only in" in capsys.readouterr().out

@@ -33,21 +33,20 @@ def test_grid_structure(grid):
 
 
 def test_interpolation_exact_at_nodes(grid):
-    vals = np.sin(grid.nodes)
+    vals = np.sin(grid.nodes)[:, None]
     assert grid.interpolate(vals, grid.nodes[17]) == pytest.approx(
         vals[17], abs=1e-14)
 
 
 def test_interpolation_spectral_accuracy(grid):
-    vals = np.exp(-1.3 * grid.nodes) * np.sin(2.0 * grid.nodes)
+    vals = (np.exp(-1.3 * grid.nodes) * np.sin(2.0 * grid.nodes))[:, None]
     ts = np.linspace(0.1, 5.9, 40)
     ref = np.exp(-1.3 * ts) * np.sin(2.0 * ts)
-    assert np.max(np.abs(grid.interpolate(vals, ts) - ref)) < 1e-12
+    assert np.max(np.abs(grid.interpolate(vals, ts)[:, 0] - ref)) < 1e-12
 
 
 def _interpolate_per_point(grid, values, times):
     """Reference: one barycentric row per time, applied to its own panel."""
-    vals = values[:, None] if values.ndim == 1 else values
     rows = []
     for t in times:
         ip = int(np.searchsorted(grid.edges, t, side="right")) - 1
@@ -55,9 +54,8 @@ def _interpolate_per_point(grid, values, times):
         nodes = grid.panel_nodes[ip]
         ref_t = np.array([(t - nodes[0]) / (nodes[-1] - nodes[0])])
         M = barycentric_matrix(grid.ref_nodes, grid.ref_weights, ref_t)
-        rows.append((M @ vals[panel_slice(grid, ip)])[0])
-    out = np.array(rows)
-    return out[:, 0] if values.ndim == 1 else out
+        rows.append((M @ values[panel_slice(grid, ip)])[0])
+    return np.array(rows)
 
 
 def _same_bits(a, b):
@@ -73,7 +71,7 @@ def test_interpolation_matches_per_point_reference(t0, t1, rate):
     times = np.concatenate([
         rng.uniform(t0, t1, 200), grid.nodes, grid.edges,
         [t0, t1, t0 - 1e-13, t1 + 1e-13]])
-    for values in (rng.standard_normal(grid.size),
+    for values in (rng.standard_normal((grid.size, 1)),
                    rng.standard_normal((grid.size, 3))):
         ref = _interpolate_per_point(grid, values, times)
         assert _same_bits(grid.interpolate(values, times), ref)

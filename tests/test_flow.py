@@ -176,6 +176,25 @@ def test_batch_blow_up_and_empty_inputs(p2):
         solve_ivp(p2.problem, starts, -1.0, 1e-10, 1e-12, -np.inf)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_horizon_raises_before_any_step(p2, bad):
+    # an infinite horizon from a start on the stable manifold never ends,
+    # and a NaN one would return the start unchanged
+    calls = []
+
+    def grad(y):
+        calls.append(1)
+        return p2.problem.grad(y)
+
+    problem = SimpleNamespace(grad=grad, f=p2.problem.f)
+    starts = np.array([[0.0, 0.01], [0.0, 0.02]])
+    with pytest.raises(ValueError, match=f"row 1 has {bad}"):
+        solve_ivp(problem, starts, np.array([1.0, bad]), 1e-11, 1e-13, -np.inf)
+    with pytest.raises(ValueError, match="row 0 has"):
+        solve_ivp(problem, starts, bad, 1e-11, 1e-13, -np.inf)
+    assert not calls
+
+
 def test_single_trajectory_failures_raise():
     # a NaN start makes the first step NaN, which ends the run at once
     # instead of shrinking a NaN step forever

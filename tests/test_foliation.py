@@ -58,23 +58,23 @@ def test_pair_membership_quadratic_closed_form(p1):
     for _ in range(12):
         p = rng.uniform(-0.1, 0.1, size=2)
         expected = closed_form(p)
-        got = fol.pair_membership(p1.model, p, eps, tau)
-        assert got == expected
+        in_n, in_l = fol.pair_membership(p1.model, p[None], eps, tau)
+        assert (in_n[0], in_l[0]) == expected
 
 
 def test_pair_contains_critical_point(p1):
-    in_n, in_l = fol.pair_membership(p1.model, np.zeros(2), 0.005, 2.0)
-    assert in_n and not in_l
+    in_n, in_l = fol.pair_membership(p1.model, np.zeros((1, 2)), 0.005, 2.0)
+    assert in_n[0] and not in_l[0]
 
 
 def test_pair_spec_example_point(p1):
     # p = (0.1, 0.1), eps = 0.02, tau = 2: f(p) = 0.005 <= eps but the
     # forward point drops below -eps, so p leaves N through the exit set
-    in_n, in_l = fol.pair_membership(p1.model, np.array([0.1, 0.1]), 0.02, 2.0)
+    in_n, in_l = fol.pair_membership(p1.model, np.array([[0.1, 0.1]]), 0.02, 2.0)
     x2 = 0.1 * math.exp(2.0)
     f_tau = -x2 * x2 / 2 + (0.1 * math.exp(-4.0)) ** 2
     assert f_tau < -0.02
-    assert not in_n and not in_l
+    assert not in_n[0] and not in_l[0]
 
 
 def _pair_reference(setup, p, epsilon, tau):
@@ -122,10 +122,9 @@ def test_batched_pair_membership_matches_per_point_decision(name, request):
     assert np.array_equal(in_l, expected[:, 1])
     # both outcomes occur, so the comparison decides something
     assert 0 < in_n.sum() < len(pts) and in_l.any() and (in_n & ~in_l).any()
-    # a single point gives the same two flags as plain bools
-    single = fol.pair_membership(setup.model, pts[0], eps, tau)
-    assert single == (bool(in_n[0]), bool(in_l[0]))
-    assert all(type(flag) is bool for flag in single)
+    # a one-row block gives the same two flags as in the batch
+    one_n, one_l = fol.pair_membership(setup.model, pts[:1], eps, tau)
+    assert (one_n[0], one_l[0]) == (in_n[0], in_l[0])
 
 
 def test_out_of_band_points_are_not_integrated(p1, monkeypatch):

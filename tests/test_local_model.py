@@ -242,7 +242,7 @@ def _shifted_rotated_model():
     base = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0], [[2, 2], 0.25]])
     x0 = np.array([0.7, -0.4])
     poly = translate(compose_linear(base, np.array([[c, -s], [s, c]])), x0)
-    problem = GradientProblem("shifted_rotated_quartic", 2, poly, x0)
+    problem = GradientProblem("shifted_rotated_quartic", 2, poly, x0, 1.0)
     return LocalModel(problem, split(problem.hess(x0)))
 
 

@@ -8,8 +8,8 @@ component adds ``c * monomial`` in table order from 0.0.  Every result must
 match it bit for bit (signed zeros included), for one point and for a block
 of rows, except that a NaN need only be a NaN where the reference has one.
 
-The sign of a NaN is not part of the contract.  The one-point path works on
-Python floats, and CPython 3.11's specialising interpreter changes the sign
+The sign of a NaN is not part of the contract.  The reference's one-point
+walk works on Python floats, and CPython 3.11's specialising interpreter changes the sign
 of ``nan * nan`` once a code object has run about eight times: ``a * b``
 with ``a = -inf * 0.0`` and ``b = nan`` gives ``0x7ff8...`` seven times and
 ``0xfff8...`` after.  So the sign depends on how warm each code object is,

@@ -90,9 +90,9 @@ def test_unstable_graph_via_negated_problem():
 
     pairs = [[[2, 0], -0.5], [[0, 2], 1.0], [[2, 1], 0.1]]
     prob = GradientProblem("u_curved", 2, Polynomial.from_pairs(2, pairs),
-                           np.zeros(2))
+                           np.zeros(2), 1.0)
     neg = GradientProblem("u_curved_neg", 2, Polynomial.from_pairs(
-        2, [[a, -c] for a, c in pairs]), np.zeros(2))
+        2, [[a, -c] for a, c in pairs]), np.zeros(2), 1.0)
 
     sp = split(prob.hess(prob.critical_point))
     model = LocalModel(prob, sp)

@@ -28,7 +28,7 @@ def rotated():
     base = Polynomial.from_pairs(2, [[[2, 0], -0.5], [[0, 2], 1.0],
                                      [[2, 2], 0.25]])
     poly = compose_linear(base, R)
-    return Setup(GradientProblem("rotated_quartic", 2, poly, np.zeros(2)))
+    return Setup(GradientProblem("rotated_quartic", 2, poly, np.zeros(2), 1.0))
 
 
 def test_rotated_spectrum(rotated):

@@ -87,6 +87,18 @@ def test_not_symmetric_raises():
         split(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("hessian, error", [
+    ([[np.nan, 0.0], [0.0, 1.0]], NotSymmetric),
+    ([[np.inf, 0.0], [0.0, 1.0]], NotSymmetric),
+    # finite, but the symmetrized matrix overflows and eigh returns NaN
+    ([[-1e308, 0.0], [0.0, 1e308]], DegenerateCriticalPoint),
+    ([[-1e308, 1e308], [1e308, 1e308]], DegenerateCriticalPoint),
+])
+def test_non_finite_hessian_raises(hessian, error):
+    with pytest.raises(error), np.errstate(all="ignore"):
+        split(np.array(hessian))
+
+
 def test_flow_exponential_diagonal():
     sp = split(np.diag([-1.0, 2.0]))
     E = flow_exponential(sp, 1.0)
