@@ -5,8 +5,9 @@ Usage: python scripts/compare_outputs.py DIR_A DIR_B
 For every CSV name found in either directory (searched recursively, so two
 ``run_references.py`` trees compare config by config) it prints
 "identical" when the files are byte-identical, and otherwise the largest
-absolute difference per numeric column, with the count of differing cells
-in non-numeric columns.  For every ``manifest.json`` it drops
+absolute difference per numeric column with the first-column key of its
+row (the first such row on a tie), and the count of differing cells in
+non-numeric columns.  For every ``manifest.json`` it drops
 ``wall_times`` and prints "equal apart from wall_times" or the key paths
 that differ.  Exits 1 when a file is missing on one side, the shapes or
 headers differ, a non-numeric cell differs, a numeric difference exceeds
@@ -45,7 +46,7 @@ def compare_csv(path_a, path_b):
     ok = True
     lines = []
     for j, name in enumerate(header):
-        worst = 0.0
+        worst, worst_key = 0.0, None
         mismatched = 0
         for a, b in zip(rows_a, rows_b):
             if a[j] == b[j]:
@@ -53,14 +54,14 @@ def compare_csv(path_a, path_b):
             x, y = _number(a[j]), _number(b[j])
             if x is None or y is None or math.isnan(x) or math.isnan(y):
                 mismatched += 1
-            else:
-                worst = max(worst, abs(x - y))
+            elif abs(x - y) > worst:
+                worst, worst_key = abs(x - y), a[0]
         if mismatched:
             ok = False
             lines.append(f"{name}: {mismatched} non-numeric cells differ")
         elif worst > 0.0:
             ok = ok and worst <= TOLERANCE
-            lines.append(f"{name}: max abs diff {worst:.3e}")
+            lines.append(f"{name}: max abs diff {worst:.3e} (row {worst_key})")
     return ok, lines
 
 

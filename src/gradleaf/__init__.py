@@ -13,7 +13,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .local_model import (
-    KappaModulus,
     LocalModel,
     RateLadder,
     build_ladder,

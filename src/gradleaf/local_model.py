@@ -7,7 +7,8 @@ Hessian puts the gradient flow in the form
 
 with h(0) = 0 and dh(0) = 0.  h = grad q and dh = Hess q for the local potential
 q(xi) = sum_i lambda_i xi_i^2 / 2 - f(x0 + U xi).  This module provides them,
-sampled Lipschitz moduli, and the rate constants all contraction estimates use.
+Lipschitz bounds read off q's coefficient table, and the rate constants all
+contraction estimates use.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LadderInfeasible, OutsideSampledDomain
-from .lyapunov_perron import tensor_points
+from .errors import IndexOutOfRange, LadderInfeasible
 from .polynomials import Polynomial
 
-KAPPA_SAFETY = 1.5
-#: random points per radius (and pairs for kappa_star) of the sampled moduli
-KAPPA_SAMPLES = 160
 #: region factor: curves of the contraction spaces stay within this multiple
 #: of rho of the origin, so the smallness inequality is checked there
 REGION_FACTOR = 2.0
@@ -81,76 +78,28 @@ class LocalModel:
         return self.problem.f(self.to_ambient(xi))
 
 
-@dataclass(frozen=True)
-class KappaModulus:
-    """Sampled non-decreasing Lipschitz modulus with kappa(0) = 0."""
+def lipschitz_modulus(model):
+    """Lipschitz bounds of ``model.h`` and ``model.dh`` read off q's table.
 
-    radii: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, rho):
-        if rho < 0 or rho > self.radii[-1] * (1 + 1e-12):
-            raise OutsideSampledDomain(
-                f"radius {rho} outside sampled range [0, {self.radii[-1]}]")
-        return float(np.interp(rho, self.radii, self.values))
-
-
-def _ball_samples(rng, n, radius, count):
-    v = rng.standard_normal((count, n))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    r = radius * rng.random(count) ** (1.0 / n)
-    return v * r[:, None]
-
-
-def lipschitz_modulus(model, rng):
-    """Sampled upper estimate of the Lipschitz modulus of ``model.h`` on balls.
-
-    The radii are the trust radius halved 0 to 10 times.  For each radius
-    the estimate combines random difference quotients with a dense
-    maximization of |dh| (grid plus sphere samples), inflated by a safety
-    factor; the result is monotonized.  Returns ``(modulus,
-    kappa_star)`` where ``kappa_star`` is the sampled Lipschitz constant of
-    ``dh`` on the trust ball, finite because a polynomial objective is
-    C^{2,1}.
+    Returns ``(kappa, kappa_star)``.  ``kappa(r)`` is the Frobenius norm over
+    (i, j) of the sums of |c_beta| r^|beta| over the table of d_i d_j q.
+    Since |xi^beta| <= r^|beta| on the ball |xi| <= r, each sum bounds
+    |d_i d_j q| there, so kappa(r) >= sup ||dh||_F >= sup ||dh||_2, the
+    Lipschitz constant of h on that convex ball.  ``kappa_star`` is the same
+    norm over the third-derivative tables at the trust radius, which bounds
+    the Lipschitz constant of dh on the trust ball one order higher.  No
+    slack is added: the sums round to nearest, about 1e-16 relative.
     """
-    n, rho0 = model.n, model.problem.trust_radius
-    rho_grid = rho0 * 0.5 ** np.arange(10, -1, -1)
+    n = model.n
+    second = [model.potential.differentiate(i).differentiate(j)
+              for i in range(n) for j in range(n)]
+    third = [p.differentiate(k) for p in second for k in range(n)]
 
-    values = []
-    for rho in rho_grid:
-        best = 0.0
-        pts = _ball_samples(rng, n, rho, KAPPA_SAMPLES)
-        qts = _ball_samples(rng, n, rho, KAPPA_SAMPLES)
-        hp = model.h(pts)
-        hq = model.h(qts)
-        dn = np.linalg.norm(pts - qts, axis=1)
-        ok = dn > 1e-12 * rho if rho > 0 else np.zeros(KAPPA_SAMPLES, bool)
-        if np.any(ok):
-            best = float(np.max(np.linalg.norm(hp[ok] - hq[ok], axis=1) / dn[ok]))
-        # dense |dh| maximization: interior grid + sphere shell
-        axes = np.linspace(-rho / math.sqrt(n), rho / math.sqrt(n), 5)
-        mesh = tensor_points([axes] * n)
-        shell = _ball_samples(rng, n, rho, KAPPA_SAMPLES)
-        shell *= rho / np.maximum(np.linalg.norm(shell, axis=1, keepdims=True), 1e-300)
-        dense = np.linalg.norm(model.dh(np.concatenate([mesh, shell])), 2, axis=(1, 2))
-        best = max(best, float(np.max(dense)))
-        values.append(KAPPA_SAFETY * best)
-    values = np.maximum.accumulate(np.asarray(values))
+    def bound(partials, r):
+        return math.sqrt(sum(sum(abs(c) * r ** sum(beta) for beta, c in p.terms.items()) ** 2
+                             for p in partials))
 
-    radii = np.concatenate([[0.0], rho_grid])
-    values = np.concatenate([[0.0], values])
-    modulus = KappaModulus(radii=radii, values=values)
-
-    best = 0.0
-    pts = _ball_samples(rng, n, rho0, KAPPA_SAMPLES)
-    qts = _ball_samples(rng, n, rho0, KAPPA_SAMPLES)
-    gaps = np.linalg.norm(model.dh(pts) - model.dh(qts), 2, axis=(1, 2))
-    for a, b, gap in zip(pts, qts, gaps.tolist()):
-        # per pair: the row-wise norm of pts - qts can round differently
-        dn = float(np.linalg.norm(a - b))
-        if dn > 1e-12:
-            best = max(best, gap / dn)
-    return modulus, KAPPA_SAFETY * best
+    return (lambda r: bound(second, r)), bound(third, model.problem.trust_radius)
 
 
 @dataclass(frozen=True)
@@ -250,12 +199,15 @@ def _provisional_disks(split, rho):
 
 
 def build_ladder(split, kappa, kappa_star, rho0):
-    """Assemble the rate ladder from the spectral data and sampled moduli.
+    """Assemble the rate ladder from the spectral data and the Lipschitz
+    bounds ``kappa`` (a function of the radius) and ``kappa_star``.
 
     Every constant is derived: lambda = d/2 for the spectral gap d, delta =
-    0.9 * min(1, (d - lambda)/2), mu = lambda + delta, rho = largest sampled
-    radius passing the smallness inequality on the excursion region, and
-    varsigma, epsilon, varkappa the provisional disk estimates.
+    0.9 * min(1, (d - lambda)/2), mu = lambda + delta, rho = largest halving
+    of rho0 passing the smallness inequality on the excursion region, and
+    varsigma, epsilon, varkappa the provisional disk estimates.  ``kappa``
+    is evaluated at exactly the radii used: the halvings of rho0 in that
+    search, then rho and min(2 rho, rho0).
     """
     k, n = split.morse_index, split.dimension
     if k in (0, n):

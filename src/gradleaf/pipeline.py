@@ -80,7 +80,7 @@ def stage_spectral(state):
 
 def stage_ladder(state):
     _require(state, "spectral")
-    modulus, kappa_star = lipschitz_modulus(state.model, state.rng(1))
+    modulus, kappa_star = lipschitz_modulus(state.model)
     state.ladder = build_ladder(state.split, modulus, kappa_star=kappa_star,
                                 rho0=state.problem.trust_radius)
     state.cache = SolverCache(state.model)

@@ -45,7 +45,7 @@ def split(hessian):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric(f"hessian must be square, got shape {A.shape}")
     n = A.shape[0]
-    asym = float(np.max(np.abs(A - A.T))) if n else 0.0
+    asym = float(np.max(np.abs(A - A.T)))
     scale = float(np.max(np.abs(A))) or 1.0
     sym_tol = DEGENERACY_REL_TOL * scale
     if not asym <= sym_tol:  # a NaN or inf entry fails too

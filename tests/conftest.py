@@ -28,16 +28,16 @@ def reference_problem(name):
 
 class Setup:
     """Everything downstream modules need for one problem, built as a run
-    builds it: the ladder from the model's sampled moduli, the raw ladder's
-    graphs, the calibrated ladder and its descending disk, all solved on
-    one ``SolverCache``."""
+    builds it: the ladder from the Lipschitz bounds of q's coefficient
+    table (``modulus``, a function of the radius, and ``kappa_star``), the
+    raw ladder's graphs, the calibrated ladder and its descending disk, all
+    solved on one ``SolverCache``."""
 
     def __init__(self, problem):
         self.problem = problem
         self.split = split(problem.hess(problem.critical_point))
         self.model = LocalModel(problem, self.split)
-        self.modulus, self.kappa_star = lipschitz_modulus(
-            self.model, np.random.default_rng(11))
+        self.modulus, self.kappa_star = lipschitz_modulus(self.model)
         self.ladder_raw = build_ladder(self.split, self.modulus,
                                        self.kappa_star, problem.trust_radius)
         self.cache = lp.SolverCache(self.model)

@@ -16,7 +16,10 @@ None of these is used by a run, so they live with the tests:
 * ``panel_slice``, the flat-grid nodes of one panel;
 * ``compose_linear`` and ``translate``, the terms of a polynomial after a
   linear change of variables (multinomial expansion, one factor at a time)
-  and after a shift (binomial expansion).
+  and after a shift (binomial expansion);
+* ``sampled_moduli``, random-sample lower estimates of the Lipschitz
+  constants of h and dh on a ball, which q's coefficient-table bounds must
+  never fall below.
 """
 
 import math
@@ -85,6 +88,28 @@ def stable_point_oracle(model, ladder, z_plus, tol=1e-8):
     assert np.min(dist) <= 0.25 * ladder.rho, \
         "converged shot never enters the rho/4 ball; widen the horizon"
     return np.concatenate([[w], z_plus]), hi - lo
+
+
+def ball_samples(rng, n, radius, count):
+    """``count`` points uniform in the ball of ``radius`` about 0 in R^n."""
+    v = rng.standard_normal((count, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v * (radius * rng.random(count) ** (1.0 / n))[:, None]
+
+
+def sampled_moduli(model, radius, rng, count=160):
+    """Sampled lower estimates on the ball of ``radius``: the largest
+    quotient |h(p) - h(q)| / |p - q| over ``count`` random pairs, the
+    largest ||dh||_2 over ``count`` random points and as many on the
+    sphere, and the largest ||dh(p) - dh(q)||_2 / |p - q| over the pairs."""
+    pts, qts = (ball_samples(rng, model.n, radius, count) for _ in range(2))
+    shell = ball_samples(rng, model.n, radius, count)
+    shell *= radius / np.linalg.norm(shell, axis=1, keepdims=True)
+    dist = np.linalg.norm(pts - qts, axis=1)
+    h_quotient = np.linalg.norm(model.h(pts) - model.h(qts), axis=1) / dist
+    dh_norm = np.linalg.norm(model.dh(np.concatenate([pts, shell])), 2, axis=(1, 2))
+    dh_quotient = np.linalg.norm(model.dh(pts) - model.dh(qts), 2, axis=(1, 2)) / dist
+    return float(np.max(h_quotient)), float(np.max(dh_norm)), float(np.max(dh_quotient))
 
 
 def graph_derivative(sample, point, direction, step):

@@ -206,6 +206,15 @@ def test_determinism_byte_identical(p1_run, tmp_path):
         assert path.read_bytes() == other.read_bytes()
 
 
+def test_ladder_does_not_depend_on_seed(tmp_path):
+    # p2, since p1's kappa is 0 at every radius whatever the bounds
+    outs = [tmp_path / f"seed{seed}" for seed in (0, 7)]
+    for seed, out in zip((0, 7), outs):
+        assert run_cli(["ladder", "--config", CONFIGS / "p2_quartic.json",
+                        "--out", out, "--seed", seed]) == 0
+    assert (outs[0] / "ladder.csv").read_bytes() == (outs[1] / "ladder.csv").read_bytes()
+
+
 def test_stage_flag_restricts(tmp_path):
     out = tmp_path / "stage"
     code = run_cli(["ladder", "--config", CONFIGS / "p1_quadratic.json",

@@ -59,3 +59,11 @@ def test_manifest_differences_fail(tmp_path, capsys):
     (b / "cfg" / "manifest.json").unlink()
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert "cfg/manifest.json: only in" in capsys.readouterr().out
+
+
+def test_numeric_difference_names_its_worst_row(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "ladder.csv", "constant,value\nc1,2.0\nc_star,19.8\nkappa_rho,1.0e-3\n")
+    _write(b, "ladder.csv", "constant,value\nc1,2.0\nc_star,31.8\nkappa_rho,1.5e-3\n")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert "ladder.csv: value: max abs diff 1.200e+01 (row c_star)" in capsys.readouterr().out

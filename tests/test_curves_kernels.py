@@ -87,7 +87,7 @@ def test_interpolation_names_first_time_outside_horizon(grid):
     bad = grid.t1 + 1e-11
     times = np.array([grid.t0, 0.5 * grid.t1, bad, grid.t0 - 1.0])
     with pytest.raises(HorizonMismatch, match=re.escape(f"time {bad} outside")):
-        grid.interpolate(np.zeros(grid.size), times)
+        grid.interpolate(np.zeros((grid.size, 1)), times)
     with pytest.raises(HorizonMismatch):
         grid.interpolate(np.zeros((grid.size, 2)), grid.t0 - 1e-11)
 

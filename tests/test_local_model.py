@@ -7,19 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradleaf.errors import IndexOutOfRange, LadderInfeasible
-from gradleaf.local_model import (
-    KAPPA_SAFETY,
-    KAPPA_SAMPLES,
-    KappaModulus,
-    LocalModel,
-    _ball_samples,
-    build_ladder,
-    lipschitz_modulus,
-)
+from gradleaf.local_model import LocalModel, build_ladder, lipschitz_modulus
 from gradleaf.polynomials import Polynomial
 from gradleaf.problems import GradientProblem, load_problem, problem_from_dict
 from gradleaf.spectral import split
-from references import compose_linear, translate
+from references import compose_linear, sampled_moduli, translate
 
 
 def test_nonlinearity_quadratic_vanishes(p1):
@@ -56,11 +48,14 @@ def test_modulus_zero_for_quadratic(p1):
     assert p1.kappa_star == 0.0
 
 
-def test_modulus_quartic_matches_dense_oracle(p2):
-    # oracle: sup |dh| over the radius-0.1 ball is 0.75 * 0.1^2 = 7.5e-3
-    # (dense grid maximization); the sampled estimate carries the 1.5 safety
-    val = p2.modulus(0.1)
-    assert 0.0075 <= val <= 0.03
+def test_modulus_quartic_closed_form(p2):
+    # by hand: q = -0.25 x^2 y^2 in p2's local frame, so the second-derivative
+    # tables are -0.5 y^2, -x y, -x y, -0.5 x^2, giving kappa(r) =
+    # sqrt(0.25 + 1 + 1 + 0.25) r^2; the six nonzero third-derivative tables
+    # are -y or -x, giving kappa_star = sqrt(6) at the trust radius 1
+    for r in (0.1, 0.25, 1.0):
+        assert p2.modulus(r) == pytest.approx(math.sqrt(2.5) * r * r, rel=1e-15)
+    assert p2.kappa_star == pytest.approx(math.sqrt(6.0), rel=1e-15)
 
 
 def test_modulus_monotone(p2):
@@ -75,8 +70,7 @@ def test_ladder_T1_formula():
     # varsigma = 1 * R^2 / 8 = 1/128 and varkappa = 0.9 sqrt(varsigma / 2)
     # = 9/160, so T1 = -ln(varkappa) / lambda = 2 ln(160/9)
     sp = split(np.diag([-1.0, 2.0]))
-    kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    ladder = build_ladder(sp, kappa, 0.0, 1.0)
+    ladder = build_ladder(sp, lambda r: 0.0, 0.0, 1.0)
     assert ladder.varkappa == pytest.approx(9.0 / 160.0, rel=1e-15)
     assert ladder.T1 == pytest.approx(2.0 * math.log(160.0 / 9.0), rel=1e-15)
     assert ladder.T1 == pytest.approx(5.755898475795215, rel=1e-12)
@@ -85,8 +79,7 @@ def test_ladder_T1_formula():
 def test_ladder_T2_closed_form():
     # oracle: solve exp(-T mu / 4) = 1/8 exactly: T = 4 ln 8 / mu
     sp = split(np.diag([-0.75, 2.0]))
-    kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    ladder = build_ladder(sp, kappa, 0.0, 1.0)
+    ladder = build_ladder(sp, lambda r: 0.0, 0.0, 1.0)
     # gap 0.75: mu = lambda + delta = 0.375 + 0.9 * 0.1875 = 0.54375
     assert ladder.mu == pytest.approx(0.54375)
     assert ladder.T2 == pytest.approx(4.0 * math.log(8.0) / ladder.mu, rel=1e-15)
@@ -122,17 +115,15 @@ def test_ladder_quadratic_any_rho(p1):
 
 def test_ladder_index_out_of_range():
     sp = split(np.diag([1.0, 2.0]))
-    kappa = KappaModulus(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(IndexOutOfRange):
-        build_ladder(sp, kappa, 0.0, 1.0)
+        build_ladder(sp, lambda r: 0.0, 0.0, 1.0)
 
 
 def test_ladder_infeasible():
     sp = split(np.diag([-1.0, 2.0]))
     # modulus too large at every radius
-    kappa = KappaModulus(np.array([0.0, 1e-7, 1.0]), np.array([0.0, 1.0, 1.0]))
     with pytest.raises(LadderInfeasible):
-        build_ladder(sp, kappa, 0.0, 1.0)
+        build_ladder(sp, lambda r: 1.0, 0.0, 1.0)
 
 
 def flatten(graph_f, graph_g, point, k):
@@ -319,42 +310,24 @@ def test_affine_matches_compose_linear_and_shifted_values():
                            rtol=1e-12, atol=1e-12 * max(scale, 1.0))
 
 
-def _lipschitz_modulus_per_point(model, samples, rng):
-    """Reference: the kappa sampling with one dh call per point."""
-    n, rho0 = model.problem.dimension, model.problem.trust_radius
-    values = []
-    for rho in rho0 * 0.5 ** np.arange(0, 11)[::-1]:
-        best = 0.0
-        pts = _ball_samples(rng, n, rho, samples)
-        qts = _ball_samples(rng, n, rho, samples)
-        dn = np.linalg.norm(pts - qts, axis=1)
-        ok = dn > 1e-12 * rho
-        if np.any(ok):
-            quot = np.linalg.norm(model.h(pts)[ok] - model.h(qts)[ok], axis=1) / dn[ok]
-            best = float(np.max(quot))
-        axes = np.linspace(-rho / math.sqrt(n), rho / math.sqrt(n), 5)
-        mesh = np.stack(np.meshgrid(*([axes] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        shell = _ball_samples(rng, n, rho, samples)
-        shell *= rho / np.maximum(np.linalg.norm(shell, axis=1, keepdims=True), 1e-300)
-        for xi in np.concatenate([mesh, shell]):
-            best = max(best, float(np.linalg.norm(model.dh(xi), 2)))
-        values.append(KAPPA_SAFETY * best)
-    best = 0.0
-    pts = _ball_samples(rng, n, rho0, samples)
-    qts = _ball_samples(rng, n, rho0, samples)
-    for a, b in zip(pts, qts):
-        dn = float(np.linalg.norm(a - b))
-        if dn > 1e-12:
-            best = max(best, float(np.linalg.norm(model.dh(a) - model.dh(b), 2)) / dn)
-    return np.maximum.accumulate(values), KAPPA_SAFETY * best
+def test_table_bounds_never_below_sampled_moduli():
+    # sampled quotients and norms are lower estimates of the Lipschitz
+    # constants that kappa and kappa_star bound, at the radii a ladder uses:
+    # rho and min(2 rho, rho0) for kappa, the trust radius rho0 for kappa_star
+    for model in _reference_models():
+        kappa, kappa_star = lipschitz_modulus(model)
+        rho0 = model.problem.trust_radius
+        rho = build_ladder(split(model.problem.hess(model.x0)), kappa, kappa_star, rho0).rho
+        rng = np.random.default_rng(model.n)
+        for r in (rho, min(2 * rho, rho0)):
+            h_quotient, dh_norm, _ = sampled_moduli(model, r, rng)
+            assert max(h_quotient, dh_norm) <= kappa(r)
+        assert sampled_moduli(model, rho0, rng)[2] <= kappa_star
 
 
-def test_lipschitz_modulus_matches_per_point_loop(p2):
-    # the ladder stage's draw at seed 0: with it, a row-wise norm of
-    # pts - qts as the kappa* denominator rounds differently from the
-    # per-pair norm on p2
-    modulus, kappa_star = lipschitz_modulus(p2.model, np.random.default_rng(1))
-    values, ref_star = _lipschitz_modulus_per_point(
-        p2.model, KAPPA_SAMPLES, np.random.default_rng(1))
-    assert _same_bits(modulus.values[1:], values)
-    assert kappa_star == ref_star
+def test_rotated_frame_modulus_at_zero_is_rounding_level():
+    # q's quadratic terms cancel only to rounding in a rotated frame, and
+    # kappa(0) bounds what is left of them (p2's own frame gives exactly 0)
+    model = _shifted_rotated_model()
+    kappa, _ = lipschitz_modulus(model)
+    assert 0.0 < kappa(0.0) <= 1e-14 * np.max(np.abs(model.eigenvalues))
