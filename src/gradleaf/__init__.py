@@ -12,33 +12,4 @@ import os
 # before numpy is first imported; a value the caller sets is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .local_model import (
-    LocalModel,
-    RateLadder,
-    build_ladder,
-    calibrate_ladder,
-    lipschitz_modulus,
-)
-from .curves import Curve, PanelGrid
-from .flow import DescendingDisk, Trajectory, descending_disk, integrate_forward
-from .foliation import ConleyPair, FoliationAtlas, Leaf, build_atlas, build_pair, induced_flow
-from .lyapunov_perron import (
-    FixedPointResult,
-    GraphSample,
-    IntegralOperator,
-    PhiOperator,
-    PsiOperator,
-    PsiTOperator,
-    SolverCache,
-    backward_orbit,
-    fixed_point,
-    graph_F_inf,
-    graph_G_T,
-    graph_G_inf,
-    solve_mixed,
-)
-from .oracle import mixed_bvp_oracle
-from .problems import GradientProblem, load_problem, problem_from_dict
-from .spectral import SpectralSplit, split
-
 __version__ = "0.1.0"

@@ -294,25 +294,18 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
 
 
 def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
-    """Difference quotients of the graph family in the horizon T.
-
-    First quotients are asserted against c1 = 2(|lambda_min| + 1); second
-    quotients (the Lipschitz modulus of the T-derivative) are reported but
-    not asserted, their constant not being pinned by the ladder.
-    """
+    """First difference quotients of the graph family in the horizon T,
+    asserted against c1 = 2(|lambda_min| + 1)."""
     ladder = solver.ladder
     report = ConvergenceReport("lipschitz_T")
-    second = {}
     for T in sorted(T_grid):
         for tau in tau_grid:
             for zm in z_minus_list:
-                # per step, the (result, gap) of every z+ at T + step tau
-                by_step = [solver.mixed_rows(T + step * tau, zm, z_plus_list)
-                           for step in (0, 1, 2)]
-                for col, zp in enumerate(z_plus_list):
-                    resA, resB, resC = (rows[col][0] for rows in by_step)
-                    gA, gB, gC = (res.curve.values[0, : solver.model.k]
-                                  for res in (resA, resB, resC))
+                rows_A = solver.mixed_rows(T, zm, z_plus_list)
+                rows_B = solver.mixed_rows(T + tau, zm, z_plus_list)
+                for zp, (resA, _), (resB, _) in zip(z_plus_list, rows_A, rows_B):
+                    gA, gB = (res.curve.values[0, : solver.model.k]
+                              for res in (resA, resB))
                     quotient = float(np.linalg.norm(gB - gA)) / tau
                     budget = RESIDUAL_TO_ERROR * (resA.reported_residual
                                                   + resB.reported_residual) / tau
@@ -321,9 +314,6 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
                                direction_label=f"tau={tau:g}",
                                gap=quotient, bound=ladder.c1, budget=budget,
                                ok=quotient <= ladder.c1 + budget)
-                    theta_diff = float(np.linalg.norm(gC - 2 * gB + gA)) / (tau * tau)
-                    second[(float(T), float(tau), _label(zm), _label(zp))] = theta_diff
-    report.extras["second_quotients"] = second
     return report
 
 

@@ -224,7 +224,8 @@ def build_ladder(split, kappa, kappa_star, rho0):
             rho = float(candidate)
             break
     if rho is None:
-        raise LadderInfeasible("no sampled radius satisfies the smallness inequality")
+        raise LadderInfeasible(
+            "no halving of the trust radius satisfies the smallness inequality")
 
     varsigma, epsilon, varkappa = _provisional_disks(split, rho)
 

@@ -170,13 +170,10 @@ def stage_lambda(state):
     reports["endpoint"] = convergence.endpoint_audit(solver, graph_t)
 
     failed = _emit_reports(state, reports)
-    # the second quotients are keyed by tuples, which JSON cannot write
-    second = reports["lipschitz_T"].extras["second_quotients"]
     state.details["lambda"] = {
         "fitted_rates": c0.fitted_rates,
         "rate_bound": c0.extras["rate_bound"],
         "linearized_vs_fd_max": reports["c1"].extras["linearized_vs_fd_max"],
-        "second_quotient_max": max(second.values()),
         "all_ok": not failed,
     }
     if failed:

@@ -67,7 +67,7 @@ def test_missing_critical_point_gradient(tmp_path):
 
 
 def test_infeasible_ladder_exit_code(tmp_path):
-    # the cubic term makes dh too large at every sampled radius
+    # the cubic term makes kappa too large at every halving of the trust radius
     config = {
         "name": "infeasible",
         "dimension": 2,
@@ -80,7 +80,7 @@ def test_infeasible_ladder_exit_code(tmp_path):
         == EXIT_CONFIG
     record = json.loads((tmp_path / "o" / "error.json").read_text())
     assert record["error"] == "ladder_infeasible"
-    assert "no sampled radius satisfies the smallness inequality" \
+    assert "no halving of the trust radius satisfies the smallness inequality" \
         in record["message"]
 
 

@@ -106,7 +106,27 @@ def test_lipschitz_quartic(p2, solver_p2):
     rep = cv.lipschitz_in_T(solver_p2, [T, T + 1.0], (1e-2, 1e-3),
                             [p2.sphere_point()], [np.array([0.3 * lad.R])])
     assert rep.all_ok
-    assert rep.extras["second_quotients"]
+    # one row per (T, tau, z-, z+), and no unasserted diagnostic beside them
+    assert len(rep.rows) == 4
+    assert rep.extras == {}
+
+
+def test_lipschitz_solves_only_the_quotient_horizons(p1, solver_p1, monkeypatch):
+    # each (T, tau) asks for T and T + tau, nothing else
+    lad = p1.ladder
+    T = max(lad.T0, lad.T2)
+    asked = []
+    mixed_rows = solver_p1.mixed_rows
+
+    def recording(T_asked, z_minus, z_plus_rows):
+        asked.append(T_asked)
+        return mixed_rows(T_asked, z_minus, z_plus_rows)
+
+    monkeypatch.setattr(solver_p1, "mixed_rows", recording)
+    cv.lipschitz_in_T(solver_p1, [T, T + 1.0], (1e-2, 1e-3),
+                      [p1.sphere_point()], [np.array([0.2 * lad.R])])
+    assert asked == [T, T + 1e-2, T, T + 1e-3,
+                     T + 1.0, T + 1.0 + 1e-2, T + 1.0, T + 1.0 + 1e-3]
 
 
 def test_endpoint_audit(p2, solver_p2):

@@ -74,8 +74,8 @@ def test_lambda_diagnostics_in_manifest(tmp_path):
     pipeline.run(reference_problem("p2_quartic"), tmp_path, ("lambda",), 0, None)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     details = manifest["details"]["lambda"]
-    for key in ("linearized_vs_fd_max", "second_quotient_max"):
-        assert np.isfinite(details[key]), key
+    assert np.isfinite(details["linearized_vs_fd_max"])
+    assert "second_quotient_max" not in details
 
 
 def test_run_writes_manifest_on_error(tmp_path):
@@ -162,8 +162,6 @@ def test_bound_violation_names_worst_row(tmp_path, monkeypatch, stage, module, n
             report.add(check="forced", T=12.5, z_minus_label="(0.1)",
                        z_plus_label=f"({gap:g})", direction_label="", gap=gap,
                        bound=1.0, budget=0.5, ok=gap <= 1.5)
-        # the key lipschitz_in_T's report always carries
-        report.extras["second_quotients"] = {"forced": 0.0}
         return report
     monkeypatch.setattr(module, name, failing)
     state = pipeline.RunState(problem=reference_problem("p1_quadratic"), out_dir=tmp_path)
