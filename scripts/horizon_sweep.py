@@ -29,8 +29,7 @@ def sweep(config_path, out_csv, n_horizons=9):
         run_stage("manifolds", state)
     ladder, solver, graph_g = state.ladder, state.solver, state.graph_g
 
-    t0 = max(ladder.T0, ladder.T2)
-    T_grid = t0 + np.linspace(0.0, 6.0, n_horizons)
+    T_grid = ladder.T0 + np.linspace(0.0, 6.0, n_horizons)
     zm = state.disk.sphere_minus[0]
     zp_axis = graph_g.axes[0]
     zp_list = [np.full(len(graph_g.axes), zp_axis[i])

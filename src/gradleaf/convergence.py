@@ -97,8 +97,10 @@ def _key(vec):
 
 class GraphFamilySolver:
     """The solve store of one ladder: backward orbits keyed by z-, mixed
-    fixed points keyed by (T, z-, z+, enforce_endpoint) and stable fixed
-    points keyed by z+, shared by every stage that solves on that ladder.
+    fixed points keyed by (T, z-, z+) and stable fixed points keyed by z+,
+    shared by every stage that solves on that ladder.  Whether a mixed solve
+    asserts the varkappa endpoint bound follows from its T (see
+    ``mixed_columns``), so the key needs nothing more.
 
     ``mixed_rows`` and ``stable_rows`` take many z+ at once and solve the
     ones not yet held together, in one batched Picard loop.
@@ -124,22 +126,20 @@ class GraphFamilySolver:
             self._mixed = {k: v for k, v in self._mixed.items() if k[1] != key}
         return have
 
-    def _mixed_key(self, T, z_minus, z_plus, enforce_endpoint):
-        return (round(float(T), 12), _key(z_minus), _key(z_plus),
-                bool(enforce_endpoint))
+    def _mixed_key(self, T, z_minus, z_plus):
+        return (round(float(T), 12), _key(z_minus), _key(z_plus))
 
     def held_mixed(self, T, z_minus, z_plus):
-        """The held ``(result, gap)`` of an endpoint-enforced key, or None."""
-        return self._mixed.get(self._mixed_key(T, z_minus, z_plus, True))
+        """The held ``(result, gap)`` of a key, or None."""
+        return self._mixed.get(self._mixed_key(T, z_minus, z_plus))
 
-    def mixed_rows(self, T, z_minus, z_plus_rows, enforce_endpoint=True):
+    def mixed_rows(self, T, z_minus, z_plus_rows):
         """``(result, gap)`` for each row of ``z_plus_rows``, in row order.
 
         The keys not yet held are solved together and stored; the first
         failing one raises, after the rows before it are stored.
         """
-        keys = [self._mixed_key(T, z_minus, zp, enforce_endpoint)
-                for zp in z_plus_rows]
+        keys = [self._mixed_key(T, z_minus, zp) for zp in z_plus_rows]
         if not all(key in self._mixed for key in keys):
             z_minus = np.asarray(z_minus, dtype=float)
             orbit = self.orbit(z_minus, T)
@@ -150,7 +150,7 @@ class GraphFamilySolver:
                     todo.setdefault(key, zp)
             solved = mixed_columns(self.model, self.ladder, T, z_minus,
                                    np.array(list(todo.values()), dtype=float),
-                                   orbit, self.cache, enforce_endpoint)
+                                   orbit, self.cache)
             for key, out in zip(todo, solved):
                 self._mixed[key] = out
         return [self._mixed[key] for key in keys]
@@ -189,13 +189,12 @@ def _fit_rate(T_values, gaps, floor):
 def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
     """Gap of the time-T graph against the stable graph, per sample.
 
-    Requires T >= max(T0, T2); bound exp(-T lambda / 8) from the ladder.
+    Requires T >= T0; bound exp(-T lambda / 8) from the ladder.
     """
     ladder = solver.ladder
-    t_min = max(ladder.T0, ladder.T2)
     T_grid = np.asarray(sorted(T_grid), dtype=float)
-    if T_grid[0] < t_min - 1e-9:
-        raise ValueError(f"T grid must start at max(T0, T2) = {t_min}")
+    if T_grid[0] < ladder.T0 - 1e-9:
+        raise ValueError(f"T grid must start at T0 = {ladder.T0}")
     report = ConvergenceReport("c0")
     series = {}
     for T in T_grid:

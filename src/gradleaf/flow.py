@@ -25,13 +25,12 @@ import numpy as np
 
 from . import dop853
 from .errors import BlowUp, LevelNotReached
+from .lyapunov_perron import sphere_rays
 
 BLOWUP_RADIUS = 1e3
 #: integration tolerances of ``integrate_forward``
 TRAJECTORY_RTOL = 1e-10
 TRAJECTORY_ATOL = 1e-12
-#: rays of the unstable plane along which the descending sphere is bisected
-DISK_RESOLUTION = 8
 
 # step-size control (Hairer, Norsett & Wanner, II.4), as in scipy's explicit
 # Runge-Kutta solvers
@@ -41,37 +40,16 @@ STEP_MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
 
 
-@dataclass
-class Trajectory:
-    """Dense-output forward trajectory in ambient coordinates."""
-
-    problem: object
-    times: np.ndarray
-    states: np.ndarray
-    dense: object
-
-    def at(self, t):
-        """State(s) at time(s) ``t`` from the integrator's dense output,
-        shape ``np.shape(t) + (n,)``."""
-        return self.dense(np.asarray(t, dtype=float))
-
-    def f_values(self):
-        return self.problem.f(self.states)
-
-    def to_rows(self):
-        f = self.f_values()
-        return [[t, *state, fv] for t, state, fv in zip(self.times, self.states, f)]
-
-
 class DenseSolution:
     """The accepted steps of one kept row of a :func:`solve_ivp` run and its
-    dense output.
+    dense output: a forward trajectory in ambient coordinates.
 
-    ``times`` holds 0 and every step end and ``states`` the state at each.
-    Segment ``i`` is the step of size ``steps[i]`` from ``times[i]``; its
-    seventh-order interpolant needs three more right-hand-side evaluations,
-    so it is formed only when a time in the segment is first evaluated (many
-    runs read none), together with every other new segment of the same read.
+    ``times`` holds 0 and every step end and ``states`` the state at each,
+    as arrays.  Segment ``i`` is the step of size ``steps[i]`` from
+    ``times[i]``; its seventh-order interpolant needs three more
+    right-hand-side evaluations, so it is formed only when a time in the
+    segment is first evaluated (many runs read none), together with every
+    other new segment of the same read.
     ``nfev`` counts the right-hand-side evaluations of its interpolants, one
     per state: each formed segment adds 3.
     """
@@ -79,26 +57,36 @@ class DenseSolution:
     def __init__(self, fun, y0):
         self._fun = fun
         self.nfev = 0
-        self.times = [0.0]
-        self.states = [y0]
+        self._times = [0.0]
+        self._states = [y0]
         self.steps = []
         self._stages = []      # each step's (16, n) stage array, 13 rows filled
         self._coefficients = {}
 
+    @property
+    def times(self):
+        return np.array(self._times)
+
+    @property
+    def states(self):
+        return np.array(self._states)
+
     def accept(self, t, y, h, K):
-        self.times.append(t)
-        self.states.append(y)
+        self._times.append(t)
+        self._states.append(y)
         self.steps.append(h)
         self._stages.append(K)
 
-    def __call__(self, t):
-        """Interpolated state(s) at time(s) ``t``, shape ``t.shape + (n,)``.
+    def at(self, t):
+        """State(s) at time(s) ``t`` from the dense output, shape
+        ``np.shape(t) + (n,)``.
 
         The segment of ``t`` is chosen as scipy's ``OdeSolution`` chooses
         it: a step end belongs to the step before it, and times outside the
         run use the first or last segment.
         """
-        segment = np.searchsorted(self.times, t, side="left") - 1
+        t = np.asarray(t, dtype=float)
+        segment = np.searchsorted(self._times, t, side="left") - 1
         return self.segment_value(np.clip(segment, 0, len(self.steps) - 1), t)
 
     def segment_value(self, segment, t):
@@ -113,9 +101,9 @@ class DenseSolution:
         inverse = inverse.reshape(segment.shape)
         self._form([i for i in used if i not in self._coefficients])
         F = np.stack([self._coefficients[i] for i in used])[inverse]
-        start = np.array([self.times[i] for i in used])[inverse]
+        start = np.array([self._times[i] for i in used])[inverse]
         step = np.array([self.steps[i] for i in used])[inverse]
-        y_old = np.stack([self.states[i] for i in used])[inverse]
+        y_old = np.stack([self._states[i] for i in used])[inverse]
         x = ((t - start) / step)[..., None]
         y = np.zeros(F.shape[:-2] + F.shape[-1:])
         for i in range(dop853.INTERPOLATOR_POWER):
@@ -134,13 +122,13 @@ class DenseSolution:
             return
         h = np.array([self.steps[i] for i in segments])[:, None]
         K = np.stack([self._stages[i] for i in segments])
-        y_old = np.stack([self.states[i] for i in segments])
+        y_old = np.stack([self._states[i] for i in segments])
         for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
             dy = np.matmul(K[:, :s].transpose(0, 2, 1), dop853.A[s, :s]) * h
             self.nfev += len(segments)
             K[:, s] = self._fun(y_old + dy)
         f_old, f_new = K[:, 0], K[:, dop853.N_STAGES]
-        delta_y = np.stack([self.states[i + 1] for i in segments]) - y_old
+        delta_y = np.stack([self._states[i + 1] for i in segments]) - y_old
         F = np.empty((len(segments), dop853.INTERPOLATOR_POWER, y_old.shape[1]))
         F[:, 0] = delta_y
         F[:, 1] = h * f_old - delta_y
@@ -306,18 +294,16 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=Non
 
 
 def integrate_forward(problem, start, duration):
-    """The forward trajectory from ``start`` for ``duration > 0``: a
-    one-row :func:`solve_ivp` run at ``TRAJECTORY_RTOL`` and
-    ``TRAJECTORY_ATOL`` with its steps kept, so the trajectory
-    reads the run's dense output.  Its last state is the step end at
-    ``duration``.  Exceeding ``BLOWUP_RADIUS`` raises BlowUp.
+    """The forward trajectory from ``start`` for ``duration > 0``: the
+    :class:`DenseSolution` of a one-row :func:`solve_ivp` run at
+    ``TRAJECTORY_RTOL`` and ``TRAJECTORY_ATOL``.  Its last state is the
+    step end at ``duration``.  Exceeding ``BLOWUP_RADIUS`` raises BlowUp.
     """
     if not duration > 0:
         raise ValueError("forward integration requires duration > 0")
     run = solve_ivp(problem, np.asarray(start, dtype=float)[None], duration,
                     TRAJECTORY_RTOL, TRAJECTORY_ATOL, -np.inf, dense=[True])
-    sol = run.dense[0]
-    return Trajectory(problem, np.array(sol.times), np.array(sol.states), sol)
+    return run.dense[0]
 
 
 @dataclass
@@ -343,20 +329,8 @@ def descending_disk(model, ladder, graph_f):
     two points.
     """
     epsilon = ladder.epsilon
-    k = model.k
     level = model.critical_value - epsilon
-
-    if k == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        angles = np.linspace(0.0, 2 * np.pi, DISK_RESOLUTION, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        if k > 2:
-            rng = np.random.default_rng(7)
-            extra = rng.standard_normal((DISK_RESOLUTION * (k - 2), k))
-            extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-            dirs = np.concatenate([np.pad(dirs, ((0, 0), (0, k - 2))), extra])
-
+    dirs = sphere_rays(model.k)
     radii = graph_f.level_crossing(model.f_local, dirs, level, 1e-10)
     if np.isnan(radii).any():
         raise LevelNotReached(

@@ -30,6 +30,7 @@ from .lyapunov_perron import (
     graph_G_T,
     level_crossings,
     multilinear_stencil,
+    sphere_rays,
     tensor_points,
 )
 
@@ -41,8 +42,6 @@ AUDIT_ATOL = 1e-13
 COMPONENT_KEEP_FRACTION = 0.9
 #: box samples of the level-set pair, besides the critical point
 PAIR_SAMPLES = 240
-#: rays of the plus plane along which a leaf's clip boundary is bisected
-BOUNDARY_RESOLUTION = 8
 #: the disjointness probes split every cell of the leaf grid this many ways
 DISJOINT_REFINE = 9
 #: the retract audit's flow times for the disk, and its fixed-point budget
@@ -161,15 +160,15 @@ class Leaf:
     """One leaf: a graph over the plus ball, clipped at level c + epsilon.
 
     ``base_point`` is the point the leaf contracts onto under the induced
-    flow (alpha^T, or the origin for the center leaf) and ``T`` its horizon
-    (None for the center leaf).  ``inside_mask`` marks the grid nodes below
-    the clip level, and ``boundary_plus`` and ``boundary_local`` hold the
-    clip boundary sampled along rays of the plus subspace.
+    flow (alpha^T, or the origin for the center leaf); the leaf's horizon
+    is its graph's ``T`` (None for the center leaf).  ``inside_mask`` marks
+    the grid nodes below the clip level, and ``boundary_plus`` and
+    ``boundary_local`` hold the clip boundary sampled along rays of the plus
+    subspace.
     """
 
     graph: object
     base_point: np.ndarray
-    T: float | None
     inside_mask: np.ndarray
     boundary_plus: np.ndarray
     boundary_local: np.ndarray
@@ -208,15 +207,7 @@ def _leaf_boundaries(model, graphs, clip_level):
     """Level-crossing samples of leaves on one plus grid along rays of the
     plus subspace, ``(boundary_plus, boundary_local)`` per graph, from one
     lockstep bisection over every ray of every leaf."""
-    d = model.n - model.k
-    if d == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        angles = np.linspace(0.0, 2 * np.pi, BOUNDARY_RESOLUTION, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        if d > 2:
-            dirs = np.pad(dirs, ((0, 0), (0, d - 2)))
-
+    dirs = sphere_rays(model.n - model.k)
     tol = 1e-12 * max(1.0, abs(clip_level)) + 1e-15
     radii = level_crossings(graphs, model.f_local, dirs, clip_level, tol)
     clipped = ~np.isnan(radii)  # NaN: the leaf is not clipped along this ray
@@ -243,14 +234,14 @@ def build_atlas(solver, stable_graph, sphere_minus, tau, T_grid, zplus_axes):
         raise ValueError("atlas horizons must satisfy T >= tau")
     clip = model.critical_value + ladder.epsilon
 
-    def leaf(graph, base_point, T, boundary):
+    def leaf(graph, base_point, boundary):
         inside = model.f_local(graph.local_points()) <= clip
-        return Leaf(graph=graph, base_point=base_point, T=T,
+        return Leaf(graph=graph, base_point=base_point,
                     inside_mask=inside.reshape(graph.grid_shape),
                     boundary_plus=boundary[0], boundary_local=boundary[1])
 
     [bnd] = _leaf_boundaries(model, [stable_graph], clip)
-    center = leaf(stable_graph, np.zeros(model.n), None, bnd)
+    center = leaf(stable_graph, np.zeros(model.n), bnd)
 
     labels, graphs, bases = [], [], []
     for ai, alpha in enumerate(np.atleast_2d(sphere_minus)):
@@ -260,7 +251,7 @@ def build_atlas(solver, stable_graph, sphere_minus, tau, T_grid, zplus_axes):
             graphs.append(graph_G_T(solver, float(T), alpha, zplus_axes))
             bases.append(orbit.curve.evaluate(-float(T)))
     bounds = _leaf_boundaries(model, graphs, clip)
-    leaves = {label: leaf(graph, base, label[0], bnd)
+    leaves = {label: leaf(graph, base, bnd)
               for label, graph, base, bnd in zip(labels, graphs, bases, bounds)}
     interp_tol = max([center.graph.interp_tolerance()]
                      + [lf.graph.interp_tolerance() for lf in leaves.values()])
@@ -378,9 +369,9 @@ def retract_audit(atlas):
     quotients at the steps 1e-4 and 1e-5.  Structurally (i) holds by
     construction; the audit re-evaluates it numerically.  Check (ii)
     presumes coordinates with a flat unstable manifold; the measured
-    flatness residual widens the tolerance and is reported.  The induced
-    flow runs once per t sample over every base point, and once per step
-    over every boundary sample; the objective is read once per flowed block.
+    flatness residual widens the tolerance.  The induced flow runs once per
+    t sample over every base point, and once per step over every boundary
+    sample; the objective is read once per flowed block.
     """
     model = atlas.model
     report = ConvergenceReport("retract")
@@ -391,7 +382,6 @@ def retract_audit(atlas):
     for label in atlas.leaves:
         base = atlas.leaf(label).base_point
         flatness = max(flatness, float(np.linalg.norm(base[model.k:])))
-    report.extras["unstable_flatness_residual"] = flatness
     fix_budget = RETRACT_FIX_TOL + 10.0 * flatness + 10.0 * atlas.interp_tolerance
 
     # (i) theta_inf maps leaf samples onto the base point
@@ -400,7 +390,7 @@ def retract_audit(atlas):
                                         for leaf in leaves], math.inf)
     for label, leaf, end in zip(labels, leaves, ends):
         gap = float(np.linalg.norm(end - leaf.base_point))
-        report.add(check="retract_theta_inf", T=leaf.T or 0.0,
+        report.add(check="retract_theta_inf", T=leaf.graph.T or 0.0,
                    z_minus_label=str(label), z_plus_label="", direction_label="",
                    gap=gap, bound=0.0, budget=RETRACT_FIX_TOL,
                    ok=gap <= RETRACT_FIX_TOL)
@@ -411,7 +401,7 @@ def retract_audit(atlas):
     for i, (label, leaf) in enumerate(zip(labels, leaves)):
         for t, moved_t in zip(RETRACT_T_SAMPLES, moved):
             gap = float(np.linalg.norm(moved_t[i] - leaf.base_point))
-            report.add(check="retract_fix_D", T=leaf.T or 0.0,
+            report.add(check="retract_fix_D", T=leaf.graph.T or 0.0,
                        z_minus_label=str(label), z_plus_label="",
                        direction_label=f"t={t:g}", gap=gap, bound=0.0,
                        budget=fix_budget, ok=gap <= fix_budget)
@@ -430,7 +420,7 @@ def retract_audit(atlas):
     for (label, leaf, z_plus, _), *per_step in zip(rows, *quotients):
         worst = max(per_step)
         mu_audit = min(mu_audit, -worst)
-        report.add(check="retract_inward", T=leaf.T or 0.0,
+        report.add(check="retract_inward", T=leaf.graph.T or 0.0,
                    z_minus_label=str(label), z_plus_label=_label(z_plus),
                    direction_label="", gap=worst, bound=0.0, budget=0.0,
                    ok=worst < 0.0)
@@ -497,8 +487,8 @@ def contraction_to_center(atlas):
             gaps = center_cols[:, None, :] - pts[start:start + chunk].T[:, :, None]
             gaps = row_norms(np.moveaxis(gaps, 0, -1))
             sup = max(sup, float(np.max(np.min(gaps, axis=1))))
-        bound = math.exp(-leaf.T * ladder.lambda_ / 8.0)
-        report.add(check="center_distance", T=leaf.T, z_minus_label=str(label),
+        bound = math.exp(-leaf.graph.T * ladder.lambda_ / 8.0)
+        report.add(check="center_distance", T=leaf.graph.T, z_minus_label=str(label),
                    z_plus_label="", direction_label="", gap=sup, bound=bound,
                    budget=budget, ok=sup <= bound + budget)
     return report

@@ -72,6 +72,9 @@ STALL_STEPS = 10
 BLOCK_VALUES = 30_000
 #: cap on the halvings of a ray in ``level_crossings``
 LEVEL_BISECT_STEPS = 200
+#: rays of the first coordinate plane in ``sphere_rays``, and seeded random
+#: rays per further dimension
+SPHERE_RESOLUTION = 8
 
 
 def default_horizon(ladder):
@@ -448,20 +451,18 @@ def reference_curve(orbit_curve, grid, rate):
     return Curve(grid, vals, rate, FORWARD_FINITE)
 
 
-def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache,
-                  enforce_endpoint=True):
+def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache):
     """Fixed points of the mixed-boundary operator for one (T, z-), one per
     row of ``z_plus_rows``: ``(FixedPointResult, endpoint_gap)`` in row
     order (see ``solve_columns``).
 
     ``orbit`` is the backward-orbit result for ``z_minus``; its horizon must
-    cover [-T, 0], and it keeps the reference curve built for this T.  A
-    column whose endpoint misses ``z_minus`` by more than varkappa raises
-    EndpointViolation in its turn, and a z+ outside the graph domain
-    NormBudgetExceeded.
+    cover [-T, 0], and it keeps the reference curve built for this T.  For
+    T >= T0, where the endpoint estimate holds, a column whose endpoint
+    misses ``z_minus`` by more than varkappa raises EndpointViolation in its
+    turn; below T0 no endpoint bound is claimed and the gap is only
+    returned.  A z+ outside the graph domain raises NormBudgetExceeded.
     """
-    if T < ladder.T0 - 1e-12 and enforce_endpoint:
-        raise HorizonMismatch(f"T = {T} below T0 = {ladder.T0}")
     if orbit.curve.grid.t0 > -T + 1e-12:
         raise HorizonMismatch("backward orbit horizon does not cover [-T, 0]")
     grid = cache.grid(0.0, T)
@@ -474,9 +475,10 @@ def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache,
     op = PsiTOperator(model, ladder, T, z_minus, z_plus_rows[:stop], ref, grid,
                       cache.convolver(grid))
     target = model.embed_minus(z_minus)
+    endpoint_claimed = T >= ladder.T0 - 1e-12
     for result in solve_columns(op, cache.counts):
         gap = float(np.linalg.norm(result.curve.values[-1] - target))
-        if enforce_endpoint and gap > ladder.varkappa * (1 + NORM_SLACK):
+        if endpoint_claimed and gap > ladder.varkappa * (1 + NORM_SLACK):
             raise EndpointViolation(
                 f"|xi(T) - z_minus| = {gap:.3e} exceeds varkappa = {ladder.varkappa:.3e}")
         yield result, gap
@@ -606,6 +608,24 @@ class GraphSample:
             second = v[2:] - 2.0 * v[1:-1] + v[:-2]
             worst = max(worst, 0.125 * float(np.max(np.abs(second))))
         return worst
+
+
+def sphere_rays(d):
+    """Unit rays ``(m, d)`` of a d-dimensional subspace along which a sphere
+    around the origin is bisected (see :func:`level_crossings`): +-1 for
+    d = 1; else ``SPHERE_RESOLUTION`` rays of the first coordinate plane
+    and, for d > 2, ``SPHERE_RESOLUTION * (d - 2)`` random rays of seed 7
+    off it."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]])
+    angles = np.linspace(0.0, 2 * np.pi, SPHERE_RESOLUTION, endpoint=False)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    if d > 2:
+        rng = np.random.default_rng(7)
+        extra = rng.standard_normal((SPHERE_RESOLUTION * (d - 2), d))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        dirs = np.concatenate([np.pad(dirs, ((0, 0), (0, d - 2))), extra])
+    return dirs
 
 
 def level_crossings(graphs, f, directions, level, tol):

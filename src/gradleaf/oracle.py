@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonDiverged
-from .flow import Trajectory, solve_ivp
+from .flow import solve_ivp
 
 ORACLE_RTOL = 1e-12
 ORACLE_ATOL = 1e-15
@@ -68,8 +68,9 @@ def mixed_bvp_oracle(model, queries):
     :func:`~gradleaf.flow.solve_ivp` call for the base shots with the first
     Jacobian probes, one for each later iteration's probes and one for each
     damping level.  Returns ``(trajectory, residual)`` per query, in query
-    order: the forward trajectory of the best shot, the one whose endpoint
-    misses ``z_minus`` least, and the norm of that miss.
+    order: the forward trajectory of the best shot (its ``DenseSolution``),
+    the one whose endpoint misses ``z_minus`` least, and the norm of that
+    miss.
 
     A failing query raises NewtonDiverged once no query before it can fail
     any more, so the error is the one solving the queries one after another
@@ -153,5 +154,4 @@ def mixed_bvp_oracle(model, queries):
         if q.error is not None:
             raise q.error
 
-    return [(Trajectory(model.problem, np.array(sol.times), np.array(sol.states), sol),
-             float(norm)) for norm, sol in (q.best for q in newton)]
+    return [(sol, float(norm)) for norm, sol in (q.best for q in newton)]

@@ -110,7 +110,7 @@ def stage_manifolds(state):
                              min(2.0, state.ladder.T0))
     state.emit("trajectory_sample.csv",
                reporting.trajectory_header(state.problem.dimension),
-               traj.to_rows())
+               reporting.trajectory_rows(state.problem, traj))
     state.details["manifolds"] = {
         "ladder": state.ladder.echo(),
         "F_max": float(np.max(np.abs(state.graph_f.values))),
@@ -152,8 +152,7 @@ def stage_lambda(state):
     _require(state, "manifolds")
     ladder = state.ladder
     solver = state.solver
-    t_min = max(ladder.T0, ladder.T2)
-    T_grid = t_min + np.arange(5, dtype=float)
+    T_grid = ladder.T0 + np.arange(5, dtype=float)
     zm_list, zp_list = _lambda_sample_sets(state)
 
     c0 = convergence.c0_convergence(solver, T_grid, zm_list, zp_list)
@@ -223,31 +222,31 @@ def stage_foliate(state):
 
 def oracle_queries(state):
     """The oracle comparisons ``(T, z_minus, z_plus)``, grouped by
-    ``(T, z_minus)``, and whether their mixed solves enforce the endpoint."""
+    ``(T, z_minus)``."""
     ladder = state.ladder
     # forward shooting has condition number exp(T |lambda_min|); cap the
     # horizon so the oracle itself stays meaningful (the mixed problem is
     # well posed for every T > 0, so shorter-T validation is equally strict)
     t_cap = np.log(1e6) / abs(ladder.lambda_min)
-    t_base = min(max(ladder.T0, ladder.T2), t_cap)
-    enforce = t_base >= ladder.T0 - 1e-12
+    t_base = min(ladder.T0, t_cap)
     grid = 2  # horizons, sphere points and plus points compared
-    T_list = t_base + (np.linspace(0.0, 2.0, grid) if enforce
+    # below T0 (k2's and p3's capped horizons) no endpoint bound is claimed
+    T_list = t_base + (np.linspace(0.0, 2.0, grid)
+                       if t_base >= ladder.T0 - 1e-12
                        else np.linspace(-2.0, 0.0, grid))
     zm_list, zp_list = _lambda_sample_sets(state, n_zplus=grid)
     queries = [[(T, zm, zp) for zp in zp_list[:grid]]
                for T in T_list for zm in zm_list[:grid]]
-    return queries, enforce
+    return queries
 
 
 def stage_oracle(state):
     _require(state, "manifolds")
-    groups, enforce = oracle_queries(state)
+    groups = oracle_queries(state)
     queries, curves = [], []
     for group in groups:
         T, zm, _ = group[0]
-        solved = state.solver.mixed_rows(T, zm, [zp for _, _, zp in group],
-                                         enforce_endpoint=enforce)
+        solved = state.solver.mixed_rows(T, zm, [zp for _, _, zp in group])
         queries += group
         curves += [res.curve for res, _ in solved]
     rows = []

@@ -83,6 +83,13 @@ def trajectory_header(dimension):
     return ["t"] + [f"x{i + 1}" for i in range(dimension)] + ["f"]
 
 
+def trajectory_rows(problem, trajectory):
+    """One row per step end of a ``DenseSolution``: t, state, f."""
+    states = trajectory.states
+    return [[t, *x, fv]
+            for t, x, fv in zip(trajectory.times, states, problem.f(states))]
+
+
 def report_rows(report):
     return [row.to_list() for row in report.rows]
 

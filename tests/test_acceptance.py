@@ -112,7 +112,7 @@ def test_criterion_3_c0_rate(p1, p2, solver_p1, solver_p2):
         start = time.perf_counter()
         for setup, solver in ((p1, solver_p1), (p2, solver_p2)):
             lad = setup.ladder
-            t0 = max(lad.T0, lad.T2)
+            t0 = lad.T0
             T_grid = t0 + np.arange(5.0)
             zm_list = [setup.sphere_point(0), setup.sphere_point(1)]
             zp_list = [np.array([0.0]), np.array([0.3 * lad.R]),
@@ -127,7 +127,7 @@ def test_criterion_3_c0_rate(p1, p2, solver_p1, solver_p2):
 def test_criterion_4_c1_rate(p2, solver_p2):
     with criterion(4, "C1 gap <= c_* exp(-T lambda/8) |v| + FD budget on P2"):
         lad = p2.ladder
-        t0 = max(lad.T0, lad.T2)
+        t0 = lad.T0
         rep = cv.c1_convergence(solver_p2, [t0, t0 + 1.0, t0 + 2.0],
                                 [p2.sphere_point()],
                                 [np.array([0.0]), np.array([0.3 * lad.R])])
@@ -140,7 +140,7 @@ def test_criterion_5_lipschitz_in_T(p2, solver_p2):
     with criterion(5, "Lipschitz-in-T quotients <= c1 = 2(|lambda_1|+1) "
                       "for tau in {1e-2, 1e-3} on P2"):
         lad = p2.ladder
-        t0 = max(lad.T0, lad.T2)
+        t0 = lad.T0
         rep = cv.lipschitz_in_T(solver_p2, [t0, t0 + 1.0, t0 + 2.0],
                                 (1e-2, 1e-3), [p2.sphere_point()],
                                 [np.array([0.0]), np.array([0.4 * lad.R])])

@@ -150,7 +150,7 @@ def test_contraction_to_center_matches_point_major_search(foliated):
         _, pts = leaf.inside_points()
         sup = max(float(np.min(row_norms(center_pts - p))) for p in pts)
         assert row.gap.hex() == sup.hex()
-        assert row.bound == math.exp(-leaf.T * atlas.ladder.lambda_ / 8.0)
+        assert row.bound == math.exp(-leaf.graph.T * atlas.ladder.lambda_ / 8.0)
 
 
 def test_median_matches_numpy():

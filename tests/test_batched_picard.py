@@ -122,7 +122,7 @@ def test_infinite_graphs_match_per_node(request, name):
 def test_time_T_graph_matches_per_node(request, name):
     setup = request.getfixturevalue(name)
     model, ladder, cache = setup.model, setup.ladder, setup.cache
-    T = max(ladder.T0, ladder.T2) + 0.5
+    T = ladder.T0 + 0.5
     zm = setup.sphere_point()
     orbit = setup.orbit(zm, t_need=T)
     sample = lp.graph_G_T(setup.solver(), T, zm)

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gradleaf import convergence as cv
 from gradleaf import lyapunov_perron as lp
+from gradleaf.errors import EndpointViolation
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +22,7 @@ def solver_p2(p2):
 def test_c0_quadratic_closed_form(p1, solver_p1):
     # gap = |exp(T A-) z-| = exp(-T) |z-|, decaying at rate 1 >= lambda/8
     lad = p1.ladder
-    t0 = max(lad.T0, lad.T2)
+    t0 = lad.T0
     T_grid = t0 + np.arange(5.0)
     zm = [p1.sphere_point()]
     zp = [np.array([0.0]), np.array([0.4 * lad.R])]
@@ -36,7 +38,7 @@ def test_c0_quadratic_closed_form(p1, solver_p1):
 def test_c0_monotone_bound_between_horizons(p1, solver_p1):
     # triangle combination: gap(T + tau) <= gap(T) + c1 tau
     lad = p1.ladder
-    t0 = max(lad.T0, lad.T2)
+    t0 = lad.T0
     zm = p1.sphere_point()
     zp = np.array([0.3 * lad.R])
     tau = 0.5
@@ -59,7 +61,7 @@ def test_c0_requires_large_horizon(solver_p1, p1):
 
 def test_c0_quartic(p2, solver_p2):
     lad = p2.ladder
-    t0 = max(lad.T0, lad.T2)
+    t0 = lad.T0
     T_grid = t0 + np.arange(5.0)
     zm = [p2.sphere_point(i) for i in range(2)]
     zp = [np.array([0.0]), np.array([0.35 * lad.R])]
@@ -70,7 +72,7 @@ def test_c0_quartic(p2, solver_p2):
 
 def test_c1_quadratic_zero_gap(p1, solver_p1):
     lad = p1.ladder
-    T = max(lad.T0, lad.T2)
+    T = lad.T0
     rep = cv.c1_convergence(solver_p1, [T], [p1.sphere_point()],
                             [np.array([0.25 * lad.R])])
     assert rep.all_ok
@@ -79,7 +81,7 @@ def test_c1_quadratic_zero_gap(p1, solver_p1):
 
 def test_c1_quartic_bound(p2, solver_p2):
     lad = p2.ladder
-    T_grid = [max(lad.T0, lad.T2), max(lad.T0, lad.T2) + 1.0]
+    T_grid = [lad.T0, lad.T0 + 1.0]
     rep = cv.c1_convergence(solver_p2, T_grid, [p2.sphere_point()],
                             [np.array([0.3 * lad.R])])
     assert rep.all_ok
@@ -89,7 +91,7 @@ def test_c1_quartic_bound(p2, solver_p2):
 
 def test_lipschitz_quadratic_quotient(p1, solver_p1):
     lad = p1.ladder
-    T = max(lad.T0, lad.T2)
+    T = lad.T0
     rep = cv.lipschitz_in_T(solver_p1, [T], (1e-2, 1e-3),
                             [p1.sphere_point()], [np.array([0.2 * lad.R])])
     assert rep.all_ok
@@ -102,7 +104,7 @@ def test_lipschitz_quadratic_quotient(p1, solver_p1):
 
 def test_lipschitz_quartic(p2, solver_p2):
     lad = p2.ladder
-    T = max(lad.T0, lad.T2)
+    T = lad.T0
     rep = cv.lipschitz_in_T(solver_p2, [T, T + 1.0], (1e-2, 1e-3),
                             [p2.sphere_point()], [np.array([0.3 * lad.R])])
     assert rep.all_ok
@@ -114,7 +116,7 @@ def test_lipschitz_quartic(p2, solver_p2):
 def test_lipschitz_solves_only_the_quotient_horizons(p1, solver_p1, monkeypatch):
     # each (T, tau) asks for T and T + tau, nothing else
     lad = p1.ladder
-    T = max(lad.T0, lad.T2)
+    T = lad.T0
     asked = []
     mixed_rows = solver_p1.mixed_rows
 
@@ -131,7 +133,7 @@ def test_lipschitz_solves_only_the_quotient_horizons(p1, solver_p1, monkeypatch)
 
 def test_endpoint_audit(p2, solver_p2):
     lad = p2.ladder
-    T = max(lad.T0, lad.T2)
+    T = lad.T0
     zm = p2.sphere_point()
     graph = lp.graph_G_T(solver_p2, T, zm)
     rep = cv.endpoint_audit(solver_p2, graph)
@@ -144,7 +146,7 @@ def test_endpoint_audit(p2, solver_p2):
 
 def test_endpoint_quadratic_closed_form(p1, solver_p1):
     lad = p1.ladder
-    T = max(lad.T0, lad.T2)
+    T = lad.T0
     zm = p1.sphere_point()
     graph = lp.graph_G_T(solver_p1, T, zm)
     gaps = graph.endpoint_gaps.ravel()
@@ -192,15 +194,17 @@ def test_empty_report_fails_and_worst_row_is_named():
     assert "z_minus=center z_plus=(0.4)" in message
 
 
-def test_mixed_store_key_includes_endpoint_enforcement(p2):
-    # a solve stored without the endpoint check must not answer a request
-    # that enforces it
-    from gradleaf.errors import HorizonMismatch
-
-    solver = p2.solver()
+def test_endpoint_bound_is_claimed_from_T0_on(p2):
+    # with varkappa below both endpoint gaps, the horizon alone decides:
+    # below T0 the gap is returned, at T0 it must be within varkappa
     zm = p2.sphere_point()
-    zp = np.zeros(1)
-    T = 0.5 * p2.ladder.T0
-    solver.mixed_rows(T, zm, [zp], enforce_endpoint=False)
-    with pytest.raises(HorizonMismatch):
-        solver.mixed(T, zm, zp)
+    zp = np.array([0.4 * p2.ladder.R])  # z+ = 0 ends on z- exactly
+    horizons = (0.5 * p2.ladder.T0, p2.ladder.T0)
+    gaps = [p2.solver().mixed(T, zm, zp)[1] for T in horizons]
+    ladder = replace(p2.ladder, varkappa=0.5 * min(gaps))
+    solver = cv.GraphFamilySolver(p2.model, ladder, p2.cache)
+    result, gap = solver.mixed(horizons[0], zm, zp)
+    assert gap == gaps[0] > ladder.varkappa
+    assert result.curve.grid.t1 == horizons[0]
+    with pytest.raises(EndpointViolation):
+        solver.mixed(horizons[1], zm, zp)

@@ -67,7 +67,7 @@ def _read_scrambled(sol, seed):
         for chunk in np.array_split(order, max(1, count // 5)):
             segment = np.repeat(chunk, 3)
             frac = np.tile([0.0, 0.37, 1.0], chunk.size)
-            t = np.array(sol.times)[segment] + frac * np.array(sol.steps)[segment]
+            t = sol.times[segment] + frac * np.array(sol.steps)[segment]
             got = sol.segment_value(segment, t)
             for row, (i, ti) in enumerate(zip(segment, t)):
                 assert _same_bits(got[row], reference_value(sol, i, ti)), (sweep, i)
@@ -90,7 +90,7 @@ def p2_oracle(tmp_path_factory):
             record["inside"].append(np.shape(x))
         return gradient(self, x)
 
-    def at(self, t, _at=flow.Trajectory.at):
+    def at(self, t, _at=flow.DenseSolution.at):
         record["inside"] = []
         try:
             return _at(self, t)
@@ -104,7 +104,7 @@ def p2_oracle(tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polynomial, "gradient", counted_gradient)
-        mp.setattr(flow.Trajectory, "at", at)
+        mp.setattr(flow.DenseSolution, "at", at)
         mp.setattr(pipeline, "mixed_bvp_oracle", mixed_bvp_oracle)
         state = pipeline.run(load_problem(CONFIGS / "p2_quartic.json"),
                              tmp_path_factory.mktemp("p2"),
@@ -126,17 +126,15 @@ def test_oracle_trajectories_match_per_segment_formation(p2_oracle):
     state, record = p2_oracle
     shot = oracle.mixed_bvp_oracle(state.model, record["queries"])
     assert len(shot) == 8
-    for seed, (traj, _) in enumerate(shot):
-        sol = traj.dense
+    for seed, (sol, _) in enumerate(shot):
         assert not sol._coefficients
         _read_scrambled(sol, seed)
 
 
 def test_single_run_matches_per_segment_formation(p2):
-    traj = integrate_forward(p2.problem, np.array([0.3, -0.2]), 4.0)
-    sol = traj.dense
+    sol = integrate_forward(p2.problem, np.array([0.3, -0.2]), 4.0)
     # the run ends on a step end, so it reads no segment
     assert not sol._coefficients
     _read_scrambled(sol, 99)
     ts = np.linspace(0.0, 4.0, 41)
-    assert _same_bits(traj.at(ts), traj.at(ts[::-1])[::-1])
+    assert _same_bits(sol.at(ts), sol.at(ts[::-1])[::-1])

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gradleaf import reporting
 from gradleaf.errors import BlowUp, LevelNotReached
 from gradleaf.flow import descending_disk, integrate_forward, solve_ivp
 from references import scipy_trajectory
@@ -42,7 +43,7 @@ def test_terminal_state_matches_finer_tolerance(p2, trajectory_tol):
 
 def test_f_monotone_along_flow(p2):
     traj = integrate_forward(p2.problem, np.array([0.02, 0.1]), 4.0)
-    assert np.max(np.diff(traj.f_values())) <= 1e-13
+    assert np.max(np.diff(p2.problem.f(traj.states))) <= 1e-13
 
 
 def test_f_derivative_is_gradient_norm(p2, trajectory_tol):
@@ -92,7 +93,7 @@ def test_batch_rows_with_own_durations_match_lone_runs(p2):
         assert (sol is not None) == kept
         if kept:
             ts = np.linspace(0.0, T, 23)
-            assert np.max(np.abs(sol(ts) - single.sol(ts).T)) <= 1e-14
+            assert np.max(np.abs(sol.at(ts) - single.sol(ts).T)) <= 1e-14
 
 
 def test_batch_stops_below_level(p2):
@@ -155,7 +156,7 @@ def test_nfev_counts_the_rows_passed_to_grad(p2):
     formed = 0
     for sol, T in zip(run.dense, durations):
         if sol is not None:
-            sol(np.linspace(0.0, T, 5))
+            sol.at(np.linspace(0.0, T, 5))
             formed += sol.nfev
     assert sum(rows) == run.nfev + formed > run.nfev
 
@@ -216,8 +217,9 @@ def test_single_trajectory_failures_raise():
 
 def test_trajectory_rows_format(p1):
     traj = integrate_forward(p1.problem, np.array([0.01, 0.02]), 0.5)
-    rows = traj.to_rows()
-    assert len(rows[0]) == 1 + 2 + 1  # t, coordinates, f
+    rows = reporting.trajectory_rows(p1.problem, traj)
+    assert len(rows) == len(traj.times)
+    assert len(rows[0]) == len(reporting.trajectory_header(2)) == 1 + 2 + 1
     assert rows[0][0] == 0.0
 
 

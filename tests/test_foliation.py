@@ -168,6 +168,25 @@ def test_atlas_leaf_count(atlas_p2):
     assert atlas_p2.all_labels() == ["center"] + list(atlas_p2.leaves)
 
 
+def test_leaf_boundaries_probe_off_the_first_plus_plane(monkeypatch):
+    # a 3-dimensional plus subspace (n = 4, k = 1) is probed along the
+    # descending disk's ray set, part of which leaves the first plane
+    rays = lp.sphere_rays(3)
+    assert np.allclose(np.linalg.norm(rays, axis=1), 1.0)
+    assert np.count_nonzero(rays[:, 2]) == len(rays) // 2 > 0
+    seen = []
+
+    def crossings(graphs, f, dirs, level, tol):
+        seen.append(dirs)
+        return np.ones((len(graphs), len(dirs)))
+
+    monkeypatch.setattr(fol, "level_crossings", crossings)
+    model = SimpleNamespace(n=4, k=1, f_local=None)
+    graph = SimpleNamespace(local_points=lambda plus: plus)
+    [(plus, _)] = fol._leaf_boundaries(model, [graph], 0.0)
+    assert np.array_equal(seen[0], rays) and np.array_equal(plus, rays)
+
+
 def test_quadratic_leaves_flat(atlas_p1, p1):
     for (T, ai), leaf in atlas_p1.leaves.items():
         alpha = p1.disk.sphere_minus[ai][0]
@@ -332,7 +351,10 @@ def test_retract_audit_quartic(atlas_p2):
     rep = fol.retract_audit(atlas_p2)
     assert rep.all_ok
     assert rep.extras["mu_audit"] > 0.0
-    assert rep.extras["unstable_flatness_residual"] <= 1e-12
+    # the base points lie on a flat unstable manifold
+    model = atlas_p2.model
+    assert max(np.linalg.norm(leaf.base_point[model.k:])
+               for leaf in atlas_p2.leaves.values()) <= 1e-12
 
 
 def test_leaf_invariance(atlas_p2, monkeypatch):

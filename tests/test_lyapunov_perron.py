@@ -431,16 +431,6 @@ def test_linearized_derivative_norm_bound(p2):
     assert weighted <= 2.0 * np.linalg.norm(v) + 1e-12
 
 
-def test_mixed_rejects_short_horizon(p2):
-    from gradleaf.errors import HorizonMismatch
-
-    zm = p2.sphere_point()
-    orbit = p2.orbit(zm)
-    with pytest.raises(HorizonMismatch):
-        lp.solve_mixed(p2.model, p2.ladder, 0.5 * p2.ladder.T0, zm,
-                       np.zeros(1), orbit, cache=p2.cache)
-
-
 def test_graph_sample_local_frame(p3):
     # the unstable graph fills the minus slot with its base, the stable graph
     # the plus slot; residual measures the other slot against the graph

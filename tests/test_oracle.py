@@ -76,7 +76,7 @@ def test_oracle_uses_forward_time_only():
     source = inspect.getsource(oracle)
     # the module integrates through gradleaf's lockstep solve_ivp alone,
     # whose durations are never negative
-    assert "from .flow import Trajectory, solve_ivp" in source
+    assert "from .flow import solve_ivp" in source
     assert "integrate_forward" not in source and "scipy" not in source
 
 
@@ -182,7 +182,7 @@ def _ready_state(name, tmp_path):
 ])
 def test_lockstep_matches_serial_loop(name, tmp_path):
     state = _ready_state(name, tmp_path)
-    groups, _ = pipeline.oracle_queries(state)
+    groups = pipeline.oracle_queries(state)
     queries = [query for group in groups for query in group]
     tol = oracle.NEWTON_TOL
     shot = mixed_bvp_oracle(state.model, queries)
