@@ -194,9 +194,11 @@ def test_empty_report_fails_and_worst_row_is_named():
     assert "z_minus=center z_plus=(0.4)" in message
 
 
-def test_endpoint_bound_is_claimed_from_T0_on(p2):
-    # with varkappa below both endpoint gaps, the horizon alone decides:
-    # below T0 the gap is returned, at T0 it must be within varkappa
+def test_mixed_store_key_includes_endpoint_enforcement(p2):
+    # the key carries T, and T alone decides the endpoint check: with
+    # varkappa below both endpoint gaps, a solve held below T0, where the gap
+    # is only returned, must not answer a request at T0, where it must be
+    # within varkappa
     zm = p2.sphere_point()
     zp = np.array([0.4 * p2.ladder.R])  # z+ = 0 ends on z- exactly
     horizons = (0.5 * p2.ladder.T0, p2.ladder.T0)
@@ -206,5 +208,6 @@ def test_endpoint_bound_is_claimed_from_T0_on(p2):
     result, gap = solver.mixed(horizons[0], zm, zp)
     assert gap == gaps[0] > ladder.varkappa
     assert result.curve.grid.t1 == horizons[0]
+    assert solver.held_mixed(horizons[0], zm, zp) is not None
     with pytest.raises(EndpointViolation):
         solver.mixed(horizons[1], zm, zp)

@@ -431,6 +431,18 @@ def test_linearized_derivative_norm_bound(p2):
     assert weighted <= 2.0 * np.linalg.norm(v) + 1e-12
 
 
+def test_mixed_rejects_short_horizon(p2):
+    # the backward orbit must cover [-T, 0]; a horizon beyond it is refused
+    from gradleaf.errors import HorizonMismatch
+
+    zm = p2.sphere_point()
+    orbit = p2.orbit(zm)
+    T = -orbit.curve.grid.t0 + 1.0
+    with pytest.raises(HorizonMismatch, match="does not cover"):
+        lp.solve_mixed(p2.model, p2.ladder, T, zm, np.zeros(1), orbit,
+                       cache=p2.cache)
+
+
 def test_graph_sample_local_frame(p3):
     # the unstable graph fills the minus slot with its base, the stable graph
     # the plus slot; residual measures the other slot against the graph
