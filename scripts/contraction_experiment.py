@@ -26,7 +26,7 @@ def measure(config_path, out_csv, pairs=25, seed=0):
         state = RunState(problem=load_problem(config_path),
                          out_dir=Path(stage_dir), seed=seed)
         run_stage("manifolds", state)
-    model, ladder, cache = state.model, state.ladder, state.cache
+    model, ladder = state.model, state.ladder
     rng = np.random.default_rng(seed)
 
     zm = state.disk.sphere_minus[0]
@@ -35,10 +35,9 @@ def measure(config_path, out_csv, pairs=25, seed=0):
     rows = []
     for T in ladder.T0 + np.linspace(0.0, 4.0, 5):
         orbit = state.solver.orbit(zm, T)
-        grid = cache.grid(0.0, T)
-        ref = lp.reference_curve(orbit.curve, grid, ladder.lambda_)
-        op = lp.PsiTOperator(model, ladder, T, zm, z_plus, ref, grid,
-                             cache.convolver(grid))
+        grid = model.grid(0.0, T)
+        ref = lp.reference_curve(orbit.curve, grid)
+        op = lp.PsiTOperator(model, ladder, zm, z_plus, ref)
         worst = 0.0
         done = 0
         while done < pairs:

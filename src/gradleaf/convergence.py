@@ -106,10 +106,9 @@ class GraphFamilySolver:
     ones not yet held together, in one batched Picard loop.
     """
 
-    def __init__(self, model, ladder, cache):
+    def __init__(self, model, ladder):
         self.model = model
         self.ladder = ladder
-        self.cache = cache
         self._orbits = {}
         self._mixed = {}
         self._stable = {}
@@ -120,7 +119,7 @@ class GraphFamilySolver:
         if have is None or have.curve.grid.t0 > -t_need:
             t_max = max(default_horizon(self.ladder), t_need)
             have = backward_orbit(self.model, self.ladder, np.asarray(z_minus),
-                                  t_max, self.cache)
+                                  t_max)
             self._orbits[key] = have
             # a held mixed solve of this z- is centered on the orbit replaced
             self._mixed = {k: v for k, v in self._mixed.items() if k[1] != key}
@@ -150,7 +149,7 @@ class GraphFamilySolver:
                     todo.setdefault(key, zp)
             solved = mixed_columns(self.model, self.ladder, T, z_minus,
                                    np.array(list(todo.values()), dtype=float),
-                                   orbit, self.cache)
+                                   orbit)
             for key, out in zip(todo, solved):
                 self._mixed[key] = out
         return [self._mixed[key] for key in keys]
@@ -168,8 +167,7 @@ class GraphFamilySolver:
                 todo.setdefault(key, zp)
         if todo:
             solved = stable_columns(self.model, self.ladder,
-                                    np.array(list(todo.values()), dtype=float),
-                                    self.cache)
+                                    np.array(list(todo.values()), dtype=float))
             for key, out in zip(todo, solved):
                 self._stable[key] = out
         return [self._stable[key] for key in keys]
@@ -283,9 +281,9 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
                                ok=gap <= bound + budget)
                     base = len(probes) - len(z_plus_list) + a
                     dT_lin = graph_derivative_linearized(
-                        model, ladder, mixed[base][0], v, solver.cache)
+                        model, ladder, mixed[base][0], v)
                     dI_lin = graph_derivative_linearized(
-                        model, ladder, stable[base], v, solver.cache)
+                        model, ladder, stable[base], v)
                     cross.append(float(np.linalg.norm(
                         (dT_lin - dI_lin) - (dT_half - dI_half))))
     report.extras["linearized_vs_fd_max"] = max(cross)

@@ -340,7 +340,7 @@ def induced_flow(atlas, labels, z_local, t):
     z_plus = rows[:, model.k:]
     for leaf, zp in zip(leaves, z_plus):
         for i, ax in enumerate(leaf.graph.axes):
-            if zp[i] < ax[0] - 1e-9 or zp[i] > ax[-1] + 1e-9:
+            if not ax[0] <= zp[i] <= ax[-1]:
                 raise OutsideLeafDomain(
                     f"plus coordinate {zp} outside the leaf graph domain")
     out = np.empty_like(rows)

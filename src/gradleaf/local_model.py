@@ -7,18 +7,21 @@ Hessian puts the gradient flow in the form
 
 with h(0) = 0 and dh(0) = 0.  h = grad q and dh = Hess q for the local potential
 q(xi) = sum_i lambda_i xi_i^2 / 2 - f(x0 + U xi).  This module provides them,
-Lipschitz bounds read off q's coefficient table, and the rate constants all
-contraction estimates use.
+Lipschitz bounds read off q's coefficient table, the rate constants all
+contraction estimates use, the time grids and convolvers of the contraction
+operators, one per horizon, and the counts of the solves made on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .curves import PanelGrid
 from .errors import IndexOutOfRange, LadderInfeasible
+from .kernels import ExpConvolver
 from .polynomials import Polynomial
 
 #: region factor: curves of the contraction spaces stay within this multiple
@@ -28,7 +31,9 @@ SMALLNESS_BOUND = 0.125  # 1/8
 
 
 class LocalModel:
-    """Problem + spectral splitting re-expressed in the adapted frame."""
+    """Problem + spectral splitting re-expressed in the adapted frame, with
+    the time grids and convolvers of its solves, one per horizon, and the
+    ``SolverCounts`` of those solves."""
 
     def __init__(self, problem, split):
         if problem.dimension != split.dimension:
@@ -48,6 +53,9 @@ class LocalModel:
         self.potential = Polynomial(self.n, {a: c for a, c in q.items() if c != 0.0})
         #: the objective at the critical point, c = f(x0)
         self.critical_value = self.f_local(np.zeros(self.n))
+        self.counts = SolverCounts()
+        self._grids = {}
+        self._convs = {}
 
     # -- coordinates ---------------------------------------------------------
     def to_ambient(self, xi):
@@ -76,6 +84,22 @@ class LocalModel:
     def f_local(self, xi):
         """The objective at local point(s): (n,) gives a float, (m, n) an array."""
         return self.problem.f(self.to_ambient(xi))
+
+    # -- discretization --------------------------------------------------------
+    def grid(self, t0, t1):
+        """The time grid on [t0, t1], built once per horizon."""
+        key = (round(float(t0), 12), round(float(t1), 12))
+        if key not in self._grids:
+            max_rate = float(np.max(np.abs(self.eigenvalues)))
+            self._grids[key] = PanelGrid(t0, t1, max_rate)
+        return self._grids[key]
+
+    def convolver(self, grid):
+        """The exponential convolver of ``grid``, built once per grid."""
+        key = (round(grid.t0, 12), round(grid.t1, 12), grid.size)
+        if key not in self._convs:
+            self._convs[key] = ExpConvolver(grid, self.eigenvalues)
+        return self._convs[key]
 
 
 def lipschitz_modulus(model):
@@ -160,27 +184,45 @@ class RateLadder:
         return self.kappa_region * (1 / self.delta + 1 / (self.lambda_ + self.mu))
 
     def echo(self):
-        return {
-            "lambda": self.lambda_,
-            "delta": self.delta,
-            "mu": self.mu,
-            "rho": self.rho,
-            "varkappa": self.varkappa,
-            "epsilon": self.epsilon,
-            "varsigma": self.varsigma,
-            "T1": self.T1,
-            "T2": self.T2,
-            "T0": self.T0,
-            "kappa_rho": self.kappa_rho,
-            "kappa_region": self.kappa_region,
-            "kappa_star": self.kappa_star,
-            "c1": self.c1,
-            "c_star": self.c_star,
-            "gap": self.gap,
-            "lambda_min": self.lambda_min,
-            "morse_index": self.morse_index,
-            "calibrated": self.calibrated,
-        }
+        """Every field by name, ``lambda_`` as ``lambda``."""
+        return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
+
+
+class SolverCounts:
+    """What the Picard loop did, per ladder and operator kind: columns
+    solved, batched calls, the sum and the maximum of the columns' iteration
+    counts, and the worst contraction ratio res_k / res_(k-1) measured
+    between two iterations of a column (None while every column converged
+    at its first iteration, so that no ratio was formed)."""
+
+    def __init__(self):
+        #: (ladder, {kind: counts}) in the order the ladders were first used
+        self.ladders = []
+
+    def record(self, ladder, kind, iterations, worst_ratio):
+        """One batched call on ``ladder`` that solved columns in
+        ``iterations`` steps each; ``worst_ratio`` is None when it formed no
+        ratio."""
+        kinds = next((k for held, k in self.ladders if held is ladder), None)
+        if kinds is None:
+            kinds = {}
+            self.ladders.append((ladder, kinds))
+        entry = kinds.setdefault(kind, {
+            "columns": 0, "batches": 0, "iterations_sum": 0,
+            "iterations_max": 0, "worst_ratio": None})
+        entry["columns"] += len(iterations)
+        entry["batches"] += 1
+        entry["iterations_sum"] += sum(iterations)
+        entry["iterations_max"] = max([entry["iterations_max"], *iterations])
+        ratios = [r for r in (entry["worst_ratio"], worst_ratio) if r is not None]
+        entry["worst_ratio"] = max(ratios, default=None)
+
+    def summary(self):
+        """Per ladder, in order of first use, its counts next to its a
+        priori contraction factor; and the paper's 1/2."""
+        return {"ladders": [{"contraction_bound": ladder.contraction_bound(),
+                             "kinds": kinds} for ladder, kinds in self.ladders],
+                "paper_bound": 0.5}
 
 
 def _provisional_disks(split, rho):

@@ -25,7 +25,9 @@ loop iterates them together on ``(B, size, n)`` blocks.  A column is frozen
 when it converges or fails; it rounds as it does alone, so its residual,
 iteration count and exception are those of a solve of that column by
 itself, and ``fixed_point`` is the loop's one-column case.  The loop counts
-its work per ladder and operator kind in the cache's ``SolverCounts``.
+its work per ladder and operator kind in the model's ``SolverCounts``.  An
+operator's grid follows from its kind and horizon, and the model builds
+each grid and its convolver once.
 
 Solving on a tensor grid of base points gives a ``GraphSample``.  Every
 other module reaches the local-frame geometry of a sampled graph through it:
@@ -46,7 +48,6 @@ from .curves import (
     FORWARD_FINITE,
     FORWARD_INFINITE,
     Curve,
-    PanelGrid,
     exp_weights,
     row_norms,
 )
@@ -58,7 +59,6 @@ from .errors import (
     OutOfTrustRegion,
     OutsideSampledDomain,
 )
-from .kernels import ExpConvolver
 
 #: Picard tolerance of every solve, in the exp norm; the manifest records
 #: it as ``tol``
@@ -88,67 +88,6 @@ def truncation_tail(ladder, t_max):
     return ladder.kappa_rho * ladder.rho * np.exp(-t_max * lam) / (lam + mu)
 
 
-class SolverCounts:
-    """What the Picard loop did, per ladder and operator kind: columns
-    solved, batched calls, the sum and the maximum of the columns' iteration
-    counts, and the worst contraction ratio res_k / res_(k-1) measured
-    between two iterations of a column (None while every column converged
-    at its first iteration, so that no ratio was formed)."""
-
-    def __init__(self):
-        #: (ladder, {kind: counts}) in the order the ladders were first used
-        self.ladders = []
-
-    def record(self, ladder, kind, iterations, worst_ratio):
-        """One batched call on ``ladder`` that solved columns in
-        ``iterations`` steps each; ``worst_ratio`` is None when it formed no
-        ratio."""
-        kinds = next((k for held, k in self.ladders if held is ladder), None)
-        if kinds is None:
-            kinds = {}
-            self.ladders.append((ladder, kinds))
-        entry = kinds.setdefault(kind, {
-            "columns": 0, "batches": 0, "iterations_sum": 0,
-            "iterations_max": 0, "worst_ratio": None})
-        entry["columns"] += len(iterations)
-        entry["batches"] += 1
-        entry["iterations_sum"] += sum(iterations)
-        entry["iterations_max"] = max([entry["iterations_max"], *iterations])
-        ratios = [r for r in (entry["worst_ratio"], worst_ratio) if r is not None]
-        entry["worst_ratio"] = max(ratios, default=None)
-
-    def summary(self):
-        """Per ladder, in order of first use, its counts next to its a
-        priori contraction factor; and the paper's 1/2."""
-        return {"ladders": [{"contraction_bound": ladder.contraction_bound(),
-                             "kinds": kinds} for ladder, kinds in self.ladders],
-                "paper_bound": 0.5}
-
-
-class SolverCache:
-    """Grids and convolvers keyed by horizon, shared across solves, and the
-    counts of the solves made with them."""
-
-    def __init__(self, model):
-        self.model = model
-        self._grids = {}
-        self._convs = {}
-        self.counts = SolverCounts()
-
-    def grid(self, t0, t1):
-        key = (round(float(t0), 12), round(float(t1), 12))
-        if key not in self._grids:
-            max_rate = float(np.max(np.abs(self.model.eigenvalues)))
-            self._grids[key] = PanelGrid(t0, t1, max_rate)
-        return self._grids[key]
-
-    def convolver(self, grid):
-        key = (round(grid.t0, 12), round(grid.t1, 12), grid.size)
-        if key not in self._convs:
-            self._convs[key] = ExpConvolver(grid, self.model.eigenvalues)
-        return self._convs[key]
-
-
 @dataclass
 class FixedPointResult:
     curve: Curve
@@ -162,11 +101,11 @@ class FixedPointResult:
     def reported_residual(self):
         return self.residual + self.tail
 
-    def reference(self, grid, rate):
+    def reference(self, grid):
         """``reference_curve`` of this orbit on ``grid``, built once per grid."""
-        key = (grid.t0, grid.t1, grid.size, rate)
+        key = (grid.t0, grid.t1, grid.size)
         if key not in self.references:
-            self.references[key] = reference_curve(self.curve, grid, rate)
+            self.references[key] = reference_curve(self.curve, grid)
         return self.references[key]
 
 
@@ -186,18 +125,18 @@ def _add_integrals(out, conv, k, y):
     return out
 
 
-def _boundary_term(model, grid, count, z_minus, z_plus, t_minus):
+def _boundary_term(model, grid, count, z_minus, z_plus):
     """The free linear solutions on ``grid`` of ``count`` columns, shape
-    (count, size, n): the minus part equals ``z_minus`` at time ``t_minus``,
-    the plus part ``z_plus`` at time 0.  Each of the two is one row per
-    column, (count, d), one vector (d,) that every column shares, or None
-    for a zero part."""
+    (count, size, n): the minus part equals ``z_minus`` at the end of the
+    grid, the plus part ``z_plus`` at time 0.  Each of the two is one row
+    per column, (count, d), one vector (d,) that every column shares, or
+    None for a zero part."""
     k, eigs = model.k, model.eigenvalues
     out = np.zeros((count, grid.size, model.n))
     if z_minus is not None:
         for j in range(k):
-            # exp(-(t - t_minus) lam_j) with t <= t_minus, lam_j < 0: at most one
-            out[:, :, j] = grid.exp_profile(eigs[j], t_minus) * z_minus[..., j, None]
+            # exp(-(t - t1) lam_j) with t <= t1, lam_j < 0: at most one
+            out[:, :, j] = grid.exp_profile(eigs[j], grid.t1) * z_minus[..., j, None]
     if z_plus is not None:
         for j in range(k, model.n):
             out[:, :, j] += grid.exp_profile(eigs[j]) * z_plus[..., j - k, None]
@@ -210,27 +149,28 @@ class IntegralOperator:
     One operator holds a stack of columns that share grid, convolver and
     reference.  ``z_minus`` and ``z_plus`` each give one row per column,
     (B, d), or one vector (d,) that every column shares; with no rows at
-    all the operator has one column.  The boundary terms are built per
-    block of columns, when the block is solved.  ``reference`` (time-T
-    problems only) centers the rho ball and the initial curve; without it
-    both are centered at zero.  ``tail`` bounds the integral discarded by
-    truncating an infinite horizon.
+    all the operator has one column.  The minus part is prescribed at the
+    end of the grid, the plus part at time 0.  The boundary terms are
+    built per block of columns, when the block is solved.  ``reference``
+    (time-T problems only) centers the rho ball and the initial curve;
+    without it both are centered at zero.  ``tail`` bounds the integral
+    discarded by truncating an infinite horizon, and is 0 on a finite one.
     """
 
-    def __init__(self, model, ladder, grid, conv, kind, tail, z_minus=None,
-                 z_plus=None, t_minus=0.0, reference=None):
+    def __init__(self, model, ladder, grid, kind, z_minus=None, z_plus=None,
+                 reference=None):
         self.model = model
         self.ladder = ladder
         self.grid = grid
-        self.conv = conv
+        self.conv = model.convolver(grid)
         self.k = model.k
         self.n = model.n
         self.kind = kind
-        self.tail = tail
+        self.tail = (0.0 if kind == FORWARD_FINITE
+                     else truncation_tail(ladder, grid.t1 - grid.t0))
         self.reference = reference
         self.z_minus = None if z_minus is None else np.asarray(z_minus, dtype=float)
         self.z_plus = None if z_plus is None else np.asarray(z_plus, dtype=float)
-        self.t_minus = t_minus
         self.columns = max([len(z) for z in (self.z_minus, self.z_plus)
                             if z is not None and z.ndim == 2], default=1)
         #: the exp-norm weight of every curve of this operator
@@ -242,7 +182,7 @@ class IntegralOperator:
             return z[cols] if z is not None and z.ndim == 2 else z
         count = len(range(*cols.indices(self.columns)))
         return _boundary_term(self.model, self.grid, count, pick(self.z_minus),
-                              pick(self.z_plus), self.t_minus)
+                              pick(self.z_plus))
 
     def start(self, boundary):
         """Initial curves for the boundary terms ``boundary``."""
@@ -301,25 +241,21 @@ class IntegralOperator:
         return images, errors
 
 
-def PhiOperator(model, ladder, z_minus, grid, conv):
-    """Backward-horizon operator with prescribed unstable projection(s)."""
-    if abs(grid.t1) > 1e-12:
-        raise HorizonMismatch("backward grids must end at t = 0")
-    return IntegralOperator(model, ladder, grid, conv, BACKWARD,
-                            truncation_tail(ladder, -grid.t0), z_minus=z_minus)
+def PhiOperator(model, ladder, z_minus, t_max):
+    """Operator on [-t_max, 0] with prescribed unstable projection(s)."""
+    return IntegralOperator(model, ladder, model.grid(-float(t_max), 0.0), BACKWARD,
+                            z_minus=z_minus)
 
 
-def PsiOperator(model, ladder, z_plus, grid, conv):
-    """Forward-horizon operator with prescribed stable projection(s)."""
-    if abs(grid.t0) > 1e-12:
-        raise HorizonMismatch("forward grids must start at t = 0")
-    return IntegralOperator(model, ladder, grid, conv, FORWARD_INFINITE,
-                            truncation_tail(ladder, grid.t1), z_plus=z_plus)
+def PsiOperator(model, ladder, z_plus, t_max):
+    """Operator on [0, t_max] with prescribed stable projection(s)."""
+    return IntegralOperator(model, ladder, model.grid(0.0, t_max), FORWARD_INFINITE,
+                            z_plus=z_plus)
 
 
-def PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid, conv):
-    """Mixed-boundary operator on [0, T], for one ``z_minus`` and one or
-    more ``z_plus`` rows.
+def PsiTOperator(model, ladder, z_minus, z_plus, reference):
+    """Mixed-boundary operator on the grid [0, T] of ``reference``, for one
+    ``z_minus`` and one or more ``z_plus`` rows.
 
     Boundary exactness is structural: the forward convolution vanishes at
     t = 0 and the backward one at t = T, so the plus part of any image curve
@@ -327,11 +263,8 @@ def PsiTOperator(model, ladder, T, z_minus, z_plus, reference, grid, conv):
     rounding error.  ``mixed_columns`` checks that each z+ lies in the
     graph domain when its turn comes.
     """
-    if abs(grid.t0) > 1e-12 or abs(grid.t1 - T) > 1e-9:
-        raise HorizonMismatch(f"grid horizon [{grid.t0}, {grid.t1}] does not match T = {T}")
-    return IntegralOperator(model, ladder, grid, conv, FORWARD_FINITE, 0.0,
-                            z_minus=z_minus, z_plus=z_plus, t_minus=float(T),
-                            reference=reference)
+    return IntegralOperator(model, ladder, reference.grid, FORWARD_FINITE,
+                            z_minus=z_minus, z_plus=z_plus, reference=reference)
 
 
 def _picard(operator, cols, counts, tol=PICARD_TOL):
@@ -397,19 +330,19 @@ def _picard(operator, cols, counts, tol=PICARD_TOL):
     return outcomes
 
 
-def fixed_point(operator, counts):
+def fixed_point(operator):
     """Picard iteration of a one-column operator: the one-column case of
     ``solve_columns``.
 
     Returns the FixedPointResult or raises the exception that ended it.
     """
-    (outcome,) = _picard(operator, slice(0, 1), counts)
+    (outcome,) = _picard(operator, slice(0, 1), operator.model.counts)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def solve_columns(operator, counts):
+def solve_columns(operator):
     """FixedPointResult of every column of ``operator``, in column order.
 
     Columns are solved in blocks of at most ``BLOCK_VALUES`` curve values,
@@ -419,7 +352,8 @@ def solve_columns(operator, counts):
     """
     per_block = max(1, BLOCK_VALUES // (operator.grid.size * operator.n))
     for start in range(0, operator.columns, per_block):
-        for outcome in _picard(operator, slice(start, start + per_block), counts):
+        for outcome in _picard(operator, slice(start, start + per_block),
+                               operator.model.counts):
             if isinstance(outcome, Exception):
                 raise outcome
             yield outcome
@@ -427,31 +361,29 @@ def solve_columns(operator, counts):
 
 # -- orbit and graph solvers --------------------------------------------------
 
-def backward_orbit(model, ladder, z_minus, t_max, cache):
+def backward_orbit(model, ladder, z_minus, t_max):
     """Fixed point of the backward operator on [-t_max, 0]: the orbit
     emanating from the critical point whose minus projection at time zero
     is ``z_minus``."""
-    grid = cache.grid(-float(t_max), 0.0)
-    op = PhiOperator(model, ladder, z_minus, grid, cache.convolver(grid))
-    return fixed_point(op, counts=cache.counts)
+    return fixed_point(PhiOperator(model, ladder, z_minus, t_max))
 
 
-def stable_columns(model, ladder, z_plus_rows, cache):
+def stable_columns(model, ladder, z_plus_rows):
     """Fixed points of the forward operator, one per row of ``z_plus_rows``,
     in row order (see ``solve_columns``)."""
-    grid = cache.grid(0.0, default_horizon(ladder))
-    op = PsiOperator(model, ladder, z_plus_rows, grid, cache.convolver(grid))
-    return solve_columns(op, cache.counts)
+    return solve_columns(PsiOperator(model, ladder, z_plus_rows,
+                                     default_horizon(ladder)))
 
 
-def reference_curve(orbit_curve, grid, rate):
-    """The orbit shifted to end at time T on a finite forward grid."""
+def reference_curve(orbit_curve, grid):
+    """The orbit shifted to end at time T on a finite forward grid, in the
+    orbit's exp norm."""
     T = grid.t1
     vals = orbit_curve.evaluate(grid.nodes - T)
-    return Curve(grid, vals, rate, FORWARD_FINITE)
+    return Curve(grid, vals, orbit_curve.rate, FORWARD_FINITE)
 
 
-def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache):
+def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit):
     """Fixed points of the mixed-boundary operator for one (T, z-), one per
     row of ``z_plus_rows``: ``(FixedPointResult, endpoint_gap)`` in row
     order (see ``solve_columns``).
@@ -465,18 +397,16 @@ def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache):
     """
     if orbit.curve.grid.t0 > -T + 1e-12:
         raise HorizonMismatch("backward orbit horizon does not cover [-T, 0]")
-    grid = cache.grid(0.0, T)
-    ref = orbit.reference(grid, ladder.lambda_)
+    ref = orbit.reference(model.grid(0.0, T))
     z_plus_rows = np.asarray(z_plus_rows, dtype=float)
     # the rows before the first one outside the graph domain, the ball of
     # radius R = rho/2, are solved; that one raises in its turn
     outside = (row_norms(z_plus_rows) > ladder.R * (1 + NORM_SLACK)).tolist()
     stop = outside.index(True) if True in outside else len(outside)
-    op = PsiTOperator(model, ladder, T, z_minus, z_plus_rows[:stop], ref, grid,
-                      cache.convolver(grid))
+    op = PsiTOperator(model, ladder, z_minus, z_plus_rows[:stop], ref)
     target = model.embed_minus(z_minus)
     endpoint_claimed = T >= ladder.T0 - 1e-12
-    for result in solve_columns(op, cache.counts):
+    for result in solve_columns(op):
         gap = float(np.linalg.norm(result.curve.values[-1] - target))
         if endpoint_claimed and gap > ladder.varkappa * (1 + NORM_SLACK):
             raise EndpointViolation(
@@ -486,9 +416,9 @@ def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit, cache):
         raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
 
 
-def solve_mixed(model, ladder, T, z_minus, z_plus, orbit, cache):
+def solve_mixed(model, ladder, T, z_minus, z_plus, orbit):
     """``mixed_columns`` for one z+: returns ``(FixedPointResult, endpoint_gap)``."""
-    (out,) = mixed_columns(model, ladder, T, z_minus, [z_plus], orbit, cache)
+    (out,) = mixed_columns(model, ladder, T, z_minus, [z_plus], orbit)
     return out
 
 
@@ -749,23 +679,21 @@ def _sample_tensor_grid(axes, codim, solved):
     return values, residuals, iters, gaps
 
 
-def graph_F_inf(model, ladder, cache):
+def graph_F_inf(model, ladder):
     """Unstable graph: plus part at time 0 of the backward fixed points."""
     axes = default_axes(ladder.R, model.k)
-    grid = cache.grid(-default_horizon(ladder), 0.0)
-    op = PhiOperator(model, ladder, tensor_points(axes), grid,
-                     cache.convolver(grid))
+    op = PhiOperator(model, ladder, tensor_points(axes), default_horizon(ladder))
     solved = ((res.curve.values[-1, model.k:], res, 0.0)
-              for res in solve_columns(op, cache.counts))
+              for res in solve_columns(op))
     values, residuals, iters, _ = _sample_tensor_grid(axes, model.n - model.k, solved)
     return GraphSample("F_inf", "minus", tuple(axes), values, residuals, iters)
 
 
-def graph_G_inf(model, ladder, cache):
+def graph_G_inf(model, ladder):
     """Stable graph: minus part at time 0 of the forward fixed points."""
     axes = default_axes(ladder.R, model.n - model.k)
     solved = ((res.curve.values[0, : model.k], res, 0.0) for res in
-              stable_columns(model, ladder, tensor_points(axes), cache))
+              stable_columns(model, ladder, tensor_points(axes)))
     values, residuals, iters, _ = _sample_tensor_grid(axes, model.k, solved)
     return GraphSample("G_inf", "plus", tuple(axes), values, residuals, iters)
 
@@ -774,8 +702,8 @@ def graph_G_T(solver, T, z_minus, base_axes=None):
     """Time-T graph over the plus ball for one sphere point ``z_minus``, on
     the ladder of ``solver``, its ``GraphFamilySolver``.
 
-    The graph uses the solver's orbit and cache and takes the nodes it
-    already holds; the rest are solved here and not stored.
+    The graph uses the solver's orbit and takes the nodes it already holds;
+    the rest are solved here and not stored.
     """
     model, ladder = solver.model, solver.ladder
     # before ``held_mixed``: an orbit replaced here drops the nodes held on it
@@ -784,7 +712,7 @@ def graph_G_T(solver, T, z_minus, base_axes=None):
     points = tensor_points(axes)
     held = [solver.held_mixed(T, z_minus, zp) for zp in points]
     fresh = mixed_columns(model, ladder, T, z_minus,
-                          points[[h is None for h in held]], orbit, solver.cache)
+                          points[[h is None for h in held]], orbit)
     solved = ((res.curve.values[0, : model.k], res, gap) for res, gap in
               (h if h is not None else next(fresh) for h in held))
     values, residuals, iters, gaps = _sample_tensor_grid(axes, model.k, solved)
@@ -805,9 +733,8 @@ class _LinearizedOperator(IntegralOperator):
     no trust-region or rho-ball check, so ``advance`` reports no errors.
     """
 
-    def __init__(self, model, ladder, curve, conv, v_plus):
-        super().__init__(model, ladder, curve.grid, conv, curve.kind, 0.0,
-                         z_plus=v_plus)
+    def __init__(self, model, ladder, curve, v_plus):
+        super().__init__(model, ladder, curve.grid, curve.kind, z_plus=v_plus)
         self.dh_nodes = model.dh(curve.values)
 
     def advance(self, values, boundary):
@@ -815,7 +742,7 @@ class _LinearizedOperator(IntegralOperator):
         return _add_integrals(boundary.copy(), self.conv, self.k, y[None]), {}
 
 
-def graph_derivative_linearized(model, ladder, fp_result, v_plus, cache):
+def graph_derivative_linearized(model, ladder, fp_result, v_plus):
     """Directional derivative of a graph map via the linearized equation.
 
     ``fp_result`` is the fixed point whose graph value is being
@@ -823,8 +750,7 @@ def graph_derivative_linearized(model, ladder, fp_result, v_plus, cache):
     time zero, i.e. the derivative of the graph map itself.
     """
     curve = fp_result.curve
-    op = _LinearizedOperator(model, ladder, curve, cache.convolver(curve.grid),
-                             np.asarray(v_plus, dtype=float))
+    op = _LinearizedOperator(model, ladder, curve, np.asarray(v_plus, dtype=float))
     (outcome,) = _picard(op, slice(0, 1), None, tol=1e-11)
     if isinstance(outcome, Exception):
         raise outcome

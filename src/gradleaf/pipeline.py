@@ -22,8 +22,8 @@ from .curves import row_norms
 from .errors import BoundViolation
 from .flow import descending_disk, integrate_forward
 from .local_model import LocalModel, build_ladder, calibrate_ladder, lipschitz_modulus
-from .lyapunov_perron import (PICARD_TOL, SolverCache, default_axes, graph_F_inf,
-                              graph_G_inf, graph_G_T)
+from .lyapunov_perron import (PICARD_TOL, default_axes, graph_F_inf, graph_G_inf,
+                              graph_G_T)
 from .oracle import mixed_bvp_oracle
 from .spectral import split
 
@@ -38,7 +38,6 @@ class RunState:
     split: object = None
     model: object = None
     ladder: object = None
-    cache: object = None
     solver: object = None
     graph_f: object = None
     graph_g: object = None
@@ -83,20 +82,17 @@ def stage_ladder(state):
     modulus, kappa_star = lipschitz_modulus(state.model)
     state.ladder = build_ladder(state.split, modulus, kappa_star=kappa_star,
                                 rho0=state.problem.trust_radius)
-    state.cache = SolverCache(state.model)
     state.emit("ladder.csv", ["constant", "value"],
                sorted(state.ladder.echo().items()))
-    state.details["ladder"] = state.ladder.echo()
 
 
 def stage_manifolds(state):
     _require(state, "ladder")
-    state.graph_f = graph_F_inf(state.model, state.ladder, state.cache)
-    state.graph_g = graph_G_inf(state.model, state.ladder, state.cache)
+    state.graph_f = graph_F_inf(state.model, state.ladder)
+    state.graph_g = graph_G_inf(state.model, state.ladder)
     state.ladder = calibrate_ladder(state.ladder, state.model, state.graph_f,
                                     state.graph_g)
-    state.solver = convergence.GraphFamilySolver(state.model, state.ladder,
-                                                 state.cache)
+    state.solver = convergence.GraphFamilySolver(state.model, state.ladder)
     state.disk = descending_disk(state.model, state.ladder, state.graph_f)
     for sample, name in ((state.graph_f, "graph_F_inf.csv"),
                          (state.graph_g, "graph_G_inf.csv")):
@@ -112,7 +108,6 @@ def stage_manifolds(state):
                reporting.trajectory_header(state.problem.dimension),
                reporting.trajectory_rows(state.problem, traj))
     state.details["manifolds"] = {
-        "ladder": state.ladder.echo(),
         "F_max": float(np.max(np.abs(state.graph_f.values))),
         "G_max": float(np.max(np.abs(state.graph_g.values))),
         "sphere": state.disk.sphere_minus.tolist(),
@@ -302,8 +297,8 @@ def run(problem, out_dir, stages, seed, config_digest):
             run_stage(name, state)
     except Exception as exc:
         error = exc
-    if state.cache is not None:
-        state.details["solver"] = state.cache.counts.summary()
+    if state.ladder is not None:
+        state.details["solver"] = state.model.counts.summary()
     manifest = {
         "problem": problem.name,
         "config_hash": config_digest,

@@ -30,8 +30,9 @@ class Setup:
     """Everything downstream modules need for one problem, built as a run
     builds it: the ladder from the Lipschitz bounds of q's coefficient
     table (``modulus``, a function of the radius, and ``kappa_star``), the
-    raw ladder's graphs, the calibrated ladder and its descending disk, all
-    solved on one ``SolverCache``."""
+    raw ladder's graphs, the calibrated ladder and its descending disk.  The
+    model holds the grids and convolvers every solve of the session shares,
+    and their counts."""
 
     def __init__(self, problem):
         self.problem = problem
@@ -40,9 +41,8 @@ class Setup:
         self.modulus, self.kappa_star = lipschitz_modulus(self.model)
         self.ladder_raw = build_ladder(self.split, self.modulus,
                                        self.kappa_star, problem.trust_radius)
-        self.cache = lp.SolverCache(self.model)
-        self.graph_f = lp.graph_F_inf(self.model, self.ladder_raw, self.cache)
-        self.graph_g = lp.graph_G_inf(self.model, self.ladder_raw, self.cache)
+        self.graph_f = lp.graph_F_inf(self.model, self.ladder_raw)
+        self.graph_g = lp.graph_G_inf(self.model, self.ladder_raw)
         self.ladder = calibrate_ladder(self.ladder_raw, self.model,
                                        self.graph_f, self.graph_g)
         self.disk = descending_disk(self.model, self.ladder, self.graph_f)
@@ -51,15 +51,14 @@ class Setup:
         return self.disk.sphere_minus[i]
 
     def solver(self):
-        """A new solve store of the calibrated ladder on the shared cache."""
-        return GraphFamilySolver(self.model, self.ladder, self.cache)
+        """A new solve store of the calibrated ladder."""
+        return GraphFamilySolver(self.model, self.ladder)
 
     def orbit(self, z_minus, t_need=None):
         t_max = lp.default_horizon(self.ladder)
         return lp.backward_orbit(self.model, self.ladder,
                                  np.asarray(z_minus, dtype=float),
-                                 t_max if t_need is None else max(t_max, t_need),
-                                 self.cache)
+                                 t_max if t_need is None else max(t_max, t_need))
 
 
 @pytest.fixture(scope="session")

@@ -62,11 +62,9 @@ def test_criterion_1_contraction_factor(p2):
         for T in lad.T0 + np.arange(5.0):
             zm = p2.sphere_point()
             orbit = p2.orbit(zm, t_need=T)
-            grid = p2.cache.grid(0.0, T)
-            ref = lp.reference_curve(orbit.curve, grid, lad.lambda_)
-            op = lp.PsiTOperator(p2.model, lad, T, zm,
-                                 np.array([0.3 * lad.R]), ref, grid,
-                                 p2.cache.convolver(grid))
+            grid = p2.model.grid(0.0, T)
+            ref = lp.reference_curve(orbit.curve, grid)
+            op = lp.PsiTOperator(p2.model, lad, zm, np.array([0.3 * lad.R]), ref)
             pairs = 0
             while pairs < 10:
                 curves = []

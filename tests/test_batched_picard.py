@@ -7,6 +7,7 @@ node fails, the same exception from the first failing node in grid order.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,27 +48,23 @@ def loop_fixed_point(op):
                         f"(residual {res:.3e})")
 
 
-def loop_backward(model, ladder, z, cache):
-    grid = cache.grid(-lp.default_horizon(ladder), 0.0)
-    return loop_fixed_point(lp.PhiOperator(model, ladder, z, grid,
-                                           cache.convolver(grid)))
+def loop_backward(model, ladder, z):
+    return loop_fixed_point(lp.PhiOperator(model, ladder, z,
+                                           lp.default_horizon(ladder)))
 
 
-def loop_stable(model, ladder, z, cache):
-    grid = cache.grid(0.0, lp.default_horizon(ladder))
-    return loop_fixed_point(lp.PsiOperator(model, ladder, z, grid,
-                                           cache.convolver(grid)))
+def loop_stable(model, ladder, z):
+    return loop_fixed_point(lp.PsiOperator(model, ladder, z,
+                                           lp.default_horizon(ladder)))
 
 
-def loop_mixed(model, ladder, T, z_minus, z_plus, orbit, cache):
+def loop_mixed(model, ladder, T, z_minus, z_plus, orbit):
     """One mixed solve with its domain and endpoint checks, as the per-node
     loop made it."""
     if np.linalg.norm(z_plus) > ladder.R * (1 + lp.NORM_SLACK):
         raise NormBudgetExceeded("|z_plus| exceeds the graph domain radius rho/2")
-    grid = cache.grid(0.0, T)
-    op = lp.PsiTOperator(model, ladder, T, z_minus, z_plus,
-                         orbit.reference(grid, ladder.lambda_), grid,
-                         cache.convolver(grid))
+    op = lp.PsiTOperator(model, ladder, z_minus, z_plus,
+                         orbit.reference(model.grid(0.0, T)))
     res = loop_fixed_point(op)
     gap = float(np.linalg.norm(res.curve.values[-1] - model.embed_minus(z_minus)))
     if gap > ladder.varkappa * (1 + lp.NORM_SLACK):
@@ -102,15 +99,15 @@ def assert_same_sample(sample, reference):
 @pytest.mark.parametrize("name", ["p2", "p3", "k2"])
 def test_infinite_graphs_match_per_node(request, name):
     setup = request.getfixturevalue(name)
-    model, ladder, cache = setup.model, setup.ladder_raw, setup.cache
+    model, ladder = setup.model, setup.ladder_raw
     k = model.k
 
     def backward(z):
-        res = loop_backward(model, ladder, z, cache)
+        res = loop_backward(model, ladder, z)
         return res.curve.values[-1, k:], res, 0.0
 
     def stable(z):
-        res = loop_stable(model, ladder, z, cache)
+        res = loop_stable(model, ladder, z)
         return res.curve.values[0, :k], res, 0.0
 
     assert_same_sample(setup.graph_f,
@@ -121,14 +118,14 @@ def test_infinite_graphs_match_per_node(request, name):
 @pytest.mark.parametrize("name", ["p2", "p3", "k2"])
 def test_time_T_graph_matches_per_node(request, name):
     setup = request.getfixturevalue(name)
-    model, ladder, cache = setup.model, setup.ladder, setup.cache
+    model, ladder = setup.model, setup.ladder
     T = ladder.T0 + 0.5
     zm = setup.sphere_point()
     orbit = setup.orbit(zm, t_need=T)
     sample = lp.graph_G_T(setup.solver(), T, zm)
 
     def mixed(z):
-        res, gap = loop_mixed(model, ladder, T, zm, z, orbit, cache)
+        res, gap = loop_mixed(model, ladder, T, zm, z, orbit)
         return res.curve.values[0, : model.k], res, gap
 
     reference = per_node(sample.axes, model.k, mixed)
@@ -154,7 +151,7 @@ def _first_failure(solve, points):
 
 
 def test_endpoint_failure_matches_per_node(p2):
-    model, cache = p2.model, p2.cache
+    model = p2.model
     T = p2.ladder.T0
     zm = p2.sphere_point()
     orbit = p2.orbit(zm, t_need=T)
@@ -163,10 +160,10 @@ def test_endpoint_failure_matches_per_node(p2):
     ladder = replace(p2.ladder, varkappa=float(np.median(gaps)))
     points = lp.tensor_points(lp.default_axes(ladder.R, 1))
     expected = _first_failure(
-        lambda z: loop_mixed(model, ladder, T, zm, z, orbit, cache), points)
+        lambda z: loop_mixed(model, ladder, T, zm, z, orbit), points)
     assert isinstance(expected, EndpointViolation)
     with pytest.raises(EndpointViolation) as info:
-        lp.graph_G_T(convergence.GraphFamilySolver(model, ladder, cache), T, zm)
+        lp.graph_G_T(convergence.GraphFamilySolver(model, ladder), T, zm)
     assert str(info.value) == str(expected)
 
 
@@ -175,21 +172,18 @@ def test_trust_region_failure_matches_per_node(p3):
     zm = p3.sphere_point()
     orbit = p3.orbit(zm, t_need=T)
     points = lp.tensor_points(lp.default_axes(p3.ladder.R, 2))
-    grid = p3.cache.grid(0.0, T)
-    ref = orbit.reference(grid, p3.ladder.lambda_)
+    ref = orbit.reference(p3.model.grid(0.0, T))
     starts = [np.max(row_norms(operator_start(lp.PsiTOperator(
-                  p3.model, p3.ladder, T, zm, z, ref, grid,
-                  p3.cache.convolver(grid))).values))
+                  p3.model, p3.ladder, zm, z, ref)).values))
               for z in points]
     # a trust ball that some nodes' initial curves leave
     problem = replace(p3.problem, trust_radius=float(np.median(starts)))
     model = LocalModel(problem, p3.split)
     expected = _first_failure(
-        lambda z: loop_mixed(model, p3.ladder, T, zm, z, orbit, p3.cache), points)
+        lambda z: loop_mixed(model, p3.ladder, T, zm, z, orbit), points)
     assert isinstance(expected, OutOfTrustRegion)
     with pytest.raises(OutOfTrustRegion) as info:
-        lp.graph_G_T(convergence.GraphFamilySolver(model, p3.ladder, p3.cache),
-                     T, zm)
+        lp.graph_G_T(convergence.GraphFamilySolver(model, p3.ladder), T, zm)
     assert str(info.value) == str(expected)
 
 
@@ -198,7 +192,7 @@ def test_domain_failure_raises_in_its_turn(p2, first):
     # a plus axis that leaves the graph domain at one end: the node outside
     # raises NormBudgetExceeded only when its turn comes, so an earlier
     # node's endpoint failure is the one raised, and the other way round
-    model, cache = p2.model, p2.cache
+    model = p2.model
     T = p2.ladder.T0
     zm = p2.sphere_point()
     orbit = p2.orbit(zm, t_need=T)
@@ -211,7 +205,7 @@ def test_domain_failure_raises_in_its_turn(p2, first):
     alone = []
     for z in points:
         try:
-            alone.append(loop_mixed(model, ladder, T, zm, z, orbit, cache))
+            alone.append(loop_mixed(model, ladder, T, zm, z, orbit))
         except Exception as exc:  # noqa: BLE001 - compared below
             alone.append(exc)
     failures = [out for out in alone if isinstance(out, Exception)]
@@ -220,11 +214,11 @@ def test_domain_failure_raises_in_its_turn(p2, first):
                                                 NormBudgetExceeded}
     assert isinstance(failures[0], first)
     with pytest.raises(first) as info:
-        lp.graph_G_T(convergence.GraphFamilySolver(model, ladder, cache), T, zm,
+        lp.graph_G_T(convergence.GraphFamilySolver(model, ladder), T, zm,
                      (axis,))
     assert str(info.value) == str(failures[0])
     # the store keeps the rows solved before the failing one
-    solver = convergence.GraphFamilySolver(model, ladder, cache)
+    solver = convergence.GraphFamilySolver(model, ladder)
     with pytest.raises(first):
         solver.mixed_rows(T, zm, points)
     assert len(solver._mixed) == alone.index(failures[0])
@@ -238,11 +232,13 @@ class ScriptedOperator:
     coordinate 1 grows by the scripted residual each iteration, in powers of
     two so that the differences the loop measures are exact: 2^-j until the
     column converges (residual 0 at iteration k) and 1 for a stalling one.
+    Its model keeps no counts, so the loop records nothing.
     """
 
     kind = FORWARD_FINITE
     tail = 0.0
     n = 2
+    model = SimpleNamespace(counts=None)
 
     def __init__(self, grid, scripts, ids):
         self.grid = grid
@@ -317,12 +313,12 @@ def test_first_failing_column_raises_its_own_exception(monkeypatch, scripts,
     # the one-column case of the batched loop agrees with the per-column loop
     for col in table:
         try:
-            one = lp.fixed_point(ScriptedOperator(grid, table, [col]), None)
+            one = lp.fixed_point(ScriptedOperator(grid, table, [col]))
         except Exception as exc:  # noqa: BLE001 - compared below
             one = exc
         assert type(one) is type(alone[col]) and str(one) == str(alone[col])
     first = next(i for i, out in enumerate(alone) if isinstance(out, Exception))
-    batched = lp.solve_columns(ScriptedOperator(grid, table, list(table)), None)
+    batched = lp.solve_columns(ScriptedOperator(grid, table, list(table)))
     for col in range(first):
         res = next(batched)
         assert (res.residual, res.iterations) == (alone[col].residual,

@@ -204,7 +204,7 @@ def test_mixed_store_key_includes_endpoint_enforcement(p2):
     horizons = (0.5 * p2.ladder.T0, p2.ladder.T0)
     gaps = [p2.solver().mixed(T, zm, zp)[1] for T in horizons]
     ladder = replace(p2.ladder, varkappa=0.5 * min(gaps))
-    solver = cv.GraphFamilySolver(p2.model, ladder, p2.cache)
+    solver = cv.GraphFamilySolver(p2.model, ladder)
     result, gap = solver.mixed(horizons[0], zm, zp)
     assert gap == gaps[0] > ladder.varkappa
     assert result.curve.grid.t1 == horizons[0]

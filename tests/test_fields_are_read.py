@@ -9,6 +9,8 @@ every dataclass (annotated names in the body of a class decorated with
 attribute counts as read when its name is loaded as an attribute
 (``obj.name``) in ``src/gradleaf``, in ``scripts/`` or in
 ``bench/trace.py``, or is fetched by ``getattr`` with a constant name.  A
+dataclass whose methods call ``fields(self)`` reads every one of its
+fields (``RateLadder.echo`` writes them all to ``ladder.csv`` that way).  A
 store is not a read, and neither is an augmented assignment such as
 ``x.n += 1``.  Names are matched, not resolved, so a field shares the
 reads of every other attribute of its name.
@@ -30,6 +32,14 @@ def _is_dataclass(node):
         if name == "dataclass":
             return True
     return False
+
+
+def _reads_own_fields(node):
+    """True when a method of the class ``node`` calls ``fields(self)``."""
+    return any(isinstance(sub, ast.Call) and len(sub.args) == 1
+               and getattr(sub.func, "id", getattr(sub.func, "attr", None)) == "fields"
+               and getattr(sub.args[0], "id", None) == "self"
+               for sub in ast.walk(node))
 
 
 def stored_fields(package=PACKAGE):
@@ -56,6 +66,21 @@ def stored_fields(package=PACKAGE):
     return found
 
 
+def self_read_fields(package=PACKAGE):
+    """``file:Class.name`` of every field of a dataclass that reads them all
+    through ``fields(self)``."""
+    found = []
+    for source in sorted(package.rglob("*.py")):
+        file = source.relative_to(package.parent).as_posix()
+        for node in ast.walk(ast.parse(source.read_text())):
+            if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    and _reads_own_fields(node)):
+                found += [f"{file}:{node.name}.{item.target.id}" for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+    return found
+
+
 def attribute_reads(roots=READERS):
     """The names read as attributes under ``roots`` (directories or files):
     loaded ``obj.name`` and ``getattr(obj, "name")``."""
@@ -76,9 +101,9 @@ def attribute_reads(roots=READERS):
 def unread_fields(package=PACKAGE, roots=READERS):
     """Stored attributes under ``package`` whose name no code under
     ``roots`` reads, as ``file:Class.name``."""
-    reads = attribute_reads(roots)
+    reads, self_read = attribute_reads(roots), set(self_read_fields(package))
     return [field for field in stored_fields(package)
-            if field.rsplit(".", 1)[1] not in reads]
+            if field.rsplit(".", 1)[1] not in reads and field not in self_read]
 
 
 def test_every_stored_field_is_read():
@@ -91,10 +116,13 @@ def test_scan_sees_stores_counters_and_reads(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "mod.py").write_text(
-        "from dataclasses import dataclass, field\n\n"
+        "from dataclasses import dataclass, field, fields\n\n"
         "@dataclass\nclass Record:\n    kept: float\n    stored: float\n"
         "    scripted: int = 0\n    traced: list = field(default_factory=list)\n\n"
         "class Plain:\n    annotated: int = 0\n\n"
+        "@dataclass\nclass Echoed:\n    shown: float\n\n"
+        "    def echo(self):\n"
+        "        return {f.name: getattr(self, f.name) for f in fields(self)}\n\n"
         "class Counter:\n    def __init__(self):\n        self.hits = 0\n"
         "        self.looked_up = 1\n\n"
         "    def tick(self):\n        self.hits += 1\n"
@@ -108,7 +136,10 @@ def test_scan_sees_stores_counters_and_reads(tmp_path):
     assert stored_fields(package) == [
         "pkg/mod.py:Record.kept", "pkg/mod.py:Record.stored",
         "pkg/mod.py:Record.scripted", "pkg/mod.py:Record.traced",
+        "pkg/mod.py:Echoed.shown",
         "pkg/mod.py:Counter.hits", "pkg/mod.py:Counter.looked_up"]
+    # a dataclass reading its fields through ``fields(self)`` reads each one
+    assert self_read_fields(package) == ["pkg/mod.py:Echoed.shown"]
     # a field only stored and a counter only incremented are flagged
     assert unread_fields(package, (package, scripts, trace)) == [
         "pkg/mod.py:Record.stored", "pkg/mod.py:Counter.hits"]

@@ -322,6 +322,19 @@ def test_induced_flow_domain_guard(atlas_p2, p2):
         fol.induced_flow(atlas_p2, label, z, 1.0)
 
 
+@pytest.mark.parametrize("t", [math.inf, 1.0])
+def test_induced_flow_domain_is_the_sampled_grid(atlas_p2, t):
+    # a point just beyond the end of the plus axis is outside the leaf at
+    # every t, and the point on that end is inside
+    label = sorted(atlas_p2.leaves)[0]
+    leaf = atlas_p2.leaf(label)
+    end = leaf.graph.axes[0][-1]
+    with pytest.raises(OutsideLeafDomain):
+        fol.induced_flow(atlas_p2, label, np.array([0.0, end + 5e-10]), t)
+    on_end = leaf.graph.local_points(np.array([end]))
+    assert np.all(np.isfinite(fol.induced_flow(atlas_p2, label, on_end, t)))
+
+
 def test_center_leaf_flow_is_plain_flow(atlas_p2, p2, trajectory_tol):
     # on the center leaf the induced flow restricts to the gradient flow
     trajectory_tol(1e-12, 1e-15)

@@ -66,8 +66,7 @@ def test_mixed_solve_and_oracle_k2(k2, monkeypatch):
     T = 4.0
     zm = k2.sphere_point(1)
     zp = np.array([0.4 * ladder.R])
-    res, _ = next(mixed_columns(model, ladder, T, zm, [zp], k2.orbit(zm),
-                                k2.cache))
+    res, _ = next(mixed_columns(model, ladder, T, zm, [zp], k2.orbit(zm)))
     xi = res.curve.values
     assert np.max(np.abs(xi[0, 2:] - zp)) <= 1e-12
     assert np.max(np.abs(xi[-1, :2] - zm)) <= 1e-12

@@ -31,12 +31,9 @@ def random_zt_curves(op, rng, count, scale=0.45):
 
 
 def mixed_operator(setup, T, z_minus, z_plus):
-    cache = setup.cache
-    grid = cache.grid(0.0, T)
     orbit = setup.orbit(z_minus, t_need=T)
-    ref = lp.reference_curve(orbit.curve, grid, setup.ladder.lambda_)
-    return lp.PsiTOperator(setup.model, setup.ladder, T, z_minus, z_plus, ref,
-                           grid, cache.convolver(grid))
+    ref = lp.reference_curve(orbit.curve, setup.model.grid(0.0, T))
+    return lp.PsiTOperator(setup.model, setup.ladder, z_minus, z_plus, ref)
 
 
 # -- operator closed forms on the quadratic ----------------------------------
@@ -56,7 +53,7 @@ def test_phi_zero_input(p1):
 
 def test_psi_quadratic_closed_form(p1):
     z = np.array([0.12])
-    res = next(lp.stable_columns(p1.model, p1.ladder, [z], p1.cache))
+    res = next(lp.stable_columns(p1.model, p1.ladder, [z]))
     t = res.curve.grid.nodes
     assert np.allclose(res.curve.values[:, 1], 0.12 * np.exp(-2 * t), atol=1e-14)
     assert np.allclose(res.curve.values[:, 0], 0.0)
@@ -66,8 +63,7 @@ def test_psi_T_quadratic_closed_form(p1):
     T = p1.ladder.T0
     zm, zp = np.array([0.08]), np.array([0.1])
     orbit = p1.orbit(zm, t_need=T)
-    res, gap = lp.solve_mixed(p1.model, p1.ladder, T, zm, zp, orbit,
-                              cache=p1.cache)
+    res, gap = lp.solve_mixed(p1.model, p1.ladder, T, zm, zp, orbit)
     t = res.curve.grid.nodes
     assert np.allclose(res.curve.values[:, 0], 0.08 * np.exp(t - T), atol=1e-13)
     assert np.allclose(res.curve.values[:, 1], 0.1 * np.exp(-2 * t), atol=1e-13)
@@ -82,9 +78,8 @@ def test_psi_T_zero_zplus_is_reference_orbit(p1, p2):
         orbit = setup.orbit(zm, t_need=T)
         res, _ = lp.solve_mixed(setup.model, setup.ladder, T, zm,
                                 np.zeros(setup.model.n - setup.model.k),
-                                orbit, cache=setup.cache)
-        ref = lp.reference_curve(orbit.curve, res.curve.grid,
-                                 setup.ladder.lambda_)
+                                orbit)
+        ref = lp.reference_curve(orbit.curve, res.curve.grid)
         assert np.max(np.linalg.norm(res.curve.values - ref.values, axis=1)) < 5e-10
 
 
@@ -95,8 +90,7 @@ def test_boundary_exactness(p2):
     zm = p2.sphere_point()
     zp = np.array([0.4 * p2.ladder.R])
     orbit = p2.orbit(zm, t_need=T)
-    res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit,
-                            cache=p2.cache)
+    res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit)
     k = p2.model.k
     assert abs(res.curve.values[0, k:] - zp) .max() <= 1e-12
     assert abs(res.curve.values[-1, :k] - zm).max() <= 1e-12
@@ -107,9 +101,8 @@ def test_membership_in_ball(p2):
     zm = p2.sphere_point()
     zp = np.array([0.5 * p2.ladder.R])
     orbit = p2.orbit(zm, t_need=T)
-    res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit,
-                            cache=p2.cache)
-    ref = lp.reference_curve(orbit.curve, res.curve.grid, p2.ladder.lambda_)
+    res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit)
+    ref = lp.reference_curve(orbit.curve, res.curve.grid)
     assert res.curve.exp_distance(ref) <= p2.ladder.rho
 
 
@@ -193,8 +186,7 @@ def test_fixed_point_solves_ode(p2):
     zm = p2.sphere_point()
     zp = np.array([0.5 * p2.ladder.R])
     orbit = p2.orbit(zm, t_need=T)
-    res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit,
-                            cache=p2.cache)
+    res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit)
     xi = res.curve
     dv = derivative_values(xi)
     rhs = p2.model.h(xi.values) - xi.values * p2.model.eigenvalues
@@ -295,13 +287,12 @@ def test_linearized_derivative_matches_fd(curved):
     # re-solve central differences vs the linearized integral equation
     setup = curved
     zp = np.array([0.4 * setup.ladder.R])
-    st_res = next(lp.stable_columns(setup.model, setup.ladder, [zp], setup.cache))
+    st_res = next(lp.stable_columns(setup.model, setup.ladder, [zp]))
     v = np.ones(1)
-    lin = lp.graph_derivative_linearized(setup.model, setup.ladder, st_res, v,
-                                         cache=setup.cache)
+    lin = lp.graph_derivative_linearized(setup.model, setup.ladder, st_res, v)
     h = 0.05 * setup.ladder.R
     hi, lo = (res.curve.values[0, :1] for res in lp.stable_columns(
-        setup.model, setup.ladder, [zp + h * v, zp - h * v], setup.cache))
+        setup.model, setup.ladder, [zp + h * v, zp - h * v]))
     fd = (hi - lo) / (2 * h)
     # analytic slope of w = 0.02 y^2 is 0.04 y
     assert lin == pytest.approx(fd, abs=5e-8)
@@ -320,38 +311,70 @@ def test_fd_richardson_consistency(curved):
 def test_apply_entry_points_quadratic(p1):
     # single applications on the quadratic: integrals vanish with h == 0
     lad = p1.ladder
-    cache = p1.cache
     zm = np.array([0.1])
     zp = np.array([0.12])
-    grid_b = cache.grid(-lp.default_horizon(lad), 0.0)
+    phi = lp.PhiOperator(p1.model, lad, zm, lp.default_horizon(lad))
+    grid_b = phi.grid
     eta = Curve(grid_b, 0.3 * lad.rho * np.exp(lad.lambda_ * grid_b.nodes)[:, None]
                 * np.ones((1, 2)), lad.lambda_, "backward")
-    out = lp.PhiOperator(p1.model, lad, zm, grid_b, cache.convolver(grid_b)).apply(eta)
+    out = phi.apply(eta)
     assert np.allclose(out.values[:, 0], 0.1 * np.exp(grid_b.nodes), atol=1e-14)
     assert np.allclose(out.values[:, 1], 0.0)
 
-    grid_f = cache.grid(0.0, lp.default_horizon(lad))
+    psi = lp.PsiOperator(p1.model, lad, zp, lp.default_horizon(lad))
+    grid_f = psi.grid
     xi = Curve(grid_f, np.zeros((grid_f.size, 2)), lad.lambda_, "forward_infinite")
-    out = lp.PsiOperator(p1.model, lad, zp, grid_f, cache.convolver(grid_f)).apply(xi)
+    out = psi.apply(xi)
     assert np.allclose(out.values[:, 1], 0.12 * np.exp(-2 * grid_f.nodes), atol=1e-14)
 
     T = lad.T0
     orbit = p1.orbit(zm, t_need=T)
-    grid_T = cache.grid(0.0, T)
-    ref = lp.reference_curve(orbit.curve, grid_T, lad.lambda_)
-    out = lp.PsiTOperator(p1.model, lad, T, zm, zp, ref, grid_T,
-                          cache.convolver(grid_T)).apply(ref)
+    grid_T = p1.model.grid(0.0, T)
+    ref = lp.reference_curve(orbit.curve, grid_T)
+    out = lp.PsiTOperator(p1.model, lad, zm, zp, ref).apply(ref)
     expect0 = 0.1 * np.exp(grid_T.nodes - T)
     expect1 = 0.12 * np.exp(-2 * grid_T.nodes)
     assert np.allclose(out.values[:, 0], expect0, atol=1e-13)
     assert np.allclose(out.values[:, 1], expect1, atol=1e-13)
 
 
+def test_model_builds_one_grid_and_convolver_per_horizon(p2):
+    model, lad = p2.model, p2.ladder
+    grid = model.grid(0.0, 5.0)
+    # horizons equal to 12 decimals share one grid, and a grid one convolver
+    assert model.grid(0.0, 5.0 + 1e-14) is grid
+    assert model.grid(0.0, 6.0) is not grid
+    assert model.convolver(grid) is model.convolver(grid)
+    zp = np.array([0.3 * lad.R])
+    ops = [lp.PsiOperator(model, lad, zp, lp.default_horizon(lad)) for _ in range(2)]
+    assert ops[0].grid is ops[1].grid and ops[0].conv is ops[1].conv
+    assert ops[0].conv is model.convolver(ops[0].grid)
+
+
+def test_minus_part_is_prescribed_at_the_end_of_the_grid(p2):
+    lad, k = p2.ladder, p2.model.k
+    T = lad.T0 + 0.5
+    zm = p2.sphere_point()
+    psi_t = mixed_operator(p2, T, zm, np.array([0.3 * lad.R]))
+    # the mixed operator runs on its reference's grid [0, T], with no tail
+    assert psi_t.grid is psi_t.reference.grid
+    assert psi_t.grid.t1 == pytest.approx(T, abs=1e-12)
+    assert psi_t.tail == 0.0
+    image = psi_t.apply(psi_t.reference)
+    assert np.max(np.abs(image.values[-1, :k] - zm)) <= 1e-12
+    # a backward grid ends at 0, where the unstable projection is prescribed
+    phi = lp.PhiOperator(p2.model, lad, zm, lp.default_horizon(lad))
+    assert phi.grid.t1 == 0.0
+    assert phi.tail == lp.truncation_tail(lad, lp.default_horizon(lad))
+    image = phi.apply(phi.curve(phi.boundary(slice(0, 1))[0]))
+    assert np.max(np.abs(image.values[-1, :k] - zm)) <= 1e-12
+
+
 def test_operator_constructors_match_per_class_apply(p2):
     # the three operators were separate classes, each building its boundary
     # term and repeating the apply loop below; one operator class must
     # reproduce their initial curves and images bit for bit
-    model, lad, cache = p2.model, p2.ladder, p2.cache
+    model, lad = p2.model, p2.ladder
     k, n, eigs = model.k, model.n, model.eigenvalues
     zm = p2.sphere_point()
     zp = np.array([0.3 * lad.R])
@@ -367,20 +390,20 @@ def test_operator_constructors_match_per_class_apply(p2):
                 out[:, j] += op.conv.forward(j, y[:, j])
         return out
 
-    grid_b = cache.grid(-lp.default_horizon(lad), 0.0)
+    phi = lp.PhiOperator(model, lad, zm, lp.default_horizon(lad))
+    grid_b = phi.grid
     phi_bd = np.zeros((grid_b.size, n))
     for j in range(k):
         phi_bd[:, j] = np.exp(-grid_b.nodes * eigs[j]) * zm[j]
-    phi = lp.PhiOperator(model, lad, zm, grid_b, cache.convolver(grid_b))
 
-    grid_f = cache.grid(0.0, lp.default_horizon(lad))
+    psi = lp.PsiOperator(model, lad, zp, lp.default_horizon(lad))
+    grid_f = psi.grid
     psi_bd = np.zeros((grid_f.size, n))
     for j in range(k, n):
         psi_bd[:, j] = np.exp(-grid_f.nodes * eigs[j]) * zp[j - k]
-    psi = lp.PsiOperator(model, lad, zp, grid_f, cache.convolver(grid_f))
 
-    grid_T = cache.grid(0.0, T)
-    ref = p2.orbit(zm, t_need=T).reference(grid_T, lad.lambda_)
+    grid_T = model.grid(0.0, T)
+    ref = p2.orbit(zm, t_need=T).reference(grid_T)
     t = grid_T.nodes
     psi_t_bd = np.zeros((grid_T.size, n))
     free = np.zeros((grid_T.size, n))
@@ -389,8 +412,7 @@ def test_operator_constructors_match_per_class_apply(p2):
     for j in range(k, n):
         psi_t_bd[:, j] += np.exp(-t * eigs[j]) * zp[j - k]
         free[:, j] = np.exp(-t * eigs[j]) * zp[j - k]
-    psi_t = lp.PsiTOperator(model, lad, T, zm, zp, ref, grid_T,
-                            cache.convolver(grid_T))
+    psi_t = lp.PsiTOperator(model, lad, zm, zp, ref)
 
     for op, boundary, start in ((phi, phi_bd, phi_bd), (psi, psi_bd, psi_bd),
                                 (psi_t, psi_t_bd, ref.values + free)):
@@ -419,11 +441,10 @@ def test_linearized_derivative_norm_bound(p2):
     # the linearized solution obeys the weighted bound |X|_exp <= 2 |v|
     lad = p2.ladder
     zp = np.array([0.4 * lad.R])
-    res = next(lp.stable_columns(p2.model, lad, [zp], p2.cache))
+    res = next(lp.stable_columns(p2.model, lad, [zp]))
     grid = res.curve.grid
-    conv = p2.cache.convolver(grid)
     v = np.array([1.0])
-    op = lp._LinearizedOperator(p2.model, lad, res.curve, conv, v)
+    op = lp._LinearizedOperator(p2.model, lad, res.curve, v)
     (solution,) = lp._picard(op, slice(0, 1), None, tol=1e-12)
     X = solution.curve.values
     weighted = np.max(np.exp(lad.lambda_ * grid.nodes)
@@ -439,8 +460,7 @@ def test_mixed_rejects_short_horizon(p2):
     orbit = p2.orbit(zm)
     T = -orbit.curve.grid.t0 + 1.0
     with pytest.raises(HorizonMismatch, match="does not cover"):
-        lp.solve_mixed(p2.model, p2.ladder, T, zm, np.zeros(1), orbit,
-                       cache=p2.cache)
+        lp.solve_mixed(p2.model, p2.ladder, T, zm, np.zeros(1), orbit)
 
 
 def test_graph_sample_local_frame(p3):

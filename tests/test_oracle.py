@@ -40,8 +40,7 @@ def test_oracle_matches_fixed_point_curve(p2):
     zm = p2.sphere_point(1)
     zp = np.array([0.45 * p2.ladder.R])
     orbit = p2.orbit(zm, t_need=T)
-    res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit,
-                            cache=p2.cache)
+    res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit)
     [(traj, _)] = mixed_bvp_oracle(p2.model, [(T, zm, zp)])
     nodes = res.curve.grid.nodes
     states = p2.model.to_local(traj.at(nodes))
@@ -98,7 +97,7 @@ def test_unstable_graph_via_negated_problem():
     model = LocalModel(prob, sp)
     modulus, kstar = lipschitz_modulus(model)
     ladder = build_ladder(sp, modulus, kstar, 1.0)
-    graph_f = lp.graph_F_inf(model, ladder, lp.SolverCache(model))
+    graph_f = lp.graph_F_inf(model, ladder)
 
     sp_n = split(neg.hess(neg.critical_point))
     model_n = LocalModel(neg, sp_n)

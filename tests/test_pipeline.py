@@ -114,9 +114,9 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
         orbits[(repr(ladder), key(z_minus))] += 1
         return backward_orbit(model, ladder, z_minus, *args, **kw)
 
-    def counted_columns(op, counts):
+    def counted_columns(op):
         # graph_F_inf's batched backward orbits, one per column
-        for i, res in enumerate(solve_columns(op, counts)):
+        for i, res in enumerate(solve_columns(op)):
             if op.kind == BACKWARD:
                 orbits[(repr(op.ladder), key(op.z_minus[i]))] += 1
             yield res

@@ -36,8 +36,8 @@ AMBIGUOUS_READS = {
     "gradleaf/curves.py:Curve.weights": ("gradleaf/curves.py", "self.weights"),
     "gradleaf/curves.py:Curve.evaluate":
         ("gradleaf/lyapunov_perron.py", "orbit_curve.evaluate"),
-    "gradleaf/lyapunov_perron.py:SolverCache.grid":
-        ("gradleaf/lyapunov_perron.py", "cache.grid"),
+    "gradleaf/local_model.py:LocalModel.grid":
+        ("gradleaf/lyapunov_perron.py", "model.grid"),
     "gradleaf/lyapunov_perron.py:FixedPointResult.reference":
         ("gradleaf/lyapunov_perron.py", "orbit.reference"),
     "gradleaf/lyapunov_perron.py:IntegralOperator.curve":

@@ -58,14 +58,12 @@ def test_rotated_mixed_solution_matches_diagonal(rotated, p2):
     T = max(ladder.T0, p2.ladder.T0)
     zm = rotated.sphere_point()
     zp = np.array([0.4 * ladder.R])
-    res, gap = lp.solve_mixed(model, ladder, T, zm, zp, rotated.orbit(zm, T),
-                              rotated.cache)
+    res, gap = lp.solve_mixed(model, ladder, T, zm, zp, rotated.orbit(zm, T))
 
     zm_d = np.array([abs(zm[0])])
     zp_d = np.array([abs(zp[0])])
     orbit_d = p2.orbit(zm_d, t_need=T)
-    res_d, gap_d = lp.solve_mixed(p2.model, p2.ladder, T, zm_d, zp_d, orbit_d,
-                                  cache=p2.cache)
+    res_d, gap_d = lp.solve_mixed(p2.model, p2.ladder, T, zm_d, zp_d, orbit_d)
     # same scalar boundary data sizes => same norms along the curve
     norms = np.linalg.norm(res.curve.values, axis=1)
     norms_d = np.linalg.norm(res_d.curve.values, axis=1)
@@ -81,8 +79,7 @@ def test_rotated_oracle_agreement(rotated):
     T = ladder.T0
     zm = rotated.sphere_point()
     zp = np.array([0.35 * ladder.R])
-    res, _ = lp.solve_mixed(model, ladder, T, zm, zp, rotated.orbit(zm, T),
-                            rotated.cache)
+    res, _ = lp.solve_mixed(model, ladder, T, zm, zp, rotated.orbit(zm, T))
     [(traj, _)] = mixed_bvp_oracle(model, [(T, zm, zp)])
     nodes = res.curve.grid.nodes
     states = model.to_local(traj.at(nodes))
