@@ -102,8 +102,10 @@ class GraphFamilySolver:
     asserts the varkappa endpoint bound follows from its T (see
     ``mixed_columns``), so the key needs nothing more.
 
-    ``mixed_rows`` and ``stable_rows`` take many z+ at once and solve the
-    ones not yet held together, in one batched Picard loop.
+    ``mixed_rows`` and ``stable_rows`` take many z+ at once and share one
+    store path: the keys not yet held are deduplicated, solved together in
+    one batched Picard loop and stored, and every row's result is returned
+    in request order.
     """
 
     def __init__(self, model, ladder):
@@ -132,45 +134,39 @@ class GraphFamilySolver:
         """The held ``(result, gap)`` of a key, or None."""
         return self._mixed.get(self._mixed_key(T, z_minus, z_plus))
 
-    def mixed_rows(self, T, z_minus, z_plus_rows):
-        """``(result, gap)`` for each row of ``z_plus_rows``, in row order.
-
-        The keys not yet held are solved together and stored; the first
-        failing one raises, after the rows before it are stored.
-        """
-        keys = [self._mixed_key(T, z_minus, zp) for zp in z_plus_rows]
-        if not all(key in self._mixed for key in keys):
-            z_minus = np.asarray(z_minus, dtype=float)
-            orbit = self.orbit(z_minus, T)
-            # after ``orbit``, which drops the keys of an orbit it replaces
-            todo = {}
-            for key, zp in zip(keys, z_plus_rows):
-                if key not in self._mixed:
-                    todo.setdefault(key, zp)
-            solved = mixed_columns(self.model, self.ladder, T, z_minus,
-                                   np.array(list(todo.values()), dtype=float),
-                                   orbit)
+    def _rows(self, store, keys, rows, solve):
+        """The results of ``keys`` in ``store``, in request order.  The keys
+        not yet held are deduplicated, their rows solved in one batch by
+        ``solve`` and stored; the first failing one raises, after the keys
+        before it are stored."""
+        todo = {}
+        for key, row in zip(keys, rows):
+            if key not in store:
+                todo.setdefault(key, row)
+        if todo:
+            solved = solve(np.array(list(todo.values()), dtype=float))
             for key, out in zip(todo, solved):
-                self._mixed[key] = out
-        return [self._mixed[key] for key in keys]
+                store[key] = out
+        return [store[key] for key in keys]
+
+    def mixed_rows(self, T, z_minus, z_plus_rows):
+        """``(result, gap)`` for each row of ``z_plus_rows``, in row order."""
+        z_minus = np.asarray(z_minus, dtype=float)
+        orbit = self.orbit(z_minus, T)
+        # after ``orbit``, which drops the keys of an orbit it replaces
+        keys = [self._mixed_key(T, z_minus, zp) for zp in z_plus_rows]
+        return self._rows(self._mixed, keys, z_plus_rows,
+                          lambda rows: mixed_columns(self.model, self.ladder, T,
+                                                     z_minus, rows, orbit))
 
     def mixed(self, T, z_minus, z_plus):
         return self.mixed_rows(T, z_minus, [z_plus])[0]
 
     def stable_rows(self, z_plus_rows):
-        """Stable fixed points for each row of ``z_plus_rows``, in row order;
-        the rows not yet held are solved together and stored."""
+        """Stable fixed points for each row of ``z_plus_rows``, in row order."""
         keys = [_key(zp) for zp in z_plus_rows]
-        todo = {}
-        for key, zp in zip(keys, z_plus_rows):
-            if key not in self._stable:
-                todo.setdefault(key, zp)
-        if todo:
-            solved = stable_columns(self.model, self.ladder,
-                                    np.array(list(todo.values()), dtype=float))
-            for key, out in zip(todo, solved):
-                self._stable[key] = out
-        return [self._stable[key] for key in keys]
+        return self._rows(self._stable, keys, z_plus_rows,
+                          lambda rows: stable_columns(self.model, self.ladder, rows))
 
 
 def _fit_rate(T_values, gaps, floor):
@@ -200,9 +196,7 @@ def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
             mixed = solver.mixed_rows(T, zm, z_plus_list)
             stable = solver.stable_rows(z_plus_list)
             for zp, (res, _), st in zip(z_plus_list, mixed, stable):
-                g_t = res.curve.values[0, : solver.model.k]
-                g_inf = st.curve.values[0, : solver.model.k]
-                gap = float(np.linalg.norm(g_t - g_inf))
+                gap = float(np.linalg.norm(res.graph_value - st.graph_value))
                 bound = math.exp(-T * ladder.lambda_ / 8.0)
                 budget = RESIDUAL_TO_ERROR * (res.reported_residual
                                               + st.reported_residual)
@@ -259,8 +253,8 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
             probes += list(z_plus_list)
             mixed = solver.mixed_rows(T, zm, probes)
             stable = solver.stable_rows(probes)
-            g_T = [res.curve.values[0, : model.k] for res, _ in mixed]
-            g_I = [st.curve.values[0, : model.k] for st in stable]
+            g_T = [res.graph_value for res, _ in mixed]
+            g_I = [st.graph_value for st in stable]
             for a, zp in enumerate(z_plus_list):
                 for i, v in enumerate(directions):
                     at = len(fd_probes) * (a * len(directions) + i)
@@ -301,9 +295,8 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
                 rows_A = solver.mixed_rows(T, zm, z_plus_list)
                 rows_B = solver.mixed_rows(T + tau, zm, z_plus_list)
                 for zp, (resA, _), (resB, _) in zip(z_plus_list, rows_A, rows_B):
-                    gA, gB = (res.curve.values[0, : solver.model.k]
-                              for res in (resA, resB))
-                    quotient = float(np.linalg.norm(gB - gA)) / tau
+                    quotient = float(np.linalg.norm(resB.graph_value
+                                                    - resA.graph_value)) / tau
                     budget = RESIDUAL_TO_ERROR * (resA.reported_residual
                                                   + resB.reported_residual) / tau
                     report.add(check="lipschitz_T", T=float(T),

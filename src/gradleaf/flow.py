@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dop853
 from .errors import BlowUp, LevelNotReached
-from .lyapunov_perron import sphere_rays
+from .lyapunov_perron import level_crossings, sphere_rays
 
 BLOWUP_RADIUS = 1e3
 #: integration tolerances of ``integrate_forward``
@@ -331,7 +331,7 @@ def descending_disk(model, ladder, graph_f):
     epsilon = ladder.epsilon
     level = model.critical_value - epsilon
     dirs = sphere_rays(model.k)
-    radii = graph_f.level_crossing(model.f_local, dirs, level, 1e-10)
+    radii = level_crossings([graph_f], model.f_local, dirs, level, 1e-10)[0]
     if np.isnan(radii).any():
         raise LevelNotReached(
             f"epsilon = {epsilon:.3e} not reached within the sampled graph")

@@ -326,24 +326,22 @@ def induced_flow(atlas, labels, z_local, t):
     """The leaf-preserving semi-flow: conjugate the center-leaf flow by the
     graph maps.
 
-    ``z_local`` is one local point ``(n,)`` on the leaf ``labels``, or rows
-    ``(m, n)`` with one label per row in ``labels``; the rows are integrated
-    together (:func:`~gradleaf.flow.solve_ivp`) at the audit tolerances.  A row
-    whose plus part lies outside its leaf's graph domain raises
+    ``z_local`` holds rows ``(m, n)``, one local point on each leaf of
+    ``labels``; the rows are integrated together
+    (:func:`~gradleaf.flow.solve_ivp`) at the audit tolerances.  A row whose
+    plus part lies outside its leaf's graph domain raises
     OutsideLeafDomain.  ``t = inf`` returns each leaf's base point exactly.
     """
     model = atlas.model
     z_local = np.asarray(z_local, dtype=float)
-    rows = np.atleast_2d(z_local)
-    leaves = [atlas.leaf(label)
-              for label in ([labels] if z_local.ndim == 1 else labels)]
-    z_plus = rows[:, model.k:]
+    leaves = [atlas.leaf(label) for label in labels]
+    z_plus = z_local[:, model.k:]
     for leaf, zp in zip(leaves, z_plus):
         for i, ax in enumerate(leaf.graph.axes):
             if not ax[0] <= zp[i] <= ax[-1]:
                 raise OutsideLeafDomain(
                     f"plus coordinate {zp} outside the leaf graph domain")
-    out = np.empty_like(rows)
+    out = np.empty_like(z_local)
     if t == math.inf:
         for i, leaf in enumerate(leaves):
             out[i] = leaf.base_point
@@ -356,7 +354,7 @@ def induced_flow(atlas, labels, z_local, t):
         y_t = model.to_local(terminal)[:, model.k:]
         for i, leaf in enumerate(leaves):
             out[i] = leaf.graph.local_points(y_t[i])
-    return out[0] if z_local.ndim == 1 else out
+    return out
 
 
 def retract_audit(atlas):

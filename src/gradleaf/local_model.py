@@ -65,11 +65,10 @@ class LocalModel:
         return (np.asarray(x) - self.x0) @ self.U
 
     def embed_minus(self, c):
-        """Pad minus-subspace coordinates to a full local vector."""
-        c = np.atleast_2d(np.asarray(c, dtype=float))
-        out = np.zeros((c.shape[0], self.n))
-        out[:, : self.k] = c
-        return out[0] if out.shape[0] == 1 else out
+        """Pad one minus-subspace vector to a full local vector."""
+        out = np.zeros(self.n)
+        out[: self.k] = c
+        return out
 
     # -- nonlinearity ----------------------------------------------------------
     def h(self, xi):
@@ -96,10 +95,9 @@ class LocalModel:
 
     def convolver(self, grid):
         """The exponential convolver of ``grid``, built once per grid."""
-        key = (round(grid.t0, 12), round(grid.t1, 12), grid.size)
-        if key not in self._convs:
-            self._convs[key] = ExpConvolver(grid, self.eigenvalues)
-        return self._convs[key]
+        if grid not in self._convs:
+            self._convs[grid] = ExpConvolver(grid, self.eigenvalues)
+        return self._convs[grid]
 
 
 def lipschitz_modulus(model):

@@ -90,11 +90,17 @@ def truncation_tail(ladder, t_max):
 
 @dataclass
 class FixedPointResult:
+    """A converged fixed point: its curve, residual, iteration count and
+    tail bound, and its graph value, the projection at time 0 that its
+    graph map reads (see ``IntegralOperator.graph_value``)."""
+
     curve: Curve
     residual: float
     iterations: int
     tail: float
-    #: for a backward orbit: its reference curves on finite forward grids
+    graph_value: np.ndarray
+    #: for a backward orbit: its reference curves on finite forward grids,
+    #: keyed by the grid (``LocalModel.grid`` builds one per horizon)
     references: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -103,10 +109,9 @@ class FixedPointResult:
 
     def reference(self, grid):
         """``reference_curve`` of this orbit on ``grid``, built once per grid."""
-        key = (grid.t0, grid.t1, grid.size)
-        if key not in self.references:
-            self.references[key] = reference_curve(self.curve, grid)
-        return self.references[key]
+        if grid not in self.references:
+            self.references[grid] = reference_curve(self.curve, grid)
+        return self.references[grid]
 
 
 def _add_integrals(out, conv, k, y):
@@ -195,6 +200,14 @@ class IntegralOperator:
 
     def curve(self, values):
         return Curve(self.grid, values, self.ladder.lambda_, self.kind)
+
+    def graph_value(self, values):
+        """The graph value of a fixed point with curve values ``values``:
+        the plus part at time 0, the last node, on a backward grid; else the
+        minus part at time 0, the first node."""
+        if self.kind == BACKWARD:
+            return values[-1, self.k:]
+        return values[0, : self.k]
 
     def apply(self, curve):
         """The image of one curve under a one-column operator; raises
@@ -306,8 +319,10 @@ def _picard(operator, cols, counts, tol=PICARD_TOL):
                 if worst_ratio is None or ratio > worst_ratio:
                     worst_ratio = ratio
             if r <= tol:
+                values = nxt[i].copy()
                 outcomes[live[i]] = FixedPointResult(
-                    operator.curve(nxt[i].copy()), r, it, operator.tail)
+                    operator.curve(values), r, it, operator.tail,
+                    operator.graph_value(values))
                 iterations.append(it)
                 continue
             stall[i] = stall[i] + 1 if r > STALL_FACTOR * prev_res[i] else 0
@@ -430,12 +445,13 @@ class GraphSample:
 
     ``axes`` are 1D arrays of subspace coordinates; ``values`` maps the grid
     into the complementary subspace (shape ``grid_shape + (codim,)``).
-    ``domain_sign`` tells which subspace the base grid lives in.  It is the
-    only code that knows how the graph sits in the local frame (minus
-    coordinates first): ``local_points`` puts base points and graph values
-    together, ``residual`` measures a local point against the graph, and
-    ``level_crossing`` bisects a level of the objective along rays of the
-    domain (:func:`level_crossings` does so for several graphs at once).
+    ``domain_sign`` tells which subspace the base grid lives in.  A solved
+    graph is built by ``from_fixed_points`` from the fixed points of its
+    nodes.  It is the only code that knows how the graph sits in the local
+    frame (minus coordinates first): ``local_points`` puts base points and
+    graph values together and ``residual`` measures a local point against
+    the graph; :func:`level_crossings` bisects a level of the objective
+    along rays of the domain of one or more graphs.
     """
 
     kind: str
@@ -447,6 +463,20 @@ class GraphSample:
     T: float | None = None
     z_minus: np.ndarray | None = None
     endpoint_gaps: np.ndarray | None = None
+
+    @classmethod
+    def from_fixed_points(cls, kind, domain_sign, axes, results, **time_T):
+        """The graph over the tensor grid ``axes`` from the fixed points
+        ``results`` of its nodes, in grid order: their graph values,
+        reported residuals and iteration counts.  ``time_T`` passes a time-T
+        graph its ``T``, ``z_minus`` and ``endpoint_gaps``."""
+        shape = tuple(len(ax) for ax in axes)
+        values = np.array([res.graph_value for res in results])
+        return cls(kind, domain_sign, tuple(axes),
+                   values.reshape(shape + values.shape[1:]),
+                   np.reshape([res.reported_residual for res in results], shape),
+                   np.reshape([res.iterations for res in results], shape),
+                   **time_T)
 
     @property
     def grid_shape(self):
@@ -521,12 +551,6 @@ class GraphSample:
         for i, ax in enumerate(self.axes):
             on_bd |= np.isclose(base[:, i], ax[0]) | np.isclose(base[:, i], ax[-1])
         return self.local_points()[on_bd]
-
-    def level_crossing(self, f, directions, level, tol):
-        """Radii r at which ``f`` on the graph point over ``r * u`` crosses
-        ``level``, one per row ``u`` of ``directions``: the one-graph case of
-        :func:`level_crossings`."""
-        return level_crossings([self], f, directions, level, tol)[0]
 
     def interp_tolerance(self):
         """Second-difference estimate of the multilinear interpolation error."""
@@ -658,44 +682,19 @@ def default_axes(radius, dim, count=13):
     return tuple(np.linspace(-half, half, count) for _ in range(dim))
 
 
-def _sample_tensor_grid(axes, codim, solved):
-    """Graph arrays from one solve per node of the tensor grid ``axes``.
-
-    ``solved`` yields ``(graph value, FixedPointResult, endpoint gap)`` for
-    the nodes in grid order; returns the value, residual, iteration and
-    endpoint-gap arrays.
-    """
-    shape = tuple(len(ax) for ax in axes)
-    values = np.zeros(shape + (codim,))
-    residuals = np.zeros(shape)
-    iters = np.zeros(shape, dtype=int)
-    gaps = np.zeros(shape)
-    for idx, (value, res, gap) in enumerate(solved):
-        multi = np.unravel_index(idx, shape)
-        values[multi] = value
-        residuals[multi] = res.reported_residual
-        iters[multi] = res.iterations
-        gaps[multi] = gap
-    return values, residuals, iters, gaps
-
-
 def graph_F_inf(model, ladder):
     """Unstable graph: plus part at time 0 of the backward fixed points."""
     axes = default_axes(ladder.R, model.k)
     op = PhiOperator(model, ladder, tensor_points(axes), default_horizon(ladder))
-    solved = ((res.curve.values[-1, model.k:], res, 0.0)
-              for res in solve_columns(op))
-    values, residuals, iters, _ = _sample_tensor_grid(axes, model.n - model.k, solved)
-    return GraphSample("F_inf", "minus", tuple(axes), values, residuals, iters)
+    return GraphSample.from_fixed_points("F_inf", "minus", axes,
+                                         list(solve_columns(op)))
 
 
 def graph_G_inf(model, ladder):
     """Stable graph: minus part at time 0 of the forward fixed points."""
     axes = default_axes(ladder.R, model.n - model.k)
-    solved = ((res.curve.values[0, : model.k], res, 0.0) for res in
-              stable_columns(model, ladder, tensor_points(axes)))
-    values, residuals, iters, _ = _sample_tensor_grid(axes, model.k, solved)
-    return GraphSample("G_inf", "plus", tuple(axes), values, residuals, iters)
+    return GraphSample.from_fixed_points(
+        "G_inf", "plus", axes, list(stable_columns(model, ladder, tensor_points(axes))))
 
 
 def graph_G_T(solver, T, z_minus, base_axes=None):
@@ -713,13 +712,11 @@ def graph_G_T(solver, T, z_minus, base_axes=None):
     held = [solver.held_mixed(T, z_minus, zp) for zp in points]
     fresh = mixed_columns(model, ladder, T, z_minus,
                           points[[h is None for h in held]], orbit)
-    solved = ((res.curve.values[0, : model.k], res, gap) for res, gap in
-              (h if h is not None else next(fresh) for h in held))
-    values, residuals, iters, gaps = _sample_tensor_grid(axes, model.k, solved)
-    return GraphSample("G_T", "plus", tuple(axes), values, residuals, iters,
-                       T=float(T),
-                       z_minus=np.asarray(z_minus, dtype=float),
-                       endpoint_gaps=gaps)
+    results, gaps = zip(*(h if h is not None else next(fresh) for h in held))
+    return GraphSample.from_fixed_points(
+        "G_T", "plus", axes, results, T=float(T),
+        z_minus=np.asarray(z_minus, dtype=float),
+        endpoint_gaps=np.reshape(gaps, tuple(len(ax) for ax in axes)))
 
 
 class _LinearizedOperator(IntegralOperator):
@@ -754,4 +751,4 @@ def graph_derivative_linearized(model, ladder, fp_result, v_plus):
     (outcome,) = _picard(op, slice(0, 1), None, tol=1e-11)
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome.curve.values[0, : model.k]
+    return outcome.graph_value

@@ -10,7 +10,7 @@ one-row block, and each point rounds as it would alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,7 +77,7 @@ class Polynomial:
     """
 
     dimension: int
-    terms: dict = field(default_factory=dict)
+    terms: dict
 
     @classmethod
     def from_pairs(cls, dimension, pairs):

@@ -5,6 +5,8 @@ as they complete).  Reference problems: the quadratic saddle (P1), the
 quartic perturbation (P2), and the 3D cubic-coupled saddle (P3).
 """
 
+import csv
+import importlib.util
 import json
 import math
 import time
@@ -16,12 +18,16 @@ import pytest
 
 from gradleaf import convergence as cv
 from gradleaf import foliation as fol
-from gradleaf import lyapunov_perron as lp
 from gradleaf.cli import main as cli_main
 from gradleaf.flow import integrate_forward
 from gradleaf.oracle import mixed_bvp_oracle
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+_spec = importlib.util.spec_from_file_location(
+    "contraction_experiment", ROOT / "scripts" / "contraction_experiment.py")
+contraction_experiment = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(contraction_experiment)
 
 
 @contextmanager
@@ -52,38 +58,18 @@ def atlas_p2(p2, solver_p2):
         (np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
 
 
-def test_criterion_1_contraction_factor(p2):
+def test_criterion_1_contraction_factor(tmp_path):
     with criterion(1, "measured contraction factor of the mixed operator "
                       "<= 0.5 + 0.05 on P2 (50 pairs, 5 horizons, <= 1 min)"):
+        out = tmp_path / "contraction.csv"
         start = time.perf_counter()
-        rng = np.random.default_rng(17)
-        lad = p2.ladder
-        worst = 0.0
-        for T in lad.T0 + np.arange(5.0):
-            zm = p2.sphere_point()
-            orbit = p2.orbit(zm, t_need=T)
-            grid = p2.model.grid(0.0, T)
-            ref = lp.reference_curve(orbit.curve, grid)
-            op = lp.PsiTOperator(p2.model, lad, zm, np.array([0.3 * lad.R]), ref)
-            pairs = 0
-            while pairs < 10:
-                curves = []
-                for _ in range(2):
-                    u = rng.standard_normal(2)
-                    u /= np.linalg.norm(u)
-                    poly = np.polyval(rng.standard_normal(4),
-                                      grid.nodes / grid.t1)
-                    poly /= max(1.0, np.max(np.abs(poly)))
-                    bump = (0.45 * lad.rho * np.exp(-lad.lambda_ * grid.nodes)
-                            * poly)[:, None] * u
-                    curves.append(ref.with_values(ref.values + bump))
-                den = curves[0].exp_distance(curves[1])
-                if den < 1e-9:
-                    continue
-                num = op.apply(curves[0]).exp_distance(op.apply(curves[1]))
-                worst = max(worst, num / den)
-                pairs += 1
+        contraction_experiment.measure(
+            CONFIGS / "p2_quartic.json", out, pairs=10, seed=17)
         elapsed = time.perf_counter() - start
+        with open(out, newline="") as fh:
+            factors = [float(row["measured_factor"]) for row in csv.DictReader(fh)]
+        assert len(factors) == 5
+        worst = max(factors)
         assert worst <= 0.5 + 0.05, f"contraction factor {worst}"
         assert elapsed <= 60.0, f"runtime {elapsed:.1f}s"
 
@@ -212,9 +198,9 @@ def test_criterion_9_dynamical_thickening(p2, atlas_p2):
         leaf = atlas_p2.leaf(label)
         z = leaf.graph.local_points(np.array([0.5 * lad.R]))
         assert np.array_equal(
-            fol.induced_flow(atlas_p2, label, z, math.inf), leaf.base_point)
+            fol.induced_flow(atlas_p2, [label], [z], math.inf)[0], leaf.base_point)
         t_big = 20.0
-        out = fol.induced_flow(atlas_p2, label, z, t_big)
+        out = fol.induced_flow(atlas_p2, [label], [z], t_big)[0]
         assert np.linalg.norm(out - leaf.base_point) <= \
             lad.rho * math.exp(-lad.lambda_ * t_big) \
             + 10.0 * atlas_p2.interp_tolerance

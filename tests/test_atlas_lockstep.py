@@ -115,7 +115,8 @@ def test_level_crossings_match_one_graph_at_a_time(foliated, name, n_leaves, n_r
         tol = 1e-12 * max(1.0, abs(level)) + 1e-15
         radii = lp.level_crossings(graphs, f, dirs, level, tol)
         assert radii.shape == (n_leaves, n_rays)
-        per_graph = np.stack([g.level_crossing(f, dirs, level, tol) for g in graphs])
+        per_graph = np.concatenate([lp.level_crossings([g], f, dirs, level, tol)
+                                    for g in graphs])
         loop = np.stack([loop_level_crossing(g, f, dirs, level, tol) for g in graphs])
         assert radii.tobytes() == per_graph.tobytes() == loop.tobytes()
         seen.append(radii)

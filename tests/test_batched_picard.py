@@ -39,7 +39,8 @@ def loop_fixed_point(op):
         nxt = op.apply(current)
         res = nxt.exp_distance(current)
         if res <= lp.PICARD_TOL:
-            return lp.FixedPointResult(nxt, res, it, op.tail)
+            return lp.FixedPointResult(nxt, res, it, op.tail,
+                                       op.graph_value(nxt.values))
         stall = stall + 1 if res > lp.STALL_FACTOR * prev_res else 0
         if stall >= lp.STALL_STEPS:
             raise NoConvergence(f"residual stalled at {res:.3e} after {it} iterations")
@@ -260,6 +261,10 @@ class ScriptedOperator:
     def curve(self, values):
         # rate 0: the exp-norm weight is one, as ``weights``
         return Curve(self.grid, values, 0.0, self.kind)
+
+    def graph_value(self, values):
+        # the id coordinate at time 0, as a forward operator with k = 1 reads
+        return values[0, :1]
 
     def apply(self, curve):
         images, errors = self.advance(curve.values[None], None)

@@ -211,3 +211,53 @@ def test_mixed_store_key_includes_endpoint_enforcement(p2):
     assert solver.held_mixed(horizons[0], zm, zp) is not None
     with pytest.raises(EndpointViolation):
         solver.mixed(horizons[1], zm, zp)
+
+
+
+def _recording(monkeypatch, name):
+    """Replace ``convergence.<name>`` by a wrapper that records the
+    arguments of each call."""
+    solve, calls = getattr(cv, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(cv, name, recording)
+    return calls
+
+
+def test_stable_rows_solve_only_unheld_rows_once(p1, monkeypatch):
+    a, b, c = (np.array([s * p1.ladder.R]) for s in (0.1, -0.2, 0.3))
+    solver = cv.GraphFamilySolver(p1.model, p1.ladder)
+    calls = _recording(monkeypatch, "stable_columns")
+    held_a, held_b = solver.stable_rows([a, b])
+    out = solver.stable_rows([b, c, a, c])
+    # (model, ladder, z_plus_rows): the second call solves c alone, once
+    assert [args[2].tolist() for args in calls] == [[a.tolist(), b.tolist()],
+                                                    [c.tolist()]]
+    assert out[0] is held_b and out[2] is held_a and out[1] is out[3]
+    alone = next(lp.stable_columns(p1.model, p1.ladder, [c]))
+    assert out[1].graph_value.tolist() == alone.graph_value.tolist()
+
+
+def test_mixed_rows_solve_only_unheld_rows_once(p1, monkeypatch):
+    a, b, c = (np.array([s * p1.ladder.R]) for s in (0.1, -0.2, 0.3))
+    T, zm = p1.ladder.T0, p1.sphere_point()
+    solver = cv.GraphFamilySolver(p1.model, p1.ladder)
+    calls = _recording(monkeypatch, "mixed_columns")
+    held_a, held_b = solver.mixed_rows(T, zm, [a, b])
+    out = solver.mixed_rows(T, zm, [b, c, a, c])
+    # (model, ladder, T, z_minus, z_plus_rows, orbit): c alone, once
+    assert [args[4].tolist() for args in calls] == [[a.tolist(), b.tolist()],
+                                                    [c.tolist()]]
+    assert out[0] is held_b and out[2] is held_a and out[1] is out[3]
+    alone, gap = next(lp.mixed_columns(p1.model, p1.ladder, T, zm, [c],
+                                       solver.orbit(zm, T)))
+    assert out[1][0].graph_value.tolist() == alone.graph_value.tolist()
+    assert out[1][1] == gap
+    # every row held: the orbit fetch is a hit and nothing is solved
+    orbits = _recording(monkeypatch, "backward_orbit")
+    again = solver.mixed_rows(T, zm, [c, a])
+    assert again[0] is out[1] and again[1] is held_a
+    assert len(calls) == 2 and orbits == []

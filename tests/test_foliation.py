@@ -272,7 +272,7 @@ def test_induced_flow_quadratic_closed_form(atlas_p1, p1):
     y0 = 0.3 * p1.ladder.R
     z = atlas_p1.leaf(label).graph.local_points(np.array([y0]))
     for t in (0.7, 2.0):
-        out = fol.induced_flow(atlas_p1, label, z, t)
+        out = fol.induced_flow(atlas_p1, [label], [z], t)[0]
         expected = np.array([alpha * math.exp(-T), y0 * math.exp(-2 * t)])
         assert np.allclose(out, expected, atol=1e-10)
 
@@ -281,7 +281,7 @@ def test_induced_flow_fixes_base_point(atlas_p2):
     for label in atlas_p2.all_labels():
         base = atlas_p2.leaf(label).base_point
         for t in (0.5, 2.5):
-            out = fol.induced_flow(atlas_p2, label, base, t)
+            out = fol.induced_flow(atlas_p2, [label], [base], t)[0]
             assert np.linalg.norm(out - base) <= 1e-10
 
 
@@ -289,7 +289,7 @@ def test_induced_flow_infinite_time(atlas_p2, p2):
     label = sorted(atlas_p2.leaves)[0]
     leaf = atlas_p2.leaf(label)
     z = leaf.graph.local_points(np.array([0.5 * p2.ladder.R]))
-    out = fol.induced_flow(atlas_p2, label, z, math.inf)
+    out = fol.induced_flow(atlas_p2, [label], [z], math.inf)[0]
     assert np.array_equal(out, leaf.base_point)
 
 
@@ -299,7 +299,7 @@ def test_induced_flow_large_t_surrogate(atlas_p2, p2):
     leaf = atlas_p2.leaf(label)
     z = leaf.graph.local_points(np.array([0.5 * lad.R]))
     t_big = 20.0
-    out = fol.induced_flow(atlas_p2, label, z, t_big)
+    out = fol.induced_flow(atlas_p2, [label], [z], t_big)[0]
     gap = np.linalg.norm(out - leaf.base_point)
     assert gap <= 1.5 * lad.rho * math.exp(-lad.lambda_ * t_big) \
         + 10 * atlas_p2.interp_tolerance
@@ -309,9 +309,9 @@ def test_induced_flow_cocycle(atlas_p2, p2):
     label = sorted(atlas_p2.leaves)[1]
     leaf = atlas_p2.leaf(label)
     z = leaf.graph.local_points(np.array([0.45 * p2.ladder.R]))
-    one = fol.induced_flow(atlas_p2, label, z, 3.0)
-    two = fol.induced_flow(atlas_p2, label,
-                           fol.induced_flow(atlas_p2, label, z, 1.2), 1.8)
+    one = fol.induced_flow(atlas_p2, [label], [z], 3.0)
+    two = fol.induced_flow(atlas_p2, [label],
+                           fol.induced_flow(atlas_p2, [label], [z], 1.2), 1.8)
     assert np.linalg.norm(one - two) <= 10 * atlas_p2.interp_tolerance + 1e-9
 
 
@@ -319,7 +319,7 @@ def test_induced_flow_domain_guard(atlas_p2, p2):
     label = sorted(atlas_p2.leaves)[0]
     z = np.array([0.0, 3.0 * p2.ladder.R])
     with pytest.raises(OutsideLeafDomain):
-        fol.induced_flow(atlas_p2, label, z, 1.0)
+        fol.induced_flow(atlas_p2, [label], [z], 1.0)
 
 
 @pytest.mark.parametrize("t", [math.inf, 1.0])
@@ -330,9 +330,9 @@ def test_induced_flow_domain_is_the_sampled_grid(atlas_p2, t):
     leaf = atlas_p2.leaf(label)
     end = leaf.graph.axes[0][-1]
     with pytest.raises(OutsideLeafDomain):
-        fol.induced_flow(atlas_p2, label, np.array([0.0, end + 5e-10]), t)
+        fol.induced_flow(atlas_p2, [label], [[0.0, end + 5e-10]], t)
     on_end = leaf.graph.local_points(np.array([end]))
-    assert np.all(np.isfinite(fol.induced_flow(atlas_p2, label, on_end, t)))
+    assert np.all(np.isfinite(fol.induced_flow(atlas_p2, [label], [on_end], t)))
 
 
 def test_center_leaf_flow_is_plain_flow(atlas_p2, p2, trajectory_tol):
@@ -340,7 +340,7 @@ def test_center_leaf_flow_is_plain_flow(atlas_p2, p2, trajectory_tol):
     trajectory_tol(1e-12, 1e-15)
     y0 = 0.4 * p2.ladder.R
     z = atlas_p2.center.graph.local_points(np.array([y0]))
-    out = fol.induced_flow(atlas_p2, "center", z, 1.5)
+    out = fol.induced_flow(atlas_p2, ["center"], [z], 1.5)[0]
     traj = integrate_forward(p2.problem, p2.model.to_ambient(z), 1.5)
     assert np.allclose(out, p2.model.to_local(traj.states[-1]), atol=1e-9)
 
@@ -497,11 +497,11 @@ def test_codim2_induced_flow(atlas_p3, p3):
     leaf = atlas_p3.leaf(label)
     z = leaf.graph.local_points(
         np.array([0.2 * p3.ladder.R, -0.15 * p3.ladder.R]))
-    out = fol.induced_flow(atlas_p3, label, z, 1.5)
+    out = fol.induced_flow(atlas_p3, [label], [z], 1.5)[0]
     # plus part contracts under the diagonal stable rates (1 and 3)
     assert abs(out[1]) == pytest.approx(abs(z[1]) * np.exp(-1.5), rel=1e-6)
     assert abs(out[2]) == pytest.approx(abs(z[2]) * np.exp(-4.5), rel=1e-4)
-    assert np.array_equal(fol.induced_flow(atlas_p3, label, z, math.inf),
+    assert np.array_equal(fol.induced_flow(atlas_p3, [label], [z], math.inf)[0],
                           leaf.base_point)
 
 
@@ -523,8 +523,8 @@ def test_level_crossing_matches_one_ray_at_a_time(kind, p3):
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         far = f(graph.local_points(min(ax[-1] for ax in graph.axes) * dirs))
         level = 0.5 * (far.min() + far.max())
-    radii = graph.level_crossing(f, dirs, level, 1e-12)
-    one_by_one = np.array([graph.level_crossing(f, u[None], level, 1e-12)[0]
+    radii = lp.level_crossings([graph], f, dirs, level, 1e-12)[0]
+    one_by_one = np.array([lp.level_crossings([graph], f, u[None], level, 1e-12)[0, 0]
                            for u in dirs])
     assert radii.tobytes() == one_by_one.tobytes()
     # some rays reach the level and some do not

@@ -486,14 +486,14 @@ def test_graph_sample_level_crossing(p3):
     f, c = p3.model.f_local, p3.model.critical_value
     u = np.array([[1.0]])
     level = c - p3.ladder.epsilon
-    r = p3.graph_f.level_crossing(f, u, level, 1e-12)
+    r = lp.level_crossings([p3.graph_f], f, u, level, 1e-12)[0]
     assert r.shape == (1,)
     assert abs(f(p3.graph_f.local_points(r[0] * u[0])) - level) <= 1e-12
     # f falls along rays of the unstable graph and rises along rays of the
     # stable one; a level beyond the sampled range is not reached
     plus = np.array([[1.0, 0.0]])
-    assert np.isnan(p3.graph_f.level_crossing(f, u, c - 1.0, 1e-12)).all()
-    assert np.isnan(p3.graph_g.level_crossing(f, plus, c + 1.0, 1e-12)).all()
+    assert np.isnan(lp.level_crossings([p3.graph_f], f, u, c - 1.0, 1e-12)).all()
+    assert np.isnan(lp.level_crossings([p3.graph_g], f, plus, c + 1.0, 1e-12)).all()
     # a level behind f(0) is not reached either
-    assert np.isnan(p3.graph_f.level_crossing(f, u, c + 1e-3, 1e-12)).all()
-    assert np.isnan(p3.graph_g.level_crossing(f, plus, c - 1e-3, 1e-12)).all()
+    assert np.isnan(lp.level_crossings([p3.graph_f], f, u, c + 1e-3, 1e-12)).all()
+    assert np.isnan(lp.level_crossings([p3.graph_g], f, plus, c - 1e-3, 1e-12)).all()

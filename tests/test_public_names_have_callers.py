@@ -42,6 +42,9 @@ AMBIGUOUS_READS = {
         ("gradleaf/lyapunov_perron.py", "orbit.reference"),
     "gradleaf/lyapunov_perron.py:IntegralOperator.curve":
         ("gradleaf/lyapunov_perron.py", "operator.curve"),
+    # the method shares its name with the field FixedPointResult.graph_value
+    "gradleaf/lyapunov_perron.py:IntegralOperator.graph_value":
+        ("gradleaf/lyapunov_perron.py", "operator.graph_value"),
     # the Picard loop calls either operator's advance
     "gradleaf/lyapunov_perron.py:IntegralOperator.advance":
         ("gradleaf/lyapunov_perron.py", "operator.advance"),
