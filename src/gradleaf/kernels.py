@@ -17,7 +17,12 @@ resolved to near machine precision.  Panels of one grid all have the same
 width, so a single set of local operators per rate serves the whole horizon;
 one instance serves every Picard iteration and every sample sharing the
 horizon.  The interpolation bases at the Gauss points depend on the panel
-degree alone and are built once per process, on first use.
+degree alone and are built once per process, on first use, stacked per
+direction as ``(nodes, Gauss points, p + 1)``.  A build forms the kernel
+of every usable rate at every node and Gauss point in one ``np.exp`` per
+direction and integrates it against the stacked bases in one stacked
+``matmul``; each element rounds as it does when formed node by node and
+rate by rate.
 
 Each convolution reads the samples of all panels through one overlapping
 view, ``(P, p + 1)`` per column, and forms every panel's local integrals in
@@ -62,17 +67,22 @@ GAUSS_WEIGHTS = np.concatenate([_GAUSS_POSITIVE_WEIGHTS[::-1], _GAUSS_POSITIVE_W
 @functools.cache
 def _panel_bases(p):
     """The Lobatto nodes of degree ``p`` on [0, 1] and, per sign (1 forward
-    over [0, xi], -1 backward over [xi, 1]), ``(i, length, Gauss points,
-    interpolation basis there)`` per node ``xi``; shared by all convolvers."""
+    over [0, xi], -1 backward over [xi, 1]), the stacked tables of the nodes
+    ``xi`` that have such an interval: ``(indices, xi, lengths, Gauss points,
+    interpolation bases there)``, shapes (N,), (N,), (N,), (N, 16) and
+    (N, 16, p + 1); shared by all convolvers."""
     ref = _lobatto_reference(p)
     ref_w = barycentric_weights(ref)
     gx = 0.5 * (GAUSS_NODES + 1.0)  # map to [0, 1]
-    sides = {1.0: [(i, xi, xi * gx) for i, xi in enumerate(ref) if xi > 0.0],
-             -1.0: [(i, 1.0 - xi, xi + (1.0 - xi) * gx)
+    sides = {1.0: [(i, xi, xi, xi * gx) for i, xi in enumerate(ref) if xi > 0.0],
+             -1.0: [(i, xi, 1.0 - xi, xi + (1.0 - xi) * gx)
                     for i, xi in enumerate(ref) if xi < 1.0]}
-    bases = {sign: tuple((i, length, s, barycentric_matrix(ref, ref_w, s))
-                         for i, length, s in side) for sign, side in sides.items()}
-    for array in [ref] + [a for side in bases.values() for e in side for a in e[2:]]:
+    bases = {}
+    for sign, side in sides.items():
+        idx, xi, length, s = (np.array(column) for column in zip(*side))
+        basis = np.stack([barycentric_matrix(ref, ref_w, row) for row in s])
+        bases[sign] = (idx, xi, length, s, basis)
+    for array in [ref] + [a for side in bases.values() for a in side]:
         array.flags.writeable = False  # one copy serves every caller
     return ref, bases
 
@@ -109,22 +119,24 @@ class ExpConvolver:
         self._bwd_decay = {}
 
         # forward over [0, xi] (lam >= 0), backward over [xi, 1] (lam <= 0);
-        # either kernel is exp((s - xi) w lam)
+        # either kernel is exp((s - xi) w lam); the products keep the order
+        # of a node-by-node build, so every entry rounds as it did there
         for local, sign in ((self._fwd_local, 1.0), (self._bwd_local, -1.0)):
-            for i, length, s_ref, basis in bases[sign]:
-                for r, lam in enumerate(self.rates):
-                    if sign * lam >= 0.0:
-                        kern = np.exp((s_ref - ref[i]) * w * lam)
-                        local[r, i] = (gw * length * w * kern) @ basis
-        for r, lam in enumerate(self.rates):
-            if lam >= 0.0:
-                self._fwd_carry[r] = np.exp(-ref * w * lam)
-                self._fwd_decay[r] = _decay_table(self._fwd_carry[r, -1],
-                                                  grid.n_panels, forward=True)
-            if lam <= 0.0:
-                self._bwd_carry[r] = np.exp((1.0 - ref) * w * lam)
-                self._bwd_decay[r] = _decay_table(self._bwd_carry[r, 0],
-                                                  grid.n_panels, forward=False)
+            idx, xi, length, s_ref, basis = bases[sign]
+            r = np.flatnonzero(sign * self.rates >= 0.0)
+            kern = np.exp((s_ref - xi[:, None]) * w * self.rates[r, None, None])
+            weighted = gw * length[:, None] * w * kern
+            local[np.ix_(r, idx)] = (weighted[..., None, :] @ basis)[..., 0, :]
+        fwd = np.flatnonzero(self.rates >= 0.0)
+        bwd = np.flatnonzero(self.rates <= 0.0)
+        self._fwd_carry[fwd] = np.exp(-ref * w * self.rates[fwd, None])
+        self._bwd_carry[bwd] = np.exp((1.0 - ref) * w * self.rates[bwd, None])
+        for r in fwd:
+            self._fwd_decay[r] = _decay_table(self._fwd_carry[r, -1],
+                                              grid.n_panels, forward=True)
+        for r in bwd:
+            self._bwd_decay[r] = _decay_table(self._bwd_carry[r, 0],
+                                              grid.n_panels, forward=False)
 
     def forward(self, rate_index, y):
         """F(t) on the flat grid for coordinate samples ``y``, one column

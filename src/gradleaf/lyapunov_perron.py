@@ -121,12 +121,23 @@ def _add_integrals(out, conv, k, y):
     n)``.  Minus coordinates (``j < k``) subtract the backward convolution,
     which vanishes at the end of the grid; plus coordinates add the forward
     one, which vanishes at its start.
+
+    A coordinate whose ``y`` is exactly zero on every node of every curve
+    is not convolved: h vanishes so on a flat invariant manifold, and on a
+    coordinate that q's gradient table never reaches.  Its convolution
+    would be +0.0 at every node, so a minus coordinate keeps ``out`` as it
+    is and a plus coordinate adds +0.0, which turns a -0.0 of ``out`` into
+    +0.0 as the convolution does; either way ``out`` comes out bit for bit
+    as convolved.  A NaN is not zero: its column is convolved.
     """
     for j in range(out.shape[-1]):
+        column = y[..., j]
+        zero = not column.any()
         if j < k:
-            out[..., j] -= conv.backward(j, y[..., j])
+            if not zero:
+                out[..., j] -= conv.backward(j, column)
         else:
-            out[..., j] += conv.forward(j, y[..., j])
+            out[..., j] += 0.0 if zero else conv.forward(j, column)
     return out
 
 

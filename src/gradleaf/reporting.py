@@ -7,12 +7,14 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 def fmt(value):
@@ -26,14 +28,28 @@ def fmt(value):
     return str(value)
 
 
+def _field(text):
+    """``text`` as a CSV field: quoted, with its quotes doubled, when it
+    holds a comma, a quote or a line break, else as it is."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
 def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as one CSV file in a single ``write``.
+
+    A Python float cell is formatted in place, as ``fmt`` formats it, and
+    every other cell goes through ``fmt``; fields are quoted as csv's
+    QUOTE_MINIMAL quotes them, and so is one holding a carriage return,
+    which a csv writer with a newline terminator may leave bare; lines end
+    in a bare newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [",".join([_field(str(h)) for h in header])]
+    lines += [",".join([f"{v:.16e}" if type(v) is float else _field(fmt(v)) for v in row])
+              for row in rows]
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        fh.write("\n".join(lines))
     return str(path)
 
 

@@ -360,3 +360,76 @@ def test_row_norms_match_numpy(n):
     for shape in ((7, n), (3, 5, n), (n,)):
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
         assert _bits(row_norms(values)) == _bits(np.linalg.norm(values, axis=-1))
+
+
+def counting_convolutions(monkeypatch):
+    """Wrap ``ExpConvolver.forward`` and ``backward`` so that each call
+    appends ``(direction, rate index)`` to the returned list."""
+    calls = []
+    for name in ("forward", "backward"):
+        method = getattr(ExpConvolver, name)
+
+        def counted(self, rate_index, y, method=method, name=name):
+            calls.append((name, rate_index))
+            return method(self, rate_index, y)
+        monkeypatch.setattr(ExpConvolver, name, counted)
+    return calls
+
+
+def zero_column_block():
+    """A convolver with two minus and two plus rates and a (3, size, 4)
+    block: ``y`` with ±0.0 entries only in columns 0 (minus) and 3 (plus),
+    and a boundary with ±0.0 entries in those columns."""
+    grid = PanelGrid(0.0, 12.5, 2.0)
+    conv = ExpConvolver(grid, [-3.0, -0.4, 0.7, 2.0])
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal((3, grid.size, 4))
+    boundary = rng.standard_normal((3, grid.size, 4))
+    signs = np.where(rng.random((3, grid.size, 2)) < 0.5, -0.0, 0.0)
+    y[..., [0, 3]] = signs
+    boundary[:, ::5][..., [0, 3]] = signs[:, ::5]
+    return conv, 2, y, boundary
+
+
+def convolve_every_column(conv, k, y, boundary):
+    out = boundary.copy()
+    for j in range(out.shape[-1]):
+        if j < k:
+            out[..., j] -= conv.backward(j, y[..., j])
+        else:
+            out[..., j] += conv.forward(j, y[..., j])
+    return out
+
+
+def test_zero_columns_are_not_convolved(monkeypatch):
+    conv, k, y, boundary = zero_column_block()
+    expected = convolve_every_column(conv, k, y, boundary)
+    assert np.signbit(boundary[..., [0, 3]]).any()
+    calls = counting_convolutions(monkeypatch)
+    got = lp._add_integrals(boundary.copy(), conv, k, y)
+    assert _bits(got) == _bits(expected)
+    assert calls == [("backward", 1), ("forward", 2)]
+
+
+def test_nan_column_is_convolved(monkeypatch):
+    conv, k, y, boundary = zero_column_block()
+    y[1, 17, 0] = y[2, 40, 3] = np.nan
+    expected = convolve_every_column(conv, k, y, boundary)
+    calls = counting_convolutions(monkeypatch)
+    got = lp._add_integrals(boundary.copy(), conv, k, y)
+    assert _bits(got) == _bits(expected)
+    assert np.isnan(got[1, :, 0]).any() and np.isnan(got[2, :, 3]).any()
+    assert calls == [("backward", 0), ("backward", 1), ("forward", 2), ("forward", 3)]
+
+
+def test_flat_stable_graph_convolves_nothing(p3, monkeypatch):
+    # h vanishes on p3's stable graph, which is flat, so its solve is the
+    # boundary term alone; the unstable graph is curved and convolves
+    model = LocalModel(p3.problem, p3.split)
+    calls = counting_convolutions(monkeypatch)
+    sample = lp.graph_G_inf(model, p3.ladder_raw)
+    assert calls == []
+    assert _bits(sample.values) == _bits(p3.graph_g.values)
+    assert not sample.values.any()
+    lp.graph_F_inf(model, p3.ladder_raw)
+    assert calls

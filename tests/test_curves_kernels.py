@@ -273,7 +273,8 @@ def per_build_tables(grid, rates):
 
 @pytest.mark.parametrize("t0, t1, max_rate", [
     (0.0, 3.0, 2.0), (0.0, 3.0, 8.0), (0.0, 2.9, 6.0), (-7.3, 0.0, 5.0),
-    (0.0, 11.47, 4.4)])
+    (0.0, 11.47, 4.4),
+    (-53.2, 0.0, 6.0)])  # 160 panels, 1,921 nodes
 def test_shared_bases_build_as_per_build_bases(t0, t1, max_rate):
     grid = PanelGrid(t0, t1, max_rate=max_rate)
     width = np.diff(grid.edges)[0]
