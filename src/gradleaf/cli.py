@@ -29,8 +29,7 @@ EXIT_CONFIG = 3
 EXIT_SOLVER = 4
 EXIT_INTERNAL = 5
 
-SUBCOMMANDS = ("spectral", "ladder", "manifolds", "lambda", "foliate",
-               "oracle", "all")
+SUBCOMMANDS = pipeline.STAGES + ("all",)
 
 
 def exit_code_for(error):

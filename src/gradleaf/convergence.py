@@ -96,24 +96,19 @@ def _key(vec):
 
 
 class GraphFamilySolver:
-    """The solve store of one ladder: backward orbits keyed by z-, mixed
-    fixed points keyed by (T, z-, z+) and stable fixed points keyed by z+,
-    shared by every stage that solves on that ladder.  Whether a mixed solve
-    asserts the varkappa endpoint bound follows from its T (see
-    ``mixed_columns``), so the key needs nothing more.
+    """The solve store of one ladder: the backward orbit of each z-, which
+    every (T, z-) request on that ladder needs, shared by every stage.
 
-    ``mixed_rows`` and ``stable_rows`` take many z+ at once and share one
-    store path: the keys not yet held are deduplicated, solved together in
-    one batched Picard loop and stored, and every row's result is returned
-    in request order.
+    A time-T or stable graph value is the fixed point of one contraction
+    and rounds as it does alone, whatever batch it is solved in (see
+    ``lyapunov_perron``), so those are solved where they are asked for and
+    not held.
     """
 
     def __init__(self, model, ladder):
         self.model = model
         self.ladder = ladder
         self._orbits = {}
-        self._mixed = {}
-        self._stable = {}
 
     def orbit(self, z_minus, t_need):
         key = _key(z_minus)
@@ -123,50 +118,16 @@ class GraphFamilySolver:
             have = backward_orbit(self.model, self.ladder, np.asarray(z_minus),
                                   t_max)
             self._orbits[key] = have
-            # a held mixed solve of this z- is centered on the orbit replaced
-            self._mixed = {k: v for k, v in self._mixed.items() if k[1] != key}
         return have
 
-    def _mixed_key(self, T, z_minus, z_plus):
-        return (round(float(T), 12), _key(z_minus), _key(z_plus))
-
-    def held_mixed(self, T, z_minus, z_plus):
-        """The held ``(result, gap)`` of a key, or None."""
-        return self._mixed.get(self._mixed_key(T, z_minus, z_plus))
-
-    def _rows(self, store, keys, rows, solve):
-        """The results of ``keys`` in ``store``, in request order.  The keys
-        not yet held are deduplicated, their rows solved in one batch by
-        ``solve`` and stored; the first failing one raises, after the keys
-        before it are stored."""
-        todo = {}
-        for key, row in zip(keys, rows):
-            if key not in store:
-                todo.setdefault(key, row)
-        if todo:
-            solved = solve(np.array(list(todo.values()), dtype=float))
-            for key, out in zip(todo, solved):
-                store[key] = out
-        return [store[key] for key in keys]
-
     def mixed_rows(self, T, z_minus, z_plus_rows):
-        """``(result, gap)`` for each row of ``z_plus_rows``, in row order."""
-        z_minus = np.asarray(z_minus, dtype=float)
-        orbit = self.orbit(z_minus, T)
-        # after ``orbit``, which drops the keys of an orbit it replaces
-        keys = [self._mixed_key(T, z_minus, zp) for zp in z_plus_rows]
-        return self._rows(self._mixed, keys, z_plus_rows,
-                          lambda rows: mixed_columns(self.model, self.ladder, T,
-                                                     z_minus, rows, orbit))
+        """``(result, gap)`` for each row of ``z_plus_rows``, in row order,
+        solved in one batch on the orbit of ``z_minus``."""
+        return list(mixed_columns(self.model, self.ladder, T, z_minus,
+                                  z_plus_rows, self.orbit(z_minus, T)))
 
     def mixed(self, T, z_minus, z_plus):
         return self.mixed_rows(T, z_minus, [z_plus])[0]
-
-    def stable_rows(self, z_plus_rows):
-        """Stable fixed points for each row of ``z_plus_rows``, in row order."""
-        keys = [_key(zp) for zp in z_plus_rows]
-        return self._rows(self._stable, keys, z_plus_rows,
-                          lambda rows: stable_columns(self.model, self.ladder, rows))
 
 
 def _fit_rate(T_values, gaps, floor):
@@ -191,10 +152,10 @@ def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
         raise ValueError(f"T grid must start at T0 = {ladder.T0}")
     report = ConvergenceReport("c0")
     series = {}
+    stable = list(stable_columns(solver.model, ladder, z_plus_list))
     for T in T_grid:
         for zm in z_minus_list:
             mixed = solver.mixed_rows(T, zm, z_plus_list)
-            stable = solver.stable_rows(z_plus_list)
             for zp, (res, _), st in zip(z_plus_list, mixed, stable):
                 gap = float(np.linalg.norm(res.graph_value - st.graph_value))
                 bound = math.exp(-T * ladder.lambda_ / 8.0)
@@ -242,19 +203,20 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
         +h (index ``at``) and -h (``at + 1``)."""
         return (g[at] - g[at + 1]) / (2.0 * h)
 
+    # the four probes of every (z+, direction), then the z+ themselves for
+    # the linearized check: their stable fixed points once, and one mixed
+    # request per (T, z-)
+    probes = [zp + h * v for zp in z_plus_list for v in directions
+              for h in fd_probes]
+    probes += list(z_plus_list)
+    stable = list(stable_columns(model, ladder, probes))
+    g_I = [st.graph_value for st in stable]
     report = ConvergenceReport("c1")
     cross = []
     for T in sorted(T_grid):
         for zm in z_minus_list:
-            # one request per (T, z-): the four probes of every (z+,
-            # direction), then the z+ themselves for the linearized check
-            probes = [zp + h * v for zp in z_plus_list for v in directions
-                      for h in fd_probes]
-            probes += list(z_plus_list)
             mixed = solver.mixed_rows(T, zm, probes)
-            stable = solver.stable_rows(probes)
             g_T = [res.graph_value for res, _ in mixed]
-            g_I = [st.graph_value for st in stable]
             for a, zp in enumerate(z_plus_list):
                 for i, v in enumerate(directions):
                     at = len(fd_probes) * (a * len(directions) + i)
@@ -290,9 +252,9 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
     ladder = solver.ladder
     report = ConvergenceReport("lipschitz_T")
     for T in sorted(T_grid):
+        at_T = [solver.mixed_rows(T, zm, z_plus_list) for zm in z_minus_list]
         for tau in tau_grid:
-            for zm in z_minus_list:
-                rows_A = solver.mixed_rows(T, zm, z_plus_list)
+            for zm, rows_A in zip(z_minus_list, at_T):
                 rows_B = solver.mixed_rows(T + tau, zm, z_plus_list)
                 for zp, (resA, _), (resB, _) in zip(z_plus_list, rows_A, rows_B):
                     quotient = float(np.linalg.norm(resB.graph_value

@@ -17,6 +17,7 @@ so this module never places a graph in the local frame.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .errors import ComponentAmbiguous, OutsideLeafDomain, OutsideSampledDomain
 from .flow import solve_ivp
 from .lyapunov_perron import (
     graph_G_T,
+    interpolate,
     level_crossings,
     multilinear_stencil,
     sphere_rays,
@@ -59,6 +61,7 @@ class ConleyPair:
 
     samples: np.ndarray          # accepted N samples, local frame
     exit_mask: np.ndarray        # True where the sample belongs to L
+    dropped: int                 # samples in N the flood fill left out
 
 
 def pair_membership(model, points, epsilon, tau):
@@ -122,6 +125,7 @@ def build_pair(model, ladder, rng):
     # sampling density with the box scale so random gaps do not fragment
     # a genuinely connected cloud
     m = accepted.shape[0]
+    dropped = 0
     if m > 1:
         dists = np.linalg.norm(accepted[:, None, :] - accepted[None, :, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
@@ -144,7 +148,7 @@ def build_pair(model, ladder, rng):
                 "at this sampling resolution")
         accepted = accepted[reach]
         exit_flags = exit_flags[reach]
-    return ConleyPair(samples=accepted, exit_mask=exit_flags)
+    return ConleyPair(samples=accepted, exit_mask=exit_flags, dropped=dropped)
 
 
 def _median(x):
@@ -265,32 +269,22 @@ def _refined_axes(axes, refine):
                  for ax in axes)
 
 
-def check_disjoint(atlas, pair_count, rng):
-    """Pairwise leaf separation over random distinct labels.
+def check_disjoint(atlas):
+    """Pairwise leaf separation over every unordered pair of labels, once
+    each, in label order.
 
     Leaves are graphs over a common plus grid, so they intersect iff their
     graph values meet at a common base point.  The difference of two
     multilinear interpolants on one grid is the interpolant of the
     difference, so the separation floor is the grid Lipschitz constant of
     the difference times the probe spacing: the largest dip of the
-    separation between probes.  The probes' interpolation weights are
-    computed once, and each leaf is interpolated at them once.
+    separation between probes.  Every leaf is interpolated at the probes
+    once, as one stack.
     """
     labels = list(atlas.leaves.keys())
-    model = atlas.model
     report = ConvergenceReport("disjoint")
     if len(labels) < 2:
         return report
-
-    def lipschitz(values, axes):
-        worst = 0.0
-        for axis in range(len(axes)):
-            v = np.moveaxis(values, axis, 0)
-            dx = np.diff(axes[axis])
-            dv = np.linalg.norm(np.diff(v, axis=0), axis=-1)
-            worst = max(worst, float(np.max(dv / dx.reshape(-1, *([1] * (dv.ndim - 1))))))
-        return worst
-
     axes = atlas.leaves[labels[0]].graph.axes
     for label in labels:
         if not all(np.array_equal(x, y)
@@ -300,21 +294,25 @@ def check_disjoint(atlas, pair_count, rng):
     fine = _refined_axes(atlas.center.graph.axes, DISJOINT_REFINE)
     stencil = multilinear_stencil(axes, tensor_points(fine))
     spacing = max(float(np.max(np.diff(f))) for f in fine)
-    probed = {}
+    values = np.stack([atlas.leaves[label].graph.values for label in labels])
+    # (leaves, probes, codim)
+    probed = interpolate(stencil, values, lead=(slice(None),))
+    pairs = list(itertools.combinations(range(len(labels)), 2))
+    first, second = np.array(pairs).T
+    separations = np.min(np.linalg.norm(probed[first] - probed[second], axis=-1),
+                         axis=1)
+    # the grid Lipschitz constant of each pair's difference, (pairs,)
+    diff = values[first] - values[second]
+    worst = np.zeros(len(pairs))
+    for axis, ax in enumerate(axes):
+        slope = (np.linalg.norm(np.diff(diff, axis=axis + 1), axis=-1)
+                 / np.diff(ax).reshape(-1, *([1] * (len(axes) - axis - 1))))
+        worst = np.maximum(worst, slope.reshape(len(pairs), -1).max(axis=1))
+    floors = worst * spacing
 
-    def probe_values(label):
-        if label not in probed:
-            probed[label] = atlas.leaves[label].graph.interpolate(stencil)
-        return probed[label]
-
-    for _ in range(pair_count):
-        la, lb = rng.choice(len(labels), size=2, replace=False)
-        a, b = labels[la], labels[lb]
-        ga, gb = atlas.leaves[a].graph, atlas.leaves[b].graph
-        vals_a = probe_values(a)
-        vals_b = probe_values(b)
-        separation = float(np.min(np.linalg.norm(vals_a - vals_b, axis=-1)))
-        floor = lipschitz(ga.values - gb.values, ga.axes) * spacing
+    for (ia, ib), separation, floor in zip(pairs, separations.tolist(),
+                                           floors.tolist()):
+        a, b = labels[ia], labels[ib]
         report.add(check="disjoint", T=float(a[0]), z_minus_label=str(a),
                    z_plus_label=str(b), direction_label="",
                    gap=separation, bound=floor, budget=0.0, ok=separation > floor,
@@ -429,9 +427,12 @@ def retract_audit(atlas):
 def leaf_invariance(atlas):
     """Forward-flow compatibility: points of the (T, alpha) leaf land on the
     (T - sigma, alpha) leaf, measured through that leaf's graph.  Per sigma,
-    the inside points of every leaf with a target are flowed together."""
+    the inside points of every leaf with a target are flowed together.  A
+    point that flows outside the sampled domain of its target leaf gives no
+    row; ``extras["skipped"]`` counts those points."""
     model = atlas.model
     report = ConvergenceReport("invariance")
+    skipped = 0
     tol = 10.0 * atlas.interp_tolerance + 1e-9
     inside = {label: leaf.inside_points() for label, leaf in atlas.leaves.items()}
     landed = {}
@@ -456,12 +457,14 @@ def leaf_invariance(atlas):
                 try:
                     gap = target.graph.residual(end)
                 except OutsideSampledDomain:
-                    continue  # flowed outside the sampled target domain
+                    skipped += 1  # flowed outside the sampled target domain
+                    continue
                 report.add(check="invariance", T=float(T),
                            z_minus_label=str((T, ai)),
                            z_plus_label=_label(z_plus),
                            direction_label=f"sigma={sigma:g}",
                            gap=gap, bound=tol, budget=0.0, ok=gap <= tol)
+    report.extras["skipped"] = skipped
     return report
 
 

@@ -20,7 +20,7 @@ term of each problem:
 Picard iteration converges with factor at most 1/2 whenever the rate ladder
 invariants hold.  One operator holds a stack of columns, independent fixed
 points that share grid, convolver and reference orbit (every node of a
-sampled graph, or the z+ of one (T, z-) the solve store asks for), and one
+sampled graph, or the z+ that a check asks for at one (T, z-)), and one
 loop iterates them together on ``(B, size, n)`` blocks.  A column is frozen
 when it converges or fails; it rounds as it does alone, so its residual,
 iteration count and exception are those of a solve of that column by
@@ -505,16 +505,9 @@ class GraphSample:
         NaN coordinate, raises OutsideSampledDomain.
         """
         z = np.asarray(z, dtype=float)
-        out = self.interpolate(multilinear_stencil(self.axes, np.atleast_2d(z)))
+        out = interpolate(multilinear_stencil(self.axes, np.atleast_2d(z)),
+                          self.values)
         return out[0] if z.ndim == 1 else out
-
-    def interpolate(self, stencil):
-        """The graph values at the points of a :func:`multilinear_stencil`
-        built on this graph's axes, ``(m, codim)``."""
-        out = np.array([0.0])
-        for index, weight in stencil:
-            out = out + self.values[index] * weight
-        return out
 
     def grid_points(self):
         return tensor_points(self.axes)
@@ -604,8 +597,8 @@ def level_crossings(graphs, f, directions, level, tol):
     critical point over the minus subspace and rises over the plus one, so
     each bracket keeps its near end on the side of f(0).  All rays of all
     graphs are bisected in lockstep: per halving, one
-    :func:`multilinear_stencil` for the open rays, applied to the stacked
-    values as ``GraphSample.interpolate`` does.  A ray stops when
+    :func:`multilinear_stencil` for the open rays, each ray reading the
+    values of its own graph (:func:`interpolate`).  A ray stops when
     |f - level| <= ``tol``, when its bracket is below the resolution of the
     radius, or after ``LEVEL_BISECT_STEPS`` halvings, as it would alone.
     """
@@ -624,9 +617,8 @@ def level_crossings(graphs, f, directions, level, tol):
 
     def offset(r, rows):
         base = r[:, None] * rays[rows]
-        vals = np.array([0.0])
-        for index, weight in multilinear_stencil(first.axes, base):
-            vals = vals + stacked[(owner[rows],) + index] * weight
+        vals = interpolate(multilinear_stencil(first.axes, base), stacked,
+                           lead=(owner[rows],))
         return sign * (f(first.place(base, vals)) - level)
 
     radii = np.full(m, np.nan)
@@ -651,8 +643,8 @@ def level_crossings(graphs, f, directions, level, tol):
 def multilinear_stencil(axes, points):
     """The corners and weights of multilinear interpolation on the tensor
     grid ``axes`` at ``points`` ``(m, d)``: a list of (corner index, weight
-    ``(m, 1)``), which ``GraphSample.interpolate`` applies to any values on
-    that grid.
+    ``(m, 1)``), which :func:`interpolate` applies to any values on that
+    grid.
 
     Rounds exactly as scipy's linear ``RegularGridInterpolator`` with its
     generic ``_evaluate_linear`` (the path any grid with a codim axis
@@ -678,6 +670,17 @@ def multilinear_stencil(axes, points):
             weight = weight * w
         stencil.append((index, weight[:, None]))
     return stencil
+
+
+def interpolate(stencil, values, lead=()):
+    """The multilinear interpolant at the points of ``stencil`` of the values
+    ``values[lead + corner]`` at each grid corner: ``(m, codim)`` for one
+    graph's values, or, with ``lead`` indexing stacked graphs, the values of
+    those graphs.  Every point rounds as it does alone."""
+    out = np.array([0.0])
+    for index, weight in stencil:
+        out = out + values[lead + index] * weight
+    return out
 
 
 def tensor_points(axes):
@@ -710,20 +713,11 @@ def graph_G_inf(model, ladder):
 
 def graph_G_T(solver, T, z_minus, base_axes=None):
     """Time-T graph over the plus ball for one sphere point ``z_minus``, on
-    the ladder of ``solver``, its ``GraphFamilySolver``.
-
-    The graph uses the solver's orbit and takes the nodes it already holds;
-    the rest are solved here and not stored.
-    """
+    the ladder of ``solver``, its ``GraphFamilySolver``: every node of the
+    grid in one ``mixed_rows`` request on the solver's orbit."""
     model, ladder = solver.model, solver.ladder
-    # before ``held_mixed``: an orbit replaced here drops the nodes held on it
-    orbit = solver.orbit(z_minus, T)
     axes = base_axes or default_axes(ladder.R, model.n - model.k)
-    points = tensor_points(axes)
-    held = [solver.held_mixed(T, z_minus, zp) for zp in points]
-    fresh = mixed_columns(model, ladder, T, z_minus,
-                          points[[h is None for h in held]], orbit)
-    results, gaps = zip(*(h if h is not None else next(fresh) for h in held))
+    results, gaps = zip(*solver.mixed_rows(T, z_minus, tensor_points(axes)))
     return GraphSample.from_fixed_points(
         "G_T", "plus", axes, results, T=float(T),
         z_minus=np.asarray(z_minus, dtype=float),

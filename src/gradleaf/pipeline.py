@@ -1,12 +1,14 @@
 """Staged batch pipeline shared by the CLI and the test suite.
 
-Stages: spectral -> ladder -> manifolds -> lambda -> foliate -> oracle.
+Stages: spectral -> ladder -> manifolds -> lambda -> foliate -> oracle,
+named once in ``_STAGE_FUNCS`` (the CLI's subcommands come from it).
 Each stage consumes the state produced by earlier ones, emits CSV artifacts
 into the output directory, and records a pass/fail status.  The manifolds
-stage builds the solve store of the calibrated ladder (``RunState.solver``)
-that the later stages share.  The run manifest lists every emitted file,
-echoes the full constants ladder, and carries the config hash and wall
-times.
+stage builds the solve store of the calibrated ladder (``RunState.solver``):
+the backward orbits that the later stages share; every other fixed point
+is solved by the stage that asks for it.  The run manifest lists every
+emitted file, echoes the full constants ladder, and carries the config
+hash and wall times.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .lyapunov_perron import (PICARD_TOL, default_axes, graph_F_inf, graph_G_inf
 from .oracle import mixed_bvp_oracle
 from .spectral import split
 
-STAGES = ("spectral", "ladder", "manifolds", "lambda", "foliate", "oracle")
-
 
 @dataclass
 class RunState:
@@ -47,8 +47,10 @@ class RunState:
     wall_times: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
-    def rng(self, salt):
-        return np.random.default_rng(self.seed + salt)
+    def rng(self):
+        """The stream of the pair's box samples, the run's one random draw
+        (offset from the seed so that a seed draws the pair it always has)."""
+        return np.random.default_rng(self.seed + 2)
 
     def emit(self, name, header, rows):
         path = reporting.write_csv(self.out_dir / name, header, rows)
@@ -180,7 +182,7 @@ def stage_foliate(state):
     ladder = state.ladder
     tau = state.ladder.T0
     T_grid = tau + np.arange(0.0, 3.0)
-    pair = foliation.build_pair(state.model, ladder, rng=state.rng(2))
+    pair = foliation.build_pair(state.model, ladder, rng=state.rng())
     atlas = foliation.build_atlas(
         state.solver, state.graph_g, state.disk.sphere_minus, tau=tau,
         T_grid=T_grid,
@@ -197,8 +199,7 @@ def stage_foliate(state):
                    reporting.atlas_leaf_rows(leaf, state.model))
         leaf_files.append([str(label), name])
     reports = {
-        "disjoint": foliation.check_disjoint(atlas, pair_count=100,
-                                             rng=state.rng(3)),
+        "disjoint": foliation.check_disjoint(atlas),
         "invariance": foliation.leaf_invariance(atlas),
         "center_distance": foliation.contraction_to_center(atlas),
         "retract": foliation.retract_audit(atlas),
@@ -209,6 +210,8 @@ def stage_foliate(state):
         "leaf_files": leaf_files,
         "mu_audit": reports["retract"].extras["mu_audit"],
         "pair_samples": len(pair.samples),
+        "pair_dropped": pair.dropped,
+        "invariance_skipped": reports["invariance"].extras["skipped"],
         "all_ok": not failed,
     }
     if failed:
@@ -261,6 +264,7 @@ def stage_oracle(state):
         raise BoundViolation(f"oracle disagreement {worst:.3e} above 1e-6")
 
 
+#: every stage by name, in run order
 _STAGE_FUNCS = {
     "spectral": stage_spectral,
     "ladder": stage_ladder,
@@ -269,6 +273,7 @@ _STAGE_FUNCS = {
     "foliate": stage_foliate,
     "oracle": stage_oracle,
 }
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_stage(name, state):

@@ -171,10 +171,10 @@ def test_criterion_7_manifold_graphs(p1, p2, trajectory_tol):
 
 
 def test_criterion_8_foliation_audits(p2, atlas_p2, monkeypatch):
-    with criterion(8, "leaf disjointness over 100 label pairs, invariance "
+    with criterion(8, "leaf disjointness over every leaf pair, invariance "
                       "residual <= 10x interpolation tolerance, contraction "
                       "onto the ascending disk <= exp(-T lambda/8) on P2"):
-        rep_d = fol.check_disjoint(atlas_p2, 100, np.random.default_rng(12))
+        rep_d = fol.check_disjoint(atlas_p2)
         assert rep_d.all_ok
         assert min(r.gap for r in rep_d.rows) > 0.0
         monkeypatch.setattr(fol, "INVARIANCE_SIGMAS", (1.0, 2.0))

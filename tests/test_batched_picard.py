@@ -132,14 +132,6 @@ def test_time_T_graph_matches_per_node(request, name):
     reference = per_node(sample.axes, model.k, mixed)
     assert_same_sample(sample, reference)
 
-    # through the store: the node it already holds is taken, not re-solved
-    solver = setup.solver()
-    origin = np.zeros(model.n - model.k)
-    held = solver.mixed(T, zm, origin)
-    stored = lp.graph_G_T(solver, T, zm)
-    assert_same_sample(stored, reference)
-    assert len(solver._mixed) == 1 and solver.held_mixed(T, zm, origin) is held
-
 
 def _first_failure(solve, points):
     """The exception the per-node loop raises: the first failing node's."""
@@ -218,11 +210,6 @@ def test_domain_failure_raises_in_its_turn(p2, first):
         lp.graph_G_T(convergence.GraphFamilySolver(model, ladder), T, zm,
                      (axis,))
     assert str(info.value) == str(failures[0])
-    # the store keeps the rows solved before the failing one
-    solver = convergence.GraphFamilySolver(model, ladder)
-    with pytest.raises(first):
-        solver.mixed_rows(T, zm, points)
-    assert len(solver._mixed) == alone.index(failures[0])
 
 
 class ScriptedOperator:

@@ -23,7 +23,7 @@ from gradleaf.pipeline import STAGES, RunState, run_stage
 UNRESOLVED = pytest.mark.xfail(
     strict=True, raises=pytest.fail.Exception,
     reason="no check resolves the linearized construction yet "
-           "(ROADMAP item 1(b)-(d))")
+           "(ROADMAP items 1 and 7)")
 
 
 @pytest.mark.parametrize("name, error, report", [

@@ -13,6 +13,7 @@ from gradleaf.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
     EXIT_SOLVER,
+    build_parser,
     exit_code_for,
     main,
 )
@@ -95,6 +96,15 @@ def test_exit_code_mapping():
     assert exit_code_for(ValueError("x")) == EXIT_INTERNAL
     assert exit_code_for(KeyError("x")) == EXIT_INTERNAL
     assert exit_code_for(ZeroDivisionError("x")) == EXIT_INTERNAL
+
+
+def test_subcommands_are_the_stages_in_run_order_and_all():
+    # the CLI names no stage of its own: its choices come from the pipeline
+    (action,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    assert tuple(action.choices) == ("spectral", "ladder", "manifolds",
+                                     "lambda", "foliate", "oracle", "all")
+    assert tuple(action.choices)[:-1] == pipeline.STAGES
+    assert action.help == "pipeline stage to run ('all' runs every stage)"
 
 
 def test_internal_value_error_exits_internal(tmp_path, monkeypatch):

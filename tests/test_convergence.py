@@ -43,7 +43,7 @@ def test_c0_monotone_bound_between_horizons(p1, solver_p1):
     zp = np.array([0.3 * lad.R])
     tau = 0.5
     k = p1.model.k
-    [stable] = solver_p1.stable_rows([zp])
+    [stable] = lp.stable_columns(p1.model, lad, [zp])
 
     def gap(T):
         res, _ = solver_p1.mixed(T, zm, zp)
@@ -114,7 +114,7 @@ def test_lipschitz_quartic(p2, solver_p2):
 
 
 def test_lipschitz_solves_only_the_quotient_horizons(p1, solver_p1, monkeypatch):
-    # each (T, tau) asks for T and T + tau, nothing else
+    # each T is asked for once and each T + tau once, nothing else
     lad = p1.ladder
     T = lad.T0
     asked = []
@@ -127,8 +127,8 @@ def test_lipschitz_solves_only_the_quotient_horizons(p1, solver_p1, monkeypatch)
     monkeypatch.setattr(solver_p1, "mixed_rows", recording)
     cv.lipschitz_in_T(solver_p1, [T, T + 1.0], (1e-2, 1e-3),
                       [p1.sphere_point()], [np.array([0.2 * lad.R])])
-    assert asked == [T, T + 1e-2, T, T + 1e-3,
-                     T + 1.0, T + 1.0 + 1e-2, T + 1.0, T + 1.0 + 1e-3]
+    assert asked == [T, T + 1e-2, T + 1e-3, T + 1.0, T + 1.0 + 1e-2,
+                     T + 1.0 + 1e-3]
 
 
 def test_endpoint_audit(p2, solver_p2):
@@ -194,11 +194,10 @@ def test_empty_report_fails_and_worst_row_is_named():
     assert "z_minus=center z_plus=(0.4)" in message
 
 
-def test_mixed_store_key_includes_endpoint_enforcement(p2):
-    # the key carries T, and T alone decides the endpoint check: with
-    # varkappa below both endpoint gaps, a solve held below T0, where the gap
-    # is only returned, must not answer a request at T0, where it must be
-    # within varkappa
+def test_endpoint_bound_is_asserted_from_T0(p2):
+    # T alone decides the endpoint check: with varkappa below both endpoint
+    # gaps, a solve below T0, where the gap is only returned, passes, and
+    # one at T0, where it must be within varkappa, raises
     zm = p2.sphere_point()
     zp = np.array([0.4 * p2.ladder.R])  # z+ = 0 ends on z- exactly
     horizons = (0.5 * p2.ladder.T0, p2.ladder.T0)
@@ -208,56 +207,5 @@ def test_mixed_store_key_includes_endpoint_enforcement(p2):
     result, gap = solver.mixed(horizons[0], zm, zp)
     assert gap == gaps[0] > ladder.varkappa
     assert result.curve.grid.t1 == horizons[0]
-    assert solver.held_mixed(horizons[0], zm, zp) is not None
     with pytest.raises(EndpointViolation):
         solver.mixed(horizons[1], zm, zp)
-
-
-
-def _recording(monkeypatch, name):
-    """Replace ``convergence.<name>`` by a wrapper that records the
-    arguments of each call."""
-    solve, calls = getattr(cv, name), []
-
-    def recording(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(cv, name, recording)
-    return calls
-
-
-def test_stable_rows_solve_only_unheld_rows_once(p1, monkeypatch):
-    a, b, c = (np.array([s * p1.ladder.R]) for s in (0.1, -0.2, 0.3))
-    solver = cv.GraphFamilySolver(p1.model, p1.ladder)
-    calls = _recording(monkeypatch, "stable_columns")
-    held_a, held_b = solver.stable_rows([a, b])
-    out = solver.stable_rows([b, c, a, c])
-    # (model, ladder, z_plus_rows): the second call solves c alone, once
-    assert [args[2].tolist() for args in calls] == [[a.tolist(), b.tolist()],
-                                                    [c.tolist()]]
-    assert out[0] is held_b and out[2] is held_a and out[1] is out[3]
-    alone = next(lp.stable_columns(p1.model, p1.ladder, [c]))
-    assert out[1].graph_value.tolist() == alone.graph_value.tolist()
-
-
-def test_mixed_rows_solve_only_unheld_rows_once(p1, monkeypatch):
-    a, b, c = (np.array([s * p1.ladder.R]) for s in (0.1, -0.2, 0.3))
-    T, zm = p1.ladder.T0, p1.sphere_point()
-    solver = cv.GraphFamilySolver(p1.model, p1.ladder)
-    calls = _recording(monkeypatch, "mixed_columns")
-    held_a, held_b = solver.mixed_rows(T, zm, [a, b])
-    out = solver.mixed_rows(T, zm, [b, c, a, c])
-    # (model, ladder, T, z_minus, z_plus_rows, orbit): c alone, once
-    assert [args[4].tolist() for args in calls] == [[a.tolist(), b.tolist()],
-                                                    [c.tolist()]]
-    assert out[0] is held_b and out[2] is held_a and out[1] is out[3]
-    alone, gap = next(lp.mixed_columns(p1.model, p1.ladder, T, zm, [c],
-                                       solver.orbit(zm, T)))
-    assert out[1][0].graph_value.tolist() == alone.graph_value.tolist()
-    assert out[1][1] == gap
-    # every row held: the orbit fetch is a hit and nothing is solved
-    orbits = _recording(monkeypatch, "backward_orbit")
-    again = solver.mixed_rows(T, zm, [c, a])
-    assert again[0] is out[1] and again[1] is held_a
-    assert len(calls) == 2 and orbits == []

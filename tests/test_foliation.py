@@ -203,19 +203,22 @@ def test_leaf_labels_biject_with_disk(atlas_p2):
 
 
 def test_disjointness_quadratic_closed_form(atlas_p1, p1):
-    # leaves over alpha and -alpha at equal T sit 2 e^{-T} |alpha| apart
-    rep = fol.check_disjoint(atlas_p1, 40, np.random.default_rng(3))
+    # every unordered leaf pair once, in label order; leaves over alpha and
+    # -alpha at equal T sit 2 e^{-T} |alpha| apart
+    rep = fol.check_disjoint(atlas_p1)
     assert rep.all_ok
+    labels = list(atlas_p1.leaves)
+    assert [(r.z_minus_label, r.z_plus_label) for r in rep.rows] == [
+        (str(a), str(b)) for i, a in enumerate(labels) for b in labels[i + 1:]]
     T = min(lbl[0] for lbl in atlas_p1.leaves)
     alpha = abs(p1.disk.sphere_minus[0][0])
-    seps = [r.gap for r in rep.rows
-            if r.z_minus_label == str((T, 0)) and r.z_plus_label == str((T, 1))]
-    for s in seps:
-        assert s == pytest.approx(2 * alpha * math.exp(-T), rel=1e-9)
+    [sep] = [r.gap for r in rep.rows
+             if r.z_minus_label == str((T, 0)) and r.z_plus_label == str((T, 1))]
+    assert sep == pytest.approx(2 * alpha * math.exp(-T), rel=1e-9)
 
 
 def test_disjointness_quartic(atlas_p2):
-    rep = fol.check_disjoint(atlas_p2, 100, np.random.default_rng(4))
+    rep = fol.check_disjoint(atlas_p2)
     assert rep.all_ok
     assert min(r.gap for r in rep.rows) > 0.0
 
@@ -237,7 +240,7 @@ def test_disjointness_floor_of_parallel_sloped_leaves():
     # 3e-9 separation; the floor is the slope of the difference, near zero
     atlas = _line_leaf_atlas(lambda z: 1e-3 * z + 0.01,
                              lambda z: 1e-3 * z + 0.01 + 3e-9)
-    rep = fol.check_disjoint(atlas, 4, np.random.default_rng(0))
+    rep = fol.check_disjoint(atlas)
     assert rep.all_ok
     assert all(r.bound < 1e-12 and r.gap == pytest.approx(3e-9, rel=1e-6)
                for r in rep.rows)
@@ -248,7 +251,7 @@ def test_disjoint_rows_report_positive_slack():
     # the margin above the floor, positive on every passing row
     atlas = _line_leaf_atlas(lambda z: 1e-3 * z + 0.01,
                              lambda z: 2e-3 * z + 0.0111)
-    rep = fol.check_disjoint(atlas, 4, np.random.default_rng(0))
+    rep = fol.check_disjoint(atlas)
     assert rep.all_ok
     for r in rep.rows:
         assert r.slack == pytest.approx(r.gap - r.bound, rel=1e-12)
@@ -256,12 +259,11 @@ def test_disjoint_rows_report_positive_slack():
 
 
 def test_disjointness_crossing_leaves_fail():
-    # the crossing at z = 1e-3 lies between probes: every drawn pair is the
-    # crossing one, and each of its rows fails
+    # the crossing at z = 1e-3 lies between probes: the one pair's row fails
     atlas = _line_leaf_atlas(lambda z: 1e-3 * z,
                              lambda z: -1e-3 * (z - 1e-3))
-    rep = fol.check_disjoint(atlas, 4, np.random.default_rng(0))
-    assert len(rep.rows) == 4 and not any(r.ok for r in rep.rows)
+    rep = fol.check_disjoint(atlas)
+    assert len(rep.rows) == 1 and not any(r.ok for r in rep.rows)
     assert all(r.gap <= r.bound for r in rep.rows)
 
 
@@ -453,7 +455,9 @@ def _with_raising_graphs(atlas, exc):
 
 def test_graph_domain_misses_are_skipped(atlas_p2, p2):
     atlas = _with_raising_graphs(atlas_p2, OutsideSampledDomain)
-    assert fol.leaf_invariance(atlas).rows == []
+    rep = fol.leaf_invariance(atlas)
+    # every point that would give a row is counted instead
+    assert rep.rows == [] and rep.extras["skipped"] > 0
 
 
 def test_graph_errors_other_than_domain_misses_propagate(atlas_p2, p2):
@@ -485,7 +489,7 @@ def test_codim2_leaf_geometry(atlas_p3, p3):
 
 
 def test_codim2_disjoint_and_retract(atlas_p3):
-    rep = fol.check_disjoint(atlas_p3, 10, np.random.default_rng(1))
+    rep = fol.check_disjoint(atlas_p3)
     assert rep.all_ok
     audit = fol.retract_audit(atlas_p3)
     assert audit.all_ok

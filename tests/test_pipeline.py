@@ -95,17 +95,52 @@ def test_unknown_stage_rejected(tmp_path):
         pipeline.run_stage("bogus", state)
 
 
+def test_foliate_counts_what_it_drops(tmp_path, monkeypatch):
+    # forced: one pair sample cut off from x, and every other invariance
+    # point landed outside its target leaf's sampled domain
+    from types import SimpleNamespace
+
+    from gradleaf import lyapunov_perron as lp
+    from gradleaf.errors import OutsideSampledDomain
+
+    draws = np.zeros((20, 2))  # p1_quadratic is planar
+    draws[:19] = np.linspace(-1e-2, 1e-2, 19)[:, None]
+    draws[19] = 1.0  # a corner of the box, far from the cluster around x
+    monkeypatch.setattr(foliation, "PAIR_SAMPLES", len(draws))
+    monkeypatch.setattr(pipeline.RunState, "rng",
+                        lambda self: SimpleNamespace(uniform=lambda *a, **kw: draws))
+    monkeypatch.setattr(foliation, "pair_membership", lambda model, pts, eps, tau: (
+        np.ones(len(pts), dtype=bool), np.zeros(len(pts), dtype=bool)))
+    residual, calls, raised = lp.GraphSample.residual, [], []
+
+    def missing_every_other(self, point):
+        calls.append(point)
+        if len(calls) % 2:
+            raised.append(point)
+            raise OutsideSampledDomain("forced")
+        return residual(self, point)
+
+    monkeypatch.setattr(lp.GraphSample, "residual", missing_every_other)
+    state = pipeline.run(reference_problem("p1_quadratic"), tmp_path, ("foliate",),
+                         0, None)
+    details = state.details["foliate"]
+    assert details["pair_samples"] == 20 and details["pair_dropped"] == 1
+    assert details["invariance_skipped"] == len(raised) > 0
+
+
 def test_one_solve_store_per_run(tmp_path, monkeypatch):
     # every stage solves on the manifolds stage's store: each backward orbit
-    # of one ladder and each stored mixed problem is solved once per run
-    from gradleaf import convergence, flow, foliation
+    # of one ladder is solved once per run, and c0 and c1 each ask for their
+    # stable fixed points once
+    from gradleaf import flow
     from gradleaf import lyapunov_perron as lp
     from gradleaf.curves import BACKWARD
 
-    orbits, mixed, stores = Counter(), Counter(), []
-    backward_orbit, mixed_columns = lp.backward_orbit, lp.mixed_columns
-    solve_columns = lp.solve_columns
+    orbits, stores, stable = Counter(), [], []
+    backward_orbit, solve_columns = lp.backward_orbit, lp.solve_columns
+    stable_columns = convergence.stable_columns
     init = convergence.GraphFamilySolver.__init__
+    asking = [None]
 
     def key(v):
         return tuple(np.round(np.asarray(v, dtype=float), 14))
@@ -121,11 +156,15 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
                 orbits[(repr(op.ladder), key(op.z_minus[i]))] += 1
             yield res
 
-    def counted_mixed(model, ladder, T, z_minus, z_plus_rows, *args, **kw):
-        solved = mixed_columns(model, ladder, T, z_minus, z_plus_rows, *args, **kw)
-        for z_plus, out in zip(z_plus_rows, solved):
-            mixed[(repr(ladder), round(float(T), 12), key(z_minus), key(z_plus))] += 1
-            yield out
+    def counted_stable(*args):
+        stable.append(asking[0])
+        return stable_columns(*args)
+
+    def named(check):
+        def run(*args):
+            asking[0] = check.__name__
+            return check(*args)
+        return run
 
     def counted_init(self, *args, **kw):
         stores.append(self)
@@ -135,8 +174,9 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
         if getattr(module, "backward_orbit", None) is backward_orbit:
             monkeypatch.setattr(module, "backward_orbit", counted_orbit)
     monkeypatch.setattr(lp, "solve_columns", counted_columns)
-    # the store's own solves; graph_G_T samples its grid without storing it
-    monkeypatch.setattr(convergence, "mixed_columns", counted_mixed)
+    monkeypatch.setattr(convergence, "stable_columns", counted_stable)
+    for check in (convergence.c0_convergence, convergence.c1_convergence):
+        monkeypatch.setattr(convergence, check.__name__, named(check))
     monkeypatch.setattr(convergence.GraphFamilySolver, "__init__", counted_init)
 
     state = pipeline.run(reference_problem("p2_quartic"), tmp_path, ("all",), 0, None)
@@ -146,9 +186,7 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
     # the calibrated one
     assert len(orbits) == 13 + 2
     assert set(orbits.values()) == {1}
-    # lambda solves c0, c1 and Lipschitz-in-T keys; the oracle's are among them
-    assert len(mixed) == len(state.solver._mixed) > 0
-    assert set(mixed.values()) == {1}
+    assert stable == ["c0_convergence", "c1_convergence"]
 
 
 @pytest.mark.parametrize("stage, module, name", [

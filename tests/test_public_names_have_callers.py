@@ -52,8 +52,6 @@ AMBIGUOUS_READS = {
         ("gradleaf/lyapunov_perron.py", "operator.advance"),
     "gradleaf/lyapunov_perron.py:GraphSample.evaluate":
         ("gradleaf/lyapunov_perron.py", "self.evaluate"),
-    "gradleaf/lyapunov_perron.py:GraphSample.interpolate":
-        ("gradleaf/foliation.py", "atlas.leaves[label].graph.interpolate"),
     "gradleaf/lyapunov_perron.py:GraphSample.interp_tolerance":
         ("gradleaf/foliation.py", "center.graph.interp_tolerance"),
     "gradleaf/lyapunov_perron.py:GraphSample.residual":
