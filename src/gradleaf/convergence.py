@@ -211,6 +211,10 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
     probes += list(z_plus_list)
     stable = list(stable_columns(model, ladder, probes))
     g_I = [st.graph_value for st in stable]
+    # the stable side's linearized derivative depends on (z+, direction) only
+    base = len(probes) - len(z_plus_list)
+    dI_lin = [[graph_derivative_linearized(model, ladder, st, v) for v in directions]
+              for st in stable[base:]]
     report = ConvergenceReport("c1")
     cross = []
     for T in sorted(T_grid):
@@ -235,13 +239,10 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
                                direction_label=f"e{i}",
                                gap=gap, bound=bound, budget=budget,
                                ok=gap <= bound + budget)
-                    base = len(probes) - len(z_plus_list) + a
                     dT_lin = graph_derivative_linearized(
-                        model, ladder, mixed[base][0], v)
-                    dI_lin = graph_derivative_linearized(
-                        model, ladder, stable[base], v)
+                        model, ladder, mixed[base + a][0], v)
                     cross.append(float(np.linalg.norm(
-                        (dT_lin - dI_lin) - (dT_half - dI_half))))
+                        (dT_lin - dI_lin[a][i]) - (dT_half - dI_half))))
     report.extras["linearized_vs_fd_max"] = max(cross)
     return report
 

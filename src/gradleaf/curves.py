@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonMismatch
 
 NODES_PER_PANEL = 13  # polynomial degree 12 per panel
 MIN_PANELS = 3
@@ -122,7 +121,7 @@ class PanelGrid:
         bad = (flat_t < self.t0 - 1e-12) | (flat_t > self.t1 + 1e-12)
         if bad.any():
             ti = flat_t[np.argmax(bad)]
-            raise HorizonMismatch(f"time {ti} outside horizon [{self.t0}, {self.t1}]")
+            raise ValueError(f"time {ti} outside horizon [{self.t0}, {self.t1}]")
         idx = np.searchsorted(self.edges, flat_t, side="right") - 1
         idx = np.clip(idx, 0, self.n_panels - 1)
         a = self.panel_nodes[idx, 0]
@@ -157,7 +156,7 @@ class Curve:
 
     def __post_init__(self):
         if self.values.shape[0] != self.grid.size:
-            raise HorizonMismatch(
+            raise ValueError(
                 f"{self.values.shape[0]} values on a grid of {self.grid.size} nodes")
 
     def weights(self):

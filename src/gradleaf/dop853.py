@@ -2,25 +2,23 @@
 
 Sources: E. Hairer, S. P. Norsett and G. Wanner, *Solving Ordinary
 Differential Equations I: Nonstiff Problems*, 2nd ed., Springer 1993,
-Sections II.5 (the embedded pair) and II.6 (dense output); and the
-coefficient block of Hairer's Fortran code ``dop853.f``.  Each value is the
-double nearest to the published decimal, written with the fewest digits that
-read back to that double.
+Section II.5 (the embedded pair); and the coefficient block of Hairer's
+Fortran code ``dop853.f``.  Each value is the double nearest to the
+published decimal, written with the fewest digits that read back to that
+double.
 
-``A`` is the extended 16 x 16 tableau: rows 1-11 give the stages of a step,
-row 12 (``B``) its 8th-order solution, which is also where the last stage
-``f(t + h, y_new)`` is taken, and rows 13-15 the three extra stages of the
-dense output.  ``E5`` and ``E3`` weight the 13 stages into the 5th- and
-3rd-order error estimates; ``D`` weights all 16 into the four highest
-coefficients of the 7th-degree interpolant.  Both of gradleaf's drivers
-integrate autonomous systems, so the stage times ``c`` are left out.
+``A`` is the 13 x 13 tableau: rows 1-11 give the stages of a step, row 12
+(``B``) its 8th-order solution, which is also where the last stage
+``f(t + h, y_new)`` is taken.  ``E5`` and ``E3`` weight the 13 stages into
+the 5th- and 3rd-order error estimates.  The three extra stages and the
+interpolant of the method's dense output are left out: gradleaf reads a
+trajectory at its step ends only.  Both of gradleaf's drivers integrate
+autonomous systems, so the stage times ``c`` are left out too.
 """
 
 import numpy as np
 
 N_STAGES = 12
-N_STAGES_EXTENDED = 16
-INTERPOLATOR_POWER = 7
 ERROR_ESTIMATOR_ORDER = 7
 
 # row s holds A[s, :s]
@@ -48,19 +46,9 @@ _A_ROWS = [
     [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
      1.8915178993145003, -5.801203960010585, 0.3111643669578199,
      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259],
-    [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
-     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
-     0.00820105229563469, 0.007567897660545699, -0.008298],
-    [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
-     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
-     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
-     0.1413124436746325],
-    [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
-     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
-     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
 ]
 
-A = np.zeros((N_STAGES_EXTENDED, N_STAGES_EXTENDED))
+A = np.zeros((N_STAGES + 1, N_STAGES + 1))
 for _s, _row in enumerate(_A_ROWS, start=1):
     A[_s, :_s] = _row
 B = A[N_STAGES, :N_STAGES]
@@ -77,25 +65,3 @@ E5 = np.array([
     0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
 ])
 
-D = np.array([
-    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
-     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
-     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
-     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-     -4.436036387594894],
-    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
-     165.20045171727028, -374.5467547226902, -22.113666853125306,
-     7.733432668472264, -30.674084731089398, -9.332130526430229,
-     15.697238121770845, -31.139403219565178, -9.35292435884448,
-     35.81684148639408],
-    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
-     -189.17813819516758, 527.8081592054236, -11.57390253995963,
-     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
-     -2.778205752353508, -60.19669523126412, 84.32040550667716,
-     11.99229113618279],
-    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
-     -231.5293791760455, 357.6391179106141, 93.40532418362432,
-     -37.45832313645163, 104.0996495089623, 29.8402934266605,
-     -43.53345659001114, 96.32455395918828, -39.17726167561544,
-     -149.72683625798564],
-])

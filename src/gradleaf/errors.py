@@ -69,10 +69,6 @@ class NormBudgetExceeded(GradleafError):
     code = "norm_budget_exceeded"
 
 
-class HorizonMismatch(ConfigError):
-    code = "horizon_mismatch"
-
-
 class NoConvergence(GradleafError):
     code = "no_convergence"
 

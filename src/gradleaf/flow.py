@@ -8,12 +8,11 @@ Forward integration is gradleaf's own DOP853 (Hairer, Norsett & Wanner,
 ``dop853.f``; coefficients in :mod:`gradleaf.dop853`), in one stepping
 loop, :func:`solve_ivp`, that integrates many trajectories in lockstep.
 Each trajectory runs the step control of scipy's
-``solve_ivp(method="DOP853")`` (step-size control, error norm, initial
-step, dense output and the choice of interpolant), but the stage sums are
-taken over the whole block of rows, so they round differently: a lone
-trajectory's states and interpolated values agree with scipy's to about
+``solve_ivp(method="DOP853")`` (step-size control, error norm and initial
+step), but the stage sums are taken over the whole block of rows, so they
+round differently: a lone trajectory's states agree with scipy's to about
 1e-15, and a step whose error estimate sits at rounding level may end at
-another time.
+another time.  A trajectory is its step ends; there is no dense output.
 """
 
 from __future__ import annotations
@@ -38,103 +37,6 @@ STEP_SAFETY = 0.9
 STEP_MIN_FACTOR = 0.2
 STEP_MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
-
-
-class DenseSolution:
-    """The accepted steps of one kept row of a :func:`solve_ivp` run and its
-    dense output: a forward trajectory in ambient coordinates.
-
-    ``times`` holds 0 and every step end and ``states`` the state at each,
-    as arrays.  Segment ``i`` is the step of size ``steps[i]`` from
-    ``times[i]``; its seventh-order interpolant needs three more
-    right-hand-side evaluations, so it is formed only when a time in the
-    segment is first evaluated (many runs read none), together with every
-    other new segment of the same read.
-    ``nfev`` counts the right-hand-side evaluations of its interpolants, one
-    per state: each formed segment adds 3.
-    """
-
-    def __init__(self, fun, y0):
-        self._fun = fun
-        self.nfev = 0
-        self._times = [0.0]
-        self._states = [y0]
-        self.steps = []
-        self._stages = []      # each step's (16, n) stage array, 13 rows filled
-        self._coefficients = {}
-
-    @property
-    def times(self):
-        return np.array(self._times)
-
-    @property
-    def states(self):
-        return np.array(self._states)
-
-    def accept(self, t, y, h, K):
-        self._times.append(t)
-        self._states.append(y)
-        self.steps.append(h)
-        self._stages.append(K)
-
-    def at(self, t):
-        """State(s) at time(s) ``t`` from the dense output, shape
-        ``np.shape(t) + (n,)``.
-
-        The segment of ``t`` is chosen as scipy's ``OdeSolution`` chooses
-        it: a step end belongs to the step before it, and times outside the
-        run use the first or last segment.
-        """
-        t = np.asarray(t, dtype=float)
-        segment = np.searchsorted(self._times, t, side="left") - 1
-        return self.segment_value(np.clip(segment, 0, len(self.steps) - 1), t)
-
-    def segment_value(self, segment, t):
-        """scipy's ``Dop853DenseOutput`` evaluation, at each time of ``t``
-        on the interpolant of the matching entry of ``segment``.  Only the
-        segments in use are gathered, and those not yet formed are formed
-        together."""
-        segment = np.asarray(segment)
-        used, inverse = np.unique(segment, return_inverse=True)
-        used = used.tolist()
-        # numpy 1 returns the inverse flattened, numpy 2 in segment's shape
-        inverse = inverse.reshape(segment.shape)
-        self._form([i for i in used if i not in self._coefficients])
-        F = np.stack([self._coefficients[i] for i in used])[inverse]
-        start = np.array([self._times[i] for i in used])[inverse]
-        step = np.array([self.steps[i] for i in used])[inverse]
-        y_old = np.stack([self._states[i] for i in used])[inverse]
-        x = ((t - start) / step)[..., None]
-        y = np.zeros(F.shape[:-2] + F.shape[-1:])
-        for i in range(dop853.INTERPOLATOR_POWER):
-            y += F[..., -1 - i, :]
-            y *= x if i % 2 == 0 else 1 - x
-        y += y_old
-        return y
-
-    def _form(self, segments):
-        """Coefficients ``F`` (7, n) of each of ``segments`` (scipy's
-        ``_dense_output_impl``), formed in one pass: each of the three extra
-        stages is one right-hand-side evaluation over all of them (``nfev``
-        grows by 3 per segment), and each segment's stage sums are the
-        ``dot`` of its own stages, stacked in one ``matmul``."""
-        if not segments:
-            return
-        h = np.array([self.steps[i] for i in segments])[:, None]
-        K = np.stack([self._stages[i] for i in segments])
-        y_old = np.stack([self._states[i] for i in segments])
-        for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
-            dy = np.matmul(K[:, :s].transpose(0, 2, 1), dop853.A[s, :s]) * h
-            self.nfev += len(segments)
-            K[:, s] = self._fun(y_old + dy)
-        f_old, f_new = K[:, 0], K[:, dop853.N_STAGES]
-        delta_y = np.stack([self._states[i + 1] for i in segments]) - y_old
-        F = np.empty((len(segments), dop853.INTERPOLATOR_POWER, y_old.shape[1]))
-        F[:, 0] = delta_y
-        F[:, 1] = h * f_old - delta_y
-        F[:, 2] = 2 * delta_y - h * (f_new + f_old)
-        F[:, 3:] = h[:, None] * np.matmul(dop853.D, K)
-        self._coefficients.update(zip(segments, F))
 
 
 def _rms(x):
@@ -164,19 +66,30 @@ def _stage_sum(w, K):
 
 
 @dataclass
+class StepEnds:
+    """A forward trajectory in ambient coordinates, as the accepted steps of
+    one kept row of a :func:`solve_ivp` run: ``times`` holds 0 and every
+    step end, ``states`` the state at each."""
+
+    times: np.ndarray
+    states: np.ndarray
+
+
+@dataclass
 class ForwardRun:
     """What :func:`solve_ivp` returns: each row's terminal state, the mask
-    of the rows that stopped below the level, the kept rows' dense
-    solutions (None when no row was kept) and the count of right-hand-side
-    rows evaluated."""
+    of the rows that stopped below the level, the kept rows' step ends
+    (None when no row was kept) and the count of right-hand-side rows
+    evaluated."""
 
     terminal: np.ndarray
     stopped: np.ndarray
-    dense: list | None
+    step_ends: list | None
     nfev: int
 
 
-def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=None):
+def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level,
+              keep_step_ends=None):
     """Forward trajectories of the downward gradient flow, in lockstep.
 
     Runs DOP853 on an ``(m, n)`` array of start points, to ``duration``: one
@@ -197,12 +110,11 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=Non
 
     Returns a :class:`ForwardRun`.  Its ``terminal`` holds each row's state
     at its duration, or at the step end where it stopped, which ``stopped``
-    marks.  ``dense``, when given, is a boolean mask of the rows whose steps
-    are kept; the run's ``dense`` then holds a :class:`DenseSolution` for
-    each kept row (None for the others) whose interpolants are formed when
-    first read.  ``nfev`` counts the right-hand-side rows the run evaluated,
-    those of the initial-step rule included; interpolants formed later are
-    counted by their solutions.  A live row beyond ``BLOWUP_RADIUS`` raises
+    marks.  ``keep_step_ends``, when given, is a boolean mask of the rows
+    whose step ends are kept; the run's ``step_ends`` then holds a
+    :class:`StepEnds` for each kept row (None for the others).  ``nfev``
+    counts the right-hand-side rows the run evaluated, those of the
+    initial-step rule included.  A live row beyond ``BLOWUP_RADIUS`` raises
     BlowUp, as does a step below the floating-point spacing of its row's
     time or a NaN step (from a non-finite right-hand side).
     """
@@ -217,16 +129,14 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=Non
     stopped = np.zeros(m, dtype=bool)
     nfev = 0
 
-    def velocity(y):
-        return -problem.grad(y)
-
     def rhs(y):
         nonlocal nfev
         nfev += len(y)
-        return velocity(y)
+        return -problem.grad(y)
 
-    kept = np.zeros(m, dtype=bool) if dense is None else np.asarray(dense, dtype=bool)
-    sols = [DenseSolution(velocity, terminal[i].copy()) if keep else None
+    kept = (np.zeros(m, dtype=bool) if keep_step_ends is None
+            else np.asarray(keep_step_ends, dtype=bool))
+    ends = [([0.0], [terminal[i].copy()]) if keep else None
             for i, keep in enumerate(kept)]
     rows = np.flatnonzero(duration > 0.0)
     A, B = dop853.A, dop853.B
@@ -272,9 +182,8 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=Non
         y[accept] = y_new[accept]
         f[accept] = f_new[accept]
         for j in np.flatnonzero(accept & kept[rows]):
-            stages = np.empty((dop853.N_STAGES_EXTENDED, n))
-            stages[:dop853.N_STAGES + 1] = K[:, j]
-            sols[rows[j]].accept(t_new[j], y_new[j], h[j], stages)
+            ends[rows[j]][0].append(t_new[j])
+            ends[rows[j]][1].append(y_new[j])
 
         beyond = np.linalg.norm(y, axis=1) > BLOWUP_RADIUS
         if beyond.any():
@@ -290,20 +199,23 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level, dense=Non
             keep = ~done
             rows, y, f, t, end = rows[keep], y[keep], f[keep], t[keep], end[keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
-    return ForwardRun(terminal, stopped, None if dense is None else sols, nfev)
+    step_ends = None if keep_step_ends is None else [
+        None if row is None else StepEnds(np.array(row[0]), np.array(row[1]))
+        for row in ends]
+    return ForwardRun(terminal, stopped, step_ends, nfev)
 
 
 def integrate_forward(problem, start, duration):
     """The forward trajectory from ``start`` for ``duration > 0``: the
-    :class:`DenseSolution` of a one-row :func:`solve_ivp` run at
+    :class:`StepEnds` of a one-row :func:`solve_ivp` run at
     ``TRAJECTORY_RTOL`` and ``TRAJECTORY_ATOL``.  Its last state is the
     step end at ``duration``.  Exceeding ``BLOWUP_RADIUS`` raises BlowUp.
     """
     if not duration > 0:
         raise ValueError("forward integration requires duration > 0")
     run = solve_ivp(problem, np.asarray(start, dtype=float)[None], duration,
-                    TRAJECTORY_RTOL, TRAJECTORY_ATOL, -np.inf, dense=[True])
-    return run.dense[0]
+                    TRAJECTORY_RTOL, TRAJECTORY_ATOL, -np.inf, keep_step_ends=[True])
+    return run.step_ends[0]
 
 
 @dataclass

@@ -53,7 +53,6 @@ from .curves import (
 )
 from .errors import (
     EndpointViolation,
-    HorizonMismatch,
     NoConvergence,
     NormBudgetExceeded,
     OutOfTrustRegion,
@@ -422,7 +421,7 @@ def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit):
     returned.  A z+ outside the graph domain raises NormBudgetExceeded.
     """
     if orbit.curve.grid.t0 > -T + 1e-12:
-        raise HorizonMismatch("backward orbit horizon does not cover [-T, 0]")
+        raise ValueError("backward orbit horizon does not cover [-T, 0]")
     ref = orbit.reference(model.grid(0.0, T))
     z_plus_rows = np.asarray(z_plus_rows, dtype=float)
     # the rows before the first one outside the graph domain, the ball of

@@ -47,14 +47,14 @@ class _Newton:
 
 def _shoot(model, shots, keep):
     """Endpoint residuals of ``shots``, ``(query, u)`` pairs, integrated in
-    one batch, and the dense solutions of the rows ``keep`` marks."""
+    one batch, and the step ends of the rows ``keep`` marks."""
     starts = np.array([model.to_ambient(np.concatenate([q.scale * u, q.z_plus]))
                        for q, u in shots])
     run = solve_ivp(model.problem, starts, [q.T for q, _ in shots], ORACLE_RTOL,
-                    ORACLE_ATOL, -np.inf, dense=keep)
+                    ORACLE_ATOL, -np.inf, keep_step_ends=keep)
     resid = [model.to_local(end)[:model.k] - q.z_minus
              for (q, _), end in zip(shots, run.terminal)]
-    return resid, run.dense
+    return resid, run.step_ends
 
 
 def mixed_bvp_oracle(model, queries):
@@ -68,9 +68,9 @@ def mixed_bvp_oracle(model, queries):
     :func:`~gradleaf.flow.solve_ivp` call for the base shots with the first
     Jacobian probes, one for each later iteration's probes and one for each
     damping level.  Returns ``(trajectory, residual)`` per query, in query
-    order: the forward trajectory of the best shot (its ``DenseSolution``),
-    the one whose endpoint misses ``z_minus`` least, and the norm of that
-    miss.
+    order: the forward trajectory of the best shot (its
+    :class:`~gradleaf.flow.StepEnds`, whose last step end is at ``T``), the
+    one whose endpoint misses ``z_minus`` least, and the norm of that miss.
 
     A failing query raises NewtonDiverged once no query before it can fail
     any more, so the error is the one solving the queries one after another
@@ -104,11 +104,11 @@ def mixed_bvp_oracle(model, queries):
             q.probes = resid[j * k:(j + 1) * k]
 
     shots = [(q, q.u) for q in newton] + probe_shots(newton)
-    resid, sols = _shoot(model, shots,
-                         [True] * len(newton) + [False] * (len(shots) - len(newton)))
-    for q, r, sol in zip(newton, resid, sols):
+    resid, trajs = _shoot(model, shots,
+                          [True] * len(newton) + [False] * (len(shots) - len(newton)))
+    for q, r, traj in zip(newton, resid, trajs):
         q.resid = r
-        q.best = (np.linalg.norm(r), sol)
+        q.best = (np.linalg.norm(r), traj)
     take_probes(newton, resid[len(newton):])
 
     for iteration in range(NEWTON_MAX_ITER):
@@ -135,15 +135,15 @@ def mixed_bvp_oracle(model, queries):
             if not pending:
                 break
             shots = [(q, q.u - damping * q.step) for q in pending]
-            resid, sols = _shoot(model, shots, [True] * len(shots))
+            resid, trajs = _shoot(model, shots, [True] * len(shots))
             pending = []
-            for (q, u), r, sol in zip(shots, resid, sols):
+            for (q, u), r, traj in zip(shots, resid, trajs):
                 if not np.linalg.norm(r) < np.linalg.norm(q.resid):
                     pending.append(q)
                     continue
                 q.u, q.resid = u, r
                 if np.linalg.norm(r) < q.best[0]:
-                    q.best = (np.linalg.norm(r), sol)
+                    q.best = (np.linalg.norm(r), traj)
             damping *= 0.5
         for q in pending:
             fail(q, NewtonDiverged("damped Newton made no progress on the shot"))
@@ -154,4 +154,4 @@ def mixed_bvp_oracle(model, queries):
         if q.error is not None:
             raise q.error
 
-    return [(sol, float(norm)) for norm, sol in (q.best for q in newton)]
+    return [(traj, float(norm)) for norm, traj in (q.best for q in newton)]

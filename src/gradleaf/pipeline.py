@@ -251,8 +251,8 @@ def stage_oracle(state):
     worst = 0.0
     shot = mixed_bvp_oracle(state.model, queries)
     for (T, zm, zp), curve, (traj, residual) in zip(queries, curves, shot):
-        states = state.model.to_local(traj.at(curve.grid.nodes))
-        err = float(np.max(row_norms(states - curve.values)))
+        states = state.model.to_local(traj.states)
+        err = float(np.max(row_norms(states - curve.evaluate(traj.times))))
         worst = max(worst, err)
         rows.append([T, *np.atleast_1d(zm), *np.atleast_1d(zp), err, residual])
     state.emit("oracle_comparison.csv",

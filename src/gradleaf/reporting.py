@@ -100,7 +100,8 @@ def trajectory_header(dimension):
 
 
 def trajectory_rows(problem, trajectory):
-    """One row per step end of a ``DenseSolution``: t, state, f."""
+    """One row per step end of a forward trajectory (``flow.StepEnds``):
+    t, state, f."""
     states = trajectory.states
     return [[t, *x, fv]
             for t, x, fv in zip(trajectory.times, states, problem.f(states))]

@@ -147,10 +147,9 @@ def test_criterion_6_oracle_equivalence(p2, solver_p2):
                 for zp in zp_list:
                     res, _ = solver_p2.mixed(T, zm, zp)
                     [(traj, _)] = mixed_bvp_oracle(p2.model, [(float(T), zm, zp)])
-                    nodes = res.curve.grid.nodes
-                    states = p2.model.to_local(traj.at(nodes))
+                    states = p2.model.to_local(traj.states)
                     worst = max(worst, float(np.max(np.linalg.norm(
-                        states - res.curve.values, axis=1))))
+                        states - res.curve.evaluate(traj.times), axis=1))))
         assert worst <= 1e-6, f"sup distance {worst:.3e}"
 
 
@@ -165,8 +164,7 @@ def test_criterion_7_manifold_graphs(p1, p2, trajectory_tol):
             start = np.concatenate([p2.graph_g.evaluate(np.array([y])), [y]])
             traj = integrate_forward(p2.problem, p2.model.to_ambient(start),
                                      3.0 * lad.T0)
-            for t in np.linspace(0.0, 3.0 * lad.T0, 10):
-                x = p2.model.to_local(traj.at(t))
+            for t, x in zip(traj.times, p2.model.to_local(traj.states)):
                 assert np.linalg.norm(x) <= lad.rho * math.exp(-lad.lambda_ * t) + 1e-12
 
 

@@ -11,11 +11,17 @@ p1_quadratic is left out: h is identically zero there, so the mutant is the
 correct code.  On p2, k2 and p3 every check passes the mutant today: their
 nonlinear corrections lie below what the C0, C1 and Lipschitz-in-T rows and
 the 1e-6 oracle bound resolve.
+
+A second mutant negates the plus part of every boundary term after the
+ladder stage, so each fixed point starts from the mirror of its z+.  The
+shooting oracle, the only check that integrates the flow from the fixed
+points' own boundary data, must catch it on every config.
 """
 
 import pytest
 
 from conftest import reference_problem
+from gradleaf import lyapunov_perron
 from gradleaf.errors import BoundViolation
 from gradleaf.local_model import LocalModel
 from gradleaf.pipeline import STAGES, RunState, run_stage
@@ -45,3 +51,24 @@ def test_linearized_construction_fails_a_check(name, error, report, tmp_path,
         for stage in STAGES[2:]:
             run_stage(stage, state)
     assert report in str(caught.value)
+
+
+@pytest.mark.parametrize("name", ["p1_quadratic", "p2_quartic", "curved_stable",
+                                  "k2_cubic", "p3_cubic3d"])
+def test_flipped_plus_boundary_term_fails_the_oracle(name, tmp_path, monkeypatch):
+    state = RunState(problem=reference_problem(name), out_dir=tmp_path)
+    for stage in ("spectral", "ladder"):
+        run_stage(stage, state)
+    boundary_term = lyapunov_perron._boundary_term
+
+    def flipped(model, grid, count, z_minus, z_plus):
+        out = boundary_term(model, grid, count, z_minus, z_plus)
+        out[..., model.k:] *= -1.0
+        return out
+
+    monkeypatch.setattr(lyapunov_perron, "_boundary_term", flipped)
+    # no stage before the oracle raises
+    with pytest.raises(BoundViolation, match="oracle disagreement"):
+        for stage in STAGES[2:]:
+            run_stage(stage, state)
+    assert state.details["oracle"]["worst_sup_error"] > 1e-6

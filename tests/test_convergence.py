@@ -89,6 +89,27 @@ def test_c1_quartic_bound(p2, solver_p2):
     assert rep.extras["linearized_vs_fd_max"] <= 1e-7
 
 
+def test_c1_solves_each_stable_linearized_derivative_once(p2, solver_p2, monkeypatch):
+    # the stable side's derivative depends on (z+, direction) only; the
+    # time-T side is solved per (T, z-) as well
+    lad = p2.ladder
+    T_grid = [lad.T0, lad.T0 + 1.0]
+    z_minus = [p2.sphere_point(0), p2.sphere_point(1)]
+    z_plus = [np.array([0.3 * lad.R]), np.array([-0.2 * lad.R])]
+    solved = []
+    linearized = cv.graph_derivative_linearized
+
+    def counted(model, ladder, fp_result, v_plus):
+        solved.append(fp_result.curve.kind)
+        return linearized(model, ladder, fp_result, v_plus)
+
+    monkeypatch.setattr(cv, "graph_derivative_linearized", counted)
+    cv.c1_convergence(solver_p2, T_grid, z_minus, z_plus)
+    assert solved.count(lp.FORWARD_INFINITE) == len(z_plus)
+    assert solved.count(lp.FORWARD_FINITE) == len(T_grid) * len(z_minus) * len(z_plus)
+    assert len(solved) == len(z_plus) * (1 + len(T_grid) * len(z_minus))
+
+
 def test_lipschitz_quadratic_quotient(p1, solver_p1):
     lad = p1.ladder
     T = lad.T0

@@ -27,8 +27,7 @@ def test_linear_flow_closed_form(p1, trajectory_tol):
 
 def test_constant_at_critical_point(p2):
     traj = integrate_forward(p2.problem, np.zeros(2), 2.0)
-    assert np.allclose(traj.states[-1], 0.0)
-    assert np.allclose(traj.at(1.234), 0.0)
+    assert np.allclose(traj.states, 0.0)
 
 
 def test_terminal_state_matches_finer_tolerance(p2, trajectory_tol):
@@ -78,22 +77,25 @@ def test_batch_rows_with_own_durations_match_lone_runs(p2):
     # row's bits depend on the other rows of its batch, and so do step sizes
     # whose error estimates sit at rounding level.  Each row of a batch of
     # mixed horizons still lands within rounding of its one-row batch and of
-    # scipy's DOP853, and a kept row's dense output reads as scipy's does
+    # scipy's DOP853, and a kept row's step ends lie on scipy's trajectory
     starts = np.random.default_rng(12).uniform(-0.3, 0.3, size=(17, 2))
     durations = np.where(np.arange(17) % 3 == 0, 2.5, 0.7)
     keep = np.arange(17) % 4 == 1
-    run = solve_ivp(p2.problem, starts, durations, 1e-12, 1e-15, -np.inf, dense=keep)
+    run = solve_ivp(p2.problem, starts, durations, 1e-12, 1e-15, -np.inf,
+                    keep_step_ends=keep)
     assert not run.stopped.any()
-    for start, T, end, sol, kept in zip(starts, durations, run.terminal, run.dense,
-                                        keep):
+    for start, T, end, traj, kept in zip(starts, durations, run.terminal,
+                                         run.step_ends, keep):
         alone = solve_ivp(p2.problem, start[None], T, 1e-12, 1e-15, -np.inf)
         single = scipy_trajectory(p2.problem, start, T, 1e-12, 1e-15)
         assert np.max(np.abs(end - alone.terminal[0])) <= 1e-14
         assert np.max(np.abs(end - single.y[:, -1])) <= 1e-14
-        assert (sol is not None) == kept
+        assert (traj is not None) == kept
         if kept:
-            ts = np.linspace(0.0, T, 23)
-            assert np.max(np.abs(sol.at(ts) - single.sol(ts).T)) <= 1e-14
+            assert traj.times[0] == 0.0 and traj.times[-1] == T
+            assert np.array_equal(traj.states[0], start)
+            assert np.array_equal(traj.states[-1], end)
+            assert np.max(np.abs(traj.states - single.sol(traj.times).T)) <= 1e-14
 
 
 def test_batch_stops_below_level(p2):
@@ -138,8 +140,7 @@ def test_nan_row_fails_before_any_stage():
 
 def test_nfev_counts_the_rows_passed_to_grad(p2):
     # rows of mixed horizons, one of zero duration, some stopped by the
-    # level: nfev is every row the run passed to grad, and the interpolants
-    # formed on a later read are counted by their solutions
+    # level: nfev is every row the run passed to grad, kept rows included
     rows = []
 
     def grad(y):
@@ -150,15 +151,10 @@ def test_nfev_counts_the_rows_passed_to_grad(p2):
     starts = np.random.default_rng(9).uniform(-0.3, 0.3, size=(7, 2))
     durations = np.array([0.0, 0.4, 0.9, 1.6, 2.5, 3.0, 4.0])
     keep = np.arange(7) % 2 == 1
-    run = solve_ivp(counted, starts, durations, 1e-10, 1e-12, -0.005, dense=keep)
+    run = solve_ivp(counted, starts, durations, 1e-10, 1e-12, -0.005,
+                    keep_step_ends=keep)
     assert 0 < run.stopped.sum() < 6
     assert run.nfev == sum(rows) > 0
-    formed = 0
-    for sol, T in zip(run.dense, durations):
-        if sol is not None:
-            sol.at(np.linspace(0.0, T, 5))
-            formed += sol.nfev
-    assert sum(rows) == run.nfev + formed > run.nfev
 
 
 def test_batch_blow_up_and_empty_inputs(p2):
@@ -336,6 +332,8 @@ def test_sphere_cross_checked_by_shooting(p2):
 
 def test_f_drop_equals_gradient_quadrature(p2, trajectory_tol):
     # f(T) - f(0) = -integral |grad f(phi_t)|^2 dt, by adaptive quadrature
+    # over each step; a point inside a step is integrated forward from the
+    # step's start (quadrature nodes are interior, so each duration is > 0)
     from scipy.integrate import quad
 
     start = np.array([0.02, 0.09])
@@ -343,10 +341,12 @@ def test_f_drop_equals_gradient_quadrature(p2, trajectory_tol):
     trajectory_tol(1e-12, 1e-14)
     traj = integrate_forward(p2.problem, start, T)
 
-    def speed_sq(t):
-        return float(np.linalg.norm(p2.problem.grad(traj.at(t))) ** 2)
+    def speed_sq(s, x):
+        end = integrate_forward(p2.problem, x, s).states[-1]
+        return float(np.linalg.norm(p2.problem.grad(end)) ** 2)
 
-    drop, _ = quad(speed_sq, 0.0, T, limit=300, epsabs=1e-13)
+    drop = sum(quad(speed_sq, 0.0, t1 - t0, args=(x,), epsabs=1e-13)[0]
+               for t0, t1, x in zip(traj.times, traj.times[1:], traj.states))
     assert p2.problem.f(traj.states[-1]) - p2.problem.f(start) == \
         pytest.approx(-drop, abs=1e-10)
 

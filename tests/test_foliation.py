@@ -144,9 +144,9 @@ def test_pair_samples_verified_by_oracle(p2, pair_p2, trajectory_tol):
     c, eps, tau = p2.model.critical_value, p2.ladder.epsilon, p2.ladder.T0
     for p in pair.samples[:6]:
         amb = p2.model.to_ambient(p)
-        traj = integrate_forward(p2.problem, amb, 2 * tau)
+        traj = integrate_forward(p2.problem, amb, tau)
         assert p2.problem.f(amb) <= c + eps + 1e-12
-        assert p2.problem.f(traj.at(tau)) >= c - eps - 1e-10
+        assert p2.problem.f(traj.states[-1]) >= c - eps - 1e-10
     # exit-set members cross the level by 2 tau
     exit_sample = pair.samples[pair.exit_mask][0]
     traj = integrate_forward(p2.problem, p2.model.to_ambient(exit_sample),

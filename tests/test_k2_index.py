@@ -72,9 +72,8 @@ def test_mixed_solve_and_oracle_k2(k2, monkeypatch):
     assert np.max(np.abs(xi[-1, :2] - zm)) <= 1e-12
     monkeypatch.setattr(oracle, "NEWTON_TOL", 1e-9)
     [(traj, record)] = mixed_bvp_oracle(model, [(T, zm, zp)])
-    nodes = res.curve.grid.nodes
-    states = model.to_local(traj.at(nodes))
-    assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6
+    states = model.to_local(traj.states)
+    assert np.max(np.linalg.norm(states - res.curve.evaluate(traj.times), axis=1)) <= 1e-6
 
 
 def test_backward_forward_roundtrip_k2(k2, trajectory_tol):

@@ -105,15 +105,18 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("name", ["A", "B", "E3", "E5", "D"])
+@pytest.mark.parametrize("name", ["A", "B", "E3", "E5"])
 def test_dop853_tableau_matches_scipy(name):
-    assert _same_bits(getattr(dop853, name), getattr(dop853_coefficients, name))
+    # scipy's A also holds the dense output's three extra stages; gradleaf
+    # keeps the leading block of the step's 13 stages
+    expected = getattr(dop853_coefficients, name)
+    if name == "A":
+        expected = expected[:dop853.N_STAGES + 1, :dop853.N_STAGES + 1]
+    assert _same_bits(getattr(dop853, name), expected)
 
 
 def test_dop853_stage_counts_match_scipy():
     assert dop853.N_STAGES == dop853_coefficients.N_STAGES
-    assert dop853.N_STAGES_EXTENDED == dop853_coefficients.N_STAGES_EXTENDED
-    assert dop853.INTERPOLATOR_POWER == dop853_coefficients.INTERPOLATOR_POWER
 
 
 def test_gauss_legendre_table_matches_scipy():
@@ -182,36 +185,15 @@ def test_integrate_forward_matches_scipy(name, trajectory_tol):
         ref = scipy_trajectory(problem, start, duration, rtol, atol)
         assert traj.times[-1] == duration
         assert np.max(np.abs(traj.states[-1] - ref.y[:, -1])) <= 1e-14
-        # both ends, every step end of both runs and random times
-        times = np.concatenate([ref.t, traj.times, rng.uniform(0.0, duration, 25)])
-        assert np.max(np.abs(traj.at(times) - ref.sol(times).T)) <= 1e-14
-
-
-@pytest.mark.parametrize("flat_inverse", [False, True])
-def test_dense_output_shape_follows_the_times(monkeypatch, flat_inverse):
-    """``at(t)`` has shape ``t.shape + (n,)`` whether ``np.unique`` returns
-    its inverse in the input's shape (numpy 2) or flattened (numpy 1)."""
-    if flat_inverse:
-        unique = np.unique
-
-        def flat_unique(a, **kwargs):
-            used, inverse = unique(a, **kwargs)
-            return used, inverse.ravel()
-        monkeypatch.setattr(np, "unique", flat_unique)
-    problem = reference_problem("p2_quartic")
-    n = problem.dimension
-    traj = integrate_forward(problem, problem.critical_point + 0.05, 1.5)
-    assert traj.states.shape == (traj.times.size, n)
-    assert traj.at(0.3).shape == (n,)
-    assert traj.at(np.array([0.3])).shape == (1, n)
-    times = np.linspace(0.0, 1.5, 6).reshape(2, 3)
-    assert _same_bits(traj.at(times), traj.at(times.ravel()).reshape(2, 3, n))
+        # every step end of gradleaf's run lies on scipy's trajectory
+        assert np.max(np.abs(traj.states - ref.sol(traj.times).T)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_integrate_forward_exit_time_matches_scipy(name):
-    """The exit from a ball, bisected on gradleaf's dense output, is where
-    scipy's event location puts it."""
+    """The step of gradleaf's run that leaves a ball ends across the exit
+    scipy's event location finds, and the step ends before it lie on
+    scipy's trajectory."""
     problem = reference_problem(PROBLEMS[name])
     rng = np.random.default_rng(6)
     center, radius = problem.critical_point, 0.2
@@ -226,16 +208,13 @@ def test_integrate_forward_exit_time_matches_scipy(name):
     assert ref.status == 1
     # run on past the exit, to a duration that the step across it ends before
     traj = integrate_forward(problem, start, ref.t_events[0][0] + 1.0)
-    # the states at scipy's step ends before the exit agree to rounding
-    assert np.max(np.abs(traj.at(ref.t[:-1]) - ref.y.T[:-1])) <= 1e-14
     # the first step end of the run outside the ball ends the step across it
     before = next(i for i, (t, x) in enumerate(zip(traj.times, traj.states))
                   if exit_ball(t, x) >= 0.0)
     lo, hi = traj.times[before - 1], traj.times[before]
     assert hi < traj.times[-1]
-    assert exit_ball(lo, traj.at(lo)) <= 0.0 <= exit_ball(hi, traj.at(hi))
-    while hi - lo > 4.0 * np.finfo(float).eps * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if exit_ball(mid, traj.at(mid)) >= 0.0 else (mid, hi)
-    assert abs(hi - ref.t_events[0][0]) <= 1e-13
-    assert np.linalg.norm(traj.at(hi) - center) == pytest.approx(radius, abs=1e-12)
+    assert exit_ball(lo, traj.states[before - 1]) <= 0.0
+    assert lo < ref.t_events[0][0] <= hi
+    # the step ends inside the ball agree with scipy's trajectory to rounding
+    inside = traj.times[:before]
+    assert np.max(np.abs(traj.states[:before] - ref.sol(inside).T)) <= 1e-14

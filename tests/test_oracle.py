@@ -18,7 +18,7 @@ def test_linear_shooting_exact(p1, monkeypatch):
     zp = np.array([0.05])
     monkeypatch.setattr(oracle, "NEWTON_TOL", 1e-10)
     [(traj, _)] = mixed_bvp_oracle(p1.model, [(T, zm, zp)])
-    start = p1.model.to_local(traj.at(0.0))
+    start = p1.model.to_local(traj.states[0])
     assert start[0] == pytest.approx(0.1 * np.exp(-T), rel=1e-8)
     end = p1.model.to_local(traj.states[-1])
     assert end[0] == pytest.approx(0.1, abs=1e-10)
@@ -29,9 +29,8 @@ def test_zero_zplus_recovers_backward_orbit(p2):
     zm = p2.sphere_point()
     orbit = p2.orbit(zm, t_need=T)
     [(traj, _)] = mixed_bvp_oracle(p2.model, [(T, zm, np.zeros(1))])
-    ts = np.linspace(0.0, T, 30)
-    ref = orbit.curve.evaluate(ts - T)
-    got = p2.model.to_local(traj.at(ts))
+    ref = orbit.curve.evaluate(traj.times - T)
+    got = p2.model.to_local(traj.states)
     assert np.max(np.linalg.norm(got - ref, axis=1)) <= 1e-8
 
 
@@ -42,9 +41,8 @@ def test_oracle_matches_fixed_point_curve(p2):
     orbit = p2.orbit(zm, t_need=T)
     res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit)
     [(traj, _)] = mixed_bvp_oracle(p2.model, [(T, zm, zp)])
-    nodes = res.curve.grid.nodes
-    states = p2.model.to_local(traj.at(nodes))
-    assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6
+    states = p2.model.to_local(traj.states)
+    assert np.max(np.linalg.norm(states - res.curve.evaluate(traj.times), axis=1)) <= 1e-6
 
 
 def test_stable_point_quadratic_zero(p1):
@@ -189,7 +187,7 @@ def test_lockstep_matches_serial_loop(name, tmp_path):
     k = state.model.k
     for (T, zm, zp), (traj, residual) in zip(queries, shot):
         _, solution, norm = loop_oracle(state.model, T, zm, zp, tol)
-        start = state.model.to_local(traj.at(0.0))
+        start = state.model.to_local(traj.states[0])
         assert np.max(np.abs(start - solution)) <= 1e-12
         assert norm <= tol and residual <= tol
         end = state.model.to_local(traj.states[-1])[:k]
@@ -203,7 +201,8 @@ def _scripted_batch(model, scripts):
     raises what ``scripts[T]`` is when that is an exception."""
     k = model.k
 
-    def batch(problem, starts, duration, rtol, atol, stop_below_level, dense=None):
+    def batch(problem, starts, duration, rtol, atol, stop_below_level,
+              keep_step_ends=None):
         ends = []
         for start, T in zip(starts, duration):
             script = scripts[T]

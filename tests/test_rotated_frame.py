@@ -81,9 +81,8 @@ def test_rotated_oracle_agreement(rotated):
     zp = np.array([0.35 * ladder.R])
     res, _ = lp.solve_mixed(model, ladder, T, zm, zp, rotated.orbit(zm, T))
     [(traj, _)] = mixed_bvp_oracle(model, [(T, zm, zp)])
-    nodes = res.curve.grid.nodes
-    states = model.to_local(traj.at(nodes))
-    assert np.max(np.linalg.norm(states - res.curve.values, axis=1)) <= 1e-6
+    states = model.to_local(traj.states)
+    assert np.max(np.linalg.norm(states - res.curve.evaluate(traj.times), axis=1)) <= 1e-6
 
 
 def test_rotated_csv_rows_match_per_point_calls(rotated):
