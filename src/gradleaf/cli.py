@@ -6,14 +6,16 @@ every stage), writing CSV artifacts and a run manifest into ``--out``.  The
 Picard tolerance is the constant ``lyapunov_perron.PICARD_TOL``, recorded
 as ``tol`` in the manifest.  Exit codes, by the class of the error: 0 all
 checks pass, 2 a quantitative bound failed beyond its tolerance budget
-(``BoundViolation``), 3 configuration error (``ConfigError``), 4 any other
-gradleaf error (solver non-convergence), 5 internal error (any other
-exception, such as an internal guard's ``ValueError``: a bug).
+(``BoundViolation``), 3 configuration error (``ConfigError``, an ``--out``
+that cannot be a directory, or a usage error), 4 any other gradleaf error
+(solver non-convergence), 5 internal error (any other exception, such as an
+internal guard's ``ValueError``: a bug).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -42,8 +44,16 @@ def exit_code_for(error):
     return EXIT_INTERNAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit ``EXIT_CONFIG``, not argparse's 2 (``EXIT_BOUND``)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradleaf",
         description="Local invariant manifolds, time-T graph families, and "
                     "stable foliations for gradient flows near hyperbolic "
@@ -57,9 +67,17 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"argument --seed: must not be negative: {args.seed}")
     out_dir = Path(args.out)
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory {out_dir}: "
+                              f"{exc.strerror}") from exc
         problem = load_problem(args.config)
         digest = config_hash(args.config)
         state = pipeline.run(problem, out_dir, stages=(args.subcommand,),
@@ -72,10 +90,10 @@ def main(argv=None):
             "message": str(exc),
             "exit_code": code,
         }
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "error.json", "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if out_dir.is_dir():
+            with open(out_dir / "error.json", "w") as fh:
+                json.dump(record, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         print(json.dumps(record), file=sys.stderr)
         return code
     for stage, status in state.statuses.items():
@@ -84,5 +102,20 @@ def main(argv=None):
     return EXIT_OK
 
 
+def process_main():
+    """``main`` as the command-line process runs it (``python -m
+    gradleaf.cli`` and the ``gradleaf`` command): the exit code.
+
+    When ``main`` returns, every output is written and closed, and what is
+    left on the heap, mostly the objects that importing numpy and gradleaf
+    made, lives until the process exits.  ``gc.freeze`` moves it to the
+    permanent generation, which the collections of interpreter shutdown
+    skip; in-process callers of ``main`` freeze nothing.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

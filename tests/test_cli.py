@@ -1,7 +1,11 @@
+import gc
+import importlib
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,7 @@ from gradleaf.cli import (
     build_parser,
     exit_code_for,
     main,
+    process_main,
 )
 from gradleaf.errors import (
     BoundViolation,
@@ -26,11 +31,34 @@ from gradleaf.errors import (
     NewtonDiverged,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+
+# ``gradleaf.cli`` run as ``__main__`` (what ``python -m gradleaf.cli`` does),
+# with an exit hook that prints how many objects are frozen after
+# ``sys.exit``
+PROCESS = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+runpy.run_module("gradleaf.cli", run_name="__main__", alter_sys=True)
+"""
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def run_cli_process(args):
+    """Run the CLI in a new process; the exit code and the frozen count."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROCESS, *map(str, args)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    frozen = [int(line.split()[1]) for line in proc.stdout.splitlines()
+              if line.startswith("frozen ")]
+    assert len(frozen) == 1, proc.stdout + proc.stderr
+    return proc.returncode, frozen[0]
 
 
 def test_ladder_identities_exact(tmp_path):
@@ -83,6 +111,40 @@ def test_infeasible_ladder_exit_code(tmp_path):
     assert record["error"] == "ladder_infeasible"
     assert "no halving of the trust radius satisfies the smallness inequality" \
         in record["message"]
+
+
+def test_out_that_is_a_file_exits_config(tmp_path, capsys):
+    # the record goes to stderr only: there is no directory to hold it
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for out in (taken, taken / "sub"):
+        assert run_cli(["spectral", "--config", CONFIGS / "p1_quadratic.json",
+                        "--out", out]) == EXIT_CONFIG
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config" and record["type"] == "ConfigError"
+        assert record["exit_code"] == EXIT_CONFIG
+        assert record["message"].startswith(
+            f"cannot make the output directory {out}: ")
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bogus", "--config", CONFIGS / "p1_quadratic.json"],
+     "argument subcommand: invalid choice: 'bogus'"),
+    (["spectral"], "the following arguments are required: --config"),
+    (["all", "--config", CONFIGS / "p1_quadratic.json", "--seed", -5],
+     "argument --seed: must not be negative: -5"),
+], ids=["unknown_subcommand", "missing_config", "negative_seed"])
+def test_usage_error_exits_config_before_any_stage(tmp_path, capsys, args, message):
+    # exit 2 is a failed bound, so argparse's usage errors exit 3
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", out])
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gradleaf ")
+    assert f"gradleaf: error: {message}" in err
+    assert not out.exists()
 
 
 def test_exit_code_mapping():
@@ -205,15 +267,60 @@ def test_manifest_counts_solver_work(p1_run):
     assert built["kinds"]["backward"]["batches"] < 13
 
 
+@pytest.fixture(scope="module")
+def p2_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_p2")
+    code = run_cli(["all", "--config", CONFIGS / "p2_quartic.json",
+                    "--out", out, "--seed", 1])
+    assert code == 0
+    return out
+
+
+def test_process_freezes_the_heap_before_it_exits(tmp_path):
+    code, frozen = run_cli_process(
+        ["spectral", "--config", CONFIGS / "p1_quadratic.json",
+         "--out", tmp_path / "o"])
+    assert code == 0
+    assert frozen > 0
+
+
+def test_console_script_is_the_process_entry():
+    # the installed ``gradleaf`` command exits as ``python -m gradleaf.cli``
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["gradleaf"].partition(":")
+    assert getattr(importlib.import_module(module), name) is process_main
+
+
+def test_in_process_main_freezes_nothing(tmp_path):
+    before = gc.get_freeze_count()
+    assert run_cli(["spectral", "--config", CONFIGS / "p1_quadratic.json",
+                    "--out", tmp_path / "o"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("config, seed, fixture", [
+    ("p1_quadratic.json", 3, "p1_run"), ("p2_quartic.json", 1, "p2_run")])
+def test_process_writes_the_in_process_csvs(tmp_path, request, config, seed,
+                                            fixture):
+    out = tmp_path / "process"
+    code, frozen = run_cli_process(["all", "--config", CONFIGS / config,
+                                    "--out", out, "--seed", seed])
+    assert code == 0 and frozen > 0
+    in_process = request.getfixturevalue(fixture)
+    assert csv_bytes(out) == csv_bytes(in_process)
+
+
+def csv_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.glob("*.csv"))}
+
+
 def test_determinism_byte_identical(p1_run, tmp_path):
     out2 = tmp_path / "again"
     code = run_cli(["all", "--config", CONFIGS / "p1_quadratic.json",
                     "--out", out2, "--seed", 3])
     assert code == 0
-    for path in sorted(p1_run.glob("*.csv")):
-        other = out2 / path.name
-        assert other.exists()
-        assert path.read_bytes() == other.read_bytes()
+    assert csv_bytes(out2) == csv_bytes(p1_run)
 
 
 def test_ladder_does_not_depend_on_seed(tmp_path):
@@ -256,13 +363,9 @@ def test_csv_float_format(p1_run):
     assert float(value) == float(f"{float(value):.16e}")
 
 
-def test_all_on_quartic_config(tmp_path):
+def test_all_on_quartic_config(p2_run):
     # end-to-end reference run: >= 6 CSV artifacts, every stage passing
-    out = tmp_path / "p2_all"
-    code = run_cli(["all", "--config", CONFIGS / "p2_quartic.json",
-                    "--out", out, "--seed", 1])
-    assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((p2_run / "manifest.json").read_text())
     assert all(v == "pass" for v in manifest["stage_statuses"].values())
     csvs = [p for p in manifest["artifact_paths"] if p.endswith(".csv")]
     assert len(csvs) >= 6

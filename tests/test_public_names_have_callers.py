@@ -56,6 +56,8 @@ AMBIGUOUS_READS = {
         ("gradleaf/foliation.py", "center.graph.interp_tolerance"),
     "gradleaf/lyapunov_perron.py:GraphSample.residual":
         ("gradleaf/foliation.py", "target.graph.residual"),
+    # argparse calls it on every usage error; the CLI on a negative seed
+    "gradleaf/cli.py:_Parser.error": ("gradleaf/cli.py", "parser.error"),
     "gradleaf/polynomials.py:Polynomial.hessian":
         ("gradleaf/problems.py", "self.objective.hessian"),
 }
