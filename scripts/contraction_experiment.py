@@ -49,11 +49,12 @@ def measure(config_path, out_csv, pairs=25, seed=0):
                 poly /= max(1.0, np.max(np.abs(poly)))
                 bump = (0.45 * ladder.rho
                         * np.exp(-ladder.lambda_ * grid.nodes) * poly)[:, None] * u
-                curves.append(ref.with_values(ref.values + bump))
-            den = curves[0].exp_distance(curves[1])
+                curves.append(op.curve(ref.values + bump))
+            den = float(op.norm(curves[0].values - curves[1].values))
             if den < 1e-9:
                 continue
-            num = op.apply(curves[0]).exp_distance(op.apply(curves[1]))
+            images = [op.apply(curve).values for curve in curves]
+            num = float(op.norm(images[0] - images[1]))
             worst = max(worst, num / den)
             done += 1
         rows.append([T, worst, ladder.contraction_bound(), 0.5])

@@ -1,4 +1,4 @@
-"""Time-gridded curves with exponentially weighted norms.
+"""Panel time grids and the curves sampled on them.
 
 Curves are discretized on composite Chebyshev-Lobatto panels.  Panel width is
 tied to the stiffest eigenvalue so that both the curve and the exponential
@@ -15,11 +15,6 @@ import numpy as np
 
 NODES_PER_PANEL = 13  # polynomial degree 12 per panel
 MIN_PANELS = 3
-
-#: horizon kinds; the weight of the exp norm depends on the kind
-FORWARD_FINITE = "forward_finite"      # [0, T], weight e^{+lambda t}
-FORWARD_INFINITE = "forward_infinite"  # [0, T_max] truncation, weight e^{+lambda t}
-BACKWARD = "backward"                  # [-T_max, 0] truncation, weight e^{-lambda t}
 
 
 def row_norms(values):
@@ -134,39 +129,24 @@ class PanelGrid:
         return out.reshape(t_arr.shape + out.shape[1:])
 
 
-def exp_weights(grid, rate, kind):
-    """The exp-norm weight at the nodes of ``grid``: exp(-rate t) on a
-    backward horizon, exp(rate t) on a forward one."""
-    return grid.exp_profile(rate if kind == BACKWARD else -rate)
-
-
 @dataclass
 class Curve:
-    """Sampled curve in the split-adapted frame with an exp-norm rate.
+    """Sampled curve in the split-adapted frame.
 
     ``values[i]`` is the state at ``grid.nodes[i]``; states are expressed in
     the orthonormal eigenbasis of the spectral splitting, centred at the
-    critical point, so Euclidean norms agree with ambient norms.
+    critical point, so Euclidean norms agree with ambient norms.  The exp
+    norm of a curve belongs to the operator it lives under
+    (``IntegralOperator.norm``).
     """
 
     grid: PanelGrid
     values: np.ndarray
-    rate: float
-    kind: str
 
     def __post_init__(self):
         if self.values.shape[0] != self.grid.size:
             raise ValueError(
                 f"{self.values.shape[0]} values on a grid of {self.grid.size} nodes")
 
-    def weights(self):
-        return exp_weights(self.grid, self.rate, self.kind)
-
-    def exp_distance(self, other):
-        return float(np.max(self.weights() * row_norms(self.values - other.values)))
-
     def evaluate(self, t):
         return self.grid.interpolate(self.values, t)
-
-    def with_values(self, values):
-        return Curve(self.grid, values, self.rate, self.kind)

@@ -237,13 +237,15 @@ def descending_disk(model, ladder, graph_f):
     c - epsilon of the ladder.
 
     The sphere is found by bisection in the level value along rays of the
-    unstable subspace, to 1e-10 in f; for Morse index one it consists of
-    two points.
+    unstable subspace, to 1e-10 in f or to 1e-4 epsilon where that is
+    smaller (a small trust radius gives a small epsilon); for Morse index
+    one it consists of two points.
     """
     epsilon = ladder.epsilon
     level = model.critical_value - epsilon
     dirs = sphere_rays(model.k)
-    radii = level_crossings([graph_f], model.f_local, dirs, level, 1e-10)[0]
+    radii = level_crossings([graph_f], model.f_local, dirs, level,
+                            min(1e-10, 1e-4 * epsilon))[0]
     if np.isnan(radii).any():
         raise LevelNotReached(
             f"epsilon = {epsilon:.3e} not reached within the sampled graph")

@@ -207,12 +207,13 @@ class FoliationAtlas:
         return ["center"] + list(self.leaves.keys())
 
 
-def _leaf_boundaries(model, graphs, clip_level):
+def _leaf_boundaries(model, graphs, clip_level, epsilon):
     """Level-crossing samples of leaves on one plus grid along rays of the
     plus subspace, ``(boundary_plus, boundary_local)`` per graph, from one
-    lockstep bisection over every ray of every leaf."""
+    lockstep bisection over every ray of every leaf, to a tolerance in f
+    relative to the clip level and at most 1e-4 ``epsilon``."""
     dirs = sphere_rays(model.n - model.k)
-    tol = 1e-12 * max(1.0, abs(clip_level)) + 1e-15
+    tol = min(1e-12 * max(1.0, abs(clip_level)) + 1e-15, 1e-4 * epsilon)
     radii = level_crossings(graphs, model.f_local, dirs, clip_level, tol)
     clipped = ~np.isnan(radii)  # NaN: the leaf is not clipped along this ray
     plus = [r[c, None] * dirs[c] for r, c in zip(radii, clipped)]
@@ -244,7 +245,7 @@ def build_atlas(solver, stable_graph, sphere_minus, tau, T_grid, zplus_axes):
                     inside_mask=inside.reshape(graph.grid_shape),
                     boundary_plus=boundary[0], boundary_local=boundary[1])
 
-    [bnd] = _leaf_boundaries(model, [stable_graph], clip)
+    [bnd] = _leaf_boundaries(model, [stable_graph], clip, ladder.epsilon)
     center = leaf(stable_graph, np.zeros(model.n), bnd)
 
     labels, graphs, bases = [], [], []
@@ -254,7 +255,7 @@ def build_atlas(solver, stable_graph, sphere_minus, tau, T_grid, zplus_axes):
             labels.append((float(T), ai))
             graphs.append(graph_G_T(solver, float(T), alpha, zplus_axes))
             bases.append(orbit.curve.evaluate(-float(T)))
-    bounds = _leaf_boundaries(model, graphs, clip)
+    bounds = _leaf_boundaries(model, graphs, clip, ladder.epsilon)
     leaves = {label: leaf(graph, base, bnd)
               for label, graph, base, bnd in zip(labels, graphs, bases, bounds)}
     interp_tol = max([center.graph.interp_tolerance()]

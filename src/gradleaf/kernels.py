@@ -107,71 +107,64 @@ class ExpConvolver:
         if not np.allclose(widths, widths[0], rtol=1e-12, atol=0.0):
             raise ValueError("ExpConvolver expects a uniform-width panel grid")
         w = float(widths[0])
-        n_rates = self.rates.size
-        self._fwd_local = np.zeros((n_rates, m, m))
-        self._bwd_local = np.zeros((n_rates, m, m))
-        self._fwd_carry = np.zeros((n_rates, m))
-        self._bwd_carry = np.zeros((n_rates, m))
-        #: per rate, the (P, P) decay table of the carry in the direction
-        #: the rate may use: entry [j, i] is the factor by which panel j's
-        #: exit value reaches panel i, zero where it does not
-        self._fwd_decay = {}
-        self._bwd_decay = {}
-
+        #: per direction, keyed by its sign as in ``_panel_bases`` (1
+        #: forward, -1 backward): the local operators ``(R, m, m)`` and carry
+        #: factors ``(R, m)`` of every rate, zero for a rate of the other
+        #: sign; per usable rate the ``(P, P)`` decay table of the carry,
+        #: entry [j, i] the factor by which panel j's exit value reaches
+        #: panel i, zero where it does not; and the exit node of a panel
+        self._tables = {}
         # forward over [0, xi] (lam >= 0), backward over [xi, 1] (lam <= 0);
-        # either kernel is exp((s - xi) w lam); the products keep the order
-        # of a node-by-node build, so every entry rounds as it did there
-        for local, sign in ((self._fwd_local, 1.0), (self._bwd_local, -1.0)):
+        # either kernel is exp((s - xi) w lam) and either carry factor
+        # exp((entry - xi) w lam), from the end a sweep enters a panel by;
+        # the products keep the order of a node-by-node build, so every
+        # entry rounds as it did there
+        for sign, entry, exit_node in ((1.0, 0.0, -1), (-1.0, 1.0, 0)):
             idx, xi, length, s_ref, basis = bases[sign]
             r = np.flatnonzero(sign * self.rates >= 0.0)
             kern = np.exp((s_ref - xi[:, None]) * w * self.rates[r, None, None])
             weighted = gw * length[:, None] * w * kern
+            local = np.zeros((self.rates.size, m, m))
             local[np.ix_(r, idx)] = (weighted[..., None, :] @ basis)[..., 0, :]
-        fwd = np.flatnonzero(self.rates >= 0.0)
-        bwd = np.flatnonzero(self.rates <= 0.0)
-        self._fwd_carry[fwd] = np.exp(-ref * w * self.rates[fwd, None])
-        self._bwd_carry[bwd] = np.exp((1.0 - ref) * w * self.rates[bwd, None])
-        for r in fwd:
-            self._fwd_decay[r] = _decay_table(self._fwd_carry[r, -1],
-                                              grid.n_panels, forward=True)
-        for r in bwd:
-            self._bwd_decay[r] = _decay_table(self._bwd_carry[r, 0],
-                                              grid.n_panels, forward=False)
+            carry = np.zeros((self.rates.size, m))
+            carry[r] = np.exp((entry - ref) * w * self.rates[r, None])
+            decay = {j: _decay_table(carry[j, exit_node], grid.n_panels, sign > 0)
+                     for j in r}
+            self._tables[sign] = (local, carry, decay, exit_node)
 
     def forward(self, rate_index, y):
         """F(t) on the flat grid for coordinate samples ``y``, one column
         ``(size,)`` or a stack ``(B, size)``; needs lam >= 0."""
         if self.rates[rate_index] < 0.0:
             raise ValueError("forward convolution requires a non-negative rate")
-        return self._convolve(self._fwd_local[rate_index], self._fwd_carry[rate_index],
-                              self._fwd_decay[rate_index], y, -1)
+        return self._convolve(1.0, rate_index, y)
 
     def backward(self, rate_index, y):
         """B(t) on the flat grid for coordinate samples ``y``, one column
         ``(size,)`` or a stack ``(B, size)``; needs lam <= 0."""
         if self.rates[rate_index] > 0.0:
             raise ValueError("backward convolution requires a non-positive rate")
-        return self._convolve(self._bwd_local[rate_index], self._bwd_carry[rate_index],
-                              self._bwd_decay[rate_index], y, 0)
+        return self._convolve(-1.0, rate_index, y)
 
-    def _convolve(self, local, carry, decay, y, exit_node):
-        """Convolution values on the flat grid: on each panel, the local
-        integrals plus the integral carried in, the decayed sum of the exit
-        values (node ``exit_node``: -1 forward, 0 backward) of the panels
-        before it in sweep order.  A node shared by two panels takes the
-        value of the panel the sweep reaches it from: the later one
+    def _convolve(self, sign, rate_index, y):
+        """Convolution values on the flat grid in the direction ``sign``: on
+        each panel, the local integrals plus the integral carried in, the
+        decayed sum of the exit values (node -1 forward, 0 backward) of the
+        panels before it in sweep order.  A node shared by two panels takes
+        the value of the panel the sweep reaches it from: the later one
         forward, the earlier one backward."""
         if y.shape[-1] != self.grid.size:
             # the panel view reads memory by strides: a shorter y would
             # silently read past its end
             raise ValueError(f"expected {self.grid.size} samples per column, "
                              f"got {y.shape[-1]}")
+        local, carry, decay, exit_node = self._tables[sign]
         p, stride = self.grid.p, y.strides[-1]
         Y = as_strided(y, y.shape[:-1] + (self.grid.n_panels, p + 1),
                        y.strides[:-1] + (p * stride, stride), writeable=False)
-        L = Y @ local.T
-        acc = (L[..., None, :, exit_node] @ decay)[..., 0, :]
-        L += carry * acc[..., None]
+        L = Y @ local[rate_index].T
+        acc = (L[..., None, :, exit_node] @ decay[rate_index])[..., 0, :]
+        L += carry[rate_index] * acc[..., None]
         # each panel fills its nodes but the exit node, which the next panel
         # in sweep order starts from; splitting the last axis of a slice of
         # ``out`` is a view, so the copy writes into ``out``
@@ -186,15 +179,10 @@ def _decay_table(d, n, forward):
     """The ``(n, n)`` decay table of the carry: entry ``[j, i]`` is the
     factor by which panel ``j``'s exit value decays on its way into panel
     ``i``, ``d ** (i - 1 - j)`` for ``j < i`` forward and ``d ** (j - 1 - i)``
-    for ``j > i`` backward, and zero elsewhere.  Every row is a window of the
-    powers of ``d`` padded with zeros, so one copy builds the table, in C
-    order (a transposed table makes the carry product several times
-    slower)."""
-    powers = d ** np.arange(n)
-    if forward:
-        # row j is padded[n - 1 - j:][:n]
-        padded = np.concatenate([np.zeros(n), powers])
-        return sliding_window_view(padded, n)[n - 1::-1].copy()
-    # row j is padded[n - j:][:n]
-    padded = np.concatenate([powers[::-1], np.zeros(n)])
-    return sliding_window_view(padded, n)[n:0:-1].copy()
+    for ``j > i`` backward, and zero elsewhere.  Row ``j`` of the forward
+    table is a window of the powers of ``d`` padded with zeros, and the
+    backward table is its transpose; either is returned as a C-ordered copy
+    (a transposed table makes the carry product several times slower)."""
+    padded = np.concatenate([np.zeros(n), d ** np.arange(n)])
+    table = sliding_window_view(padded, n)[n - 1::-1]  # row j: padded[n - 1 - j:][:n]
+    return (table if forward else table.T).copy()

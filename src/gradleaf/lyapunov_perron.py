@@ -17,6 +17,11 @@ term of each problem:
   problem (plus part prescribed at time zero, minus part at time T); they
   yield the time-T graph family converging to the stable graph.
 
+Each operator owns the exp norm of its curves (``IntegralOperator.norm``):
+the sup over the nodes of the Euclidean norm weighted by e^{-lambda t} on a
+backward horizon and by e^{+lambda t} on a forward one.  It bounds the rho
+ball and measures every Picard residual.
+
 Picard iteration converges with factor at most 1/2 whenever the rate ladder
 invariants hold.  One operator holds a stack of columns, independent fixed
 points that share grid, convolver and reference orbit (every node of a
@@ -24,10 +29,11 @@ sampled graph, or the z+ that a check asks for at one (T, z-)), and one
 loop iterates them together on ``(B, size, n)`` blocks.  A column is frozen
 when it converges or fails; it rounds as it does alone, so its residual,
 iteration count and exception are those of a solve of that column by
-itself, and ``fixed_point`` is the loop's one-column case.  The loop counts
-its work per ladder and operator kind in the model's ``SolverCounts``.  An
-operator's grid follows from its kind and horizon, and the model builds
-each grid and its convolver once.
+itself.  ``solve_columns`` is the loop's one entry, and ``fixed_point`` its
+one-column case.  The loop stops at ``PICARD_TOL`` and counts its work per
+ladder and operator kind, the linearized equation of the C1 check included,
+in the model's ``SolverCounts``.  An operator's grid follows from its kind
+and horizon, and the model builds each grid and its convolver once.
 
 Solving on a tensor grid of base points gives a ``GraphSample``.  Every
 other module reaches the local-frame geometry of a sampled graph through it:
@@ -43,14 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    BACKWARD,
-    FORWARD_FINITE,
-    FORWARD_INFINITE,
-    Curve,
-    exp_weights,
-    row_norms,
-)
+from .curves import Curve, row_norms
 from .errors import (
     EndpointViolation,
     NoConvergence,
@@ -59,6 +58,12 @@ from .errors import (
     OutsideSampledDomain,
 )
 
+#: operator kinds; the exp norm weighs a curve by e^{-lambda t} on a
+#: backward horizon and by e^{+lambda t} on the forward ones
+FORWARD_FINITE = "forward_finite"      # [0, T]
+FORWARD_INFINITE = "forward_infinite"  # [0, T_max] truncation
+BACKWARD = "backward"                  # [-T_max, 0] truncation
+LINEARIZED = "linearized"              # along a forward fixed point (C1 check)
 #: Picard tolerance of every solve, in the exp norm; the manifest records
 #: it as ``tol``
 PICARD_TOL = 1e-10
@@ -189,7 +194,13 @@ class IntegralOperator:
         self.columns = max([len(z) for z in (self.z_minus, self.z_plus)
                             if z is not None and z.ndim == 2], default=1)
         #: the exp-norm weight of every curve of this operator
-        self.weights = exp_weights(grid, ladder.lambda_, kind)
+        self.weights = grid.exp_profile(ladder.lambda_ if kind == BACKWARD
+                                        else -ladder.lambda_)
+
+    def norm(self, values):
+        """The exp norm of curve values, one curve (size, n) or a stack
+        (B, size, n): the weighted sup over the nodes of ``row_norms``."""
+        return (self.weights * row_norms(values)).max(axis=-1)
 
     def boundary(self, cols):
         """Boundary terms of the columns ``cols`` (a slice), (B, size, n)."""
@@ -209,7 +220,7 @@ class IntegralOperator:
         return self.reference.values + start
 
     def curve(self, values):
-        return Curve(self.grid, values, self.ladder.lambda_, self.kind)
+        return Curve(self.grid, values)
 
     def graph_value(self, values):
         """The graph value of a fixed point with curve values ``values``:
@@ -226,7 +237,7 @@ class IntegralOperator:
                                       self.boundary(slice(0, 1)))
         if errors:
             raise errors[0]
-        return curve.with_values(images[0])
+        return self.curve(images[0])
 
     def advance(self, values, boundary):
         """One application to the curves ``values`` (B, size, n) with their
@@ -252,7 +263,7 @@ class IntegralOperator:
         y = self.model.h(values.reshape(-1, self.n)).reshape(values.shape)
         images = _add_integrals(boundary.copy(), self.conv, self.k, y)
         offset = images if self.reference is None else images - self.reference.values
-        gap = (self.weights * row_norms(offset)).max(axis=-1).tolist()
+        gap = self.norm(offset).tolist()
         rho = self.ladder.rho * (1 + NORM_SLACK)
         near = [j for j, g in enumerate(gap) if g <= rho]
         if len(near) < len(gap):
@@ -290,14 +301,15 @@ def PsiTOperator(model, ladder, z_minus, z_plus, reference):
                             z_minus=z_minus, z_plus=z_plus, reference=reference)
 
 
-def _picard(operator, cols, counts, tol=PICARD_TOL):
-    """Picard iteration in the exp norm of the columns ``cols`` together,
-    from the operator's initial curves.
+def _picard(operator, cols):
+    """Picard iteration in the operator's exp norm of the columns ``cols``
+    together, from the operator's initial curves, down to ``PICARD_TOL``.
 
     Returns one outcome per column: its FixedPointResult, or the exception
-    that ended it.  A column is frozen when it converges or fails, so its
-    residual, iteration count and exception are those it has when solved
-    alone.  It fails with :class:`NoConvergence` when its residual stalls
+    that ended it, and records the batch in the model's ``SolverCounts``.
+    A column is frozen when it converges or fails, so its residual,
+    iteration count and exception are those it has when solved alone.  It
+    fails with :class:`NoConvergence` when its residual stalls
     (fails to shrink by the factor 0.9 for 10 consecutive steps) or the
     iteration budget runs out; either signals a ladder violation or an
     over-coarse grid.
@@ -321,14 +333,14 @@ def _picard(operator, cols, counts, tol=PICARD_TOL):
             current, boundary = current[keep], boundary[keep]
             if not live:
                 break
-        res = (operator.weights * row_norms(nxt - current)).max(axis=-1).tolist()
+        res = operator.norm(nxt - current).tolist()
         going = []
         for i, r in enumerate(res):
             if it > 1:
                 ratio = r / prev_res[i]
                 if worst_ratio is None or ratio > worst_ratio:
                     worst_ratio = ratio
-            if r <= tol:
+            if r <= PICARD_TOL:
                 values = nxt[i].copy()
                 outcomes[live[i]] = FixedPointResult(
                     operator.curve(values), r, it, operator.tail,
@@ -350,21 +362,16 @@ def _picard(operator, cols, counts, tol=PICARD_TOL):
     for i, r in zip(live, prev_res):
         outcomes[i] = NoConvergence(f"no convergence in {PICARD_MAX_ITER} iterations "
                                     f"(residual {r:.3e})")
-    if counts is not None:
-        counts.record(operator.ladder, operator.kind, iterations, worst_ratio)
+    operator.model.counts.record(operator.ladder, operator.kind, iterations,
+                                 worst_ratio)
     return outcomes
 
 
 def fixed_point(operator):
-    """Picard iteration of a one-column operator: the one-column case of
-    ``solve_columns``.
-
-    Returns the FixedPointResult or raises the exception that ended it.
-    """
-    (outcome,) = _picard(operator, slice(0, 1), operator.model.counts)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    """The FixedPointResult of a one-column operator, or the exception that
+    ended it raised: the one-column case of ``solve_columns``."""
+    (result,) = solve_columns(operator)
+    return result
 
 
 def solve_columns(operator):
@@ -377,8 +384,7 @@ def solve_columns(operator):
     """
     per_block = max(1, BLOCK_VALUES // (operator.grid.size * operator.n))
     for start in range(0, operator.columns, per_block):
-        for outcome in _picard(operator, slice(start, start + per_block),
-                               operator.model.counts):
+        for outcome in _picard(operator, slice(start, start + per_block)):
             if isinstance(outcome, Exception):
                 raise outcome
             yield outcome
@@ -401,11 +407,8 @@ def stable_columns(model, ladder, z_plus_rows):
 
 
 def reference_curve(orbit_curve, grid):
-    """The orbit shifted to end at time T on a finite forward grid, in the
-    orbit's exp norm."""
-    T = grid.t1
-    vals = orbit_curve.evaluate(grid.nodes - T)
-    return Curve(grid, vals, orbit_curve.rate, FORWARD_FINITE)
+    """The orbit shifted to end at time T on a finite forward grid."""
+    return Curve(grid, orbit_curve.evaluate(grid.nodes - grid.t1))
 
 
 def mixed_columns(model, ladder, T, z_minus, z_plus_rows, orbit):
@@ -548,11 +551,12 @@ class GraphSample:
         return float(np.linalg.norm(value - self.evaluate(base)))
 
     def boundary_points_local(self):
-        """Local points over the grid nodes on the boundary of the domain."""
-        base = self.grid_points()
-        on_bd = np.zeros(base.shape[0], bool)
-        for i, ax in enumerate(self.axes):
-            on_bd |= np.isclose(base[:, i], ax[0]) | np.isclose(base[:, i], ax[-1])
+        """Local points over the grid nodes on the boundary of the domain:
+        those first or last along some axis, picked by index, so that no
+        spacing of the grid is too fine to tell them apart."""
+        index = np.indices(self.grid_shape).reshape(len(self.axes), -1)
+        last = np.array(self.grid_shape)[:, None] - 1
+        on_bd = ((index == 0) | (index == last)).any(axis=0)
         return self.local_points()[on_bd]
 
     def interp_tolerance(self):
@@ -731,11 +735,13 @@ class _LinearizedOperator(IntegralOperator):
     inhomogeneity is exp(-tA)v with v in the plus subspace, and there is no
     minus boundary term (the time-T and stable linearizations agree in
     form).  The map is linear, with dh along ``curve`` in place of h, and has
-    no trust-region or rho-ball check, so ``advance`` reports no errors.
+    no trust-region or rho-ball check, so ``advance`` reports no errors.  Its
+    kind, ``LINEARIZED``, counts its solves apart and weighs its curves as a
+    forward operator does.
     """
 
     def __init__(self, model, ladder, curve, v_plus):
-        super().__init__(model, ladder, curve.grid, curve.kind, z_plus=v_plus)
+        super().__init__(model, ladder, curve.grid, LINEARIZED, z_plus=v_plus)
         self.dh_nodes = model.dh(curve.values)
 
     def advance(self, values, boundary):
@@ -750,9 +756,7 @@ def graph_derivative_linearized(model, ladder, fp_result, v_plus):
     differentiated (time-T or stable); returns the minus-part derivative at
     time zero, i.e. the derivative of the graph map itself.
     """
-    curve = fp_result.curve
-    op = _LinearizedOperator(model, ladder, curve, np.asarray(v_plus, dtype=float))
-    (outcome,) = _picard(op, slice(0, 1), None, tol=1e-11)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome.graph_value
+    op = _LinearizedOperator(model, ladder, fp_result.curve,
+                             np.asarray(v_plus, dtype=float))
+    (result,) = solve_columns(op)
+    return result.graph_value

@@ -39,7 +39,8 @@ def split(hessian):
 
     The matrix must be symmetric to ``1e-9 * max |entry|`` and have no
     eigenvalue within ``1e-9 * max |eigenvalue|`` of zero, so both checks
-    are scale invariant.
+    are scale invariant; a zero eigenvalue is within any such distance, so
+    the zero matrix is degenerate.
     """
     A = np.asarray(hessian, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -53,7 +54,7 @@ def split(hessian):
 
     evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
     degeneracy_tol = DEGENERACY_REL_TOL * float(np.max(np.abs(evals)))
-    if not np.min(np.abs(evals)) >= degeneracy_tol:
+    if not np.min(np.abs(evals)) > degeneracy_tol:
         raise DegenerateCriticalPoint(
             f"eigenvalue within {degeneracy_tol:.3e} of zero: {evals}")
 

@@ -1,5 +1,6 @@
 """Shared fixtures: reference problems solved once per session."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,14 @@ def p3():
 @pytest.fixture(scope="session")
 def k2():
     return Setup(reference_problem("k2_cubic"))
+
+
+@pytest.fixture(scope="session", params=[1e-5, 1e-7, 1e-8])
+def p2_small(request):
+    """p2_quartic with a trust radius of 1e-5, 1e-7 or 1e-8: epsilon is
+    7.0e-13, 7.0e-17 or 7.0e-19, below every absolute tolerance in f."""
+    return Setup(dataclasses.replace(reference_problem("p2_quartic"),
+                                     trust_radius=request.param))
 
 
 @pytest.fixture(scope="session")

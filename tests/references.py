@@ -139,7 +139,7 @@ def picard(operator, initial, tol):
     current = initial
     for iteration in range(1, PICARD_MAX_ITER + 1):
         image = operator.apply(current)
-        residual = image.exp_distance(current)
+        residual = float(operator.norm(image.values - current.values))
         if residual <= tol:
             return image, residual, iteration
         current = image

@@ -14,7 +14,7 @@ import pytest
 
 from gradleaf import convergence
 from gradleaf import lyapunov_perron as lp
-from gradleaf.curves import FORWARD_FINITE, Curve, PanelGrid, row_norms
+from gradleaf.curves import Curve, PanelGrid, row_norms
 from gradleaf.errors import (
     EndpointViolation,
     NoConvergence,
@@ -22,7 +22,7 @@ from gradleaf.errors import (
     OutOfTrustRegion,
 )
 from gradleaf.kernels import ExpConvolver
-from gradleaf.local_model import LocalModel
+from gradleaf.local_model import LocalModel, SolverCounts
 from references import operator_start
 
 
@@ -37,7 +37,7 @@ def loop_fixed_point(op):
     current, stall, prev_res = operator_start(op), 0, np.inf
     for it in range(1, lp.PICARD_MAX_ITER + 1):
         nxt = op.apply(current)
-        res = nxt.exp_distance(current)
+        res = float(op.norm(nxt.values - current.values))
         if res <= lp.PICARD_TOL:
             return lp.FixedPointResult(nxt, res, it, op.tail,
                                        op.graph_value(nxt.values))
@@ -220,20 +220,20 @@ class ScriptedOperator:
     coordinate 1 grows by the scripted residual each iteration, in powers of
     two so that the differences the loop measures are exact: 2^-j until the
     column converges (residual 0 at iteration k) and 1 for a stalling one.
-    Its model keeps no counts, so the loop records nothing.
+    The loop records its batches in the operator's own model counts.
     """
 
-    kind = FORWARD_FINITE
+    kind = lp.FORWARD_FINITE
     tail = 0.0
     n = 2
-    model = SimpleNamespace(counts=None)
 
     def __init__(self, grid, scripts, ids):
         self.grid = grid
         self.scripts = scripts
         self.ids = np.asarray(ids, dtype=float)
         self.columns = len(ids)
-        self.weights = np.ones(grid.size)
+        self.model = SimpleNamespace(counts=SolverCounts())
+        self.ladder = SimpleNamespace()
         self.steps = {}
 
     def boundary(self, cols):
@@ -246,8 +246,11 @@ class ScriptedOperator:
         return boundary
 
     def curve(self, values):
-        # rate 0: the exp-norm weight is one, as ``weights``
-        return Curve(self.grid, values, 0.0, self.kind)
+        return Curve(self.grid, values)
+
+    def norm(self, values):
+        # rate 0: the exp-norm weight is one
+        return row_norms(values).max(axis=-1)
 
     def graph_value(self, values):
         # the id coordinate at time 0, as a forward operator with k = 1 reads
@@ -257,7 +260,7 @@ class ScriptedOperator:
         images, errors = self.advance(curve.values[None], None)
         if errors:
             raise errors[0]
-        return curve.with_values(images[0])
+        return self.curve(images[0])
 
     def advance(self, values, boundary):
         images, errors = [], {}

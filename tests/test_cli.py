@@ -113,6 +113,18 @@ def test_infeasible_ladder_exit_code(tmp_path):
         in record["message"]
 
 
+def test_zero_hessian_fails_the_spectral_stage(tmp_path):
+    # a cubic has a zero Hessian at the origin: no eigenvalue is nonzero
+    cpath = tmp_path / "flat.json"
+    cpath.write_text(json.dumps({"dimension": 2, "critical_point": [0.0, 0.0],
+                                 "objective": [[[3, 0], 1.0]]}))
+    out = tmp_path / "o"
+    assert run_cli(["spectral", "--config", cpath, "--out", out]) == EXIT_CONFIG
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "degenerate_critical_point"
+    assert not (out / "spectral.csv").exists()
+
+
 def test_out_that_is_a_file_exits_config(tmp_path, capsys):
     # the record goes to stderr only: there is no directory to hold it
     taken = tmp_path / "taken"
@@ -246,13 +258,13 @@ def test_manifest_lists_every_file(p1_run):
 def test_manifest_counts_solver_work(p1_run):
     # the batched Picard loop counts its own work per ladder and operator
     # kind: the built ladder solves the two infinite graphs, the calibrated
-    # one everything after
+    # one everything after, the C1 check's linearized equations included
     solver = json.loads((p1_run / "manifest.json").read_text())["details"]["solver"]
     assert solver["paper_bound"] == 0.5
     built, calibrated = solver["ladders"]
     assert set(built["kinds"]) == {"backward", "forward_infinite"}
     assert set(calibrated["kinds"]) == {"backward", "forward_infinite",
-                                        "forward_finite"}
+                                        "forward_finite", "linearized"}
     for ladder in (built, calibrated):
         assert 0.0 <= ladder["contraction_bound"] <= 0.5
         for entry in ladder["kinds"].values():
@@ -265,6 +277,29 @@ def test_manifest_counts_solver_work(p1_run):
     # the 13 nodes of the unstable graph, several to a block
     assert built["kinds"]["backward"]["columns"] == 13
     assert built["kinds"]["backward"]["batches"] < 13
+    # one derivative direction per solve: 6 on p1
+    linearized = calibrated["kinds"]["linearized"]
+    assert linearized["columns"] == linearized["batches"] == 6
+
+
+@pytest.mark.parametrize("config", ["p2_quartic", "p3_cubic3d"])
+def test_manifest_counts_every_picard_batch(tmp_path, monkeypatch, config):
+    # every call of the Picard loop is one batch of some ladder and kind
+    from gradleaf import lyapunov_perron as lp
+
+    picard, calls = lp._picard, []
+
+    def counted(operator, *args, **kwargs):
+        calls.append(operator.kind)
+        return picard(operator, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "_picard", counted)
+    assert run_cli(["lambda", "--config", CONFIGS / f"{config}.json",
+                    "--out", tmp_path]) == 0
+    solver = json.loads((tmp_path / "manifest.json").read_text())["details"]["solver"]
+    batches = sum(entry["batches"] for ladder in solver["ladders"]
+                  for entry in ladder["kinds"].values())
+    assert len(calls) == batches
 
 
 @pytest.fixture(scope="module")

@@ -100,7 +100,8 @@ def test_c1_solves_each_stable_linearized_derivative_once(p2, solver_p2, monkeyp
     linearized = cv.graph_derivative_linearized
 
     def counted(model, ladder, fp_result, v_plus):
-        solved.append(fp_result.curve.kind)
+        # a stable fixed point carries a truncation tail, a time-T one none
+        solved.append(lp.FORWARD_FINITE if fp_result.tail == 0.0 else lp.FORWARD_INFINITE)
         return linearized(model, ladder, fp_result, v_plus)
 
     monkeypatch.setattr(cv, "graph_derivative_linearized", counted)

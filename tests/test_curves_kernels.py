@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gradleaf import lyapunov_perron as lp
 from gradleaf.curves import (
-    BACKWARD,
-    FORWARD_FINITE,
     Curve,
     PanelGrid,
     _lobatto_reference,
     barycentric_matrix,
     barycentric_weights,
 )
-from gradleaf.kernels import GAUSS_NODES, GAUSS_WEIGHTS, ExpConvolver
+from gradleaf.kernels import GAUSS_NODES, GAUSS_WEIGHTS, ExpConvolver, _decay_table
 from references import derivative_values, panel_slice
 
 
@@ -133,7 +132,8 @@ def test_convolver_rejects_wrong_length(grid):
 
 def _forward_per_panel(conv, r, y):
     """Reference: the per-panel loop, one local product per panel."""
-    grid, local, carry = conv.grid, conv._fwd_local[r], conv._fwd_carry[r]
+    local, carry, _, _ = conv._tables[1.0]
+    grid, local, carry = conv.grid, local[r], carry[r]
     out, acc = np.empty(grid.size), 0.0
     for ip in range(grid.n_panels):
         sl = panel_slice(grid, ip)
@@ -144,7 +144,8 @@ def _forward_per_panel(conv, r, y):
 
 
 def _backward_per_panel(conv, r, y):
-    grid, local, carry = conv.grid, conv._bwd_local[r], conv._bwd_carry[r]
+    local, carry, _, _ = conv._tables[-1.0]
+    grid, local, carry = conv.grid, local[r], carry[r]
     out, acc = np.empty(grid.size), 0.0
     for ip in reversed(range(grid.n_panels)):
         sl = panel_slice(grid, ip)
@@ -183,49 +184,64 @@ def test_stacked_convolution_matches_per_panel_loop(n_panels):
                 conv.backward(r, y)
 
 
-def exp_norm(curve):
-    """The weighted sup norm of a curve: its exp distance to zero."""
-    return curve.exp_distance(curve.with_values(np.zeros_like(curve.values)))
+def norm_operators(setup):
+    """A backward and a forward operator of ``setup``, on its ladder: the
+    exp norm is the operator's, weighted e^{-lambda t} and e^{+lambda t}."""
+    model, ladder = setup.model, setup.ladder
+    t_max = lp.default_horizon(ladder)
+    return (lp.PhiOperator(model, ladder, np.array([0.1]), t_max),
+            lp.PsiOperator(model, ladder, np.array([0.1]), t_max))
 
 
-def test_exp_norm_forward():
-    grid = PanelGrid(0.0, 4.0, max_rate=1.0)
-    lam = 0.5
-    vals = np.exp(-lam * grid.nodes)[:, None] * np.array([[1.0, 0.0]])
-    curve = Curve(grid, vals, lam, FORWARD_FINITE)
+def test_exp_norm_forward(p1):
+    _, op = norm_operators(p1)
+    lam = p1.ladder.lambda_
+    vals = np.exp(-lam * op.grid.nodes)[:, None] * np.array([[1.0, 0.0]])
     # weight exp(lam t) exactly cancels the decay
-    assert exp_norm(curve) == pytest.approx(1.0, rel=1e-12)
+    assert op.norm(vals) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_exp_norm_backward():
-    grid = PanelGrid(-5.0, 0.0, max_rate=1.0)
-    lam = 0.5
-    vals = np.exp(lam * grid.nodes)[:, None] * np.array([[0.0, 2.0]])
-    curve = Curve(grid, vals, lam, BACKWARD)
-    assert exp_norm(curve) == pytest.approx(2.0, rel=1e-12)
+def test_exp_norm_backward(p1):
+    op, _ = norm_operators(p1)
+    lam = p1.ladder.lambda_
+    vals = np.exp(lam * op.grid.nodes)[:, None] * np.array([[0.0, 2.0]])
+    assert op.norm(vals) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_derivative_values():
     # the reference differentiation that test_fixed_point_solves_ode uses
     grid = PanelGrid(0.0, 3.0, max_rate=2.0)
     vals = np.stack([np.sin(grid.nodes), np.cos(2 * grid.nodes)], axis=1)
-    dv = derivative_values(Curve(grid, vals, 0.5, FORWARD_FINITE))
+    dv = derivative_values(Curve(grid, vals))
     ref = np.stack([np.cos(grid.nodes), -2 * np.sin(2 * grid.nodes)], axis=1)
     assert np.max(np.abs(dv - ref)) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.floats(0.1, 4.0), st.floats(0.5, 5.0), st.integers(0, 2**31 - 1))
-def test_exp_norm_triangle_and_scaling(T, rate, seed):
-    grid = PanelGrid(0.0, T, max_rate=rate)
+@given(st.integers(0, 1), st.integers(0, 2**31 - 1))
+def test_exp_norm_triangle_and_scaling(p2, which, seed):
+    op = norm_operators(p2)[which]
     rng = np.random.default_rng(seed)
-    a = Curve(grid, rng.standard_normal((grid.size, 2)), 0.3, FORWARD_FINITE)
-    b = Curve(grid, rng.standard_normal((grid.size, 2)), 0.3, FORWARD_FINITE)
-    na, nb = exp_norm(a), exp_norm(b)
-    nsum = exp_norm(a.with_values(a.values + b.values))
-    assert nsum <= na + nb + 1e-12 * (na + nb)
-    assert exp_norm(a.with_values(2.5 * a.values)) == pytest.approx(2.5 * na, rel=1e-12)
-    assert a.exp_distance(b) == exp_norm(a.with_values(a.values - b.values))
+    a, b = rng.standard_normal((2, op.grid.size, op.n))
+    na, nb = op.norm(a), op.norm(b)
+    assert op.norm(a + b) <= na + nb + 1e-12 * (na + nb)
+    assert op.norm(2.5 * a) == pytest.approx(2.5 * na, rel=1e-12)
+    # a stack of curves takes the norm of each, as it rounds alone
+    assert op.norm(np.stack([a, b])).tolist() == [na, nb]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_backward_decay_table_is_the_forward_transpose(n):
+    d = 0.37
+    forward, backward = _decay_table(d, n, True), _decay_table(d, n, False)
+    j, i = np.indices((n, n))
+    expect = np.where(j < i, d ** np.maximum(i - 1 - j, 0), 0.0)
+    assert _bits_equal(forward, expect) and _bits_equal(backward, expect.T)
+    assert forward.flags.c_contiguous and backward.flags.c_contiguous
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 def per_build_tables(grid, rates):
@@ -282,6 +298,8 @@ def test_shared_bases_build_as_per_build_bases(t0, t1, max_rate):
     expected = per_build_tables(grid, rates)
     # the first build may form the shared bases, the second reuses them
     for conv in (ExpConvolver(grid, rates), ExpConvolver(grid, rates)):
-        got = (conv._fwd_local, conv._bwd_local, conv._fwd_carry, conv._bwd_carry)
+        (fwd_local, fwd_carry, _, _), (bwd_local, bwd_carry, _, _) = (
+            conv._tables[1.0], conv._tables[-1.0])
+        got = (fwd_local, bwd_local, fwd_carry, bwd_carry)
         for a, b in zip(got, expected):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -25,6 +25,15 @@ def test_linear_flow_closed_form(p1, trajectory_tol):
     assert np.allclose(traj.states[-1], expected, atol=1e-11)
 
 
+def test_descending_sphere_at_small_trust_radius(p2_small):
+    # the bisection runs to a fraction of epsilon, not to an absolute
+    # tolerance in f that exceeds epsilon and stops at the first midpoint
+    model, ladder, disk = p2_small.model, p2_small.ladder, p2_small.disk
+    level = model.critical_value - ladder.epsilon
+    f = model.f_local(p2_small.graph_f.local_points(disk.sphere_minus))
+    assert np.max(np.abs(f - level)) <= 1e-4 * ladder.epsilon
+
+
 def test_constant_at_critical_point(p2):
     traj = integrate_forward(p2.problem, np.zeros(2), 2.0)
     assert np.allclose(traj.states, 0.0)

@@ -34,6 +34,20 @@ def atlas_p1(p1):
                            T_grid, (np.linspace(-p1.ladder.R, p1.ladder.R, 21),))
 
 
+def test_leaf_clip_samples_at_small_trust_radius(p2_small):
+    setup = p2_small
+    tau = setup.ladder.T0
+    atlas = fol.build_atlas(setup.solver(), setup.graph_g, setup.disk.sphere_minus,
+                            tau, tau + np.array([0.0, 1.0]),
+                            (np.linspace(-setup.ladder.R, setup.ladder.R, 21),))
+    clip = setup.model.critical_value + setup.ladder.epsilon
+    for label in atlas.all_labels():
+        boundary = atlas.leaf(label).boundary_local
+        assert len(boundary) > 0
+        err = np.abs(setup.model.f_local(boundary) - clip)
+        assert np.max(err) <= 1e-4 * setup.ladder.epsilon
+
+
 # -- pair ----------------------------------------------------------------------
 
 def test_pair_membership_quadratic_closed_form(p1):
@@ -183,7 +197,7 @@ def test_leaf_boundaries_probe_off_the_first_plus_plane(monkeypatch):
     monkeypatch.setattr(fol, "level_crossings", crossings)
     model = SimpleNamespace(n=4, k=1, f_local=None)
     graph = SimpleNamespace(local_points=lambda plus: plus)
-    [(plus, _)] = fol._leaf_boundaries(model, [graph], 0.0)
+    [(plus, _)] = fol._leaf_boundaries(model, [graph], 0.0, 1.0)
     assert np.array_equal(seen[0], rays) and np.array_equal(plus, rays)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradleaf import lyapunov_perron as lp
-from gradleaf.curves import FORWARD_FINITE, Curve
+from gradleaf.curves import Curve
 from gradleaf.errors import NormBudgetExceeded
 from gradleaf.flow import integrate_forward
 from references import (
@@ -26,7 +26,7 @@ def random_zt_curves(op, rng, count, scale=0.45):
         poly = np.polyval(coeffs, grid.nodes / grid.t1)
         poly /= max(1.0, np.max(np.abs(poly)))
         bump = (scale * op.ladder.rho * np.exp(-lam * grid.nodes) * poly)[:, None] * u
-        out.append(op.reference.with_values(op.reference.values + bump))
+        out.append(op.curve(op.reference.values + bump))
     return out
 
 
@@ -85,6 +85,19 @@ def test_psi_T_zero_zplus_is_reference_orbit(p1, p2):
 
 # -- boundary exactness and membership ----------------------------------------
 
+def test_boundary_points_are_picked_by_index():
+    # nodes 5e-10 apart, finer than any absolute closeness test to the
+    # first and last values: only the outer nodes are on the boundary
+    axes = (np.linspace(-1e-9, 1e-9, 5), np.linspace(-2e-9, 2e-9, 3))
+    shape = (5, 3)
+    sample = lp.GraphSample("G_inf", "plus", axes, np.zeros(shape + (1,)),
+                            np.zeros(shape), np.zeros(shape, dtype=int))
+    points = sample.boundary_points_local()
+    inner = lp.tensor_points((axes[0][1:-1], axes[1][1:-1]))
+    assert len(points) == 5 * 3 - len(inner)
+    assert not any((points[:, 1:] == z).all(axis=1).any() for z in inner)
+
+
 def test_boundary_exactness(p2):
     T = p2.ladder.T0 + 0.7
     zm = p2.sphere_point()
@@ -103,15 +116,15 @@ def test_membership_in_ball(p2):
     orbit = p2.orbit(zm, t_need=T)
     res, _ = lp.solve_mixed(p2.model, p2.ladder, T, zm, zp, orbit)
     ref = lp.reference_curve(orbit.curve, res.curve.grid)
-    assert res.curve.exp_distance(ref) <= p2.ladder.rho
+    op = lp.PsiTOperator(p2.model, p2.ladder, zm, zp, ref)
+    assert op.norm(res.curve.values - ref.values) <= p2.ladder.rho
 
 
 def test_norm_budget_guard(p2):
     T = p2.ladder.T0
     zm = p2.sphere_point()
     op = mixed_operator(p2, T, zm, np.array([0.3 * p2.ladder.R]))
-    bad = op.reference.with_values(
-        op.reference.values + 2.5 * p2.ladder.rho * np.ones((op.grid.size, 2)))
+    bad = op.curve(op.reference.values + 2.5 * p2.ladder.rho * np.ones((op.grid.size, 2)))
     with pytest.raises(NormBudgetExceeded):
         op.apply(bad)
 
@@ -126,8 +139,8 @@ def test_contraction_factor_quartic(p2):
     worst = 0.0
     curves = random_zt_curves(op, rng, 12)
     for a, b in zip(curves[::2], curves[1::2]):
-        num = op.apply(a).exp_distance(op.apply(b))
-        den = a.exp_distance(b)
+        num = op.norm(op.apply(a).values - op.apply(b).values)
+        den = op.norm(a.values - b.values)
         if den > 1e-9:
             worst = max(worst, num / den)
     assert worst <= 0.5 + 0.05
@@ -139,8 +152,7 @@ def test_fixed_point_quadratic_two_iterations(p1):
     T = p1.ladder.T0
     zm, zp = np.array([0.08]), np.array([0.1])
     op = mixed_operator(p1, T, zm, zp)
-    zero = Curve(op.grid, np.zeros((op.grid.size, 2)), p1.ladder.lambda_,
-                 FORWARD_FINITE)
+    zero = Curve(op.grid, np.zeros((op.grid.size, 2)))
     _, residual, iterations = picard(op, zero, 1e-14)
     assert iterations <= 2
     assert residual <= 1e-14
@@ -161,8 +173,7 @@ def test_fixed_point_iteration_budget(p2):
     T = p2.ladder.T0
     zm = p2.sphere_point()
     op = mixed_operator(p2, T, zm, np.array([0.4 * p2.ladder.R]))
-    zero = Curve(op.grid, np.zeros((op.grid.size, 2)), p2.ladder.lambda_,
-                 FORWARD_FINITE)
+    zero = Curve(op.grid, np.zeros((op.grid.size, 2)))
     _, _, iterations = picard(op, zero, 1e-10)
     assert iterations <= int(np.ceil(np.log2(p2.ladder.rho / 1e-10))) + 5
 
@@ -174,10 +185,9 @@ def test_uniqueness_from_different_initials(p2):
     op = mixed_operator(p2, T, zm, zp)
     tol = 1e-11
     res_a, _, _ = picard(op, operator_start(op), tol)
-    zero = Curve(op.grid, np.zeros((op.grid.size, 2)), p2.ladder.lambda_,
-                 FORWARD_FINITE)
+    zero = Curve(op.grid, np.zeros((op.grid.size, 2)))
     res_b, _, _ = picard(op, zero, tol)
-    assert res_a.exp_distance(res_b) <= 2 * tol
+    assert op.norm(res_a.values - res_b.values) <= 2 * tol
 
 
 def test_fixed_point_solves_ode(p2):
@@ -315,14 +325,14 @@ def test_apply_entry_points_quadratic(p1):
     phi = lp.PhiOperator(p1.model, lad, zm, lp.default_horizon(lad))
     grid_b = phi.grid
     eta = Curve(grid_b, 0.3 * lad.rho * np.exp(lad.lambda_ * grid_b.nodes)[:, None]
-                * np.ones((1, 2)), lad.lambda_, "backward")
+                * np.ones((1, 2)))
     out = phi.apply(eta)
     assert np.allclose(out.values[:, 0], 0.1 * np.exp(grid_b.nodes), atol=1e-14)
     assert np.allclose(out.values[:, 1], 0.0)
 
     psi = lp.PsiOperator(p1.model, lad, zp, lp.default_horizon(lad))
     grid_f = psi.grid
-    xi = Curve(grid_f, np.zeros((grid_f.size, 2)), lad.lambda_, "forward_infinite")
+    xi = Curve(grid_f, np.zeros((grid_f.size, 2)))
     out = psi.apply(xi)
     assert np.allclose(out.values[:, 1], 0.12 * np.exp(-2 * grid_f.nodes), atol=1e-14)
 
@@ -431,7 +441,7 @@ def test_operator_rejects_curve_outside_trust_region(p2):
     T = p2.ladder.T0
     zm = p2.sphere_point()
     op = mixed_operator(p2, T, zm, np.array([0.2 * p2.ladder.R]))
-    huge = op.reference.with_values(op.reference.values + 2.0)
+    huge = op.curve(op.reference.values + 2.0)
     with pytest.raises(OutOfTrustRegion):
         op.apply(huge)
 
@@ -444,7 +454,7 @@ def test_linearized_derivative_norm_bound(p2):
     grid = res.curve.grid
     v = np.array([1.0])
     op = lp._LinearizedOperator(p2.model, lad, res.curve, v)
-    (solution,) = lp._picard(op, slice(0, 1), None, tol=1e-12)
+    (solution,) = lp.solve_columns(op)
     X = solution.curve.values
     weighted = np.max(np.exp(lad.lambda_ * grid.nodes)
                       * np.linalg.norm(X, axis=1))

@@ -132,12 +132,10 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
     # every stage solves on the manifolds stage's store: each backward orbit
     # of one ladder is solved once per run, and c0 and c1 each ask for their
     # stable fixed points once
-    from gradleaf import flow
     from gradleaf import lyapunov_perron as lp
-    from gradleaf.curves import BACKWARD
 
     orbits, stores, stable = Counter(), [], []
-    backward_orbit, solve_columns = lp.backward_orbit, lp.solve_columns
+    solve_columns = lp.solve_columns
     stable_columns = convergence.stable_columns
     init = convergence.GraphFamilySolver.__init__
     asking = [None]
@@ -145,15 +143,13 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
     def key(v):
         return tuple(np.round(np.asarray(v, dtype=float), 14))
 
-    def counted_orbit(model, ladder, z_minus, *args, **kw):
-        orbits[(repr(ladder), key(z_minus))] += 1
-        return backward_orbit(model, ladder, z_minus, *args, **kw)
-
     def counted_columns(op):
-        # graph_F_inf's batched backward orbits, one per column
+        # every backward orbit, graph_F_inf's batched columns and the
+        # one-column solves of backward_orbit alike
         for i, res in enumerate(solve_columns(op)):
-            if op.kind == BACKWARD:
-                orbits[(repr(op.ladder), key(op.z_minus[i]))] += 1
+            if op.kind == lp.BACKWARD:
+                z_minus = op.z_minus[i] if op.z_minus.ndim == 2 else op.z_minus
+                orbits[(repr(op.ladder), key(z_minus))] += 1
             yield res
 
     def counted_stable(*args):
@@ -170,9 +166,6 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
         stores.append(self)
         init(self, *args, **kw)
 
-    for module in (lp, convergence, flow, foliation, pipeline):
-        if getattr(module, "backward_orbit", None) is backward_orbit:
-            monkeypatch.setattr(module, "backward_orbit", counted_orbit)
     monkeypatch.setattr(lp, "solve_columns", counted_columns)
     monkeypatch.setattr(convergence, "stable_columns", counted_stable)
     for check in (convergence.c0_convergence, convergence.c1_convergence):

@@ -15,7 +15,9 @@ name another class of the package also defines, as a method, property,
 class attribute, dataclass field or attribute its methods assign on
 ``self``, is ambiguous: a read of the name may reach either.  It counts as
 reached only when ``AMBIGUOUS_READS`` lists it with the read that reaches
-it, and that read is still there.  A test that needs an independent
+it, and that read is still there.  An entry of ``AMBIGUOUS_READS`` that no
+longer names such a definition (it is gone, or no other class defines its
+name any more) fails the scan too.  A test that needs an independent
 reference keeps it in ``tests/``.
 """
 
@@ -31,9 +33,6 @@ TRACE = ROOT / "bench" / "trace.py"
 #: per class, each method or property whose name another class defines,
 #: with the attribute read that reaches it: (file, the read as written)
 AMBIGUOUS_READS = {
-    "gradleaf/curves.py:PanelGrid.interpolate":
-        ("gradleaf/curves.py", "self.grid.interpolate"),
-    "gradleaf/curves.py:Curve.weights": ("gradleaf/curves.py", "self.weights"),
     "gradleaf/curves.py:Curve.evaluate":
         ("gradleaf/lyapunov_perron.py", "orbit_curve.evaluate"),
     "gradleaf/local_model.py:LocalModel.grid":
@@ -58,8 +57,6 @@ AMBIGUOUS_READS = {
         ("gradleaf/foliation.py", "target.graph.residual"),
     # argparse calls it on every usage error; the CLI on a negative seed
     "gradleaf/cli.py:_Parser.error": ("gradleaf/cli.py", "parser.error"),
-    "gradleaf/polynomials.py:Polynomial.hessian":
-        ("gradleaf/problems.py", "self.objective.hessian"),
 }
 
 
@@ -167,10 +164,25 @@ def unreached_definitions(package=PACKAGE, caller_roots=(SCRIPTS,), traced=None,
     return unreached
 
 
+def stale_ambiguous_reads(package=PACKAGE, ambiguous_reads=None):
+    """Entries of ``ambiguous_reads`` (by default ``AMBIGUOUS_READS``) that
+    name no method or property under ``package`` whose name more than one
+    class defines, in entry order."""
+    ambiguous_reads = AMBIGUOUS_READS if ambiguous_reads is None else ambiguous_reads
+    defining = classes_per_name(package)
+    shared = {f"{file}:{qualified}"
+              for file, qualified, name, _, _, member in public_definitions(package)
+              if member and defining[name] > 1}
+    return [entry for entry in ambiguous_reads if entry not in shared]
+
+
 def test_every_public_name_is_reached_by_a_run():
     unreached = unreached_definitions()
     assert not unreached, ("public definitions that only tests reach; delete "
                            "them or move them into tests/: " + ", ".join(unreached))
+    stale = stale_ambiguous_reads()
+    assert not stale, ("AMBIGUOUS_READS entries that name no definition whose "
+                       "name another class shares; delete them: " + ", ".join(stale))
 
 
 def test_scan_sees_methods_properties_and_own_bodies(tmp_path):
@@ -204,7 +216,18 @@ def test_scan_sees_methods_properties_and_own_bodies(tmp_path):
         "pkg/mod.py:h", "pkg/mod.py:K.m", "pkg/mod.py:K.r",
         "pkg/mod.py:Trajectory.terminal", "pkg/mod.py:Orbit.end"]
     # a shared name is reached when listed with a read that is there
-    assert unreached_definitions(package, [scripts], traced={"h"}, ambiguous_reads={
+    listed = {
         "pkg/mod.py:Trajectory.terminal": ("scripts/use.py", "Trajectory().terminal"),
         "pkg/mod.py:Orbit.end": ("scripts/use.py", "Orbit().end"),
-    }) == ["pkg/mod.py:K.m", "pkg/mod.py:K.r", "pkg/mod.py:Trajectory.terminal"]
+    }
+    assert unreached_definitions(package, [scripts], traced={"h"},
+                                 ambiguous_reads=listed) == [
+        "pkg/mod.py:K.m", "pkg/mod.py:K.r", "pkg/mod.py:Trajectory.terminal"]
+    assert stale_ambiguous_reads(package, listed) == []
+    # an entry is stale when its name is no longer shared, when its
+    # definition is gone, and when it names a module-level function
+    stale = dict(listed, **{"pkg/mod.py:K.q": ("scripts/use.py", "K().q"),
+                            "pkg/mod.py:Gone.end": ("scripts/use.py", "Orbit().end"),
+                            "pkg/mod.py:f": ("scripts/use.py", "f")})
+    assert stale_ambiguous_reads(package, stale) == [
+        "pkg/mod.py:K.q", "pkg/mod.py:Gone.end", "pkg/mod.py:f"]

@@ -82,6 +82,12 @@ def test_degenerate_raises():
         split(np.diag([-1.0, 0.0, 2.0]))
 
 
+def test_zero_hessian_is_degenerate():
+    # every eigenvalue is zero, so the relative tolerance is zero as well
+    with pytest.raises(DegenerateCriticalPoint):
+        split(np.zeros((2, 2)))
+
+
 def test_not_symmetric_raises():
     with pytest.raises(NotSymmetric):
         split(np.array([[0.0, 1.0], [0.0, 1.0]]))
