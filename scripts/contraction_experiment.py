@@ -21,7 +21,7 @@ from gradleaf.reporting import write_csv
 
 def measure(config_path, out_csv, pairs=25, seed=0):
     # the manifolds stage sets up the calibrated ladder, the solve store and
-    # the descending disk; its own artifacts are not kept
+    # the descending sphere; its own artifacts are not kept
     with tempfile.TemporaryDirectory() as stage_dir:
         state = RunState(problem=load_problem(config_path),
                          out_dir=Path(stage_dir), seed=seed)
@@ -29,7 +29,7 @@ def measure(config_path, out_csv, pairs=25, seed=0):
     model, ladder = state.model, state.ladder
     rng = np.random.default_rng(seed)
 
-    zm = state.disk.sphere_minus[0]
+    zm = state.sphere[0]
     z_plus = np.zeros(model.n - model.k)
     z_plus[0] = 0.3 * ladder.R
     rows = []

@@ -22,7 +22,7 @@ from gradleaf.reporting import write_csv
 
 def sweep(config_path, out_csv, n_horizons=9):
     # the manifolds stage sets up the calibrated ladder, the solve store and
-    # the descending disk; its own artifacts are not kept
+    # the descending sphere; its own artifacts are not kept
     with tempfile.TemporaryDirectory() as stage_dir:
         state = RunState(problem=load_problem(config_path),
                          out_dir=Path(stage_dir))
@@ -30,7 +30,7 @@ def sweep(config_path, out_csv, n_horizons=9):
     ladder, solver, graph_g = state.ladder, state.solver, state.graph_g
 
     T_grid = ladder.T0 + np.linspace(0.0, 6.0, n_horizons)
-    zm = state.disk.sphere_minus[0]
+    zm = state.sphere[0]
     zp_axis = graph_g.axes[0]
     zp_list = [np.full(len(graph_g.axes), zp_axis[i])
                for i in (len(zp_axis) // 4, len(zp_axis) // 2)]

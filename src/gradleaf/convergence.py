@@ -131,11 +131,12 @@ class GraphFamilySolver:
 
 
 def _fit_rate(T_values, gaps, floor):
-    """Least-squares decay rate of gap ~ exp(-rate * T), above the floor."""
+    """Least-squares decay rate of gap ~ exp(-rate * T), above the floor;
+    None unless the gaps above it span at least two horizons."""
     T_values = np.asarray(T_values, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     keep = gaps > floor
-    if np.count_nonzero(keep) < 2:
+    if len(set(T_values[keep].tolist())) < 2:
         return None
     slope = np.polyfit(T_values[keep], np.log(gaps[keep]), 1)[0]
     return -float(slope)

@@ -1,7 +1,8 @@
-"""Forward flow integration and the descending disk.
+"""Forward flow integration.
 
-No operation here integrates the gradient equation in reverse time; the
-descending disk is read off the sampled unstable graph.
+No operation here integrates the gradient equation in reverse time.  The
+module imports nothing of the contraction machinery, so the shooting oracle
+that integrates with it stays independent of the solvers it checks.
 
 Forward integration is gradleaf's own DOP853 (Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, II.4-II.6, and Hairer's
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dop853
-from .errors import BlowUp, LevelNotReached
-from .lyapunov_perron import level_crossings, sphere_rays
+from .errors import BlowUp
 
 BLOWUP_RADIUS = 1e3
 #: integration tolerances of ``integrate_forward``
@@ -216,38 +216,3 @@ def integrate_forward(problem, start, duration):
     run = solve_ivp(problem, np.asarray(start, dtype=float)[None], duration,
                     TRAJECTORY_RTOL, TRAJECTORY_ATOL, -np.inf, keep_step_ends=[True])
     return run.step_ends[0]
-
-
-@dataclass
-class DescendingDisk:
-    """Boundary sphere of the descending disk, the part of the unstable
-    manifold above level ``c - epsilon``.
-
-    The sphere consists of the level-crossing points along rays in
-    the unstable subspace; ``sphere_minus`` holds their minus coordinates and
-    ``sphere_local`` the corresponding local-frame points on the graph.
-    """
-
-    sphere_minus: np.ndarray
-    sphere_local: np.ndarray
-
-
-def descending_disk(model, ladder, graph_f):
-    """Locate the boundary sphere of the descending disk above level
-    c - epsilon of the ladder.
-
-    The sphere is found by bisection in the level value along rays of the
-    unstable subspace, to 1e-10 in f or to 1e-4 epsilon where that is
-    smaller (a small trust radius gives a small epsilon); for Morse index
-    one it consists of two points.
-    """
-    epsilon = ladder.epsilon
-    level = model.critical_value - epsilon
-    dirs = sphere_rays(model.k)
-    radii = level_crossings([graph_f], model.f_local, dirs, level,
-                            min(1e-10, 1e-4 * epsilon))[0]
-    if np.isnan(radii).any():
-        raise LevelNotReached(
-            f"epsilon = {epsilon:.3e} not reached within the sampled graph")
-    sphere_minus = radii[:, None] * dirs
-    return DescendingDisk(sphere_minus, graph_f.local_points(sphere_minus))

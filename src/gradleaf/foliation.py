@@ -10,9 +10,9 @@ unstable manifold.
 
 Every leaf is a ``GraphSample`` over the plus subspace.  Its local points
 (``local_points``), the residual of a point against it (``residual``, which
-the invariance audit uses) and its clip boundary along rays
-(``level_crossings``, over all leaves at once) all come from that module,
-so this module never places a graph in the local frame.
+the invariance audit uses) and its clip boundary (``level_sphere``, over
+all leaves at once) come from that module, so this module never places a
+graph in the local frame.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from .flow import solve_ivp
 from .lyapunov_perron import (
     graph_G_T,
     interpolate,
-    level_crossings,
+    level_sphere,
     multilinear_stencil,
-    sphere_rays,
     tensor_points,
 )
 
@@ -166,22 +165,19 @@ class Leaf:
     ``base_point`` is the point the leaf contracts onto under the induced
     flow (alpha^T, or the origin for the center leaf); the leaf's horizon
     is its graph's ``T`` (None for the center leaf).  ``inside_mask`` marks
-    the grid nodes below the clip level, and ``boundary_plus`` and
-    ``boundary_local`` hold the clip boundary sampled along rays of the plus
-    subspace.
+    the grid nodes below the clip level, flat in grid order, and
+    ``boundary_plus`` is the clip boundary, the graph's ``level_sphere``.
     """
 
     graph: object
     base_point: np.ndarray
     inside_mask: np.ndarray
     boundary_plus: np.ndarray
-    boundary_local: np.ndarray
 
     def inside_points(self):
         """Plus coordinates and local points of the grid nodes inside the clip."""
-        inside = self.inside_mask.ravel()
-        return (self.graph.grid_points()[inside],
-                self.graph.local_points()[inside])
+        return (self.graph.grid_points()[self.inside_mask],
+                self.graph.local_points()[self.inside_mask])
 
 
 @dataclass
@@ -207,19 +203,6 @@ class FoliationAtlas:
         return ["center"] + list(self.leaves.keys())
 
 
-def _leaf_boundaries(model, graphs, clip_level, epsilon):
-    """Level-crossing samples of leaves on one plus grid along rays of the
-    plus subspace, ``(boundary_plus, boundary_local)`` per graph, from one
-    lockstep bisection over every ray of every leaf, to a tolerance in f
-    relative to the clip level and at most 1e-4 ``epsilon``."""
-    dirs = sphere_rays(model.n - model.k)
-    tol = min(1e-12 * max(1.0, abs(clip_level)) + 1e-15, 1e-4 * epsilon)
-    radii = level_crossings(graphs, model.f_local, dirs, clip_level, tol)
-    clipped = ~np.isnan(radii)  # NaN: the leaf is not clipped along this ray
-    plus = [r[c, None] * dirs[c] for r, c in zip(radii, clipped)]
-    return [(bp, graph.local_points(bp)) for graph, bp in zip(graphs, plus)]
-
-
 def build_atlas(solver, stable_graph, sphere_minus, tau, T_grid, zplus_axes):
     """Assemble the leaf family over a (T, alpha) grid.
 
@@ -231,21 +214,22 @@ def build_atlas(solver, stable_graph, sphere_minus, tau, T_grid, zplus_axes):
     ``tau``.  The (T, alpha-index) leaf is the time-T graph of the sphere
     point alpha, with base point alpha^T on the backward orbit of alpha;
     the center leaf is the stable graph.  Every leaf is clipped at level
-    c + epsilon.
+    c + epsilon, its boundary bisected to a tolerance in f relative to the
+    clip level and at most 1e-4 epsilon.
     """
     model, ladder = solver.model, solver.ladder
     T_grid = np.asarray(T_grid, dtype=float)
     if np.any(T_grid < tau - 1e-12):
         raise ValueError("atlas horizons must satisfy T >= tau")
     clip = model.critical_value + ladder.epsilon
+    tol = min(1e-12 * max(1.0, abs(clip)) + 1e-15, 1e-4 * ladder.epsilon)
 
     def leaf(graph, base_point, boundary):
-        inside = model.f_local(graph.local_points()) <= clip
         return Leaf(graph=graph, base_point=base_point,
-                    inside_mask=inside.reshape(graph.grid_shape),
-                    boundary_plus=boundary[0], boundary_local=boundary[1])
+                    inside_mask=model.f_local(graph.local_points()) <= clip,
+                    boundary_plus=boundary)
 
-    [bnd] = _leaf_boundaries(model, [stable_graph], clip, ladder.epsilon)
+    [bnd] = level_sphere(model, [stable_graph], clip, tol)
     center = leaf(stable_graph, np.zeros(model.n), bnd)
 
     labels, graphs, bases = [], [], []
@@ -255,7 +239,7 @@ def build_atlas(solver, stable_graph, sphere_minus, tau, T_grid, zplus_axes):
             labels.append((float(T), ai))
             graphs.append(graph_G_T(solver, float(T), alpha, zplus_axes))
             bases.append(orbit.curve.evaluate(-float(T)))
-    bounds = _leaf_boundaries(model, graphs, clip, ladder.epsilon)
+    bounds = level_sphere(model, graphs, clip, tol)
     leaves = {label: leaf(graph, base, bnd)
               for label, graph, base, bnd in zip(labels, graphs, bases, bounds)}
     interp_tol = max([center.graph.interp_tolerance()]
@@ -405,7 +389,8 @@ def retract_audit(atlas):
 
     # (iii) inward pointing along every leaf boundary
     rows = [(label, leaf, z_plus, z) for label, leaf in zip(labels, leaves)
-            for z_plus, z in zip(leaf.boundary_plus, leaf.boundary_local)]
+            for z_plus, z in zip(leaf.boundary_plus,
+                                 leaf.graph.local_points(leaf.boundary_plus))]
     boundary = np.array([z for *_, z in rows]).reshape(-1, model.n)
     row_labels = [label for label, *_ in rows]
     steps = (1e-4, 1e-5)

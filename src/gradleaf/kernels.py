@@ -45,6 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .curves import _lobatto_reference, barycentric_matrix, barycentric_weights
+from .errors import LadderInfeasible
 
 #: positive nodes and their weights of the 16-point Gauss-Legendre rule on
 #: [-1, 1], which is symmetric; the same doubles as scipy's
@@ -62,6 +63,9 @@ _GAUSS_POSITIVE_WEIGHTS = np.array([
 ])
 GAUSS_NODES = np.concatenate([-_GAUSS_POSITIVE_NODES[::-1], _GAUSS_POSITIVE_NODES])
 GAUSS_WEIGHTS = np.concatenate([_GAUSS_POSITIVE_WEIGHTS[::-1], _GAUSS_POSITIVE_WEIGHTS])
+#: bytes the (P, P) decay tables of one convolver may take, 8 P^2 per rate;
+#: the reference configs' 160-panel grids take 0.2 MB per table
+DECAY_TABLE_BYTES = 256e6
 
 
 @functools.cache
@@ -92,12 +96,19 @@ class ExpConvolver:
 
     ``rates`` is the full eigenvalue list; entry ``j`` may only be used with
     ``forward`` when ``rates[j] >= 0`` and with ``backward`` when
-    ``rates[j] <= 0``.
+    ``rates[j] <= 0``.  A grid whose decay tables would take more than
+    ``DECAY_TABLE_BYTES`` raises LadderInfeasible before any is built.
     """
 
     def __init__(self, grid, rates):
         self.grid = grid
         self.rates = np.asarray(rates, dtype=float)
+        table_bytes = 8.0 * grid.n_panels ** 2 * self.rates.size
+        if table_bytes > DECAY_TABLE_BYTES:
+            raise LadderInfeasible(
+                f"the horizon [{grid.t0:g}, {grid.t1:g}] needs {grid.n_panels} panels: "
+                f"{table_bytes / 1e6:.0f} MB of decay tables, over "
+                f"{DECAY_TABLE_BYTES / 1e6:.0f} MB")
         p = grid.p
         m = p + 1
         ref, bases = _panel_bases(p)

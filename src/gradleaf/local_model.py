@@ -301,8 +301,12 @@ def calibrate_ladder(ladder, model, graph_f, graph_g):
     if varsigma <= 0:
         raise LadderInfeasible("graphs carry no level range: varsigma <= 0")
     epsilon = 0.5 * varsigma
-    varkappa = min(1.0, 0.9 * _plus_radius_within_level(
-        model, graph_g, model.critical_value + varsigma))
+    level = model.critical_value + varsigma
+    radius = _plus_radius_within_level(model, graph_g, level)
+    if radius <= 0:
+        raise LadderInfeasible(f"no plus ball of the stable graph stays below the "
+                               f"level c + varsigma = {level:.6g}")
+    varkappa = min(1.0, 0.9 * radius)
     T1 = -math.log(varkappa) / ladder.lambda_
     T0 = max(T1, ladder.T2, 1.0)
     return replace(ladder, varsigma=varsigma, epsilon=epsilon, varkappa=varkappa,

@@ -39,6 +39,8 @@ Solving on a tensor grid of base points gives a ``GraphSample``.  Every
 other module reaches the local-frame geometry of a sampled graph through it:
 the points over given base points, the residual of a point against the
 graph, and the level crossings of the objective along rays of its domain.
+``level_sphere`` finds both the descending sphere (``descending_disk``) and
+the clip boundary of every leaf of the foliation.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import numpy as np
 from .curves import Curve, row_norms
 from .errors import (
     EndpointViolation,
+    LevelNotReached,
     NoConvergence,
     NormBudgetExceeded,
     OutOfTrustRegion,
@@ -457,8 +460,8 @@ class GraphSample:
     """A sampled graph over a tensor grid in one spectral subspace.
 
     ``axes`` are 1D arrays of subspace coordinates; ``values`` maps the grid
-    into the complementary subspace (shape ``grid_shape + (codim,)``).
-    ``domain_sign`` tells which subspace the base grid lives in.  A solved
+    into the complementary subspace (shape ``grid_shape + (codim,)``).  The
+    ``kind`` fixes the subspace of the base grid, ``domain_sign``.  A solved
     graph is built by ``from_fixed_points`` from the fixed points of its
     nodes.  It is the only code that knows how the graph sits in the local
     frame (minus coordinates first): ``local_points`` puts base points and
@@ -468,7 +471,6 @@ class GraphSample:
     """
 
     kind: str
-    domain_sign: str
     axes: tuple
     values: np.ndarray
     residuals: np.ndarray
@@ -478,18 +480,23 @@ class GraphSample:
     endpoint_gaps: np.ndarray | None = None
 
     @classmethod
-    def from_fixed_points(cls, kind, domain_sign, axes, results, **time_T):
+    def from_fixed_points(cls, kind, axes, results, **time_T):
         """The graph over the tensor grid ``axes`` from the fixed points
         ``results`` of its nodes, in grid order: their graph values,
         reported residuals and iteration counts.  ``time_T`` passes a time-T
         graph its ``T``, ``z_minus`` and ``endpoint_gaps``."""
         shape = tuple(len(ax) for ax in axes)
         values = np.array([res.graph_value for res in results])
-        return cls(kind, domain_sign, tuple(axes),
+        return cls(kind, tuple(axes),
                    values.reshape(shape + values.shape[1:]),
                    np.reshape([res.reported_residual for res in results], shape),
                    np.reshape([res.iterations for res in results], shape),
                    **time_T)
+
+    @property
+    def domain_sign(self):
+        """``"minus"`` for the unstable graph ``F_inf``, else ``"plus"``."""
+        return "minus" if self.kind == "F_inf" else "plus"
 
     @property
     def grid_shape(self):
@@ -643,6 +650,32 @@ def level_crossings(graphs, f, directions, level, tol):
     return radii.reshape(len(graphs), -1)
 
 
+def level_sphere(model, graphs, level, tol):
+    """Where the objective on ``graphs``, which share one tensor grid, crosses
+    ``level`` along the :func:`sphere_rays` of their domain: per graph, the
+    base points ``(m, d)`` of the rays that cross, in ray order, from one
+    :func:`level_crossings` bisection to ``tol`` in f.  A ray that misses the
+    level within the sampled domain gives no point."""
+    dirs = sphere_rays(len(graphs[0].axes))
+    radii = level_crossings(graphs, model.f_local, dirs, level, tol)
+    return [r[hit, None] * dirs[hit] for r, hit in zip(radii, ~np.isnan(radii))]
+
+
+def descending_disk(model, ladder, graph_f):
+    """The boundary sphere of the descending disk, the part of the unstable
+    graph ``graph_f`` above level c - epsilon: its :func:`level_sphere` as
+    minus coordinates ``(m, k)``, to 1e-10 in f or 1e-4 epsilon where that
+    is smaller (a small trust radius gives a small epsilon); two points for
+    Morse index one.  A ray that misses the level raises LevelNotReached."""
+    epsilon = ladder.epsilon
+    [sphere] = level_sphere(model, [graph_f], model.critical_value - epsilon,
+                            min(1e-10, 1e-4 * epsilon))
+    if len(sphere) < len(sphere_rays(model.k)):
+        raise LevelNotReached(
+            f"epsilon = {epsilon:.3e} not reached within the sampled graph")
+    return sphere
+
+
 def multilinear_stencil(axes, points):
     """The corners and weights of multilinear interpolation on the tensor
     grid ``axes`` at ``points`` ``(m, d)``: a list of (corner index, weight
@@ -703,15 +736,14 @@ def graph_F_inf(model, ladder):
     """Unstable graph: plus part at time 0 of the backward fixed points."""
     axes = default_axes(ladder.R, model.k)
     op = PhiOperator(model, ladder, tensor_points(axes), default_horizon(ladder))
-    return GraphSample.from_fixed_points("F_inf", "minus", axes,
-                                         list(solve_columns(op)))
+    return GraphSample.from_fixed_points("F_inf", axes, list(solve_columns(op)))
 
 
 def graph_G_inf(model, ladder):
     """Stable graph: minus part at time 0 of the forward fixed points."""
     axes = default_axes(ladder.R, model.n - model.k)
     return GraphSample.from_fixed_points(
-        "G_inf", "plus", axes, list(stable_columns(model, ladder, tensor_points(axes))))
+        "G_inf", axes, list(stable_columns(model, ladder, tensor_points(axes))))
 
 
 def graph_G_T(solver, T, z_minus, base_axes=None):
@@ -722,7 +754,7 @@ def graph_G_T(solver, T, z_minus, base_axes=None):
     axes = base_axes or default_axes(ladder.R, model.n - model.k)
     results, gaps = zip(*solver.mixed_rows(T, z_minus, tensor_points(axes)))
     return GraphSample.from_fixed_points(
-        "G_T", "plus", axes, results, T=float(T),
+        "G_T", axes, results, T=float(T),
         z_minus=np.asarray(z_minus, dtype=float),
         endpoint_gaps=np.reshape(gaps, tuple(len(ax) for ax in axes)))
 

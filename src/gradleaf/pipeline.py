@@ -22,10 +22,10 @@ import numpy as np
 from . import convergence, foliation, reporting
 from .curves import row_norms
 from .errors import BoundViolation
-from .flow import descending_disk, integrate_forward
+from .flow import integrate_forward
 from .local_model import LocalModel, build_ladder, calibrate_ladder, lipschitz_modulus
-from .lyapunov_perron import (PICARD_TOL, default_axes, graph_F_inf, graph_G_inf,
-                              graph_G_T)
+from .lyapunov_perron import (PICARD_TOL, default_axes, descending_disk, graph_F_inf,
+                              graph_G_inf, graph_G_T)
 from .oracle import mixed_bvp_oracle
 from .spectral import split
 
@@ -41,7 +41,7 @@ class RunState:
     solver: object = None
     graph_f: object = None
     graph_g: object = None
-    disk: object = None
+    sphere: object = None
     statuses: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
     wall_times: dict = field(default_factory=dict)
@@ -95,15 +95,15 @@ def stage_manifolds(state):
     state.ladder = calibrate_ladder(state.ladder, state.model, state.graph_f,
                                     state.graph_g)
     state.solver = convergence.GraphFamilySolver(state.model, state.ladder)
-    state.disk = descending_disk(state.model, state.ladder, state.graph_f)
+    state.sphere = descending_disk(state.model, state.ladder, state.graph_f)
     for sample, name in ((state.graph_f, "graph_F_inf.csv"),
                          (state.graph_g, "graph_G_inf.csv")):
         state.emit(name, reporting.graph_header(state.model, sample),
                    reporting.graph_rows(sample, state.model))
     state.emit("ladder_calibrated.csv", ["constant", "value"],
                sorted(state.ladder.echo().items()))
-    # one exported reference trajectory from a graph point
-    start_local = state.disk.sphere_local[0]
+    # one exported reference trajectory from the first sphere point
+    start_local = state.graph_f.local_points(state.sphere[0])
     traj = integrate_forward(state.problem, state.model.to_ambient(start_local),
                              min(2.0, state.ladder.T0))
     state.emit("trajectory_sample.csv",
@@ -112,13 +112,12 @@ def stage_manifolds(state):
     state.details["manifolds"] = {
         "F_max": float(np.max(np.abs(state.graph_f.values))),
         "G_max": float(np.max(np.abs(state.graph_g.values))),
-        "sphere": state.disk.sphere_minus.tolist(),
+        "sphere": state.sphere.tolist(),
     }
 
 
 def _lambda_sample_sets(state, n_zplus=3):
-    zm_list = [state.disk.sphere_minus[i]
-               for i in range(min(2, len(state.disk.sphere_minus)))]
+    zm_list = list(state.sphere[:2])
     axes = state.graph_g.axes
     d = len(axes)
     # interior nodes only: finite-difference probes must stay in the domain
@@ -184,7 +183,7 @@ def stage_foliate(state):
     T_grid = tau + np.arange(0.0, 3.0)
     pair = foliation.build_pair(state.model, ladder, rng=state.rng())
     atlas = foliation.build_atlas(
-        state.solver, state.graph_g, state.disk.sphere_minus, tau=tau,
+        state.solver, state.graph_g, state.sphere, tau=tau,
         T_grid=T_grid,
         zplus_axes=default_axes(ladder.R, state.model.n - state.model.k, 21))
     state.emit("pair.csv",
@@ -228,10 +227,11 @@ def oracle_queries(state):
     t_cap = np.log(1e6) / abs(ladder.lambda_min)
     t_base = min(ladder.T0, t_cap)
     grid = 2  # horizons, sphere points and plus points compared
-    # below T0 (k2's and p3's capped horizons) no endpoint bound is claimed
+    # below T0 (k2's and p3's capped horizons) no endpoint bound is claimed;
+    # the capped horizons spread over at most half of the cap, so stay > 0
     T_list = t_base + (np.linspace(0.0, 2.0, grid)
                        if t_base >= ladder.T0 - 1e-12
-                       else np.linspace(-2.0, 0.0, grid))
+                       else np.linspace(-min(2.0, 0.5 * t_base), 0.0, grid))
     zm_list, zp_list = _lambda_sample_sets(state, n_zplus=grid)
     queries = [[(T, zm, zp) for zp in zp_list[:grid]]
                for T in T_list for zm in zm_list[:grid]]

@@ -122,7 +122,7 @@ def atlas_leaf_rows(leaf, model):
     ambient, values = _ambient_rows(model, leaf.graph.local_points())
     return [[*b, *x, v, int(keep)]
             for b, x, v, keep in zip(leaf.graph.grid_points().tolist(), ambient, values,
-                                     leaf.inside_mask.ravel().tolist())]
+                                     leaf.inside_mask.tolist())]
 
 
 def atlas_leaf_header(model, leaf):

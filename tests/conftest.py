@@ -9,7 +9,6 @@ import pytest
 from gradleaf import flow
 from gradleaf import lyapunov_perron as lp
 from gradleaf.convergence import GraphFamilySolver
-from gradleaf.flow import descending_disk
 from gradleaf.local_model import (
     LocalModel,
     build_ladder,
@@ -31,7 +30,7 @@ class Setup:
     """Everything downstream modules need for one problem, built as a run
     builds it: the ladder from the Lipschitz bounds of q's coefficient
     table (``modulus``, a function of the radius, and ``kappa_star``), the
-    raw ladder's graphs, the calibrated ladder and its descending disk.  The
+    raw ladder's graphs, the calibrated ladder and its descending sphere.  The
     model holds the grids and convolvers every solve of the session shares,
     and their counts."""
 
@@ -46,10 +45,10 @@ class Setup:
         self.graph_g = lp.graph_G_inf(self.model, self.ladder_raw)
         self.ladder = calibrate_ladder(self.ladder_raw, self.model,
                                        self.graph_f, self.graph_g)
-        self.disk = descending_disk(self.model, self.ladder, self.graph_f)
+        self.sphere = lp.descending_disk(self.model, self.ladder, self.graph_f)
 
     def sphere_point(self, i=0):
-        return self.disk.sphere_minus[i]
+        return self.sphere[i]
 
     def solver(self):
         """A new solve store of the calibrated ladder."""

@@ -54,7 +54,7 @@ def solver_p2(p2):
 def atlas_p2(p2, solver_p2):
     tau = p2.ladder.T0
     return fol.build_atlas(
-        solver_p2, p2.graph_g, p2.disk.sphere_minus, tau, tau + np.array([0.0, 1.0, 2.0]),
+        solver_p2, p2.graph_g, p2.sphere, tau, tau + np.array([0.0, 1.0, 2.0]),
         (np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
 
 

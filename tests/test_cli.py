@@ -1,8 +1,10 @@
+import csv
 import gc
 import importlib
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -111,6 +113,73 @@ def test_infeasible_ladder_exit_code(tmp_path):
     assert record["error"] == "ladder_infeasible"
     assert "no halving of the trust radius satisfies the smallness inequality" \
         in record["message"]
+
+
+def _write_config(tmp_path, name, objective):
+    cpath = tmp_path / f"{name}.json"
+    cpath.write_text(json.dumps({"name": name, "dimension": 2,
+                                 "critical_point": [0.0, 0.0],
+                                 "objective": objective}))
+    return cpath
+
+
+def test_stiff_unstable_direction_shoots_at_positive_horizons(tmp_path):
+    # lambda_min = -10 caps the oracle's base horizon at ln(1e6)/10 = 1.38,
+    # below T0 = 12.1: the capped horizons spread over half of it
+    cpath = _write_config(tmp_path, "stiff_unstable",
+                          [[[2, 0], -5.0], [[4, 0], 1.0], [[0, 2], 0.5]])
+    out = tmp_path / "o"
+    assert run_cli(["all", "--config", cpath, "--out", out]) == 0
+    with open(out / "oracle_comparison.csv", newline="") as fh:
+        horizons = sorted({float(row["T"]) for row in csv.DictReader(fh)})
+    t_cap = math.log(1e6) / 10.0
+    assert horizons == pytest.approx([0.5 * t_cap, t_cap], rel=1e-12)
+
+
+def test_stiff_stable_direction_exits_ladder_infeasible(tmp_path):
+    # the stable graph's node nearest the origin already lies above
+    # c + varsigma, so no plus ball stays below that level
+    cpath = _write_config(tmp_path, "stiff_stable",
+                          [[[2, 0], -0.5], [[0, 2], 10.0], [[2, 2], 0.25]])
+    out = tmp_path / "o"
+    assert run_cli(["all", "--config", cpath, "--out", out]) == EXIT_CONFIG
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ladder_infeasible"
+    assert "c + varsigma" in record["message"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage_statuses"]["manifolds"] == "error"
+
+
+#: an address-space cap for a run whose decay tables alone would need 4 GB
+SMALL_GAP_ADDRESS_SPACE = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (SMALL_GAP_ADDRESS_SPACE, SMALL_GAP_ADDRESS_SPACE))
+
+
+def test_small_spectral_gap_exits_config_with_manifest(tmp_path):
+    # gap 0.01: the truncation horizon 40/lambda = 8000 needs 16000 panels,
+    # 2 GB per decay table; run in a process whose address space is capped,
+    # so that a missing budget check fails the run instead of the host
+    cpath = _write_config(tmp_path, "small_gap",
+                          [[[2, 0], -0.5], [[0, 2], 0.005], [[2, 2], 0.25]])
+    out = tmp_path / "o"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradleaf.cli", "all", "--config", str(cpath),
+         "--out", str(out)], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path), preexec_fn=_cap_address_space)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ladder_infeasible"
+    assert "[-8000, 0] needs 16000 panels" in record["message"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"]["code"] == "ladder_infeasible"
+    assert manifest["stage_statuses"] == {"spectral": "pass", "ladder": "pass",
+                                          "manifolds": "error"}
 
 
 def test_zero_hessian_fails_the_spectral_stage(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,27 @@ def test_c0_requires_large_horizon(solver_p1, p1):
     with pytest.raises(ValueError):
         cv.c0_convergence(solver_p1, [1.0], [p1.sphere_point()],
                           [np.zeros(1)])
+
+
+def test_fit_rate_needs_two_horizons():
+    # two gaps above the floor at one horizon fit no rate
+    assert cv._fit_rate([5.0, 5.0, 6.0], [1e-3, 2e-3, 1e-12], 1e-9) is None
+    rate = cv._fit_rate([5.0, 5.0, 6.0], [1e-3, 1e-3, math.exp(-1.0) * 1e-3], 1e-9)
+    assert rate == pytest.approx(1.0, rel=1e-9)
+
+
+def test_pooled_rate_of_a_short_sweep_spans_horizons(p2, solver_p2):
+    # ``scripts/horizon_sweep.py`` on p2 with three horizons: both series
+    # stay above the floor only at T0, so no rate is fitted, and polyfit is
+    # never asked for a line through one abscissa
+    lad, graph_g = p2.ladder, p2.graph_g
+    zp_axis = graph_g.axes[0]
+    zp_list = [np.full(1, zp_axis[i]) for i in (len(zp_axis) // 4, len(zp_axis) // 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cv.c0_convergence(solver_p2, lad.T0 + np.linspace(0.0, 6.0, 3),
+                                [p2.sphere_point()], zp_list)
+    assert "pooled" not in rep.fitted_rates
 
 
 def test_c0_quartic(p2, solver_p2):

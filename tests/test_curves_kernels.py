@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from gradleaf import kernels
 from gradleaf import lyapunov_perron as lp
 from gradleaf.curves import (
     Curve,
@@ -14,6 +15,7 @@ from gradleaf.curves import (
     barycentric_matrix,
     barycentric_weights,
 )
+from gradleaf.errors import LadderInfeasible
 from gradleaf.kernels import GAUSS_NODES, GAUSS_WEIGHTS, ExpConvolver, _decay_table
 from references import derivative_values, panel_slice
 
@@ -119,6 +121,16 @@ def test_convolver_rejects_wrong_sign(grid):
         conv.forward(0, np.zeros(grid.size))
     with pytest.raises(ValueError):
         conv.backward(1, np.zeros(grid.size))
+
+
+def test_convolver_refuses_decay_tables_beyond_the_budget():
+    # 4002 panels and two rates: 8 * 4002^2 * 2 bytes, just above the budget
+    long_grid = PanelGrid(0.0, 2001.0, 1.0)
+    assert long_grid.n_panels == 4002
+    assert 8 * 4002 ** 2 * 2 > kernels.DECAY_TABLE_BYTES >= 8 * 4000 ** 2 * 2
+    with pytest.raises(LadderInfeasible,
+                       match=r"horizon \[0, 2001\] needs 4002 panels: 256 MB"):
+        ExpConvolver(long_grid, np.array([-1.0, 2.0]))
 
 
 def test_convolver_rejects_wrong_length(grid):

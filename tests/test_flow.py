@@ -5,7 +5,8 @@ import pytest
 
 from gradleaf import reporting
 from gradleaf.errors import BlowUp, LevelNotReached
-from gradleaf.flow import descending_disk, integrate_forward, solve_ivp
+from gradleaf.flow import integrate_forward, solve_ivp
+from gradleaf.lyapunov_perron import descending_disk
 from references import scipy_trajectory
 
 
@@ -28,9 +29,9 @@ def test_linear_flow_closed_form(p1, trajectory_tol):
 def test_descending_sphere_at_small_trust_radius(p2_small):
     # the bisection runs to a fraction of epsilon, not to an absolute
     # tolerance in f that exceeds epsilon and stops at the first midpoint
-    model, ladder, disk = p2_small.model, p2_small.ladder, p2_small.disk
+    model, ladder = p2_small.model, p2_small.ladder
     level = model.critical_value - ladder.epsilon
-    f = model.f_local(p2_small.graph_f.local_points(disk.sphere_minus))
+    f = model.f_local(p2_small.graph_f.local_points(p2_small.sphere))
     assert np.max(np.abs(f - level)) <= 1e-4 * ladder.epsilon
 
 
@@ -229,20 +230,20 @@ def test_trajectory_rows_format(p1):
 
 
 def test_backward_quadratic_closed_form(p1):
-    q = p1.disk.sphere_local[0]
+    q = p1.graph_f.local_points(p1.sphere[0])
     t = 2.0
     out = backward(p1, q, t)
     assert np.allclose(out, [q[0] * np.exp(-t), 0.0], atol=1e-12)
 
 
 def test_backward_identity_at_zero(p1):
-    q = p1.disk.sphere_local[0]
+    q = p1.graph_f.local_points(p1.sphere[0])
     out = backward(p1, q, 0.0)
     assert np.allclose(out, q, atol=1e-12)
 
 
 def test_backward_forward_roundtrip(p2, trajectory_tol):
-    q = p2.disk.sphere_local[0]
+    q = p2.graph_f.local_points(p2.sphere[0])
     trajectory_tol(1e-12, 1e-15)
     for t in (1.0, 3.0, 5.0):
         back = backward(p2, q, t)
@@ -251,7 +252,7 @@ def test_backward_forward_roundtrip(p2, trajectory_tol):
 
 
 def test_backward_cocycle(p2):
-    q = p2.disk.sphere_local[0]
+    q = p2.graph_f.local_points(p2.sphere[0])
     one = backward(p2, q, 3.0)
     half = backward(p2, q, 1.5)
     two = backward(p2, half, 1.5)
@@ -265,38 +266,37 @@ def at_level(epsilon):
 
 def test_sphere_closed_form(p1):
     # f = -x^2/2 on the unstable axis: the level -eps sits at sqrt(2 eps)
-    disk = descending_disk(p1.model, at_level(0.005), p1.graph_f)
-    assert np.allclose(np.abs(disk.sphere_minus.ravel()), np.sqrt(0.01),
-                       atol=1e-9)
-    assert set(np.sign(disk.sphere_minus.ravel())) == {-1.0, 1.0}
+    sphere = descending_disk(p1.model, at_level(0.005), p1.graph_f)
+    assert np.allclose(np.abs(sphere.ravel()), np.sqrt(0.01), atol=1e-9)
+    assert set(np.sign(sphere.ravel())) == {-1.0, 1.0}
 
 
 def test_sphere_radius_shrinks_with_epsilon(p1):
     radii = []
     for eps in (0.004, 0.001, 0.00025):
-        d = descending_disk(p1.model, at_level(eps), p1.graph_f)
-        radii.append(np.max(np.abs(d.sphere_minus)))
+        sphere = descending_disk(p1.model, at_level(eps), p1.graph_f)
+        radii.append(np.max(np.abs(sphere)))
     assert radii[0] > radii[1] > radii[2]
     assert radii[2] <= np.sqrt(2 * 0.00025) * 1.01
 
 
 def test_sphere_on_level_set(p2):
     c = p2.model.f_local(np.zeros(2))
-    for pt in p2.disk.sphere_local:
+    for pt in p2.graph_f.local_points(p2.sphere):
         assert p2.model.f_local(pt) == pytest.approx(c - p2.ladder.epsilon,
                                                      abs=1e-9)
 
 
-def _disk_interior(disk):
+def _disk_interior(sphere):
     """The origin and the points 1/4, 1/2 and 3/4 of the way to each
     sphere point, in minus coordinates."""
-    return np.concatenate([np.zeros((1, disk.sphere_minus.shape[1]))]
-                          + [f * disk.sphere_minus for f in (0.25, 0.5, 0.75)])
+    return np.concatenate([np.zeros((1, sphere.shape[1]))]
+                          + [f * sphere for f in (0.25, 0.5, 0.75)])
 
 
 def test_disk_samples_above_level(p2):
     c = p2.model.f_local(np.zeros(2))
-    for pt in p2.graph_f.local_points(_disk_interior(p2.disk)):
+    for pt in p2.graph_f.local_points(_disk_interior(p2.sphere)):
         assert p2.model.f_local(pt) >= c - p2.ladder.epsilon - 1e-12
 
 
@@ -315,7 +315,7 @@ def test_level_behind_critical_value_raises(p1):
 def test_disk_backward_invariant(p2):
     # backward flow keeps interior samples inside the disk: on the graph,
     # and above the disk's level
-    for zm in _disk_interior(p2.disk)[1:3]:
+    for zm in _disk_interior(p2.sphere)[1:3]:
         q = np.zeros(2)
         q[0] = zm[0]
         q[1] = p2.graph_f.evaluate(zm)[0]
@@ -328,8 +328,7 @@ def test_disk_backward_invariant(p2):
 def test_sphere_cross_checked_by_shooting(p2):
     # oracle for the sphere location: integrate the graph point down to the
     # level and compare crossing radius (root of f along the unstable graph)
-    zm = p2.disk.sphere_minus[0]
-    pt = p2.disk.sphere_local[0]
+    zm = p2.sphere[0]
     c = p2.model.f_local(np.zeros(2))
     # independent check: evaluate f on a fine ray grid and bracket the level
     rs = np.linspace(0.0, p2.graph_f.axes[0][-1], 4001)

@@ -22,7 +22,7 @@ def pair_p2(p2):
 def atlas_p2(p2):
     tau = p2.ladder.T0
     T_grid = tau + np.array([0.0, 1.0, 2.0])
-    return fol.build_atlas(p2.solver(), p2.graph_g, p2.disk.sphere_minus, tau,
+    return fol.build_atlas(p2.solver(), p2.graph_g, p2.sphere, tau,
                            T_grid, (np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
 
 
@@ -30,19 +30,20 @@ def atlas_p2(p2):
 def atlas_p1(p1):
     tau = p1.ladder.T0
     T_grid = tau + np.array([0.0, 1.0])
-    return fol.build_atlas(p1.solver(), p1.graph_g, p1.disk.sphere_minus, tau,
+    return fol.build_atlas(p1.solver(), p1.graph_g, p1.sphere, tau,
                            T_grid, (np.linspace(-p1.ladder.R, p1.ladder.R, 21),))
 
 
 def test_leaf_clip_samples_at_small_trust_radius(p2_small):
     setup = p2_small
     tau = setup.ladder.T0
-    atlas = fol.build_atlas(setup.solver(), setup.graph_g, setup.disk.sphere_minus,
+    atlas = fol.build_atlas(setup.solver(), setup.graph_g, setup.sphere,
                             tau, tau + np.array([0.0, 1.0]),
                             (np.linspace(-setup.ladder.R, setup.ladder.R, 21),))
     clip = setup.model.critical_value + setup.ladder.epsilon
     for label in atlas.all_labels():
-        boundary = atlas.leaf(label).boundary_local
+        leaf = atlas.leaf(label)
+        boundary = leaf.graph.local_points(leaf.boundary_plus)
         assert len(boundary) > 0
         err = np.abs(setup.model.f_local(boundary) - clip)
         assert np.max(err) <= 1e-4 * setup.ladder.epsilon
@@ -183,8 +184,9 @@ def test_atlas_leaf_count(atlas_p2):
 
 
 def test_leaf_boundaries_probe_off_the_first_plus_plane(monkeypatch):
-    # a 3-dimensional plus subspace (n = 4, k = 1) is probed along the
-    # descending disk's ray set, part of which leaves the first plane
+    # a leaf over a 3-dimensional plus subspace (n = 4, k = 1) is probed
+    # along the descending sphere's ray set, part of which leaves the first
+    # plane: level_sphere takes the rays of its graphs' domain
     rays = lp.sphere_rays(3)
     assert np.allclose(np.linalg.norm(rays, axis=1), 1.0)
     assert np.count_nonzero(rays[:, 2]) == len(rays) // 2 > 0
@@ -194,16 +196,16 @@ def test_leaf_boundaries_probe_off_the_first_plus_plane(monkeypatch):
         seen.append(dirs)
         return np.ones((len(graphs), len(dirs)))
 
-    monkeypatch.setattr(fol, "level_crossings", crossings)
-    model = SimpleNamespace(n=4, k=1, f_local=None)
-    graph = SimpleNamespace(local_points=lambda plus: plus)
-    [(plus, _)] = fol._leaf_boundaries(model, [graph], 0.0, 1.0)
+    monkeypatch.setattr(lp, "level_crossings", crossings)
+    model = SimpleNamespace(f_local=None)
+    graph = SimpleNamespace(axes=(np.linspace(-1.0, 1.0, 5),) * 3)
+    [plus] = lp.level_sphere(model, [graph], 0.0, 1.0)
     assert np.array_equal(seen[0], rays) and np.array_equal(plus, rays)
 
 
 def test_quadratic_leaves_flat(atlas_p1, p1):
     for (T, ai), leaf in atlas_p1.leaves.items():
-        alpha = p1.disk.sphere_minus[ai][0]
+        alpha = p1.sphere[ai][0]
         assert np.allclose(leaf.graph.values, alpha * math.exp(-T), atol=1e-12)
         assert np.allclose(leaf.base_point,
                            [alpha * math.exp(-T), 0.0], atol=1e-12)
@@ -225,7 +227,7 @@ def test_disjointness_quadratic_closed_form(atlas_p1, p1):
     assert [(r.z_minus_label, r.z_plus_label) for r in rep.rows] == [
         (str(a), str(b)) for i, a in enumerate(labels) for b in labels[i + 1:]]
     T = min(lbl[0] for lbl in atlas_p1.leaves)
-    alpha = abs(p1.disk.sphere_minus[0][0])
+    alpha = abs(p1.sphere[0][0])
     [sep] = [r.gap for r in rep.rows
              if r.z_minus_label == str((T, 0)) and r.z_plus_label == str((T, 1))]
     assert sep == pytest.approx(2 * alpha * math.exp(-T), rel=1e-9)
@@ -242,7 +244,7 @@ def _line_leaf_atlas(*graphs):
     axis = np.linspace(-0.5, 0.5, 21)
     leaves = {}
     for ai, g in enumerate(graphs):
-        sample = lp.GraphSample("G_T", "plus", (axis,), g(axis)[:, None],
+        sample = lp.GraphSample("G_T", (axis,), g(axis)[:, None],
                                 np.zeros(axis.size), np.zeros(axis.size, int))
         leaves[(1.0 + ai, ai)] = SimpleNamespace(graph=sample)
     first = next(iter(leaves.values()))
@@ -284,7 +286,7 @@ def test_disjointness_crossing_leaves_fail():
 def test_induced_flow_quadratic_closed_form(atlas_p1, p1):
     label = sorted(atlas_p1.leaves)[0]
     T = label[0]
-    alpha = p1.disk.sphere_minus[label[1]][0]
+    alpha = p1.sphere[label[1]][0]
     y0 = 0.3 * p1.ladder.R
     z = atlas_p1.leaf(label).graph.local_points(np.array([y0]))
     for t in (0.7, 2.0):
@@ -485,7 +487,7 @@ def atlas_p3(p3):
     # codimension-two leaves: graphs over a 2D plus grid
     tau = p3.ladder.T0
     half = p3.ladder.R / np.sqrt(2)
-    return fol.build_atlas(p3.solver(), p3.graph_g, p3.disk.sphere_minus[:1],
+    return fol.build_atlas(p3.solver(), p3.graph_g, p3.sphere[:1],
                            tau, tau + np.array([0.0, 1.0]),
                            tuple(np.linspace(-half, half, 9) for _ in range(2)))
 
@@ -497,7 +499,7 @@ def test_codim2_leaf_geometry(atlas_p3, p3):
         assert leaf.graph.codim == 1
         assert leaf.boundary_plus.shape[1] == 2
         # boundary samples sit on the clip level
-        for pt in leaf.boundary_local:
+        for pt in leaf.graph.local_points(leaf.boundary_plus):
             assert p3.model.f_local(pt) == pytest.approx(
                 p3.model.critical_value + p3.ladder.epsilon, abs=1e-9)
 
@@ -597,7 +599,8 @@ def test_retract_audit_matches_single_trajectories(atlas_p2, p2):
             moved = _induced_flow_reference(atlas_p2, label, leaf.base_point, t)
             fix_d.append((str(label), f"t={t:g}",
                           np.linalg.norm(moved - leaf.base_point)))
-        for z_plus, z in zip(leaf.boundary_plus, leaf.boundary_local):
+        for z_plus, z in zip(leaf.boundary_plus,
+                             leaf.graph.local_points(leaf.boundary_plus)):
             worst = max((f(_induced_flow_reference(atlas_p2, label, z, h)) - f(z)) / h
                         for h in (1e-4, 1e-5))
             inward.append((str(label), cv._label(z_plus), worst))

@@ -48,14 +48,14 @@ def test_stable_graph_flat(k2):
 
 
 def test_descending_sphere_is_a_circle(k2):
-    model, ladder, disk = k2.model, k2.ladder, k2.disk
-    assert disk.sphere_minus.shape[1] == 2
-    assert disk.sphere_minus.shape[0] == 8
+    model, ladder, sphere = k2.model, k2.ladder, k2.sphere
+    assert sphere.shape[1] == 2
+    assert sphere.shape[0] == 8
     c = model.f_local(np.zeros(3))
-    for pt in disk.sphere_local:
+    for pt in k2.graph_f.local_points(sphere):
         assert model.f_local(pt) == pytest.approx(c - ladder.epsilon, abs=1e-9)
     # closed-form radii along the pure axes: 1.5 r^2 = eps and 0.5 r^2 = eps
-    radii = np.linalg.norm(disk.sphere_minus, axis=1)
+    radii = np.linalg.norm(sphere, axis=1)
     assert np.min(radii) == pytest.approx(np.sqrt(ladder.epsilon / 1.5), rel=1e-3)
     assert np.max(radii) == pytest.approx(np.sqrt(2.0 * ladder.epsilon), rel=1e-3)
 

@@ -90,7 +90,7 @@ def test_boundary_points_are_picked_by_index():
     # first and last values: only the outer nodes are on the boundary
     axes = (np.linspace(-1e-9, 1e-9, 5), np.linspace(-2e-9, 2e-9, 3))
     shape = (5, 3)
-    sample = lp.GraphSample("G_inf", "plus", axes, np.zeros(shape + (1,)),
+    sample = lp.GraphSample("G_inf", axes, np.zeros(shape + (1,)),
                             np.zeros(shape), np.zeros(shape, dtype=int))
     points = sample.boundary_points_local()
     inner = lp.tensor_points((axes[0][1:-1], axes[1][1:-1]))

@@ -128,7 +128,7 @@ def test_gauss_legendre_table_matches_scipy():
 def _sample(axes, codim, rng):
     shape = tuple(len(ax) for ax in axes)
     values = rng.standard_normal(shape + (codim,))
-    return GraphSample("test", "minus", tuple(axes), values,
+    return GraphSample("F_inf", tuple(axes), values,
                        np.zeros(shape), np.zeros(shape, dtype=int))
 
 

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,30 @@ from gradleaf import lyapunov_perron as lp
 from gradleaf.errors import BlowUp, NewtonDiverged
 from gradleaf.oracle import mixed_bvp_oracle
 from references import scipy_trajectory, stable_point_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_LOADED_GRADLEAF = """
+import json, sys
+import gradleaf.oracle, gradleaf.flow
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("gradleaf."))))
+"""
+
+
+def test_oracle_and_integrator_load_no_contraction_module():
+    # the oracle checks the contraction solvers, so neither it nor the
+    # integrator it shoots with may load them; a fresh interpreter, because
+    # this test module imports them itself
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_GRADLEAF],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert not loaded & {"gradleaf.lyapunov_perron", "gradleaf.curves",
+                         "gradleaf.kernels"}
+    assert {"gradleaf.flow", "gradleaf.oracle"} <= loaded
 
 
 def test_linear_shooting_exact(p1, monkeypatch):
