@@ -8,8 +8,8 @@ For every CSV name found in either directory (searched recursively, so two
 absolute difference per numeric column with the first-column key of its
 row (the first such row on a tie), and the count of differing cells in
 non-numeric columns.  For every ``manifest.json`` it drops
-``wall_times`` and prints "equal apart from wall_times" or the key paths
-that differ.  Exits 1 when a file is missing on one side, the shapes or
+``wall_times`` and prints "equal apart from wall_times" or, for each
+differing leaf, its key path and both values (``path: a -> b``).  Exits 1 when a file is missing on one side, the shapes or
 headers differ, a non-numeric cell differs, a numeric difference exceeds
 1e-14, or a manifest differs; 0 otherwise.
 """
@@ -68,18 +68,24 @@ def compare_csv(path_a, path_b):
 _MISSING = object()
 
 
-def _differing_paths(a, b, path):
-    """Key paths at which two parsed JSON values differ; leaves compare as
-    JSON text, so a NaN equals a NaN and 1 differs from 1.0."""
+def _json_text(value):
+    return "missing" if value is _MISSING else json.dumps(value)
+
+
+def _differences(a, b, path):
+    """``(key path, text of a, text of b)`` of every leaf at which two
+    parsed JSON values differ; leaves compare as JSON text, so a NaN
+    equals a NaN and 1 differs from 1.0, and a key on one side only reads
+    ``missing`` on the other."""
     if isinstance(a, dict) and isinstance(b, dict):
-        return [p for key in sorted(set(a) | set(b))
-                for p in _differing_paths(a.get(key, _MISSING), b.get(key, _MISSING),
-                                          f"{path}.{key}" if path else key)]
+        return [d for key in sorted(set(a) | set(b))
+                for d in _differences(a.get(key, _MISSING), b.get(key, _MISSING),
+                                      f"{path}.{key}" if path else key)]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [p for i, (x, y) in enumerate(zip(a, b))
-                for p in _differing_paths(x, y, f"{path}[{i}]")]
-    same = a is not _MISSING and b is not _MISSING and json.dumps(a) == json.dumps(b)
-    return [] if same else [path]
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in _differences(x, y, f"{path}[{i}]")]
+    text_a, text_b = _json_text(a), _json_text(b)
+    return [] if text_a == text_b else [(path, text_a, text_b)]
 
 
 def compare_manifests(path_a, path_b):
@@ -87,9 +93,10 @@ def compare_manifests(path_a, path_b):
     a, b = (json.loads(p.read_text()) for p in (path_a, path_b))
     for manifest in (a, b):
         manifest.pop("wall_times", None)
-    diffs = _differing_paths(a, b, "")
+    diffs = _differences(a, b, "")
     if diffs:
-        return False, [f"differs at {', '.join(diffs)}"]
+        return False, ["differs at " + "; ".join(f"{path}: {x} -> {y}"
+                                                  for path, x, y in diffs)]
     return True, ["equal apart from wall_times"]
 
 

@@ -194,7 +194,7 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
     """
     ladder = solver.ladder
     model = solver.model
-    directions = list(np.eye(model.n - model.k))
+    directions = np.eye(model.n - model.k)
     fd_step = 0.05 * ladder.R
     fd_probes = (fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step)
     noise = 4.0 * RESIDUAL_TO_ERROR * PICARD_TOL / fd_step
@@ -212,9 +212,9 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
     probes += list(z_plus_list)
     stable = list(stable_columns(model, ladder, probes))
     g_I = [st.graph_value for st in stable]
-    # the stable side's linearized derivative depends on (z+, direction) only
+    # one linearized stack per fixed point, the stable ones once per z+
     base = len(probes) - len(z_plus_list)
-    dI_lin = [[graph_derivative_linearized(model, ladder, st, v) for v in directions]
+    dI_lin = [graph_derivative_linearized(model, ladder, st, directions)
               for st in stable[base:]]
     report = ConvergenceReport("c1")
     cross = []
@@ -223,6 +223,8 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
             mixed = solver.mixed_rows(T, zm, probes)
             g_T = [res.graph_value for res, _ in mixed]
             for a, zp in enumerate(z_plus_list):
+                dT_lin = graph_derivative_linearized(model, ladder,
+                                                     mixed[base + a][0], directions)
                 for i, v in enumerate(directions):
                     at = len(fd_probes) * (a * len(directions) + i)
                     dT_full = fd(g_T, fd_step, at)
@@ -240,10 +242,8 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
                                direction_label=f"e{i}",
                                gap=gap, bound=bound, budget=budget,
                                ok=gap <= bound + budget)
-                    dT_lin = graph_derivative_linearized(
-                        model, ladder, mixed[base + a][0], v)
                     cross.append(float(np.linalg.norm(
-                        (dT_lin - dI_lin[a][i]) - (dT_half - dI_half))))
+                        (dT_lin[i] - dI_lin[a][i]) - (dT_half - dI_half))))
     report.extras["linearized_vs_fd_max"] = max(cross)
     return report
 

@@ -43,7 +43,8 @@ AUDIT_ATOL = 1e-13
 COMPONENT_KEEP_FRACTION = 0.9
 #: box samples of the level-set pair, besides the critical point
 PAIR_SAMPLES = 240
-#: the disjointness probes split every cell of the leaf grid this many ways
+#: the disjointness probes split every cell of the stable graph's grid
+#: (see ``check_disjoint``) this many ways
 DISJOINT_REFINE = 9
 #: the retract audit's flow times for the disk, and its fixed-point budget
 RETRACT_T_SAMPLES = (0.5, 1.5, 4.0)
@@ -263,8 +264,9 @@ def check_disjoint(atlas):
     multilinear interpolants on one grid is the interpolant of the
     difference, so the separation floor is the grid Lipschitz constant of
     the difference times the probe spacing: the largest dip of the
-    separation between probes.  Every leaf is interpolated at the probes
-    once, as one stack.
+    separation between probes.  The probes refine the center leaf's grid,
+    the stable graph's 13 nodes per axis, not the leaves' 21-node plus grid.
+    Every leaf is interpolated at the probes once, as one stack.
     """
     labels = list(atlas.leaves.keys())
     report = ConvergenceReport("disjoint")
@@ -421,33 +423,35 @@ def leaf_invariance(atlas):
     skipped = 0
     tol = 10.0 * atlas.interp_tolerance + 1e-9
     inside = {label: leaf.inside_points() for label, leaf in atlas.leaves.items()}
-    landed = {}
+    landed = {}  # (label, sigma) -> (the flowed inside points, the target)
     for sigma in INVARIANCE_SIGMAS:
-        sources = [label for label in atlas.leaves
-                   if (float(label[0] - sigma), label[1]) in atlas.leaves]
-        if not sources:
+        # a grid tau + i rounds each horizon on its own, so T - sigma may
+        # miss the horizon below by an ulp: it matches to 1e-12 relative
+        targets = {(T, ai): leaf for T, ai in atlas.leaves
+                   for (t, aj), leaf in atlas.leaves.items()
+                   if aj == ai and math.isclose(t, T - sigma, rel_tol=1e-12)}
+        if not targets:
             continue
-        starts = np.concatenate([inside[label][1] for label in sources])
+        starts = np.concatenate([inside[label][1] for label in targets])
         terminal = solve_ivp(model.problem, model.to_ambient(starts), float(sigma),
                              AUDIT_RTOL, AUDIT_ATOL, stop_below_level=-math.inf).terminal
         ends = np.split(model.to_local(terminal),
-                        np.cumsum([len(inside[label][1]) for label in sources]))
-        landed.update(((label, sigma), end) for label, end in zip(sources, ends))
-    for (T, ai) in atlas.leaves:
+                        np.cumsum([len(inside[label][1]) for label in targets]))
+        landed.update(((label, sigma), (end, leaf))
+                      for (label, leaf), end in zip(targets.items(), ends))
+    for label in atlas.leaves:
         for sigma in INVARIANCE_SIGMAS:
-            if ((T, ai), sigma) not in landed:
+            if (label, sigma) not in landed:
                 continue
-            target = atlas.leaves[(float(T - sigma), ai)]
-            base = inside[(T, ai)][0]
-            for z_plus, end in zip(base, landed[((T, ai), sigma)]):
+            ends, target = landed[label, sigma]
+            for z_plus, end in zip(inside[label][0], ends):
                 try:
                     gap = target.graph.residual(end)
                 except OutsideSampledDomain:
                     skipped += 1  # flowed outside the sampled target domain
                     continue
-                report.add(check="invariance", T=float(T),
-                           z_minus_label=str((T, ai)),
-                           z_plus_label=_label(z_plus),
+                report.add(check="invariance", T=float(label[0]),
+                           z_minus_label=str(label), z_plus_label=_label(z_plus),
                            direction_label=f"sigma={sigma:g}",
                            gap=gap, bound=tol, budget=0.0, ok=gap <= tol)
     report.extras["skipped"] = skipped

@@ -25,9 +25,12 @@ ball and measures every Picard residual.
 Picard iteration converges with factor at most 1/2 whenever the rate ladder
 invariants hold.  One operator holds a stack of columns, independent fixed
 points that share grid, convolver and reference orbit (every node of a
-sampled graph, or the z+ that a check asks for at one (T, z-)), and one
-loop iterates them together on ``(B, size, n)`` blocks.  A column is frozen
-when it converges or fails; it rounds as it does alone, so its residual,
+sampled graph, the z+ that a check asks for at one (T, z-), or the
+directions of a linearized derivative), and one loop iterates them together
+on ``(B, size, n)`` blocks.  The operator's ``advance`` is a pure map of a
+block and ``ball_failures`` reports its columns outside the trust or rho
+ball; the loop alone decides each column's fate.  A column is frozen when
+it converges or fails; it rounds as it does alone, so its residual,
 iteration count and exception are those of a solve of that column by
 itself.  ``solve_columns`` is the loop's one entry, and ``fixed_point`` its
 one-column case.  The loop stops at ``PICARD_TOL`` and counts its work per
@@ -196,6 +199,9 @@ class IntegralOperator:
         self.z_plus = None if z_plus is None else np.asarray(z_plus, dtype=float)
         self.columns = max([len(z) for z in (self.z_minus, self.z_plus)
                             if z is not None and z.ndim == 2], default=1)
+        #: the radii of the trust and the rho ball (see ``ball_failures``)
+        self.trust_radius = model.problem.trust_radius
+        self.rho = ladder.rho
         #: the exp-norm weight of every curve of this operator
         self.weights = grid.exp_profile(ladder.lambda_ if kind == BACKWARD
                                         else -ladder.lambda_)
@@ -235,47 +241,39 @@ class IntegralOperator:
 
     def apply(self, curve):
         """The image of one curve under a one-column operator; raises
-        OutOfTrustRegion or NormBudgetExceeded as ``advance`` reports."""
-        images, errors = self.advance(curve.values[None],
-                                      self.boundary(slice(0, 1)))
-        if errors:
-            raise errors[0]
+        OutOfTrustRegion or NormBudgetExceeded as ``ball_failures`` reports."""
+        values = curve.values[None]
+        images = self.advance(values, self.boundary(slice(0, 1)))
+        failures = self.ball_failures(values, images)
+        if failures:
+            raise failures[0]
         return self.curve(images[0])
 
     def advance(self, values, boundary):
-        """One application to the curves ``values`` (B, size, n) with their
-        boundary terms.
+        """The image of every curve of ``values`` (B, size, n): its boundary
+        term plus the Lyapunov-Perron integrals of the map along it."""
+        return _add_integrals(boundary.copy(), self.conv, self.k, self._map(values))
 
-        Returns ``(images, errors)``: the exception of every column whose
-        curve leaves the trust ball, where h is controlled, or whose image
-        leaves the rho ball, keyed by its index, and the images of the
-        other columns, in order.
-        """
-        errors = {}
-        limit = self.model.problem.trust_radius * (1 + NORM_SLACK)
+    def _map(self, values):
+        """h on the stacked rows of the curves ``values``."""
+        return self.model.h(values.reshape(-1, self.n)).reshape(values.shape)
+
+    def ball_failures(self, values, images):
+        """The columns of a block that fail, keyed by block index:
+        OutOfTrustRegion for a curve of ``values`` outside the trust ball,
+        where h is controlled, and otherwise NormBudgetExceeded for its
+        image outside the rho ball; a NaN norm lies outside either."""
         worst = row_norms(values).max(axis=-1).tolist()
-        inside = [i for i, w in enumerate(worst) if w <= limit]
-        if len(inside) < len(worst):
-            for i, w in enumerate(worst):
-                if w > limit:
-                    errors[i] = OutOfTrustRegion(
-                        f"curve reaches |xi| = {w:.3e} beyond the trust radius")
-            values, boundary = values[inside], boundary[inside]
-            if not inside:
-                return values, errors
-        y = self.model.h(values.reshape(-1, self.n)).reshape(values.shape)
-        images = _add_integrals(boundary.copy(), self.conv, self.k, y)
         offset = images if self.reference is None else images - self.reference.values
-        gap = self.norm(offset).tolist()
-        rho = self.ladder.rho * (1 + NORM_SLACK)
-        near = [j for j, g in enumerate(gap) if g <= rho]
-        if len(near) < len(gap):
-            for j, g in enumerate(gap):
-                if g > rho:
-                    errors[inside[j]] = NormBudgetExceeded(
-                        f"curve left the rho ball: {g:.3e} > {self.ladder.rho:.3e}")
-            images = images[near]
-        return images, errors
+        failures = {}
+        for i, (w, g) in enumerate(zip(worst, self.norm(offset).tolist())):
+            if not w <= self.trust_radius * (1 + NORM_SLACK):
+                failures[i] = OutOfTrustRegion(
+                    f"curve reaches |xi| = {w:.3e} beyond the trust radius")
+            elif not g <= self.rho * (1 + NORM_SLACK):
+                failures[i] = NormBudgetExceeded(
+                    f"curve left the rho ball: {g:.3e} > {self.rho:.3e}")
+        return failures
 
 
 def PhiOperator(model, ladder, z_minus, t_max):
@@ -310,12 +308,14 @@ def _picard(operator, cols):
 
     Returns one outcome per column: its FixedPointResult, or the exception
     that ended it, and records the batch in the model's ``SolverCounts``.
-    A column is frozen when it converges or fails, so its residual,
-    iteration count and exception are those it has when solved alone.  It
-    fails with :class:`NoConvergence` when its residual stalls
-    (fails to shrink by the factor 0.9 for 10 consecutive steps) or the
-    iteration budget runs out; either signals a ladder violation or an
-    over-coarse grid.
+    This loop alone decides each column's fate: per iteration it sorts the
+    live columns into failed (``ball_failures``; the image is discarded),
+    converged, stalled or going, and drops the finished ones at once.  A
+    column rounds as it does alone, so its residual, iteration count and
+    exception are those it has when solved alone.  It fails with
+    :class:`NoConvergence` when its residual stalls (fails to shrink by the
+    factor 0.9 for 10 consecutive steps) or the iteration budget runs out;
+    either signals a ladder violation or an over-coarse grid.
     """
     boundary = operator.boundary(cols)
     current = operator.start(boundary)
@@ -326,19 +326,14 @@ def _picard(operator, cols):
     prev_res = [math.inf] * len(live)
     iterations, worst_ratio = [], None
     for it in range(1, PICARD_MAX_ITER + 1):
-        nxt, errors = operator.advance(current, boundary)
-        if errors:
-            for i, exc in errors.items():
-                outcomes[live[i]] = exc
-            keep = [i for i in range(len(live)) if i not in errors]
-            live, stall, prev_res = ([v[i] for i in keep]
-                                     for v in (live, stall, prev_res))
-            current, boundary = current[keep], boundary[keep]
-            if not live:
-                break
+        nxt = operator.advance(current, boundary)
+        failures = operator.ball_failures(current, nxt)
         res = operator.norm(nxt - current).tolist()
         going = []
         for i, r in enumerate(res):
+            if i in failures:
+                outcomes[live[i]] = failures[i]
+                continue
             if it > 1:
                 ratio = r / prev_res[i]
                 if worst_ratio is None or ratio > worst_ratio:
@@ -760,35 +755,34 @@ def graph_G_T(solver, T, z_minus, base_axes=None):
 
 
 class _LinearizedOperator(IntegralOperator):
-    """The linearized integral equation along the fixed point ``curve``
-    for one direction ``v_plus``.
+    """The linearized integral equation along the fixed point ``curve``,
+    one column per row of ``directions``.
 
-    It shares the boundary term and the convolutions with the operator; the
-    inhomogeneity is exp(-tA)v with v in the plus subspace, and there is no
-    minus boundary term (the time-T and stable linearizations agree in
-    form).  The map is linear, with dh along ``curve`` in place of h, and has
-    no trust-region or rho-ball check, so ``advance`` reports no errors.  Its
-    kind, ``LINEARIZED``, counts its solves apart and weighs its curves as a
-    forward operator does.
+    It differs from the operator only in its map, dh along ``curve``
+    applied to the curve in place of h, and in its balls, which are
+    unbounded: the map is linear.  The inhomogeneity of a column is
+    exp(-tA)v with v its row of ``directions``, in the plus subspace, and
+    there is no minus boundary term (the time-T and stable linearizations
+    agree in form).  Its kind, ``LINEARIZED``, counts its solves apart and
+    weighs its curves as a forward operator does.
     """
 
-    def __init__(self, model, ladder, curve, v_plus):
-        super().__init__(model, ladder, curve.grid, LINEARIZED, z_plus=v_plus)
+    def __init__(self, model, ladder, curve, directions):
+        super().__init__(model, ladder, curve.grid, LINEARIZED, z_plus=directions)
         self.dh_nodes = model.dh(curve.values)
+        self.trust_radius = self.rho = math.inf
 
-    def advance(self, values, boundary):
-        y = np.einsum("mij,mj->mi", self.dh_nodes, values[0])
-        return _add_integrals(boundary.copy(), self.conv, self.k, y[None]), {}
+    def _map(self, values):
+        return np.einsum("mij,bmj->bmi", self.dh_nodes, values)
 
 
-def graph_derivative_linearized(model, ladder, fp_result, v_plus):
-    """Directional derivative of a graph map via the linearized equation.
+def graph_derivative_linearized(model, ladder, fp_result, directions):
+    """Directional derivatives of a graph map via the linearized equation,
+    one per row of ``directions``, from one ``solve_columns`` call.
 
     ``fp_result`` is the fixed point whose graph value is being
-    differentiated (time-T or stable); returns the minus-part derivative at
-    time zero, i.e. the derivative of the graph map itself.
+    differentiated (time-T or stable); each derivative is the minus part at
+    time zero of its column, i.e. the derivative of the graph map itself.
     """
-    op = _LinearizedOperator(model, ladder, fp_result.curve,
-                             np.asarray(v_plus, dtype=float))
-    (result,) = solve_columns(op)
-    return result.graph_value
+    op = _LinearizedOperator(model, ladder, fp_result.curve, directions)
+    return [result.graph_value for result in solve_columns(op)]

@@ -220,7 +220,9 @@ class ScriptedOperator:
     coordinate 1 grows by the scripted residual each iteration, in powers of
     two so that the differences the loop measures are exact: 2^-j until the
     column converges (residual 0 at iteration k) and 1 for a stalling one.
-    The loop records its batches in the operator's own model counts.
+    ``advance`` maps every column, a failing one too, and ``ball_failures``
+    reports the columns scripted to fail at the step just taken.  The loop
+    records its batches in the operator's own model counts.
     """
 
     kind = lp.FORWARD_FINITE
@@ -256,30 +258,30 @@ class ScriptedOperator:
         # the id coordinate at time 0, as a forward operator with k = 1 reads
         return values[0, :1]
 
-    def apply(self, curve):
-        images, errors = self.advance(curve.values[None], None)
-        if errors:
-            raise errors[0]
-        return self.curve(images[0])
+    apply = lp.IntegralOperator.apply
 
     def advance(self, values, boundary):
-        images, errors = [], {}
-        for i, curve in enumerate(values):
-            col = int(curve[0, 0])
+        # the image of every column, failing or not, counted as its step
+        images = values.copy()
+        for image in images:
+            col = int(image[0, 0])
             step = self.steps[col] = self.steps.get(col, 0) + 1
             kind, *at = self.scripts[col]
-            if kind == "trust" and step == at[0]:
-                errors[i] = OutOfTrustRegion(f"column {col} left the trust ball")
-                continue
-            if kind == "rho" and step == at[0]:
-                errors[i] = NormBudgetExceeded(f"column {col} left the rho ball")
-                continue
-            image = curve.copy()
             image[:, 1] += (1.0 if kind == "stall"
                             else 0.0 if kind == "converge" and step == at[0]
                             else 2.0 ** -step)
-            images.append(image)
-        return np.array(images).reshape(-1, self.grid.size, self.n), errors
+        return images
+
+    def ball_failures(self, values, images):
+        failures = {}
+        for i, curve in enumerate(values):
+            col = int(curve[0, 0])
+            kind, *at = self.scripts[col]
+            if kind == "trust" and self.steps[col] == at[0]:
+                failures[i] = OutOfTrustRegion(f"column {col} left the trust ball")
+            elif kind == "rho" and self.steps[col] == at[0]:
+                failures[i] = NormBudgetExceeded(f"column {col} left the rho ball")
+        return failures
 
 
 SCRIPTS = [

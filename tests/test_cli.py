@@ -346,9 +346,20 @@ def test_manifest_counts_solver_work(p1_run):
     # the 13 nodes of the unstable graph, several to a block
     assert built["kinds"]["backward"]["columns"] == 13
     assert built["kinds"]["backward"]["batches"] < 13
-    # one derivative direction per solve: 6 on p1
+    # one derivative per fixed point, whose directions solve as one batch:
+    # p1's plus subspace has one dimension
     linearized = calibrated["kinds"]["linearized"]
     assert linearized["columns"] == linearized["batches"] == 6
+
+
+def test_manifest_counts_one_linearized_batch_per_fixed_point(tmp_path):
+    # p3's plus subspace has two dimensions: the C1 check's 6 fixed points
+    # solve their 12 derivatives in 6 batches
+    assert run_cli(["lambda", "--config", CONFIGS / "p3_cubic3d.json",
+                    "--out", tmp_path]) == 0
+    solver = json.loads((tmp_path / "manifest.json").read_text())["details"]["solver"]
+    linearized = solver["ladders"][1]["kinds"]["linearized"]
+    assert (linearized["columns"], linearized["batches"]) == (12, 6)
 
 
 @pytest.mark.parametrize("config", ["p2_quartic", "p3_cubic3d"])

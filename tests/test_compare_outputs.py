@@ -54,7 +54,8 @@ def test_manifest_differences_fail(tmp_path, capsys):
     _write(a, "cfg/manifest.json", '{"details": {"gap": 1.0, "rows": [1, 2]}, "seed": 0}')
     _write(b, "cfg/manifest.json", '{"details": {"gap": 1, "rows": [1, 3]}, "tol": 0.1}')
     assert compare_outputs.main([str(a), str(b)]) == 1
-    assert ("cfg/manifest.json: differs at details.gap, details.rows[1], seed, tol"
+    assert ("cfg/manifest.json: differs at details.gap: 1.0 -> 1; "
+            "details.rows[1]: 2 -> 3; seed: 0 -> missing; tol: missing -> 0.1"
             in capsys.readouterr().out)
     (b / "cfg" / "manifest.json").unlink()
     assert compare_outputs.main([str(a), str(b)]) == 1

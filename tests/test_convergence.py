@@ -111,26 +111,32 @@ def test_c1_quartic_bound(p2, solver_p2):
     assert rep.extras["linearized_vs_fd_max"] <= 1e-7
 
 
-def test_c1_solves_each_stable_linearized_derivative_once(p2, solver_p2, monkeypatch):
-    # the stable side's derivative depends on (z+, direction) only; the
-    # time-T side is solved per (T, z-) as well
-    lad = p2.ladder
-    T_grid = [lad.T0, lad.T0 + 1.0]
-    z_minus = [p2.sphere_point(0), p2.sphere_point(1)]
-    z_plus = [np.array([0.3 * lad.R]), np.array([-0.2 * lad.R])]
-    solved = []
+def test_c1_solves_each_stable_linearized_derivative_once(p2, p3, monkeypatch):
+    # the stable side's derivatives depend on z+ only; the time-T side is
+    # solved per (T, z-) as well; every fixed point solves all its
+    # directions (two on p3) in one call
     linearized = cv.graph_derivative_linearized
+    for setup in (p2, p3):
+        lad = setup.ladder
+        d = setup.model.n - setup.model.k
+        T_grid = [lad.T0, lad.T0 + 1.0]
+        z_minus = [setup.sphere_point(0), setup.sphere_point(1)]
+        z_plus = [np.full(d, 0.3 * lad.R / d), np.full(d, -0.2 * lad.R / d)]
+        solved = []
 
-    def counted(model, ladder, fp_result, v_plus):
-        # a stable fixed point carries a truncation tail, a time-T one none
-        solved.append(lp.FORWARD_FINITE if fp_result.tail == 0.0 else lp.FORWARD_INFINITE)
-        return linearized(model, ladder, fp_result, v_plus)
+        def counted(model, ladder, fp_result, directions):
+            # a stable fixed point carries a truncation tail, a time-T one none
+            solved.append(lp.FORWARD_FINITE if fp_result.tail == 0.0
+                          else lp.FORWARD_INFINITE)
+            assert np.array_equal(directions, np.eye(d))
+            return linearized(model, ladder, fp_result, directions)
 
-    monkeypatch.setattr(cv, "graph_derivative_linearized", counted)
-    cv.c1_convergence(solver_p2, T_grid, z_minus, z_plus)
-    assert solved.count(lp.FORWARD_INFINITE) == len(z_plus)
-    assert solved.count(lp.FORWARD_FINITE) == len(T_grid) * len(z_minus) * len(z_plus)
-    assert len(solved) == len(z_plus) * (1 + len(T_grid) * len(z_minus))
+        monkeypatch.setattr(cv, "graph_derivative_linearized", counted)
+        cv.c1_convergence(setup.solver(), T_grid, z_minus, z_plus)
+        assert solved.count(lp.FORWARD_INFINITE) == len(z_plus)
+        assert (solved.count(lp.FORWARD_FINITE)
+                == len(T_grid) * len(z_minus) * len(z_plus))
+        assert len(solved) == len(z_plus) * (1 + len(T_grid) * len(z_minus))
 
 
 def test_lipschitz_quadratic_quotient(p1, solver_p1):

@@ -396,6 +396,22 @@ def test_leaf_invariance(atlas_p2, monkeypatch):
     assert max(r.gap for r in rep.rows) <= 10 * atlas_p2.interp_tolerance + 1e-9
 
 
+def test_leaf_invariance_finds_targets_an_ulp_off(p2):
+    # on this grid tau + 2 - 1 misses the label tau + 1 by an ulp; every
+    # leaf with a target at T - sigma still gives rows
+    tau = 14.609561312868694
+    T_grid = tau + np.arange(3.0)
+    assert float(T_grid[2] - 1.0) != float(T_grid[1])
+    atlas = fol.build_atlas(p2.solver(), p2.graph_g, p2.sphere, tau, T_grid,
+                            (np.linspace(-p2.ladder.R, p2.ladder.R, 21),))
+    rep = fol.leaf_invariance(atlas)
+    sources = {str((float(T), ai)) for T in T_grid[1:]
+               for ai in range(len(p2.sphere))}
+    assert len(sources) == 4
+    assert {row.z_minus_label for row in rep.rows} == sources
+    assert rep.extras["skipped"] == 0 and rep.all_ok
+
+
 def test_contraction_to_center(atlas_p2, p2):
     rep = fol.contraction_to_center(atlas_p2)
     assert rep.all_ok

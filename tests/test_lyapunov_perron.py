@@ -298,7 +298,7 @@ def test_linearized_derivative_matches_fd(curved):
     zp = np.array([0.4 * setup.ladder.R])
     st_res = next(lp.stable_columns(setup.model, setup.ladder, [zp]))
     v = np.ones(1)
-    lin = lp.graph_derivative_linearized(setup.model, setup.ladder, st_res, v)
+    (lin,) = lp.graph_derivative_linearized(setup.model, setup.ladder, st_res, [v])
     h = 0.05 * setup.ladder.R
     hi, lo = (res.curve.values[0, :1] for res in lp.stable_columns(
         setup.model, setup.ladder, [zp + h * v, zp - h * v]))
@@ -306,6 +306,30 @@ def test_linearized_derivative_matches_fd(curved):
     # analytic slope of w = 0.02 y^2 is 0.04 y
     assert lin == pytest.approx(fd, abs=5e-8)
     assert lin[0] == pytest.approx(0.04 * zp[0], rel=0.05)
+
+
+def test_linearized_stack_matches_one_direction_solves(p3):
+    # p3's plus subspace has dimension two: the derivatives of one fixed
+    # point along both axes solve as one stack, each column bit for bit as
+    # its direction solved alone, for a stable and a time-T fixed point
+    model, ladder = p3.model, p3.ladder
+    zp = np.array([0.3, -0.2]) * ladder.R
+    stable = next(lp.stable_columns(model, ladder, [zp]))
+    [(mixed, _)] = p3.solver().mixed_rows(ladder.T0, p3.sphere_point(), [zp])
+    for fp in (stable, mixed):
+        stack = list(lp.solve_columns(
+            lp._LinearizedOperator(model, ladder, fp.curve, np.eye(2))))
+        alone = [lp.fixed_point(lp._LinearizedOperator(model, ladder, fp.curve,
+                                                       v[None]))
+                 for v in np.eye(2)]
+        assert len(stack) == 2
+        for got, want in zip(stack, alone):
+            assert (got.residual, got.iterations) == (want.residual,
+                                                      want.iterations)
+            assert got.curve.values.tobytes() == want.curve.values.tobytes()
+        derivatives = lp.graph_derivative_linearized(model, ladder, fp, np.eye(2))
+        assert [d.tobytes() for d in derivatives] \
+            == [res.graph_value.tobytes() for res in alone]
 
 
 def test_fd_richardson_consistency(curved):

@@ -44,11 +44,6 @@ AMBIGUOUS_READS = {
     # the method shares its name with the field FixedPointResult.graph_value
     "gradleaf/lyapunov_perron.py:IntegralOperator.graph_value":
         ("gradleaf/lyapunov_perron.py", "operator.graph_value"),
-    # the Picard loop calls either operator's advance
-    "gradleaf/lyapunov_perron.py:IntegralOperator.advance":
-        ("gradleaf/lyapunov_perron.py", "operator.advance"),
-    "gradleaf/lyapunov_perron.py:_LinearizedOperator.advance":
-        ("gradleaf/lyapunov_perron.py", "operator.advance"),
     "gradleaf/lyapunov_perron.py:GraphSample.evaluate":
         ("gradleaf/lyapunov_perron.py", "self.evaluate"),
     "gradleaf/lyapunov_perron.py:GraphSample.interp_tolerance":
