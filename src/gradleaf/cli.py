@@ -23,7 +23,7 @@ from pathlib import Path
 from . import pipeline
 from .errors import BoundViolation, ConfigError, GradleafError
 from .problems import load_problem
-from .reporting import config_hash
+from .reporting import config_hash, write_json
 
 EXIT_OK = 0
 EXIT_BOUND = 2
@@ -91,9 +91,7 @@ def main(argv=None):
             "exit_code": code,
         }
         if out_dir.is_dir():
-            with open(out_dir / "error.json", "w") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(out_dir / "error.json", record)
         print(json.dumps(record), file=sys.stderr)
         return code
     for stage, status in state.statuses.items():

@@ -1,8 +1,10 @@
-"""Quantitative checks on the time-T graph family.
+"""The solve store of a ladder and the quantitative checks on the time-T
+graph family.
 
-Each report row compares a measured gap against the a priori bound computed
-from the rate ladder, with an explicit tolerance budget so that a violation
-of the mathematics is separated from numerical slack.  Bounds are asserted
+Each report row (``reporting.ReportRow``) compares a measured gap against
+the a priori bound computed from the rate ladder, with an explicit
+tolerance budget so that a violation of the mathematics is separated from
+numerical slack.  Bounds are asserted
 against the ladder constants as built, never re-fitted: a failing row is a
 finding about the implementation or the ladder, not a tuning signal.
 """
@@ -10,85 +12,19 @@ finding about the implementation or the ladder, not a tuning signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lyapunov_perron import (
     PICARD_TOL,
+    RESIDUAL_TO_ERROR,
     backward_orbit,
     default_horizon,
     graph_derivative_linearized,
     mixed_columns,
     stable_columns,
 )
-
-#: a fixed point with residual r lies within 2 r of the exact one
-#: (contraction factor <= 1/2)
-RESIDUAL_TO_ERROR = 2.0
-
-
-@dataclass
-class ReportRow:
-    check: str
-    T: float
-    z_minus_label: str
-    z_plus_label: str
-    direction_label: str
-    gap: float
-    bound: float
-    budget: float
-    ok: bool
-    #: a separation row passes when the gap exceeds the bound; every other
-    #: row passes when the gap stays below bound + budget
-    separation: bool = False
-
-    @property
-    def slack(self):
-        """Distance to failing: non-negative on a passing row."""
-        if self.separation:
-            return self.gap - self.bound - self.budget
-        return self.bound + self.budget - self.gap
-
-    def to_list(self):
-        return [self.check, self.T, self.z_minus_label, self.z_plus_label,
-                self.direction_label, self.gap, self.bound, self.budget,
-                self.slack, int(self.ok)]
-
-
-REPORT_COLUMNS = ["check", "T", "z_minus", "z_plus", "direction",
-                  "gap", "bound", "budget", "slack", "pass"]
-
-
-@dataclass
-class ConvergenceReport:
-    kind: str
-    rows: list = field(default_factory=list)
-    fitted_rates: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    @property
-    def all_ok(self):
-        """True when every row passes; a report with no rows checked nothing
-        and fails."""
-        return bool(self.rows) and all(r.ok for r in self.rows)
-
-    def describe_worst(self):
-        """One line naming the report and its worst row: the failing row with
-        the least slack, else the passing row with the least slack."""
-        row = min(self.rows, key=lambda r: (r.ok, r.slack), default=None)
-        if row is None:
-            return f"report {self.kind} has no rows"
-        return (f"report {self.kind}, row check={row.check} T={row.T:.6g} "
-                f"z_minus={row.z_minus_label} z_plus={row.z_plus_label}: "
-                f"gap {row.gap:.3e}, bound {row.bound:.3e}, budget {row.budget:.3e}")
-
-    def add(self, **kw):
-        self.rows.append(ReportRow(**kw))
-
-
-def _label(vec):
-    return "(" + ",".join(f"{v:.6g}" for v in np.atleast_1d(vec)) + ")"
+from .reporting import Report, vector_label
 
 
 def _key(vec):
@@ -151,7 +87,7 @@ def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
     T_grid = np.asarray(sorted(T_grid), dtype=float)
     if T_grid[0] < ladder.T0 - 1e-9:
         raise ValueError(f"T grid must start at T0 = {ladder.T0}")
-    report = ConvergenceReport("c0")
+    report = Report("c0")
     series = {}
     stable = list(stable_columns(solver.model, ladder, z_plus_list))
     for T in T_grid:
@@ -162,11 +98,11 @@ def c0_convergence(solver, T_grid, z_minus_list, z_plus_list):
                 bound = math.exp(-T * ladder.lambda_ / 8.0)
                 budget = RESIDUAL_TO_ERROR * (res.reported_residual
                                               + st.reported_residual)
-                report.add(check="c0", T=float(T), z_minus_label=_label(zm),
-                           z_plus_label=_label(zp), direction_label="",
-                           gap=gap, bound=bound, budget=budget,
-                           ok=gap <= bound + budget)
-                series.setdefault(f"{_label(zm)}|{_label(zp)}", []).append((T, gap))
+                zm_label, zp_label = vector_label(zm), vector_label(zp)
+                report.add(check="c0", T=float(T), z_minus_label=zm_label,
+                           z_plus_label=zp_label, direction_label="",
+                           gap=gap, bound=bound, budget=budget)
+                series.setdefault(f"{zm_label}|{zp_label}", []).append((T, gap))
     floor = 50.0 * PICARD_TOL
     pooled_T, pooled_gap = [], []
     for key, pts in series.items():
@@ -216,7 +152,7 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
     base = len(probes) - len(z_plus_list)
     dI_lin = [graph_derivative_linearized(model, ladder, st, directions)
               for st in stable[base:]]
-    report = ConvergenceReport("c1")
+    report = Report("c1")
     cross = []
     for T in sorted(T_grid):
         for zm in z_minus_list:
@@ -237,11 +173,10 @@ def c1_convergence(solver, T_grid, z_minus_list, z_plus_list):
                     bound = (ladder.c_star * math.exp(-T * ladder.lambda_ / 8.0)
                              * np.linalg.norm(v))
                     budget = float(fd_err + noise)
-                    report.add(check="c1", T=float(T), z_minus_label=_label(zm),
-                               z_plus_label=_label(zp),
+                    report.add(check="c1", T=float(T), z_minus_label=vector_label(zm),
+                               z_plus_label=vector_label(zp),
                                direction_label=f"e{i}",
-                               gap=gap, bound=bound, budget=budget,
-                               ok=gap <= bound + budget)
+                               gap=gap, bound=bound, budget=budget)
                     cross.append(float(np.linalg.norm(
                         (dT_lin[i] - dI_lin[a][i]) - (dT_half - dI_half))))
     report.extras["linearized_vs_fd_max"] = max(cross)
@@ -252,7 +187,7 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
     """First difference quotients of the graph family in the horizon T,
     asserted against c1 = 2(|lambda_min| + 1)."""
     ladder = solver.ladder
-    report = ConvergenceReport("lipschitz_T")
+    report = Report("lipschitz_T")
     for T in sorted(T_grid):
         at_T = [solver.mixed_rows(T, zm, z_plus_list) for zm in z_minus_list]
         for tau in tau_grid:
@@ -264,10 +199,10 @@ def lipschitz_in_T(solver, T_grid, tau_grid, z_minus_list, z_plus_list):
                     budget = RESIDUAL_TO_ERROR * (resA.reported_residual
                                                   + resB.reported_residual) / tau
                     report.add(check="lipschitz_T", T=float(T),
-                               z_minus_label=_label(zm), z_plus_label=_label(zp),
+                               z_minus_label=vector_label(zm),
+                               z_plus_label=vector_label(zp),
                                direction_label=f"tau={tau:g}",
-                               gap=quotient, bound=ladder.c1, budget=budget,
-                               ok=quotient <= ladder.c1 + budget)
+                               gap=quotient, bound=ladder.c1, budget=budget)
     return report
 
 
@@ -276,7 +211,7 @@ def endpoint_audit(solver, graph):
     ladder = solver.ladder
     if graph.kind != "G_T":
         raise ValueError("endpoint audit expects a time-T graph sample")
-    report = ConvergenceReport("endpoint")
+    report = Report("endpoint")
     T = graph.T
     bound = ladder.rho * math.exp(-T * ladder.lambda_)
     gaps = graph.endpoint_gaps.ravel()
@@ -285,7 +220,7 @@ def endpoint_audit(solver, graph):
     for zp, gap, res in zip(base, gaps, residuals):
         budget = RESIDUAL_TO_ERROR * res
         report.add(check="endpoint", T=float(T),
-                   z_minus_label=_label(graph.z_minus), z_plus_label=_label(zp),
-                   direction_label="", gap=float(gap), bound=bound,
-                   budget=budget, ok=gap <= bound + budget)
+                   z_minus_label=vector_label(graph.z_minus),
+                   z_plus_label=vector_label(zp), direction_label="",
+                   gap=float(gap), bound=bound, budget=budget)
     return report

@@ -1,13 +1,17 @@
 """Panel time grids and the curves sampled on them.
 
-Curves are discretized on composite Chebyshev-Lobatto panels.  Panel width is
-tied to the stiffest eigenvalue so that both the curve and the exponential
-kernels applied to it are resolved to near machine precision by the
-degree-12 interpolants.
+Curves are discretized on composite Chebyshev-Lobatto panels of width
+min(0.5, 2 / max_rate), max_rate the largest eigenvalue modulus, so that
+both the curve and the exponential kernels applied to it are resolved to
+near machine precision by the degree-12 interpolants.  The 0.5 cap binds
+on all five reference configs: max_rate times the width is 1.0 on
+p1_quadratic, p2_quartic and curved_stable and 1.5 on k2_cubic and
+p3_cubic3d.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +35,17 @@ def row_norms(values):
     return np.sqrt(sq)
 
 
-def _lobatto_reference(p):
+def lobatto_reference(p):
     # Chebyshev-Lobatto nodes mapped to [0, 1], ascending
     j = np.arange(p + 1)
     return 0.5 * (1.0 - np.cos(np.pi * j / p))
+
+
+def panel_count(t0, t1, max_rate):
+    """Panels of the grid on ``[t0, t1]``: width min(0.5, 2 / max_rate),
+    and at least ``MIN_PANELS``."""
+    width = min(0.5, 2.0 / max(float(max_rate), 1e-12))
+    return max(MIN_PANELS, math.ceil((t1 - t0) / width))
 
 
 def barycentric_weights(nodes):
@@ -74,19 +85,16 @@ class PanelGrid:
     def __init__(self, t0, t1, max_rate):
         if not t1 > t0:
             raise ValueError("need t1 > t0")
-        width = min(0.5, 2.0 / max(float(max_rate), 1e-12))
-        n_panels = max(MIN_PANELS, int(np.ceil((t1 - t0) / width)))
+        n_panels = panel_count(t0, t1, max_rate)
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.p = NODES_PER_PANEL - 1
         self.n_panels = n_panels
         self.edges = np.linspace(t0, t1, n_panels + 1)
-        ref = _lobatto_reference(self.p)
+        ref = lobatto_reference(self.p)
         self.panel_nodes = self.edges[:-1, None] + np.diff(self.edges)[:, None] * ref[None, :]
-        nodes = [self.panel_nodes[0]]
-        for ip in range(1, n_panels):
-            nodes.append(self.panel_nodes[ip, 1:])
-        self.nodes = np.concatenate(nodes)
+        self.nodes = np.concatenate([self.panel_nodes[0],
+                                     self.panel_nodes[1:, 1:].ravel()])
         self.ref_nodes = ref
         self.ref_weights = barycentric_weights(ref)
         self._profiles = {}

@@ -23,17 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convergence import RESIDUAL_TO_ERROR, ConvergenceReport, _label
 from .curves import row_norms
 from .errors import ComponentAmbiguous, OutsideLeafDomain, OutsideSampledDomain
 from .flow import solve_ivp
 from .lyapunov_perron import (
+    RESIDUAL_TO_ERROR,
     graph_G_T,
     interpolate,
     level_sphere,
     multilinear_stencil,
     tensor_points,
 )
+from .reporting import Report, vector_label
 
 PAIR_RTOL = 1e-9
 PAIR_ATOL = 1e-12
@@ -50,7 +51,7 @@ DISJOINT_REFINE = 9
 RETRACT_T_SAMPLES = (0.5, 1.5, 4.0)
 RETRACT_FIX_TOL = 1e-10
 #: the invariance audit flows the (T, alpha) leaf onto the (T - sigma, alpha) one
-INVARIANCE_SIGMAS = (1.0,)
+INVARIANCE_SIGMA = 1.0
 #: size of the temporary gap array of one chunk in contraction_to_center
 NEAREST_CHUNK_BYTES = 1 << 20
 
@@ -269,7 +270,7 @@ def check_disjoint(atlas):
     Every leaf is interpolated at the probes once, as one stack.
     """
     labels = list(atlas.leaves.keys())
-    report = ConvergenceReport("disjoint")
+    report = Report("disjoint")
     if len(labels) < 2:
         return report
     axes = atlas.leaves[labels[0]].graph.axes
@@ -302,8 +303,7 @@ def check_disjoint(atlas):
         a, b = labels[ia], labels[ib]
         report.add(check="disjoint", T=float(a[0]), z_minus_label=str(a),
                    z_plus_label=str(b), direction_label="",
-                   gap=separation, bound=floor, budget=0.0, ok=separation > floor,
-                   separation=True)
+                   gap=separation, bound=floor, budget=0.0, relation=">")
     return report
 
 
@@ -357,7 +357,7 @@ def retract_audit(atlas):
     sample; the objective is read once per flowed block.
     """
     model = atlas.model
-    report = ConvergenceReport("retract")
+    report = Report("retract")
     labels = atlas.all_labels()
     leaves = [atlas.leaf(label) for label in labels]
 
@@ -375,8 +375,7 @@ def retract_audit(atlas):
         gap = float(np.linalg.norm(end - leaf.base_point))
         report.add(check="retract_theta_inf", T=leaf.graph.T or 0.0,
                    z_minus_label=str(label), z_plus_label="", direction_label="",
-                   gap=gap, bound=0.0, budget=RETRACT_FIX_TOL,
-                   ok=gap <= RETRACT_FIX_TOL)
+                   gap=gap, bound=0.0, budget=RETRACT_FIX_TOL)
 
     # (ii) theta_t fixes the disk D pointwise
     bases = np.array([leaf.base_point for leaf in leaves])
@@ -387,7 +386,7 @@ def retract_audit(atlas):
             report.add(check="retract_fix_D", T=leaf.graph.T or 0.0,
                        z_minus_label=str(label), z_plus_label="",
                        direction_label=f"t={t:g}", gap=gap, bound=0.0,
-                       budget=fix_budget, ok=gap <= fix_budget)
+                       budget=fix_budget)
 
     # (iii) inward pointing along every leaf boundary
     rows = [(label, leaf, z_plus, z) for label, leaf in zip(labels, leaves)
@@ -405,55 +404,48 @@ def retract_audit(atlas):
         worst = max(per_step)
         mu_audit = min(mu_audit, -worst)
         report.add(check="retract_inward", T=leaf.graph.T or 0.0,
-                   z_minus_label=str(label), z_plus_label=_label(z_plus),
+                   z_minus_label=str(label), z_plus_label=vector_label(z_plus),
                    direction_label="", gap=worst, bound=0.0, budget=0.0,
-                   ok=worst < 0.0)
+                   relation="<")
     report.extras["mu_audit"] = mu_audit
     return report
 
 
 def leaf_invariance(atlas):
     """Forward-flow compatibility: points of the (T, alpha) leaf land on the
-    (T - sigma, alpha) leaf, measured through that leaf's graph.  Per sigma,
-    the inside points of every leaf with a target are flowed together.  A
-    point that flows outside the sampled domain of its target leaf gives no
-    row; ``extras["skipped"]`` counts those points."""
+    (T - sigma, alpha) leaf, sigma = ``INVARIANCE_SIGMA``, measured through
+    that leaf's graph.  The inside points of every leaf with a target are
+    flowed together.  A point that flows outside the sampled domain of its
+    target leaf gives no row; ``extras["skipped"]`` counts those points."""
     model = atlas.model
-    report = ConvergenceReport("invariance")
+    report = Report("invariance")
     skipped = 0
     tol = 10.0 * atlas.interp_tolerance + 1e-9
-    inside = {label: leaf.inside_points() for label, leaf in atlas.leaves.items()}
-    landed = {}  # (label, sigma) -> (the flowed inside points, the target)
-    for sigma in INVARIANCE_SIGMAS:
-        # a grid tau + i rounds each horizon on its own, so T - sigma may
-        # miss the horizon below by an ulp: it matches to 1e-12 relative
-        targets = {(T, ai): leaf for T, ai in atlas.leaves
-                   for (t, aj), leaf in atlas.leaves.items()
-                   if aj == ai and math.isclose(t, T - sigma, rel_tol=1e-12)}
-        if not targets:
-            continue
-        starts = np.concatenate([inside[label][1] for label in targets])
-        terminal = solve_ivp(model.problem, model.to_ambient(starts), float(sigma),
-                             AUDIT_RTOL, AUDIT_ATOL, stop_below_level=-math.inf).terminal
+    # (source, target) leaf pairs; a grid tau + i rounds each horizon on its
+    # own, so T - sigma may miss the one below by an ulp: match to 1e-12 relative
+    pairs = [(label, target) for label in atlas.leaves
+             for (t, ai), target in atlas.leaves.items()
+             if ai == label[1]
+             and math.isclose(t, label[0] - INVARIANCE_SIGMA, rel_tol=1e-12)]
+    if pairs:
+        inside = [atlas.leaves[label].inside_points() for label, _ in pairs]
+        starts = np.concatenate([points for _, points in inside])
+        terminal = solve_ivp(model.problem, model.to_ambient(starts),
+                             float(INVARIANCE_SIGMA), AUDIT_RTOL, AUDIT_ATOL,
+                             stop_below_level=-math.inf).terminal
         ends = np.split(model.to_local(terminal),
-                        np.cumsum([len(inside[label][1]) for label in targets]))
-        landed.update(((label, sigma), (end, leaf))
-                      for (label, leaf), end in zip(targets.items(), ends))
-    for label in atlas.leaves:
-        for sigma in INVARIANCE_SIGMAS:
-            if (label, sigma) not in landed:
-                continue
-            ends, target = landed[label, sigma]
-            for z_plus, end in zip(inside[label][0], ends):
+                        np.cumsum([len(points) for _, points in inside]))
+        for (label, target), (plus, _), landed in zip(pairs, inside, ends):
+            for z_plus, end in zip(plus, landed):
                 try:
                     gap = target.graph.residual(end)
                 except OutsideSampledDomain:
                     skipped += 1  # flowed outside the sampled target domain
                     continue
                 report.add(check="invariance", T=float(label[0]),
-                           z_minus_label=str(label), z_plus_label=_label(z_plus),
-                           direction_label=f"sigma={sigma:g}",
-                           gap=gap, bound=tol, budget=0.0, ok=gap <= tol)
+                           z_minus_label=str(label), z_plus_label=vector_label(z_plus),
+                           direction_label=f"sigma={INVARIANCE_SIGMA:g}",
+                           gap=gap, bound=tol, budget=0.0)
     report.extras["skipped"] = skipped
     return report
 
@@ -462,7 +454,7 @@ def contraction_to_center(atlas):
     """One-sided distance of each leaf to the ascending disk against
     exp(-T lambda / 8), the disk probed on its grid refined eightfold."""
     ladder = atlas.ladder
-    report = ConvergenceReport("center_distance")
+    report = Report("center_distance")
     probes = tensor_points(_refined_axes(atlas.center.graph.axes, 8))
     # coordinate-major: one contiguous row of probes per coordinate
     center_cols = np.ascontiguousarray(atlas.center.graph.local_points(probes).T)
@@ -481,5 +473,5 @@ def contraction_to_center(atlas):
         bound = math.exp(-leaf.graph.T * ladder.lambda_ / 8.0)
         report.add(check="center_distance", T=leaf.graph.T, z_minus_label=str(label),
                    z_plus_label="", direction_label="", gap=sup, bound=bound,
-                   budget=budget, ok=sup <= bound + budget)
+                   budget=budget)
     return report

@@ -12,9 +12,10 @@ and nothing can overflow.
 
 Within a panel, ``y`` is replaced by its Chebyshev-Lobatto interpolant and
 the product with the kernel is integrated by Gauss-Legendre quadrature of
-order 16; the panel width is tied to the stiffest rate, so both factors are
-resolved to near machine precision.  Panels of one grid all have the same
-width, so a single set of local operators per rate serves the whole horizon;
+order 16; the panel width is min(0.5, 2 / max_rate), max_rate the largest
+eigenvalue modulus (``curves.panel_count``), so both factors are resolved to
+near machine precision.  Panels of one grid all have the same width, so a
+single set of local operators per rate serves the whole horizon;
 one instance serves every Picard iteration and every sample sharing the
 horizon.  The interpolation bases at the Gauss points depend on the panel
 degree alone and are built once per process, on first use, stacked per
@@ -44,8 +45,7 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .curves import _lobatto_reference, barycentric_matrix, barycentric_weights
-from .errors import LadderInfeasible
+from .curves import barycentric_matrix, barycentric_weights, lobatto_reference
 
 #: positive nodes and their weights of the 16-point Gauss-Legendre rule on
 #: [-1, 1], which is symmetric; the same doubles as scipy's
@@ -75,7 +75,7 @@ def _panel_bases(p):
     ``xi`` that have such an interval: ``(indices, xi, lengths, Gauss points,
     interpolation bases there)``, shapes (N,), (N,), (N,), (N, 16) and
     (N, 16, p + 1); shared by all convolvers."""
-    ref = _lobatto_reference(p)
+    ref = lobatto_reference(p)
     ref_w = barycentric_weights(ref)
     gx = 0.5 * (GAUSS_NODES + 1.0)  # map to [0, 1]
     sides = {1.0: [(i, xi, xi, xi * gx) for i, xi in enumerate(ref) if xi > 0.0],
@@ -96,19 +96,13 @@ class ExpConvolver:
 
     ``rates`` is the full eigenvalue list; entry ``j`` may only be used with
     ``forward`` when ``rates[j] >= 0`` and with ``backward`` when
-    ``rates[j] <= 0``.  A grid whose decay tables would take more than
-    ``DECAY_TABLE_BYTES`` raises LadderInfeasible before any is built.
+    ``rates[j] <= 0``.  ``LocalModel.grid`` refuses a horizon whose decay
+    tables would take more than ``DECAY_TABLE_BYTES``.
     """
 
     def __init__(self, grid, rates):
         self.grid = grid
         self.rates = np.asarray(rates, dtype=float)
-        table_bytes = 8.0 * grid.n_panels ** 2 * self.rates.size
-        if table_bytes > DECAY_TABLE_BYTES:
-            raise LadderInfeasible(
-                f"the horizon [{grid.t0:g}, {grid.t1:g}] needs {grid.n_panels} panels: "
-                f"{table_bytes / 1e6:.0f} MB of decay tables, over "
-                f"{DECAY_TABLE_BYTES / 1e6:.0f} MB")
         p = grid.p
         m = p + 1
         ref, bases = _panel_bases(p)

@@ -19,9 +19,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .curves import PanelGrid
+from .curves import PanelGrid, panel_count
 from .errors import IndexOutOfRange, LadderInfeasible
-from .kernels import ExpConvolver
+from .kernels import DECAY_TABLE_BYTES, ExpConvolver
 from .polynomials import Polynomial
 
 #: region factor: curves of the contraction spaces stay within this multiple
@@ -86,10 +86,19 @@ class LocalModel:
 
     # -- discretization --------------------------------------------------------
     def grid(self, t0, t1):
-        """The time grid on [t0, t1], built once per horizon."""
+        """The time grid on [t0, t1], built once per horizon; a horizon whose
+        decay tables, 8 P^2 bytes per eigenvalue on P panels, would pass
+        ``DECAY_TABLE_BYTES`` raises LadderInfeasible before any grid array."""
         key = (round(float(t0), 12), round(float(t1), 12))
         if key not in self._grids:
             max_rate = float(np.max(np.abs(self.eigenvalues)))
+            n_panels = panel_count(t0, t1, max_rate)
+            table_bytes = 8.0 * float(n_panels) * n_panels * self.eigenvalues.size
+            if table_bytes > DECAY_TABLE_BYTES:
+                raise LadderInfeasible(
+                    f"the horizon [{float(t0):g}, {float(t1):g}] needs {n_panels:.6g} "
+                    f"panels: {table_bytes / 1e6:.0f} MB of decay tables, over "
+                    f"{DECAY_TABLE_BYTES / 1e6:.0f} MB")
             self._grids[key] = PanelGrid(t0, t1, max_rate)
         return self._grids[key]
 

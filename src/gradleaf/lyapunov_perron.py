@@ -73,6 +73,9 @@ LINEARIZED = "linearized"              # along a forward fixed point (C1 check)
 #: Picard tolerance of every solve, in the exp norm; the manifest records
 #: it as ``tol``
 PICARD_TOL = 1e-10
+#: a fixed point with residual r lies within 2 r of the exact one: the
+#: factor 1 / (1 - theta) at the contraction factor theta <= 1/2
+RESIDUAL_TO_ERROR = 2.0
 PICARD_MAX_ITER = 200
 NORM_SLACK = 1e-9
 STALL_FACTOR = 0.9

@@ -52,10 +52,9 @@ class RunState:
         (offset from the seed so that a seed draws the pair it always has)."""
         return np.random.default_rng(self.seed + 2)
 
-    def emit(self, name, header, rows):
-        path = reporting.write_csv(self.out_dir / name, header, rows)
-        self.artifacts.append(path)
-        return path
+    def emit(self, name, table):
+        """Write ``table``, a ``reporting`` (header, rows) pair, as CSV ``name``."""
+        self.artifacts.append(reporting.write_csv(self.out_dir / name, *table))
 
 
 def _require(state, *stages):
@@ -69,9 +68,7 @@ def stage_spectral(state):
     state.split = split(problem.hess(problem.critical_point))
     state.model = LocalModel(problem, state.split)
     sp = state.split
-    state.emit("spectral.csv",
-               ["index", "eigenvalue"] + [f"v{i + 1}" for i in range(sp.dimension)],
-               reporting.spectral_rows(sp))
+    state.emit("spectral.csv", reporting.spectral_table(sp))
     state.details["spectral"] = {
         "eigenvalues": sp.eigenvalues.tolist(),
         "morse_index": sp.morse_index,
@@ -84,8 +81,7 @@ def stage_ladder(state):
     modulus, kappa_star = lipschitz_modulus(state.model)
     state.ladder = build_ladder(state.split, modulus, kappa_star=kappa_star,
                                 rho0=state.problem.trust_radius)
-    state.emit("ladder.csv", ["constant", "value"],
-               sorted(state.ladder.echo().items()))
+    state.emit("ladder.csv", reporting.ladder_table(state.ladder))
 
 
 def stage_manifolds(state):
@@ -98,17 +94,13 @@ def stage_manifolds(state):
     state.sphere = descending_disk(state.model, state.ladder, state.graph_f)
     for sample, name in ((state.graph_f, "graph_F_inf.csv"),
                          (state.graph_g, "graph_G_inf.csv")):
-        state.emit(name, reporting.graph_header(state.model, sample),
-                   reporting.graph_rows(sample, state.model))
-    state.emit("ladder_calibrated.csv", ["constant", "value"],
-               sorted(state.ladder.echo().items()))
+        state.emit(name, reporting.graph_table(sample, state.model))
+    state.emit("ladder_calibrated.csv", reporting.ladder_table(state.ladder))
     # one exported reference trajectory from the first sphere point
     start_local = state.graph_f.local_points(state.sphere[0])
     traj = integrate_forward(state.problem, state.model.to_ambient(start_local),
                              min(2.0, state.ladder.T0))
-    state.emit("trajectory_sample.csv",
-               reporting.trajectory_header(state.problem.dimension),
-               reporting.trajectory_rows(state.problem, traj))
+    state.emit("trajectory_sample.csv", reporting.trajectory_table(state.problem, traj))
     state.details["manifolds"] = {
         "F_max": float(np.max(np.abs(state.graph_f.values))),
         "G_max": float(np.max(np.abs(state.graph_g.values))),
@@ -129,13 +121,9 @@ def _lambda_sample_sets(state, n_zplus=3):
 
 def _emit_reports(state, reports):
     """Write ``report_<name>.csv`` for each report; returns the failed ones."""
-    failed = []
     for name, rep in reports.items():
-        state.emit(f"report_{name}.csv", convergence.REPORT_COLUMNS,
-                   reporting.report_rows(rep))
-        if not rep.all_ok:
-            failed.append(rep)
-    return failed
+        state.emit(f"report_{name}.csv", reporting.report_table(rep))
+    return [rep for rep in reports.values() if not rep.all_ok]
 
 
 def _bound_violation(what, failed):
@@ -160,8 +148,7 @@ def stage_lambda(state):
             solver, T_grid[:2], (1e-2, 1e-3), zm_list[:1], zp_list[:2]),
     }
     graph_t = graph_G_T(solver, float(T_grid[0]), zm_list[0])
-    state.emit("graph_G_T.csv", reporting.graph_header(state.model, graph_t),
-               reporting.graph_rows(graph_t, state.model))
+    state.emit("graph_G_T.csv", reporting.graph_table(graph_t, state.model))
     reports["endpoint"] = convergence.endpoint_audit(solver, graph_t)
 
     failed = _emit_reports(state, reports)
@@ -186,16 +173,12 @@ def stage_foliate(state):
         state.solver, state.graph_g, state.sphere, tau=tau,
         T_grid=T_grid,
         zplus_axes=default_axes(ladder.R, state.model.n - state.model.k, 21))
-    state.emit("pair.csv",
-               [f"x{i + 1}" for i in range(state.model.n)] + ["f", "exit"],
-               reporting.pair_rows(pair, state.model))
+    state.emit("pair.csv", reporting.pair_table(pair, state.model))
     leaf_files = []
     for label in atlas.all_labels():
-        leaf = atlas.leaf(label)
         tag = "center" if label == "center" else f"T{label[0]:g}_a{label[1]}"
         name = f"leaf_{tag}.csv"
-        state.emit(name, reporting.atlas_leaf_header(state.model, leaf),
-                   reporting.atlas_leaf_rows(leaf, state.model))
+        state.emit(name, reporting.atlas_leaf_table(atlas.leaf(label), state.model))
         leaf_files.append([str(label), name])
     reports = {
         "disjoint": foliation.check_disjoint(atlas),
@@ -247,18 +230,14 @@ def stage_oracle(state):
         solved = state.solver.mixed_rows(T, zm, [zp for _, _, zp in group])
         queries += group
         curves += [res.curve for res, _ in solved]
-    rows = []
-    worst = 0.0
-    shot = mixed_bvp_oracle(state.model, queries)
-    for (T, zm, zp), curve, (traj, residual) in zip(queries, curves, shot):
+    comparisons = []  # (sup error, shot residual) per query
+    for curve, (traj, residual) in zip(curves, mixed_bvp_oracle(state.model, queries)):
         states = state.model.to_local(traj.states)
         err = float(np.max(row_norms(states - curve.evaluate(traj.times))))
-        worst = max(worst, err)
-        rows.append([T, *np.atleast_1d(zm), *np.atleast_1d(zp), err, residual])
+        comparisons.append((err, residual))
+    worst = max([0.0] + [err for err, _ in comparisons])
     state.emit("oracle_comparison.csv",
-               ["T"] + [f"zminus_{i}" for i in range(state.model.k)]
-               + [f"zplus_{i}" for i in range(state.model.n - state.model.k)]
-               + ["sup_error", "shot_residual"], rows)
+               reporting.oracle_table(state.model, queries, comparisons))
     state.details["oracle"] = {"worst_sup_error": worst}
     if worst > 1e-6:
         raise BoundViolation(f"oracle disagreement {worst:.3e} above 1e-6")

@@ -59,16 +59,16 @@ class GradientProblem:
 
 
 def load_problem(path):
-    """Read a problem config (JSON-compatible key/value text)."""
+    """Read a problem config (JSON-compatible key/value text in UTF-8)."""
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     with fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # a UnicodeDecodeError or JSONDecodeError
+            raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from exc
     return problem_from_dict(raw)
 
 

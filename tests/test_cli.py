@@ -159,19 +159,25 @@ def _cap_address_space():
                        (SMALL_GAP_ADDRESS_SPACE, SMALL_GAP_ADDRESS_SPACE))
 
 
-def test_small_spectral_gap_exits_config_with_manifest(tmp_path):
-    # gap 0.01: the truncation horizon 40/lambda = 8000 needs 16000 panels,
-    # 2 GB per decay table; run in a process whose address space is capped,
-    # so that a missing budget check fails the run instead of the host
-    cpath = _write_config(tmp_path, "small_gap",
-                          [[[2, 0], -0.5], [[0, 2], 0.005], [[2, 2], 0.25]])
-    out = tmp_path / "o"
+def _run_capped(cpath, out):
+    """``gradleaf all`` on ``cpath`` in a process whose address space is
+    capped, so that a missing budget check fails the run instead of the host;
+    the finished process."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "gradleaf.cli", "all", "--config", str(cpath),
          "--out", str(out)], capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=path), preexec_fn=_cap_address_space)
+
+
+def test_small_spectral_gap_exits_config_with_manifest(tmp_path):
+    # gap 0.01: the truncation horizon 40/lambda = 8000 needs 16000 panels,
+    # 2 GB per decay table
+    cpath = _write_config(tmp_path, "small_gap",
+                          [[[2, 0], -0.5], [[0, 2], 0.005], [[2, 2], 0.25]])
+    out = tmp_path / "o"
+    proc = _run_capped(cpath, out)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ladder_infeasible"
@@ -180,6 +186,41 @@ def test_small_spectral_gap_exits_config_with_manifest(tmp_path):
     assert manifest["error"]["code"] == "ladder_infeasible"
     assert manifest["stage_statuses"] == {"spectral": "pass", "ladder": "pass",
                                           "manifolds": "error"}
+
+
+def test_tiny_spectral_gap_exits_config_before_any_grid(tmp_path):
+    # Hessian diag(-2e-300, 2e-300) passes the spectral and ladder stages;
+    # its truncation horizon needs about 8e301 panels, which the model
+    # refuses before it builds any grid array
+    cpath = _write_config(tmp_path, "tiny_gap", [[[2, 0], -1e-300], [[0, 2], 1e-300]])
+    out = tmp_path / "o"
+    proc = _run_capped(cpath, out)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ladder_infeasible"
+    assert "panels" in record["message"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage_statuses"] == {"spectral": "pass", "ladder": "pass",
+                                          "manifolds": "error"}
+
+
+def test_config_not_utf8_json_exits_config(tmp_path):
+    config = {"name": "caf\u00e9", "dimension": 2, "critical_point": [0.0, 0.0],
+              "objective": [[[2, 0], -0.5], [[0, 2], 1.0]]}
+    text = json.dumps(config, ensure_ascii=False)
+    # a JSON integer past Python's digit limit fails to parse the same way
+    digits = text.replace('"dimension": 2', '"dimension": 2' + "0" * 5000)
+    for name, data in (("bom", b"\xff\xfe" + text.encode()),
+                       ("latin1", text.encode("latin-1")),
+                       ("digits", digits.encode())):
+        cpath = tmp_path / f"{name}.json"
+        cpath.write_bytes(data)
+        out = tmp_path / name
+        assert run_cli(["spectral", "--config", cpath, "--out", out]) == EXIT_CONFIG
+        record = json.loads((out / "error.json").read_text())
+        assert record["type"] == "ConfigError"
+        assert record["error"] == "config"
+        assert str(cpath) in record["message"]
 
 
 def test_zero_hessian_fails_the_spectral_stage(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from gradleaf import convergence as cv
 from gradleaf import lyapunov_perron as lp
+from gradleaf import reporting
 from gradleaf.errors import EndpointViolation
 
 
@@ -206,38 +207,39 @@ def test_endpoint_quadratic_closed_form(p1, solver_p1):
 
 
 def test_report_row_slack():
-    row = cv.ReportRow("demo", 1.0, "", "", "", gap=0.3, bound=0.5,
-                       budget=0.1, ok=True)
+    row = reporting.ReportRow("demo", 1.0, "", "", "", gap=0.3, bound=0.5, budget=0.1)
+    assert row.ok
     assert row.slack == pytest.approx(0.3)
-    assert len(row.to_list()) == len(cv.REPORT_COLUMNS)
+    assert len(row.to_list()) == len(reporting.REPORT_COLUMNS)
     # slack is the distance to failing: non-negative exactly on passing rows,
     # also for separation rows, which pass when the gap exceeds the bound
     rows = [
         row,
-        cv.ReportRow("c0", 1.0, "", "", "", gap=0.7, bound=0.5, budget=0.1, ok=False),
-        cv.ReportRow("disjoint", 1.0, "", "", "", gap=2e-7, bound=1e-7, budget=0.0,
-                     ok=True, separation=True),
-        cv.ReportRow("disjoint", 1.0, "", "", "", gap=1e-8, bound=1e-7, budget=0.0,
-                     ok=False, separation=True),
+        reporting.ReportRow("c0", 1.0, "", "", "", gap=0.7, bound=0.5, budget=0.1),
+        reporting.ReportRow("disjoint", 1.0, "", "", "", gap=2e-7, bound=1e-7,
+                            budget=0.0, relation=">"),
+        reporting.ReportRow("disjoint", 1.0, "", "", "", gap=1e-8, bound=1e-7,
+                            budget=0.0, relation=">"),
     ]
+    assert [r.ok for r in rows] == [True, False, True, False]
     assert [r.slack >= 0 for r in rows] == [r.ok for r in rows]
     assert rows[2].slack == pytest.approx(1e-7)
 
 
 def test_empty_report_fails_and_worst_row_is_named():
-    report = cv.ConvergenceReport("c0")
+    report = reporting.Report("c0")
     assert not report.all_ok
     assert report.describe_worst() == "report c0 has no rows"
     report.add(check="c0", T=12.5, z_minus_label="(0.1)", z_plus_label="(0.2)",
-               direction_label="", gap=0.1, bound=0.5, budget=0.0, ok=True)
+               direction_label="", gap=0.1, bound=0.5, budget=0.0)
     report.add(check="c0", T=13.5, z_minus_label="(0.1)", z_plus_label="(0.3)",
-               direction_label="", gap=0.45, bound=0.5, budget=0.0, ok=True)
+               direction_label="", gap=0.45, bound=0.5, budget=0.0)
     assert report.all_ok
     assert "z_plus=(0.3): gap 4.500e-01" in report.describe_worst()
     # a failing row outranks any passing one, even a tied strict row at slack 0
     report.add(check="retract_inward", T=0.0, z_minus_label="center",
                z_plus_label="(0.4)", direction_label="", gap=0.0, bound=0.0,
-               budget=0.0, ok=False)
+               budget=0.0, relation="<")
     assert not report.all_ok
     message = report.describe_worst()
     assert message.startswith("report c0, row check=retract_inward T=0 ")

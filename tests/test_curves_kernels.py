@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gradleaf import kernels
+from gradleaf import kernels, local_model
 from gradleaf import lyapunov_perron as lp
 from gradleaf.curves import (
     Curve,
     PanelGrid,
-    _lobatto_reference,
     barycentric_matrix,
     barycentric_weights,
+    lobatto_reference,
+    panel_count,
 )
 from gradleaf.errors import LadderInfeasible
 from gradleaf.kernels import GAUSS_NODES, GAUSS_WEIGHTS, ExpConvolver, _decay_table
@@ -123,14 +124,18 @@ def test_convolver_rejects_wrong_sign(grid):
         conv.backward(1, np.zeros(grid.size))
 
 
-def test_convolver_refuses_decay_tables_beyond_the_budget():
-    # 4002 panels and two rates: 8 * 4002^2 * 2 bytes, just above the budget
-    long_grid = PanelGrid(0.0, 2001.0, 1.0)
-    assert long_grid.n_panels == 4002
+def test_convolver_refuses_decay_tables_beyond_the_budget(p1, monkeypatch):
+    # 4002 panels and two rates: 8 * 4002^2 * 2 bytes, just above the budget;
+    # the model refuses the horizon before it builds any grid array
+    assert panel_count(0.0, 2001.0, np.max(np.abs(p1.model.eigenvalues))) == 4002
     assert 8 * 4002 ** 2 * 2 > kernels.DECAY_TABLE_BYTES >= 8 * 4000 ** 2 * 2
+
+    def no_grid(*args):
+        raise AssertionError("built the grid of a refused horizon")
+    monkeypatch.setattr(local_model, "PanelGrid", no_grid)
     with pytest.raises(LadderInfeasible,
                        match=r"horizon \[0, 2001\] needs 4002 panels: 256 MB"):
-        ExpConvolver(long_grid, np.array([-1.0, 2.0]))
+        p1.model.grid(0.0, 2001.0)
 
 
 def test_convolver_rejects_wrong_length(grid):
@@ -263,7 +268,7 @@ def per_build_tables(grid, rates):
     rates = np.asarray(rates, dtype=float)
     p = grid.p
     m = p + 1
-    ref = _lobatto_reference(p)
+    ref = lobatto_reference(p)
     ref_w = barycentric_weights(ref)
     gx = 0.5 * (GAUSS_NODES + 1.0)
     gw = 0.5 * GAUSS_WEIGHTS

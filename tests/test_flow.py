@@ -223,9 +223,9 @@ def test_single_trajectory_failures_raise():
 
 def test_trajectory_rows_format(p1):
     traj = integrate_forward(p1.problem, np.array([0.01, 0.02]), 0.5)
-    rows = reporting.trajectory_rows(p1.problem, traj)
+    _, rows = reporting.trajectory_table(p1.problem, traj)
     assert len(rows) == len(traj.times)
-    assert len(rows[0]) == len(reporting.trajectory_header(2)) == 1 + 2 + 1
+    assert len(rows[0]) == 1 + 2 + 1
     assert rows[0][0] == 0.0
 
 

@@ -1,16 +1,44 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gradleaf import convergence as cv
 from gradleaf import foliation as fol
 from gradleaf import lyapunov_perron as lp
+from gradleaf.reporting import vector_label
 from gradleaf.errors import OutsideLeafDomain, OutsideSampledDomain
 from gradleaf.flow import integrate_forward
 from references import scipy_trajectory
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_LOADED_GRADLEAF = """
+import json, sys
+import gradleaf.foliation
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("gradleaf."))))
+"""
+
+
+def test_foliation_loads_no_convergence_module():
+    # the audits build their reports from ``reporting`` alone; a fresh
+    # interpreter, because this test module's fixtures load the checks
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_GRADLEAF],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert "gradleaf.convergence" not in loaded
+    assert {"gradleaf.foliation", "gradleaf.reporting"} <= loaded
 
 
 @pytest.fixture(scope="module")
@@ -389,11 +417,12 @@ def test_retract_audit_quartic(atlas_p2):
 
 
 def test_leaf_invariance(atlas_p2, monkeypatch):
-    monkeypatch.setattr(fol, "INVARIANCE_SIGMAS", (1.0, 2.0))
-    rep = fol.leaf_invariance(atlas_p2)
-    assert len(rep.rows) > 0
-    assert rep.all_ok
-    assert max(r.gap for r in rep.rows) <= 10 * atlas_p2.interp_tolerance + 1e-9
+    for sigma in (1.0, 2.0):
+        monkeypatch.setattr(fol, "INVARIANCE_SIGMA", sigma)
+        rep = fol.leaf_invariance(atlas_p2)
+        assert len(rep.rows) > 0
+        assert rep.all_ok
+        assert max(r.gap for r in rep.rows) <= 10 * atlas_p2.interp_tolerance + 1e-9
 
 
 def test_leaf_invariance_finds_targets_an_ulp_off(p2):
@@ -581,11 +610,10 @@ def _induced_flow_reference(atlas, label, z, t):
 
 def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2, monkeypatch):
     model = p2.model
-    sigmas = (1.0, 2.0)
-    monkeypatch.setattr(fol, "INVARIANCE_SIGMAS", sigmas)
-    expected = []
-    for (T, ai), leaf in atlas_p2.leaves.items():
-        for sigma in sigmas:
+    for sigma in (1.0, 2.0):
+        monkeypatch.setattr(fol, "INVARIANCE_SIGMA", sigma)
+        expected = []
+        for (T, ai), leaf in atlas_p2.leaves.items():
             target = atlas_p2.leaves.get((float(T - sigma), ai))
             if target is None:
                 continue
@@ -596,13 +624,13 @@ def test_leaf_invariance_matches_single_trajectories(atlas_p2, p2, monkeypatch):
                     gap = target.graph.residual(model.to_local(traj.y[:, -1]))
                 except OutsideSampledDomain:
                     continue
-                expected.append((str((T, ai)), cv._label(z_plus),
+                expected.append((str((T, ai)), vector_label(z_plus),
                                  f"sigma={sigma:g}", gap))
-    rows = fol.leaf_invariance(atlas_p2).rows
-    assert len(expected) > 0
-    assert [(r.z_minus_label, r.z_plus_label, r.direction_label) for r in rows] \
-        == [e[:3] for e in expected]
-    assert max(abs(r.gap - e[3]) for r, e in zip(rows, expected)) <= 1e-14
+        rows = fol.leaf_invariance(atlas_p2).rows
+        assert len(expected) > 0
+        assert [(r.z_minus_label, r.z_plus_label, r.direction_label) for r in rows] \
+            == [e[:3] for e in expected]
+        assert max(abs(r.gap - e[3]) for r, e in zip(rows, expected)) <= 1e-14
 
 
 def test_retract_audit_matches_single_trajectories(atlas_p2, p2):
@@ -619,7 +647,7 @@ def test_retract_audit_matches_single_trajectories(atlas_p2, p2):
                              leaf.graph.local_points(leaf.boundary_plus)):
             worst = max((f(_induced_flow_reference(atlas_p2, label, z, h)) - f(z)) / h
                         for h in (1e-4, 1e-5))
-            inward.append((str(label), cv._label(z_plus), worst))
+            inward.append((str(label), vector_label(z_plus), worst))
     rep = fol.retract_audit(atlas_p2)
     rows_d = [r for r in rep.rows if r.check == "retract_fix_D"]
     rows_i = [r for r in rep.rows if r.check == "retract_inward"]
@@ -646,9 +674,10 @@ def test_audits_integrate_one_batch_per_horizon(atlas_p2, monkeypatch):
         return batch(*args, **kwargs)
     monkeypatch.setattr(fol, "solve_ivp", counted)
 
-    monkeypatch.setattr(fol, "INVARIANCE_SIGMAS", (1.0, 2.0))
-    fol.leaf_invariance(atlas_p2)
-    assert calls == [1.0, 2.0]
-    calls.clear()
+    for sigma in (1.0, 2.0):
+        monkeypatch.setattr(fol, "INVARIANCE_SIGMA", sigma)
+        fol.leaf_invariance(atlas_p2)
+        assert calls == [sigma]
+        calls.clear()
     fol.retract_audit(atlas_p2)
     assert calls == [*fol.RETRACT_T_SAMPLES, 1e-4, 1e-5]

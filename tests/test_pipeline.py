@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_problem
-from gradleaf import convergence, foliation, pipeline
+from gradleaf import convergence, foliation, pipeline, reporting
 from gradleaf.errors import BoundViolation
 from references import scipy_trajectory
 
@@ -188,11 +188,11 @@ def test_one_solve_store_per_run(tmp_path, monkeypatch):
 ])
 def test_bound_violation_names_worst_row(tmp_path, monkeypatch, stage, module, name):
     def failing(*args, **kwargs):
-        report = convergence.ConvergenceReport("forced")
+        report = reporting.Report("forced")
         for gap in (0.2, 3.0, 2.0):
             report.add(check="forced", T=12.5, z_minus_label="(0.1)",
                        z_plus_label=f"({gap:g})", direction_label="", gap=gap,
-                       bound=1.0, budget=0.5, ok=gap <= 1.5)
+                       bound=1.0, budget=0.5)
         return report
     monkeypatch.setattr(module, name, failing)
     state = pipeline.RunState(problem=reference_problem("p1_quadratic"), out_dir=tmp_path)

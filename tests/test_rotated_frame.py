@@ -97,10 +97,10 @@ def test_rotated_csv_rows_match_per_point_calls(rotated):
     def per_point(p):
         return [*model.to_ambient(p), model.f_local(p)]
 
-    cases = [(reporting.atlas_leaf_rows(leaf, model),
+    cases = [(reporting.atlas_leaf_table(leaf, model)[1],
               [[*b, *per_point(p), int(k)] for b, p, k in
                zip(graph_g.grid_points(), graph_g.local_points(), inside)]),
-             (reporting.pair_rows(pair, model),
+             (reporting.pair_table(pair, model)[1],
               [[*per_point(p), int(e)] for p, e in zip(samples, pair.exit_mask)])]
     for rows, ref in cases:
         assert [[reporting.fmt(v) for v in r] for r in rows] == \
