@@ -37,6 +37,9 @@ STEP_SAFETY = 0.9
 STEP_MIN_FACTOR = 0.2
 STEP_MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)
+#: the weights ``A[s, :s]`` of the earlier stages in stage s = 1 .. N_STAGES,
+#: each a contiguous row of the tableau (the last one is ``B``)
+_STAGE_WEIGHTS = tuple(dop853.A[s, :s] for s in range(1, dop853.N_STAGES + 1))
 
 
 def _rms(x):
@@ -44,7 +47,7 @@ def _rms(x):
     return np.linalg.norm(x, axis=1) / math.sqrt(x.shape[1])
 
 
-def _initial_steps(rhs, y0, f0, duration, rtol, atol):
+def _initial_steps(problem, y0, f0, duration, rtol, atol):
     """scipy's initial-step rule (``select_initial_step``), one step per row."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
@@ -52,17 +55,12 @@ def _initial_steps(rhs, y0, f0, duration, rtol, atol):
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, duration)
-        d2 = _rms((rhs(y0 + h0[:, None] * f0) - f0) / scale) / h0
+        probe = y0 + h0[:, None] * f0
+        f1 = -problem.grad(probe, np.empty_like(probe))
+        d2 = _rms((f1 - f0) / scale) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** (1.0 / (dop853.ERROR_ESTIMATOR_ORDER + 1)))
     return np.minimum(np.minimum(100.0 * h0, h1), duration)
-
-
-def _stage_sum(w, K):
-    """``np.tensordot(w, K, axes=1)`` for stage weights ``w`` and stages
-    ``K`` of shape ``(len(w), m, n)``: the reshape and ``dot`` that tensordot
-    makes, without its Python overhead, so the two agree bit for bit."""
-    return np.dot(w, K.reshape(len(w), -1)).reshape(K.shape[1:])
 
 
 @dataclass
@@ -98,10 +96,16 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level,
     own step size, acceptance decision and error control, with scipy's
     per-trajectory error norm and initial-step rule, so each row runs the
     step control a one-row run would; the right-hand side is evaluated once
-    per stage for all live rows.  It does not repeat a one-row run's bits:
-    BLAS sums a stage block in an order that depends on the block's width,
-    so a row's rounding depends on the other rows of its batch, and with it
-    the size of a step whose error estimate sits at rounding level.  A row's
+    per stage for all live rows, as ``problem.grad(x, out)``: ``grad`` writes
+    the gradient at each row of the ``(m, n)`` stage argument ``x`` into
+    ``out``, the stage's own ``(m, n)`` slot of the stage block (never
+    overlapping ``x``), and the slot is then negated in place.  The block
+    and its buffers are made once per count of live rows, not per step.
+
+    A row does not repeat a one-row run's bits: BLAS sums a stage block in
+    an order that depends on the block's width, so a row's rounding depends
+    on the other rows of its batch, and with it the size of a step whose
+    error estimate sits at rounding level.  A row's
     terminal state stays within about 1e-14 of a one-row run's.  A row
     retires at its duration or at the first step end where f is below
     ``stop_below_level`` (f decreases along trajectories, so it stays below;
@@ -127,78 +131,112 @@ def solve_ivp(problem, starts, duration, rtol, atol, stop_below_level,
         raise ValueError(f"forward integration requires a finite duration >= 0, "
                          f"row {i} has {duration[i]}")
     stopped = np.zeros(m, dtype=bool)
-    nfev = 0
-
-    def rhs(y):
-        nonlocal nfev
-        nfev += len(y)
-        return -problem.grad(y)
-
     kept = (np.zeros(m, dtype=bool) if keep_step_ends is None
             else np.asarray(keep_step_ends, dtype=bool))
     ends = [([0.0], [terminal[i].copy()]) if keep else None
             for i, keep in enumerate(kept)]
     rows = np.flatnonzero(duration > 0.0)
-    A, B = dop853.A, dop853.B
     y = terminal[rows]
     end = duration[rows]
-    f = rhs(y)
+    f = -problem.grad(y, np.empty_like(y))
     t = np.zeros(rows.size)
-    h_abs = _initial_steps(rhs, y, f, end, rtol, atol)
-    rejected = np.zeros(rows.size, dtype=bool)
+    h_abs = _initial_steps(problem, y, f, end, rtol, atol)
+    nfev = 2 * rows.size
+    fresh = np.ones(rows.size, dtype=bool)  # the last step was accepted
+    live_kept = kept[rows]
+    keeping = live_kept.any()
+    width = 0
     while rows.size:
-        # a fresh step is raised to the spacing floor; a retried one below
-        # it, or a NaN one (from a non-finite right-hand side), cannot be taken
-        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-        too_small = ~(h_abs >= min_step)
-        if too_small.any():
+        if rows.size != width:
+            # the stage block of the live rows and its views, made again only
+            # when rows retire: slot s of K holds stage s, slot 0 the
+            # derivative at y, and a stage's argument is the stage buffer
+            # (the last one's, y_new)
+            width = rows.size
+            K = np.empty((dop853.N_STAGES + 1, width, n))
+            K[0] = f
+            f = K[0]
+            flat = K.reshape(dop853.N_STAGES + 1, -1)
+            stage, y_new, scale, err = np.empty((4, width, n))
+            stages = [(w, flat[:len(w)], arg, arg.reshape(-1), K[len(w)])
+                      for w, arg in zip(_STAGE_WEIGHTS,
+                                        [stage] * (dop853.N_STAGES - 1) + [y_new])]
+            err_flat = err.reshape(-1)
+            h = np.empty(width)
+            h_col = h[:, None]
+        # a fresh step is raised to the spacing floor (t >= 0, so np.spacing
+        # is the gap to the next double up); a retried one below it, or a NaN
+        # one (from a non-finite right-hand side), cannot be taken
+        min_step = 10.0 * np.spacing(t)
+        np.maximum(h_abs, min_step, out=h_abs, where=fresh)
+        fits = h_abs >= min_step
+        if np.count_nonzero(fits) < width:
             raise BlowUp(f"integrator failed: required step size is less than "
-                         f"spacing between numbers (t = {t[np.argmax(too_small)]:.4g})")
+                         f"spacing between numbers (t = {t[np.argmin(fits)]:.4g})")
         t_new = np.minimum(t + h_abs, end)
-        h = t_new - t
+        np.subtract(t_new, t, out=h)
 
-        K = np.empty((dop853.N_STAGES + 1,) + y.shape)
-        K[0] = f
-        for s in range(1, dop853.N_STAGES):
-            K[s] = rhs(y + _stage_sum(A[s, :s], K[:s]) * h[:, None])
-        y_new = y + h[:, None] * _stage_sum(B, K[:-1])
-        K[-1] = f_new = rhs(y_new)
+        # stage s: y + h * (A[s, :s] . K[:s]), whose right-hand side is
+        # written into slot s and negated there
+        for w, prior, arg, arg_flat, slot in stages:
+            np.dot(w, prior, out=arg_flat)
+            arg *= h_col
+            arg += y
+            problem.grad(arg, slot)
+            np.negative(slot, out=slot)
+        nfev += dop853.N_STAGES * width
 
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5 = np.sum((_stage_sum(dop853.E5, K) / scale) ** 2, axis=1)
-        err3 = np.sum((_stage_sum(dop853.E3, K) / scale) ** 2, axis=1)
+        np.abs(y, out=scale)
+        np.maximum(scale, np.abs(y_new, out=err), out=scale)
+        scale *= rtol
+        scale += atol
+        np.dot(dop853.E5, flat, out=err_flat)
+        err /= scale
+        err *= err
+        err5 = np.add.reduce(err, axis=1)
+        np.dot(dop853.E3, flat, out=err_flat)
+        err /= scale
+        err *= err
+        err3 = np.add.reduce(err, axis=1)
         denom = err5 + 0.01 * err3
         with np.errstate(divide="ignore", invalid="ignore"):
             error_norm = np.where(denom == 0.0, 0.0, h * err5 / np.sqrt(denom * n))
-            grow = np.where(error_norm == 0.0, STEP_MAX_FACTOR,
-                            np.fmin(STEP_MAX_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT))
-            shrink = np.fmax(STEP_MIN_FACTOR, STEP_SAFETY * error_norm ** ERROR_EXPONENT)
+            factor = STEP_SAFETY * error_norm ** ERROR_EXPONENT
         accept = error_norm < 1.0
-        h_abs = h * np.where(accept, np.where(rejected, np.minimum(1.0, grow), grow),
-                             shrink)
-        rejected = ~accept
-        t = np.where(accept, t_new, t)
-        y[accept] = y_new[accept]
-        f[accept] = f_new[accept]
-        for j in np.flatnonzero(accept & kept[rows]):
-            ends[rows[j]][0].append(t_new[j])
-            ends[rows[j]][1].append(y_new[j])
+        # the next step: a zero error norm makes the factor inf, which fmin
+        # caps at STEP_MAX_FACTOR; a step taken after a rejection grows by at
+        # most 1, and a rejected one shrinks by at most STEP_MIN_FACTOR
+        h_abs = np.fmin(STEP_MAX_FACTOR, factor)
+        np.fmin(h_abs, 1.0, out=h_abs, where=~fresh)
+        np.fmax(STEP_MIN_FACTOR, factor, out=h_abs, where=~accept)
+        h_abs *= h
+        fresh = accept
+        np.copyto(t, t_new, where=accept)
+        accept_col = accept[:, None]
+        np.copyto(y, y_new, where=accept_col)
+        np.copyto(f, K[-1], where=accept_col)
+        if keeping:
+            for j in np.flatnonzero(accept & live_kept):
+                ends[rows[j]][0].append(t_new[j])
+                ends[rows[j]][1].append(y[j].copy())
 
-        beyond = np.linalg.norm(y, axis=1) > BLOWUP_RADIUS
-        if beyond.any():
+        # the norm as np.linalg.norm takes it, into a spare buffer
+        beyond = np.sqrt(np.add.reduce(np.multiply(y, y, out=err), axis=1)) > BLOWUP_RADIUS
+        if np.count_nonzero(beyond):
             raise BlowUp(f"state norm exceeded {BLOWUP_RADIUS} at "
                          f"t = {t[np.argmax(beyond)]:.4g}")
-        below = np.zeros_like(accept)
+        done = t >= end
         if stop_below_level > -np.inf:  # no f value is below -inf
+            below = np.zeros_like(accept)
             below[accept] = problem.f(y[accept]) < stop_below_level
-        done = below | (t >= end)
-        if done.any():
-            terminal[rows[done]] = y[done]
             stopped[rows[below]] = True
+            done |= below
+        if np.count_nonzero(done):
+            terminal[rows[done]] = y[done]
             keep = ~done
             rows, y, f, t, end = rows[keep], y[keep], f[keep], t[keep], end[keep]
-            h_abs, rejected = h_abs[keep], rejected[keep]
+            h_abs, fresh, live_kept = h_abs[keep], fresh[keep], live_kept[keep]
+            keeping = live_kept.any()
     step_ends = None if keep_step_ends is None else [
         None if row is None else StepEnds(np.array(row[0]), np.array(row[1]))
         for row in ends]

@@ -264,6 +264,9 @@ def build_ladder(split, kappa, kappa_star, rho0):
     d = split.gap
     lam = 0.5 * d
     delta = 0.9 * min(1.0, (d - lam) / 2)
+    if not (lam > 0.0 and delta > 0.0):  # a subnormal gap rounds delta to 0
+        raise LadderInfeasible(f"spectral gap {d:.3g} leaves lambda = {lam:.3g} and "
+                               f"delta = {delta:.3g}; the ladder needs both positive")
     mu = lam + delta
     smallness = 4 / lam + 1 / delta + 1
 

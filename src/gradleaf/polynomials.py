@@ -18,22 +18,25 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _kernel(dimension, components):
+def _kernel(components):
     """Compile ``(target, terms)`` components into one straight-line function
-    ``kernel(out, x0, ..., x{n-1})`` that assigns each component's sum to its
-    ``target`` (an assignment target in ``out``).
+    ``kernel(out, x)`` that assigns each component's sum to its ``target``
+    (an assignment target in ``out``).
 
-    The ``x`` are one array column per variable, a point per row; a row
-    rounds alike in any block, and alike to evaluating the terms one
-    column at a time.  Each power is computed
-    once: squares are ``v * v`` and higher powers go through numpy's
-    ``power`` (whose rounding differs from Python's float ``**``).  A
+    ``x`` holds a point per row, and the kernel works on its columns
+    ``x[..., i]``, one array per variable it uses; a row rounds alike in any
+    block, and alike to evaluating the terms one column at a time.  Each
+    power is computed once: squares are ``v * v`` and higher powers go
+    through numpy's ``power`` (whose rounding differs from Python's float
+    ``**``).  A
     monomial multiplies its factors in table order, and a component adds
     ``c * monomial`` in table order starting from 0.0 (which turns -0.0
-    into 0.0).  Coefficients are bound as names, so ``inf`` and ``nan``
-    need no literal.
+    into 0.0).  The coefficients and that starting 0.0 are bound as names,
+    so ``inf`` and ``nan`` need no literal, and as 0-d float64 arrays,
+    which numpy multiplies with less overhead than Python floats and to the
+    same IEEE result.
     """
-    coefficients, powers, lines = [], {}, []
+    coefficients, used, powers, lines = [], set(), {}, []
     for target, terms in components:
         parts = []
         for alpha, c in terms.items():
@@ -44,18 +47,21 @@ def _kernel(dimension, components):
                 if a > 1:
                     powers[f"p{i}_{a}"] = f"x{i} * x{i}" if a == 2 else f"power(x{i}, {a})"
                 if a:
+                    used.add(i)
                     factors.append(f"x{i}" if a == 1 else f"p{i}_{a}")
             parts.append(f"{name} * ({' * '.join(factors)})" if factors else name)
         # summed in chunks: one long expression nests too deep to compile
-        lines += ["s = 0.0"] + [f"s = s + {' + '.join(parts[k:k + 256])}"
+        lines += ["s = zero"] + [f"s = s + {' + '.join(parts[k:k + 256])}"
                                 for k in range(0, len(parts), 256)] + [f"{target} = s"]
-    body = [f"{name} = {value}" for name, value in powers.items()] + lines
-    source = (f"def make(power, {', '.join(f'c{k}' for k in range(len(coefficients)))}):\n"
-              f"    def kernel(out, {', '.join(f'x{i}' for i in range(dimension))}):\n"
+    body = ([f"x{i} = x[..., {i}]" for i in sorted(used)]
+            + [f"{name} = {value}" for name, value in powers.items()] + lines)
+    source = (f"def make(power, zero, {', '.join(f'c{k}' for k in range(len(coefficients)))}):\n"
+              "    def kernel(out, x):\n"
               + "".join(f"        {line}\n" for line in body) + "    return kernel\n")
     namespace = {}
     exec(source, namespace)
-    return namespace["make"](np.power, *coefficients)
+    return namespace["make"](np.power, np.zeros(()),
+                             *(np.array(c, dtype=float) for c in coefficients))
 
 
 def _multiply(a, b):
@@ -97,29 +103,29 @@ class Polynomial:
 
     @cached_property
     def _value_kernel(self):
-        return _kernel(self.dimension, [("out[...]", self.terms)])
+        return _kernel([("out[...]", self.terms)])
 
     @cached_property
     def _gradient_kernel(self):
-        return _kernel(self.dimension, [(f"out[..., {i}]", self.differentiate(i).terms)
-                                        for i in range(self.dimension)])
+        return _kernel([(f"out[..., {i}]", self.differentiate(i).terms)
+                        for i in range(self.dimension)])
 
     @cached_property
     def _hessian_kernel(self):
         """Entries on and above the diagonal, each mirrored below it."""
         n = self.dimension
         grads = [self.differentiate(i) for i in range(n)]
-        return _kernel(n, [(f"out[..., {i}, {j}] = out[..., {j}, {i}]",
-                            grads[i].differentiate(j).terms)
-                           for i in range(n) for j in range(i, n)])
+        return _kernel([(f"out[..., {i}, {j}] = out[..., {j}, {i}]",
+                         grads[i].differentiate(j).terms)
+                        for i in range(n) for j in range(i, n)])
 
     def _run(self, kernel, x, shape):
-        """``kernel`` on one array column per variable of the rows of ``x``,
-        ``shape`` per row; a 1-D point runs as a one-row block."""
+        """``kernel`` on the rows of ``x``, ``shape`` per row; a 1-D point
+        runs as a one-row block (and a 0-d one as a one-by-one block)."""
         x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
+        pts = x.reshape(1, -1) if x.ndim < 2 else x
         out = np.empty(pts.shape[:1] + shape)
-        kernel(out, *pts.T)
+        kernel(out, pts)
         return out[0] if x.ndim == 1 else out
 
     def __call__(self, x):
@@ -162,8 +168,16 @@ class Polynomial:
                 terms[gamma] = terms.get(gamma, 0.0) + v
         return Polynomial(m, terms)
 
-    def gradient(self, x):
-        return self._run(self._gradient_kernel, x, (self.dimension,))
+    def gradient(self, x, out=None):
+        """The gradient at each row of ``x`` (at ``x`` itself for a 1-D
+        point).  Given ``out``, an ``(m, dimension)`` array not overlapping
+        the ``(m, dimension)`` block ``x``, the kernel runs on the columns of
+        ``x`` and writes each row's gradient straight into ``out``, which is
+        returned; the values are the same bits either way."""
+        if out is None:
+            return self._run(self._gradient_kernel, x, (self.dimension,))
+        self._gradient_kernel(out, x)
+        return out
 
     def hessian(self, x):
         n = self.dimension

@@ -51,8 +51,12 @@ class GradientProblem:
     def f(self, x):
         return self.objective(x)
 
-    def grad(self, x):
-        return self.objective.gradient(x)
+    def grad(self, x, out):
+        """Write the gradient at each row of the ``(m, dimension)`` block
+        ``x`` into ``out``, an ``(m, dimension)`` array that does not
+        overlap ``x``, and return ``out``: :meth:`Polynomial.gradient` with
+        ``out``."""
+        return self.objective.gradient(x, out)
 
     def hess(self, x):
         return self.objective.hessian(x)

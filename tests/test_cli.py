@@ -204,6 +204,20 @@ def test_tiny_spectral_gap_exits_config_before_any_grid(tmp_path):
                                           "manifolds": "error"}
 
 
+def test_subnormal_spectral_gap_exits_config_in_the_ladder(tmp_path):
+    # Hessian diag(-1e-323, 1e-323): the gap is subnormal, so delta rounds
+    # to 0, which the ladder refuses before any rate divides by it
+    cpath = _write_config(tmp_path, "subnormal_gap", [[[2, 0], -5e-324], [[0, 2], 5e-324]])
+    out = tmp_path / "o"
+    assert run_cli(["all", "--config", cpath, "--out", out]) == EXIT_CONFIG
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ladder_infeasible"
+    assert record["message"] == ("spectral gap 9.88e-324 leaves lambda = 4.94e-324 and "
+                                 "delta = 0; the ladder needs both positive")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage_statuses"] == {"spectral": "pass", "ladder": "error"}
+
+
 def test_config_not_utf8_json_exits_config(tmp_path):
     config = {"name": "caf\u00e9", "dimension": 2, "critical_point": [0.0, 0.0],
               "objective": [[[2, 0], -0.5], [[0, 2], 1.0]]}

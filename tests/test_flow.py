@@ -62,7 +62,7 @@ def test_f_derivative_is_gradient_norm(p2, trajectory_tol):
     trajectory_tol(1e-12, 1e-14)
     traj = integrate_forward(p2.problem, p, h)
     quotient = (p2.problem.f(traj.states[-1]) - p2.problem.f(p)) / h
-    assert quotient == pytest.approx(-np.linalg.norm(p2.problem.grad(p)) ** 2,
+    assert quotient == pytest.approx(-np.linalg.norm(p2.problem.objective.gradient(p)) ** 2,
                                      rel=1e-4)
 
 
@@ -125,8 +125,12 @@ def test_batch_step_failure_raises(starts):
     # the right-hand side turns NaN beyond |x| = 0.5 (or at once, from a NaN
     # start), so steps are rejected until they fall below the spacing of the
     # row's time
-    problem = SimpleNamespace(grad=lambda y: np.where(np.abs(y) > 0.5, np.nan, -y),
-                              f=lambda y: np.sum(y * y, axis=-1))
+    def grad(y, out):
+        np.negative(y, out=out)
+        out[np.abs(y) > 0.5] = np.nan
+        return out
+
+    problem = SimpleNamespace(grad=grad, f=lambda y: np.sum(y * y, axis=-1))
     with pytest.raises(BlowUp, match="integrator failed"):
         solve_ivp(problem, np.array(starts), 5.0, 1e-10, 1e-12, -np.inf)
 
@@ -137,9 +141,10 @@ def test_nan_row_fails_before_any_stage():
     # any stage of a step is evaluated
     calls = []
 
-    def grad(y):
+    def grad(y, out):
         calls.append(len(y))
-        return y
+        out[...] = y
+        return out
 
     problem = SimpleNamespace(grad=grad, f=lambda y: 0.5 * np.sum(y * y, axis=-1))
     starts = np.array([[0.1, 0.0], [np.nan, 0.0], [0.0, 0.2]])
@@ -153,9 +158,9 @@ def test_nfev_counts_the_rows_passed_to_grad(p2):
     # level: nfev is every row the run passed to grad, kept rows included
     rows = []
 
-    def grad(y):
+    def grad(y, out):
         rows.append(len(y))
-        return p2.problem.grad(y)
+        return p2.problem.grad(y, out)
 
     counted = SimpleNamespace(grad=grad, f=p2.problem.f)
     starts = np.random.default_rng(9).uniform(-0.3, 0.3, size=(7, 2))
@@ -169,7 +174,7 @@ def test_nfev_counts_the_rows_passed_to_grad(p2):
 
 def test_batch_blow_up_and_empty_inputs(p2):
     # the upward flow x' = x carries |x| = 0.3 past BLOWUP_RADIUS by t = 8.2
-    unstable = SimpleNamespace(grad=lambda y: -y,
+    unstable = SimpleNamespace(grad=lambda y, out: np.negative(y, out=out),
                                f=lambda y: -0.5 * np.sum(y * y, axis=-1))
     starts = np.array([[0.0, 0.0], [0.3, 0.0]])
     with pytest.raises(BlowUp, match="state norm exceeded"):
@@ -189,9 +194,9 @@ def test_non_finite_horizon_raises_before_any_step(p2, bad):
     # and a NaN one would return the start unchanged
     calls = []
 
-    def grad(y):
+    def grad(y, out):
         calls.append(1)
-        return p2.problem.grad(y)
+        return p2.problem.grad(y, out)
 
     problem = SimpleNamespace(grad=grad, f=p2.problem.f)
     starts = np.array([[0.0, 0.01], [0.0, 0.02]])
@@ -207,16 +212,17 @@ def test_single_trajectory_failures_raise():
     # instead of shrinking a NaN step forever
     calls = []
 
-    def grad(y):
+    def grad(y, out):
         calls.append(1)
         assert len(calls) <= 2, "the run went on past a NaN step"
-        return -y
+        return np.negative(y, out=out)
 
     stable = SimpleNamespace(grad=grad, critical_point=np.zeros(2))
     with pytest.raises(BlowUp, match="integrator failed"):
         integrate_forward(stable, np.array([np.nan, 0.0]), 5.0)
     # the upward flow x' = x carries |x| = 0.3 past BLOWUP_RADIUS by t = 8.2
-    unstable = SimpleNamespace(grad=lambda y: -y, critical_point=np.zeros(2))
+    unstable = SimpleNamespace(grad=lambda y, out: np.negative(y, out=out),
+                               critical_point=np.zeros(2))
     with pytest.raises(BlowUp, match="state norm exceeded"):
         integrate_forward(unstable, np.array([0.3, 0.0]), 10.0)
 
@@ -351,7 +357,7 @@ def test_f_drop_equals_gradient_quadrature(p2, trajectory_tol):
 
     def speed_sq(s, x):
         end = integrate_forward(p2.problem, x, s).states[-1]
-        return float(np.linalg.norm(p2.problem.grad(end)) ** 2)
+        return float(np.linalg.norm(p2.problem.objective.gradient(end)) ** 2)
 
     drop = sum(quad(speed_sq, 0.0, t1 - t0, args=(x,), epsabs=1e-13)[0]
                for t0, t1, x in zip(traj.times, traj.times[1:], traj.states))

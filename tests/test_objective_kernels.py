@@ -23,7 +23,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradleaf.polynomials import Polynomial
+from gradleaf.polynomials import Polynomial, _kernel
+from references import float_kernel
 
 
 def _compile(terms):
@@ -179,3 +180,30 @@ def test_long_table_compiles_and_matches():
     x = rng.uniform(-1.1, 1.1, (4, 2))
     _check(poly, x)
     _check(poly, x[0])
+
+
+def test_array_binding_matches_python_float_binding():
+    # coefficients and the starting 0.0 bound as 0-d float64 arrays give every
+    # bit, NaN signs included, that Python floats gave: sums of -0.0
+    # products, inf and nan coefficients, a 300-term component summed in
+    # 256-term chunks and an empty one, on a block, one point and 0-d columns
+    rng = np.random.default_rng(7)
+    chunked = {(a, b): float(rng.standard_normal()) for a in range(20) for b in range(15)}
+    components = [("out[..., 0]", {(1, 0): -1.0, (0, 1): -0.0}),
+                  ("out[..., 1]", {(2, 0): math.inf, (0, 3): math.nan,
+                                   (1, 1): -math.inf, (0, 0): 2.5}),
+                  ("out[..., 2]", chunked),
+                  ("out[..., 3]", {})]
+    arrays, floats = _kernel(components), float_kernel(2, components)
+    x = np.array([[0.0, 0.0], [-0.0, 0.0], [1.5, -0.75], [math.inf, 0.0],
+                  [math.nan, 1.0], [-2.0, -math.inf]])
+    blocks = [(x, np.empty((6, 4))), (x[:1], np.empty((1, 4)))]
+    blocks += [(p, np.empty(4)) for p in x]  # one point: 0-d columns
+    for pts, out in blocks:
+        ref = np.empty_like(out)
+        with np.errstate(all="ignore"):
+            arrays(out, pts)
+            floats(ref, *(pts[..., i] for i in range(2)))
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64)), pts
+    # at the origin both products are -0.0, and the sum from 0.0 is +0.0
+    assert blocks[0][1][0, 0].view(np.int64) == 0
